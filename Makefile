@@ -3,8 +3,9 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench bench-smoke bench-sweep bench-scale bench-serve bench-fabric bench-latency-smoke bench-batch-smoke perf-regress scenarios-smoke serve-smoke chaos-smoke fabric-smoke watch-smoke
 
+# warnings are errors: the suite runs warning-free and stays that way
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q -W error
 
 # <60s regression harness: solves three pinned instances and asserts the DP
 # still returns seed-identical optimal costs (guards the batched dispatch
@@ -28,11 +29,11 @@ bench-scale:
 
 # Performance-regression gate: re-runs the combined workload and compares
 # every cost field against the pinned PR-1 reference (exact to 1e-6), then
-# re-runs the pinned serve workload cold / warm-started / prewarmed and
-# compares every hot-path work counter (unique solves, tensor hits, warm
-# hits, table gathers, ...) against its pinned value exactly.  Wall times are
-# advisory-only — machines differ — and the gate does not rewrite the
-# committed BENCH_sweep.json (use `make bench-sweep` to refresh it).
+# re-runs the pinned serve workload cold / prewarmed and compares every
+# hot-path work counter (unique solves, tensor hits, table gathers, ...)
+# against its pinned value exactly.  Wall times are advisory-only —
+# machines differ — and the gate does not rewrite the committed
+# BENCH_sweep.json (use `make bench-sweep` to refresh it).
 perf-regress:
 	$(PYTHON) -m repro bench --sweep
 	$(PYTHON) -m repro bench --counters

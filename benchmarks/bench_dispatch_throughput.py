@@ -2,7 +2,7 @@
 
 Not a paper artifact, but the quantity that makes the reproduction practical:
 the offline DP evaluates ``g_t(x)`` for every grid vertex per slot, so the
-batched dual-bisection dispatcher and the separable min-plus transition are
+batched event-sweep dispatcher and the separable min-plus transition are
 the two hot loops.  These benchmarks track their throughput so performance
 regressions are visible, and emit machine-readable ``BENCH_dispatch.json`` /
 ``BENCH_dp.json`` files (wall time, states explored, cache-hit rate) for the

@@ -13,10 +13,10 @@ Performance architecture
 Every solver routes its operating-cost evaluations through the *batched
 dispatch engine* (:meth:`repro.dispatch.DispatchSolver.solve_block`), which
 solves ``g_t(x)`` for a whole ``(slots x configurations)`` block at once:
-slots are deduplicated by their ``(demand, cost-row)`` signature, the dual
-bisection is vectorised over a 2-D ``(unique slots, configs)`` array with
-derivative-bound initial brackets and monotone cross-demand bracket
-propagation, and results are memoised per ``(signature, configuration set)``.
+slots are deduplicated by their ``(demand, cost-row)`` signature, each
+``(unique slot, configuration)`` cell is solved exactly by a vectorised event
+sweep over the piecewise marginal costs, and results are memoised per
+``(signature, configuration set)``.
 State grids are memoised per ``(counts, gamma)`` on the instance, so
 time-invariant instances build exactly one grid (with one cached ``configs()``
 enumeration) for the whole horizon.

@@ -12,7 +12,7 @@ The three instances deliberately exercise the engine's three code paths:
 * ``smoke-diurnal`` — time-independent costs, so slot deduplication by
   ``(demand, cost-row)`` signature applies,
 * ``smoke-priced`` — time-dependent operating costs (Section 3), one cost row
-  per slot, grouped-by-row vectorised bisection,
+  per slot, grouped-by-row vectorised dispatch,
 * ``smoke-counts`` — time-dependent fleet sizes (Section 4.3), several grids
   per horizon, per-grid dispatch blocks.
 
@@ -748,7 +748,6 @@ def run_serve_bench(
     demand_levels: int = 12,
     json_path: Optional[str] = None,
     assert_sharing: bool = True,
-    warm_start: bool = False,
 ) -> dict:
     """Benchmark the serve layer: N concurrent sessions, shared vs isolated caches.
 
@@ -766,10 +765,6 @@ def run_serve_bench(
     * with more than one tenant, the shared mode must run strictly fewer
       unique dispatch solves than the isolated mode — the sharing is real,
       not a label.  Wall times are recorded but advisory.
-
-    ``warm_start=True`` runs both modes with warm-started dual bisection
-    (previous solve's multiplier seeds the next bracket) — the cost-equality
-    gate then doubles as a warm-vs-cold consistency check.
     """
     from .serve import InstanceFeed, ServeEngine
     from .workloads.scale import quantise_trace
@@ -786,9 +781,7 @@ def run_serve_bench(
         mode_costs: Dict[str, list] = {}
         for mode in ("shared", "isolated"):
             def build_engine(mode=mode):
-                engine = ServeEngine(
-                    share_caches=(mode == "shared"), warm_start=warm_start
-                )
+                engine = ServeEngine(share_caches=(mode == "shared"))
                 for k in range(n):
                     tenant_demand = np.roll(demand, k % max(ticks, 1))
                     feed = InstanceFeed(
@@ -831,8 +824,6 @@ def run_serve_bench(
                     "tensor_hits": sum(c["tensor_hits"] for c in sharing),
                     "tensor_misses": sum(c["tensor_misses"] for c in sharing),
                     "table_gathers": sum(c["table_gathers"] for c in sharing),
-                    "warm_hits": sum(c["warm_hits"] for c in sharing),
-                    "cold_solves": sum(c["cold_solves"] for c in sharing),
                     "registry": _registry_totals(engine.metrics),
                     "tracemalloc_peak_mb": peak_mb,
                     "rss_delta_mb": rss_delta_mb,
@@ -881,7 +872,6 @@ def run_serve_bench(
         "ticks_per_tenant": ticks,
         "demand_levels": demand_levels,
         "tenant_counts": [int(n) for n in tenant_counts],
-        "warm_start": bool(warm_start),
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "environment": {
             "python": platform.python_version(),
@@ -913,7 +903,6 @@ def run_serve_bench(
             {
                 "benchmark": "serve",
                 "tenants": None if shared_last is None else shared_last["tenants"],
-                "warm_start": bool(warm_start),
                 "max_cost_deviation": max(
                     (c["max_cost_deviation"] for c in comparisons), default=0.0
                 ),
@@ -1468,16 +1457,14 @@ def run_fabric_bench(
 #: 64 quantised ticks of diurnal-cpu-gpu, algorithm A, shared caches) — all
 #: integers are deterministic functions of the instance, independent of the
 #: machine, so the gate is exact equality.  ``grid_hit_rate`` is the serve
-#: cache's rounded hit ratio; ``*_warm``/``*_prewarmed`` rows pin the
-#: warm-started bisection and the table-gather fast path respectively.
+#: cache's rounded hit ratio; ``*_prewarmed`` rows pin the table-gather
+#: fast path.
 PINNED_SERVE_COUNTERS: Dict[str, float] = {
     "unique_solves": 57,
     "slot_queries": 57,
     "tensor_hits": 500,
     "tensor_misses": 12,
     "grid_hit_rate": 0.976562,
-    "warm_hits_warm": 41,
-    "cold_solves_warm": 16,
     "table_gathers_prewarmed": 928,
     "prewarmed_levels": 12,
     "unique_solves_prewarmed": 228,
@@ -1487,18 +1474,21 @@ PINNED_SERVE_COUNTERS: Dict[str, float] = {
 def run_counter_regress(json_path: Optional[str] = None) -> dict:
     """Pin the hot-path work counters on a fixed multi-tenant workload.
 
-    Three replays of the same deterministic workload (8 tenants, rotated
+    Two replays of the same deterministic workload (8 tenants, rotated
     copies of a 64-tick quantised ``diurnal-cpu-gpu`` trace, algorithm A,
     shared caches):
 
     * **cold** — the default path; pins ``unique_solves``, ``slot_queries``,
       ``tensor_hits``/``tensor_misses`` and the serve-level ``grid_hit_rate``,
-    * **warm** — ``warm_start=True``; additionally pins the
-      ``warm_hits``/``cold_solves`` split of the dual bisection, and
+      and
     * **prewarmed** — the demand alphabet prewarmed into the solution-table
       fast maps; pins ``table_gathers`` and ``prewarmed_levels``.
 
-    Every run must also reproduce the cold run's per-tenant costs to 1e-9
+    No replay warm-starts the dispatch: it solves each cell exactly by an
+    event sweep, which needs no starting bracket, so there is no bracket
+    seeding to pin (the ``warm_hits``/``cold_solves`` pins went with it).
+
+    The prewarmed run must also reproduce the cold run's per-tenant costs to 1e-9
     (the counters may only change when the *work routing* changes, never the
     decisions).  All counters gate by exact equality against
     :data:`PINNED_SERVE_COUNTERS` — they are integer-valued functions of the
@@ -1513,8 +1503,8 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
     demand = quantise_trace(base.demand, levels=levels)
     instance = base.with_demand(demand, name="counter-regress")
 
-    def replay(warm_start: bool, prewarm: bool):
-        engine = ServeEngine(share_caches=True, warm_start=warm_start)
+    def replay(prewarm: bool):
+        engine = ServeEngine(share_caches=True)
         for k in range(tenants):
             feed = InstanceFeed(
                 instance.with_demand(np.roll(demand, k), name=f"tenant-{k}")
@@ -1533,8 +1523,6 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
                 "tensor_misses",
                 "table_gathers",
                 "prewarmed_levels",
-                "warm_hits",
-                "cold_solves",
             )
         }
         summed["grid_hit_rate"] = round(
@@ -1554,12 +1542,11 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
         )
         return summed, [s.cumulative_cost for s in engine.sessions], registry
 
-    cold, cold_costs, cold_reg = replay(warm_start=False, prewarm=False)
-    warm, warm_costs, warm_reg = replay(warm_start=True, prewarm=False)
-    pre, pre_costs, pre_reg = replay(warm_start=False, prewarm=True)
+    cold, cold_costs, cold_reg = replay(prewarm=False)
+    pre, pre_costs, pre_reg = replay(prewarm=True)
 
     for label, counters_path, registry_path in (
-        ("cold", cold, cold_reg), ("warm", warm, warm_reg), ("prewarmed", pre, pre_reg)
+        ("cold", cold, cold_reg), ("prewarmed", pre, pre_reg)
     ):
         if counters_path != registry_path:
             diff = {
@@ -1573,13 +1560,12 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
                 "or double-counted an increment site"
             )
 
-    for label, costs in (("warm", warm_costs), ("prewarmed", pre_costs)):
-        worst = max(abs(a - b) for a, b in zip(costs, cold_costs))
-        if not worst <= 1e-9:
-            raise AssertionError(
-                f"counter regress: {label} replay changed a tenant's cost by "
-                f"{worst:.3e} — counter routing must be decision-neutral"
-            )
+    worst = max(abs(a - b) for a, b in zip(pre_costs, cold_costs))
+    if not worst <= 1e-9:
+        raise AssertionError(
+            f"counter regress: prewarmed replay changed a tenant's cost by "
+            f"{worst:.3e} — counter routing must be decision-neutral"
+        )
 
     measured = {
         "unique_solves": cold["unique_solves"],
@@ -1587,8 +1573,6 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
         "tensor_hits": cold["tensor_hits"],
         "tensor_misses": cold["tensor_misses"],
         "grid_hit_rate": cold["grid_hit_rate"],
-        "warm_hits_warm": warm["warm_hits"],
-        "cold_solves_warm": warm["cold_solves"],
         "table_gathers_prewarmed": pre["table_gathers"],
         "prewarmed_levels": pre["prewarmed_levels"],
         "unique_solves_prewarmed": pre["unique_solves"],
@@ -1599,8 +1583,6 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
         "tensor_hits": cold_reg["tensor_hits"],
         "tensor_misses": cold_reg["tensor_misses"],
         "grid_hit_rate": cold_reg["grid_hit_rate"],
-        "warm_hits_warm": warm_reg["warm_hits"],
-        "cold_solves_warm": warm_reg["cold_solves"],
         "table_gathers_prewarmed": pre_reg["table_gathers"],
         "prewarmed_levels": pre_reg["prewarmed_levels"],
         "unique_solves_prewarmed": pre_reg["unique_solves"],
@@ -1622,11 +1604,6 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
             f"counter regress: hot-path work counters drifted ({drifted}) — "
             "the solve routing changed; re-derive the pins only if the change "
             "is intentional"
-        )
-    if warm["warm_hits"] <= 0:
-        raise AssertionError(
-            "counter regress: warm_start=True replay recorded no warm bisection "
-            "hits — the bracket seeding is dead code"
         )
     if pre["table_gathers"] <= 0:
         raise AssertionError(
@@ -1652,7 +1629,7 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
         "measured": measured,
         "registry": measured_registry,
         "pinned": dict(PINNED_SERVE_COUNTERS),
-        "modes": {"cold": cold, "warm": warm, "prewarmed": pre},
+        "modes": {"cold": cold, "prewarmed": pre},
         "note": "all counters gate by exact equality — through both the "
                 "counters() dict path and the metrics-registry snapshot path; "
                 "costs gate at 1e-9",

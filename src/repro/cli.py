@@ -69,11 +69,10 @@ without writing Python:
     d=4 sizes, written to ``BENCH_scale.json``).
 
 ``python -m repro bench --counters``
-    Re-run the pinned multi-tenant serve workload three ways (cold,
-    warm-started bisection, prewarmed solution tables) and assert every
-    hot-path work counter — unique solves, slot queries, tensor hits/misses,
-    grid hit rate, warm hits, table gathers — matches its pinned value
-    exactly (part of ``make perf-regress``).
+    Re-run the pinned multi-tenant serve workload two ways (cold and
+    with prewarmed solution tables) and assert every hot-path work counter —
+    unique solves, slot queries, tensor hits/misses, grid hit rate, table
+    gathers — matches its pinned value exactly (part of ``make perf-regress``).
 
 ``python -m repro bench --latest``
     Print the newest entry of every ``BENCH_*.json`` trend series (the
@@ -1082,7 +1081,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 scenario=args.scenario or "diurnal-cpu-gpu",
                 algorithm=_serve_algorithm(args),
                 json_path=args.json,
-                warm_start=args.warm,
             )
         except AssertionError as exc:
             print(f"FAIL: {exc}", file=sys.stderr)
@@ -1321,7 +1319,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ]
         print(format_table(table_rows, title="bench counters — hot-path work-counter pins"))
         print(f"\nall {len(table_rows)} pinned counters reproduced exactly "
-              "(cold / warm-start / prewarmed replays, per-tenant costs equal to 1e-9)")
+              "(cold / prewarmed replays, per-tenant costs equal to 1e-9)")
         if args.json:
             print(f"wrote {args.json}")
         return 0
@@ -1671,10 +1669,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--overlap", action="store_true",
                          help="with bench --batched: pump feeds through the overlapped "
                               "thread-pool front end instead of inline iteration")
-    p_serve.add_argument("--warm", action="store_true",
-                         help="with bench: warm-start the dual bisection (previous solve's "
-                              "multiplier seeds the next bracket); the cost-equality gate "
-                              "then doubles as a warm-vs-cold consistency check")
     p_serve.add_argument("--budget-us", type=float, default=None, metavar="US",
                          help="latency: steady-state p99 tick budget in microseconds "
                               "(default: 50) / batch: batched-tenant p99 budget including "
@@ -1731,7 +1725,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "against the pinned seed costs, 1e-9 for --scale streaming equality)")
     p_bench.add_argument("--counters", action="store_true",
                          help="run the hot-path work-counter regression: the pinned serve "
-                              "workload replayed cold / warm-started / prewarmed, every "
+                              "workload replayed cold / prewarmed, every "
                               "counter gated by exact equality (part of `make perf-regress`)")
     p_bench.add_argument("--latest", action="store_true",
                          help="print the newest BENCH_*.json trend entries with deltas vs "

@@ -1,8 +1,9 @@
 """Compiled-kernel backend seam for the dispatch/DP hot path.
 
-The two inner loops that dominate a steady-state tick are (a) the dual
-bisection step of :class:`~repro.dispatch.allocation.DispatchSolver` and (b)
-the separable min-plus relaxation of :mod:`repro.offline.transitions`.  Both
+The two inner loops served here are (a) the dual bisection step that
+:class:`~repro.dispatch.allocation.DispatchSolver` keeps for cost functions
+without closed-form marginals and (b) the separable min-plus relaxation of
+:mod:`repro.offline.transitions`.  Both
 are factored here into *preallocated, dtype-stable kernel functions*: every
 kernel writes into caller-owned ``float64`` buffers, allocates nothing, and is
 a drop-in unit behind one dispatch point — callers never branch on the active
@@ -54,7 +55,7 @@ class Backend:
     All kernels operate on ``float64`` arrays and write into caller-provided
     buffers; none of them allocates.  ``bisect_step`` and
     ``propagate_brackets`` serve the dual bisection of
-    :meth:`DispatchSolver._allocate_rows <repro.dispatch.allocation.DispatchSolver._allocate_rows>`;
+    :meth:`DispatchSolver._bisect_rows <repro.dispatch.allocation.DispatchSolver._bisect_rows>`;
     ``min_plus_axis`` is one axis of the separable min-plus transition
     (prefix-minimum power-up direction + suffix-minimum power-down direction).
     """

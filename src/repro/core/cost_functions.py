@@ -14,11 +14,12 @@ This module provides a small library of such functions.  Every cost function
 * is vectorised: it accepts scalars or :class:`numpy.ndarray` loads and returns
   values of the same shape,
 * exposes its derivative and — where it exists in closed form — the inverse of the
-  derivative.  The inverse marginal is what makes the load-dispatch solver
-  (:mod:`repro.dispatch`) fast: the KKT conditions of the separable allocation
-  problem equalise marginals across server types, so evaluating
-  ``(f_j')^{-1}(mu)`` for a candidate multiplier ``mu`` solves the inner problem
-  in closed form.
+  derivative, and
+* describes its marginal ``f'`` as consecutive :class:`MarginalPiece` s
+  (:attr:`CostFunction.marginal_pieces`).  The KKT conditions of the separable
+  load-dispatch problem (:mod:`repro.dispatch`) equalise marginals across
+  server types, and with the marginal known piece by piece the dispatcher
+  computes the common multiplier exactly instead of bracketing it.
 
 The functions are intentionally simple dataclasses; they are hashable and
 comparable which makes memoising dispatch results straightforward.
@@ -28,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,10 +44,27 @@ __all__ = [
     "ScaledCost",
     "ShiftedCost",
     "CallableCost",
+    "MarginalPiece",
     "check_valid_cost_function",
 ]
 
 _ArrayLike = "float | np.ndarray"
+
+
+class MarginalPiece(NamedTuple):
+    """One piece of a marginal cost ``f'``, covering loads ``[z0, z0 + length)``.
+
+    ``z0`` is the summed length of the pieces before it, and the last piece
+    of a function is unbounded.  On the piece
+    ``f'(z0 + s) = start + slope * s**power``: a zero ``slope`` is a *step*
+    (the marginal stays at ``start`` while the piece fills), ``power == 1`` an
+    affine *ramp*, and any other power a curved ramp.
+    """
+
+    start: float
+    slope: float
+    length: float
+    power: float = 1.0
 
 
 class CostFunction:
@@ -59,8 +78,8 @@ class CostFunction:
     never requested by the library.
     """
 
-    #: Marks functions whose derivative is constant (linear / constant cost).
-    #: The dispatcher uses an exact greedy water-filling path for those.
+    #: Marks functions whose derivative is constant (linear / constant cost):
+    #: their marginal is a single step.
     has_constant_marginal: bool = False
 
     # ----------------------------------------------------------------- values
@@ -86,13 +105,8 @@ class CostFunction:
         closed forms.
         """
         y_arr = np.asarray(y, dtype=float)
-        scalar = y_arr.ndim == 0
-        y_flat = np.atleast_1d(y_arr).astype(float)
-        out = np.empty_like(y_flat)
-        for i, yi in enumerate(y_flat):
-            out[i] = self._inverse_derivative_scalar(float(yi))
-        result = out.reshape(y_arr.shape) if not scalar else float(out[0])
-        return result
+        out = np.array([self._inverse_derivative_scalar(float(yi)) for yi in y_arr.ravel()])
+        return out.reshape(y_arr.shape) if y_arr.ndim else float(out[0])
 
     _INV_UPPER = 1e12
 
@@ -112,6 +126,16 @@ class CostFunction:
             else:
                 hi = mid
         return lo
+
+    @property
+    def marginal_pieces(self) -> Optional[tuple]:
+        """``f'`` on ``[0, inf)`` as consecutive :class:`MarginalPiece` s, or ``None``.
+
+        The built-in families cache theirs.  ``None`` (the default, for
+        functions without a closed-form marginal) sends the load dispatcher
+        to its bisection fallback.
+        """
+        return None
 
     # ----------------------------------------------------------- conveniences
     def __call__(self, z):
@@ -160,6 +184,10 @@ class ConstantCost(CostFunction):
         res = np.where(y >= 0.0, np.inf, 0.0)
         return res if y.ndim else float(res)
 
+    @cached_property
+    def marginal_pieces(self) -> tuple:
+        return (MarginalPiece(0.0, 0.0, math.inf),)
+
 
 @dataclass(frozen=True)
 class LinearCost(CostFunction):
@@ -193,6 +221,10 @@ class LinearCost(CostFunction):
         res = np.where(y >= self.slope, np.inf, 0.0)
         return res if y.ndim else float(res)
 
+    @cached_property
+    def marginal_pieces(self) -> tuple:
+        return (MarginalPiece(float(self.slope), 0.0, math.inf),)
+
 
 @dataclass(frozen=True)
 class QuadraticCost(CostFunction):
@@ -225,8 +257,14 @@ class QuadraticCost(CostFunction):
         if self.b == 0.0:
             res = np.where(y >= self.a, np.inf, 0.0)
         else:
-            res = np.maximum(0.0, (y - self.a) / (2.0 * self.b))
+            # a subnormal b overflows the load to +inf, the generalised inverse
+            with np.errstate(over="ignore"):
+                res = np.maximum(0.0, (y - self.a) / (2.0 * self.b))
         return res if y.ndim else float(res)
+
+    @cached_property
+    def marginal_pieces(self) -> tuple:
+        return (MarginalPiece(float(self.a), 2.0 * self.b, math.inf),)
 
     @property
     def has_constant_marginal(self) -> bool:  # type: ignore[override]
@@ -270,9 +308,17 @@ class PowerCost(CostFunction):
         if self.exponent == 1.0 or self.coef == 0.0:
             res = np.where(y >= self.derivative(0.0), np.inf, 0.0)
             return res if y.ndim else float(res)
-        base = np.maximum(y, 0.0) / (self.coef * self.exponent)
-        res = np.power(base, 1.0 / (self.exponent - 1.0))
+        # a subnormal coef overflows the load to +inf, the generalised inverse
+        with np.errstate(over="ignore"):
+            base = np.maximum(y, 0.0) / (self.coef * self.exponent)
+            res = np.power(base, 1.0 / (self.exponent - 1.0))
         return res if y.ndim else float(res)
+
+    @cached_property
+    def marginal_pieces(self) -> tuple:
+        if self.has_constant_marginal:
+            return (MarginalPiece(float(self.derivative(0.0)), 0.0, math.inf),)
+        return (MarginalPiece(0.0, self.coef * self.exponent, math.inf, self.exponent - 1.0),)
 
     @property
     def has_constant_marginal(self) -> bool:  # type: ignore[override]
@@ -341,6 +387,14 @@ class PiecewiseLinearCost(CostFunction):
         res = np.where(n_ok >= len(slopes), np.inf, res)
         return res if y.ndim else float(res)
 
+    @cached_property
+    def marginal_pieces(self) -> tuple:
+        ends = self.breaks[1:] + (math.inf,)
+        return tuple(
+            MarginalPiece(slope, 0.0, end - begin)
+            for slope, begin, end in zip(self.slopes, self.breaks, ends)
+        )
+
     @property
     def has_constant_marginal(self) -> bool:  # type: ignore[override]
         return len(set(self.slopes)) <= 1
@@ -375,6 +429,14 @@ class ScaledCost(CostFunction):
             return res if y_arr.ndim else math.inf
         return self.base.inverse_derivative(np.asarray(y, dtype=float) / self.factor)
 
+    @cached_property
+    def marginal_pieces(self) -> Optional[tuple]:
+        pieces = self.base.marginal_pieces
+        if pieces is None:
+            return None
+        factor = float(self.factor)
+        return tuple(p._replace(start=p.start * factor, slope=p.slope * factor) for p in pieces)
+
     @property
     def has_constant_marginal(self) -> bool:  # type: ignore[override]
         return self.base.has_constant_marginal
@@ -403,6 +465,10 @@ class ShiftedCost(CostFunction):
 
     def inverse_derivative(self, y):
         return self.base.inverse_derivative(y)
+
+    @property
+    def marginal_pieces(self) -> Optional[tuple]:
+        return self.base.marginal_pieces
 
     @property
     def has_constant_marginal(self) -> bool:  # type: ignore[override]

@@ -123,7 +123,7 @@ def evaluate_schedule(
 
     # Batch all dispatch work through the block engine: evaluate the schedule's
     # unique configurations against every slot.  The engine deduplicates slots
-    # by (demand, cost-row) signature, so the number of actual dual-bisection
+    # by (demand, cost-row) signature, so the number of actual dispatch
     # solves is (unique signatures) x (unique configs) fused into vectorised
     # passes — far cheaper than T sequential single-configuration solves.
     # Long horizons are *chunked* so the transient (slots x configs) result

@@ -14,11 +14,40 @@ volume ``w_j = lambda_t z_j`` routed to the type.
 Writing ``h_j(w) = x_j * f_{t,j}(w / x_j)``, evaluating ``g_t(x)`` is a separable
 convex resource-allocation problem
 
-``min sum_j h_j(w_j)   s.t.  sum_j w_j = lambda_t,  0 <= w_j <= x_j * zmax_j``.
+``min sum_j h_j(w_j)   s.t.  sum_j w_j = lambda_t,  0 <= w_j <= c_j``,
 
-The KKT conditions equalise marginal costs: there is a multiplier ``mu`` with
-``w_j(mu) = x_j * clip((f_{t,j}')^{-1}(mu), 0, zmax_j)``.  The total allocation
-``sum_j w_j(mu)`` is non-decreasing in ``mu``, so ``mu`` is found by bisection.
+with the type volume capped at ``c_j = min(x_j * zmax_j, lambda_t)``.  The KKT
+conditions equalise marginal costs: there is a multiplier ``mu`` with
+``w_j(mu) = x_j * clip((f_{t,j}')^{-1}(mu), 0, s_j)``, where ``s_j = c_j / x_j``
+is the per-server load at which type ``j`` saturates, and the total
+allocation ``W(mu) = sum_j w_j(mu)`` is non-decreasing in ``mu``.
+
+Event sweep
+-----------
+Every built-in cost family describes its marginal ``f'`` as consecutive
+pieces (:attr:`~repro.core.cost_functions.CostFunction.marginal_pieces`):
+*steps*, on which ``f'`` stays constant while the piece fills, and *ramps*,
+on which it rises.  Cut at the saturation load ``s_j``, a step adds a jump to
+``W`` at its marginal and an affine ramp adds a constant slope between its
+start and end marginals, so ``W`` is piecewise affine.  Per (demand,
+configuration) cell the solver sorts these events once, reads ``W`` at every
+event from cumulative sums of slopes and jumps, locates the event where
+``W`` first reaches ``lambda_t`` and solves for ``mu*`` in closed form: inside
+a ramp segment by affine interpolation, at a step by giving the stepping
+types the remainder of the demand.
+
+The one curved family, :class:`~repro.core.cost_functions.PowerCost` with an
+exponent outside ``{1, 2}``, adds its exact volume at every event, and a
+segment it runs through is refined by a safeguarded Newton method confined
+to that segment.  Every cell is computed from its own data alone, so its cost
+and loads are bit-identical whether it is solved on its own, in a grid or in
+a block of slots.
+
+Cost functions without pieces (:class:`~repro.core.cost_functions.CallableCost`)
+keep a vectorised dual bisection on the inverse marginals: the
+bracket starts at the derivative bound ``max_j f'_j(min(zmax_j, lambda_t))``,
+and because ``mu*`` is non-decreasing in the demand each iteration
+propagates brackets across the sorted demand rows.
 
 Batched engine
 --------------
@@ -30,14 +59,8 @@ slot, and the online algorithms re-evaluate the same grid slot after slot.
 * slots are **deduplicated** by their dispatch signature ``(lambda_t, f_{t,*})``
   — in the time-independent model of Section 2 this collapses ``T`` dispatch
   solves to the number of *unique* demand levels,
-* unique slots sharing a cost row are solved by **one 2-D dual bisection** over
-  a ``(unique_slots, n_configs)`` array, so every ``(f_{t,j}')^{-1}`` is
-  evaluated once per mu-iteration for the entire block,
-* the initial mu bracket comes from the **derivative bound**
-  ``max_j f'_{t,j}(min(zmax_j, lambda_t))`` instead of an unconditional
-  doubling loop, and because ``mu^*(lambda)`` is non-decreasing in the demand,
-  sorting the unique demands lets each bisection iteration propagate bracket
-  information across rows (a vectorised warm start), and
+* unique slots sharing a cost row are solved together over a
+  ``(unique_slots, n_configs)`` array, and
 * results are **memoised** per ``(signature, configuration-set)``, which turns
   the repeated whole-grid queries of the online trackers (and Algorithm C's
   sub-slot refinement) into dictionary lookups.
@@ -49,7 +72,7 @@ suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,15 +120,15 @@ class DispatchStats:
 
     ``slot_queries`` counts every (slot, configuration-set) row requested
     through the block engine; ``unique_solves`` counts how many of those
-    actually ran a fresh dual bisection.  The difference is served from the
+    actually ran a fresh solve.  The difference is served from the
     signature dedup / memo cache, so
     ``cache_hit_rate = 1 - unique_solves / slot_queries``.
 
-    ``warm_hits`` / ``cold_solves`` split the unique demand rows that reached
-    the dual bisection by whether a previous solve of the same
-    ``(cost-row, configuration-set)`` pair seeded their bracket
-    (``warm_start=True`` solvers only; the ``d == 1`` closed form and
-    warm-start-off solvers count everything as cold).
+    ``bisection_iterations`` counts iterative refinement only: the steps of
+    the :class:`~repro.core.cost_functions.CallableCost` bisection and the
+    Newton steps on curved :class:`~repro.core.cost_functions.PowerCost`
+    segments.  The event sweep of the other families needs none.
+    ``bracket_expansions`` counts the bisection's bracket-repair rounds.
     """
 
     block_calls: int = 0
@@ -113,8 +136,6 @@ class DispatchStats:
     unique_solves: int = 0
     bisection_iterations: int = 0
     bracket_expansions: int = 0
-    warm_hits: int = 0
-    cold_solves: int = 0
 
     @property
     def cache_hits(self) -> int:
@@ -132,8 +153,6 @@ class DispatchStats:
         self.unique_solves = 0
         self.bisection_iterations = 0
         self.bracket_expansions = 0
-        self.warm_hits = 0
-        self.cold_solves = 0
 
     def snapshot(self) -> dict:
         """Plain-dict summary for benchmark harnesses and reports."""
@@ -145,8 +164,6 @@ class DispatchStats:
             "cache_hit_rate": round(self.cache_hit_rate, 4),
             "bisection_iterations": self.bisection_iterations,
             "bracket_expansions": self.bracket_expansions,
-            "warm_hits": self.warm_hits,
-            "cold_solves": self.cold_solves,
         }
 
     def delta_since(self, before: dict) -> dict:
@@ -171,9 +188,74 @@ class DispatchStats:
             "cache_hit_rate": round(rate, 4),
             "bisection_iterations": self.bisection_iterations - int(before.get("bisection_iterations", 0)),
             "bracket_expansions": self.bracket_expansions - int(before.get("bracket_expansions", 0)),
-            "warm_hits": self.warm_hits - int(before.get("warm_hits", 0)),
-            "cold_solves": self.cold_solves - int(before.get("cold_solves", 0)),
         }
+
+
+@dataclass(frozen=True, eq=False)
+class _RowPieces:
+    """The marginal pieces of one cost row, flattened type by type.
+
+    Piece ``k`` belongs to type ``owner[k]``, covers the per-server loads
+    ``[offset[k], offset[k] + length[k])`` and has marginal
+    ``start[k] + slope[k] * s**power[k]`` at ``s`` into the piece.  Each
+    piece is one of three kinds: an affine ``ramp``, a ``curved`` ramp, or
+    a step, which is also how a slope too shallow to invert in floating
+    point is treated.  Steps carry slope 1, so every slope divides safely.
+    """
+
+    owner: np.ndarray
+    #: index of each type's first piece (``np.add.reduceat`` boundaries)
+    first: np.ndarray
+    offset: np.ndarray
+    length: np.ndarray
+    start: np.ndarray
+    slope: np.ndarray
+    power: np.ndarray
+    ramp: np.ndarray
+    curved: np.ndarray
+    steps: np.ndarray
+    curved_index: np.ndarray
+
+    @property
+    def has_curved(self) -> bool:
+        return len(self.curved_index) > 0
+
+    @classmethod
+    def of(cls, functions: Sequence[CostFunction]) -> Optional["_RowPieces"]:
+        """The row's pieces, or ``None`` when a function has no closed-form marginal."""
+        rows, first = [], []
+        for j, f in enumerate(functions):
+            pieces = f.marginal_pieces
+            if pieces is None:
+                return None
+            first.append(len(rows))
+            offset = 0.0
+            for piece in pieces:
+                rows.append((j, offset, piece.length, piece.start, piece.slope, piece.power))
+                offset += piece.length
+        owner, offset, length, start, slope, power = np.array(rows, dtype=float).T.copy()
+        with np.errstate(divide="ignore", over="ignore"):
+            rising = (slope > 0.0) & np.isfinite(1.0 / slope)
+        curved = rising & (power != 1.0)
+        return cls(
+            owner=owner.astype(np.intp),
+            first=np.array(first, dtype=np.intp),
+            offset=offset,
+            length=length,
+            start=start,
+            slope=np.where(rising, slope, 1.0),
+            power=power,
+            ramp=rising & ~curved,
+            curved=curved,
+            steps=~rising,
+            curved_index=np.flatnonzero(curved),
+        )
+
+
+def _curved_load(rel: np.ndarray, slope: np.ndarray, power: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """Per-server load on curved ramps ``rel`` above their start marginal, capped at ``ext``."""
+    with np.errstate(over="ignore"):
+        return np.minimum(np.power(np.maximum(rel, 0.0) / slope, 1.0 / power), ext)
 
 
 class DispatchSolver:
@@ -189,61 +271,36 @@ class DispatchSolver:
     instance:
         The problem instance providing demands, capacities and cost functions.
     tol:
-        Relative tolerance of the dual bisection (the bisection stops once the
-        bracket width falls below ``tol`` times the initial bracket scale).
+        Relative tolerance of the :class:`~repro.core.cost_functions.CallableCost`
+        dual bisection (it stops once the bracket width falls below ``tol``
+        times the initial bracket scale).
     max_bisection_steps:
-        Hard cap on bisection iterations (60 gives ~1e-18 interval width, far
-        below float precision of the cost).
-    warm_start:
-        When ``True``, the solver keeps the final dual brackets of every
-        ``(cost-row, configuration-set)`` solve, keyed by demand, and seeds the
-        next solve's bracket from the nearest stored demand neighbours (the
-        cross-demand propagation *inside* :meth:`solve_block` is the template:
-        the optimal multiplier is non-decreasing in the demand, so a lower
-        neighbour's lower bracket and an upper neighbour's upper bracket stay
-        valid).  Seeds are validated before use — a lower seed whose allocation
-        already covers the demand is dropped, and the bracket-expansion safety
-        net repairs an upper seed — so results match the cold path to solver
-        tolerance, but converged brackets differ at the ~1e-12 level, which can
-        flip exact argmin ties downstream.  The serve layer therefore keeps
-        this **off by default** (its replay gates demand bit-identical
-        schedules across checkpoint/restore into a cold cache) and treats it as
-        an opt-in for long sweeps.
+        Hard cap on the steps of that bisection and of the Newton refinement
+        of curved segments (60 gives ~1e-18 interval width, far below float
+        precision of the cost).
     """
 
-    #: Warm-state growth bounds: per-key demand rows and total keys.  Binned
-    #: demand streams stay far below both; the caps only guard pathological
-    #: continuous-demand workloads from pinning memory.
-    _WARM_MAX_ROWS = 4096
-    _WARM_MAX_KEYS = 64
+    #: Cells per event sweep.  Bounds the sweep's (cells x events)
+    #: temporaries on large blocks, such as the streaming DP's windows;
+    #: cells never interact, so the chunking leaves every result unchanged.
+    _SWEEP_CELLS = 4096
 
     def __init__(
         self,
         instance: ProblemInstance,
         tol: float = 1e-10,
         max_bisection_steps: int = 60,
-        warm_start: bool = False,
     ):
         self.instance = instance
         self.tol = float(tol)
         self.max_bisection_steps = int(max_bisection_steps)
-        self.warm_start = bool(warm_start)
         self.stats = DispatchStats()
-        #: Dual multipliers of the most recent `_solve_rows` call, shaped
-        #: ``(demand levels, n configs)`` with NaN for zero-demand rows,
-        #: inactive columns and the ``d == 1`` closed form — test hook for the
-        #: warm vs cold equivalence suite.
-        self.last_duals: Optional[np.ndarray] = None
         self._cache: dict = {}
         self._block_cache: dict = {}
         self._sig_cache: dict = {}
         self._sig_functions: dict = {}
+        self._row_pieces: dict = {}
         self._configs_id_cache: dict = {}
-        #: ``(row_key, configs_key) -> (sorted demands, mu_lo, mu_hi)`` with the
-        #: bracket arrays full-width over all n columns (sentinels ``-1`` /
-        #: ``+inf`` in columns inactive at store time, neutral under the
-        #: max/min seeding).
-        self._warm: dict = {}
 
     # ------------------------------------------------------------------ API
     def solve(self, t: int, x: Sequence[int]) -> DispatchResult:
@@ -270,8 +327,8 @@ class DispatchSolver:
         self._block_cache.clear()
         self._sig_cache.clear()
         self._sig_functions.clear()
+        self._row_pieces.clear()
         self._configs_id_cache.clear()
-        self._warm.clear()
 
     # ----------------------------------------------------------- vectorised
     def solve_grid(self, t: int, configs: np.ndarray) -> tuple:
@@ -298,8 +355,8 @@ class DispatchSolver:
         """Evaluate ``g_t(x)`` for every slot in ``ts`` times every row of ``configs``.
 
         This is the batched engine behind all solvers: slots are deduplicated
-        by dispatch signature, unique slots sharing a cost row are solved in
-        one vectorised 2-D dual bisection, and solutions are memoised per
+        by dispatch signature, unique slots sharing a cost row are solved
+        together, and solutions are memoised per
         ``(signature, configuration-set)``.
 
         Parameters
@@ -344,7 +401,7 @@ class DispatchSolver:
         # --- dedup: signature -> rows of the output block that share it.  A
         # slot's signature is its *base* cost row; its scale (price factor,
         # Algorithm C's 1/n_t sub-slot scaling) only multiplies the cost, so
-        # slots differing by scale alone share one dual-bisection solve.
+        # slots differing by scale alone share one solve.
         pending: dict = {}
         for i, t in enumerate(ts):
             sig, scale = self._slot_signature(t)
@@ -365,11 +422,9 @@ class DispatchSolver:
         for row_key, entries in groups.items():
             entries.sort(key=lambda e: e[0][0])  # ascending demand
             lams = np.array([e[0][0] for e in entries], dtype=float)
-            functions = self._sig_functions[row_key]
             if float_configs is None:
                 float_configs = np.ascontiguousarray(configs, dtype=float)
-            warm_key = (row_key, configs_key) if self.warm_start else None
-            costs_u, loads_u = self._solve_rows(lams, float_configs, functions, warm_key)
+            costs_u, loads_u = self._solve_rows(lams, float_configs, row_key)
             costs_u.setflags(write=False)
             loads_u.setflags(write=False)
             self.stats.unique_solves += len(entries)
@@ -399,8 +454,9 @@ class DispatchSolver:
 
         Read-only arrays (the cached :meth:`StateGrid.configs` enumerations the
         trackers re-query every slot) are keyed by identity after the first
-        serialisation, so warm lookups skip the ``tobytes`` copy.  The cached
-        entry keeps a strong reference to the array, which pins its ``id``.
+        serialisation, so repeated lookups skip the ``tobytes`` copy.  The
+        cached entry keeps a strong reference to the array, which pins its
+        ``id``.
         """
         if not configs.flags.writeable:
             entry = self._configs_id_cache.get(id(configs))
@@ -448,144 +504,269 @@ class DispatchSolver:
             self._sig_cache[t] = cached
         return cached
 
-    def _solve_rows(
-        self,
-        lams: np.ndarray,
-        configs: np.ndarray,
-        functions: Sequence[CostFunction],
-        warm_key=None,
-    ) -> tuple:
+    def _solve_rows(self, lams: np.ndarray, configs: np.ndarray, row_key) -> tuple:
         """Solve the dispatch problem for ``u`` demand levels x ``n`` configurations.
 
-        ``lams`` must be sorted ascending (the caller guarantees it); the sort
-        order is what makes the cross-row bracket propagation of
-        :meth:`_allocate_rows` valid.  ``warm_key`` (warm-start solvers only)
-        names the ``(cost-row, configuration-set)`` bracket store this solve
-        seeds from and contributes back to.
+        ``lams`` must be sorted ascending (the caller guarantees it; the
+        bisection fallback propagates brackets along that order).
+        ``row_key`` names the cost row in :attr:`_sig_functions`.
         """
+        functions = self._sig_functions[row_key]
         u = len(lams)
         n, d = configs.shape
         zmax = self.instance.zmax
 
-        caps = np.where(configs > 0, configs * zmax[None, :], 0.0)
-        caps = np.where(np.isnan(caps), 0.0, caps)
+        # x_j * zmax_j for active types only (an idle type of unbounded
+        # capacity has no volume, not 0 * inf)
+        caps = np.zeros_like(configs)
+        np.multiply(configs, zmax, out=caps, where=configs > 0)
         total_cap = caps.sum(axis=1)
 
-        idle = np.array([f.idle_cost() for f in functions], dtype=float)
-        costs = np.full((u, n), np.inf, dtype=float)
-        loads = np.zeros((u, n, d), dtype=float)
-        self.last_duals = np.full((u, n), np.nan)
-
-        zero = lams <= 0.0
-        if np.any(zero):
-            costs[zero] = (configs @ idle)[None, :]
-        pos = ~zero
-        if not np.any(pos):
-            return costs, loads
-
-        lam_p = lams[pos]
-        feasible = total_cap[None, :] >= lam_p[:, None] - 1e-9  # (p, n)
-        # columns that no requested demand level can use are skipped entirely
-        active_cols = feasible.any(axis=0)
-        if not np.any(active_cols):
-            return costs, loads
-        sub_configs = configs[active_cols]
-        sub_caps = caps[active_cols]
-        feas_sub = feasible[:, active_cols]
-
-        warm_state = None
-        if warm_key is not None and d > 1:
-            store = self._warm.get(warm_key)
-            if store is not None:
-                w_lams, w_lo, w_hi = store
-                warm_state = (w_lams, w_lo[:, active_cols], w_hi[:, active_cols])
-
-        w, mu_lo, mu_hi = self._allocate_rows(
-            lam_p, sub_configs, sub_caps, zmax, functions, feas_sub, warm_state
-        )
-        p = len(lam_p)
-        if warm_state is not None:
-            self.stats.warm_hits += p
-        else:
-            self.stats.cold_solves += p
-        if mu_lo is not None:
-            duals = np.full((p, n), np.nan)
-            duals[:, active_cols] = 0.5 * (mu_lo + mu_hi)
-            self.last_duals[pos] = duals
-            if warm_key is not None:
-                self._store_warm(warm_key, lam_p, active_cols, mu_lo, mu_hi, n)
+        pos = lams > 0.0
+        feasible = (total_cap[None, :] >= lams[:, None] - 1e-9) | ~pos[:, None]  # (u, n)
+        w = np.zeros((u, n, d), dtype=float)
+        # columns that no requested positive demand can use are skipped entirely
+        active_cols = feasible[pos].any(axis=0)
+        if np.any(active_cols):
+            lam_p = lams[pos]
+            sub_caps = caps[active_cols]
+            if d == 1:
+                w_sub = np.minimum(lam_p[:, None, None], sub_caps[None, :, :])
+            else:
+                if row_key not in self._row_pieces:
+                    self._row_pieces[row_key] = _RowPieces.of(functions)
+                pieces = self._row_pieces[row_key]
+                if pieces is not None:
+                    # one row per (demand level, configuration) cell
+                    n_act = len(sub_caps)
+                    cell_lam = np.repeat(lam_p, n_act)
+                    cell_x = np.tile(configs[active_cols], (len(lam_p), 1))
+                    cell_caps = np.tile(sub_caps, (len(lam_p), 1))
+                    w_sub = np.empty(cell_x.shape)
+                    for i in range(0, len(cell_lam), self._SWEEP_CELLS):
+                        cut = slice(i, i + self._SWEEP_CELLS)
+                        w_sub[cut] = self._sweep_rows(cell_lam[cut], cell_x[cut], cell_caps[cut], pieces)
+                    w_sub = w_sub.reshape(len(lam_p), n_act, d)
+                else:
+                    w_sub = self._bisect_rows(
+                        lam_p, configs[active_cols], sub_caps, functions, feasible[pos][:, active_cols]
+                    )
+            w[np.ix_(np.flatnonzero(pos), np.flatnonzero(active_cols))] = w_sub
 
         # cost = sum_j x_j f_j(w_j / x_j); idle servers of a type still pay f_j(0)
-        cost_sub = np.zeros((len(lam_p), sub_configs.shape[0]), dtype=float)
+        costs = np.zeros((u, n), dtype=float)
         for j, f in enumerate(functions):
-            xj = sub_configs[:, j]
+            xj = configs[:, j]
             on = xj > 0
             if not np.any(on):
                 continue
             per_server = w[:, on, j] / xj[on][None, :]
             vals = np.asarray(f.value(per_server), dtype=float)
-            cost_sub[:, on] += xj[on][None, :] * vals
+            costs[:, on] += xj[on][None, :] * vals
+        costs[~feasible] = np.inf
+        w[~feasible] = 0.0
+        return costs, w
 
-        pos_idx = np.flatnonzero(pos)
-        col_idx = np.flatnonzero(active_cols)
-        costs[np.ix_(pos_idx, col_idx)] = np.where(feas_sub, cost_sub, np.inf)
-        loads[np.ix_(pos_idx, col_idx)] = np.where(feas_sub[:, :, None], w, 0.0)
-        return costs, loads
+    def _sweep_rows(
+        self,
+        lam: np.ndarray,
+        configs: np.ndarray,
+        caps: np.ndarray,
+        pieces: _RowPieces,
+    ) -> np.ndarray:
+        """Exact water-filling by an event sweep, one (demand, configuration) cell per row.
 
-    def _allocate_rows(
+        ``lam`` has shape ``(cells,)``, ``configs`` and ``caps``
+        (``x_j * zmax_j``) shape ``(cells, d)``.  Works on
+        ``(cells, pieces)`` arrays and returns the type volumes ``w``, shape
+        ``(cells, d)``.  Cells whose capacity falls short of the demand
+        (within the feasibility tolerance) get every type at its cap.
+        """
+        pc = pieces
+        cells, d = configs.shape
+        vol_cap = np.minimum(caps, lam[:, None])  # c_j
+        x = configs[:, pc.owner]  # (cells, K)
+        # per-server load each piece carries before its type saturates
+        ext = np.clip(vol_cap[:, pc.owner] / np.where(x > 0.0, x, 1.0) - pc.offset, 0.0, pc.length)
+        vol = x * ext
+        rise = pc.slope * (np.power(ext, pc.power) if pc.has_curved else ext)
+        end = np.where(pc.steps, pc.start, pc.start + rise)
+        # volume per unit of marginal along an affine ramp; steps jump instead
+        rate = np.where(pc.ramp & (ext > 0.0), x / pc.slope, 0.0)
+        jump = np.where(pc.steps, vol, 0.0)
+
+        # --- events: every piece starts at `start` and ends at `end`
+        marks = np.concatenate([np.broadcast_to(pc.start, end.shape), end], axis=1)
+        order = np.argsort(marks, axis=1, kind="stable")
+        rows = np.arange(cells)
+        at = marks[rows[:, None], order]
+        slopes = np.cumsum(np.concatenate([rate, -rate], axis=1)[rows[:, None], order], axis=1)
+        jumps = np.concatenate([jump, np.zeros_like(jump)], axis=1)[rows[:, None], order]
+        # affine volume just after each event: jumps so far plus the ramps
+        # integrated over the gaps between events
+        level = np.cumsum(jumps, axis=1)
+        level[:, 1:] += np.cumsum(slopes[:, :-1] * np.diff(at, axis=1), axis=1)
+        total = level + self._curved_volume(at, x, ext, pc) if pc.has_curved else level
+
+        # --- locate the first event whose volume reaches the demand
+        hit = total >= lam[:, None]
+        e = np.argmax(hit, axis=1)
+        reached = hit[rows, e]
+        prev = np.maximum(e - 1, 0)
+        at_e = at[rows, e]
+        at_prev = at[rows, prev]
+        # the demand falls inside the ramp segment (at_prev, at_e] unless the
+        # event's own jump is what reaches it; mu* = anchor + past
+        in_segment = (total[rows, e] - jumps[rows, e] >= lam) & (e > 0)
+        anchor = np.where(in_segment, at_prev, at_e)
+        level_prev = level[rows, prev]
+        slope_prev = slopes[rows, prev]
+        if pc.has_curved:
+            past = self._newton_segment(
+                lam, at_prev, at_e, level_prev, slope_prev, in_segment & reached, x, ext, pc
+            )
+        else:
+            gap = np.divide(
+                lam - level_prev, slope_prev, out=np.full(cells, np.inf), where=slope_prev > 0.0
+            )
+            past = np.where(in_segment, np.minimum(gap, at_e - at_prev), 0.0)
+
+        # --- loads at mu*: ramps by their inverse marginal, steps below mu*
+        # full, steps exactly at mu* share what the demand still needs.  The
+        # marginal above each piece's start is taken from the exact event
+        # `anchor`, so a nearly flat ramp does not amplify the rounding of mu*.
+        rel = (anchor[:, None] - pc.start) + past[:, None]
+        u = np.where(rel > 0.0, ext, 0.0)
+        u = np.where(pc.ramp, np.clip(rel / pc.slope, 0.0, ext), u)
+        if pc.has_curved:
+            u = np.where(pc.curved, _curved_load(rel, pc.slope, pc.power, ext), u)
+        loads = x * u
+        on_mu = (rel == 0.0) & pc.steps & (vol > 0.0)
+        if np.any(on_mu):
+            sharing = np.where(on_mu, vol, 0.0)
+            shared = sharing.sum(axis=1)
+            need = lam - loads.sum(axis=1)
+            theta = np.divide(need, shared, out=np.zeros(cells), where=shared > 0.0)
+            loads += np.clip(theta, 0.0, 1.0)[:, None] * sharing
+        if len(pc.owner) > d:
+            loads = np.add.reduceat(loads, pc.first, axis=1)
+        return np.where(reached[:, None], np.minimum(loads, vol_cap), vol_cap)
+
+    @staticmethod
+    def _curved_volume(at: np.ndarray, x: np.ndarray, ext: np.ndarray, pc: _RowPieces) -> np.ndarray:
+        """Summed volume of the curved pieces at every event marginal ``at`` (cells x events)."""
+        k = pc.curved_index
+        rel = at[:, :, None] - pc.start[k]  # (cells, events, curved pieces)
+        load = _curved_load(rel, pc.slope[k], pc.power[k], ext[:, None, k])
+        return (x[:, None, k] * load).sum(axis=-1)
+
+    def _newton_segment(
+        self,
+        lam: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        level_lo: np.ndarray,
+        slope_lo: np.ndarray,
+        in_segment: np.ndarray,
+        x: np.ndarray,
+        ext: np.ndarray,
+        pc: _RowPieces,
+    ) -> np.ndarray:
+        """``mu* - lo`` of every cell whose demand falls inside a segment with curved ramps.
+
+        On ``[lo, hi]`` the affine volume is ``level_lo + slope_lo * (mu - lo)``
+        and the curved pieces add their exact volume.  The search runs on the
+        offset ``mu - lo`` from the segment's start event.  A Newton step
+        that would leave the shrinking bracket is replaced by bisection, and
+        each cell stops on its own once its residual or its step vanishes,
+        so the result does not depend on the other cells.  Cells outside a
+        segment get offset 0.
+        """
+        past = np.zeros(len(lo))
+        cells = np.flatnonzero(in_segment)
+        if not len(cells):
+            return past
+        k = pc.curved_index
+        slope_k, power = pc.slope[k], pc.power[k]
+        target = lam[cells]
+        above = lo[cells, None] - pc.start[k]  # segment start above each curve's start
+        base = level_lo[cells]
+        slope = slope_lo[cells]
+        xc = x[cells][:, k]
+        extc = ext[cells][:, k]
+
+        def residual(t):
+            rel = above + t[:, None]
+            load = _curved_load(rel, slope_k, power, extc)
+            value = base + slope * t + (xc * load).sum(axis=1) - target
+            # d load / d mu = load / (power * rel) while the piece is filling
+            inside = (rel > 0.0) & (load < extc)
+            with np.errstate(over="ignore"):
+                grow = np.where(inside, load / (power * np.where(inside, rel, 1.0)), 0.0)
+            return value, slope + (xc * grow).sum(axis=1)
+
+        # start from the secant of the segment's end points
+        a = np.zeros(len(cells))
+        b = hi[cells] - lo[cells]
+        f_a, _ = residual(a)
+        f_b, _ = residual(b)
+        span = f_b - f_a
+        t = np.where(span > 0.0, -b * f_a / np.where(span > 0.0, span, 1.0), 0.5 * b)
+        t = np.clip(t, a, b)
+        active = np.ones(len(cells), dtype=bool)
+        tol = 4.0 * np.finfo(float).eps * target
+        for _ in range(self.max_bisection_steps):
+            self.stats.bisection_iterations += 1
+            value, deriv = residual(t)
+            below = value < 0.0
+            a = np.where(active & below, t, a)
+            b = np.where(active & ~below, t, b)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = t - value / deriv
+            step = np.where((step > a) & (step < b), step, 0.5 * (a + b))
+            done = (np.abs(value) <= tol) | (step == t)
+            t = np.where(active & ~done, step, t)
+            active &= ~done
+            if not active.any():
+                break
+        past[cells] = t
+        return past
+
+    def _bisect_rows(
         self,
         lams: np.ndarray,
         configs: np.ndarray,
         caps: np.ndarray,
-        zmax: np.ndarray,
         functions: Sequence[CostFunction],
         feasible: np.ndarray,
-        warm_state=None,
-    ) -> tuple:
+    ) -> np.ndarray:
         """Water-filling by a 2-D dual bisection over (demand levels x configs).
 
-        ``lams`` is sorted ascending.  Bracket initialisation uses the
-        derivative bound ``max_j f'_j(min(zmax_j, lambda))``: at that multiplier
-        every active type runs at its effective capacity, so the total
-        allocation covers any feasible demand and no doubling search is needed.
-        Because the optimal multiplier ``mu^*`` is non-decreasing in the
-        demand, every iteration additionally propagates lower brackets to
-        larger demands and upper brackets to smaller demands
-        (``np.maximum.accumulate`` / reversed ``np.minimum.accumulate``) — the
-        vectorised analogue of warm-starting each demand level's bracket from
-        its neighbour's solution.
-
-        ``warm_state`` extends that propagation *across* solves: it holds the
-        stored ``(demands, mu_lo, mu_hi)`` of earlier solves over the same cost
-        row and configuration set (already sliced to this solve's active
-        columns), and each row seeds its bracket from its nearest stored
-        neighbours before the expansion/bisection loops run.  The bisection and
-        midpoint/propagation steps are routed through the active
-        :mod:`repro.core.backend` kernels into preallocated buffers.
-
-        Returns ``(w, mu_lo, mu_hi)`` — the final dual brackets, or ``None``s
-        for the ``d == 1`` closed form.
+        The path of cost functions without marginal pieces.  ``lams`` is
+        sorted ascending.  The bracket starts at the derivative bound
+        ``max_j f'_j(min(zmax_j, lambda))``: at that multiplier every active
+        type runs at its effective capacity, so the total allocation covers
+        any feasible demand.  Because ``mu^*`` is non-decreasing in the
+        demand, every iteration propagates lower brackets to larger demands
+        and upper brackets to smaller ones, through the active
+        :mod:`repro.core.backend` kernels.  Returns the type volumes ``w``.
         """
         p = len(lams)
         n, d = configs.shape
-        if d == 1:
-            return np.minimum(lams[:, None, None], caps[None, :, :]), None, None
-
-        eff_caps = np.minimum(caps[None, :, :], lams[:, None, None])  # (p, n, d)
+        zmax = self.instance.zmax
         lam_col = lams[:, None]
+        eff_caps = np.minimum(caps[None, :, :], lams[:, None, None])  # c_j, (p, n, d)
+        # per-server saturation load c_j / x_j (0 for idle types)
+        sat = eff_caps / np.where(configs > 0.0, configs, 1.0)[None, :, :]
 
         def alloc(mu: np.ndarray, want_loads: bool):
             """Allocation at multiplier ``mu`` — totals only unless ``want_loads``."""
             tot = np.zeros_like(mu)
             w = np.empty((p, n, d), dtype=float) if want_loads else None
             for j, f in enumerate(functions):
-                xj = configs[:, j]
                 inv = np.asarray(f.inverse_derivative(mu), dtype=float)
-                hi_j = zmax[j] if np.isfinite(zmax[j]) else np.inf
-                zj = np.clip(inv, 0.0, hi_j)
-                wj = xj[None, :] * np.minimum(zj, lam_col)
-                cap_j = eff_caps[:, :, j]
-                wj = np.minimum(np.where(np.isnan(wj), cap_j, wj), cap_j)
+                zj = np.minimum(np.maximum(inv, 0.0), sat[:, :, j])
+                wj = configs[None, :, j] * zj
                 tot += wj
                 if want_loads:
                     w[:, :, j] = wj
@@ -602,31 +783,9 @@ class DispatchSolver:
         mu_lo = np.full((p, n), -1.0)
         mu_hi = np.tile(hi0[:, None], (1, n))
 
-        if warm_state is not None:
-            w_lams, w_lo_s, w_hi_s = warm_state
-            if len(w_lams):
-                # lower neighbour (largest stored demand <= this row's demand):
-                # its lower bracket still under-allocates here, so max() in
-                pos_lo = np.searchsorted(w_lams, lams, side="right") - 1
-                seed_lo = w_lo_s[np.maximum(pos_lo, 0)].copy()
-                seed_lo[pos_lo < 0] = -1.0
-                np.maximum(mu_lo, seed_lo, out=mu_lo)
-                # upper neighbour (smallest stored demand >= this row's demand)
-                pos_hi = np.searchsorted(w_lams, lams, side="left")
-                seed_hi = w_hi_s[np.minimum(pos_hi, len(w_lams) - 1)].copy()
-                seed_hi[pos_hi >= len(w_lams)] = np.inf
-                np.minimum(mu_hi, seed_hi, out=mu_hi)
-                # validate lower seeds: a seed whose allocation already covers
-                # the demand would trap the bisection above mu*; drop it (the
-                # upper seeds are repaired by the expansion loop below)
-                if np.any(mu_lo > -1.0):
-                    tot_lo = alloc(mu_lo, want_loads=False)
-                    np.copyto(mu_lo, -1.0, where=tot_lo >= lam_col)
-
         # safety net for cost functions whose reported derivative is inexact
         # (finite-difference CallableCost): expand until every feasible row is
-        # covered, breaking out immediately in the regular case.  Also repairs
-        # any warm-seeded upper bracket that no longer covers its demand.
+        # covered, breaking out immediately in the regular case
         for _ in range(64):
             tot = alloc(mu_hi, want_loads=False)
             need = (tot < lam_col - 1e-12) & feasible
@@ -642,7 +801,6 @@ class DispatchSolver:
         propagate = p > 1
         for _ in range(self.max_bisection_steps):
             if propagate:
-                # cross-row warm start: valid because mu^* is monotone in lambda
                 backend.propagate_brackets(mu_lo, mu_hi)
             if float(np.max(mu_hi - mu_lo)) <= width_tol:
                 break
@@ -672,52 +830,13 @@ class DispatchSolver:
         if np.any(overshoot):
             scale = lam_col / np.maximum(w.sum(axis=2), _EPS)
             w = np.where(overshoot[:, :, None], w * scale[:, :, None], w)
-        return w, mu_lo, mu_hi
-
-    def _store_warm(
-        self,
-        warm_key,
-        lams: np.ndarray,
-        active_cols: np.ndarray,
-        mu_lo: np.ndarray,
-        mu_hi: np.ndarray,
-        n: int,
-    ) -> None:
-        """Merge a solve's final brackets into the per-key warm store.
-
-        Rows are widened back to all ``n`` columns with neutral sentinels so a
-        later solve with a different active-column set can still slice and
-        seed.  New rows win over stored rows at equal demand (they carry the
-        freshest propagated brackets); the store is kept demand-sorted for the
-        ``searchsorted`` neighbour lookup.
-        """
-        full_lo = np.full((len(lams), n), -1.0)
-        full_hi = np.full((len(lams), n), np.inf)
-        full_lo[:, active_cols] = mu_lo
-        full_hi[:, active_cols] = mu_hi
-        store = self._warm.get(warm_key)
-        if store is not None:
-            w_lams, w_lo, w_hi = store
-            keep = ~np.isin(w_lams, lams)
-            merged = np.concatenate([w_lams[keep], lams])
-            if len(merged) <= self._WARM_MAX_ROWS:
-                order = np.argsort(merged, kind="stable")
-                self._warm[warm_key] = (
-                    merged[order],
-                    np.concatenate([w_lo[keep], full_lo], axis=0)[order],
-                    np.concatenate([w_hi[keep], full_hi], axis=0)[order],
-                )
-                return
-            # overflow: restart the store from this solve's rows alone
-        elif len(self._warm) >= self._WARM_MAX_KEYS:
-            self._warm.clear()
-        self._warm[warm_key] = (lams.copy(), full_lo, full_hi)
+        return w
 
 
 def reference_dispatch(instance: ProblemInstance, t: int, x: Sequence[int]) -> DispatchResult:
     """Solve the dispatch problem with SciPy's SLSQP (reference implementation).
 
-    Slow but independent of the dual-bisection logic; used by the test suite to
+    Slow but independent of the event sweep; used by the test suite to
     validate :class:`DispatchSolver` on randomly generated instances.
     """
     from scipy import optimize
@@ -727,14 +846,15 @@ def reference_dispatch(instance: ProblemInstance, t: int, x: Sequence[int]) -> D
     lam = float(instance.demand[t])
     zmax = instance.zmax
     functions = instance.cost_row(t)
-    caps = np.where(x_arr > 0, x_arr * zmax, 0.0)
-    caps = np.where(np.isnan(caps), 0.0, caps)
-    caps = np.minimum(caps, lam if lam > 0 else 0.0)
+    # x_j * zmax_j for active types only (no 0 * inf for idle unbounded types)
+    full_caps = np.zeros(d)
+    np.multiply(x_arr, zmax, out=full_caps, where=x_arr > 0)
+    caps = np.minimum(full_caps, lam if lam > 0 else 0.0)
 
     idle = np.array([f.idle_cost() for f in functions])
     if lam <= 0:
         return DispatchResult(cost=float(x_arr @ idle), loads=np.zeros(d), feasible=True)
-    if np.where(x_arr > 0, x_arr * zmax, 0.0).sum() < lam - 1e-9:
+    if full_caps.sum() < lam - 1e-9:
         return DispatchResult(cost=math.inf, loads=np.zeros(d), feasible=False)
 
     def objective(w):

@@ -6,7 +6,7 @@ steady-state tick needs — the operating-cost tensor over a state grid, the
 per-configuration cost and loads of the chosen config — is then a pure
 function of ``(demand level, configuration set, cost row)``, so it can be
 precomputed once per ``(fleet signature, cost row)`` pair and served as a
-table gather with zero dual bisections on the tick path.
+table gather with zero dispatch solves on the tick path.
 
 A :class:`SolutionTable` is deliberately dumb storage: whoever builds it
 (:meth:`ServeCache.prewarm <repro.serve.session.ServeCache.prewarm>` for the

@@ -169,7 +169,7 @@ def operating_cost_tensors(
     slot the same object) are pushed through a single
     :meth:`~repro.dispatch.DispatchSolver.solve_block` call, which additionally
     deduplicates slots with equal demand/cost signatures and vectorises the
-    dual bisection across the remaining unique slots.
+    solve across the remaining unique slots.
 
     This materialises all ``T`` tensors at once — ``O(T * |M|)`` live memory.
     The DP itself streams them through :class:`WindowedOperatingCosts` instead;
@@ -205,7 +205,7 @@ class WindowedOperatingCosts:
     tensors only**: real long-horizon traces carry far fewer distinct
     ``(demand, cost-row)`` signatures than slots, so later windows (and the
     entire backtracking pass) reuse the forward pass's tensors instead of
-    re-running the dual bisection, while adversarially unique horizons simply
+    re-running the dispatch solve, while adversarially unique horizons simply
     stop inserting once the budget is reached and degrade to recompute.
     """
 

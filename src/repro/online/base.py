@@ -288,8 +288,8 @@ class SlotContext:
         a signature share one tensor and repeat queries skip even the dispatch
         block-cache lookup and reshape.  The first query for a grid triggers
         :meth:`_batch_grid`, which pushes *every* slot sharing the grid through
-        one ``solve_block`` call — keeping the cross-demand vectorised dual
-        bisection that slot-by-slot queries would forfeit.
+        one ``solve_block`` call — keeping the cross-demand vectorisation
+        that slot-by-slot queries would forfeit.
         """
         sig, scale = self.dispatcher._slot_signature(t)
         key = (sig, scale, grid.key)
@@ -313,7 +313,7 @@ class SlotContext:
         A grid applies to every slot whose available counts equal the grid's
         per-dimension maxima (full and geometric grids both satisfy this), so
         those slots form one dispatch block: the solver deduplicates them by
-        signature and runs a single vectorised bisection across the unique
+        signature and runs a single vectorised solve across the unique
         demands, exactly as the offline DP's ``operating_cost_tensors`` does.
         """
         if grid.key in self._batched_grids:

@@ -304,7 +304,6 @@ class BatchedServeEngine(ServeEngine):
     def __init__(
         self,
         share_caches: bool = True,
-        warm_start: bool = False,
         *,
         ledger_budget: Optional[int] = None,
         tensor_budget_bytes: Optional[int] = None,
@@ -316,7 +315,6 @@ class BatchedServeEngine(ServeEngine):
     ):
         super().__init__(
             share_caches,
-            warm_start,
             ledger_budget=ledger_budget,
             tensor_budget_bytes=tensor_budget_bytes,
             metrics=metrics,
@@ -666,7 +664,6 @@ def verify_batched(
     share_caches = engine_kwargs.pop("share_caches", True)
     sequential = ServeEngine(
         share_caches=share_caches,
-        warm_start=engine_kwargs.get("warm_start", False),
         ledger_budget=engine_kwargs.get("ledger_budget"),
         tensor_budget_bytes=engine_kwargs.get("tensor_budget_bytes"),
     )

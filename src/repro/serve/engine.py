@@ -4,8 +4,8 @@
 :class:`~repro.serve.session.ControllerSession` objects — one per
 fleet/tenant — over shared :class:`~repro.serve.session.ServeCache` state.
 Tenants whose fleets are the *same objects* (one geometry, many demand
-streams) are grouped onto one cache automatically, so the dispatch dual
-bisections and whole-grid tensors behind their ticks are computed once per
+streams) are grouped onto one cache automatically, so the dispatch
+solves and whole-grid tensors behind their ticks are computed once per
 distinct demand level across the whole engine, not once per tenant; the
 resulting cache-hit counters and wall times are what ``repro serve bench``
 records in ``BENCH_serve.json``.
@@ -67,14 +67,12 @@ class ServeEngine:
     def __init__(
         self,
         share_caches: bool = True,
-        warm_start: bool = False,
         *,
         ledger_budget: Optional[int] = None,
         tensor_budget_bytes: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.share_caches = bool(share_caches)
-        self.warm_start = bool(warm_start)
         #: LRU bounds forwarded to every cache the engine creates — the knobs
         #: that keep a month-scale multi-tenant process flat in memory (see
         #: :class:`ServeCache`); ``None`` leaves the memos unbounded.
@@ -94,7 +92,6 @@ class ServeEngine:
     def _build_cache(self, server_types) -> ServeCache:
         cache = ServeCache(
             server_types,
-            warm_start=self.warm_start,
             ledger_budget=self.ledger_budget,
             tensor_budget_bytes=self.tensor_budget_bytes,
             metrics=self.metrics,

@@ -19,8 +19,8 @@ across a mid-stream :meth:`ControllerSession.checkpoint` /
 :meth:`ControllerSession.restore` round-trip.  This holds because
 
 * each tick is solved by the same single-slot dispatch query batch
-  ``run_online`` issues (one ``solve_block([t], configs)`` per slot — no
-  cross-demand warm starts that could perturb last bits),
+  ``run_online`` issues (one ``solve_block([t], configs)`` per slot, and a
+  dispatch cell's result never depends on the block it is solved in),
 * the per-tick grid tensors served to the trackers are bit-identical to the
   batch path's, and
 * :meth:`checkpoint` serialises every decision-relevant byte of algorithm and
@@ -37,7 +37,7 @@ row)`` observation) behind a shared
 operating-cost tensor memo keyed by dispatch signature — the serve-side
 analogue of the sweep engine's :class:`~repro.online.base.SlotContext`.  Many
 sessions over the same fleet geometry share one cache: the first tenant to
-observe a demand level pays the dual bisection, every other tenant's tick is a
+observe a demand level pays the dispatch solve, every other tenant's tick is a
 dictionary hit (see ``repro serve bench`` / ``BENCH_serve.json``).
 """
 
@@ -331,7 +331,7 @@ class ServeCache:
     signature-level block cache dedups further (price-scaled rows collapse
     onto their base row), and whole-grid operating-cost tensors are memoised
     per ``(signature, scale, grid)`` so N tenants asking for the tensor of one
-    demand level trigger exactly one dual bisection.
+    demand level trigger exactly one dispatch solve.
 
     Unbounded-stream hardening (the :class:`SlotContext
     <repro.online.base.SlotContext>` ``tensor_budget_bytes`` pattern, applied
@@ -352,7 +352,7 @@ class ServeCache:
 
     Hot-path fast maps
     ------------------
-    On quantised streams the steady-state tick never needs a dual bisection:
+    On quantised streams the steady-state tick never needs a dispatch solve:
     every quantity is a pure function of ``(virtual slot, grid or config)``.
     Three flat dictionaries shortcut the per-tick bookkeeping of the general
     machinery — ``_vt_base`` (demand → ledger slot for base-cost-row ticks,
@@ -367,7 +367,7 @@ class ServeCache:
     flat mirror would leak evicted entries.  :meth:`prewarm` fills all three
     for a known demand alphabet up front (and returns the resulting
     :class:`~repro.dispatch.tables.SolutionTable`), moving even the
-    *first-seen* bisections off the tick path.
+    *first-seen* solves off the tick path.
     """
 
     def __init__(
@@ -375,7 +375,6 @@ class ServeCache:
         server_types,
         tensor_budget_bytes: Optional[int] = None,
         ledger_budget: Optional[int] = None,
-        warm_start: bool = False,
         *,
         metrics: Optional[MetricsRegistry] = None,
         metrics_label: Optional[str] = None,
@@ -387,7 +386,7 @@ class ServeCache:
                 f"tensor_budget_bytes must be >= 0, got {tensor_budget_bytes}"
             )
         self.stream = _StreamInstance(server_types)
-        self.dispatcher = DispatchSolver(self.stream, warm_start=warm_start)
+        self.dispatcher = DispatchSolver(self.stream)
         self.signature = fleet_signature(self.stream.server_types)
         self.tensor_budget_bytes = (
             None if tensor_budget_bytes is None else int(tensor_budget_bytes)
@@ -427,8 +426,6 @@ class ServeCache:
         metrics.counter("block_calls", **label).set(stats.block_calls)
         metrics.counter("slot_queries", **label).set(stats.slot_queries)
         metrics.counter("unique_solves", **label).set(stats.unique_solves)
-        metrics.counter("warm_hits", **label).set(stats.warm_hits)
-        metrics.counter("cold_solves", **label).set(stats.cold_solves)
         metrics.gauge("virtual_slots", deterministic=True, **label).set(
             self.virtual_slots
         )
@@ -593,7 +590,7 @@ class ServeCache:
         runs the *exact* queries a cold tick would — the whole-grid tensor
         build (when ``grid`` is given) and the per-configuration single-slot
         solves — and installs their results into the fast maps, so first-seen
-        demand levels stop paying dual bisections on the tick path.  Returns
+        demand levels stop paying dispatch solves on the tick path.  Returns
         the resulting :class:`~repro.dispatch.tables.SolutionTable` (built
         from the per-config solves; configurations come from ``grid`` when
         given, else from the full fleet grid implied by the server counts).
@@ -660,8 +657,6 @@ class ServeCache:
             "slot_queries": stats.slot_queries,
             "unique_solves": stats.unique_solves,
             "cache_hit_rate": round(stats.cache_hit_rate, 6),
-            "warm_hits": stats.warm_hits,
-            "cold_solves": stats.cold_solves,
         }
 
 
@@ -961,8 +956,8 @@ class ControllerSession:
 
         Stamps ``perf_counter_ns`` at the prepare/decide/commit boundaries
         and attributes the decide span to the dispatch tier that served it —
-        ``table`` / ``warm`` / ``cold`` — from the cache counter deltas
-        across the tick.
+        ``cold`` when the tick ran a fresh dispatch solve (the solver's
+        ``unique_solves`` moved), ``table`` otherwise.
         """
         stats = self.cache.dispatcher.stats
         tick = self._t
@@ -970,8 +965,7 @@ class ControllerSession:
         demand, served, shed, counts_t, vt, slot = self.prepare_tick(
             demand, cost_row, counts
         )
-        warm0 = stats.warm_hits
-        cold0 = stats.cold_solves
+        solves0 = stats.unique_solves
         t1 = time.perf_counter_ns()
         rounded, r_list, forced = self.decide_tick(slot, counts_t)
         t2 = time.perf_counter_ns()
@@ -980,12 +974,7 @@ class ControllerSession:
             slot=slot, started_ns=t0,
         )
         t3 = time.perf_counter_ns()
-        if stats.cold_solves != cold0:
-            kind = "decide[cold]"
-        elif stats.warm_hits != warm0:
-            kind = "decide[warm]"
-        else:
-            kind = "decide[table]"
+        kind = "decide[cold]" if stats.unique_solves != solves0 else "decide[table]"
         name = self.name
         tracer.record("prepare", name, tick, t0, t1)
         tracer.record(kind, name, tick, t1, t2)

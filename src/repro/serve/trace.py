@@ -2,7 +2,7 @@
 
 Answers "where does a slow tick spend its time": a sampled tick is broken
 into ns-resolution spans — ``feed_wait`` → ``prepare`` → ``decide[table]`` /
-``decide[warm]`` / ``decide[cold]`` → ``commit`` → ``telemetry`` — recorded
+``decide[cold]`` → ``commit`` → ``telemetry`` — recorded
 as raw ``perf_counter_ns`` intervals and dumped as Chrome ``trace_event``
 JSON (load the file in ``chrome://tracing`` / Perfetto).
 
@@ -14,9 +14,9 @@ documents the overhead methodology; the smoke also gates the *traced* floor
 at ``trace_every=1`` under 2× budget).
 
 The ``decide`` span is attributed to the dispatch tier that actually served
-the tick — ``table`` (a fast-map gather), ``warm`` (a warm-started
-bisection) or ``cold`` (a cold solve) — inferred from the cache counter
-deltas across the phase, so the span names agree with the counters the
+the tick — ``table`` (a memo or fast-map hit) or ``cold`` (a fresh dispatch
+solve) — inferred from the solver's ``unique_solves`` delta across the
+phase, so the span names agree with the counters the
 ``repro bench --counters`` gate pins.
 """
 

@@ -18,7 +18,7 @@ backtracking) exists for:
 Demand traces are quantised to a configurable number of discrete levels.
 Metered/aggregated traffic genuinely arrives that way, and it keeps the number
 of distinct dispatch signatures per checkpoint window bounded, so the batched
-dual bisection stays vectorised instead of degenerating into one row per slot.
+dispatch solve stays vectorised instead of degenerating into one row per slot.
 
 All generators are seeded and deterministic under the library-wide seeding
 convention: each instance builder takes a *single* scenario seed and spawns

@@ -13,10 +13,13 @@ import pytest
 from repro import (
     ConstantCost,
     LinearCost,
+    PiecewiseLinearCost,
     PowerCost,
     ProblemInstance,
     QuadraticCost,
+    ScaledCost,
     ServerType,
+    ShiftedCost,
 )
 
 
@@ -94,24 +97,45 @@ def time_dependent_instance(two_type_fleet):
     return base.with_price_profile(prices)
 
 
+def _random_piecewise(r: np.random.Generator) -> PiecewiseLinearCost:
+    """Up to three segments with non-decreasing slopes (a convex cost)."""
+    k = int(r.integers(1, 4))
+    breaks = np.concatenate(([0.0], np.cumsum(r.uniform(0.2, 1.5, size=k - 1))))
+    slopes = np.sort(r.uniform(0.0, 2.0, size=k))
+    return PiecewiseLinearCost(
+        idle=float(r.uniform(0.1, 1.5)), breaks=tuple(breaks), slopes=tuple(slopes)
+    )
+
+
+_BASE_FAMILIES = [
+    lambda r: LinearCost(idle=float(r.uniform(0.1, 2.0)), slope=float(r.uniform(0.0, 2.0))),
+    lambda r: QuadraticCost(idle=float(r.uniform(0.1, 2.0)), a=float(r.uniform(0.0, 1.0)), b=float(r.uniform(0.1, 1.5))),
+    lambda r: ConstantCost(level=float(r.uniform(0.2, 2.0))),
+    lambda r: PowerCost(idle=float(r.uniform(0.1, 1.5)), coef=float(r.uniform(0.1, 1.0)), exponent=float(r.uniform(1.0, 3.0))),
+    _random_piecewise,
+]
+
+
+def _random_cost(r: np.random.Generator):
+    """A built-in cost family, sometimes wrapped in a price factor or an idle offset."""
+    families = _BASE_FAMILIES + [
+        lambda r: ScaledCost(_random_cost(r), factor=float(r.uniform(0.5, 2.0))),
+        lambda r: ShiftedCost(_random_cost(r), offset=float(r.uniform(0.0, 1.0))),
+    ]
+    return families[int(r.integers(0, len(families)))](r)
+
+
 def random_instance(rng: np.random.Generator, T: int = 5, d: int = 2, max_servers: int = 3) -> ProblemInstance:
     """A random small instance used by the property-based / fuzz tests."""
-    families = [
-        lambda r: LinearCost(idle=float(r.uniform(0.1, 2.0)), slope=float(r.uniform(0.0, 2.0))),
-        lambda r: QuadraticCost(idle=float(r.uniform(0.1, 2.0)), a=float(r.uniform(0.0, 1.0)), b=float(r.uniform(0.1, 1.5))),
-        lambda r: ConstantCost(level=float(r.uniform(0.2, 2.0))),
-        lambda r: PowerCost(idle=float(r.uniform(0.1, 1.5)), coef=float(r.uniform(0.1, 1.0)), exponent=float(r.uniform(1.0, 3.0))),
-    ]
     types = []
     for j in range(d):
-        family = families[int(rng.integers(0, len(families)))]
         types.append(
             ServerType(
                 name=f"t{j}",
                 count=int(rng.integers(1, max_servers + 1)),
                 switching_cost=float(rng.uniform(0.5, 10.0)),
                 capacity=float(rng.choice([1.0, 2.0, 4.0])),
-                cost_function=family(rng),
+                cost_function=_random_cost(rng),
             )
         )
     capacity = sum(st.count * st.capacity for st in types)

@@ -308,3 +308,39 @@ def test_inverse_derivative_consistency(f: CostFunction, y: float):
 @settings(max_examples=100, deadline=None)
 def test_scaling_is_linear_in_factor(f: CostFunction, z: float, factor: float):
     assert float(ScaledCost(f, factor).value(z)) == pytest.approx(factor * float(f.value(z)), rel=1e-9, abs=1e-9)
+
+
+PIECEWISE_STRATEGY = st.lists(st.floats(0.1, 3.0), max_size=3).flatmap(
+    lambda gaps: st.lists(st.floats(0.0, 5.0), min_size=len(gaps) + 1, max_size=len(gaps) + 1).map(
+        lambda slopes: PiecewiseLinearCost(
+            idle=1.0,
+            breaks=tuple(np.concatenate(([0.0], np.cumsum(gaps)))),
+            slopes=tuple(sorted(slopes)),
+        )
+    )
+)
+
+
+@given(
+    f=st.one_of(FAMILY_STRATEGY, PIECEWISE_STRATEGY).flatmap(
+        lambda f: st.sampled_from([f, ScaledCost(f, 1.7), ShiftedCost(f, 0.4)])
+    ),
+    z=st.floats(min_value=0.0, max_value=20.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_marginal_pieces_trace_the_derivative(f: CostFunction, z: float):
+    """The marginal pieces the dispatcher sweeps reproduce ``f'`` piece by piece."""
+    pieces = f.marginal_pieces
+    assert pieces[-1].length == math.inf
+    offset = 0.0
+    for piece in pieces:
+        if z < offset + piece.length:
+            break
+        offset += piece.length
+    marginal = piece.start + piece.slope * (z - offset) ** piece.power
+    assert marginal == pytest.approx(float(f.derivative(z)), rel=1e-9, abs=1e-12)
+
+
+def test_callable_cost_has_no_marginal_pieces():
+    assert CallableCost(lambda z: z * z).marginal_pieces is None
+    assert ScaledCost(CallableCost(lambda z: z), 2.0).marginal_pieces is None

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    CallableCost,
     ConstantCost,
     LinearCost,
     PiecewiseLinearCost,
@@ -17,6 +18,7 @@ from repro import (
     ServerType,
 )
 from repro.dispatch import DispatchSolver, reference_dispatch
+from repro.offline.state_grid import StateGrid
 
 from conftest import random_instance
 
@@ -246,3 +248,103 @@ def test_dispatch_never_beats_reference_by_much_nor_loses(data):
         assert math.isinf(slow.cost) == math.isinf(fast.cost)
     else:
         assert fast.cost == pytest.approx(slow.cost, rel=5e-4, abs=1e-6)
+
+
+def _assert_matches_reference(fast_cost, slow, rel=5e-4):
+    if math.isinf(slow.cost) or math.isinf(fast_cost):
+        assert math.isinf(slow.cost) == math.isinf(fast_cost)
+    else:
+        assert fast_cost == pytest.approx(slow.cost, rel=rel, abs=1e-6)
+
+
+class TestFractionalConfigurations:
+    """Fractional rows (OBD's SLSQP search evaluates them) cap the type
+    *volume* ``x_j * zmax_j`` at the demand, not the per-server load."""
+
+    def test_fraction_of_one_server_can_take_the_whole_demand(self):
+        types = (
+            ServerType("cheap", count=2, switching_cost=1.0, capacity=math.inf,
+                       cost_function=QuadraticCost(idle=0.1, a=0.0, b=0.2)),
+            ServerType("dear", count=2, switching_cost=1.0, capacity=4.0,
+                       cost_function=LinearCost(idle=0.1, slope=3.0)),
+        )
+        inst = ProblemInstance(types, np.array([2.0]))
+        costs, loads = DispatchSolver(inst).solve_grid(0, np.array([[0.5, 1.0]]))
+        slow = reference_dispatch(inst, 0, [0.5, 1.0])
+        # the marginal of the half server reaches the linear slope only at a
+        # per-server load of 7.5, so it takes the whole demand of 2
+        np.testing.assert_allclose(loads[0], [2.0, 0.0], atol=1e-12)
+        _assert_matches_reference(costs[0], slow)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_fractional_rows_match_reference(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        inst = random_instance(rng, T=3, d=3, max_servers=3)
+        configs = rng.uniform(0.0, 1.0, size=(12, 3)) * inst.m
+        configs[rng.random(configs.shape) < 0.2] = 0.0
+        solver = DispatchSolver(inst)
+        for t in range(inst.T):
+            costs, _ = solver.solve_grid(t, configs)
+            for config, cost in zip(configs, costs):
+                _assert_matches_reference(cost, reference_dispatch(inst, t, config))
+
+
+class TestIterativePaths:
+    def test_closed_form_families_take_no_iterations(self, small_instance):
+        solver = DispatchSolver(small_instance)
+        solver.solve_block(range(small_instance.T), StateGrid.full(small_instance.m).configs())
+        assert solver.stats.unique_solves > 0
+        assert solver.stats.bisection_iterations == 0
+
+    def test_callable_cost_goes_through_bisection(self):
+        types = (
+            ServerType("measured", count=2, switching_cost=1.0, capacity=2.0,
+                       cost_function=CallableCost(lambda z: 0.4 + 0.3 * z + 0.6 * z ** 2.5)),
+            ServerType("quad", count=2, switching_cost=1.0, capacity=3.0,
+                       cost_function=QuadraticCost(idle=0.5, a=0.2, b=0.4)),
+        )
+        inst = ProblemInstance(types, np.array([0.0, 0.7, 2.5, 6.0]))
+        configs = StateGrid.full(inst.m).configs()
+        solver = DispatchSolver(inst)
+        costs, loads = solver.solve_block(range(inst.T), configs)
+        assert solver.stats.bisection_iterations > 0
+        for t in range(inst.T):
+            for i, config in enumerate(configs):
+                _assert_matches_reference(costs[t, i], reference_dispatch(inst, t, config))
+                if np.isfinite(costs[t, i]):
+                    assert loads[t, i].sum() == pytest.approx(inst.demand[t], abs=1e-9)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_dispatch_property(data):
+    """Property of the exact path on random fleets of every built-in family.
+
+    The loads serve the demand within the type caps, the cost matches the
+    SLSQP reference, and a cell is the same wherever it is solved — alone,
+    in a grid row or in a block of slots — bit for bit.
+    """
+    seed = data.draw(st.integers(0, 10_000))
+    d = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, T=3, d=d, max_servers=2)
+    grid = StateGrid.full(inst.m).configs()
+    t = data.draw(st.integers(0, inst.T - 1))
+    i = data.draw(st.integers(0, len(grid) - 1))
+    x = grid[i]
+
+    single = DispatchSolver(inst).solve(t, x)
+    grid_costs, grid_loads = DispatchSolver(inst).solve_grid(t, grid)
+    block_costs, block_loads = DispatchSolver(inst).solve_block(range(inst.T), grid)
+    assert np.array_equal(grid_costs[i], single.cost)
+    assert np.array_equal(block_costs[t, i], single.cost)
+    assert np.array_equal(grid_loads[i], single.loads)
+    assert np.array_equal(block_loads[t, i], single.loads)
+
+    lam = float(inst.demand[t])
+    caps = x * inst.zmax
+    if single.feasible:
+        assert np.all(single.loads >= 0.0)
+        assert np.all(single.loads <= caps * (1 + 1e-12) + 1e-12)
+        assert single.loads.sum() == pytest.approx(lam, rel=1e-9, abs=1e-12)
+    _assert_matches_reference(single.cost, reference_dispatch(inst, t, x))
