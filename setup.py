@@ -1,9 +1,9 @@
 """Setuptools shim.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` also works on environments whose setuptools/pip lack the
-PEP 660 editable-wheel machinery (legacy editable installs go through
-``setup.py develop``).
+Nothing here is needed to run the code: every ``Makefile`` target, the CI job
+and the benchmark import ``repro`` straight from the checkout with
+``PYTHONPATH=src``.  The file carries no package metadata; the CI workflow
+keys its pip cache on it.
 """
 
 from setuptools import setup

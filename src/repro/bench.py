@@ -1328,14 +1328,21 @@ def _with_trend(payload: dict, json_path, headline: dict) -> dict:
 
 
 def trend_deltas(runs) -> dict:
-    """Numeric headline deltas between the last two trend entries.
+    """Numeric headline deltas of the last trend entry against its predecessor.
 
-    Empty when fewer than two runs are recorded or no numeric field is shared
-    between them — the caller prints "no previous run to compare" instead.
+    One ``"runs"`` series interleaves several benchmarks (``serve`` and
+    ``serve-batch-scale`` entries share ``BENCH_serve.json``), so the
+    predecessor is the previous entry of the *same* ``benchmark``.  Empty
+    when there is none or no numeric field is shared between the two — the
+    caller prints "no previous run to compare" instead.
     """
-    if not runs or len(runs) < 2:
+    if not runs:
         return {}
-    prev, last = runs[-2], runs[-1]
+    last = runs[-1]
+    same = [run for run in runs[:-1] if run.get("benchmark") == last.get("benchmark")]
+    if not same:
+        return {}
+    prev = same[-1]
     deltas = {}
     for key, value in last.items():
         before = prev.get(key)
@@ -1352,8 +1359,9 @@ def trend_deltas(runs) -> dict:
 def trend_report(json_path) -> Optional[dict]:
     """The ``repro bench --latest`` view of one ``BENCH_*.json`` file.
 
-    Returns the newest trend entry plus its deltas against the previous run,
-    or ``None`` when the file is missing or predates the trend series.
+    Returns the newest trend entry plus its deltas against the previous run
+    of the same benchmark, or ``None`` when the file is missing or predates
+    the trend series.
     """
     data = _read_bench_json(json_path)
     if not isinstance(data, dict) or not data.get("runs"):

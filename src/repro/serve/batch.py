@@ -1,11 +1,14 @@
 """Fleet-batched multi-tenant ticks: vectorised cross-tenant dispatch.
 
-:class:`ServeEngine.run` advances tenants one ``session.observe`` at a time —
-10k tenants pay 10k interpreter round-trips per round even when every one of
-them resolves to the same quantised solution table.  This module applies the
-PR-1 ``solve_block`` idea one level up, **across tenants**:
+:class:`ServeEngine` owns the serving round — pull one tick per live tenant,
+resolve the arrivals, write telemetry and checkpoints — and resolves the
+arrivals one ``session.observe`` at a time: 10k tenants pay 10k interpreter
+round-trips per round even when every one of them resolves to the same
+quantised solution table.  :class:`BatchedServeEngine` keeps that round and
+replaces only its resolution, applying the ``solve_block`` idea one level up,
+**across tenants**:
 
-* Each round, active tenants are grouped into **cohorts** keyed by
+* A round's arrivals are grouped into **cohorts** keyed by
   ``(cache identity, decider kind, cost-row signature, counts signature)`` —
   the same keys :class:`~repro.serve.session.ServeCache` and
   :class:`~repro.dispatch.tables.SolutionTable` already dedup on.
@@ -13,13 +16,12 @@ PR-1 ``solve_block`` idea one level up, **across tenants**:
   algorithms (``reactive``, ``follow-demand``, ``all-on``) are resolved with a
   single gather from a per-cohort decision table plus one vectorised
   argmin/switching-cost computation, then committed per tenant through
-  :meth:`ControllerSession.observe_batch` — the pure-state-update half of the
+  :meth:`ControllerSession.commit_tick` — the pure-state-update phase of a
   tick, so session state is *bit-identical* to a sequential replay.
 * Everything else — stateful DP algorithms (A/B/C/LCP), regret-tracked
   sessions, custom algorithm objects, invalid or strict-infeasible ticks, and
-  cohort members whose demand level misses a saturated table — falls back to
-  the existing per-tenant ``observe`` slow path, which is the sequential
-  engine verbatim.
+  cohort members whose demand level misses a saturated table — goes back
+  through :meth:`ServeEngine.resolve`, the sequential resolution itself.
 
 Bit-identity is by construction, not by tolerance: decision-cost rows are
 fetched through ``dispatcher.solve_grid(vt, float_configs)`` — the exact
@@ -32,9 +34,9 @@ in the same order as the sequential per-tenant expression.
 
 An optional **feed pump** overlaps feed I/O with the batched solve: a small
 thread pool prefetches upcoming ticks from slow feeds (``JsonlFeed``, paced
-time-warp replays) into bounded per-tenant queues with backpressure, so the
-engine's round loop consumes from memory while producers block on I/O or
-pacing sleeps.  Feeds stay single-owner (one worker per tenant iterator);
+time-warp replays) into bounded per-tenant queues with backpressure, and the
+round pulls from those queues while producers block on I/O or pacing
+sleeps.  Feeds stay single-owner (one worker per tenant iterator);
 determinism is untouched because the pump reorders *time*, never ticks.
 
 ``verify_batched`` is the correctness gate: batched vs sequential engines over
@@ -45,18 +47,19 @@ equal SLA counters and ≤1e-9 cumulative-cost deviation.
 
 from __future__ import annotations
 
+import itertools
 import queue
 import threading
 import time
-from pathlib import Path
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..offline.state_grid import StateGrid
 from ..online.baselines import AllOn, FollowDemand, Reactive
-from .engine import ServeEngine, _Tenant
-from .session import ControllerSession, ServeCache, save_checkpoint
+from .engine import ServeEngine
+from .session import ControllerSession, ServeCache
 from .telemetry import TelemetryWriter
 
 __all__ = ["BatchedServeEngine", "FeedPump", "verify_batched"]
@@ -166,12 +169,15 @@ class FeedPump:
     to the next owned tenant — that bound *is* the backpressure, keeping
     prefetch memory flat at ``O(tenants × prefetch)`` ticks.  Pacing sleeps
     (``feed.play(speed)``) and JSONL parsing thus happen on pump threads while
-    the engine's round loop runs the batched solve.
+    the engine's round runs the batched solve.
 
-    The consumer side is :meth:`next_tick`: blocking, in tick order, one
-    sentinel ``None`` at stream end — exactly the contract of
-    ``next(iterator, None)`` in the engine loop, which is why pumping changes
-    scheduling latency but never schedules.
+    ``tenants`` maps names to records with an ``iterator`` attribute (the
+    engine's tenant records).  While the pump runs it owns those iterators:
+    :meth:`start` points each tenant at its queue, so the round's pulls read
+    the queue in tick order with one ``None`` at stream end — exactly the
+    contract of ``next(iterator, None)``, which is why pumping changes
+    scheduling latency but never schedules — and :meth:`stop` hands each
+    tenant its own iterator back.
     """
 
     _DONE = object()
@@ -180,18 +186,20 @@ class FeedPump:
         if int(prefetch) < 1:
             raise ValueError(f"prefetch must be >= 1, got {prefetch}")
         self.prefetch = int(prefetch)
+        self._tenants = dict(tenants)
+        self._sources = {name: tenant.iterator for name, tenant in self._tenants.items()}
         self._queues: Dict[str, queue.Queue] = {}
         self._stop = threading.Event()
         self._wakeups: List[threading.Event] = []
         self._threads: List[threading.Thread] = []
         self.prefetched = 0
         self.max_buffered = 0
-        names = list(tenants)
+        names = list(self._tenants)
         workers = max(1, min(int(workers), len(names))) if names else 0
         shards: List[list] = [[] for _ in range(workers)]
         for i, name in enumerate(names):
             self._queues[name] = queue.Queue(maxsize=self.prefetch)
-            shards[i % workers].append((name, tenants[name]))
+            shards[i % workers].append(name)
         self._lock = threading.Lock()
         for shard in shards:
             wakeup = threading.Event()
@@ -202,12 +210,15 @@ class FeedPump:
             self._threads.append(thread)
 
     def start(self) -> "FeedPump":
+        """Start the producers and point every tenant's pulls at its queue."""
+        for name, tenant in self._tenants.items():
+            tenant.iterator = iter(partial(self.next_tick, name), None)
         for thread in self._threads:
             thread.start()
         return self
 
     def _produce(self, shard, wakeup: threading.Event) -> None:
-        pending = {name: tenant.iterator for name, tenant in shard}
+        pending = {name: self._sources[name] for name in shard}
         while pending and not self._stop.is_set():
             progressed = False
             for name in list(pending):
@@ -241,16 +252,16 @@ class FeedPump:
         return None if item is self._DONE else item
 
     def stop(self) -> Dict[str, list]:
-        """Stop producers and hand back the still-buffered (unconsumed) ticks.
+        """Stop the producers and hand every tenant its own iterator back.
 
-        Buffered ticks were already pulled off their iterators, so an engine
-        stopping early (``max_ticks`` with ``finalize=False``) must requeue
-        them ahead of the iterator or they would vanish on resume.  Returns
-        ``{tenant: [ticks...]}`` in arrival order; stream-end sentinels are
-        dropped (the iterator re-yields exhaustion for free).  Producers mid-
-        pacing-sleep are abandoned after a join timeout — with paced feeds an
-        early stop may therefore lose the tick in flight; unpaced feeds (every
-        equivalence gate) join promptly and lose nothing.
+        Buffered ticks were already pulled off their iterators, so they are
+        chained in front of it: an engine stopping early (``max_ticks`` with
+        ``finalize=False``) resumes without losing a tick.  Returns those
+        leftovers as ``{tenant: [ticks...]}`` in arrival order; stream-end
+        sentinels are dropped (the iterator re-yields exhaustion for free).
+        Producers mid-pacing-sleep are abandoned after a join timeout — with
+        paced feeds an early stop may therefore lose the tick in flight;
+        unpaced feeds (every equivalence gate) join promptly and lose nothing.
         """
         self._stop.set()
         for wakeup in self._wakeups:
@@ -269,6 +280,7 @@ class FeedPump:
                     items.append(item)
             if items:
                 leftovers[name] = items
+            self._tenants[name].iterator = itertools.chain(items, self._sources[name])
         return leftovers
 
     def counters(self) -> dict:
@@ -281,14 +293,18 @@ class FeedPump:
 
 
 class BatchedServeEngine(ServeEngine):
-    """A :class:`ServeEngine` whose round loop resolves cohorts vectorised.
+    """A :class:`ServeEngine` whose rounds resolve cohorts vectorised.
 
-    Same registration API and same results — schedules, costs and SLA
-    counters are bit-identical to the sequential engine (``verify_batched``
-    gates this across every registered scenario family) — but each round
-    groups tenants into cohorts and replaces their per-tenant
-    ``algorithm.step`` + solve with one table gather + vectorised argmin +
-    per-tenant :meth:`ControllerSession.observe_batch` commit.
+    Same registration API, same round and same results — schedules, costs
+    and SLA counters are bit-identical to the sequential engine
+    (``verify_batched`` gates this across every registered scenario family),
+    and telemetry and checkpoints are written by the same round.  Only the
+    round's resolution differs: :meth:`resolve` groups the arrivals into
+    cohorts and replaces their per-tenant ``algorithm.step`` + solve with one
+    table gather + vectorised argmin + per-tenant
+    :meth:`ControllerSession.commit_tick`, and hands every other arrival back
+    to :meth:`ServeEngine.resolve`.  Telemetry rows are therefore grouped by
+    cohort within a round rather than in strict registration order.
 
     Parameters beyond :class:`ServeEngine`:
 
@@ -324,9 +340,6 @@ class BatchedServeEngine(ServeEngine):
         self.pump_workers = int(pump_workers)
         self.table_budget = int(table_budget)
         self._tables: Dict[tuple, _CohortTable] = {}
-        # ticks prefetched by a pump but unconsumed when an early-stopped run
-        # ended — replayed first on the next run() so no tick is ever dropped
-        self._pending_ticks: Dict[str, list] = {}
         # batching counters are engine-level registry series (unlabelled —
         # one engine, one registry); the historical attribute names survive
         # as read-only properties below
@@ -335,7 +348,7 @@ class BatchedServeEngine(ServeEngine):
         self._c_table_fallbacks = self.metrics.counter("table_fallbacks")
         self._c_cohort_rounds = self.metrics.counter("cohort_rounds")
         self._c_rounds = self.metrics.counter("rounds")
-        self._pump_counters: Optional[dict] = None
+        self._pump: Optional[FeedPump] = None
 
     @property
     def batched_ticks(self) -> int:
@@ -366,86 +379,36 @@ class BatchedServeEngine(ServeEngine):
         checkpoint_every: int = 0,
         finalize: bool = True,
     ) -> dict:
-        """Drain all feeds with cohort-batched rounds (see the class docstring).
-
-        Semantics match :meth:`ServeEngine.run`: round-robin rounds, per-tenant
-        ``finish`` + final checkpoint at stream end, periodic checkpoints every
-        ``checkpoint_every`` ticks, ``finalize=False`` to leave streams
-        resumable.  Telemetry rows are grouped by cohort within a round rather
-        than strict registration order.
-        """
-        writer = telemetry or TelemetryWriter(None)
-        emit = writer.active
-        cadence = int(checkpoint_every) if checkpoint_dir is not None else 0
-        checkpoint_dir = None if checkpoint_dir is None else Path(checkpoint_dir)
-
-        def checkpoint(name: str, tenant: _Tenant) -> None:
-            if checkpoint_dir is not None:
-                save_checkpoint(
-                    checkpoint_dir / f"{name}.ckpt.json", tenant.session.checkpoint()
-                )
-
-        pump: Optional[FeedPump] = None
+        """:meth:`ServeEngine.run`, fed through a :class:`FeedPump` under ``overlap``."""
+        pump = None
         if self.overlap:
-            pump = FeedPump(
+            pump = self._pump = FeedPump(
                 self._tenants, prefetch=self.prefetch, workers=self.pump_workers
             ).start()
-
-        active = list(self._tenants.items())
-        started = time.perf_counter()
-        round_index = 0
         try:
-            while active and (max_ticks is None or round_index < max_ticks):
-                arrivals = []
-                still_active = []
-                for name, tenant in active:
-                    buffered = self._pending_ticks.get(name)
-                    if buffered:
-                        tick = buffered.pop(0)
-                        if not buffered:
-                            del self._pending_ticks[name]
-                    elif pump is not None:
-                        tick = pump.next_tick(name)
-                    else:
-                        tick = next(tenant.iterator, None)
-                    if tick is None:
-                        if not tenant.done:
-                            tenant.done = True
-                            tenant.session.finish()
-                            checkpoint(name, tenant)
-                        continue
-                    arrivals.append((name, tenant, tick))
-                    still_active.append((name, tenant))
-                if arrivals:
-                    self._run_round(arrivals, writer, emit, cadence, checkpoint)
-                    self._c_rounds.inc()
-                active = still_active
-                round_index += 1
+            return super().run(
+                max_ticks, telemetry, checkpoint_dir, checkpoint_every, finalize
+            )
         finally:
             if pump is not None:
-                leftovers = pump.stop()
-                for name, items in leftovers.items():
-                    self._pending_ticks.setdefault(name, []).extend(items)
-                self._pump_counters = pump.counters()
-        if finalize:
-            for name, tenant in self._tenants.items():
-                if not tenant.done:
-                    tenant.done = True
-                    tenant.session.finish()
-                    checkpoint(name, tenant)
-        wall = time.perf_counter() - started
-        return self.report(wall_seconds=wall)
+                pump.stop()
 
     # ------------------------------------------------------------------ rounds
-    def _run_round(self, arrivals, writer, emit, cadence, checkpoint) -> None:
-        """Partition one round's arrivals into cohorts and resolve each."""
+    def resolve(self, arrivals) -> None:
+        """Partition one round's arrivals into cohorts and resolve each.
+
+        Arrivals no cohort can decide go back through
+        :meth:`ServeEngine.resolve` after the cohorts, in the order they
+        were set aside.
+        """
+        self._c_rounds.inc()
         cohorts: Dict[tuple, list] = {}
         fallback: list = []
-        for name, tenant, tick in arrivals:
+        for tenant, tick in arrivals:
             session = tenant.session
             kind = _decider_kind(session)
             if kind is None:
-                fallback.append((name, tenant, tick))
+                fallback.append((tenant, tick))
                 continue
             row = tick.cost_row
             row_key = None if row is None else tuple(row)
@@ -457,33 +420,25 @@ class BatchedServeEngine(ServeEngine):
             try:
                 members = cohorts.get(key)
             except TypeError:  # unhashable exotic cost row: per-tenant path
-                fallback.append((name, tenant, tick))
+                fallback.append((tenant, tick))
                 continue
             if members is None:
-                cohorts[key] = [(name, tenant, tick)]
+                cohorts[key] = [(tenant, tick)]
             else:
-                members.append((name, tenant, tick))
+                members.append((tenant, tick))
 
         for key, members in cohorts.items():
-            self._run_cohort(key, members, fallback, writer, emit, cadence, checkpoint)
+            self._run_cohort(key, members, fallback)
 
-        for name, tenant, tick in fallback:
-            # the sequential engine verbatim — errors (strict infeasibility,
-            # invalid demands) surface exactly as they would un-batched
-            state = tenant.session.observe(
-                tick.demand, cost_row=tick.cost_row, counts=tick.counts
-            )
-            writer.write(state.as_row(), tenant=name)
-            self._c_fallback_ticks.inc()
-            if cadence and tenant.session.ticks % cadence == 0:
-                checkpoint(name, tenant)
+        # the sequential resolution verbatim — errors (strict infeasibility,
+        # invalid demands) surface exactly as they would un-batched
+        self._c_fallback_ticks.add(len(fallback))
+        super().resolve(fallback)
 
-    def _run_cohort(
-        self, key, members, fallback, writer, emit, cadence, checkpoint
-    ) -> None:
+    def _run_cohort(self, key, members, fallback) -> None:
         cohort_started = time.perf_counter_ns()
         _, kind, row_key, counts_key = key
-        session0 = members[0][1].session
+        session0 = members[0][0].session
         cache = session0.cache
         stream = cache.stream
 
@@ -497,7 +452,7 @@ class BatchedServeEngine(ServeEngine):
         counts_t = table.counts_t
         capacity = table.capacity
 
-        demands = np.array([tick.demand for _, _, tick in members], dtype=float)
+        demands = np.array([tick.demand for _, tick in members], dtype=float)
         invalid = ~np.isfinite(demands) | (demands < 0)
         over = demands > capacity + 1e-9
         served = np.where(over, capacity, demands)
@@ -509,9 +464,9 @@ class BatchedServeEngine(ServeEngine):
         level_vt: Dict[float, int] = {}
         level_row: Dict[float, Optional[int]] = {}
         keep: List[int] = []
-        for i, (name, tenant, tick) in enumerate(members):
+        for i, (tenant, tick) in enumerate(members):
             if invalid[i] or (over[i] and tenant.session.degradation == "strict"):
-                fallback.append((name, tenant, tick))
+                fallback.append((tenant, tick))
                 continue
             level = float(served[i])
             vt = level_vt.get(level)
@@ -524,7 +479,7 @@ class BatchedServeEngine(ServeEngine):
                 if kind != "all-on":
                     level_row[level] = table.level_row(level, vt)
             if kind != "all-on" and level_row[level] is None:
-                fallback.append((name, tenant, tick))
+                fallback.append((tenant, tick))
                 self._c_table_fallbacks.inc()
                 continue
             keep.append(i)
@@ -532,9 +487,8 @@ class BatchedServeEngine(ServeEngine):
             return
 
         k = len(keep)
-        batch = [members[i] for i in keep]
-        sessions = [tenant.session for _, tenant, _ in batch]
-
+        batch = [members[i][0] for i in keep]
+        sessions = [tenant.session for tenant in batch]
         if kind == "all-on":
             # sequential AllOn returns asarray(slot.counts).astype(int) — one
             # fresh row per tenant; a tiled matrix gives identical content
@@ -574,7 +528,8 @@ class BatchedServeEngine(ServeEngine):
         r_lists = rounded_matrix.tolist()
         self._c_batched_ticks.add(k)
         self._c_cohort_rounds.inc()
-        for i, (name, tenant, tick) in enumerate(batch):
+        emit = self._writer.active
+        for i, tenant in enumerate(batch):
             j = keep[i]
             level = float(served[j])
             # under ledger_budget resolving one level can evict another, so a
@@ -585,20 +540,17 @@ class BatchedServeEngine(ServeEngine):
                 vt = cache.virtual_slot_base(level)
             else:
                 vt = cache.virtual_slot(level, row_key)
-            state = tenant.session.observe_batch(
+            state = tenant.session.commit_tick(
                 float(demands[j]),
                 level,
                 float(shed[j]),
                 vt,
                 rounded_matrix[i],
                 r_lists[i],
-                latency_ns=int(latency_share),
+                latency_ns=latency_share,
                 emit=emit,
             )
-            if emit:
-                writer.write(state.as_row(), tenant=name)
-            if cadence and tenant.session.ticks % cadence == 0:
-                checkpoint(name, tenant)
+            self._record(tenant, state)
 
     # ------------------------------------------------------------------ report
     def batch_counters(self) -> dict:
@@ -620,8 +572,8 @@ class BatchedServeEngine(ServeEngine):
             "table_levels": sum(len(t.cost_rows) for t in self._tables.values()),
             "table_installs": sum(t.installs for t in self._tables.values()),
         }
-        if self._pump_counters is not None:
-            counters["feed_pump"] = self._pump_counters
+        if self._pump is not None:
+            counters["feed_pump"] = self._pump.counters()
         return counters
 
     def report(self, wall_seconds: Optional[float] = None) -> dict:
@@ -672,13 +624,13 @@ def verify_batched(
         share_caches=share_caches, overlap=overlap, **engine_kwargs
     )
     build_tenants(batched)
-    if sorted(batched._tenants) != sorted(sequential._tenants):
+    if sorted(batched.tenants) != sorted(sequential.tenants):
         raise AssertionError("build_tenants registered different tenant sets")
 
     def drive(engine):
         if checkpoint_at is not None:
             engine.run(max_ticks=checkpoint_at, finalize=False)
-            for name in list(engine._tenants):
+            for name in list(engine.tenants):
                 engine.roundtrip_tenant(name)
             remaining = None if max_ticks is None else max_ticks - checkpoint_at
             return engine.run(max_ticks=remaining)
@@ -688,7 +640,7 @@ def verify_batched(
     report = drive(batched)
 
     tenants = []
-    for name in sequential._tenants:
+    for name in sequential.tenants:
         seq = sequential.session(name)
         bat = batched.session(name)
         if seq.ticks != bat.ticks:

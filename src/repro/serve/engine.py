@@ -43,14 +43,31 @@ from .telemetry import TelemetryWriter, summarise_sessions
 __all__ = ["ServeEngine", "verify_replay"]
 
 
-class _Tenant:
-    """One registered (session, feed) pair plus its playback iterator."""
+#: What :meth:`_Tenant.pull` returns for a tenant that stays live but has no
+#: tick this round (a fabric tenant whose feed is failing or quarantined).
+IDLE = object()
 
-    def __init__(self, session: ControllerSession, feed: TraceFeed, speed: Optional[float]):
+
+class _Tenant:
+    """One registered session plus the iterator its ticks are pulled from.
+
+    :meth:`pull` is the round's only contact with the feed; the fabric
+    worker's tenant record overrides it with a breaker-gated pull.
+    """
+
+    #: Set when the tenant's feed was given up mid-stream: its stream is
+    #: over, but its horizon did not end, so the end-of-stream hook is skipped.
+    failed = False
+
+    def __init__(self, name: str, session: Optional[ControllerSession], iterator):
+        self.name = name
         self.session = session
-        self.feed = feed
-        self.iterator = feed.play(speed)
+        self.iterator = iterator
         self.done = False
+
+    def pull(self):
+        """The next tick, ``None`` at stream end, or :data:`IDLE`."""
+        return next(self.iterator, None)
 
 
 class ServeEngine:
@@ -87,6 +104,7 @@ class ServeEngine:
         self._caches: Dict[tuple, ServeCache] = {}
         self._cache_seq = 0
         self._tenants: Dict[str, _Tenant] = {}
+        self.set_outputs()
 
     # ------------------------------------------------------------ registration
     def _build_cache(self, server_types) -> ServeCache:
@@ -174,8 +192,15 @@ class ServeEngine:
             history=history,
             name=name,
         )
-        self._tenants[name] = _Tenant(session, feed, speed)
+        self._tenants[name] = _Tenant(name, session, feed.play(speed))
         return session
+
+    def release(self, name: str) -> _Tenant:
+        """Drop a tenant from the rounds, checkpointing it as it stands first."""
+        tenant = self._tenants.pop(name)
+        if tenant.session is not None:
+            self._checkpoint(tenant)
+        return tenant
 
     def roundtrip_tenant(self, name: str) -> ControllerSession:
         """Checkpoint/restore a live tenant in place (mid-stream round-trip).
@@ -194,6 +219,19 @@ class ServeEngine:
         return self._tenants[name].session
 
     @property
+    def tenants(self) -> Dict[str, _Tenant]:
+        """The registered tenant records by name, in registration order.
+
+        The fabric worker adopts tenants by adding its own records here.
+        """
+        return self._tenants
+
+    @property
+    def live(self) -> bool:
+        """Whether any registered tenant's stream is still open."""
+        return any(not tenant.done for tenant in self._tenants.values())
+
+    @property
     def sessions(self) -> List[ControllerSession]:
         return [tenant.session for tenant in self._tenants.values()]
 
@@ -206,6 +244,18 @@ class ServeEngine:
         return caches
 
     # --------------------------------------------------------------- execution
+    def set_outputs(
+        self, telemetry=None, checkpoint_dir=None, checkpoint_every: int = 0
+    ) -> None:
+        """Where the rounds write: telemetry rows and checkpoint files.
+
+        :meth:`run` sets these from its own arguments; a caller that drives
+        :meth:`play_round` itself (the fabric worker) sets them once.
+        """
+        self._writer = telemetry or TelemetryWriter(None)
+        self._checkpoint_dir = None if checkpoint_dir is None else Path(checkpoint_dir)
+        self._cadence = int(checkpoint_every) if checkpoint_dir is not None else 0
+
     def run(
         self,
         max_ticks: Optional[int] = None,
@@ -220,8 +270,8 @@ class ServeEngine:
         live serving process does — all tenants advance together — and it
         maximises cross-tenant cache reuse: the first tenant to reach a
         demand level pays its solve, every later tenant's tick hits the memo.
-        Returns the engine report (per-tenant summaries, pooled latency
-        percentiles, sharing counters).
+        ``max_ticks`` caps the number of rounds.  Returns the engine report
+        (per-tenant summaries, pooled latency percentiles, sharing counters).
 
         ``checkpoint_dir`` + ``checkpoint_every`` enable the periodic
         checkpoint cadence the fabric's crash recovery restores from: every
@@ -230,49 +280,79 @@ class ServeEngine:
         the previous intact checkpoint rotated to ``.prev`` (see
         :func:`~repro.serve.session.save_checkpoint`).
         """
-        writer = telemetry or TelemetryWriter(None)
-        cadence = int(checkpoint_every) if checkpoint_dir is not None else 0
-        checkpoint_dir = None if checkpoint_dir is None else Path(checkpoint_dir)
-
-        def checkpoint(name: str, tenant: _Tenant) -> None:
-            if checkpoint_dir is not None:
-                save_checkpoint(
-                    checkpoint_dir / f"{name}.ckpt.json", tenant.session.checkpoint()
-                )
-
-        active = list(self._tenants.items())
+        self.set_outputs(telemetry, checkpoint_dir, checkpoint_every)
         started = time.perf_counter()
-        round_index = 0
-        while active and (max_ticks is None or round_index < max_ticks):
-            still_active = []
-            for name, tenant in active:
-                tick = next(tenant.iterator, None)
-                if tick is None:
-                    if not tenant.done:
-                        tenant.done = True
-                        tenant.session.finish()
-                        checkpoint(name, tenant)
-                    continue
-                state = tenant.session.observe(
-                    tick.demand, cost_row=tick.cost_row, counts=tick.counts
-                )
-                writer.write(state.as_row(), tenant=name)
-                if cadence and tenant.session.ticks % cadence == 0:
-                    checkpoint(name, tenant)
-                still_active.append((name, tenant))
-            active = still_active
-            round_index += 1
+        rounds = 0
+        while self.live and (max_ticks is None or rounds < max_ticks):
+            self.play_round()
+            rounds += 1
         if finalize:
             # ``finalize=False`` leaves undrained tenants un-finished so a
             # later run() call (e.g. after a mid-stream roundtrip_tenant)
             # resumes the stream instead of double-finishing the algorithms
-            for name, tenant in self._tenants.items():
+            for tenant in self._tenants.values():
                 if not tenant.done:
-                    tenant.done = True
-                    tenant.session.finish()
-                    checkpoint(name, tenant)
+                    self._end(tenant)
         wall = time.perf_counter() - started
         return self.report(wall_seconds=wall)
+
+    def play_round(self) -> bool:
+        """One round of the online protocol across every live tenant.
+
+        Pulls one tick per live tenant in registration order — tenant 0's
+        tick for round r is pulled as round r starts — and closes the
+        streams that ended; then :meth:`resolve` decides the round's
+        arrivals.  Returns whether the round moved anything (a tick decided
+        or a stream closed): ``False`` when no tenant is live or every live
+        tenant was :data:`IDLE`.
+        """
+        arrivals = []
+        ended = False
+        for tenant in self._tenants.values():
+            if tenant.done:
+                continue
+            tick = tenant.pull()
+            if tick is None:
+                self._end(tenant)
+                ended = True
+            elif tick is not IDLE:
+                arrivals.append((tenant, tick))
+        if arrivals:
+            self.resolve(arrivals)
+        return ended or bool(arrivals)
+
+    def resolve(self, arrivals) -> None:
+        """Decide a round's ``(tenant, tick)`` arrivals one session at a time.
+
+        The batched engine overrides this with cohort resolution and hands
+        back here whatever it cannot vectorise.
+        """
+        for tenant, tick in arrivals:
+            state = tenant.session.observe(
+                tick.demand, cost_row=tick.cost_row, counts=tick.counts
+            )
+            self._record(tenant, state)
+
+    def _record(self, tenant: _Tenant, state) -> None:
+        """After a decided tick: its telemetry row, then the checkpoint cadence."""
+        if self._writer.active:
+            self._writer.write(state.as_row(), tenant=tenant.name)
+        if self._cadence and tenant.session.ticks % self._cadence == 0:
+            self._checkpoint(tenant)
+
+    def _end(self, tenant: _Tenant) -> None:
+        """Close a tenant's stream: the end-of-stream hook, then the final checkpoint."""
+        tenant.done = True
+        if not tenant.failed:
+            tenant.session.finish()
+        self._checkpoint(tenant)
+
+    def _checkpoint(self, tenant: _Tenant) -> None:
+        if self._checkpoint_dir is not None:
+            save_checkpoint(
+                self._checkpoint_dir / f"{tenant.name}.ckpt.json",
+                tenant.session.checkpoint(),
+            )
 
     def report(self, wall_seconds: Optional[float] = None) -> dict:
         """Engine-level summary: totals, pooled latencies, sharing counters.

@@ -11,6 +11,18 @@ process and share one :class:`~repro.serve.session.ServeCache`), and driven
 by a :class:`~repro.serve.supervisor.Supervisor` that restarts crashed
 workers under an exponential-backoff budget.
 
+Workers
+-------
+A worker process serves its tenants with a :class:`~repro.serve.engine.ServeEngine`
+that it drives round by round (:meth:`~repro.serve.engine.ServeEngine.play_round`):
+the same round — pull one tick per live tenant, decide, write telemetry,
+keep the checkpoint cadence, finish and checkpoint ended streams — that
+every in-process engine runs, with the sequential resolver.  A worker's
+tenant record adds only a breaker-gated pull and the recovery cursor.
+Around the rounds the worker keeps what only a process needs: control-file
+sync (adoption and release), heartbeats, the deterministic ``die_at_round``
+fault, release markers and the result file.
+
 Crash recovery
 --------------
 Everything a worker knows is reconstructible from three deterministic
@@ -18,7 +30,7 @@ artefacts, so SIGKILL at *any* instant is survivable:
 
 * the **control file** (desired state: which tenants this worker serves),
 * each tenant's latest **checkpoint** (atomic, rotated — written every
-  ``checkpoint_every`` ticks by the worker), and
+  ``checkpoint_every`` ticks by the worker's engine round), and
 * the tenant's **feed spec** (rebuilding the same spec replays the same tick
   stream).
 
@@ -46,6 +58,7 @@ breaker exhausts its budget.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import signal
@@ -53,19 +66,18 @@ import tempfile
 import time
 import traceback
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..exp.sharding import assign_shards
 from .chaos import ChaosFeed
+from .engine import IDLE, ServeEngine, _Tenant
 from .feed import FeedError, TraceFeed, build_feed
-from .metrics import MetricsRegistry
 from .session import (
     ControllerSession,
     load_checkpoint,
     previous_checkpoint_path,
-    save_checkpoint,
     ServeCache,
 )
 from .supervisor import (
@@ -175,32 +187,89 @@ def _geometry(server_types) -> tuple:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
-class _WorkerTenant:
-    """One tenant as resident in a worker: session + feed cursor + breaker."""
+class _WorkerTenant(_Tenant):
+    """A fabric tenant: the engine's tenant record plus a breaker-gated pull.
 
-    spec: TenantSpec
-    breaker: CircuitBreaker
-    session: Optional[ControllerSession] = None
-    feed: Optional[TraceFeed] = None
-    iterator: Optional[object] = None
-    #: Feed ticks consumed so far (== ``session.ticks``; the recovery cursor).
-    consumed: int = 0
-    done: bool = False
-    status: str = "running"
-    quarantined_rounds: int = 0
-    feed_rebuilds: int = 0
-    last_error: Optional[str] = None
+    The pull is where the worker's crash-only design meets the feed: the
+    feed is (re)built lazily from the spec and fast-forwarded past the ticks
+    the restored session already served (``session.ticks`` is the recovery
+    cursor), and feed faults go through the tenant's
+    :class:`~repro.serve.supervisor.CircuitBreaker` instead of the worker.
+    """
+
+    def __init__(self, spec: TenantSpec, breaker: CircuitBreaker):
+        super().__init__(spec.name, None, None)
+        self.spec = spec
+        self.breaker = breaker
+        self.feed: Optional[TraceFeed] = None
+        #: The breaker's clock: one pull per round while the tenant is live.
+        self.pulls = 0
+        self.quarantined_rounds = 0
+        self.feed_rebuilds = 0
+        self.last_error: Optional[str] = None
+
+    @property
+    def status(self) -> str:
+        return "failed" if self.failed else "completed" if self.done else "running"
+
+    def pull(self):
+        self.pulls += 1
+        if not self.breaker.allow(self.pulls):
+            self.quarantined_rounds += 1
+            return IDLE
+        try:
+            if self.iterator is None:
+                self.iterator = self._open()
+            tick = next(self.iterator)
+        except StopIteration:
+            return None
+        except (FeedError, OSError) as exc:
+            # OSError covers transient source problems (file mid-rotation,
+            # NFS hiccup): route them through the breaker like any FeedError
+            # so the tenant quarantines and retries instead of the worker
+            # crash-looping on a bad stream.
+            self.breaker.record_failure(self.pulls)
+            self.iterator = None
+            self.last_error = str(exc)
+            if self.breaker.exhausted:
+                # the feed failed through every cooldown: abandon this
+                # tenant (its state is checkpointed for post-mortem) and keep
+                # serving the others
+                self.failed = True
+                return None
+            return IDLE
+        self.breaker.record_success()
+        return tick
+
+    def _open(self):
+        """(Re)build the feed and skip the ticks the session already served.
+
+        A generator that raised :class:`FeedError` is dead, so every breaker
+        retry lands here: fresh feed, fast-forwarded past ``session.ticks``
+        ticks — deterministic feeds make the skip exact, and a feed that
+        shrank below the restore point simply reads as drained.
+        """
+        feed = self.feed
+        self.feed = None
+        if feed is None:
+            feed, _ = _materialise(self.spec)
+            self.feed_rebuilds += 1
+        iterator = feed.play(None)
+        for _ in itertools.islice(iterator, self.session.ticks):
+            pass
+        return iterator
 
 
 class _WorkerRuntime:
     """The loop a fabric worker process runs (crash-only design).
 
-    All state the parent needs is externalised through atomically-written
-    files: a heartbeat every round, a rotated checkpoint per tenant every
-    ``checkpoint_every`` ticks, release markers, and a final result file.
-    The runtime itself holds nothing a SIGKILL could lose beyond the ticks
-    since the last checkpoint — which recovery replays from the feed.
+    Each round is the engine's :meth:`ServeEngine.play_round` (see *Workers*
+    in the module docstring).  All state the parent needs is externalised
+    through atomically-written files: a heartbeat every round, a rotated
+    checkpoint per tenant every ``checkpoint_every`` ticks, release markers,
+    and a final result file.  The runtime itself holds nothing a SIGKILL
+    could lose beyond the ticks since the last checkpoint — which recovery
+    replays from the feed.
     """
 
     def __init__(self, worker_dir, checkpoint_dir, config: dict):
@@ -208,17 +277,17 @@ class _WorkerRuntime:
         self.checkpoint_dir = Path(checkpoint_dir)
         self.worker_id = int(config["worker"])
         self.incarnation = int(config["incarnation"])
-        self.checkpoint_every = int(config.get("checkpoint_every", 8))
         self.heartbeat_every = max(1, int(config.get("heartbeat_every", 1)))
         self.die_at_round = config.get("die_at_round")
         self.breaker_config = BreakerConfig.from_dict(config.get("breaker"))
-        self.tensor_budget_bytes = config.get("tensor_budget_bytes")
-        self.ledger_budget = config.get("ledger_budget")
-        self.tenants: "OrderedDict[str, _WorkerTenant]" = OrderedDict()
+        # one engine (and so one registry) per worker incarnation; every
+        # cache/session lands its series there and the snapshot ships home
+        # in the result file
+        self.engine = ServeEngine(
+            tensor_budget_bytes=config.get("tensor_budget_bytes"),
+            ledger_budget=config.get("ledger_budget"),
+        )
         self._caches: Dict = {}
-        # one registry per worker incarnation; every cache/session lands its
-        # series here and the snapshot ships home in the result file
-        self.metrics = MetricsRegistry()
         self._epoch = None
         self._round = 0
         telemetry_path = config.get("telemetry")
@@ -226,6 +295,9 @@ class _WorkerRuntime:
             None
             if not telemetry_path
             else self.dir / f"telemetry-{self.incarnation}.jsonl"
+        )
+        self.engine.set_outputs(
+            self.telemetry, self.checkpoint_dir, int(config.get("checkpoint_every", 8))
         )
 
     # ------------------------------------------------------------------- loop
@@ -238,14 +310,11 @@ class _WorkerRuntime:
                 # die *between* rounds, exactly where a real crash would land
                 os.kill(os.getpid(), signal.SIGKILL)
             self._sync_control()
-            progressed = False
-            for tenant in list(self.tenants.values()):
-                if not tenant.done:
-                    progressed = self._step(tenant) or progressed
+            progressed = self.engine.play_round()
             self._round += 1
             if self._round % self.heartbeat_every == 0 or not progressed:
                 self._write_heartbeat()
-            if all(t.done for t in self.tenants.values()):
+            if not self.engine.live:
                 self._finish()
                 return
             if not progressed:
@@ -259,10 +328,10 @@ class _WorkerRuntime:
         if not control or control.get("epoch") == self._epoch:
             return
         desired = control.get("tenants", {})
-        for name in [n for n in self.tenants if n not in desired]:
+        for name in [n for n in self.engine.tenants if n not in desired]:
             self._release(name)
         for name, payload in desired.items():
-            if name not in self.tenants:
+            if name not in self.engine.tenants:
                 self._adopt(TenantSpec.from_dict(payload))
         self._epoch = control.get("epoch")
 
@@ -273,29 +342,26 @@ class _WorkerRuntime:
         migration arrival alike — the only difference is whether a checkpoint
         exists to restore from.
         """
-        tenant = _WorkerTenant(spec=spec, breaker=CircuitBreaker(self.breaker_config))
-        self.tenants[spec.name] = tenant
+        tenant = _WorkerTenant(spec, CircuitBreaker(self.breaker_config))
+        self.engine.tenants[spec.name] = tenant
         try:
             feed, server_types = _materialise(spec)
         except Exception as exc:  # noqa: BLE001 — a broken spec must not kill the worker
-            tenant.done = True
-            tenant.status = "failed"
+            tenant.done = tenant.failed = True
             tenant.last_error = str(exc)
             return
-        cache = self._cache_for(spec, server_types)
         session = ControllerSession(
             spec.algorithm,
-            cache=cache,
+            cache=self._cache_for(spec, server_types),
             track_regret=spec.track_regret,
             degradation=spec.degradation,
             history=spec.history,
             name=spec.name,
         )
-        path = self._checkpoint_path(spec.name)
+        path = self.checkpoint_dir / f"{spec.name}.ckpt.json"
         if path.exists() or previous_checkpoint_path(path).exists():
             session.restore(load_checkpoint(path))
         tenant.session = session
-        tenant.consumed = session.ticks
         tenant.feed = feed
 
     def _cache_for(self, spec: TenantSpec, server_types) -> ServeCache:
@@ -306,21 +372,13 @@ class _WorkerRuntime:
             key = ("tenant", spec.name)
             cache = self._caches.get(key)
         if cache is None:
-            cache = ServeCache(
-                server_types,
-                tensor_budget_bytes=self.tensor_budget_bytes,
-                ledger_budget=self.ledger_budget,
-                metrics=self.metrics,
-                metrics_label=f"cache{len(self._caches)}",
-            )
+            cache = self.engine._build_cache(server_types)
             self._caches[key] = cache
         return cache
 
     def _release(self, name: str) -> None:
         """Hand a tenant back: checkpoint now, drop it, leave a marker."""
-        tenant = self.tenants.pop(name)
-        if tenant.session is not None:
-            self._checkpoint(tenant)
+        tenant = self.engine.release(name)
         write_json_atomic(
             self.dir / RELEASED_DIR / f"{name}.json",
             {
@@ -330,82 +388,7 @@ class _WorkerRuntime:
             },
         )
 
-    # ------------------------------------------------------------------- ticks
-    def _step(self, tenant: _WorkerTenant) -> bool:
-        """Advance one tenant by one tick; returns whether it progressed."""
-        if not tenant.breaker.allow(self._round):
-            tenant.quarantined_rounds += 1
-            return False
-        try:
-            if tenant.iterator is None:
-                tenant.iterator = self._open_iterator(tenant)
-            tick = next(tenant.iterator)
-        except StopIteration:
-            self._complete(tenant)
-            return True
-        except (FeedError, OSError) as exc:
-            # OSError covers transient source problems (file mid-rotation,
-            # NFS hiccup): route them through the breaker like any FeedError
-            # so the tenant quarantines and retries instead of the worker
-            # crash-looping on a bad stream.
-            self._feed_failure(tenant, exc)
-            return False
-        tenant.breaker.record_success()
-        state = tenant.session.observe(tick.demand, cost_row=tick.cost_row, counts=tick.counts)
-        tenant.consumed += 1
-        self.telemetry.write(state.as_row(), tenant=tenant.spec.name)
-        if self.checkpoint_every and tenant.session.ticks % self.checkpoint_every == 0:
-            self._checkpoint(tenant)
-        return True
-
-    def _open_iterator(self, tenant: _WorkerTenant):
-        """(Re)build the tenant's feed and skip the ticks already consumed.
-
-        A generator that raised :class:`FeedError` is dead, so every breaker
-        retry lands here: fresh feed, fast-forwarded past ``consumed`` ticks
-        — deterministic feeds make the skip exact.
-        """
-        feed = tenant.feed
-        tenant.feed = None
-        if feed is None:
-            feed, _ = _materialise(tenant.spec)
-            tenant.feed_rebuilds += 1
-        iterator = feed.play(None)
-        for _ in range(tenant.consumed):
-            try:
-                next(iterator)
-            except StopIteration:
-                # the feed shrank below the restore point: treat as drained
-                return iter(())
-        return iterator
-
-    def _feed_failure(self, tenant: _WorkerTenant, exc: Exception) -> None:
-        tenant.breaker.record_failure(self._round)
-        tenant.iterator = None
-        tenant.last_error = str(exc)
-        if tenant.breaker.exhausted:
-            # the feed failed through every cooldown: abandon this tenant
-            # (state preserved for post-mortem), keep serving the others
-            tenant.done = True
-            tenant.status = "failed"
-            if tenant.session is not None:
-                self._checkpoint(tenant)
-
-    def _complete(self, tenant: _WorkerTenant) -> None:
-        tenant.session.finish()
-        tenant.done = True
-        tenant.status = "completed"
-        self._checkpoint(tenant)
-
     # --------------------------------------------------------------- artefacts
-    def _checkpoint_path(self, name: str) -> Path:
-        return self.checkpoint_dir / f"{name}.ckpt.json"
-
-    def _checkpoint(self, tenant: _WorkerTenant) -> None:
-        save_checkpoint(
-            self._checkpoint_path(tenant.spec.name), tenant.session.checkpoint()
-        )
-
     def _write_heartbeat(self) -> None:
         write_json_atomic(
             self.dir / HEARTBEAT_FILE,
@@ -418,17 +401,17 @@ class _WorkerRuntime:
                 "time": time.time(),
                 "ticks": {
                     name: 0 if t.session is None else t.session.ticks
-                    for name, t in self.tenants.items()
+                    for name, t in self.engine.tenants.items()
                 },
             },
         )
 
     def _finish(self) -> None:
         rows = {}
-        for name, tenant in self.tenants.items():
+        for name, tenant in self.engine.tenants.items():
             row = {
                 "status": tenant.status,
-                "consumed": tenant.consumed,
+                "consumed": 0 if tenant.session is None else tenant.session.ticks,
                 "breaker": tenant.breaker.counters(),
                 "quarantined_rounds": tenant.quarantined_rounds,
                 "feed_rebuilds": tenant.feed_rebuilds,
@@ -448,7 +431,7 @@ class _WorkerRuntime:
                 "rounds": self._round,
                 "tenants": rows,
                 "caches": [c.counters() for c in self._caches.values()],
-                "metrics": self.metrics.snapshot(),
+                "metrics": self.engine.metrics.snapshot(),
             },
         )
         self.telemetry.close()
@@ -811,9 +794,9 @@ class ServeFabric:
                 payload = load_checkpoint(path)
                 row["ticks"] = int(payload["tick"])
                 row["cost"] = float(payload["cum_operating"]) + float(payload["cum_switching"])
-                row["sla_violations"] = int(payload.get("sla_violations", 0))
-                row["shed_demand"] = float(payload.get("shed_total", 0.0))
-                row["forced_downs"] = int(payload.get("forced_downs", 0))
+                row["sla_violations"] = int(payload["sla_violations"])
+                row["shed_demand"] = float(payload["shed_total"])
+                row["forced_downs"] = int(payload["forced_downs"])
                 row["checkpoint"] = str(path)
                 totals["ticks"] += row["ticks"]
                 totals["cost"] += row["cost"]
@@ -981,7 +964,7 @@ def verify_crash_recovery(
             ("shed_demand", "shed_total"),
             ("forced_downs", "forced_downs"),
         ):
-            got = payload.get(key, 0)
+            got = payload[key]
             assert got == expected[counter], (
                 f"tenant {name}: recovered {counter} {got!r} != baseline "
                 f"{expected[counter]!r}"

@@ -91,7 +91,7 @@ COMPACT_LATENCY_WINDOW = 512
 
 
 class CheckpointCorruptError(ValueError):
-    """A checkpoint payload failed integrity validation (checksum mismatch).
+    """A checkpoint payload failed integrity validation (checksum missing or wrong).
 
     Distinct from the plain :class:`ValueError` raised for version/algorithm
     mismatches: a corrupt checkpoint means the bytes rotted, not that the
@@ -151,16 +151,21 @@ def _read_checkpoint(path, retries: int, retry_delay: float) -> dict:
         raise CheckpointCorruptError(
             f"checkpoint {path} must contain a JSON object, got {type(payload).__name__}"
         )
-    claimed = payload.get("checksum")
-    if claimed is not None:
-        body = {k: v for k, v in payload.items() if k != "checksum"}
-        actual = payload_checksum(body)
-        if claimed != actual:
-            raise CheckpointCorruptError(
-                f"checkpoint {path} failed integrity validation: payload says "
-                f"{claimed}, content is {actual}"
-            )
+    _verify_checksum(payload, f"checkpoint {path}")
     return payload
+
+
+def _verify_checksum(payload: dict, what: str) -> None:
+    """Raise :class:`CheckpointCorruptError` unless the payload's checksum matches."""
+    if "checksum" not in payload:
+        raise CheckpointCorruptError(f"{what} carries no integrity checksum")
+    body = {k: v for k, v in payload.items() if k != "checksum"}
+    actual = payload_checksum(body)
+    if payload["checksum"] != actual:
+        raise CheckpointCorruptError(
+            f"{what} failed integrity validation: payload says "
+            f"{payload['checksum']}, content is {actual}"
+        )
 
 
 def load_checkpoint(
@@ -168,9 +173,10 @@ def load_checkpoint(
 ) -> dict:
     """Read a checkpoint file, retrying transient I/O errors with backoff.
 
-    Undecodable JSON and integrity-checksum mismatches raise
-    :class:`CheckpointCorruptError` naming the file (truncated or bit-rotted
-    checkpoints fail loudly here, before a half-restored session exists).
+    Undecodable JSON, a missing integrity checksum and checksum mismatches
+    raise :class:`CheckpointCorruptError` naming the file (truncated or
+    bit-rotted checkpoints fail loudly here, before a half-restored session
+    exists).
     With ``fallback`` (default), a corrupt or missing primary file falls back
     to the previous intact checkpoint rotated aside by :func:`save_checkpoint`
     — the recovery path after a crash that outran the checkpoint cadence; the
@@ -929,7 +935,7 @@ class ControllerSession:
         :meth:`commit_tick` (dispatch solve, switching cost, counters) — run
         back to back here.  The batched engine (:mod:`repro.serve.batch`)
         replaces the first two with vectorised cohort equivalents and enters
-        at :meth:`observe_batch`; the phase boundaries are state-free, so
+        at :meth:`commit_tick`; the phase boundaries are state-free, so
         this composed path is bit-identical to the pre-split ``observe``.
 
         With a :class:`~repro.serve.trace.TickTracer` attached, every
@@ -1211,35 +1217,6 @@ class ControllerSession:
             forced_down=forced,
         )
 
-    def observe_batch(
-        self,
-        demand: float,
-        served: float,
-        shed: float,
-        vt: int,
-        rounded: np.ndarray,
-        r_list=None,
-        *,
-        forced: int = 0,
-        latency_ns: int = 0,
-        emit: bool = True,
-    ) -> Optional[FleetState]:
-        """Commit one externally decided tick (the batched engine's entry point).
-
-        The caller — a cohort in :class:`~repro.serve.batch.BatchedServeEngine`
-        — has already validated the demand, resolved shed/capacity, pinned the
-        ledger slot ``vt`` and chosen ``rounded`` via the vectorised table
-        argmin; this method is exactly :meth:`commit_tick`, so the session
-        state after it is bit-identical to a sequential :meth:`observe` of the
-        same tick.
-        """
-        if r_list is None:
-            r_list = rounded.tolist()
-        return self.commit_tick(
-            demand, served, shed, vt, rounded, r_list, forced,
-            latency_ns=latency_ns, emit=emit,
-        )
-
     def finish(self) -> None:
         """Forward the end-of-stream hook to the wrapped algorithm."""
         self.algorithm.finish()
@@ -1321,25 +1298,16 @@ class ControllerSession:
         """Load a :meth:`checkpoint` payload into this (freshly built) session.
 
         Version is checked first (an old payload fails with a version message,
-        not a checksum one), then the integrity checksum — a payload whose
-        bytes changed since :meth:`checkpoint` raises
-        :class:`CheckpointCorruptError`.  Checksum-less payloads from before
-        the field existed still load.
+        not a checksum one), then the integrity checksum — a payload without
+        one, or whose bytes changed since :meth:`checkpoint`, raises
+        :class:`CheckpointCorruptError`.
         """
         if payload.get("version") != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {payload.get('version')!r} "
                 f"(expected {CHECKPOINT_VERSION})"
             )
-        claimed = payload.get("checksum")
-        if claimed is not None:
-            body = {k: v for k, v in payload.items() if k != "checksum"}
-            actual = payload_checksum(body)
-            if claimed != actual:
-                raise CheckpointCorruptError(
-                    f"checkpoint failed integrity validation: payload says {claimed}, "
-                    f"content is {actual}"
-                )
+        _verify_checksum(payload, "checkpoint")
         if payload.get("algorithm") != self.algorithm.name:
             raise ValueError(
                 f"checkpoint was taken from algorithm {payload.get('algorithm')!r} "
@@ -1349,44 +1317,32 @@ class ControllerSession:
         self._previous = np.asarray(payload["previous_config"], dtype=int)
         # a compact payload restored into any session leaves it compact:
         # the history it would serve was never captured
-        self.history = bool(payload.get("history", True))
+        self.history = bool(payload["history"])
         self._cum_operating = float(payload["cum_operating"])
         self._cum_switching = float(payload["cum_switching"])
         self._feasible = bool(payload["feasible"])
-        # pre-chaos checkpoints carry none of these: default to this
-        # session's construction-time mode and zeroed counters
-        self.degradation = payload.get("degradation", self.degradation)
-        self._sla_violations = int(payload.get("sla_violations", 0))
-        self._shed_total = float(payload.get("shed_total", 0.0))
-        self._forced_downs = int(payload.get("forced_downs", 0))
+        self.degradation = payload["degradation"]
+        self._sla_violations = int(payload["sla_violations"])
+        self._shed_total = float(payload["shed_total"])
+        self._forced_downs = int(payload["forced_downs"])
         if self.history:
             self._configs = [np.asarray(c, dtype=int) for c in payload["configs"]]
-            self._latencies = self._restore_latencies(payload)
+            self._latencies = [int(v) for v in payload["latencies_ns"]]
         else:
             self._configs = []
-            self._latencies = deque(
-                self._restore_latencies(payload), maxlen=COMPACT_LATENCY_WINDOW
-            )
+            self._latencies = deque(maxlen=COMPACT_LATENCY_WINDOW)
         self.algorithm.load_state_dict(payload["algorithm_state"])
-        regret_state = payload.get("regret_state")
+        regret_state = payload["regret_state"]
         if regret_state is not None:
             # the checkpoint records the tracker's gamma: a reduced-grid value
             # tensor restored into an exact tracker (or vice versa) would be
             # reshaped against the wrong grid
-            regret_gamma = payload.get("regret_gamma")
+            regret_gamma = payload["regret_gamma"]
             if self._regret_tracker is None or self._regret_gamma != regret_gamma:
                 self._regret_gamma = regret_gamma
                 self._regret_tracker = DPPrefixTracker(gamma=regret_gamma)
             self._regret_tracker.load_state_dict(regret_state)
         return self
-
-    @staticmethod
-    def _restore_latencies(payload: dict) -> list:
-        """Latency samples of a payload as ns ints (legacy float-second
-        payloads from before the ns metering are converted on load)."""
-        if "latencies_ns" in payload:
-            return [int(v) for v in payload["latencies_ns"]]
-        return [int(round(float(v) * 1e9)) for v in payload.get("latencies_s", [])]
 
     def checkpoint_roundtrip(self, reuse_cache: bool = False) -> "ControllerSession":
         """Serialise through actual JSON text and restore into a fresh session.

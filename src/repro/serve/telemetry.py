@@ -4,11 +4,11 @@ Every tick of a :class:`~repro.serve.session.ControllerSession` yields a
 :class:`~repro.serve.session.FleetState`; a :class:`TelemetryWriter` appends
 its flat row — tenant, demand, chosen configuration, tick/cumulative cost,
 wall latency, optional prefix-optimum regret — as one JSON line, the format
-every log shipper understands.  Rows are stamped with ``"schema": 1``
-(readers accept versionless legacy rows).  :func:`latency_percentiles` and
-:func:`summarise_sessions` aggregate what ``repro serve replay`` prints,
-what ``BENCH_serve.json`` records and what ``repro serve watch`` reproduces
-from the files.
+every log shipper understands.  Rows are stamped with ``"schema": 1``, and
+readers count a row without an integer schema as malformed.
+:func:`latency_percentiles` and :func:`summarise_sessions` aggregate what
+``repro serve replay`` prints, what ``BENCH_serve.json`` records and what
+``repro serve watch`` reproduces from the files.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 #: Stamped into every telemetry row as ``"schema"``; bump on incompatible
-#: row-shape changes.  Readers (``repro serve watch``, the fabric collector)
-#: accept rows without the field — pre-versioning streams stay loadable.
+#: row-shape changes.
 TELEMETRY_SCHEMA_VERSION = 1
 
 
@@ -59,7 +58,6 @@ class TelemetryWriter:
         *,
         flush_every: int = 1,
         rotate_bytes: Optional[int] = None,
-        schema: bool = True,
     ):
         if int(flush_every) < 1:
             raise ValueError(f"flush_every must be >= 1, got {flush_every}")
@@ -68,7 +66,6 @@ class TelemetryWriter:
         self.path = None if path is None else Path(path)
         self.flush_every = int(flush_every)
         self.rotate_bytes = None if rotate_bytes is None else int(rotate_bytes)
-        self.schema = bool(schema)
         self._handle = None
         self._pending = 0
         self._bytes = 0
@@ -86,9 +83,9 @@ class TelemetryWriter:
     def active(self) -> bool:
         """Whether rows actually land anywhere (``False`` for the null sink).
 
-        The batched engine checks this before materialising per-tick
-        :class:`~repro.serve.session.FleetState` rows — building 10k telemetry
-        rows per round for a sink that discards them would be pure overhead.
+        The engine's round checks this before materialising per-tick
+        telemetry rows — building 10k rows per round for a sink that discards
+        them would be pure overhead.
         """
         return self._handle is not None
 
@@ -96,10 +93,9 @@ class TelemetryWriter:
         """Append one telemetry row (stamping ``tenant`` and the schema version)."""
         if self._handle is None:
             return
-        if tenant is not None or (self.schema and "schema" not in row):
+        if tenant is not None or "schema" not in row:
             row = dict(row)
-            if self.schema and "schema" not in row:
-                row["schema"] = TELEMETRY_SCHEMA_VERSION
+            row.setdefault("schema", TELEMETRY_SCHEMA_VERSION)
             if tenant is not None:
                 row["tenant"] = tenant
         line = json.dumps(row) + "\n"
@@ -144,29 +140,15 @@ class TelemetryWriter:
         self.close()
 
 
-def latency_percentiles(
-    latencies_seconds: Optional[Sequence[float]] = None,
-    *,
-    latencies_ns=None,
-    histogram: bool = True,
-) -> dict:
-    """p50/p95/p99/mean/max of a latency sample, in milliseconds.
+def latency_percentiles(latencies_ns, *, histogram: bool = True) -> dict:
+    """p50/p95/p99/mean/max of integer-nanosecond latency samples, in milliseconds.
 
-    Prefers the ns-resolution integer samples (``latencies_ns=``) the serve
-    layer meters natively — float-seconds input survives for legacy callers
-    and is converted through the same integer-ns domain, so both paths agree
-    bit for bit.  Non-empty summaries also carry a ``histogram`` field over
-    the fixed :data:`~repro.serve.metrics.LATENCY_BUCKETS_NS` bounds
-    (``counts[i]`` pairs with ``bucket_le_ns[i]``; the trailing count is the
-    overflow bucket).
+    Non-empty summaries also carry a ``histogram`` field over the fixed
+    :data:`~repro.serve.metrics.LATENCY_BUCKETS_NS` bounds (``counts[i]``
+    pairs with ``bucket_le_ns[i]``; the trailing count is the overflow
+    bucket).
     """
-    if latencies_ns is not None:
-        ns = np.asarray(latencies_ns, dtype=np.int64)
-    else:
-        arr = np.asarray(
-            [] if latencies_seconds is None else latencies_seconds, dtype=float
-        )
-        ns = np.asarray(np.round(arr * 1e9), dtype=np.int64)
+    ns = np.asarray(latencies_ns, dtype=np.int64)
     if ns.size == 0:
         return {"ticks": 0}
     ms = ns * 1e-6
@@ -199,7 +181,7 @@ def summarise_sessions(sessions, wall_seconds: Optional[float] = None) -> dict:
     """
     sessions = list(sessions)
     pooled = (
-        np.concatenate([_session_latencies_ns(s) for s in sessions])
+        np.concatenate([s.latencies_ns for s in sessions])
         if sessions
         else np.zeros(0, dtype=np.int64)
     )
@@ -208,11 +190,9 @@ def summarise_sessions(sessions, wall_seconds: Optional[float] = None) -> dict:
         "tenants": len(sessions),
         "total_ticks": total_ticks,
         "total_cost": round(float(sum(s.cumulative_cost for s in sessions)), 9),
-        "sla_violations": int(sum(getattr(s, "sla_violations", 0) for s in sessions)),
-        "shed_demand": round(
-            float(sum(getattr(s, "shed_demand_total", 0.0) for s in sessions)), 9
-        ),
-        "forced_downs": int(sum(getattr(s, "forced_downs", 0) for s in sessions)),
+        "sla_violations": int(sum(s.sla_violations for s in sessions)),
+        "shed_demand": round(float(sum(s.shed_demand_total for s in sessions)), 9),
+        "forced_downs": int(sum(s.forced_downs for s in sessions)),
         "latency": latency_percentiles(latencies_ns=pooled),
     }
     if wall_seconds is not None:
@@ -221,11 +201,3 @@ def summarise_sessions(sessions, wall_seconds: Optional[float] = None) -> dict:
             summary["ticks_per_second"] = round(total_ticks / wall_seconds, 3)
             summary["tenants_per_second"] = round(len(sessions) / wall_seconds, 3)
     return summary
-
-
-def _session_latencies_ns(session) -> np.ndarray:
-    ns = getattr(session, "latencies_ns", None)
-    if ns is not None:
-        return np.asarray(ns, dtype=np.int64)
-    seconds = np.asarray(session.latencies_seconds, dtype=float)
-    return np.asarray(np.round(seconds * 1e9), dtype=np.int64)

@@ -24,8 +24,8 @@ Two source modes, picked by what ``PATH`` is:
 
 Rendering is dependency-free: ANSI in-place refresh for the live TUI,
 ``--once`` for a single frame (CI-friendly), ``--html`` for a self-contained
-static page, ``--json`` for the machine-readable summary.  Readers accept
-versionless legacy rows alongside ``"schema": 1`` streams.
+static page, ``--json`` for the machine-readable summary.  A telemetry row
+without an integer ``"schema"`` counts as a bad line.
 """
 
 from __future__ import annotations
@@ -100,12 +100,12 @@ class TelemetryTail:
             except (ValueError, TypeError):
                 self.bad_lines += 1
                 continue
-            if not isinstance(row, dict):
+            # a row without an integer schema (missing, null, a string, a
+            # bool) is malformed; a newer schema than this reader is skipped
+            if not isinstance(row, dict) or type(row.get("schema")) is not int:
                 self.bad_lines += 1
                 continue
-            # versionless legacy rows pass; newer-than-us schemas are skipped
-            schema = row.get("schema", TELEMETRY_SCHEMA_VERSION)
-            if schema > TELEMETRY_SCHEMA_VERSION:
+            if row["schema"] > TELEMETRY_SCHEMA_VERSION:
                 self.skipped_schema += 1
                 continue
             rows.append(row)

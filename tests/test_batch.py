@@ -7,11 +7,14 @@ round-trip — must be **bit-identical** to the sequential
 :class:`~repro.serve.ServeEngine` (``np.array_equal`` schedules, exact SLA
 counters, cost within 1e-9) for every registered scenario family.  On top of
 that: the ``observe`` → ``prepare_tick``/``decide_tick``/``commit_tick``
-split, table saturation fallback, the feed pump, the new report counters, and
-budgeted-cache eviction under tenant churn.
+split, table saturation fallback, the feed pump, the new report counters,
+budgeted-cache eviction under tenant churn, and the telemetry rows and
+checkpoints the sequential engine, the batched engine and a fabric worker
+write from the one round they share.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,10 @@ from repro.serve import (
     InstanceFeed,
     ServeCache,
     ServeEngine,
+    ServeFabric,
+    TelemetryWriter,
+    build_feed,
+    load_checkpoint,
     verify_batched,
 )
 from repro.serve.batch import DEFAULT_TABLE_BUDGET, _decider_kind
@@ -132,14 +139,16 @@ class TestBatchedEquivalence:
 
     def test_overlapped_pump_is_identical(self):
         instance = _quantised(T=24)
-        report = verify_batched(
-            _register_fleet(instance, 8, ["reactive", "follow-demand"]),
-            overlap=True,
-        )
+        build_tenants = _register_fleet(instance, 8, ["reactive", "follow-demand"])
+        report = verify_batched(build_tenants, overlap=True)
         assert report["schedules_identical"]
         pump = report["batch"]["feed_pump"]
         assert pump["prefetched"] == report["ticks_total"]
         assert pump["max_buffered"] <= pump["prefetch_bound"]
+        # an early stop hands the still-buffered ticks back in front of each
+        # tenant's iterator, so the resumed run loses none of them
+        resumed = verify_batched(build_tenants, overlap=True, checkpoint_at=12)
+        assert resumed["ticks_total"] == report["ticks_total"]
 
     def test_counts_varying_fleets_form_distinct_cohorts(self):
         instance = _smoke_instance("time-varying-m")
@@ -186,9 +195,10 @@ class TestObserveSplit:
         assert np.array_equal(whole.schedule.x, split.schedule.x)
         assert whole.cumulative_cost == split.cumulative_cost
 
-    def test_observe_batch_commits_external_decisions(self):
-        """observe_batch with the sequential engine's own decision is the
-        identity: state advances exactly as observe would."""
+    def test_commit_tick_commits_external_decisions(self):
+        """commit_tick with the sequential engine's own decision (the batched
+        engine's entry point) is the identity: state advances exactly as
+        observe would."""
         instance = _quantised(T=12)
         reference = ControllerSession("all-on", instance.server_types)
         replayed = ControllerSession("all-on", instance.server_types)
@@ -198,12 +208,14 @@ class TestObserveSplit:
                 demand, build_slot=False
             )
             rounded = np.asarray(state.config, dtype=int)
-            replayed.observe_batch(d, served, shed, vt, rounded, emit=False)
+            replayed.commit_tick(
+                d, served, shed, vt, rounded, rounded.tolist(), emit=False
+            )
         assert np.array_equal(reference.schedule.x, replayed.schedule.x)
         assert reference.cumulative_cost == replayed.cumulative_cost
         assert reference.ticks == replayed.ticks
 
-    def test_observe_batch_refuses_regret_tracking_without_slot(self):
+    def test_commit_tick_refuses_regret_tracking_without_slot(self):
         instance = _quantised(T=4)
         session = ControllerSession(
             "reactive", instance.server_types, track_regret=True
@@ -211,8 +223,9 @@ class TestObserveSplit:
         d, served, shed, counts_t, vt, _ = session.prepare_tick(
             float(instance.demand[0]), build_slot=False
         )
+        rounded = np.zeros(instance.d, dtype=int)
         with pytest.raises(ValueError, match="regret"):
-            session.observe_batch(d, served, shed, vt, np.zeros(instance.d, dtype=int))
+            session.commit_tick(d, served, shed, vt, rounded, rounded.tolist())
 
 
 # --------------------------------------------------------------------------- #
@@ -454,3 +467,106 @@ class TestBenchHarness:
             entry.get("benchmark") == "serve-batch-scale"
             for entry in payload.get("runs", [])
         )
+
+
+# --------------------------------------------------------------------------- #
+# One round, three serving paths: the same telemetry rows and checkpoints
+# --------------------------------------------------------------------------- #
+
+
+class TestServingPathsWriteTheSameArtefacts:
+    """ServeEngine, BatchedServeEngine and a fabric worker all run
+    ServeEngine's round, so they must write the same telemetry rows and the
+    same checkpoints at the same cadence, apart from wall-clock latencies
+    (and the order of rows within a round, which the cohorts regroup)."""
+
+    T = 22
+    EVERY = 4
+    CHAOS = EventPlan.generate(T, 2, seed=5, n_events=3)
+
+    def _spec(self, seed):
+        return {"kind": "scenario", "scenario": "diurnal-cpu-gpu", "seed": seed,
+                "params": {"T": self.T}}
+
+    def _register(self, engine):
+        # four tenants over one fleet object (two reactive ones form a
+        # cohort), then the two declarative tenants the fabric also serves
+        shared = _quantised(T=self.T, levels=6)
+        for name, algorithm, roll in [("reactive-0", "reactive", 0),
+                                      ("reactive-1", "reactive", 5),
+                                      ("follow", "follow-demand", 9),
+                                      ("B", "B", 13)]:
+            rolled = shared.with_demand(np.roll(shared.demand, roll), name=name)
+            engine.add_tenant(name, algorithm, InstanceFeed(rolled))
+        engine.add_tenant("A", "A", build_feed(self._spec(1)))
+        engine.add_tenant("chaos", "reactive", build_feed(self._spec(2)),
+                          chaos=self.CHAOS, degradation="shed")
+
+    def _drive(self, engine, directory, monkeypatch):
+        """Run with telemetry and checkpoints; return rows and saved payloads by tenant."""
+        saved = {}
+        real = ControllerSession.checkpoint
+
+        def recording(session):
+            payload = real(session)
+            saved.setdefault(session.name, []).append(json.loads(json.dumps(payload)))
+            return payload
+
+        monkeypatch.setattr(ControllerSession, "checkpoint", recording)
+        self._register(engine)
+        path = directory / "telemetry.jsonl"
+        with TelemetryWriter(path) as writer:
+            engine.run(telemetry=writer, checkpoint_dir=directory / "ckpt",
+                       checkpoint_every=self.EVERY)
+        monkeypatch.undo()
+        return _rows_by_tenant(path), {
+            name: [_comparable(p) for p in payloads] for name, payloads in saved.items()
+        }
+
+    def test_engines_and_fabric_write_identical_artefacts(self, tmp_path, monkeypatch):
+        seq_dir, bat_dir = tmp_path / "seq", tmp_path / "bat"
+        seq_rows, seq_ckpts = self._drive(ServeEngine(), seq_dir, monkeypatch)
+        batched = BatchedServeEngine()
+        bat_rows, bat_ckpts = self._drive(batched, bat_dir, monkeypatch)
+
+        counters = batched.batch_counters()
+        assert counters["batched_ticks"] > 0 and counters["fallback_ticks"] > 0
+        names = ["reactive-0", "reactive-1", "follow", "B", "A", "chaos"]
+        assert list(seq_rows) == names and sorted(bat_rows) == sorted(names)
+        cadence = list(range(self.EVERY, self.T + 1, self.EVERY)) + [self.T]
+        for name in names:
+            assert len(seq_rows[name]) == self.T
+            assert bat_rows[name] == seq_rows[name], name
+            assert [p["tick"] for p in seq_ckpts[name]] == cadence, name
+            assert bat_ckpts[name] == seq_ckpts[name], name
+        assert any(row.get("shed_demand") for row in seq_rows["chaos"])
+
+        fabric = ServeFabric(workers=1, run_dir=tmp_path / "fabric",
+                             checkpoint_every=self.EVERY, worker_telemetry=True)
+        fabric.add_tenant("A", algorithm="A", feed=self._spec(1))
+        fabric.add_tenant("chaos", algorithm="reactive", feed=self._spec(2),
+                          chaos=self.CHAOS, degradation="shed")
+        report = fabric.run()
+        fabric_rows = _rows_by_tenant(
+            tmp_path / "fabric" / "worker-0" / "telemetry-0.jsonl"
+        )
+        for name in ("A", "chaos"):
+            assert report["tenants"][name]["status"] == "completed"
+            final = load_checkpoint(Path(report["checkpoint_dir"]) / f"{name}.ckpt.json")
+            assert _comparable(final) == seq_ckpts[name][-1], name
+            assert fabric_rows[name] == seq_rows[name], name
+
+
+def _rows_by_tenant(path):
+    """Telemetry rows grouped by tenant, in file order, without ``latency_ms``."""
+    rows = {}
+    for line in Path(path).read_text().splitlines():
+        row = json.loads(line)
+        row.pop("latency_ms")
+        rows.setdefault(row["tenant"], []).append(row)
+    return rows
+
+
+def _comparable(payload):
+    """A checkpoint payload without its wall-clock samples and checksum."""
+    return {k: v for k, v in payload.items() if k not in ("latencies_ns", "checksum")}

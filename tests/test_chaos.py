@@ -521,14 +521,19 @@ class TestCheckpointIntegrity:
         with pytest.raises(ValueError, match="version"):
             fresh.restore(payload)
 
-    def test_checksum_less_checkpoints_still_load(self):
+    def test_checksum_less_checkpoints_rejected(self, tmp_path):
         inst, session = self._session()
         payload = json.loads(json.dumps(session.checkpoint()))
-        del payload["checksum"]  # a pre-chaos checkpoint
-        fresh = ControllerSession("A", inst.server_types)
-        fresh.restore(payload)
-        assert fresh.ticks == session.ticks
-        assert fresh.cumulative_cost == pytest.approx(session.cumulative_cost)
+        del payload["checksum"]
+        truncated = {"version": 1, "algorithm": "A"}
+        for bad in (payload, truncated):
+            fresh = ControllerSession("A", inst.server_types)
+            with pytest.raises(CheckpointCorruptError, match="no integrity checksum"):
+                fresh.restore(bad)
+            path = tmp_path / "ckpt.json"
+            path.write_text(json.dumps(bad), encoding="utf-8")
+            with pytest.raises(CheckpointCorruptError, match="no integrity checksum"):
+                load_checkpoint(path)
 
     def test_counters_round_trip_through_checkpoint(self):
         inst = _base_instance()

@@ -44,7 +44,6 @@ from repro.online import AlgorithmA, AlgorithmB, run_online
 from repro.online.base import SlotContext
 from repro.scenarios import build
 from repro.serve import ControllerSession, InstanceFeed, ServeCache, ServeEngine
-from repro.serve.feed import payload_checksum
 from repro.workloads.scale import quantise_trace
 
 
@@ -379,23 +378,6 @@ class TestLatencyMetering:
         fresh.restore(payload)
         assert np.array_equal(fresh.latencies_ns, session.latencies_ns)
 
-    def test_legacy_float_seconds_payload_restores(self):
-        instance = build("diurnal-cpu-gpu", T=6)
-        session = ControllerSession("A", instance.server_types)
-        for t in range(6):
-            session.observe(float(instance.demand[t]))
-        payload = session.checkpoint()
-        del payload["checksum"]
-        seconds = [v * 1e-9 for v in payload.pop("latencies_ns")]
-        payload["latencies_s"] = seconds
-        payload["checksum"] = payload_checksum(payload)
-        fresh = ControllerSession("A", instance.server_types)
-        fresh.restore(payload)
-        assert fresh.latencies_ns.dtype == np.int64
-        assert np.array_equal(
-            fresh.latencies_ns, [int(round(v * 1e9)) for v in seconds]
-        )
-
 
 # --------------------------------------------------------------------------- #
 # Bench gates: counter pins, latency smoke, trend series
@@ -472,3 +454,14 @@ class TestBenchGates:
         deltas = trend_deltas(runs)
         assert deltas == {"p99": -4.5, "count": 2}
         assert trend_deltas(runs[:1]) == {}
+
+    def test_trend_deltas_compare_within_one_benchmark(self):
+        """Interleaved benchmarks each form their own series: the latest
+        entry is compared with the previous entry of its own benchmark."""
+        runs = [
+            {"benchmark": "serve", "tenants": 64, "p99_ms": 1.5},
+            {"benchmark": "serve-batch-scale", "tenants": 10000, "p99_us": 7.0},
+            {"benchmark": "serve", "tenants": 64, "p99_ms": 1.25},
+        ]
+        assert trend_deltas(runs) == {"tenants": 0, "p99_ms": -0.25}
+        assert trend_deltas(runs[:2]) == {}  # first of its benchmark

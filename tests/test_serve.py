@@ -28,12 +28,17 @@ from repro.serve import (
     ServeEngine,
     SyntheticFeed,
     TelemetryWriter,
+    TenantSpec,
     build_serve_algorithm,
     fleet_signature,
     latency_percentiles,
+    load_checkpoint,
     summarise_sessions,
     verify_replay,
+    write_jsonl_trace,
 )
+from repro.serve.fabric import _materialise, _WorkerTenant
+from repro.serve.supervisor import BreakerConfig, CircuitBreaker
 from repro.workloads import named_trace
 
 ALGORITHMS = ["A", "B", "C", "lcp", "reactive", "follow-demand", "all-on"]
@@ -349,6 +354,31 @@ class TestServeEngine:
         report = engine.run(max_ticks=3)
         assert report["total_ticks"] == 3
 
+    def test_abandoned_feed_is_checkpointed_unfinished(self, tmp_path):
+        """A fabric tenant whose feed breaker gives up ends its stream in the
+        engine's round and is checkpointed as it stands: its horizon did not
+        end, so the end-of-stream hook does not close Algorithm B's open
+        power-up records."""
+        trace = tmp_path / "bad.jsonl"
+        write_jsonl_trace(trace, np.linspace(1.0, 6.0, 12))
+        with trace.open("a") as handle:
+            handle.write("{torn line\n")
+        spec = TenantSpec(
+            name="bad", algorithm={"kind": "B", "params": {}},
+            feed={"kind": "jsonl", "path": str(trace)},
+            fleet={"scenario": "diurnal-cpu-gpu"},
+        )
+        tenant = _WorkerTenant(spec, CircuitBreaker(BreakerConfig(max_opens=1)))
+        tenant.feed, server_types = _materialise(spec)
+        tenant.session = ControllerSession(spec.algorithm, server_types, name="bad")
+        engine = ServeEngine()
+        engine.tenants["bad"] = tenant
+        engine.run(checkpoint_dir=tmp_path / "ckpt")
+        assert tenant.status == "failed" and "malformed" in tenant.last_error
+        payload = load_checkpoint(tmp_path / "ckpt" / "bad.ckpt.json")
+        assert payload["tick"] == 12
+        assert any(payload["algorithm_state"]["records"])
+
     def test_engine_uses_one_cache_per_geometry(self):
         a = build("diurnal-cpu-gpu", T=4)
         b = build("homogeneous", T=4)
@@ -372,7 +402,7 @@ class TestTelemetry:
         assert writer.rows_written == 0
 
     def test_latency_percentiles_shape(self):
-        summary = latency_percentiles([0.001] * 10)
+        summary = latency_percentiles([1_000_000] * 10)
         assert summary["ticks"] == 10
         assert summary["p50_ms"] == pytest.approx(1.0)
         assert latency_percentiles([]) == {"ticks": 0}
