@@ -47,6 +47,7 @@ from .online.algorithm_b import AlgorithmB
 from .online.algorithm_c import AlgorithmC
 from .online.base import run_online
 from .scenarios import ScenarioSpec, build as build_scenario
+from .serve.verify import assert_same
 from .workloads import bursty_trace, cpu_gpu_fleet, diurnal_trace, fleet_instance, old_new_fleet
 
 __all__ = [
@@ -496,24 +497,21 @@ def run_scale_bench(
                     cost=tables.cost,
                 )
             )
-            deviation = abs(stream.cost - tables.cost)
-            identical = bool(np.array_equal(stream.schedule.x, tables.schedule.x))
+            deviation = assert_same(
+                tables, stream,
+                label=f"{instance.name}: streaming backtracking vs keep_tables=True",
+                tolerance=tolerance,
+            )
             comparisons.append(
                 {
                     "instance": instance.name,
                     "cost_deviation": deviation,
-                    "schedules_identical": identical,
+                    "schedules_identical": True,
                     "memory_ratio": round(tables_peak / max(stream_peak, 1), 2),
                     "stream_wall_vs_forward": round(stream_wall / max(fwd_wall, 1e-9), 2),
                     "stream_wall_vs_tables": round(stream_wall / max(tables_wall, 1e-9), 2),
                 }
             )
-            if deviation > tolerance or not identical:
-                raise AssertionError(
-                    f"{instance.name}: streaming backtracking deviates from keep_tables=True "
-                    f"(cost deviation {deviation:g}, schedules identical: {identical}) — "
-                    "the checkpointed backward pass is no longer exact"
-                )
         else:
             rows.append(
                 dict(
@@ -760,8 +758,9 @@ def run_serve_bench(
 
     Gates (deterministic, machine-independent):
 
-    * per tenant, the shared-cache replay must cost exactly what the isolated
-      replay costs (sharing must not change a single decision), and
+    * per tenant, the shared-cache replay must match the isolated replay —
+      schedule, cost within 1e-9 and SLA counters (sharing must not change a
+      single decision), and
     * with more than one tenant, the shared mode must run strictly fewer
       unique dispatch solves than the isolated mode — the sharing is real,
       not a label.  Wall times are recorded but advisory.
@@ -778,7 +777,7 @@ def run_serve_bench(
     comparisons: List[dict] = []
     for n in tenant_counts:
         n = int(n)
-        mode_costs: Dict[str, list] = {}
+        mode_sessions: Dict[str, list] = {}
         for mode in ("shared", "isolated"):
             def build_engine(mode=mode):
                 engine = ServeEngine(share_caches=(mode == "shared"))
@@ -795,7 +794,7 @@ def run_serve_bench(
             # the memory columns ride a second, fresh, tracemalloc-instrumented
             # replay so instrumentation never distorts the recorded wall times
             _, peak_mb, rss_delta_mb = _memory_metered(lambda: build_engine().run())
-            mode_costs[mode] = [s.cumulative_cost for s in engine.sessions]
+            mode_sessions[mode] = engine.sessions
             sharing = report["sharing"]
             rows.append(
                 {
@@ -829,15 +828,17 @@ def run_serve_bench(
                     "rss_delta_mb": rss_delta_mb,
                 }
             )
-        deviations = [
-            abs(a - b) for a, b in zip(mode_costs["shared"], mode_costs["isolated"])
-        ]
-        max_dev = max(deviations) if deviations else 0.0
-        if not max_dev <= 1e-9:
-            raise AssertionError(
-                f"{n} tenants: shared-cache replay changed a tenant's cost "
-                f"(max deviation {max_dev:.3e}) — sharing must be decision-neutral"
-            )
+        max_dev = max(
+            (
+                assert_same(
+                    isolated, shared,
+                    label=f"{n} tenants, {shared.name}: shared vs isolated caches",
+                    tolerance=1e-9,
+                )
+                for shared, isolated in zip(mode_sessions["shared"], mode_sessions["isolated"])
+            ),
+            default=0.0,
+        )
         shared_row = rows[-2]
         isolated_row = rows[-1]
         if assert_sharing and n > 1:
@@ -952,10 +953,11 @@ def run_batch_scale_bench(
     ``seq_limit`` also run the sequential :class:`~repro.serve.ServeEngine`
     as the reference.  Gates:
 
-    * **bit-identity** — sequential and batched schedules are
-      ``np.array_equal`` per tenant and costs agree to 1e-9 (full comparison
-      up to ``seq_limit``; above it, ``sample_check`` tenants are replayed
-      sequentially as a spot check and the batch hit-rate must be 1.0),
+    * **bit-identity** — per tenant, the batched outcome matches the
+      sequential one: identical schedules and SLA counters, costs within 1e-9
+      (full comparison up to ``seq_limit``; above it, ``sample_check``
+      tenants are replayed sequentially as a spot check and the batch
+      hit-rate must be 1.0),
     * **throughput** — at 1000+ tenants the batched engine must be at least
       ``min_speedup``× the sequential engine (``assert_speedup=False`` to
       record without gating on shared noisy runners),
@@ -1029,22 +1031,17 @@ def run_batch_scale_bench(
             for k in sorted(sample):
                 reference.add_tenant(f"tenant-{k}", algorithm, tenant_feed(k))
             reference.run()
-        max_dev = 0.0
-        for k in sorted(sample):
-            name = f"tenant-{k}"
-            seq_session = reference.session(name)
-            bat_session = batched.session(name)
-            if not np.array_equal(seq_session.schedule.x, bat_session.schedule.x):
-                raise AssertionError(
-                    f"{n} tenants: batched schedule of {name} diverges from sequential"
+        max_dev = max(
+            (
+                assert_same(
+                    reference.session(f"tenant-{k}"), batched.session(f"tenant-{k}"),
+                    label=f"{n} tenants, tenant-{k}: batched vs sequential",
+                    tolerance=1e-9,
                 )
-            max_dev = max(
-                max_dev, abs(seq_session.cumulative_cost - bat_session.cumulative_cost)
-            )
-        if not max_dev <= 1e-9:
-            raise AssertionError(
-                f"{n} tenants: batched cost deviates by {max_dev:.3e} (> 1e-9)"
-            )
+                for k in sorted(sample)
+            ),
+            default=0.0,
+        )
         hit_rate = batch_report["batch"]["batch_hit_rate"]
         if not full_compare and hit_rate < 0.999:
             raise AssertionError(
@@ -1685,17 +1682,16 @@ def run_latency_smoke(
     recorded alongside as advisory context; CI runs the same gate with a
     generous ``budget_scale`` because shared runners are noisier still.
 
-    Correctness rides along: every repeat's schedule must be bit-identical
-    (``np.array_equal``) to a plain cold-path session's, with total cost equal
-    to 1e-9 (and to :data:`PINNED_LATENCY_SMOKE_COST` at the default
-    parameters) — the fast path may only be fast, never different.
+    Correctness rides along: every repeat's outcome must match a plain
+    cold-path session's — identical schedule, total cost equal to 1e-9 (and
+    to :data:`PINNED_LATENCY_SMOKE_COST` at the default parameters) — the
+    fast path may only be fast, never different.
 
     GC is disabled around the timed loops; latencies are the sessions' own
     ``perf_counter_ns`` integers.
     """
     import gc
 
-    from .core.backend import get_backend
     from .serve import ControllerSession, ServeCache
     from .workloads.scale import quantise_trace
 
@@ -1712,7 +1708,6 @@ def run_latency_smoke(
     for value in demand_list:
         plain.observe(value)
     plain.finish()
-    reference_schedule = plain.schedule.x
     reference_cost = plain.cumulative_cost
 
     cache = ServeCache(server_types)
@@ -1729,18 +1724,11 @@ def run_latency_smoke(
         finally:
             gc.enable()
         session.finish()
-        if not np.array_equal(session.schedule.x, reference_schedule):
-            raise AssertionError(
-                f"latency smoke: repeat {rep} over the prewarmed cache produced "
-                "a different schedule than the plain cold-path session — the "
-                "fast path changed a decision"
-            )
-        deviation = abs(session.cumulative_cost - reference_cost)
-        if not deviation <= 1e-9:
-            raise AssertionError(
-                f"latency smoke: repeat {rep} cost deviates from the plain "
-                f"session by {deviation:.3e} (> 1e-9)"
-            )
+        assert_same(
+            plain, session,
+            label=f"latency smoke: prewarmed repeat {rep} vs the plain cold-path session",
+            tolerance=1e-9,
+        )
         lat = session.latencies_ns
         per_tick[rep] = lat
         us = lat / 1000.0
@@ -1802,17 +1790,11 @@ def run_latency_smoke(
         finally:
             gc.enable()
         session.finish()
-        if not np.array_equal(session.schedule.x, reference_schedule):
-            raise AssertionError(
-                f"latency smoke: traced repeat {rep} produced a different "
-                "schedule — tracing must only read clocks, never decide"
-            )
-        deviation = abs(session.cumulative_cost - reference_cost)
-        if not deviation <= 1e-9:
-            raise AssertionError(
-                f"latency smoke: traced repeat {rep} cost deviates by "
-                f"{deviation:.3e} (> 1e-9)"
-            )
+        assert_same(
+            plain, session,
+            label=f"latency smoke: traced repeat {rep} vs the plain cold-path session",
+            tolerance=1e-9,
+        )
         traced_tick[rep] = session.latencies_ns
     traced_floor_us = traced_tick.min(axis=0) / 1000.0
     traced_floor = {
@@ -1836,7 +1818,6 @@ def run_latency_smoke(
             "numpy": np.__version__,
             "machine": platform.machine(),
         },
-        "backend": get_backend().name,
         "scenario": scenario,
         "algorithm": algorithm,
         "ticks": ticks,
@@ -1872,7 +1853,6 @@ def run_latency_smoke(
             {
                 "recorded_at": payload["recorded_at"],
                 "environment": payload["environment"],
-                "backend": payload["backend"],
                 "floor_p99_us": floor["p99_us"],
                 "floor_p50_us": floor["p50_us"],
                 "budget_us": budget,

@@ -47,8 +47,7 @@ without writing Python:
     over repeated prewarmed replays against ``--budget-us``, the ``make
     bench-latency-smoke`` CI gate), or run the streaming-equivalence gate
     over every registered scenario family (``smoke`` — the ``make
-    serve-smoke`` CI gate).  ``--backend numpy|numba`` selects the compiled
-    kernel backend for any serve action.
+    serve-smoke`` CI gate).
 
 ``python -m repro bench --smoke``
     Run the <30s benchmark regression harness: solve three pinned instances
@@ -913,20 +912,6 @@ def _serve_fabric(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_backend(args: argparse.Namespace) -> Optional[int]:
-    """Activate ``--backend`` before any solve runs; returns an exit code on error."""
-    name = getattr(args, "backend", None)
-    if name:
-        from .core.backend import BackendUnavailableError, set_backend
-
-        try:
-            set_backend(name)
-        except BackendUnavailableError as exc:
-            print(f"backend error: {exc}", file=sys.stderr)
-            return 2
-    return None
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.action == "watch":
         from .serve.watch import watch_command
@@ -943,10 +928,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             html_out=args.html,
             expect=args.expect,
         )
-
-    failed = _apply_backend(args)
-    if failed is not None:
-        return failed
 
     if args.action == "smoke":
         return _serve_smoke(json_path=args.json)
@@ -1009,8 +990,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         budget = payload["budget_us"] * payload["budget_scale"]
         print(f"\nsteady-state floor (per-tick min across {payload['repeats']} repeats): "
               f"p50 {floor['p50_us']}us, p90 {floor['p90_us']}us, "
-              f"p99 {floor['p99_us']}us < {budget:g}us budget "
-              f"[backend={payload['backend']}]")
+              f"p99 {floor['p99_us']}us < {budget:g}us budget")
         print(f"schedules bit-identical to the cold path on every repeat; "
               f"stream cost {payload['cost']:.6f} reproduced to 1e-9")
         if args.json:
@@ -1236,12 +1216,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # the live session (including any checkpoint round-trip above) already
         # holds the streamed schedule — one batch run is all the check needs
         from .online import run_online as _run_online
+        from .serve import assert_same
 
         batch = _run_online(instance, build_serve_algorithm(algorithm))
-        deviation = abs(session.cumulative_cost - batch.cost)
-        if not np.array_equal(session.schedule.x, batch.schedule.x) or deviation > 1e-9:
-            print(f"\nVERIFY FAIL: streamed replay deviates from batch run_online "
-                  f"(cost deviation {deviation:.3e})", file=sys.stderr)
+        try:
+            deviation = assert_same(
+                batch, session, label="streamed replay vs batch run_online",
+                tolerance=1e-9,
+            )
+        except AssertionError as exc:
+            print(f"\nVERIFY FAIL: {exc}", file=sys.stderr)
             return 1
         print(f"\nverified: streamed schedule == batch run_online, "
               f"cost deviation {deviation:.2e}")
@@ -1250,10 +1234,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import PINNED_SWEEP_COSTS, run_scale_bench, run_smoke_bench, run_sweep_bench
-
-    failed = _apply_backend(args)
-    if failed is not None:
-        return failed
 
     selected = [flag for flag in ("smoke", "sweep", "scale", "counters", "latest")
                 if getattr(args, flag)]
@@ -1679,9 +1659,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--repeats", type=_positive_int, default=6, metavar="R",
                          help="latency: fresh sessions to replay over one prewarmed cache; "
                               "the gate takes the per-tick minimum across them (default: 6)")
-    p_serve.add_argument("--backend", default=None, metavar="NAME",
-                         help="kernel backend for the hot path (numpy, or numba when the "
-                              "wheel is importable; default: numpy / $REPRO_BACKEND)")
     p_serve.add_argument("--smoke", action="store_true",
                          help="with fabric: run the `make fabric-smoke` crash-recovery gate "
                               "(injected worker SIGKILL, verify_crash_recovery must pass)")
@@ -1733,9 +1710,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "or the file given via --json)")
     p_bench.add_argument("--jobs", type=int, default=1,
                          help="process sharding for --sweep (default: 1)")
-    p_bench.add_argument("--backend", default=None, metavar="NAME",
-                         help="kernel backend for the hot path (numpy, or numba when the "
-                              "wheel is importable; default: numpy / $REPRO_BACKEND)")
     p_bench.add_argument("--json", default=None, help="also write the measurements to this JSON file")
     p_bench.set_defaults(func=_cmd_bench)
 

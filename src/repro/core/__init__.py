@@ -1,9 +1,4 @@
-"""Core problem model: cost functions, server types, instances, schedules, costs.
-
-:mod:`repro.core.backend` (the compiled-kernel seam for the dispatch/DP hot
-path) is intentionally not re-exported here — import it explicitly so the
-kernel registry only loads where the hot path actually runs.
-"""
+"""Core problem model: cost functions, server types, instances, schedules, costs."""
 
 from .cost_functions import (
     CallableCost,

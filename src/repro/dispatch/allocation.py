@@ -77,7 +77,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.backend import get_backend
 from ..core.cost_functions import CostFunction, ScaledCost
 from ..core.instance import ProblemInstance
 
@@ -748,8 +747,8 @@ class DispatchSolver:
         type runs at its effective capacity, so the total allocation covers
         any feasible demand.  Because ``mu^*`` is non-decreasing in the
         demand, every iteration propagates lower brackets to larger demands
-        and upper brackets to smaller ones, through the active
-        :mod:`repro.core.backend` kernels.  Returns the type volumes ``w``.
+        and upper brackets to smaller ones.  Every step writes into
+        preallocated buffers.  Returns the type volumes ``w``.
         """
         p = len(lams)
         n, d = configs.shape
@@ -794,20 +793,26 @@ class DispatchSolver:
             self.stats.bracket_expansions += 1
             mu_hi = np.where(need, np.maximum(mu_hi, 0.5) * 2.0, mu_hi)
 
-        backend = get_backend()
         mid = np.empty_like(mu_lo)
         mask = np.empty(mu_lo.shape, dtype=bool)
+        hi_rev = mu_hi[::-1]
         width_tol = self.tol * max(1.0, float(hi0[-1]) if p else 1.0)
         propagate = p > 1
         for _ in range(self.max_bisection_steps):
             if propagate:
-                backend.propagate_brackets(mu_lo, mu_hi)
+                np.maximum.accumulate(mu_lo, axis=0, out=mu_lo)
+                np.minimum.accumulate(hi_rev, axis=0, out=hi_rev)
             if float(np.max(mu_hi - mu_lo)) <= width_tol:
                 break
             self.stats.bisection_iterations += 1
-            backend.midpoint(mu_lo, mu_hi, mid)
+            np.add(mu_lo, mu_hi, out=mid)
+            mid *= 0.5
             tot = alloc(mid, want_loads=False)
-            backend.bisect_step(mu_lo, mu_hi, mid, tot, lam_col, mask)
+            # rows still short of their demand raise the lower bracket
+            np.less(tot, lam_col, out=mask)
+            np.copyto(mu_lo, mid, where=mask)
+            np.logical_not(mask, out=mask)
+            np.copyto(mu_hi, mid, where=mask)
 
         sum_lo, w_lo = alloc(mu_lo, want_loads=True)
         sum_hi, w_hi = alloc(mu_hi, want_loads=True)

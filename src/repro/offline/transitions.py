@@ -27,8 +27,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.backend import get_backend
-
 __all__ = [
     "relax_dimension",
     "transition",
@@ -195,6 +193,39 @@ def transition(
     return out
 
 
+def _min_plus_axis(V, bsrc, bdst, up_idx, down_idx, shifted, shifted_rev, gather, out) -> None:
+    """One-dimensional min-plus relaxation along the last axis, into ``out``.
+
+    ``bsrc``/``bdst`` are the ``beta * values`` vectors of the source and
+    destination grids, ``up_idx``/``down_idx`` the plan's gather indices,
+    ``shifted``/``gather`` caller-owned scratch and ``shifted_rev`` a
+    last-axis-reversed view of ``shifted``.  Allocates nothing.
+    """
+    # power-up direction: prefix minimum of V - beta*src, gathered at up_idx,
+    # plus beta*dst — the exact operation sequence of relax_dimension
+    np.subtract(V, bsrc, out=shifted)
+    np.minimum.accumulate(shifted, axis=-1, out=shifted)
+    shifted.take(up_idx, axis=-1, out=out)
+    np.add(out, bdst, out=out)
+    # power-down direction: suffix minimum of V, gathered at down_idx
+    np.minimum.accumulate(V[..., ::-1], axis=-1, out=shifted_rev)
+    shifted.take(down_idx, axis=-1, out=gather)
+    np.minimum(out, gather, out=out)
+
+
+def _min_plus_axis_same(V, bsrc, bdst, shifted, shifted_rev, out) -> None:
+    """:func:`_min_plus_axis` for equal source and destination grids.
+
+    The identity gathers are elided (``take(x, identity)`` is ``x``, value
+    for value), so the result equals the general kernel's bit for bit.
+    """
+    np.subtract(V, bsrc, out=shifted)
+    np.minimum.accumulate(shifted, axis=-1, out=shifted)
+    np.add(shifted, bdst, out=out)
+    np.minimum.accumulate(V[..., ::-1], axis=-1, out=shifted_rev)
+    np.minimum(out, shifted, out=out)
+
+
 class TransitionPlan:
     """Preallocated form of :func:`transition` for one ``(src, dst, beta)`` triple.
 
@@ -202,7 +233,7 @@ class TransitionPlan:
     recomputes the broadcastable ``beta * values`` vectors every call.  A plan
     hoists all of that: per-axis gather indices, shift vectors and scratch
     buffers are built once, and :meth:`apply` routes each axis through the
-    active backend's ``min_plus_axis`` kernel with zero allocations.  The
+    :func:`_min_plus_axis` kernel with zero allocations.  The
     kernel's operation sequence matches :func:`relax_dimension` exactly, so a
     plan-produced value tensor is bit-identical to the generic one — callers
     may mix the two paths freely (the streaming DP's checkpointed backtracking
@@ -237,7 +268,6 @@ class TransitionPlan:
                 f"plan expects float64 tensor of shape {self.src_shape}, "
                 f"got {V.dtype} {V.shape}"
             )
-        backend = get_backend()
         steps = self._steps
         cur = V
         last = len(steps) - 1
@@ -254,9 +284,9 @@ class TransitionPlan:
                 self._final_alt = step[-1]
             work = cur.swapaxes(axis, -1) if moved else cur
             if same:
-                backend.min_plus_axis_same(work, bsrc, bdst, shifted, shifted_rev, out)
+                _min_plus_axis_same(work, bsrc, bdst, shifted, shifted_rev, out)
             else:
-                backend.min_plus_axis(
+                _min_plus_axis(
                     work, bsrc, bdst, up_idx, down_idx, shifted, shifted_rev, gather, out
                 )
             cur = out.swapaxes(axis, -1) if moved else out
@@ -288,7 +318,7 @@ def make_transition_plan(
         up_c = np.ascontiguousarray(up_idx, dtype=np.intp)
         down_c = np.ascontiguousarray(down_idx, dtype=np.intp)
         # identity gather maps (src and dst value lists equal) route through
-        # the backend's elided same-grid kernel — same values, fewer ops
+        # the elided same-grid kernel — same values, fewer ops
         identity = np.arange(len(dst_f), dtype=np.intp)
         same = len(dst_f) == len(src_f) and np.array_equal(up_c, identity) and np.array_equal(
             down_c, identity

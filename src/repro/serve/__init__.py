@@ -25,17 +25,20 @@ the paper's online algorithms were designed for:
   tick-phase tracer emitting Chrome ``trace_event`` JSON, and the
   ``repro serve watch`` live dashboard over telemetry/fabric files.
 
-The correctness anchors are :func:`verify_replay` (streaming a scenario must
-reproduce the batch ``run_online`` schedule exactly and its cost to 1e-9,
-including across a mid-stream checkpoint/restore round-trip; ``make
-serve-smoke``) and :func:`verify_crash_recovery` (SIGKILLing a fabric worker
-mid-stream must recover schedules bit-identically; ``make fabric-smoke``).
+The correctness anchor is the differential oracle :mod:`~repro.serve.verify`:
+every way of running a tenant — batch ``run_online``, a session across a JSON
+checkpoint round-trip, the sequential and batched engines, a fabric worker
+recovered after SIGKILL — must yield the same :class:`~repro.serve.verify.Outcome`
+(schedule exact, cost within 1e-9, SLA counters exact).  Its four gates,
+:func:`verify_replay`, :func:`verify_chaos_replay`, :func:`verify_batched` and
+:func:`verify_crash_recovery`, back ``make serve-smoke``, ``chaos-smoke``,
+``bench-batch-smoke`` and ``fabric-smoke``.
 """
 
-from .batch import BatchedServeEngine, FeedPump, verify_batched
-from .chaos import ChaosFeed, FaultInjector, verify_chaos_replay
-from .engine import ServeEngine, verify_replay
-from .fabric import FabricError, ServeFabric, TenantSpec, verify_crash_recovery
+from .batch import BatchedServeEngine, FeedPump
+from .chaos import ChaosFeed, FaultInjector
+from .engine import ServeEngine
+from .fabric import FabricError, ServeFabric, TenantSpec
 from .feed import (
     ArrayFeed,
     FeedError,
@@ -71,6 +74,16 @@ from .metrics import (
 from .supervisor import BreakerConfig, CircuitBreaker, RestartPolicy, Supervisor
 from .telemetry import TelemetryWriter, latency_percentiles, summarise_sessions
 from .trace import TickTracer, TraceSpan
+from .verify import (
+    Outcome,
+    assert_same,
+    outcome,
+    replay,
+    verify_batched,
+    verify_chaos_replay,
+    verify_crash_recovery,
+    verify_replay,
+)
 from .watch import FabricWatcher, TelemetryTail, WatchModel, watch_command
 
 __all__ = [
@@ -94,6 +107,7 @@ __all__ = [
     "JsonlFeed",
     "LATENCY_BUCKETS_NS",
     "MetricsRegistry",
+    "Outcome",
     "RestartPolicy",
     "SERVE_ALGORITHMS",
     "ScenarioFeed",
@@ -110,13 +124,16 @@ __all__ = [
     "TraceFeed",
     "TraceSpan",
     "WatchModel",
+    "assert_same",
     "build_feed",
     "build_serve_algorithm",
     "fleet_signature",
     "latency_percentiles",
     "load_checkpoint",
+    "outcome",
     "payload_checksum",
     "previous_checkpoint_path",
+    "replay",
     "save_checkpoint",
     "summarise_sessions",
     "verify_batched",

@@ -39,10 +39,10 @@ round pulls from those queues while producers block on I/O or pacing
 sleeps.  Feeds stay single-owner (one worker per tenant iterator);
 determinism is untouched because the pump reorders *time*, never ticks.
 
-``verify_batched`` is the correctness gate: batched vs sequential engines over
-every registered scenario family — including chaos injection and a mid-stream
-checkpoint/restore round-trip — must produce ``np.array_equal`` schedules,
-equal SLA counters and ≤1e-9 cumulative-cost deviation.
+The correctness gate is :func:`~repro.serve.verify.verify_batched`: over
+every registered scenario family, including chaos injection and a mid-stream
+checkpoint/restore round-trip, a batched run must match the sequential engine
+tenant by tenant — identical schedules and SLA counters, costs within 1e-9.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .engine import ServeEngine
 from .session import ControllerSession, ServeCache
 from .telemetry import TelemetryWriter
 
-__all__ = ["BatchedServeEngine", "FeedPump", "verify_batched"]
+__all__ = ["BatchedServeEngine", "FeedPump"]
 
 #: Decision-table growth bound per cohort: beyond this many distinct demand
 #: levels the table stops installing rows (continuous-demand streams would
@@ -297,7 +297,8 @@ class BatchedServeEngine(ServeEngine):
 
     Same registration API, same round and same results — schedules, costs
     and SLA counters are bit-identical to the sequential engine
-    (``verify_batched`` gates this across every registered scenario family),
+    (:func:`~repro.serve.verify.verify_batched` gates this across every
+    registered scenario family),
     and telemetry and checkpoints are written by the same round.  Only the
     round's resolution differs: :meth:`resolve` groups the arrivals into
     cohorts and replaces their per-tenant ``algorithm.step`` + solve with one
@@ -580,114 +581,3 @@ class BatchedServeEngine(ServeEngine):
         report = super().report(wall_seconds=wall_seconds)
         report["batch"] = self.batch_counters()
         return report
-
-
-# --------------------------------------------------------------------------- #
-# Batched-vs-sequential equivalence verification
-# --------------------------------------------------------------------------- #
-
-
-def verify_batched(
-    build_tenants,
-    tolerance: float = 1e-9,
-    checkpoint_at: Optional[int] = None,
-    overlap: bool = False,
-    max_ticks: Optional[int] = None,
-    engine_kwargs: Optional[dict] = None,
-) -> dict:
-    """Gate: a batched run must be bit-identical to the sequential engine.
-
-    ``build_tenants(engine)`` registers the same tenants on whichever engine
-    it is handed (call it twice with fresh feeds — it must not share iterator
-    state).  Runs a sequential :class:`ServeEngine` and a
-    :class:`BatchedServeEngine` over the same workload and asserts, per
-    tenant: ``np.array_equal`` schedules, cumulative cost within
-    ``tolerance``, and exactly equal SLA counters (violations, shed totals,
-    forced-downs, tick counts).
-
-    ``checkpoint_at`` additionally exercises the mid-stream restart: both
-    engines run ``checkpoint_at`` rounds, every tenant is checkpoint/restored
-    in place through JSON (:meth:`ServeEngine.roundtrip_tenant`), and the
-    streams then resume to completion — restart must not perturb either
-    engine.  Raises :class:`AssertionError` on any mismatch; returns a
-    JSON-safe report row.
-    """
-    engine_kwargs = dict(engine_kwargs or {})
-    share_caches = engine_kwargs.pop("share_caches", True)
-    sequential = ServeEngine(
-        share_caches=share_caches,
-        ledger_budget=engine_kwargs.get("ledger_budget"),
-        tensor_budget_bytes=engine_kwargs.get("tensor_budget_bytes"),
-    )
-    build_tenants(sequential)
-    batched = BatchedServeEngine(
-        share_caches=share_caches, overlap=overlap, **engine_kwargs
-    )
-    build_tenants(batched)
-    if sorted(batched.tenants) != sorted(sequential.tenants):
-        raise AssertionError("build_tenants registered different tenant sets")
-
-    def drive(engine):
-        if checkpoint_at is not None:
-            engine.run(max_ticks=checkpoint_at, finalize=False)
-            for name in list(engine.tenants):
-                engine.roundtrip_tenant(name)
-            remaining = None if max_ticks is None else max_ticks - checkpoint_at
-            return engine.run(max_ticks=remaining)
-        return engine.run(max_ticks=max_ticks)
-
-    drive(sequential)
-    report = drive(batched)
-
-    tenants = []
-    for name in sequential.tenants:
-        seq = sequential.session(name)
-        bat = batched.session(name)
-        if seq.ticks != bat.ticks:
-            raise AssertionError(
-                f"{name}: tick counts diverge (sequential {seq.ticks}, batched {bat.ticks})"
-            )
-        seq_schedule = seq.schedule.x
-        bat_schedule = bat.schedule.x
-        if not np.array_equal(seq_schedule, bat_schedule):
-            first = int(np.argmax(np.any(seq_schedule != bat_schedule, axis=1)))
-            raise AssertionError(
-                f"{name}: batched schedule diverges from sequential at tick {first}: "
-                f"{bat_schedule[first]} vs {seq_schedule[first]}"
-            )
-        deviation = abs(seq.cumulative_cost - bat.cumulative_cost)
-        if deviation > tolerance:
-            raise AssertionError(
-                f"{name}: batched cost deviates by {deviation:g} (> {tolerance:g})"
-            )
-        for attr in ("sla_violations", "forced_downs"):
-            if getattr(seq, attr) != getattr(bat, attr):
-                raise AssertionError(
-                    f"{name}: {attr} diverge (sequential {getattr(seq, attr)}, "
-                    f"batched {getattr(bat, attr)})"
-                )
-        if abs(seq.shed_demand_total - bat.shed_demand_total) > tolerance:
-            raise AssertionError(f"{name}: shed totals diverge")
-        tenants.append(
-            {
-                "tenant": name,
-                "ticks": int(seq.ticks),
-                "cost_deviation": deviation,
-                "algorithm": seq.algorithm.name,
-                "batched": _decider_kind(bat) is not None,
-                "p99_ms": bat.latency_summary().get("p99_ms"),
-            }
-        )
-
-    batch = report["batch"]
-    return {
-        "tenants": tenants,
-        "ticks_total": int(sum(row["ticks"] for row in tenants)),
-        "max_cost_deviation": max((row["cost_deviation"] for row in tenants), default=0.0),
-        "schedules_identical": True,
-        "checkpoint_at": checkpoint_at,
-        "overlap": bool(overlap),
-        "latency": report["latency"],
-        "wall_seconds": report.get("wall_seconds"),
-        "batch": batch,
-    }

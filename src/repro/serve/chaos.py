@@ -1,4 +1,4 @@
-"""Mid-stream fault injection and the chaos determinism gate.
+"""Mid-stream fault injection.
 
 The scenarios layer *bakes* event plans into instances
 (:func:`repro.scenarios.events.apply_event_plan` clips demand so batch gates
@@ -18,26 +18,23 @@ SLA accounting instead of raising.
 * :class:`ChaosFeed` — wraps any feed with an injector; sharing one plan
   across tenants of an engine yields correlated cross-tenant bursts (every
   tenant's flash crowd lands on the same ticks).
-* :func:`verify_chaos_replay` — the gate behind ``make chaos-smoke``: same
-  seed + same event plan ⇒ bit-identical schedules and SLA counters, with and
-  without a mid-stream checkpoint/restore round-trip, and the per-tick SLA
-  accounting must match an independent recomputation from the injected feed.
+
+The chaos determinism gate behind ``make chaos-smoke``,
+:func:`~repro.serve.verify.verify_chaos_replay`, replays through these feeds.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from ..core.cost_functions import ScaledCost
-from ..core.instance import ProblemInstance
 from ..scenarios.events import EventPlan
-from .feed import InstanceFeed, Tick, TraceFeed
+from .feed import Tick, TraceFeed
 from .metrics import MetricsRegistry
-from .session import ControllerSession
 
-__all__ = ["ChaosFeed", "FaultInjector", "verify_chaos_replay"]
+__all__ = ["ChaosFeed", "FaultInjector"]
 
 
 class FaultInjector:
@@ -170,110 +167,3 @@ class ChaosFeed(TraceFeed):
     def ticks(self) -> Iterator[Tick]:
         for tick in self.feed.ticks():
             yield self.injector.inject(tick)
-
-
-def _chaos_run(
-    instance: ProblemInstance,
-    plan,
-    algorithm,
-    checkpoint_at: Optional[int],
-) -> ControllerSession:
-    feed = ChaosFeed(InstanceFeed(instance), plan)
-    session = ControllerSession(algorithm, instance.server_types, degradation="shed")
-    for tick in feed:
-        if checkpoint_at is not None and tick.t == checkpoint_at:
-            session = session.checkpoint_roundtrip()
-        session.observe(tick.demand, cost_row=tick.cost_row, counts=tick.counts)
-    session.finish()
-    return session
-
-
-def verify_chaos_replay(
-    instance: ProblemInstance,
-    plan,
-    algorithm="A",
-    checkpoint_at: Optional[int] = None,
-    tolerance: float = 1e-9,
-) -> dict:
-    """Check chaos determinism: same seed + same plan ⇒ bit-identical replay.
-
-    Streams ``instance`` through a shed-mode session twice under the same
-    injected event plan — the second pass crossing a JSON checkpoint/restore
-    round-trip after ``checkpoint_at`` ticks (defaults to mid-stream) — and
-    asserts that
-
-    * neither replay raises (graceful degradation: injected faults shed, they
-      don't crash),
-    * the two schedules are equal configuration for configuration,
-    * the cumulative costs agree within ``tolerance`` and every SLA counter
-      (violations, shed demand, forced power-downs) agrees exactly,
-    * the session's SLA-violation count matches an independent recomputation
-      from the injected feed (every tick whose demand exceeds its capacity
-      must have been accounted).
-
-    Returns a JSON-safe report row; raises :class:`AssertionError` on any
-    deviation — this function *is* the ``make chaos-smoke`` gate.
-    """
-    plan = EventPlan.parse(plan)
-    if plan is None:
-        plan = EventPlan()
-    if checkpoint_at is None and instance.T > 1:
-        checkpoint_at = max(1, instance.T // 2)
-
-    first = _chaos_run(instance, plan, algorithm, checkpoint_at=None)
-    second = _chaos_run(instance, plan, algorithm, checkpoint_at=checkpoint_at)
-
-    a, b = first.schedule.x, second.schedule.x
-    if a.shape != b.shape or not np.array_equal(a, b):
-        mismatches = int(np.sum(np.any(a != b, axis=1))) if a.shape == b.shape else -1
-        raise AssertionError(
-            f"{instance.name}: chaos replay is not deterministic across a "
-            f"checkpoint round-trip ({mismatches} mismatching slots)"
-        )
-    cost_deviation = abs(first.cumulative_cost - second.cumulative_cost)
-    if not cost_deviation <= tolerance:
-        raise AssertionError(
-            f"{instance.name}: chaos replay costs deviate by {cost_deviation:.3e} "
-            f"across a checkpoint round-trip (tolerance {tolerance:g})"
-        )
-    counters = {
-        "sla_violations": (first.sla_violations, second.sla_violations),
-        "shed_demand": (first.shed_demand_total, second.shed_demand_total),
-        "forced_downs": (first.forced_downs, second.forced_downs),
-    }
-    for key, (x, y) in counters.items():
-        if x != y:
-            raise AssertionError(
-                f"{instance.name}: SLA counter {key!r} differs across a checkpoint "
-                f"round-trip ({x} vs {y})"
-            )
-
-    # independent recomputation: every overloaded injected tick must have shed
-    zmax = np.array([st.capacity for st in instance.server_types], dtype=float)
-    expected_shed_ticks = 0
-    for tick in ChaosFeed(InstanceFeed(instance), plan):
-        counts = tick.counts
-        if counts is None:
-            counts = np.array([st.count for st in instance.server_types], dtype=int)
-        if tick.demand > float(np.sum(counts * zmax)) + 1e-9:
-            expected_shed_ticks += 1
-    if expected_shed_ticks > first.sla_violations:
-        raise AssertionError(
-            f"{instance.name}: {expected_shed_ticks} injected ticks exceed capacity but "
-            f"only {first.sla_violations} SLA violations were accounted"
-        )
-
-    return {
-        "instance": instance.name,
-        "algorithm": first.algorithm.name,
-        "ticks": first.ticks,
-        "events": len(plan.events),
-        "checkpoint_at": checkpoint_at,
-        "cost": first.cumulative_cost,
-        "cost_deviation": cost_deviation,
-        "sla_violations": first.sla_violations,
-        "shed_demand": round(first.shed_demand_total, 9),
-        "forced_downs": first.forced_downs,
-        "expected_shed_ticks": expected_shed_ticks,
-        "ok": True,
-    }

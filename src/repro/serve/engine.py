@@ -1,4 +1,4 @@
-"""Multi-tenant serve engine and the streaming-equivalence verifier.
+"""Multi-tenant serve engine.
 
 :class:`ServeEngine` multiplexes many concurrent
 :class:`~repro.serve.session.ControllerSession` objects — one per
@@ -9,13 +9,6 @@ solves and whole-grid tensors behind their ticks are computed once per
 distinct demand level across the whole engine, not once per tenant; the
 resulting cache-hit counters and wall times are what ``repro serve bench``
 records in ``BENCH_serve.json``.
-
-:func:`verify_replay` is the subsystem's correctness gate: it replays an
-instance through a session — optionally across a mid-stream
-checkpoint/restore round-trip — and checks the streamed schedule and
-cumulative cost against batch :func:`~repro.online.base.run_online` with an
-identically-built algorithm.  ``repro serve smoke`` (the ``make serve-smoke``
-CI gate) runs it over every registered scenario family.
 """
 
 from __future__ import annotations
@@ -24,23 +17,13 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from ..core.instance import ProblemInstance
-from ..online.base import run_online
 from .chaos import ChaosFeed
-from .feed import InstanceFeed, TraceFeed
+from .feed import TraceFeed
 from .metrics import MetricsRegistry
-from .session import (
-    ControllerSession,
-    ServeCache,
-    build_serve_algorithm,
-    fleet_signature,
-    save_checkpoint,
-)
+from .session import ControllerSession, ServeCache, fleet_signature, save_checkpoint
 from .telemetry import TelemetryWriter, summarise_sessions
 
-__all__ = ["ServeEngine", "verify_replay"]
+__all__ = ["ServeEngine"]
 
 
 #: What :meth:`_Tenant.pull` returns for a tenant that stays live but has no
@@ -382,84 +365,3 @@ class ServeEngine:
         report["cache_totals"] = totals
         report["metrics"] = self.metrics.snapshot()
         return report
-
-
-# --------------------------------------------------------------------------- #
-# Streaming-equivalence verification
-# --------------------------------------------------------------------------- #
-
-
-def verify_replay(
-    instance: ProblemInstance,
-    algorithm="A",
-    checkpoint_at: Optional[int] = None,
-    tolerance: float = 1e-9,
-    track_regret: bool = False,
-) -> dict:
-    """Check that streaming replay reproduces batch ``run_online`` exactly.
-
-    Replays ``instance`` tick by tick through a :class:`ControllerSession`
-    (built by :func:`build_serve_algorithm`), optionally serialising the
-    session to a JSON checkpoint after ``checkpoint_at`` ticks and restoring
-    it into a brand-new session before streaming the remainder.  The streamed
-    schedule must equal the batch schedule *configuration for configuration*
-    and the cumulative cost must match the batch total within ``tolerance``.
-
-    Returns a JSON-safe report row; raises :class:`AssertionError` on any
-    mismatch (this function *is* the ``make serve-smoke`` gate) and
-    :class:`ValueError` when ``checkpoint_at`` lies outside ``[1, T)`` — an
-    out-of-range checkpoint would silently verify nothing about the
-    restore path.
-    """
-    if checkpoint_at is not None and not 1 <= checkpoint_at < instance.T:
-        raise ValueError(
-            f"checkpoint_at must be in [1, T) = [1, {instance.T}), got {checkpoint_at} "
-            "(the round-trip would never fire)"
-        )
-
-    batch = run_online(instance, build_serve_algorithm(algorithm))
-
-    feed = InstanceFeed(instance)
-    session = ControllerSession(
-        algorithm, instance.server_types, track_regret=track_regret
-    )
-    checkpointed = False
-    for tick in feed:
-        if checkpoint_at is not None and tick.t == checkpoint_at:
-            session = session.checkpoint_roundtrip()
-            checkpointed = True
-        session.observe(tick.demand, cost_row=tick.cost_row, counts=tick.counts)
-    session.finish()
-
-    streamed = session.schedule
-    if streamed.x.shape != batch.schedule.x.shape or not np.array_equal(
-        streamed.x, batch.schedule.x
-    ):
-        mismatches = (
-            int(np.sum(np.any(streamed.x != batch.schedule.x, axis=1)))
-            if streamed.x.shape == batch.schedule.x.shape
-            else -1
-        )
-        raise AssertionError(
-            f"{instance.name}: streamed schedule deviates from batch run_online "
-            f"({mismatches} mismatching slots)"
-        )
-    cost_deviation = abs(session.cumulative_cost - batch.cost)
-    if not cost_deviation <= tolerance:
-        raise AssertionError(
-            f"{instance.name}: streamed cumulative cost {session.cumulative_cost!r} "
-            f"deviates from batch total {batch.cost!r} by {cost_deviation:.3e} "
-            f"(tolerance {tolerance:g})"
-        )
-    return {
-        "instance": instance.name,
-        "algorithm": session.algorithm.name,
-        "ticks": session.ticks,
-        "checkpointed": checkpointed,
-        "checkpoint_at": checkpoint_at if checkpointed else None,
-        "cost": session.cumulative_cost,
-        "batch_cost": batch.cost,
-        "cost_deviation": cost_deviation,
-        "latency": session.latency_summary(),
-        "ok": True,
-    }

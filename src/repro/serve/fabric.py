@@ -41,7 +41,8 @@ rebuilds the feed and skips the ``session.ticks`` ticks already consumed —
 then continues as if nothing happened.  Because sessions are bit-identically
 restorable and feeds are deterministic, the recovered run's schedule, costs
 and SLA counters equal an uninterrupted run's exactly; that is the
-:func:`verify_crash_recovery` gate behind ``make fabric-smoke``.
+:func:`~repro.serve.verify.verify_crash_recovery` gate behind ``make
+fabric-smoke``.
 
 Live migration rides the same machinery: :meth:`ServeFabric.migrate` removes
 a tenant from its source worker's control file, waits for the released
@@ -95,12 +96,7 @@ from .supervisor import (
 )
 from .telemetry import TelemetryWriter
 
-__all__ = [
-    "FabricError",
-    "ServeFabric",
-    "TenantSpec",
-    "verify_crash_recovery",
-]
+__all__ = ["FabricError", "ServeFabric", "TenantSpec"]
 
 
 class FabricError(RuntimeError):
@@ -151,14 +147,26 @@ class TenantSpec:
     def from_dict(cls, payload: dict) -> "TenantSpec":
         return cls(**payload)
 
+    def session(self, server_types=None, cache=None) -> ControllerSession:
+        """A fresh session for this tenant, over ``cache`` when one is given."""
+        return ControllerSession(
+            self.algorithm,
+            server_types,
+            cache=cache,
+            track_regret=self.track_regret,
+            degradation=self.degradation,
+            history=self.history,
+            name=self.name,
+        )
+
 
 def _materialise(spec: TenantSpec):
     """Build a tenant's live feed (+ fleet) from its declarative spec.
 
     Returns ``(feed, server_types)``.  Deterministic: rebuilding the same
     spec yields the same tick stream and a value-identical fleet, which is
-    what crash recovery and the baseline of :func:`verify_crash_recovery`
-    both rely on.
+    what crash recovery and the reference replay of
+    :func:`~repro.serve.verify.verify_crash_recovery` both rely on.
     """
     feed = build_feed(dict(spec.feed))
     server_types = feed.server_types
@@ -350,14 +358,7 @@ class _WorkerRuntime:
             tenant.done = tenant.failed = True
             tenant.last_error = str(exc)
             return
-        session = ControllerSession(
-            spec.algorithm,
-            cache=self._cache_for(spec, server_types),
-            track_regret=spec.track_regret,
-            degradation=spec.degradation,
-            history=spec.history,
-            name=spec.name,
-        )
+        session = spec.session(cache=self._cache_for(spec, server_types))
         path = self.checkpoint_dir / f"{spec.name}.ckpt.json"
         if path.exists() or previous_checkpoint_path(path).exists():
             session.restore(load_checkpoint(path))
@@ -835,151 +836,3 @@ def _mp_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover — non-POSIX fallback
         return multiprocessing.get_context("spawn")
-
-
-# --------------------------------------------------------------------------- #
-# The crash-recovery gate
-# --------------------------------------------------------------------------- #
-
-
-def verify_crash_recovery(
-    scenario: str = "diurnal-cpu-gpu",
-    *,
-    n_tenants: int = 4,
-    algorithm: str = "A",
-    workers: int = 2,
-    kill_worker: int = 0,
-    kill_round: Optional[int] = None,
-    seed: int = 0,
-    scenario_params: Optional[dict] = None,
-    chaos=None,
-    degradation: str = "strict",
-    checkpoint_every: int = 4,
-    tolerance: float = 1e-9,
-    run_dir=None,
-    fabric: Optional[ServeFabric] = None,
-) -> dict:
-    """The fabric gate: SIGKILL a worker mid-stream, demand a perfect recovery.
-
-    Runs every tenant twice: once in-process, uninterrupted (the baseline),
-    and once through a :class:`ServeFabric` where ``kill_worker`` is
-    SIGKILLed at ``kill_round`` (default: half the stream) and recovered from
-    its periodic checkpoints.  Asserts that
-
-    * the killed worker actually died and restarted (a gate that never
-      injected its fault verifies nothing),
-    * every tenant's recovered schedule is **bit-identical** to the baseline,
-    * cumulative costs agree within ``tolerance`` (1e-9), and
-    * the SLA counters (violations, shed demand, forced downs) agree exactly
-      — including under an active chaos plan.
-
-    Pass a pre-built ``fabric`` (with tenants registered) to gate a custom
-    topology; otherwise ``n_tenants`` scenario tenants with consecutive seeds
-    are built.  Returns a JSON-safe verification report; raises
-    ``AssertionError`` on any mismatch.
-    """
-    if fabric is None:
-        fabric = ServeFabric(
-            workers=workers, run_dir=run_dir, checkpoint_every=checkpoint_every
-        )
-        for i in range(int(n_tenants)):
-            feed = {"kind": "scenario", "scenario": scenario, "seed": seed + i}
-            if scenario_params:
-                feed["params"] = dict(scenario_params)
-            fabric.add_tenant(
-                f"tenant-{i}",
-                algorithm=algorithm,
-                feed=feed,
-                chaos=chaos,
-                degradation=degradation,
-            )
-
-    # ------------------------------------------------- uninterrupted baseline
-    baseline = {}
-    min_ticks = None
-    for spec in fabric.tenants.values():
-        feed, server_types = _materialise(spec)
-        session = ControllerSession(
-            spec.algorithm,
-            server_types,
-            track_regret=spec.track_regret,
-            degradation=spec.degradation,
-            history=spec.history,
-            name=spec.name,
-        )
-        for tick in feed.play(None):
-            session.observe(tick.demand, cost_row=tick.cost_row, counts=tick.counts)
-        session.finish()
-        baseline[spec.name] = {
-            "ticks": session.ticks,
-            "configs": (
-                [[int(v) for v in c] for c in session.schedule.x]
-                if spec.history
-                else None
-            ),
-            "cost": session.cumulative_cost,
-            "sla_violations": session.sla_violations,
-            "shed_demand": session.shed_demand_total,
-            "forced_downs": session.forced_downs,
-        }
-        min_ticks = session.ticks if min_ticks is None else min(min_ticks, session.ticks)
-
-    if kill_round is None:
-        kill_round = max(1, (min_ticks or 2) // 2)
-
-    # ------------------------------------------------ fabric run with a crash
-    report = fabric.run(kill={int(kill_worker): int(kill_round)}, raise_on_failure=False)
-    killed = report["workers"][str(int(kill_worker))]
-    assert killed["restarts"] >= 1, (
-        f"worker {kill_worker} never restarted (kill at round {kill_round} did not "
-        f"fire — the gate verified nothing): {killed}"
-    )
-
-    max_cost_delta = 0.0
-    checkpoint_dir = Path(report["checkpoint_dir"])
-    for name, expected in baseline.items():
-        row = report["tenants"][name]
-        assert row["status"] == "completed", f"tenant {name} ended {row['status']!r}: {row}"
-        payload = load_checkpoint(checkpoint_dir / f"{name}.ckpt.json")
-        assert int(payload["tick"]) == expected["ticks"], (
-            f"tenant {name}: recovered run stopped at tick {payload['tick']} "
-            f"(baseline ran {expected['ticks']})"
-        )
-        if expected["configs"] is not None:
-            recovered = [[int(v) for v in c] for c in payload["configs"]]
-            assert recovered == expected["configs"], (
-                f"tenant {name}: recovered schedule diverged from the uninterrupted "
-                f"baseline (first mismatch at tick "
-                f"{next(t for t, (a, b) in enumerate(zip(recovered, expected['configs'])) if a != b)})"
-            )
-        cost = float(payload["cum_operating"]) + float(payload["cum_switching"])
-        delta = abs(cost - expected["cost"])
-        max_cost_delta = max(max_cost_delta, delta)
-        assert delta <= tolerance, (
-            f"tenant {name}: recovered cost {cost!r} differs from baseline "
-            f"{expected['cost']!r} by {delta:g} (> {tolerance:g})"
-        )
-        for counter, key in (
-            ("sla_violations", "sla_violations"),
-            ("shed_demand", "shed_total"),
-            ("forced_downs", "forced_downs"),
-        ):
-            got = payload[key]
-            assert got == expected[counter], (
-                f"tenant {name}: recovered {counter} {got!r} != baseline "
-                f"{expected[counter]!r}"
-            )
-
-    return {
-        "verified": True,
-        "tenants": len(baseline),
-        "workers": fabric.n_workers,
-        "kill": {"worker": int(kill_worker), "round": int(kill_round)},
-        "restarts": report["totals"]["restarts"],
-        "recovery_latency_s": report["recovery_latency_s"],
-        "max_cost_delta": max_cost_delta,
-        "ticks": report["totals"]["ticks"],
-        "sla_violations": report["totals"]["sla_violations"],
-        "wall_seconds": report["wall_seconds"],
-        "run_dir": report["run_dir"],
-    }

@@ -35,9 +35,11 @@ from repro.serve import (
     ServeEngine,
     ServeFabric,
     TenantSpec,
+    assert_same,
     build_feed,
     load_checkpoint,
     previous_checkpoint_path,
+    replay,
     save_checkpoint,
     verify_crash_recovery,
 )
@@ -58,24 +60,15 @@ def _smoke_instance(name=SCENARIO):
     return build(scenarios.ScenarioSpec(name, dict(fam.smoke_params)))
 
 
-def _replay_baseline(spec: TenantSpec) -> dict:
-    """Uninterrupted in-process replay of one tenant spec."""
+def _assert_matches_replay(spec: TenantSpec, row: dict) -> None:
+    """A tenant's final fabric checkpoint equals the oracle's in-process replay."""
     feed, server_types = _materialise(spec)
-    session = ControllerSession(
-        spec.algorithm,
-        server_types,
-        degradation=spec.degradation,
-        history=spec.history,
-        name=spec.name,
+    assert_same(
+        replay(spec.session(server_types), feed),
+        load_checkpoint(row["checkpoint"]),
+        label=spec.name,
+        tolerance=1e-9,
     )
-    for tick in feed.play(None):
-        session.observe(tick.demand, cost_row=tick.cost_row, counts=tick.counts)
-    session.finish()
-    return {
-        "ticks": session.ticks,
-        "cost": session.cumulative_cost,
-        "sla_violations": session.sla_violations,
-    }
 
 
 # --------------------------------------------------------------------------- #
@@ -484,10 +477,8 @@ class TestFabricRuns:
         assert report["totals"]["restarts"] == 0
         for name, spec in fabric.tenants.items():
             row = report["tenants"][name]
-            baseline = _replay_baseline(spec)
             assert row["status"] == "completed"
-            assert row["ticks"] == baseline["ticks"]
-            assert row["cost"] == pytest.approx(baseline["cost"], abs=1e-9)
+            _assert_matches_replay(spec, row)
         assert {report["tenants"][n]["worker"] for n in fabric.tenants} == {0, 1}
 
     def test_grouped_tenants_are_colocated(self, tmp_path):
@@ -520,9 +511,7 @@ class TestFabricRuns:
         assert report["totals"]["migrations_completed"] == 1
         row = report["tenants"]["t0"]
         assert row["status"] == "completed"
-        baseline = _replay_baseline(fabric.tenants["t0"])
-        assert row["ticks"] == baseline["ticks"]
-        assert row["cost"] == pytest.approx(baseline["cost"], abs=1e-9)
+        _assert_matches_replay(fabric.tenants["t0"], row)
 
     def test_broken_feed_is_quarantined_not_fatal(self, tmp_path):
         """A feed that keeps raising trips the breaker, exhausts its opens and

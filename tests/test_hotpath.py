@@ -1,14 +1,11 @@
-"""Tests for the microsecond-tick hot path (quantised tables, warm caches, backend seam).
+"""Tests for the microsecond-tick hot path (quantised tables, warm caches, min-plus kernels).
 
-Three properties anchor everything here, mirroring the serve replay gates:
+Two properties anchor everything here, mirroring the serve replay gates:
 
 * **bit-identity** — the table-gather fast path, solvers whose memo is
   already warm and the preallocated transition-plan kernels may only be
   *fast*, never *different*: schedules compare with ``np.array_equal`` and
-  costs with 1e-9, across every registered scenario family;
-* **the seam is real** — the numpy and numba kernel registrations are
-  selectable (and the numba one fails loudly, not deep inside a solve, when
-  the wheel is absent); and
+  costs with 1e-9, across every registered scenario family; and
 * **the counters tell the truth** — table gathers and prewarmed levels move
   exactly when the corresponding fast path runs, so the pinned counter
   regression (``repro bench --counters``) can gate on them.
@@ -29,17 +26,15 @@ from repro.bench import (
     trend_deltas,
     trend_report,
 )
-from repro.core.backend import (
-    BackendUnavailableError,
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
 from repro.dispatch.allocation import DispatchSolver
 from repro.dispatch.tables import SolutionTable
 from repro.offline.state_grid import StateGrid, grid_for_slot
-from repro.offline.transitions import make_transition_plan, transition
+from repro.offline.transitions import (
+    _min_plus_axis,
+    _min_plus_axis_same,
+    make_transition_plan,
+    transition,
+)
 from repro.online import AlgorithmA, AlgorithmB, run_online
 from repro.online.base import SlotContext
 from repro.scenarios import build
@@ -114,47 +109,9 @@ class TestTransitionPlanExactness:
             plan.apply(V.copy()), transition(V, src.values, dst.values, beta)
         )
 
-
-# --------------------------------------------------------------------------- #
-# Backend seam
-# --------------------------------------------------------------------------- #
-
-
-class TestBackendSeam:
-    def test_registry_lists_both_backends(self):
-        assert "numpy" in available_backends()
-        assert "numba" in available_backends()
-
-    def test_default_backend_is_numpy(self):
-        assert get_backend().name == "numpy"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(BackendUnavailableError, match="unknown backend"):
-            set_backend("cuda")
-        assert get_backend().name == "numpy"
-
-    def test_numba_unavailable_raises_loudly(self):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            with pytest.raises(BackendUnavailableError, match="numba"):
-                set_backend("numba")
-            assert get_backend().name == "numpy"
-        else:
-            backend = set_backend("numba")
-            assert backend.name == "numba"
-            set_backend("numpy")
-
-    def test_use_backend_restores_previous(self):
-        before = get_backend().name
-        with use_backend("numpy") as backend:
-            assert backend.name == "numpy"
-        assert get_backend().name == before
-
     def test_same_grid_kernel_matches_general_kernel(self):
         # the identity-gather specialisation must equal the general kernel
         # with identity up/down index vectors, bit for bit
-        backend = get_backend()
         rng = np.random.default_rng(3)
         for shape in ((7,), (4, 6), (3, 4, 5)):
             V = rng.uniform(0.0, 40.0, size=shape)
@@ -166,12 +123,12 @@ class TestBackendSeam:
             out_general = np.empty(shape)
             out_same = np.empty(shape)
             gather = np.empty(shape)
-            backend.min_plus_axis(
+            _min_plus_axis(
                 V, bsrc, bdst, identity, identity,
                 shifted, shifted[..., ::-1], gather, out_general,
             )
             shifted2 = np.empty(shape)
-            backend.min_plus_axis_same(
+            _min_plus_axis_same(
                 V, bsrc, bdst, shifted2, shifted2[..., ::-1], out_same
             )
             assert np.array_equal(out_same, out_general)
@@ -398,7 +355,6 @@ class TestBenchGates:
             budget_us=50.0, budget_scale=1e6, repeats=2, ticks=32,
             json_path=json_path,
         )
-        assert payload["backend"] == "numpy"
         assert payload["floor_us"]["p99_us"] > 0
         assert len(payload["per_repeat_us"]) == 2
         written = json.loads(Path(json_path).read_text())
