@@ -29,7 +29,8 @@ bench-scale:
 
 # Performance-regression gate: re-runs the combined workload and compares
 # every cost field against the pinned PR-1 reference (exact to 1e-6), then
-# re-runs the pinned serve workload cold / prewarmed and compares every
+# re-runs the pinned serve workload cold / prewarmed, plus a cold
+# continuous-demand replay (A, B, C, lcp, reactive), and compares every
 # hot-path work counter (unique solves, tensor hits, table gathers, ...)
 # against its pinned value exactly.  Wall times are advisory-only —
 # machines differ — and the gate does not rewrite the committed

@@ -1463,21 +1463,24 @@ def run_fabric_bench(
 #: integers are deterministic functions of the instance, independent of the
 #: machine, so the gate is exact equality.  ``grid_hit_rate`` is the serve
 #: cache's rounded hit ratio; ``*_prewarmed`` rows pin the table-gather
-#: fast path.
+#: fast path; ``*_continuous`` rows pin the cold continuous-demand tick (one
+#: tenant each of A, B, C, lcp and reactive on unquantised traces).
 PINNED_SERVE_COUNTERS: Dict[str, float] = {
-    "unique_solves": 57,
+    "unique_solves": 12,
     "slot_queries": 57,
     "tensor_hits": 500,
     "tensor_misses": 12,
     "grid_hit_rate": 0.976562,
     "table_gathers_prewarmed": 928,
     "prewarmed_levels": 12,
-    "unique_solves_prewarmed": 228,
+    "unique_solves_prewarmed": 12,
+    "unique_solves_continuous": 160,
+    "slot_queries_continuous": 352,
 }
 
 
 def run_counter_regress(json_path: Optional[str] = None) -> dict:
-    """Pin the hot-path work counters on a fixed multi-tenant workload.
+    """Pin the hot-path work counters on fixed multi-tenant workloads.
 
     Two replays of the same deterministic workload (8 tenants, rotated
     copies of a 64-tick quantised ``diurnal-cpu-gpu`` trace, algorithm A,
@@ -1487,7 +1490,14 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
       ``tensor_hits``/``tensor_misses`` and the serve-level ``grid_hit_rate``,
       and
     * **prewarmed** — the demand alphabet prewarmed into the solution-table
-      fast maps; pins ``table_gathers`` and ``prewarmed_levels``.
+      fast maps; pins ``table_gathers`` and ``prewarmed_levels``,
+
+    plus a **continuous** replay: one tenant each of A, B, C, lcp and
+    reactive, each on its own fixed-seed *unquantised* 32-tick
+    ``diurnal-cpu-gpu`` trace, shared caches, no prewarm.  Every tick sees a
+    new demand level, so it pins the cold tick's ``unique_solves`` (one grid
+    solve per tenant-tick; configuration queries gather from it) and
+    ``slot_queries``.
 
     No replay warm-starts the dispatch: it solves each cell exactly by an
     event sweep, which needs no starting bracket, so there is no bracket
@@ -1507,14 +1517,21 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
     base = build_scenario("diurnal-cpu-gpu", T=ticks)
     demand = quantise_trace(base.demand, levels=levels)
     instance = base.with_demand(demand, name="counter-regress")
+    quantised = [
+        (f"tenant-{k}", "A", instance.with_demand(np.roll(demand, k), name=f"tenant-{k}"))
+        for k in range(tenants)
+    ]
+    continuous_ticks, continuous_kinds = 32, ("A", "B", "C", "lcp", "reactive")
+    continuous = [
+        (f"tenant-{kind}", kind,
+         build_scenario("diurnal-cpu-gpu", T=continuous_ticks, seed=k + 1))
+        for k, kind in enumerate(continuous_kinds)
+    ]
 
-    def replay(prewarm: bool):
+    def replay(workload, prewarm: bool = False):
         engine = ServeEngine(share_caches=True)
-        for k in range(tenants):
-            feed = InstanceFeed(
-                instance.with_demand(np.roll(demand, k), name=f"tenant-{k}")
-            )
-            engine.add_tenant(f"tenant-{k}", "A", feed)
+        for name, kind, tenant_instance in workload:
+            engine.add_tenant(name, kind, InstanceFeed(tenant_instance))
         if prewarm:
             engine.prewarm(sorted({float(v) for v in demand}))
         engine.run()
@@ -1547,11 +1564,12 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
         )
         return summed, [s.cumulative_cost for s in engine.sessions], registry
 
-    cold, cold_costs, cold_reg = replay(prewarm=False)
-    pre, pre_costs, pre_reg = replay(prewarm=True)
+    cold, cold_costs, cold_reg = replay(quantised)
+    pre, pre_costs, pre_reg = replay(quantised, prewarm=True)
+    cont, _, cont_reg = replay(continuous)
 
     for label, counters_path, registry_path in (
-        ("cold", cold, cold_reg), ("prewarmed", pre, pre_reg)
+        ("cold", cold, cold_reg), ("prewarmed", pre, pre_reg), ("continuous", cont, cont_reg)
     ):
         if counters_path != registry_path:
             diff = {
@@ -1581,6 +1599,8 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
         "table_gathers_prewarmed": pre["table_gathers"],
         "prewarmed_levels": pre["prewarmed_levels"],
         "unique_solves_prewarmed": pre["unique_solves"],
+        "unique_solves_continuous": cont["unique_solves"],
+        "slot_queries_continuous": cont["slot_queries"],
     }
     measured_registry = {
         "unique_solves": cold_reg["unique_solves"],
@@ -1591,6 +1611,8 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
         "table_gathers_prewarmed": pre_reg["table_gathers"],
         "prewarmed_levels": pre_reg["prewarmed_levels"],
         "unique_solves_prewarmed": pre_reg["unique_solves"],
+        "unique_solves_continuous": cont_reg["unique_solves"],
+        "slot_queries_continuous": cont_reg["slot_queries"],
     }
     deviations = {}
     for key, pinned in PINNED_SERVE_COUNTERS.items():
@@ -1630,11 +1652,12 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
             "demand_levels": levels,
             "tenants": tenants,
             "algorithm": "A",
+            "continuous": {"ticks": continuous_ticks, "algorithms": list(continuous_kinds)},
         },
         "measured": measured,
         "registry": measured_registry,
         "pinned": dict(PINNED_SERVE_COUNTERS),
-        "modes": {"cold": cold, "prewarmed": pre},
+        "modes": {"cold": cold, "prewarmed": pre, "continuous": cont},
         "note": "all counters gate by exact equality — through both the "
                 "counters() dict path and the metrics-registry snapshot path; "
                 "costs gate at 1e-9",

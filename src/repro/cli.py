@@ -1299,7 +1299,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ]
         print(format_table(table_rows, title="bench counters — hot-path work-counter pins"))
         print(f"\nall {len(table_rows)} pinned counters reproduced exactly "
-              "(cold / prewarmed replays, per-tenant costs equal to 1e-9)")
+              "(cold / prewarmed / continuous replays, per-tenant costs equal to 1e-9)")
         if args.json:
             print(f"wrote {args.json}")
         return 0

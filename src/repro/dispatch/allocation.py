@@ -63,7 +63,14 @@ slot, and the online algorithms re-evaluate the same grid slot after slot.
   ``(unique_slots, n_configs)`` array, and
 * results are **memoised** per ``(signature, configuration-set)``, which turns
   the repeated whole-grid queries of the online trackers (and Algorithm C's
-  sub-slot refinement) into dictionary lookups.
+  sub-slot refinement) into dictionary lookups, and
+* a signature solved fresh on a configuration set answers any **subset** of
+  it (the configuration an online algorithm then pays, Algorithm C's
+  Lemma-14 repair, a schedule's configurations) by gathering those rows, so
+  a cold tick runs one solve, not one per query.  The solver keeps the
+  widest set per signature; only cells computed from their own data alone
+  (the event sweep, ``d == 1``) are gathered, never bisection rows, and a
+  ``memoise=False`` call records no set.
 
 A SciPy (SLSQP) reference solver is included for cross-validation in the test
 suite.
@@ -120,7 +127,8 @@ class DispatchStats:
     ``slot_queries`` counts every (slot, configuration-set) row requested
     through the block engine; ``unique_solves`` counts how many of those
     actually ran a fresh solve.  The difference is served from the
-    signature dedup / memo cache, so
+    signature dedup / memo cache, or gathered from a solve of a wider
+    configuration set, so every such row is a cache hit and
     ``cache_hit_rate = 1 - unique_solves / slot_queries``.
 
     ``bisection_iterations`` counts iterative refinement only: the steps of
@@ -262,8 +270,9 @@ class DispatchSolver:
 
     The solver memoises single-configuration queries (the online algorithms ask
     for the same configurations repeatedly), deduplicates whole-grid queries by
-    dispatch signature, and exposes the batched :meth:`solve_block` /
-    :meth:`solve_grid` used by the offline dynamic programs.
+    dispatch signature, answers sub-grid queries from a grid it has already
+    solved, and exposes the batched :meth:`solve_block` / :meth:`solve_grid`
+    used by the offline dynamic programs.
 
     Parameters
     ----------
@@ -300,6 +309,13 @@ class DispatchSolver:
         self._sig_functions: dict = {}
         self._row_pieces: dict = {}
         self._configs_id_cache: dict = {}
+        # signature -> the widest configuration set it was solved fresh on,
+        # as (configs key, base cost row, load rows)
+        self._solved: dict = {}
+        # configs key of a solved set -> {row bytes: row index}
+        self._row_index: dict = {}
+        # (requested configs key, solved configs key) -> gather index or None
+        self._gathers: dict = {}
 
     # ------------------------------------------------------------------ API
     def solve(self, t: int, x: Sequence[int]) -> DispatchResult:
@@ -328,6 +344,9 @@ class DispatchSolver:
         self._sig_functions.clear()
         self._row_pieces.clear()
         self._configs_id_cache.clear()
+        self._solved.clear()
+        self._row_index.clear()
+        self._gathers.clear()
 
     # ----------------------------------------------------------- vectorised
     def solve_grid(self, t: int, configs: np.ndarray) -> tuple:
@@ -354,9 +373,10 @@ class DispatchSolver:
         """Evaluate ``g_t(x)`` for every slot in ``ts`` times every row of ``configs``.
 
         This is the batched engine behind all solvers: slots are deduplicated
-        by dispatch signature, unique slots sharing a cost row are solved
-        together, and solutions are memoised per
-        ``(signature, configuration-set)``.
+        by dispatch signature, a signature already solved on a superset of
+        ``configs`` is gathered from that solve, the other unique slots
+        sharing a cost row are solved together, and solutions are memoised
+        per ``(signature, configuration-set)``.
 
         Parameters
         ----------
@@ -365,12 +385,12 @@ class DispatchSolver:
         configs:
             Array of shape ``(n, d)`` shared by all slots.
         memoise:
-            When ``False``, previously cached results are still *read* but no
-            new ``(signature, configuration-set)`` entries are written.  The
-            streaming DP passes ``False``: on long horizons with per-slot
-            demands the memo would hold one cost row *and* one load block per
-            slot — the very ``O(T * |M|)`` footprint the streaming pass
-            removes.
+            When ``False``, previously cached results are still *read* (and
+            gathered from) but no new ``(signature, configuration-set)``
+            entries or solved sets are written.  The streaming DP passes
+            ``False``: on long horizons with per-slot demands the memo would
+            hold one cost row *and* one load block per slot — the very
+            ``O(T * |M|)`` footprint the streaming pass removes.
 
         Returns
         -------
@@ -414,9 +434,26 @@ class DispatchSolver:
             else:
                 entry.append((i, scale))
 
+        # --- a signature already solved fresh on a superset of ``configs``
+        # is answered by gathering that solve's rows
+        fresh = pending.items()
+        if self._solved:
+            fresh, gathered = [], []
+            for sig, rows in pending.items():
+                solved = self._solved.get(sig)
+                index = None if solved is None else self._gather_index(configs_key, configs, solved[0], memoise)
+                if index is None:
+                    fresh.append((sig, rows))
+                    continue
+                costs_k, loads_k = solved[1][index], solved[2][index]
+                costs_k.setflags(write=False)
+                loads_k.setflags(write=False)
+                gathered.append((sig, rows, costs_k, loads_k))
+            self._emit(gathered, configs_key, memoise, out_costs, out_loads)
+
         # --- group unique signatures by cost row and solve each group at once
         groups: dict = {}
-        for sig, rows in pending.items():
+        for sig, rows in fresh:
             groups.setdefault(sig[1], []).append((sig, rows))
         for row_key, entries in groups.items():
             entries.sort(key=lambda e: e[0][0])  # ascending demand
@@ -427,27 +464,70 @@ class DispatchSolver:
             costs_u.setflags(write=False)
             loads_u.setflags(write=False)
             self.stats.unique_solves += len(entries)
-            for k, (sig, rows) in enumerate(entries):
-                loads_k = loads_u[k]
-                scaled_costs: dict = {1.0: costs_u[k]}
-                for i, scale in rows:
-                    row_costs = scaled_costs.get(scale)
-                    if row_costs is None:
-                        # the optimal allocation is scale-invariant; only the
-                        # cost is multiplied (inf stays inf for scale > 0)
-                        row_costs = costs_u[k] * scale
-                        row_costs.setflags(write=False)
-                        scaled_costs[scale] = row_costs
-                    if memoise:
-                        self._block_cache[(sig, scale, configs_key)] = (row_costs, loads_k)
-                    out_costs[i] = row_costs
-                    out_loads[i] = loads_k
+            solved_rows = [(sig, rows, costs_u[k], loads_u[k]) for k, (sig, rows) in enumerate(entries)]
+            # only cells computed from their own data alone may be gathered
+            # later: the bisection's stopping width is block-wide
+            if memoise and (d == 1 or self._pieces(row_key) is not None):
+                for sig, _, costs_k, loads_k in solved_rows:
+                    record = (configs_key, costs_k, loads_k)
+                    if len(self._solved.setdefault(sig, record)[1]) < n:
+                        self._solved[sig] = record
+            self._emit(solved_rows, configs_key, memoise, out_costs, out_loads)
 
         out_costs.setflags(write=False)
         out_loads.setflags(write=False)
         return out_costs, out_loads
 
     # ------------------------------------------------------------- internals
+    def _emit(self, entries, configs_key, memoise, out_costs, out_loads) -> None:
+        """Write each ``(sig, rows, base cost row, loads)`` entry to its output rows.
+
+        Each row's cost is the base row times that slot's scale.
+        """
+        for sig, rows, base_costs, loads in entries:
+            scaled_costs: dict = {1.0: base_costs}
+            for i, scale in rows:
+                row_costs = scaled_costs.get(scale)
+                if row_costs is None:
+                    # the optimal allocation is scale-invariant; only the
+                    # cost is multiplied (inf stays inf for scale > 0)
+                    row_costs = base_costs * scale
+                    row_costs.setflags(write=False)
+                    scaled_costs[scale] = row_costs
+                if memoise:
+                    self._block_cache[(sig, scale, configs_key)] = (row_costs, loads)
+                out_costs[i] = row_costs
+                out_loads[i] = loads
+
+    def _gather_index(self, configs_key, configs, solved_key, memoise):
+        """Rows of a solved configuration set holding every row of ``configs``, or ``None``.
+
+        Rows match by their float values, the solve's own input.  The solved
+        set is rebuilt from the bytes of its key, which no caller can mutate.
+        """
+        if configs_key == solved_key:
+            return slice(None)  # the solved set itself, queried at another scale
+        pair = (configs_key, solved_key)
+        if pair in self._gathers:
+            return self._gathers[pair]
+        rows = self._row_index.get(solved_key)
+        if rows is None:
+            shape, dtype, data = solved_key
+            solved = np.frombuffer(data, dtype=dtype).reshape(shape).astype(float)
+            rows = {row.tobytes(): k for k, row in enumerate(solved)}
+            self._row_index[solved_key] = rows
+        index = [rows.get(row.tobytes()) for row in np.ascontiguousarray(configs, dtype=float)]
+        index = None if None in index else np.array(index, dtype=np.intp)
+        if memoise:
+            self._gathers[pair] = index
+        return index
+
+    def _pieces(self, row_key) -> Optional[_RowPieces]:
+        """The marginal pieces of a cost row (``None`` for the bisection path)."""
+        if row_key not in self._row_pieces:
+            self._row_pieces[row_key] = _RowPieces.of(self._sig_functions[row_key])
+        return self._row_pieces[row_key]
+
     def _configs_key(self, configs: np.ndarray):
         """Hashable content key of a configuration set.
 
@@ -532,9 +612,7 @@ class DispatchSolver:
             if d == 1:
                 w_sub = np.minimum(lam_p[:, None, None], sub_caps[None, :, :])
             else:
-                if row_key not in self._row_pieces:
-                    self._row_pieces[row_key] = _RowPieces.of(functions)
-                pieces = self._row_pieces[row_key]
+                pieces = self._pieces(row_key)
                 if pieces is not None:
                     # one row per (demand level, configuration) cell
                     n_act = len(sub_caps)

@@ -77,6 +77,25 @@ class TestBasicDispatch:
         c = solver.solve(1, [2, 1])
         assert c is not a and c.cost == pytest.approx(a.cost)
 
+    def test_only_memoised_supersets_are_gathered(self, small_instance):
+        grid = StateGrid.full(small_instance.m).configs()
+        solver = DispatchSolver(small_instance)
+        solver.solve_block([1], grid, memoise=False)
+        solves = solver.stats.unique_solves
+        solver.solve(1, grid[-1])
+        assert solver.stats.unique_solves == solves + 1
+        # a memoised grid answers the same query by a gather until cleared,
+        # but not a set with a row outside the grid
+        solver.solve_grid(3, grid)
+        solves = solver.stats.unique_solves
+        solver.solve(3, grid[-1])
+        assert solver.stats.unique_solves == solves
+        solver.solve_grid(3, np.array([grid[-1], [0.5, 1.0]]))
+        assert solver.stats.unique_solves == solves + 1
+        solver.clear_cache()
+        solver.solve(3, grid[-1])
+        assert solver.stats.unique_solves == solves + 2
+
     def test_wrong_shape_rejected(self, small_instance):
         solver = DispatchSolver(small_instance)
         with pytest.raises(ValueError):
@@ -296,14 +315,18 @@ class TestIterativePaths:
         assert solver.stats.unique_solves > 0
         assert solver.stats.bisection_iterations == 0
 
-    def test_callable_cost_goes_through_bisection(self):
+    @staticmethod
+    def _callable_instance():
         types = (
             ServerType("measured", count=2, switching_cost=1.0, capacity=2.0,
                        cost_function=CallableCost(lambda z: 0.4 + 0.3 * z + 0.6 * z ** 2.5)),
             ServerType("quad", count=2, switching_cost=1.0, capacity=3.0,
                        cost_function=QuadraticCost(idle=0.5, a=0.2, b=0.4)),
         )
-        inst = ProblemInstance(types, np.array([0.0, 0.7, 2.5, 6.0]))
+        return ProblemInstance(types, np.array([0.0, 0.7, 2.5, 6.0]))
+
+    def test_callable_cost_goes_through_bisection(self):
+        inst = self._callable_instance()
         configs = StateGrid.full(inst.m).configs()
         solver = DispatchSolver(inst)
         costs, loads = solver.solve_block(range(inst.T), configs)
@@ -314,6 +337,22 @@ class TestIterativePaths:
                 if np.isfinite(costs[t, i]):
                     assert loads[t, i].sum() == pytest.approx(inst.demand[t], abs=1e-9)
 
+    def test_callable_cost_rows_are_never_gathered(self):
+        """The bisection stops on a block-wide width, so a configuration
+        solved inside a grid may differ in its last bits from the same
+        configuration solved alone: its query runs a fresh solve."""
+        inst = self._callable_instance()
+        configs = StateGrid.full(inst.m).configs()
+        solver = DispatchSolver(inst)
+        for t in range(inst.T):
+            solver.solve_grid(t, configs)
+            solves = solver.stats.unique_solves
+            got = solver.solve(t, configs[-1])
+            assert solver.stats.unique_solves == solves + 1
+            fresh = DispatchSolver(inst).solve(t, configs[-1])
+            assert np.array_equal(got.cost, fresh.cost)
+            assert np.array_equal(got.loads, fresh.loads)
+
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
@@ -322,12 +361,17 @@ def test_exact_dispatch_property(data):
 
     The loads serve the demand within the type caps, the cost matches the
     SLSQP reference, and a cell is the same wherever it is solved — alone,
-    in a grid row or in a block of slots — bit for bit.
+    in a grid row or in a block of slots — bit for bit.  A solver that has
+    solved the grid answers the configuration and any sub-grid of it by a
+    gather, with no fresh solve, bit for bit as a fresh solver does.
     """
     seed = data.draw(st.integers(0, 10_000))
     d = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, T=3, d=d, max_servers=2)
+    if data.draw(st.booleans()):
+        # every slot gets a price, so gathered costs carry a scale != 1
+        inst = inst.with_price_profile(rng.uniform(0.5, 2.0, size=inst.T))
     grid = StateGrid.full(inst.m).configs()
     t = data.draw(st.integers(0, inst.T - 1))
     i = data.draw(st.integers(0, len(grid) - 1))
@@ -340,6 +384,19 @@ def test_exact_dispatch_property(data):
     assert np.array_equal(block_costs[t, i], single.cost)
     assert np.array_equal(grid_loads[i], single.loads)
     assert np.array_equal(block_loads[t, i], single.loads)
+
+    subset = grid[data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=8))]
+    solver = DispatchSolver(inst)
+    solver.solve_grid(t, grid)
+    solves = solver.stats.unique_solves
+    gathered = solver.solve(t, x)
+    sub_costs, sub_loads = solver.solve_block([t], subset)
+    assert solver.stats.unique_solves == solves
+    fresh_costs, fresh_loads = DispatchSolver(inst).solve_block([t], subset)
+    assert np.array_equal(gathered.cost, single.cost)
+    assert np.array_equal(gathered.loads, single.loads)
+    assert np.array_equal(sub_costs, fresh_costs)
+    assert np.array_equal(sub_loads, fresh_loads)
 
     lam = float(inst.demand[t])
     caps = x * inst.zmax
