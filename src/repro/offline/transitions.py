@@ -292,6 +292,38 @@ class TransitionPlan:
             cur = out.swapaxes(axis, -1) if moved else out
         return cur
 
+    def apply_lanes(self, values_tensor: np.ndarray) -> np.ndarray:
+        """:meth:`apply` over a leading lane axis: ``(k, *src_shape)`` in.
+
+        Lane ``i`` of the result equals ``apply(values_tensor[i])`` bit for
+        bit: the kernels are elementwise or reduce along the last axis, so
+        one call over ``k`` stacked tensors runs each lane's exact operation
+        sequence.  Returns a fresh ``(k, *dst_shape)`` tensor (the plan's
+        buffers are untouched) and leaves the input intact.
+        """
+        V = values_tensor
+        if V.dtype != np.float64 or V.shape[1:] != self.src_shape:
+            raise ValueError(
+                f"plan expects float64 lanes of shape {self.src_shape}, "
+                f"got {V.dtype} {V.shape}"
+            )
+        lanes = V.shape[:1]
+        cur = V
+        for (axis, moved, same, bsrc, bdst, up_idx, down_idx,
+             shifted, _rev, _gather, out) in self._steps:
+            work = cur.swapaxes(axis + 1, -1) if moved else cur
+            shifted = np.empty(lanes + shifted.shape)
+            out = np.empty(lanes + out.shape)
+            if same:
+                _min_plus_axis_same(work, bsrc, bdst, shifted, shifted[..., ::-1], out)
+            else:
+                _min_plus_axis(
+                    work, bsrc, bdst, up_idx, down_idx, shifted, shifted[..., ::-1],
+                    np.empty_like(out), out,
+                )
+            cur = out.swapaxes(axis + 1, -1) if moved else out
+        return cur
+
 
 def make_transition_plan(
     src_values: Sequence[np.ndarray],

@@ -86,17 +86,25 @@ class AlgorithmA(OnlineAlgorithm):
     def step(self, slot: SlotInfo) -> np.ndarray:
         if self._current is None:
             raise RuntimeError("start() must be called before step()")
-        t = slot.t
         if self._runtimes is None:
             self._runtimes = self._compute_runtimes(slot)
+        xhat = np.asarray(self._tracker.observe(slot), dtype=int)
+        return self.decide(slot.t, xhat)
+
+    def decide(self, t: int, xhat: np.ndarray) -> np.ndarray:
+        """Slot ``t``'s configuration from its prefix optimum ``\\hat x^t_t``.
+
+        The power-down and power-up rules, after the tracker has observed the
+        slot (:meth:`step` is the tracker's ``observe`` plus this rule; the
+        batched serve engine feeds it ``xhat`` from a stacked tracker
+        advance).  Needs the runtimes, which the first :meth:`step` computes.
+        """
         if self._runtime_ticks is None:
             # integer ski-rental runtimes as plain ints (-1 = infinite): the
             # per-type expiry bookkeeping below stays off numpy scalars
             self._runtime_ticks = [
                 int(r) if math.isfinite(r) else -1 for r in self._runtimes
             ]
-
-        xhat = np.asarray(self._tracker.observe(slot), dtype=int)
         self._xhat_history.append(xhat.copy())
 
         # Power-down rule: servers powered up exactly \bar t_j slots ago expire

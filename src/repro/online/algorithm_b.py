@@ -74,10 +74,18 @@ class AlgorithmB(OnlineAlgorithm):
     def step(self, slot: SlotInfo) -> np.ndarray:
         if self._current is None:
             raise RuntimeError("start() must be called before step()")
-        t = slot.t
         idle = slot.idle_costs()
-
         xhat = np.asarray(self._tracker.observe(slot), dtype=int)
+        return self.decide(slot.t, xhat, idle, slot.beta)
+
+    def decide(self, t: int, xhat: np.ndarray, idle: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """Slot ``t``'s configuration from its prefix optimum ``\\hat x^t_t``.
+
+        The power-down and power-up rules, given the slot's idle costs
+        ``l_{t,j}`` and switching costs ``beta`` (:meth:`step` is the
+        tracker's ``observe`` plus this rule; the batched serve engine feeds
+        it ``xhat`` from a stacked tracker advance).
+        """
         self._xhat_history.append(xhat.copy())
 
         # Power-down rule: retire the servers whose accumulated idle cost since
@@ -91,7 +99,7 @@ class AlgorithmB(OnlineAlgorithm):
                 continue
             surviving = []
             for record in self._records[j]:
-                if record.accumulated_idle + idle[j] > slot.beta[j] + 1e-12:
+                if record.accumulated_idle + idle[j] > beta[j] + 1e-12:
                     self._current[j] -= record.count
                     self._retired[j].append(Block(start=record.slot, end=t - 1))
                     retired_now[j].append(record.slot)

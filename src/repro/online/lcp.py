@@ -16,11 +16,18 @@ discrete setting:
 * an upper target ``X^U_t`` — the largest such configuration,
 * ``x^LCP_t = clip(x^LCP_{t-1}, X^L_t, X^U_t)`` — move only when forced.
 
-Both targets are produced by the incremental DP tracker with opposite
-tie-breaking.  This is a faithful adaptation of LCP's "lazy between prefix
-optima" principle to the discrete heterogeneous code base rather than a
-line-by-line port of the original (which is defined through charging arguments
-specific to ``d = 1``); see DESIGN.md.  For ``d > 1`` the per-type clipping is
+Both targets are optimal last configurations of the same prefix-DP value
+tensor ``V_t``, so one incremental DP tracker produces both, as its
+``"smallest"`` and ``"largest"`` argmins
+(:meth:`~repro.online.tracker.DPPrefixTracker.argmin`).  ``step`` is that
+tracker's ``observe`` plus the projection rule ``decide``; the batched serve
+engine runs the same ``decide`` after advancing a cohort of LCP trackers in
+one stacked transition.
+
+This is a faithful adaptation of LCP's "lazy between prefix optima" principle
+to the discrete heterogeneous code base rather than a line-by-line port of the
+original (which is defined through charging arguments specific to ``d = 1``);
+see DESIGN.md.  For ``d > 1`` the per-type clipping is
 still well defined and is provided as a heuristic (`allow_heterogeneous=True`),
 but no competitive guarantee is claimed — the benchmarks use it to illustrate
 why the heterogeneous problem needs the new algorithms of this paper.
@@ -41,10 +48,12 @@ __all__ = ["LazyCapacityProvisioning"]
 class LazyCapacityProvisioning(OnlineAlgorithm):
     """Discrete Lazy Capacity Provisioning (Lin et al.) on top of the prefix-optimum DP.
 
-    ``tracker_factory`` (a :class:`~repro.online.tracker.SharedTrackerFactory`)
-    lets the sweep engine hand LCP its per-instance shared value stream: the
-    lower and upper targets then read one memoised prefix-DP stream — also
-    shared with Algorithms A and B — instead of maintaining two private ones.
+    One tracker, two argmins: the lower and upper targets are the
+    ``"smallest"`` and ``"largest"`` optimal last configurations of one
+    prefix-DP value tensor.  ``tracker_factory`` (a
+    :class:`~repro.online.tracker.SharedTrackerFactory`) lets the sweep engine
+    hand LCP its per-instance shared value stream, which Algorithms A and B
+    read too; without one, LCP keeps a private tracker.
     """
 
     name = "LCP"
@@ -56,11 +65,9 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
         tracker_factory: Optional[SharedTrackerFactory] = None,
     ):
         if tracker_factory is not None:
-            self._lower_tracker = tracker_factory.tracker(gamma=gamma, tie_break="smallest")
-            self._upper_tracker = tracker_factory.tracker(gamma=gamma, tie_break="largest")
+            self._tracker = tracker_factory.tracker(gamma=gamma)
         else:
-            self._lower_tracker = DPPrefixTracker(gamma=gamma, tie_break="smallest")
-            self._upper_tracker = DPPrefixTracker(gamma=gamma, tie_break="largest")
+            self._tracker = DPPrefixTracker(gamma=gamma)
         self.allow_heterogeneous = bool(allow_heterogeneous)
         self._current: Optional[np.ndarray] = None
         self._bounds_history = []
@@ -71,14 +78,22 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
                 "LCP is defined for homogeneous data centers (d=1); "
                 "pass allow_heterogeneous=True to use the per-type heuristic extension"
             )
-        self._lower_tracker.reset()
-        self._upper_tracker.reset()
+        self._tracker.reset()
         self._current = np.zeros(context.d, dtype=int)
         self._bounds_history = []
 
     def step(self, slot: SlotInfo) -> np.ndarray:
-        lower = np.asarray(self._lower_tracker.observe(slot), dtype=int)
-        upper = np.asarray(self._upper_tracker.observe(slot), dtype=int)
+        lower = np.asarray(self._tracker.observe(slot), dtype=int)
+        upper = np.asarray(self._tracker.argmin("largest"), dtype=int)
+        return self.decide(lower, upper)
+
+    def decide(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Project the current configuration onto ``[lower, upper]``.
+
+        ``lower`` and ``upper`` are the smallest and largest optimal last
+        configurations of the prefix instance, after the tracker has observed
+        the slot.
+        """
         # Degenerate ties can make the two targets cross on heterogeneous
         # instances (different optimal schedules trade one type for another);
         # normalise so that the projection interval is well defined.
@@ -90,18 +105,16 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
 
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
-        """Decision-relevant state: current configuration and both trackers."""
+        """Decision-relevant state: current configuration and the tracker."""
         return {
             "current": None if self._current is None else [int(v) for v in self._current],
-            "lower": self._lower_tracker.state_dict(),
-            "upper": self._upper_tracker.state_dict(),
+            "tracker": self._tracker.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
         current = state["current"]
         self._current = None if current is None else np.asarray(current, dtype=int)
-        self._lower_tracker.load_state_dict(state["lower"])
-        self._upper_tracker.load_state_dict(state["upper"])
+        self._tracker.load_state_dict(state["tracker"])
         self._bounds_history = []
 
     @property

@@ -15,7 +15,10 @@ separable min-plus transition plus one operating-cost accumulation per slot.
 in the same asymptotic time as a single offline solve.  Ties among optimal last
 configurations are broken deterministically (lexicographically smallest or
 largest); the competitive analysis holds for any optimal schedule, so the
-choice only matters for reproducibility.
+choice only matters for reproducibility.  Both tie-breaks read the same
+``V_t``, so one tracker serves both (:meth:`DPPrefixTracker.argmin`).
+:func:`observe_stacked` advances many private trackers on one grid by one slot
+in one stacked transition (the batched serve engine's DP cohorts).
 
 :class:`FixedSequenceTracker` replays an explicitly given ``\\hat x`` series.
 It exists so that the behaviour of Algorithms A and B can be verified against
@@ -42,6 +45,8 @@ __all__ = [
     "SharedValueStream",
     "SharedTrackerFactory",
     "argmin_config",
+    "observe_stacked",
+    "stackable",
 ]
 
 
@@ -318,8 +323,8 @@ class DPPrefixTracker(PrefixOptimumTracker):
         see DESIGN.md).
     tie_break:
         ``"smallest"`` (default) or ``"largest"``: which optimal last
-        configuration to report when several exist.  The LCP baseline uses one
-        tracker of each kind to obtain its lower/upper bounds.
+        configuration :meth:`observe` reports when several exist.  The LCP
+        baseline reads both from one tracker (:meth:`argmin`).
     stream:
         Optional :class:`SharedValueStream`.  When given, the tracker replays
         (and lazily extends) the shared memoised value stream instead of
@@ -379,7 +384,7 @@ class DPPrefixTracker(PrefixOptimumTracker):
         if self._stream is not None:
             self._grid, self._value = self._stream.at(self._steps, slot)
             self._steps += 1
-            return self._argmin_config()
+            return self.argmin(self.tie_break)
         counts = slot.counts
         if counts is self._counts_obj:
             grid = self._counts_grid
@@ -414,7 +419,7 @@ class DPPrefixTracker(PrefixOptimumTracker):
         self._grid = grid
         self._grid_counts = self._counts_tuple
         self._steps += 1
-        return self._argmin_config()
+        return self.argmin(self.tie_break)
 
     def _planned_transition(self, grid: StateGrid, beta: np.ndarray) -> Optional[np.ndarray]:
         """Apply the cached same-grid :class:`TransitionPlan`, or ``None``.
@@ -429,13 +434,29 @@ class DPPrefixTracker(PrefixOptimumTracker):
         value = self._value
         if value.dtype != np.float64 or value.shape != grid.shape:
             return None
+        plan = self._plan_for(grid, beta)
+        if plan is None:
+            return None
+        return plan.apply(value)
+
+    def _plan_for(self, grid: StateGrid, beta: np.ndarray):
+        """The cached same-grid :class:`TransitionPlan` (``None`` if unplannable)."""
         key = (id(grid), beta.tobytes())
         if key != self._plan_key:
             self._plan_key = key
             self._plan = make_transition_plan(grid.values, grid.values, beta)
-        if self._plan is None:
-            return None
-        return self._plan.apply(value)
+        return self._plan
+
+    def argmin(self, tie_break: str) -> np.ndarray:
+        """The ``tie_break`` optimal last configuration of the current ``V_t``."""
+        if tie_break not in ("smallest", "largest"):
+            raise ValueError("tie_break must be 'smallest' or 'largest'")
+        config, self._scratch = argmin_config(self._value, self._grid, tie_break, self._scratch)
+        return config
+
+    def holds(self, counts: tuple) -> bool:
+        """Whether the tracker holds a ``V_t`` on the grid of the ``counts`` tuple."""
+        return self._value is not None and self._grid_counts == counts
 
     def prefix_optimum_cost(self) -> float:
         if self._value is None:
@@ -500,9 +521,63 @@ class DPPrefixTracker(PrefixOptimumTracker):
             self._grid_cache[key] = grid
         return grid
 
-    def _argmin_config(self) -> np.ndarray:
-        config, self._scratch = argmin_config(self._value, self._grid, self.tie_break, self._scratch)
-        return config
+
+def stackable(tracker: PrefixOptimumTracker) -> bool:
+    """Whether :func:`observe_stacked` may advance ``tracker``.
+
+    Only a private exact :class:`DPPrefixTracker` (the class itself, full
+    grids, its own value tensor, the default ``"smallest"`` tie-break)
+    qualifies; subclasses, ``gamma``-reduced and shared-stream trackers
+    advance through their own :meth:`~DPPrefixTracker.observe`.
+    """
+    return (
+        type(tracker) is DPPrefixTracker
+        and tracker.gamma is None
+        and tracker._stream is None
+        and tracker.tie_break == "smallest"
+    )
+
+
+def observe_stacked(
+    trackers: Sequence[DPPrefixTracker],
+    costs: np.ndarray,
+    beta: np.ndarray,
+    tie_breaks: Sequence[str] = ("smallest",),
+) -> tuple:
+    """Advance :func:`stackable` trackers on one grid by one slot, stacked.
+
+    Every tracker must :meth:`~DPPrefixTracker.holds` a ``V_{t-1}`` on the
+    slot's grid; ``costs`` is the ``(k, *grid.shape)`` stack of the slot's
+    operating-cost tensors ``g_t``, row ``i`` for ``trackers[i]``.  The
+    ``V_{t-1}`` are stacked into one tensor, advanced by one min-plus
+    transition over the lane axis and accumulated with ``costs``; row ``i``
+    is installed as ``trackers[i]``'s ``V_t``.  Every lane runs
+    :meth:`~DPPrefixTracker.observe`'s ufunc sequence, so the installed
+    tensors and the returned configurations are bit-identical to ``k``
+    sequential ``observe`` calls.
+
+    Returns one ``(k, d)`` array per entry of ``tie_breaks``: row ``i`` is
+    ``trackers[i].argmin(tie_break)`` after the step.
+    """
+    lead = trackers[0]
+    grid = lead._grid
+    values = np.stack([tracker._value for tracker in trackers])
+    arrival = lead._plan_for(grid, beta).apply_lanes(values)
+    value = np.add(arrival, costs, out=arrival)
+    for tracker, row in zip(trackers, value):
+        tracker._value = row
+        tracker._steps += 1
+    flat = value.reshape(len(trackers), -1)
+    configs = grid.configs()
+    optima = []
+    for tie_break in tie_breaks:
+        if tie_break == "smallest":
+            idx = flat.argmin(axis=1)
+        else:
+            # last occurrence of the minimum, as argmin_config reports it
+            idx = flat.shape[1] - 1 - flat[:, ::-1].argmin(axis=1)
+        optima.append(configs[idx])
+    return tuple(optima)
 
 
 class FixedSequenceTracker(PrefixOptimumTracker):

@@ -1,4 +1,4 @@
-"""Fleet-batched multi-tenant ticks: vectorised cross-tenant dispatch.
+"""Fleet-batched multi-tenant ticks: vectorised cross-tenant decisions.
 
 :class:`ServeEngine` owns the serving round — pull one tick per live tenant,
 resolve the arrivals, write telemetry and checkpoints — and resolves the
@@ -12,25 +12,40 @@ replaces only its resolution, applying the ``solve_block`` idea one level up,
   ``(cache identity, decider kind, cost-row signature, counts signature)`` —
   the same keys :class:`~repro.serve.session.ServeCache` and
   :class:`~repro.dispatch.tables.SolutionTable` already dedup on.
-* A cohort's demands become one vector.  Decisions for table-driven
-  algorithms (``reactive``, ``follow-demand``, ``all-on``) are resolved with a
-  single gather from a per-cohort decision table plus one vectorised
-  argmin/switching-cost computation, then committed per tenant through
-  :meth:`ControllerSession.commit_tick` — the pure-state-update phase of a
-  tick, so session state is *bit-identical* to a sequential replay.
-* Everything else — stateful DP algorithms (A/B/C/LCP), regret-tracked
-  sessions, custom algorithm objects, invalid or strict-infeasible ticks, and
-  cohort members whose demand level misses a saturated table — goes back
-  through :meth:`ServeEngine.resolve`, the sequential resolution itself.
+* Table-driven baselines (``reactive``, ``follow-demand``, ``all-on``) are
+  decided with a single gather from a per-cohort decision table plus one
+  vectorised argmin/switching-cost computation.
+* The prefix-DP algorithms (``A``, ``B``, ``lcp``) decide slot ``t`` from
+  their tracker's value tensor ``V_t``.  A cohort stacks its members'
+  ``V_{t-1}`` into one ``(k, *grid.shape)`` tensor and advances them with one
+  min-plus transition (:func:`~repro.online.tracker.observe_stacked`), adding
+  one grid cost tensor per distinct served demand; one vectorised argmin per
+  row gives each member's prefix optimum, and the algorithm's own ``decide``
+  rule (power-up/power-down, or LCP's projection) then runs per member,
+  followed by :meth:`ControllerSession.check_choice`.
+* Every member is committed through :meth:`ControllerSession.commit_tick` —
+  the pure-state-update phase of a tick, so session state is *bit-identical*
+  to a sequential replay.  Each member's latency is its share of the
+  cohort's shared work plus its own decide and commit.
+* Everything else goes back through :meth:`ServeEngine.resolve`, the
+  sequential resolution itself: custom algorithm objects and subclasses,
+  Algorithm C, regret-tracked sessions, ``gamma``-reduced baselines and
+  trackers, shared-stream or custom trackers; a DP tenant's first tick (no
+  ``V`` yet) and ticks whose counts change its grid; invalid or
+  strict-infeasible ticks, a DP tick whose cost tensor has no finite entry,
+  and table members whose demand level misses a saturated table.
 
 Bit-identity is by construction, not by tolerance: decision-cost rows are
 fetched through ``dispatcher.solve_grid(vt, float_configs)`` — the exact
 memoised call sequential ``Reactive.step``/``FollowDemand.step`` make via
-``slot.operating_cost`` — and committed operating costs/loads come from the
-same memoised :meth:`ServeCache.solve_config` results, so a batched run
-returns the *identical float objects* a sequential run would.  The vectorised
-switching computation ``max(x - prev, 0) · beta`` reduces over the same axis
-in the same order as the sequential per-tenant expression.
+``slot.operating_cost`` — grid cost tensors through the same
+:meth:`ServeCache.grid_tensor` the trackers read, and committed operating
+costs/loads come from the same memoised :meth:`ServeCache.solve_config`
+results, so a batched run returns the *identical float objects* a sequential
+run would.  The vectorised switching computation
+``max(x - prev, 0) · beta`` reduces over the same axis in the same order as
+the sequential per-tenant expression, and every lane of a stacked transition
+runs the sequential tracker's ufunc sequence.
 
 An optional **feed pump** overlaps feed I/O with the batched solve: a small
 thread pool prefetches upcoming ticks from slow feeds (``JsonlFeed``, paced
@@ -57,7 +72,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..offline.state_grid import StateGrid
+from ..online.algorithm_a import AlgorithmA
+from ..online.algorithm_b import AlgorithmB
 from ..online.baselines import AllOn, FollowDemand, Reactive
+from ..online.lcp import LazyCapacityProvisioning
+from ..online.tracker import observe_stacked, stackable
 from .engine import ServeEngine
 from .session import ControllerSession, ServeCache
 from .telemetry import TelemetryWriter
@@ -71,14 +90,21 @@ __all__ = ["BatchedServeEngine", "FeedPump"]
 DEFAULT_TABLE_BUDGET = 4096
 
 
+#: Algorithms deciding from a prefix-DP value tensor: their cohorts advance
+#: the members' trackers in one stacked transition.
+_DP_KINDS = {AlgorithmA: "A", AlgorithmB: "B", LazyCapacityProvisioning: "lcp"}
+
+
 def _decider_kind(session: ControllerSession) -> Optional[str]:
-    """Which vectorised decider (if any) can replace ``algorithm.step``.
+    """Which cohort kind (if any) can replace ``algorithm.step``.
 
     Exact-type checks on purpose: a subclass may override ``step`` and must
     fall back.  Regret-tracked sessions always fall back — the tracker needs
-    the per-tick :class:`SlotInfo`.  ``gamma``-reduced baselines fall back
-    too (the vectorised tables enumerate the full grid, matching the
-    registry-built ``Reactive()``/``FollowDemand()`` exactly).
+    the per-tick :class:`SlotInfo`.  ``gamma``-reduced baselines fall back too
+    (the vectorised tables enumerate the full grid, matching the
+    registry-built ``Reactive()``/``FollowDemand()`` exactly), and so do DP
+    algorithms whose tracker :func:`~repro.online.tracker.stackable` rejects
+    (``gamma``-reduced, shared-stream or custom trackers).
     """
     if session._regret_tracker is not None:
         return None
@@ -90,47 +116,68 @@ def _decider_kind(session: ControllerSession) -> Optional[str]:
         return "follow-demand" if algorithm.gamma is None else None
     if cls is AllOn:
         return "all-on"
+    kind = _DP_KINDS.get(cls)
+    if kind is not None and stackable(algorithm._tracker):
+        return kind
     return None
 
 
 class _CohortTable:
-    """Per-(cache, cost row, counts) decision table for vectorised argmins.
+    """Per-(cache, kind, cost row, counts) state shared by a cohort's members.
 
-    Rows are keyed by exact demand value (like :class:`SolutionTable`) and
-    hold the ``(n,)`` operating-cost row over the cohort's configuration set,
-    fetched through the same memoised ``solve_grid`` call the sequential
-    baselines issue — a gathered row is the identical array content a
-    sequential ``slot.operating_cost(configs)`` returns.  Ledger slots are
-    *not* cached here: under ``ledger_budget`` the cache recycles slot
-    indices, so the engine re-resolves ``vt`` per round through
-    ``virtual_slot`` (which transparently re-appends evicted levels).
+    Every kind reads the counts, capacity and full grid of the key.  The
+    table-driven kinds keep a decision table: rows keyed by exact demand
+    value (like :class:`SolutionTable`) holding the ``(n,)`` operating-cost
+    row over the grid's configurations, fetched through the same memoised
+    ``solve_grid`` call the sequential baselines issue — a gathered row is the
+    identical array content a sequential ``slot.operating_cost(configs)``
+    returns.  Algorithm B's cohorts read the row's idle costs ``l_{t,j}``.
+    Ledger slots are *not* cached here: under ``ledger_budget`` the cache
+    recycles slot indices, so the engine re-resolves them at the point of use
+    (:meth:`slot`, which transparently re-appends evicted levels).
     """
 
     __slots__ = (
-        "cache", "row", "counts_t", "capacity", "configs", "fconfigs",
-        "level_index", "cost_rows", "_cost_matrix", "best_idx", "budget",
-        "installs",
+        "cache", "kind", "row", "counts_t", "grid_counts", "capacity", "grid",
+        "configs", "fconfigs", "idle", "level_index", "cost_rows",
+        "_cost_matrix", "best_idx", "budget", "installs",
     )
 
-    def __init__(self, cache: ServeCache, row, counts_t, budget: int):
+    def __init__(self, cache: ServeCache, key: tuple, budget: int):
+        _, kind, row, counts_key = key
         self.cache = cache
+        self.kind = kind
         self.row = row  # None for the base cost row
-        self.counts_t = counts_t
         stream = cache.stream
-        self.capacity = float(np.sum(counts_t * stream.zmax))
-        grid = StateGrid.full(counts_t)
-        self.configs = grid.configs()
+        self.counts_t = stream.m if counts_key is None else np.asarray(counts_key, dtype=int)
+        self.grid_counts = tuple(int(c) for c in self.counts_t)
+        self.capacity = float(np.sum(self.counts_t * stream.zmax))
+        self.grid = StateGrid.full(self.counts_t)
+        self.configs = self.grid.configs()
         # sequential ``SlotInfo.operating_cost`` converts configs to float64
         # before evaluating; the same content must reach ``solve_grid`` so the
         # block-cache key (shape, dtype, bytes) lands on the same memo entry
         self.fconfigs = np.ascontiguousarray(self.configs, dtype=float)
         self.fconfigs.setflags(write=False)
+        # what ``SlotInfo.idle_costs`` returns for this row, per B tick
+        functions = stream.base_cost_row if row is None else row
+        self.idle = (
+            np.array([f.idle_cost() for f in functions], dtype=float)
+            if kind == "B"
+            else None
+        )
         self.level_index: Dict[float, int] = {}
         self.cost_rows: List[np.ndarray] = []
         self._cost_matrix: Optional[np.ndarray] = None
         self.best_idx: Dict[int, int] = {}  # level row -> argmin (follow-demand)
         self.budget = int(budget)
         self.installs = 0
+
+    def slot(self, level: float) -> int:
+        """The ledger slot of a served demand level on this cohort's cost row."""
+        if self.row is None:
+            return self.cache.virtual_slot_base(level)
+        return self.cache.virtual_slot(level, self.row)
 
     def level_row(self, served: float, vt: int) -> Optional[int]:
         """Table row index of a demand level, installing it on first sight.
@@ -301,11 +348,14 @@ class BatchedServeEngine(ServeEngine):
     registered scenario family),
     and telemetry and checkpoints are written by the same round.  Only the
     round's resolution differs: :meth:`resolve` groups the arrivals into
-    cohorts and replaces their per-tenant ``algorithm.step`` + solve with one
-    table gather + vectorised argmin + per-tenant
+    cohorts and replaces their per-tenant ``algorithm.step`` + solve — for
+    the table-driven baselines with one table gather + vectorised argmin, for
+    A, B and LCP with one stacked tracker advance + each member's ``decide``
+    rule — then commits each member through
     :meth:`ControllerSession.commit_tick`, and hands every other arrival back
-    to :meth:`ServeEngine.resolve`.  Telemetry rows are therefore grouped by
-    cohort within a round rather than in strict registration order.
+    to :meth:`ServeEngine.resolve` (see the module docstring for what falls
+    back).  Telemetry rows are therefore grouped by cohort within a round
+    rather than in strict registration order.
 
     Parameters beyond :class:`ServeEngine`:
 
@@ -437,121 +487,179 @@ class BatchedServeEngine(ServeEngine):
         super().resolve(fallback)
 
     def _run_cohort(self, key, members, fallback) -> None:
+        """Decide one cohort's members together, then commit each of them."""
         cohort_started = time.perf_counter_ns()
-        _, kind, row_key, counts_key = key
-        session0 = members[0][0].session
-        cache = session0.cache
-        stream = cache.stream
-
         table = self._tables.get(key)
         if table is None:
-            counts_t = (
-                stream.m if counts_key is None else np.asarray(counts_key, dtype=int)
-            )
-            table = _CohortTable(cache, row_key, counts_t, self.table_budget)
+            table = _CohortTable(members[0][0].session.cache, key, self.table_budget)
             self._tables[key] = table
-        counts_t = table.counts_t
         capacity = table.capacity
-
         demands = np.array([tick.demand for _, tick in members], dtype=float)
         invalid = ~np.isfinite(demands) | (demands < 0)
         over = demands > capacity + 1e-9
-        served = np.where(over, capacity, demands)
-        shed = np.where(over, demands - capacity, 0.0)
+        # per-member values as Python floats (what float(array[i]) would give)
+        served = np.where(over, capacity, demands).tolist()
+        shed = np.where(over, demands - capacity, 0.0).tolist()
+        offered = demands.tolist()
 
-        # resolve ledger slots + table rows once per distinct level; members
-        # that cannot be batched (invalid demand, strict over-capacity,
-        # saturated table) re-route to the per-tenant slow path
-        level_vt: Dict[float, int] = {}
+        # invalid demand and strict over-capacity take the per-tenant path,
+        # which raises their errors
+        candidates: List[int] = []
+        for i, member in enumerate(members):
+            if invalid[i] or (over[i] and member[0].session.degradation == "strict"):
+                fallback.append(member)
+            else:
+                candidates.append(i)
+        if table.kind in _DP_KINDS.values():
+            keep, decide = self._advance_trackers(table, members, candidates, served, fallback)
+        else:
+            keep, decide = self._gather_decisions(table, members, candidates, served, fallback)
+        if not keep:
+            return
+
+        # every member's latency is its share of the cohort's joint work plus
+        # its own decide and commit (a sequential tick's latency runs from
+        # prepare_tick to the end of commit_tick)
+        latency_share = (time.perf_counter_ns() - cohort_started) // len(keep)
+        self._c_batched_ticks.add(len(keep))
+        self._c_cohort_rounds.inc()
+        emit = self._writer.active
+        for i, j in enumerate(keep):
+            tenant = members[j][0]
+            session = tenant.session
+            started = time.perf_counter_ns() - latency_share
+            rounded, r_list, forced = decide(i, session)
+            level = served[j]
+            # under ledger_budget resolving one level can evict another, so a
+            # slot resolved while deciding may be recycled by now;
+            # re-resolving at the point of use restores the sequential
+            # resolve→commit interleaving (an O(1) dict hit when unbudgeted)
+            state = session.commit_tick(
+                offered[j], level, shed[j], table.slot(level),
+                rounded, r_list, forced, started_ns=started, emit=emit,
+            )
+            self._record(tenant, state)
+
+    def _gather_decisions(self, table, members, candidates, served, fallback):
+        """Table-driven kinds: one table gather and a vectorised argmin.
+
+        Returns the batched member indices and ``decide(i, session)``, which
+        hands member ``i`` its row of the decided configurations.
+        """
+        kind = table.kind
         level_row: Dict[float, Optional[int]] = {}
         keep: List[int] = []
-        for i, (tenant, tick) in enumerate(members):
-            if invalid[i] or (over[i] and tenant.session.degradation == "strict"):
-                fallback.append((tenant, tick))
-                continue
-            level = float(served[i])
-            vt = level_vt.get(level)
-            if vt is None:
-                if row_key is None:
-                    vt = cache.virtual_slot_base(level)
-                else:
-                    vt = cache.virtual_slot(level, row_key)
-                level_vt[level] = vt
-                if kind != "all-on":
-                    level_row[level] = table.level_row(level, vt)
-            if kind != "all-on" and level_row[level] is None:
-                fallback.append((tenant, tick))
+        for i in candidates:
+            level = served[i]
+            if level not in level_row:
+                # every kind resolves its slot here, as prepare_tick would;
+                # all-on decides from the counts and needs no table row
+                vt = table.slot(level)
+                level_row[level] = 0 if kind == "all-on" else table.level_row(level, vt)
+            if level_row[level] is None:  # saturated table, unseen level
+                fallback.append(members[i])
                 self._c_table_fallbacks.inc()
                 continue
             keep.append(i)
         if not keep:
-            return
+            return keep, None
 
         k = len(keep)
-        batch = [members[i][0] for i in keep]
-        sessions = [tenant.session for tenant in batch]
         if kind == "all-on":
             # sequential AllOn returns asarray(slot.counts).astype(int) — one
             # fresh row per tenant; a tiled matrix gives identical content
-            rounded_matrix = np.tile(counts_t.astype(int), (k, 1))
+            rounded_matrix = np.tile(table.counts_t.astype(int), (k, 1))
         else:
             rows = np.fromiter(
-                (level_row[float(served[i])] for i in keep), dtype=np.intp, count=k
+                (level_row[served[i]] for i in keep), dtype=np.intp, count=k
             )
             costs = table.cost_matrix()[rows]  # (k, n) gather
             if kind == "reactive":
+                sessions = [members[i][0].session for i in keep]
                 prev = np.stack([s.algorithm._current for s in sessions])
                 # same expression as Reactive.step, one tenant per leading axis:
                 # int subtraction, clamp, * beta, reduce over the config axis
                 switch = np.sum(
                     np.maximum(table.configs[None, :, :] - prev[:, None, :], 0)
-                    * stream.beta[None, None, :],
+                    * table.cache.stream.beta[None, None, :],
                     axis=2,
                 )
                 choice = np.argmin(costs + switch, axis=1)
             else:  # follow-demand: switching-blind argmin, memoised per level
                 best = table.best_idx
-                for i in keep:
-                    r = level_row[float(served[i])]
+                row_list = rows.tolist()
+                for r in row_list:
                     if r not in best:
                         best[r] = int(np.argmin(table.cost_rows[r]))
-                choice = np.fromiter((best[int(r)] for r in rows), dtype=np.intp, count=k)
+                choice = np.fromiter((best[r] for r in row_list), dtype=np.intp, count=k)
             rounded_matrix = table.configs[choice].astype(int)
             if kind == "reactive":
                 for i, session in enumerate(sessions):
                     # what ``self._current = configs[best].astype(int)`` leaves
                     # behind sequentially; rows are never mutated in place
                     session.algorithm._current = rounded_matrix[i]
-
-        # amortised per-tenant decision latency; commit cost is metered by the
-        # sequential path per tick, here it rides inside the same share
-        latency_share = (time.perf_counter_ns() - cohort_started) // k
         r_lists = rounded_matrix.tolist()
-        self._c_batched_ticks.add(k)
-        self._c_cohort_rounds.inc()
-        emit = self._writer.active
-        for i, tenant in enumerate(batch):
-            j = keep[i]
-            level = float(served[j])
-            # under ledger_budget resolving one level can evict another, so a
-            # slot pinned in the pre-resolve loop may be recycled by now;
-            # re-resolving at the point of use restores the sequential
-            # resolve→commit interleaving (an O(1) dict hit when unbudgeted)
-            if row_key is None:
-                vt = cache.virtual_slot_base(level)
-            else:
-                vt = cache.virtual_slot(level, row_key)
-            state = tenant.session.commit_tick(
-                float(demands[j]),
-                level,
-                float(shed[j]),
-                vt,
-                rounded_matrix[i],
-                r_lists[i],
-                latency_ns=latency_share,
-                emit=emit,
+        # configurations come from the cohort's own grid: within its counts
+        return keep, lambda i, session: (rounded_matrix[i], r_lists[i], 0)
+
+    def _advance_trackers(self, table, members, candidates, served, fallback):
+        """DP kinds: one stacked tracker advance, then each member's ``decide``.
+
+        A member joins when its tracker already holds ``V_{t-1}`` on the
+        cohort's grid; a first tick or a count change takes the per-tenant
+        ``observe``.  Cost tensors are fetched once per distinct served demand
+        and keyed by that demand, never by ledger slot (under
+        ``ledger_budget`` resolving one level can recycle another's slot).
+        Returns the batched member indices and ``decide(i, session)``: the
+        algorithm's rule on member ``i``'s prefix optimum, through
+        :meth:`ControllerSession.check_choice`.
+        """
+        level_index: Dict[float, int] = {}
+        tensors: List[np.ndarray] = []
+        keep: List[int] = []
+        rows: List[int] = []
+        for i in candidates:
+            if not members[i][0].session.algorithm._tracker.holds(table.grid_counts):
+                fallback.append(members[i])
+                continue
+            level = served[i]
+            index = level_index.get(level)
+            if index is None:
+                tensor = table.cache.grid_tensor(table.slot(level), table.grid)
+                # a demand no configuration can serve: the sequential observe
+                # raises its error
+                index = len(tensors) if np.isfinite(tensor).any() else -1
+                level_index[level] = index
+                if index >= 0:
+                    tensors.append(tensor)
+            if index < 0:
+                fallback.append(members[i])
+                continue
+            keep.append(i)
+            rows.append(index)
+        if not keep:
+            return keep, None
+
+        trackers = [members[i][0].session.algorithm._tracker for i in keep]
+        member_costs = np.stack(tensors)[np.asarray(rows, dtype=np.intp)]
+        counts_t = table.counts_t
+        beta = table.cache.stream.beta
+        if table.kind == "lcp":
+            lower, upper = observe_stacked(
+                trackers, member_costs, beta, ("smallest", "largest")
             )
-            self._record(tenant, state)
+            return keep, lambda i, s: s.check_choice(
+                s.algorithm.decide(lower[i], upper[i]), counts_t
+            )
+        (xhat,) = observe_stacked(trackers, member_costs, beta)
+        if table.kind == "A":
+            return keep, lambda i, s: s.check_choice(
+                s.algorithm.decide(s.ticks, xhat[i]), counts_t
+            )
+        idle = table.idle
+        return keep, lambda i, s: s.check_choice(
+            s.algorithm.decide(s.ticks, xhat[i], idle, beta), counts_t
+        )
 
     # ------------------------------------------------------------------ report
     def batch_counters(self) -> dict:

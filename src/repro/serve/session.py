@@ -82,7 +82,7 @@ __all__ = [
 ]
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 DEGRADATION_MODES = ("strict", "shed")
 
@@ -934,9 +934,11 @@ class ControllerSession:
         (``algorithm.step`` plus integrality/fleet-limit enforcement) and
         :meth:`commit_tick` (dispatch solve, switching cost, counters) — run
         back to back here.  The batched engine (:mod:`repro.serve.batch`)
-        replaces the first two with vectorised cohort equivalents and enters
-        at :meth:`commit_tick`; the phase boundaries are state-free, so
-        this composed path is bit-identical to the pre-split ``observe``.
+        replaces the first two with cohort equivalents — a table gather, or a
+        stacked tracker advance followed by the algorithm's ``decide`` rule
+        and :meth:`check_choice` — and enters at :meth:`commit_tick`; the
+        phase boundaries are state-free, so this composed path is
+        bit-identical to the pre-split ``observe``.
 
         With a :class:`~repro.serve.trace.TickTracer` attached, every
         ``trace_every``-th tick runs the phase-stamped twin
@@ -1099,8 +1101,18 @@ class ControllerSession:
         actually committed, its plain-list mirror, and how many machine-slots
         the environment forced below the algorithm's choice (shed mode).
         """
+        return self.check_choice(self.algorithm.step(slot), counts_t)
+
+    def check_choice(self, choice, counts_t):
+        """The decision contract of :meth:`decide_tick`, on a ready choice.
+
+        Checks shape, integrality and sign, and enforces the fleet limits
+        ``counts_t`` (raising under ``"strict"``, forcing machines down under
+        ``"shed"``).  The batched engine calls it on the choice an algorithm's
+        ``decide`` rule made for a cohort member.
+        """
         stream = self.cache.stream
-        choice = np.asarray(self.algorithm.step(slot))
+        choice = np.asarray(choice)
         if choice.shape != (stream.d,):
             raise ValueError(
                 f"{self.algorithm.name}: step() must return a configuration of shape "
@@ -1151,7 +1163,6 @@ class ControllerSession:
         *,
         slot=None,
         started_ns=None,
-        latency_ns: int = 0,
         emit: bool = True,
     ) -> Optional[FleetState]:
         """Phase 3 of a tick: solve, account, advance — the pure-state-update half.
@@ -1160,10 +1171,11 @@ class ControllerSession:
         — memoised, so a batched commit returns the identical
         ``DispatchResult`` object a sequential tick would), the switching-cost
         update, SLA/cumulative counters and the history/previous/tick-cursor
-        advance.  ``started_ns`` meters the latency here (single-tenant path);
-        the batched engine passes its amortised per-tenant ``latency_ns``
-        instead.  ``emit=False`` skips building the :class:`FleetState`
-        (telemetry off) and returns ``None``.
+        advance.  The tick's latency runs from ``started_ns`` to the end of
+        this commit (0 when ``started_ns`` is ``None``); the batched engine
+        backdates ``started_ns`` by each member's share of its cohort.
+        ``emit=False`` skips building the :class:`FleetState` (telemetry off)
+        and returns ``None``.
         """
         result = self.cache.solve_config(vt, rounded)
         operating = float(result.cost)
@@ -1195,8 +1207,7 @@ class ControllerSession:
             self._configs.append(rounded)
         self._previous = rounded
         self._t += 1
-        if started_ns is not None:
-            latency_ns = time.perf_counter_ns() - started_ns
+        latency_ns = 0 if started_ns is None else time.perf_counter_ns() - started_ns
         self._latencies.append(latency_ns)
         if not emit:
             return None

@@ -14,12 +14,16 @@ write from the one round they share.
 """
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import scenarios
+from repro.core.cost_functions import LinearCost
+from repro.core.instance import ProblemInstance
+from repro.core.server import ServerType
 from repro.scenarios import build
 from repro.scenarios.events import EventPlan
 from repro.serve import (
@@ -35,11 +39,14 @@ from repro.serve import (
     load_checkpoint,
     verify_batched,
 )
+from repro.online import AlgorithmA, AlgorithmB, LazyCapacityProvisioning, run_online
+from repro.online.base import SlotContext
+from repro.online.tracker import DPPrefixTracker, FixedSequenceTracker, SharedTrackerFactory
 from repro.serve.batch import DEFAULT_TABLE_BUDGET, _decider_kind
 from repro.workloads.scale import quantise_trace
 
 BATCHED_ALGORITHMS = ["reactive", "follow-demand", "all-on"]
-FALLBACK_ALGORITHMS = ["A", "lcp"]
+DP_ALGORITHMS = ["A", "B", "lcp"]
 
 
 def _smoke_instance(name):
@@ -50,6 +57,14 @@ def _smoke_instance(name):
 def _quantised(name="diurnal-cpu-gpu", T=32, levels=8):
     inst = build(name, T=T)
     return inst.with_demand(quantise_trace(inst.demand, levels=levels))
+
+
+class _SubclassedA(AlgorithmA):
+    """A subclass may override ``step``: it never joins a cohort."""
+
+
+class _SubclassedLCP(LazyCapacityProvisioning):
+    pass
 
 
 def _register_fleet(instance, n, algorithms, chaos_every=None, **tenant_kwargs):
@@ -119,13 +134,14 @@ class TestBatchedEquivalence:
         assert report["batch"]["batched_ticks"] > 0
 
     def test_mixed_fleet_with_chaos_and_checkpoint(self):
-        """DP tenants (fallback) interleaved with table tenants (vectorised),
-        chaos on every fourth tenant, checkpoint mid-stream: both paths run
-        and the whole fleet stays identical."""
+        """DP cohorts (stacked tracker advances) interleaved with table
+        cohorts, chaos on every fourth tenant, checkpoint mid-stream: every
+        kind batches, the DP tenants' first ticks and the chaos ticks fall
+        back, and the whole fleet stays identical."""
         instance = _quantised(T=24)
         report = verify_batched(
             _register_fleet(
-                instance, 10, BATCHED_ALGORITHMS + FALLBACK_ALGORITHMS,
+                instance, 12, BATCHED_ALGORITHMS + DP_ALGORITHMS,
                 chaos_every=4, degradation="shed",
             ),
             checkpoint_at=12,
@@ -134,8 +150,10 @@ class TestBatchedEquivalence:
         assert report["batch"]["batched_ticks"] > 0
         assert report["batch"]["fallback_ticks"] > 0
         batched_flags = {row["algorithm"]: row["batched"] for row in report["tenants"]}
-        assert batched_flags["reactive"] and batched_flags["all-on"]
-        assert not batched_flags["algorithm-A"] and not batched_flags["LCP"]
+        assert batched_flags == {
+            "reactive": True, "follow-demand": True, "all-on": True,
+            "algorithm-A": True, "algorithm-B": True, "LCP": True,
+        }
 
     def test_overlapped_pump_is_identical(self):
         instance = _quantised(T=24)
@@ -167,6 +185,121 @@ class TestBatchedEquivalence:
         assert report["schedules_identical"]
         assert report["batch"]["batched_ticks"] == 0
         assert report["batch"]["fallback_ticks"] == report["ticks_total"]
+
+
+# --------------------------------------------------------------------------- #
+# DP cohorts: stacked prefix-DP transitions for A, B and LCP
+# --------------------------------------------------------------------------- #
+
+DP_FAMILIES = [
+    "diurnal-cpu-gpu",
+    "priced-cpu-gpu",  # per-tick cost rows: B reads each row's idle costs
+    "time-varying-m",  # count changes fall back
+    "spiky-three-tier",  # d = 3
+    "homogeneous",  # d = 1
+]
+ENGINE_KWARGS = [{}, {"ledger_budget": 2}, {"ledger_budget": 3}, {"tensor_budget_bytes": 0}]
+
+
+class TestDPCohorts:
+    @pytest.mark.parametrize("family", DP_FAMILIES)
+    @pytest.mark.parametrize("kind", DP_ALGORITHMS)
+    def test_dp_cohorts_match_the_sequential_engine(self, kind, family):
+        """A fleet of one DP kind, so ``batched_ticks > 0`` proves that kind
+        batched: quantised demand, continuous demand and a continuous stream
+        whose peaks exceed the fleet (shed), each restored mid-stream, under
+        unbounded, ledger-budgeted and tensor-budgeted caches."""
+        base = build(family, T=16)
+        capacity = float(np.sum(base.m * base.zmax))
+        streams = [
+            base.with_demand(quantise_trace(base.demand, levels=6)),
+            base,
+            base.with_demand(base.demand * (1.25 * capacity / base.demand.max())),
+        ]
+        for instance in streams:
+            for kwargs in ENGINE_KWARGS:
+                report = verify_batched(
+                    _register_fleet(instance, 4, [kind], degradation="shed"),
+                    checkpoint_at=instance.T // 2,
+                    engine_kwargs=kwargs,
+                )
+                assert report["schedules_identical"]
+                assert report["max_cost_deviation"] <= 1e-9
+                assert report["batch"]["batched_ticks"] > 0, kwargs
+                assert all(row["batched"] for row in report["tenants"])
+
+    def test_first_ticks_and_count_changes_fall_back(self):
+        """A DP tenant's first tick has no V yet, and a count change moves
+        its tracker to another grid: both take the sequential observe."""
+        instance = _quantised(T=12)
+        report = verify_batched(_register_fleet(instance, 3, ["A"]))
+        assert report["batch"]["fallback_ticks"] == 3
+        assert report["batch"]["batched_ticks"] == 3 * (instance.T - 1)
+
+        varying = _smoke_instance("time-varying-m")
+        changes = sum(
+            1 for t in range(1, varying.T)
+            if not np.array_equal(varying.counts_at(t), varying.counts_at(t - 1))
+        )
+        assert changes > 0
+        report = verify_batched(
+            _register_fleet(varying, 2, ["B"], degradation="shed"),
+        )
+        assert report["schedules_identical"]
+        assert report["batch"]["fallback_ticks"] >= 2 * (1 + changes)
+
+    @pytest.mark.parametrize("family", ["homogeneous", "diurnal-cpu-gpu"])
+    def test_lcp_bounds_are_two_argmins_of_one_tracker(self, family):
+        """LCP's single tracker reads the same bounds as two independent
+        trackers with opposite tie-breaks — on the family as built, and on
+        its fleet with zero idle costs, where idle servers are free and the
+        two tie-breaks really differ."""
+        instance = build(family, T=24)
+        zero_idle = ProblemInstance(
+            [
+                ServerType(st.name, count=st.count, switching_cost=st.switching_cost,
+                           capacity=st.capacity,
+                           cost_function=LinearCost(idle=0.0, slope=1.0 + j))
+                for j, st in enumerate(instance.server_types)
+            ],
+            instance.demand,
+        )
+        for inst in (instance, zero_idle):
+            context = SlotContext(inst)
+            lcp = LazyCapacityProvisioning(allow_heterogeneous=True)
+            run_online(inst, lcp, slot_context=context)
+            smallest = DPPrefixTracker(tie_break="smallest")
+            largest = DPPrefixTracker(tie_break="largest")
+            bounds = lcp.bounds_history
+            assert len(bounds) == inst.T
+            for t, (lo, hi) in enumerate(bounds):
+                slot = context.slot(t)
+                lower, upper = smallest.observe(slot), largest.observe(slot)
+                assert np.array_equal(lo, np.minimum(lower, upper)), t
+                assert np.array_equal(hi, np.maximum(lower, upper)), t
+        assert any(not np.array_equal(lo, hi) for lo, hi in bounds)
+
+
+class TestCohortLatency:
+    def test_batched_ticks_are_charged_their_own_commit(self, monkeypatch):
+        """A batched tick's latency is its share of the cohort plus its own
+        commit, as a sequential tick's runs to the end of commit_tick."""
+        instance = _quantised(T=6)
+        engine = BatchedServeEngine()
+        for k in range(4):
+            engine.add_tenant(f"t{k}", "reactive", InstanceFeed(instance))
+        (cache,) = engine.caches
+        solve_config = cache.solve_config
+
+        def slow_solve_config(vt, rounded):
+            time.sleep(0.002)
+            return solve_config(vt, rounded)
+
+        monkeypatch.setattr(cache, "solve_config", slow_solve_config)
+        engine.run()
+        assert engine.batched_ticks == 4 * instance.T
+        for session in engine.sessions:
+            assert session.latencies_ns.min() >= 2_000_000
 
 
 # --------------------------------------------------------------------------- #
@@ -342,9 +475,35 @@ class TestReportCounters:
         for algorithm, kind in [("reactive", "reactive"),
                                 ("follow-demand", "follow-demand"),
                                 ("all-on", "all-on"),
-                                ("A", None), ("lcp", None)]:
+                                ("A", "A"), ("B", "B"), ("lcp", "lcp"),
+                                ("C", None)]:
             session = ControllerSession(algorithm, instance.server_types)
             assert _decider_kind(session) == kind
+        # what stays on the per-tenant path: regret tracking, reduced grids,
+        # subclasses, and trackers that are not private exact DP trackers
+        unbatched = [
+            ControllerSession("A", instance.server_types, track_regret=True),
+            ControllerSession("lcp", instance.server_types, track_regret=True),
+            ControllerSession({"kind": "A", "params": {"gamma": 2.0}}, instance.server_types),
+            ControllerSession({"kind": "B", "params": {"gamma": 2.0}}, instance.server_types),
+            ControllerSession({"kind": "lcp", "params": {"gamma": 2.0}}, instance.server_types),
+            ControllerSession(_SubclassedA(), instance.server_types),
+            ControllerSession(_SubclassedLCP(allow_heterogeneous=True), instance.server_types),
+            ControllerSession(
+                AlgorithmA(tracker=FixedSequenceTracker([[1, 1]] * 4)), instance.server_types
+            ),
+            ControllerSession(
+                AlgorithmB(tracker=DPPrefixTracker(tie_break="largest")), instance.server_types
+            ),
+            ControllerSession(
+                LazyCapacityProvisioning(
+                    allow_heterogeneous=True, tracker_factory=SharedTrackerFactory()
+                ),
+                instance.server_types,
+            ),
+        ]
+        for session in unbatched:
+            assert _decider_kind(session) is None, session.algorithm
 
 
 # --------------------------------------------------------------------------- #

@@ -42,6 +42,7 @@ from repro.serve import (
     verify_replay,
     write_jsonl_trace,
 )
+from repro.serve.session import CHECKPOINT_VERSION
 from repro.workloads.fleets import cpu_gpu_fleet, single_type_fleet
 
 
@@ -521,11 +522,31 @@ class TestCheckpointIntegrity:
         with pytest.raises(ValueError, match="version"):
             fresh.restore(payload)
 
+    def test_version_1_lcp_payload_fails_on_version(self):
+        """LCP checkpoints carry one tracker since version 2; a version-1
+        payload (two trackers, intact checksum) fails on its version, not
+        on a missing key."""
+        inst = _base_instance()
+        session = ControllerSession("lcp", inst.server_types)
+        for t in range(4):
+            session.observe(float(inst.demand[t]))
+        payload = json.loads(json.dumps(session.checkpoint()))
+        state = payload["algorithm_state"]
+        legacy = {k: v for k, v in payload.items() if k != "checksum"}
+        legacy["version"] = 1
+        legacy["algorithm_state"] = {
+            "current": state["current"], "lower": state["tracker"], "upper": state["tracker"],
+        }
+        legacy["checksum"] = payload_checksum(legacy)
+        fresh = ControllerSession("lcp", inst.server_types)
+        with pytest.raises(ValueError, match="version"):
+            fresh.restore(legacy)
+
     def test_checksum_less_checkpoints_rejected(self, tmp_path):
         inst, session = self._session()
         payload = json.loads(json.dumps(session.checkpoint()))
         del payload["checksum"]
-        truncated = {"version": 1, "algorithm": "A"}
+        truncated = {"version": CHECKPOINT_VERSION, "algorithm": "A"}
         for bad in (payload, truncated):
             fresh = ControllerSession("A", inst.server_types)
             with pytest.raises(CheckpointCorruptError, match="no integrity checksum"):

@@ -109,6 +109,45 @@ class TestTransitionPlanExactness:
             plan.apply(V.copy()), transition(V, src.values, dst.values, beta)
         )
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("full", [True, False])
+    def test_lanes_match_per_lane_apply_bitwise(self, d, full):
+        # a stacked (k, *shape) transition is k plan applications, lane by
+        # lane, and leaves its input intact
+        rng = np.random.default_rng(31 * d + int(full))
+        for trial in range(10):
+            grid = _random_grid(rng, d, full)
+            beta = rng.uniform(0.1, 5.0, size=d)
+            plan = make_transition_plan(grid.values, grid.values, beta)
+            V = rng.uniform(0.0, 50.0, size=(1 + trial,) + grid.shape)
+            V[V > 45.0] = np.inf
+            before = V.copy()
+            got = plan.apply_lanes(V)
+            assert np.array_equal(V, before)
+            assert got.shape == V.shape
+            for lane, value in zip(got, V):
+                assert np.array_equal(lane, plan.apply(value.copy()))
+
+    def test_cross_grid_lanes(self):
+        rng = np.random.default_rng(13)
+        src = StateGrid.full([6, 4])
+        dst = StateGrid.geometric([6, 4], gamma=2.0)
+        beta = np.array([1.5, 0.7])
+        plan = make_transition_plan(src.values, dst.values, beta)
+        V = rng.uniform(0.0, 30.0, size=(5,) + src.shape)
+        got = plan.apply_lanes(V)
+        assert got.shape == (5,) + dst.shape
+        for lane, value in zip(got, V):
+            assert np.array_equal(lane, transition(value, src.values, dst.values, beta))
+
+    def test_lanes_reject_wrong_shapes(self):
+        grid = StateGrid.full([3, 2])
+        plan = make_transition_plan(grid.values, grid.values, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="lanes"):
+            plan.apply_lanes(np.zeros(grid.shape))
+        with pytest.raises(ValueError, match="lanes"):
+            plan.apply_lanes(np.zeros((2,) + grid.shape, dtype=np.float32))
+
     def test_same_grid_kernel_matches_general_kernel(self):
         # the identity-gather specialisation must equal the general kernel
         # with identity up/down index vectors, bit for bit

@@ -12,7 +12,9 @@ from repro.online import (
     OnlineContext,
     SlotInfo,
 )
-from repro.online.base import OnlineRunResult
+from repro.offline.state_grid import StateGrid
+from repro.online.base import OnlineRunResult, SlotContext
+from repro.online.tracker import SharedTrackerFactory, observe_stacked, stackable
 
 from conftest import random_instance
 
@@ -105,6 +107,71 @@ class TestDPPrefixTracker:
         for t in (0, time_dependent_instance.T - 1):
             expected = solve_optimal(time_dependent_instance.prefix(t + 1), return_schedule=False).cost
             assert costs[t] == pytest.approx(expected, rel=1e-6)
+
+
+class _SubclassedTracker(DPPrefixTracker):
+    pass
+
+
+class TestStackedObserve:
+    def _slots(self, instance):
+        context = SlotContext(instance)
+        return [context.slot(t) for t in range(instance.T)]
+
+    def test_stacked_step_equals_observe_bit_for_bit(self, small_instance):
+        """k trackers with distinct histories, advanced in one stacked step,
+        hold and report exactly what k ``observe`` calls give."""
+        slots = self._slots(small_instance)
+        T, k = small_instance.T, 4
+        stacked = [DPPrefixTracker() for _ in range(k)]
+        twins = [DPPrefixTracker() for _ in range(k)]
+        for i in range(k):
+            for t in range(i + 1):  # distinct prefixes, so distinct V
+                stacked[i].observe(slots[t])
+                twins[i].observe(slots[t])
+        grid = StateGrid.full(small_instance.m)
+        counts = tuple(int(c) for c in small_instance.m)
+        for step in range(3):
+            now = [slots[(i + step + 2) % T] for i in range(k)]
+            assert all(tracker.holds(counts) for tracker in stacked)
+            costs = np.stack([slot.grid_operating_cost(grid) for slot in now])
+            lower, upper = observe_stacked(
+                stacked, costs, small_instance.beta, ("smallest", "largest")
+            )
+            for i, (tracker, twin, slot) in enumerate(zip(stacked, twins, now)):
+                assert np.array_equal(lower[i], twin.observe(slot))
+                assert np.array_equal(upper[i], twin.argmin("largest"))
+                assert np.array_equal(tracker.argmin("largest"), twin.argmin("largest"))
+                assert tracker.prefix_optimum_cost() == twin.prefix_optimum_cost()
+                assert tracker.state_dict() == twin.state_dict()
+        # a sequential observe continues from a stacked V bit-identically
+        for tracker, twin in zip(stacked, twins):
+            assert np.array_equal(tracker.observe(slots[0]), twin.observe(slots[0]))
+            assert tracker.state_dict() == twin.state_dict()
+
+    def test_stackable_and_holds(self, small_instance):
+        slots = self._slots(small_instance)
+        counts = tuple(int(c) for c in small_instance.m)
+        tracker = DPPrefixTracker()
+        assert stackable(tracker)
+        assert not tracker.holds(counts)  # no V before the first slot
+        tracker.observe(slots[0])
+        assert tracker.holds(counts)
+        assert not tracker.holds(tuple(c + 1 for c in counts))
+        for other in (
+            DPPrefixTracker(gamma=2.0),
+            DPPrefixTracker(tie_break="largest"),
+            SharedTrackerFactory().tracker(),
+            _SubclassedTracker(),
+            FixedSequenceTracker([[0, 0]]),
+        ):
+            assert not stackable(other)
+
+    def test_argmin_rejects_unknown_tie_break(self, small_instance):
+        tracker = DPPrefixTracker()
+        tracker.observe(self._slots(small_instance)[0])
+        with pytest.raises(ValueError, match="tie_break"):
+            tracker.argmin("middle")
 
 
 class TestFixedSequenceTracker:
