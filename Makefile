@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-sweep bench-scale bench-serve bench-fabric bench-latency-smoke bench-batch-smoke perf-regress scenarios-smoke serve-smoke chaos-smoke fabric-smoke watch-smoke
+.PHONY: test bench bench-smoke bench-sweep bench-scale bench-serve bench-fabric bench-latency-smoke bench-batch-smoke perf-regress scenarios-smoke serve-smoke chaos-smoke fabric-smoke watch-smoke perfbench-smoke
 
 # warnings are errors: the suite runs warning-free and stays that way
 test:
@@ -54,11 +54,30 @@ bench-latency-smoke:
 # (with chaos tenants and a mid-stream checkpoint/restore) run through the
 # BatchedServeEngine must reproduce the sequential engine's schedules
 # bit-identically, exercise both the vectorised and fallback paths, and keep
-# the batched per-tenant p99 within budget (cold cohort-table installs
-# included, hence the millisecond default — the scale sweep gates the
-# microsecond steady state).
+# the batched per-tenant p99 within budget (the grid solves of first-seen
+# demand levels included, hence the millisecond default — the scale sweep
+# gates the microsecond steady state).
 bench-batch-smoke:
 	$(PYTHON) -m repro serve batch --budget-scale $(BUDGET_SCALE)
+
+# Benchmark self-check: one short run of each perfbench workload.  Every pass
+# re-checks its schedules against run_online (the batched engine at 200
+# tenants included), the Thm 8/13/15 bounds against solve_dp, and its work
+# counters against the first pass.  run.py exits 0 even when a check fails,
+# so the gate reads "correct" from the JSON on its last line and prints the
+# run's "# FAIL" lines when it is not true.
+PERFBENCH_WORKLOADS := fleet-steady continuous-cold offline-plan
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		out=$$($(PYTHON) perfbench/run.py --workload $$w --seconds 1) || { echo "$$out"; exit 1; }; \
+		if ! echo "$$out" | tail -n 1 | $(PYTHON) -c 'import json, sys; sys.exit(json.loads(sys.stdin.read()).get("correct") is not True)'; then \
+			echo "$$out" | grep '^# FAIL'; \
+			echo "$$out" | tail -n 1; \
+			echo "perfbench-smoke: $$w failed its checks"; \
+			exit 1; \
+		fi; \
+		echo "perfbench-smoke: $$w correct"; \
+	done
 
 # Observability gate: a short traced replay writes per-tick telemetry, a
 # Chrome trace and the summarise_sessions payload; `repro serve watch` must

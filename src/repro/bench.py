@@ -963,8 +963,9 @@ def run_batch_scale_bench(
       record without gating on shared noisy runners),
     * **p99 per-tenant tick** — pooled batched p99 must beat
       ``budget_us * budget_scale`` at ``p99_gate_tenants``+ tenants (below
-      that the one-time cohort-table installs amortise over too few members
-      to gate on; smaller rows record p99 without enforcing it),
+      that a cohort's shared work, a cold level's grid solve among it,
+      amortises over too few members to gate on; smaller rows record p99
+      without enforcing it),
     * **flat memory** — the shared cache footprint (resident ledger slots and
       grid-tensor bytes) must be *identical* across tenant counts: cache
       state scales with the demand alphabet, never with the tenant count.
@@ -1176,8 +1177,8 @@ def run_batch_smoke(
     """The ``make bench-batch-smoke`` gate: mixed-family batched bit-identity.
 
     64 tenants spread over four scenario families and six algorithms —
-    table-driven baselines (``reactive``, ``follow-demand``, ``all-on``)
-    interleaved with the prefix-DP algorithms, whose cohorts advance their
+    baselines (``reactive``, ``follow-demand``, ``all-on``) interleaved with
+    the prefix-DP algorithms, whose cohorts advance their
     trackers in one stacked transition (``A``, ``lcp``, and ``B`` on the
     per-tick priced rows of ``priced-cpu-gpu``), and every eighth tenant under
     correlated chaos injection — run through
@@ -1193,8 +1194,9 @@ def run_batch_smoke(
       ``budget_us * budget_scale`` (the amortised cohort share plus each
       tick's own commit; tenants that never batch pay the sequential path
       and are exempt — the latency smoke budgets those).  With only ~3
-      members per (family, algorithm) cohort the one-time table installs
-      barely amortise, so the default budget is milliseconds, not the
+      members per (family, algorithm) cohort the shared work, a cold level's
+      grid solve among it, barely amortises, so the default budget is
+      milliseconds, not the
       microsecond steady-state the scale bench gates; this gate catches
       order-of-magnitude regressions, the 1k/10k scale rows gate the steady
       state.

@@ -1651,8 +1651,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "thread-pool front end instead of inline iteration")
     p_serve.add_argument("--budget-us", type=float, default=None, metavar="US",
                          help="latency: steady-state p99 tick budget in microseconds "
-                              "(default: 50) / batch: batched-tenant p99 budget including "
-                              "cold cohort-table installs (default: 5000)")
+                              "(default: 50) / batch: p99 budget of the tenants that batch, "
+                              "cold first ticks included (default: 5000)")
     p_serve.add_argument("--budget-scale", type=float, default=1.0, metavar="X",
                          help="latency: budget multiplier for noisy shared runners "
                               "(CI uses a generous factor; default: 1.0)")

@@ -6,8 +6,8 @@ repeats four kinds of work that are identical across runs:
 1. building a :class:`~repro.dispatch.allocation.DispatchSolver` and solving
    the per-slot grid operating-cost tensors,
 2. constructing the ``T`` :class:`~repro.online.base.SlotInfo` objects,
-3. maintaining the prefix-DP value stream (Algorithms A, B and both LCP
-   tie-breaks recompute the *same* tensors ``V_t`` slot by slot), and
+3. maintaining the prefix-DP value stream (Algorithms A, B and LCP
+   recompute the *same* tensors ``V_t`` slot by slot), and
 4. evaluating final schedules against every slot.
 
 :class:`SharedInstanceContext` does each exactly once: one dispatch solver and
@@ -77,9 +77,9 @@ class SharedInstanceContext:
         """Run an online algorithm through the shared slot context."""
         return run_online(self.instance, algorithm, slot_context=self.slots)
 
-    def tracker(self, gamma: Optional[float] = None, tie_break: str = "smallest") -> DPPrefixTracker:
+    def tracker(self, gamma: Optional[float] = None) -> DPPrefixTracker:
         """A prefix-optimum tracker backed by this context's shared value stream."""
-        return self.trackers.tracker(gamma=gamma, tie_break=tie_break)
+        return self.trackers.tracker(gamma=gamma)
 
     # ---------------------------------------------------------- offline solves
     def _full_stream(self):

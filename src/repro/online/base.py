@@ -180,7 +180,6 @@ class OnlineRunResult:
     algorithm: str
     schedule: Schedule
     breakdown: CostBreakdown
-    prefix_optima: Optional[np.ndarray] = None
     dispatch_stats: Optional[dict] = None
 
     @property

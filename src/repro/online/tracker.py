@@ -13,10 +13,10 @@ Because power-down is free and every schedule ends in the empty configuration,
 separable min-plus transition plus one operating-cost accumulation per slot.
 :class:`DPPrefixTracker` implements exactly that, so the online algorithms run
 in the same asymptotic time as a single offline solve.  Ties among optimal last
-configurations are broken deterministically (lexicographically smallest or
-largest); the competitive analysis holds for any optimal schedule, so the
-choice only matters for reproducibility.  Both tie-breaks read the same
-``V_t``, so one tracker serves both (:meth:`DPPrefixTracker.argmin`).
+configurations are broken deterministically: :meth:`DPPrefixTracker.observe`
+reports the lexicographically smallest, and :meth:`DPPrefixTracker.argmin`
+reads the largest from the same ``V_t``.  The competitive analysis holds for
+any optimal schedule, so the choice only matters for reproducibility.
 :func:`observe_stacked` advances many private trackers on one grid by one slot
 in one stacked transition (the batched serve engine's DP cohorts).
 
@@ -254,10 +254,10 @@ class SharedValueStream:
 class SharedTrackerFactory:
     """Hands out trackers that share one memoised value stream per ``gamma``.
 
-    One factory serves one instance sweep: Algorithms A and B, and both LCP
-    tie-breaks, then maintain a *single* prefix-DP value stream between them
-    instead of four independent ones.  (Algorithm C's inner tracker observes
-    scaled sub-slots and must keep a private stream — give it a plain
+    One factory serves one instance sweep: Algorithms A, B and LCP then
+    maintain a *single* prefix-DP value stream between them instead of three
+    independent ones.  (Algorithm C's inner tracker observes scaled
+    sub-slots and must keep a private stream — give it a plain
     :class:`DPPrefixTracker`.)  ``checkpoint_every`` puts every stream the
     factory creates into the checkpointed ``O(sqrt(T))``-memory mode.
     """
@@ -274,8 +274,8 @@ class SharedTrackerFactory:
             self._streams[key] = stream
         return stream
 
-    def tracker(self, gamma: Optional[float] = None, tie_break: str = "smallest") -> "DPPrefixTracker":
-        return DPPrefixTracker(gamma=gamma, tie_break=tie_break, stream=self.stream(gamma))
+    def tracker(self, gamma: Optional[float] = None) -> "DPPrefixTracker":
+        return DPPrefixTracker(gamma=gamma, stream=self.stream(gamma))
 
 
 class PrefixOptimumTracker(abc.ABC):
@@ -321,10 +321,6 @@ class DPPrefixTracker(PrefixOptimumTracker):
         degrades the competitive guarantee by the same factor but makes the
         per-slot work polynomial in ``log m_j`` (an engineering extension,
         see DESIGN.md).
-    tie_break:
-        ``"smallest"`` (default) or ``"largest"``: which optimal last
-        configuration :meth:`observe` reports when several exist.  The LCP
-        baseline reads both from one tracker (:meth:`argmin`).
     stream:
         Optional :class:`SharedValueStream`.  When given, the tracker replays
         (and lazily extends) the shared memoised value stream instead of
@@ -336,7 +332,6 @@ class DPPrefixTracker(PrefixOptimumTracker):
     def __init__(
         self,
         gamma: Optional[float] = None,
-        tie_break: str = "smallest",
         stream: Optional[SharedValueStream] = None,
     ):
         if stream is not None:
@@ -346,10 +341,7 @@ class DPPrefixTracker(PrefixOptimumTracker):
                 raise ValueError("gamma does not match the shared value stream")
         if gamma is not None and gamma <= 1.0:
             raise ValueError("gamma must be > 1 when given")
-        if tie_break not in ("smallest", "largest"):
-            raise ValueError("tie_break must be 'smallest' or 'largest'")
         self.gamma = gamma
-        self.tie_break = tie_break
         self._stream = stream
         self._value: Optional[np.ndarray] = None
         self._grid: Optional[StateGrid] = None
@@ -384,7 +376,7 @@ class DPPrefixTracker(PrefixOptimumTracker):
         if self._stream is not None:
             self._grid, self._value = self._stream.at(self._steps, slot)
             self._steps += 1
-            return self.argmin(self.tie_break)
+            return self.argmin("smallest")
         counts = slot.counts
         if counts is self._counts_obj:
             grid = self._counts_grid
@@ -419,7 +411,7 @@ class DPPrefixTracker(PrefixOptimumTracker):
         self._grid = grid
         self._grid_counts = self._counts_tuple
         self._steps += 1
-        return self.argmin(self.tie_break)
+        return self.argmin("smallest")
 
     def _planned_transition(self, grid: StateGrid, beta: np.ndarray) -> Optional[np.ndarray]:
         """Apply the cached same-grid :class:`TransitionPlan`, or ``None``.
@@ -526,15 +518,14 @@ def stackable(tracker: PrefixOptimumTracker) -> bool:
     """Whether :func:`observe_stacked` may advance ``tracker``.
 
     Only a private exact :class:`DPPrefixTracker` (the class itself, full
-    grids, its own value tensor, the default ``"smallest"`` tie-break)
-    qualifies; subclasses, ``gamma``-reduced and shared-stream trackers
-    advance through their own :meth:`~DPPrefixTracker.observe`.
+    grids, its own value tensor) qualifies; subclasses, ``gamma``-reduced
+    and shared-stream trackers advance through their own
+    :meth:`~DPPrefixTracker.observe`.
     """
     return (
         type(tracker) is DPPrefixTracker
         and tracker.gamma is None
         and tracker._stream is None
-        and tracker.tie_break == "smallest"
     )
 
 

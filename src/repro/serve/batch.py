@@ -9,20 +9,24 @@ replaces only its resolution, applying the ``solve_block`` idea one level up,
 **across tenants**:
 
 * A round's arrivals are grouped into **cohorts** keyed by
-  ``(cache identity, decider kind, cost-row signature, counts signature)`` —
-  the same keys :class:`~repro.serve.session.ServeCache` and
-  :class:`~repro.dispatch.tables.SolutionTable` already dedup on.
-* Table-driven baselines (``reactive``, ``follow-demand``, ``all-on``) are
-  decided with a single gather from a per-cohort decision table plus one
-  vectorised argmin/switching-cost computation.
+  ``(cache identity, decider kind, cost row, counts)``.  Every cohort goes
+  through one membership loop and fetches one grid cost tensor ``g_t`` per
+  distinct served demand from :meth:`ServeCache.grid_tensor` — the tensor
+  the sequential trackers read.  The only state kept across rounds is one
+  grid record per ``(cache, counts)``: counts, capacity, the full
+  :class:`StateGrid` and its configurations.
+* The baselines decide from those tensors: ``reactive`` and
+  ``follow-demand`` take one vectorised argmin over the stacked tensors
+  (``reactive`` adds the switching cost); ``all-on`` decides from the counts
+  and fetches no tensor.
 * The prefix-DP algorithms (``A``, ``B``, ``lcp``) decide slot ``t`` from
   their tracker's value tensor ``V_t``.  A cohort stacks its members'
   ``V_{t-1}`` into one ``(k, *grid.shape)`` tensor and advances them with one
   min-plus transition (:func:`~repro.online.tracker.observe_stacked`), adding
-  one grid cost tensor per distinct served demand; one vectorised argmin per
-  row gives each member's prefix optimum, and the algorithm's own ``decide``
-  rule (power-up/power-down, or LCP's projection) then runs per member,
-  followed by :meth:`ControllerSession.check_choice`.
+  the same per-demand tensors; one vectorised argmin per row gives each
+  member's prefix optimum, and the algorithm's own ``decide`` rule
+  (power-up/power-down, or LCP's projection) then runs per member, followed
+  by :meth:`ControllerSession.check_choice`.
 * Every member is committed through :meth:`ControllerSession.commit_tick` —
   the pure-state-update phase of a tick, so session state is *bit-identical*
   to a sequential replay.  Each member's latency is its share of the
@@ -32,20 +36,18 @@ replaces only its resolution, applying the ``solve_block`` idea one level up,
   Algorithm C, regret-tracked sessions, ``gamma``-reduced baselines and
   trackers, shared-stream or custom trackers; a DP tenant's first tick (no
   ``V`` yet) and ticks whose counts change its grid; invalid or
-  strict-infeasible ticks, a DP tick whose cost tensor has no finite entry,
-  and table members whose demand level misses a saturated table.
+  strict-infeasible ticks, and ticks whose cost tensor has no finite entry.
 
-Bit-identity is by construction, not by tolerance: decision-cost rows are
-fetched through ``dispatcher.solve_grid(vt, float_configs)`` — the exact
-memoised call sequential ``Reactive.step``/``FollowDemand.step`` make via
-``slot.operating_cost`` — grid cost tensors through the same
-:meth:`ServeCache.grid_tensor` the trackers read, and committed operating
-costs/loads come from the same memoised :meth:`ServeCache.solve_config`
-results, so a batched run returns the *identical float objects* a sequential
-run would.  The vectorised switching computation
-``max(x - prev, 0) · beta`` reduces over the same axis in the same order as
-the sequential per-tenant expression, and every lane of a stacked transition
-runs the sequential tracker's ufunc sequence.
+Bit-identity is by construction, not by tolerance.  Dispatch is exact per
+cell, so a flattened grid tensor is the ``solve_grid(vt, configs)`` row that
+sequential ``Reactive.step``/``FollowDemand.step`` read through
+``slot.operating_cost``, and committed operating costs/loads come from the
+same memoised :meth:`ServeCache.solve_config` results, so a batched run
+returns the *identical float objects* a sequential run would.  The
+vectorised switching computation ``max(x - prev, 0) · beta`` reduces over
+the same axis in the same order as the sequential per-tenant expression,
+and every lane of a stacked transition runs the sequential tracker's ufunc
+sequence.
 
 An optional **feed pump** overlaps feed I/O with the batched solve: a small
 thread pool prefetches upcoming ticks from slow feeds (``JsonlFeed``, paced
@@ -83,13 +85,6 @@ from .telemetry import TelemetryWriter
 
 __all__ = ["BatchedServeEngine", "FeedPump"]
 
-#: Decision-table growth bound per cohort: beyond this many distinct demand
-#: levels the table stops installing rows (continuous-demand streams would
-#: otherwise grow it without bound) and unseen levels take the per-tenant
-#: fallback path instead.
-DEFAULT_TABLE_BUDGET = 4096
-
-
 #: Algorithms deciding from a prefix-DP value tensor: their cohorts advance
 #: the members' trackers in one stacked transition.
 _DP_KINDS = {AlgorithmA: "A", AlgorithmB: "B", LazyCapacityProvisioning: "lcp"}
@@ -101,10 +96,10 @@ def _decider_kind(session: ControllerSession) -> Optional[str]:
     Exact-type checks on purpose: a subclass may override ``step`` and must
     fall back.  Regret-tracked sessions always fall back — the tracker needs
     the per-tick :class:`SlotInfo`.  ``gamma``-reduced baselines fall back too
-    (the vectorised tables enumerate the full grid, matching the
-    registry-built ``Reactive()``/``FollowDemand()`` exactly), and so do DP
-    algorithms whose tracker :func:`~repro.online.tracker.stackable` rejects
-    (``gamma``-reduced, shared-stream or custom trackers).
+    (a cohort reads full-grid tensors, which matches the registry-built
+    ``Reactive()``/``FollowDemand()`` exactly), and so do DP algorithms whose
+    tracker :func:`~repro.online.tracker.stackable` rejects (``gamma``-reduced,
+    shared-stream or custom trackers).
     """
     if session._regret_tracker is not None:
         return None
@@ -122,89 +117,89 @@ def _decider_kind(session: ControllerSession) -> Optional[str]:
     return None
 
 
-class _CohortTable:
-    """Per-(cache, kind, cost row, counts) state shared by a cohort's members.
+class _Geometry:
+    """The grid record of one ``(cache, counts)`` pair, shared by its cohorts.
 
-    Every kind reads the counts, capacity and full grid of the key.  The
-    table-driven kinds keep a decision table: rows keyed by exact demand
-    value (like :class:`SolutionTable`) holding the ``(n,)`` operating-cost
-    row over the grid's configurations, fetched through the same memoised
-    ``solve_grid`` call the sequential baselines issue — a gathered row is the
-    identical array content a sequential ``slot.operating_cost(configs)``
-    returns.  Algorithm B's cohorts read the row's idle costs ``l_{t,j}``.
-    Ledger slots are *not* cached here: under ``ledger_budget`` the cache
-    recycles slot indices, so the engine re-resolves them at the point of use
-    (:meth:`slot`, which transparently re-appends evicted levels).
+    Counts, capacity, the full grid and its configurations: nothing that
+    depends on a demand or a cost row, so the record count is bounded by the
+    fleets and their count vectors.  The record holds its cache, so a
+    released cache's id cannot map to a stale grid.
     """
 
-    __slots__ = (
-        "cache", "kind", "row", "counts_t", "grid_counts", "capacity", "grid",
-        "configs", "fconfigs", "idle", "level_index", "cost_rows",
-        "_cost_matrix", "best_idx", "budget", "installs",
-    )
+    __slots__ = ("cache", "counts_t", "grid_counts", "capacity", "grid", "configs")
 
-    def __init__(self, cache: ServeCache, key: tuple, budget: int):
-        _, kind, row, counts_key = key
-        self.cache = cache
-        self.kind = kind
-        self.row = row  # None for the base cost row
+    def __init__(self, cache: ServeCache, counts_key: Optional[tuple]):
         stream = cache.stream
+        self.cache = cache
         self.counts_t = stream.m if counts_key is None else np.asarray(counts_key, dtype=int)
         self.grid_counts = tuple(int(c) for c in self.counts_t)
         self.capacity = float(np.sum(self.counts_t * stream.zmax))
         self.grid = StateGrid.full(self.counts_t)
         self.configs = self.grid.configs()
-        # sequential ``SlotInfo.operating_cost`` converts configs to float64
-        # before evaluating; the same content must reach ``solve_grid`` so the
-        # block-cache key (shape, dtype, bytes) lands on the same memo entry
-        self.fconfigs = np.ascontiguousarray(self.configs, dtype=float)
-        self.fconfigs.setflags(write=False)
-        # what ``SlotInfo.idle_costs`` returns for this row, per B tick
-        functions = stream.base_cost_row if row is None else row
-        self.idle = (
-            np.array([f.idle_cost() for f in functions], dtype=float)
-            if kind == "B"
-            else None
+
+
+def _decisions(kind, geometry, row, sessions, tensors, rows):
+    """``decide(i, session)`` for a cohort's batched members.
+
+    ``tensors`` are the round's grid cost tensors, one per distinct served
+    demand, and member ``i`` reads ``tensors[rows[i]]``.  ``decide`` hands
+    member ``i`` its ``(rounded, r_list, forced)``: the DP algorithm's rule
+    on the member's prefix optimum through
+    :meth:`ControllerSession.check_choice`, or the baselines' row of the
+    vectorised decision.
+    """
+    counts_t = geometry.counts_t
+    beta = geometry.cache.stream.beta
+    index = np.asarray(rows, dtype=np.intp)
+    if kind in _DP_KINDS.values():
+        trackers = [s.algorithm._tracker for s in sessions]
+        member_costs = np.stack(tensors)[index]
+        if kind == "lcp":
+            lower, upper = observe_stacked(
+                trackers, member_costs, beta, ("smallest", "largest")
+            )
+            return lambda i, s: s.check_choice(
+                s.algorithm.decide(lower[i], upper[i]), counts_t
+            )
+        (xhat,) = observe_stacked(trackers, member_costs, beta)
+        if kind == "A":
+            return lambda i, s: s.check_choice(
+                s.algorithm.decide(s.ticks, xhat[i]), counts_t
+            )
+        # what ``SlotInfo.idle_costs`` returns for the cohort's cost row
+        functions = geometry.cache.stream.base_cost_row if row is None else row
+        idle = np.array([f.idle_cost() for f in functions], dtype=float)
+        return lambda i, s: s.check_choice(
+            s.algorithm.decide(s.ticks, xhat[i], idle, beta), counts_t
         )
-        self.level_index: Dict[float, int] = {}
-        self.cost_rows: List[np.ndarray] = []
-        self._cost_matrix: Optional[np.ndarray] = None
-        self.best_idx: Dict[int, int] = {}  # level row -> argmin (follow-demand)
-        self.budget = int(budget)
-        self.installs = 0
 
-    def slot(self, level: float) -> int:
-        """The ledger slot of a served demand level on this cohort's cost row."""
-        if self.row is None:
-            return self.cache.virtual_slot_base(level)
-        return self.cache.virtual_slot(level, self.row)
-
-    def level_row(self, served: float, vt: int) -> Optional[int]:
-        """Table row index of a demand level, installing it on first sight.
-
-        Returns ``None`` once the table is saturated (``budget`` levels) and
-        the level is unseen — the caller routes those members to the
-        per-tenant fallback.
-        """
-        idx = self.level_index.get(served)
-        if idx is not None:
-            return idx
-        if len(self.cost_rows) >= self.budget:
-            return None
-        # the exact call sequential Reactive/FollowDemand make per tick
-        costs, _ = self.cache.dispatcher.solve_grid(vt, self.fconfigs)
-        idx = len(self.cost_rows)
-        self.level_index[served] = idx
-        self.cost_rows.append(costs)
-        self._cost_matrix = None
-        self.installs += 1
-        return idx
-
-    def cost_matrix(self) -> np.ndarray:
-        """The stacked ``(L, n)`` cost rows (rebuilt only when levels grew)."""
-        if self._cost_matrix is None or len(self._cost_matrix) != len(self.cost_rows):
-            self._cost_matrix = np.vstack(self.cost_rows)
-        return self._cost_matrix
+    if kind == "all-on":
+        # sequential AllOn returns asarray(slot.counts).astype(int) — one
+        # fresh row per tenant; a tiled matrix gives identical content
+        rounded = np.tile(counts_t.astype(int), (len(sessions), 1))
+    else:
+        # row r of the flattened stack is the sequential solve_grid(vt, configs)
+        costs = np.stack(tensors).reshape(len(tensors), -1)
+        configs = geometry.configs
+        if kind == "follow-demand":  # switching-blind argmin per distinct demand
+            rounded = configs[np.argmin(costs, axis=1)[index]].astype(int)
+        else:
+            prev = np.stack([s.algorithm._current for s in sessions])
+            # same expression as Reactive.step, one tenant per leading axis:
+            # int subtraction, clamp, * beta, reduce over the config axis
+            switch = np.sum(
+                np.maximum(configs[None, :, :] - prev[:, None, :], 0)
+                * beta[None, None, :],
+                axis=2,
+            )
+            rounded = configs[np.argmin(costs[index] + switch, axis=1)].astype(int)
+            for session, current in zip(sessions, rounded):
+                # what ``self._current = configs[best].astype(int)`` leaves
+                # behind sequentially; rows are never mutated in place
+                session.algorithm._current = current
+    r_lists = rounded.tolist()
+    # configurations come from the cohort's own grid: within its counts
+    return lambda i, session: (rounded[i], r_lists[i], 0)
 
 
 class FeedPump:
@@ -349,9 +344,9 @@ class BatchedServeEngine(ServeEngine):
     and telemetry and checkpoints are written by the same round.  Only the
     round's resolution differs: :meth:`resolve` groups the arrivals into
     cohorts and replaces their per-tenant ``algorithm.step`` + solve — for
-    the table-driven baselines with one table gather + vectorised argmin, for
-    A, B and LCP with one stacked tracker advance + each member's ``decide``
-    rule — then commits each member through
+    the baselines with one vectorised argmin over the round's grid cost
+    tensors, for A, B and LCP with one stacked tracker advance + each
+    member's ``decide`` rule — then commits each member through
     :meth:`ControllerSession.commit_tick`, and hands every other arrival back
     to :meth:`ServeEngine.resolve` (see the module docstring for what falls
     back).  Telemetry rows are therefore grouped by cohort within a round
@@ -363,9 +358,6 @@ class BatchedServeEngine(ServeEngine):
         Run a :class:`FeedPump` so feed I/O and pacing sleeps overlap the
         batched solve (``prefetch`` ticks per tenant buffered, ``pump_workers``
         threads).
-    table_budget:
-        Max distinct demand levels per cohort decision table; unseen levels
-        beyond it fall back per-tenant (bounded memory on continuous streams).
     """
 
     def __init__(
@@ -377,7 +369,6 @@ class BatchedServeEngine(ServeEngine):
         overlap: bool = False,
         prefetch: int = 8,
         pump_workers: int = 4,
-        table_budget: int = DEFAULT_TABLE_BUDGET,
         metrics=None,
     ):
         super().__init__(
@@ -389,37 +380,14 @@ class BatchedServeEngine(ServeEngine):
         self.overlap = bool(overlap)
         self.prefetch = int(prefetch)
         self.pump_workers = int(pump_workers)
-        self.table_budget = int(table_budget)
-        self._tables: Dict[tuple, _CohortTable] = {}
+        self._geometries: Dict[tuple, _Geometry] = {}
         # batching counters are engine-level registry series (unlabelled —
-        # one engine, one registry); the historical attribute names survive
-        # as read-only properties below
+        # one engine, one registry), read back by batch_counters()
         self._c_batched_ticks = self.metrics.counter("batched_ticks")
         self._c_fallback_ticks = self.metrics.counter("fallback_ticks")
-        self._c_table_fallbacks = self.metrics.counter("table_fallbacks")
         self._c_cohort_rounds = self.metrics.counter("cohort_rounds")
         self._c_rounds = self.metrics.counter("rounds")
         self._pump: Optional[FeedPump] = None
-
-    @property
-    def batched_ticks(self) -> int:
-        return int(self._c_batched_ticks.value)
-
-    @property
-    def fallback_ticks(self) -> int:
-        return int(self._c_fallback_ticks.value)
-
-    @property
-    def table_fallbacks(self) -> int:
-        return int(self._c_table_fallbacks.value)
-
-    @property
-    def cohort_rounds(self) -> int:
-        return int(self._c_cohort_rounds.value)
-
-    @property
-    def rounds(self) -> int:
-        return int(self._c_rounds.value)
 
     # --------------------------------------------------------------- execution
     def run(
@@ -487,13 +455,25 @@ class BatchedServeEngine(ServeEngine):
         super().resolve(fallback)
 
     def _run_cohort(self, key, members, fallback) -> None:
-        """Decide one cohort's members together, then commit each of them."""
+        """Decide one cohort's members together, then commit each of them.
+
+        One membership loop: a member falls back if its demand is invalid, if
+        it is strictly over capacity, if it is a DP member whose tracker does
+        not hold ``V_{t-1}`` on the cohort's grid, or if its level's tensor
+        has no finite entry (the sequential path raises or decides those).
+        Cost tensors are fetched once per distinct served demand and keyed by
+        that demand, never by ledger slot (under ``ledger_budget`` resolving
+        one level can recycle another's slot); all-on resolves its slot per
+        level, as ``prepare_tick`` would, but needs no tensor.
+        """
         cohort_started = time.perf_counter_ns()
-        table = self._tables.get(key)
-        if table is None:
-            table = _CohortTable(members[0][0].session.cache, key, self.table_budget)
-            self._tables[key] = table
-        capacity = table.capacity
+        cache_id, kind, row, counts_key = key
+        geometry = self._geometries.get((cache_id, counts_key))
+        if geometry is None:
+            geometry = _Geometry(members[0][0].session.cache, counts_key)
+            self._geometries[(cache_id, counts_key)] = geometry
+        cache = geometry.cache
+        capacity = geometry.capacity
         demands = np.array([tick.demand for _, tick in members], dtype=float)
         invalid = ~np.isfinite(demands) | (demands < 0)
         over = demands > capacity + 1e-9
@@ -501,21 +481,48 @@ class BatchedServeEngine(ServeEngine):
         served = np.where(over, capacity, demands).tolist()
         shed = np.where(over, demands - capacity, 0.0).tolist()
         offered = demands.tolist()
-
-        # invalid demand and strict over-capacity take the per-tenant path,
-        # which raises their errors
-        candidates: List[int] = []
-        for i, member in enumerate(members):
-            if invalid[i] or (over[i] and member[0].session.degradation == "strict"):
-                fallback.append(member)
-            else:
-                candidates.append(i)
-        if table.kind in _DP_KINDS.values():
-            keep, decide = self._advance_trackers(table, members, candidates, served, fallback)
+        if row is None:
+            slot = cache.virtual_slot_base
         else:
-            keep, decide = self._gather_decisions(table, members, candidates, served, fallback)
+            slot = partial(cache.virtual_slot, row=row)
+
+        dp = kind in _DP_KINDS.values()
+        grid = geometry.grid
+        level_index: Dict[float, int] = {}
+        tensors: List[np.ndarray] = []
+        keep: List[int] = []
+        rows: List[int] = []
+        for i, member in enumerate(members):
+            session = member[0].session
+            if (
+                invalid[i]
+                or (over[i] and session.degradation == "strict")
+                or (dp and not session.algorithm._tracker.holds(geometry.grid_counts))
+            ):
+                fallback.append(member)
+                continue
+            level = served[i]
+            index = level_index.get(level)
+            if index is None:
+                vt = slot(level)
+                if kind == "all-on":
+                    index = 0
+                else:
+                    tensor = cache.grid_tensor(vt, grid)
+                    index = len(tensors) if np.isfinite(tensor).any() else -1
+                    if index >= 0:
+                        tensors.append(tensor)
+                level_index[level] = index
+            if index < 0:
+                fallback.append(member)
+                continue
+            keep.append(i)
+            rows.append(index)
         if not keep:
             return
+        decide = _decisions(
+            kind, geometry, row, [members[i][0].session for i in keep], tensors, rows
+        )
 
         # every member's latency is its share of the cohort's joint work plus
         # its own decide and commit (a sequential tick's latency runs from
@@ -535,151 +542,26 @@ class BatchedServeEngine(ServeEngine):
             # re-resolving at the point of use restores the sequential
             # resolve→commit interleaving (an O(1) dict hit when unbudgeted)
             state = session.commit_tick(
-                offered[j], level, shed[j], table.slot(level),
+                offered[j], level, shed[j], slot(level),
                 rounded, r_list, forced, started_ns=started, emit=emit,
             )
             self._record(tenant, state)
 
-    def _gather_decisions(self, table, members, candidates, served, fallback):
-        """Table-driven kinds: one table gather and a vectorised argmin.
-
-        Returns the batched member indices and ``decide(i, session)``, which
-        hands member ``i`` its row of the decided configurations.
-        """
-        kind = table.kind
-        level_row: Dict[float, Optional[int]] = {}
-        keep: List[int] = []
-        for i in candidates:
-            level = served[i]
-            if level not in level_row:
-                # every kind resolves its slot here, as prepare_tick would;
-                # all-on decides from the counts and needs no table row
-                vt = table.slot(level)
-                level_row[level] = 0 if kind == "all-on" else table.level_row(level, vt)
-            if level_row[level] is None:  # saturated table, unseen level
-                fallback.append(members[i])
-                self._c_table_fallbacks.inc()
-                continue
-            keep.append(i)
-        if not keep:
-            return keep, None
-
-        k = len(keep)
-        if kind == "all-on":
-            # sequential AllOn returns asarray(slot.counts).astype(int) — one
-            # fresh row per tenant; a tiled matrix gives identical content
-            rounded_matrix = np.tile(table.counts_t.astype(int), (k, 1))
-        else:
-            rows = np.fromiter(
-                (level_row[served[i]] for i in keep), dtype=np.intp, count=k
-            )
-            costs = table.cost_matrix()[rows]  # (k, n) gather
-            if kind == "reactive":
-                sessions = [members[i][0].session for i in keep]
-                prev = np.stack([s.algorithm._current for s in sessions])
-                # same expression as Reactive.step, one tenant per leading axis:
-                # int subtraction, clamp, * beta, reduce over the config axis
-                switch = np.sum(
-                    np.maximum(table.configs[None, :, :] - prev[:, None, :], 0)
-                    * table.cache.stream.beta[None, None, :],
-                    axis=2,
-                )
-                choice = np.argmin(costs + switch, axis=1)
-            else:  # follow-demand: switching-blind argmin, memoised per level
-                best = table.best_idx
-                row_list = rows.tolist()
-                for r in row_list:
-                    if r not in best:
-                        best[r] = int(np.argmin(table.cost_rows[r]))
-                choice = np.fromiter((best[r] for r in row_list), dtype=np.intp, count=k)
-            rounded_matrix = table.configs[choice].astype(int)
-            if kind == "reactive":
-                for i, session in enumerate(sessions):
-                    # what ``self._current = configs[best].astype(int)`` leaves
-                    # behind sequentially; rows are never mutated in place
-                    session.algorithm._current = rounded_matrix[i]
-        r_lists = rounded_matrix.tolist()
-        # configurations come from the cohort's own grid: within its counts
-        return keep, lambda i, session: (rounded_matrix[i], r_lists[i], 0)
-
-    def _advance_trackers(self, table, members, candidates, served, fallback):
-        """DP kinds: one stacked tracker advance, then each member's ``decide``.
-
-        A member joins when its tracker already holds ``V_{t-1}`` on the
-        cohort's grid; a first tick or a count change takes the per-tenant
-        ``observe``.  Cost tensors are fetched once per distinct served demand
-        and keyed by that demand, never by ledger slot (under
-        ``ledger_budget`` resolving one level can recycle another's slot).
-        Returns the batched member indices and ``decide(i, session)``: the
-        algorithm's rule on member ``i``'s prefix optimum, through
-        :meth:`ControllerSession.check_choice`.
-        """
-        level_index: Dict[float, int] = {}
-        tensors: List[np.ndarray] = []
-        keep: List[int] = []
-        rows: List[int] = []
-        for i in candidates:
-            if not members[i][0].session.algorithm._tracker.holds(table.grid_counts):
-                fallback.append(members[i])
-                continue
-            level = served[i]
-            index = level_index.get(level)
-            if index is None:
-                tensor = table.cache.grid_tensor(table.slot(level), table.grid)
-                # a demand no configuration can serve: the sequential observe
-                # raises its error
-                index = len(tensors) if np.isfinite(tensor).any() else -1
-                level_index[level] = index
-                if index >= 0:
-                    tensors.append(tensor)
-            if index < 0:
-                fallback.append(members[i])
-                continue
-            keep.append(i)
-            rows.append(index)
-        if not keep:
-            return keep, None
-
-        trackers = [members[i][0].session.algorithm._tracker for i in keep]
-        member_costs = np.stack(tensors)[np.asarray(rows, dtype=np.intp)]
-        counts_t = table.counts_t
-        beta = table.cache.stream.beta
-        if table.kind == "lcp":
-            lower, upper = observe_stacked(
-                trackers, member_costs, beta, ("smallest", "largest")
-            )
-            return keep, lambda i, s: s.check_choice(
-                s.algorithm.decide(lower[i], upper[i]), counts_t
-            )
-        (xhat,) = observe_stacked(trackers, member_costs, beta)
-        if table.kind == "A":
-            return keep, lambda i, s: s.check_choice(
-                s.algorithm.decide(s.ticks, xhat[i]), counts_t
-            )
-        idle = table.idle
-        return keep, lambda i, s: s.check_choice(
-            s.algorithm.decide(s.ticks, xhat[i], idle, beta), counts_t
-        )
-
     # ------------------------------------------------------------------ report
     def batch_counters(self) -> dict:
         """Cohort/batch hit-rate stats (how much of the load was vectorised)."""
-        total = self.batched_ticks + self.fallback_ticks
+        batched = int(self._c_batched_ticks.value)
+        fallback = int(self._c_fallback_ticks.value)
+        cohort_rounds = int(self._c_cohort_rounds.value)
+        total = batched + fallback
         counters = {
-            "batched_ticks": self.batched_ticks,
-            "fallback_ticks": self.fallback_ticks,
-            "table_fallbacks": self.table_fallbacks,
-            "batch_hit_rate": round(self.batched_ticks / total, 6) if total else 0.0,
-            "rounds": self.rounds,
-            "cohort_rounds": self.cohort_rounds,
-            "avg_cohort_size": (
-                round(self.batched_ticks / self.cohort_rounds, 3)
-                if self.cohort_rounds
-                else 0.0
-            ),
-            "decision_tables": len(self._tables),
-            "table_levels": sum(len(t.cost_rows) for t in self._tables.values()),
-            "table_installs": sum(t.installs for t in self._tables.values()),
+            "batched_ticks": batched,
+            "fallback_ticks": fallback,
+            "batch_hit_rate": round(batched / total, 6) if total else 0.0,
+            "rounds": int(self._c_rounds.value),
+            "cohort_rounds": cohort_rounds,
+            "avg_cohort_size": round(batched / cohort_rounds, 3) if cohort_rounds else 0.0,
+            "geometries": len(self._geometries),
         }
         if self._pump is not None:
             counters["feed_pump"] = self._pump.counters()

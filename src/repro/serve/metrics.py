@@ -34,8 +34,7 @@ remain accountable.
 Exposition: :meth:`MetricsRegistry.snapshot` (JSON-safe dict, stamped
 ``"schema": 1``), :meth:`MetricsRegistry.deterministic_snapshot` (counters +
 deterministic gauges only — no wall-clock values, so two identical replays
-produce equal snapshots) and :meth:`MetricsRegistry.prometheus_text`
-(text-format exposition for a scrape endpoint or file drop).
+produce equal snapshots).
 """
 
 from __future__ import annotations
@@ -368,33 +367,3 @@ class MetricsRegistry:
         if not family:
             return 0
         return sum(m.value for m in family.values())
-
-    def prometheus_text(self) -> str:
-        """Prometheus text-format exposition of every resident series."""
-        self.collect()
-        lines: List[str] = []
-        for name in sorted(self._families):
-            family = self._families[name]
-            if not family:
-                continue
-            kind = next(iter(family.values())).kind
-            lines.append(f"# TYPE {name} {kind}")
-            for metric in family.values():
-                if isinstance(metric, Histogram):
-                    cumulative = 0
-                    base = dict(metric.labels)
-                    for bound, count in zip(metric.bounds, metric.counts):
-                        cumulative += count
-                        le = tuple(sorted({**base, "le": repr(bound)}.items()))
-                        lines.append(f"{name}_bucket{_label_suffix(le)} {cumulative}")
-                    le = tuple(sorted({**base, "le": "+Inf"}.items()))
-                    lines.append(f"{name}_bucket{_label_suffix(le)} {metric.count}")
-                    lines.append(
-                        f"{name}_sum{_label_suffix(metric.labels)} {metric.sum}"
-                    )
-                    lines.append(
-                        f"{name}_count{_label_suffix(metric.labels)} {metric.count}"
-                    )
-                else:
-                    lines.append(f"{metric.series} {metric.value}")
-        return "\n".join(lines) + "\n"

@@ -1015,13 +1015,13 @@ class ControllerSession:
         counts = np.bincount(idx, minlength=len(hist.bounds) + 1)
         hist.load(counts.tolist(), int(ns.sum()), int(ns.size))
 
-    def prepare_tick(self, demand: float, cost_row=None, counts=None, build_slot=True):
+    def prepare_tick(self, demand: float, cost_row=None, counts=None):
         """Phase 1 of a tick: validate, resolve shed/capacity, pin the ledger slot.
 
         Returns ``(demand, served, shed, counts_t, vt, slot)``.  ``slot`` is
-        the :class:`SlotInfo` the algorithm will step on (``None`` when
-        ``build_slot=False`` — the batched engine resolves decisions from
-        cohort tables and never materialises per-tenant slots).
+        the :class:`SlotInfo` the algorithm will step on.  The batched engine
+        does not call this: its cohorts validate their demands and resolve
+        their ledger slots themselves, and never materialise per-tenant slots.
         """
         stream = self.cache.stream
         demand = float(demand)
@@ -1059,9 +1059,6 @@ class ControllerSession:
             vt = cache.virtual_slot_base(served)
         else:
             vt = cache.virtual_slot(served, row)
-
-        if not build_slot:
-            return demand, served, shed, counts_t, vt, None
 
         # a virtual slot pins (served, row), so its SlotInfo is reusable tick
         # to tick — only ``t`` advances (bounded-ledger caches recycle vt ids,

@@ -1,16 +1,16 @@
 """Tests for the fleet-batched tick engine (:mod:`repro.serve.batch`).
 
 The anchor is the *batched equivalence gate*: a
-:class:`~repro.serve.BatchedServeEngine` run — cohort tables, vectorised
-argmins, overlapped feeds, chaos tenants, a mid-stream checkpoint/restore
-round-trip — must be **bit-identical** to the sequential
-:class:`~repro.serve.ServeEngine` (``np.array_equal`` schedules, exact SLA
-counters, cost within 1e-9) for every registered scenario family.  On top of
-that: the ``observe`` → ``prepare_tick``/``decide_tick``/``commit_tick``
-split, table saturation fallback, the feed pump, the new report counters,
-budgeted-cache eviction under tenant churn, and the telemetry rows and
-checkpoints the sequential engine, the batched engine and a fabric worker
-write from the one round they share.
+:class:`~repro.serve.BatchedServeEngine` run — cohort grid tensors,
+vectorised argmins, stacked DP transitions, overlapped feeds, chaos tenants,
+a mid-stream checkpoint/restore round-trip — must be **bit-identical** to the
+sequential :class:`~repro.serve.ServeEngine` (``np.array_equal`` schedules,
+exact SLA counters, cost within 1e-9) for every registered scenario family.
+On top of that: the ``observe`` → ``prepare_tick``/``decide_tick``/
+``commit_tick`` split, the feed pump, the report counters, cohort state that
+stays flat on priced streams, budgeted-cache eviction under tenant churn, and
+the telemetry rows and checkpoints the sequential engine, the batched engine
+and a fabric worker write from the one round they share.
 """
 
 import json
@@ -39,10 +39,10 @@ from repro.serve import (
     load_checkpoint,
     verify_batched,
 )
-from repro.online import AlgorithmA, AlgorithmB, LazyCapacityProvisioning, run_online
+from repro.online import AlgorithmA, LazyCapacityProvisioning, run_online
 from repro.online.base import SlotContext
 from repro.online.tracker import DPPrefixTracker, FixedSequenceTracker, SharedTrackerFactory
-from repro.serve.batch import DEFAULT_TABLE_BUDGET, _decider_kind
+from repro.serve.batch import _decider_kind
 from repro.workloads.scale import quantise_trace
 
 BATCHED_ALGORITHMS = ["reactive", "follow-demand", "all-on"]
@@ -203,12 +203,12 @@ ENGINE_KWARGS = [{}, {"ledger_budget": 2}, {"ledger_budget": 3}, {"tensor_budget
 
 class TestDPCohorts:
     @pytest.mark.parametrize("family", DP_FAMILIES)
-    @pytest.mark.parametrize("kind", DP_ALGORITHMS)
+    @pytest.mark.parametrize("kind", BATCHED_ALGORITHMS + DP_ALGORITHMS)
     def test_dp_cohorts_match_the_sequential_engine(self, kind, family):
-        """A fleet of one DP kind, so ``batched_ticks > 0`` proves that kind
-        batched: quantised demand, continuous demand and a continuous stream
-        whose peaks exceed the fleet (shed), each restored mid-stream, under
-        unbounded, ledger-budgeted and tensor-budgeted caches."""
+        """A fleet of one cohort kind, so ``batched_ticks > 0`` proves that
+        kind batched: quantised demand, continuous demand and a continuous
+        stream whose peaks exceed the fleet (shed), each restored mid-stream,
+        under unbounded, ledger-budgeted and tensor-budgeted caches."""
         base = build(family, T=16)
         capacity = float(np.sum(base.m * base.zmax))
         streams = [
@@ -250,10 +250,10 @@ class TestDPCohorts:
 
     @pytest.mark.parametrize("family", ["homogeneous", "diurnal-cpu-gpu"])
     def test_lcp_bounds_are_two_argmins_of_one_tracker(self, family):
-        """LCP's single tracker reads the same bounds as two independent
-        trackers with opposite tie-breaks — on the family as built, and on
-        its fleet with zero idle costs, where idle servers are free and the
-        two tie-breaks really differ."""
+        """LCP's bounds are the smallest and the largest argmin of one
+        tracker's ``V_t``, read after each observe — on the family as built,
+        and on its fleet with zero idle costs, where idle servers are free and
+        the two tie-breaks really differ."""
         instance = build(family, T=24)
         zero_idle = ProblemInstance(
             [
@@ -268,13 +268,12 @@ class TestDPCohorts:
             context = SlotContext(inst)
             lcp = LazyCapacityProvisioning(allow_heterogeneous=True)
             run_online(inst, lcp, slot_context=context)
-            smallest = DPPrefixTracker(tie_break="smallest")
-            largest = DPPrefixTracker(tie_break="largest")
+            tracker = DPPrefixTracker()
             bounds = lcp.bounds_history
             assert len(bounds) == inst.T
             for t, (lo, hi) in enumerate(bounds):
-                slot = context.slot(t)
-                lower, upper = smallest.observe(slot), largest.observe(slot)
+                lower = tracker.observe(context.slot(t))
+                upper = tracker.argmin("largest")
                 assert np.array_equal(lo, np.minimum(lower, upper)), t
                 assert np.array_equal(hi, np.maximum(lower, upper)), t
         assert any(not np.array_equal(lo, hi) for lo, hi in bounds)
@@ -297,7 +296,7 @@ class TestCohortLatency:
 
         monkeypatch.setattr(cache, "solve_config", slow_solve_config)
         engine.run()
-        assert engine.batched_ticks == 4 * instance.T
+        assert engine.batch_counters()["batched_ticks"] == 4 * instance.T
         for session in engine.sessions:
             assert session.latencies_ns.min() >= 2_000_000
 
@@ -337,9 +336,7 @@ class TestObserveSplit:
         replayed = ControllerSession("all-on", instance.server_types)
         for demand in instance.demand:
             state = reference.observe(demand)
-            d, served, shed, counts_t, vt, _ = replayed.prepare_tick(
-                demand, build_slot=False
-            )
+            d, served, shed, counts_t, vt, _ = replayed.prepare_tick(demand)
             rounded = np.asarray(state.config, dtype=int)
             replayed.commit_tick(
                 d, served, shed, vt, rounded, rounded.tolist(), emit=False
@@ -354,35 +351,11 @@ class TestObserveSplit:
             "reactive", instance.server_types, track_regret=True
         )
         d, served, shed, counts_t, vt, _ = session.prepare_tick(
-            float(instance.demand[0]), build_slot=False
+            float(instance.demand[0])
         )
         rounded = np.zeros(instance.d, dtype=int)
         with pytest.raises(ValueError, match="regret"):
             session.commit_tick(d, served, shed, vt, rounded, rounded.tolist())
-
-
-# --------------------------------------------------------------------------- #
-# Cohort tables: saturation fallback
-# --------------------------------------------------------------------------- #
-
-
-class TestTableSaturation:
-    def test_saturated_table_falls_back_per_tenant(self):
-        """With a tiny table budget most demand levels miss the table; those
-        ticks take the per-tenant path and results stay identical."""
-        instance = _quantised(T=24, levels=16)
-        report = verify_batched(
-            _register_fleet(instance, 6, ["reactive"]),
-            engine_kwargs={"table_budget": 2},
-        )
-        assert report["schedules_identical"]
-        assert report["batch"]["table_fallbacks"] > 0
-        assert report["batch"]["fallback_ticks"] > 0
-        assert report["batch"]["batched_ticks"] > 0
-        assert report["batch"]["table_levels"] <= 2 * report["batch"]["decision_tables"]
-
-    def test_default_budget_is_generous(self):
-        assert DEFAULT_TABLE_BUDGET >= 1024
 
 
 # --------------------------------------------------------------------------- #
@@ -466,9 +439,20 @@ class TestReportCounters:
         assert batch["batched_ticks"] == 4 * instance.T
         assert batch["fallback_ticks"] == 0
         assert batch["batch_hit_rate"] == 1.0
-        assert batch["decision_tables"] >= 1
-        assert batch["table_installs"] == batch["table_levels"] > 0
+        assert batch["geometries"] == 1
         assert batch["avg_cohort_size"] > 1
+
+    @pytest.mark.parametrize("T", [48, 192])
+    def test_priced_streams_keep_one_grid_record(self, T):
+        """Priced rows never repeat, so cohorts on them differ every tick;
+        the state a cohort keeps across rounds is one grid record per
+        ``(cache, counts)``, whatever the stream's length."""
+        instance = _quantised("priced-cpu-gpu", T=T)
+        report = verify_batched(_register_fleet(instance, 8, ["B", "reactive"]))
+        assert report["schedules_identical"]
+        assert report["max_cost_deviation"] <= 1e-9
+        assert report["batch"]["batched_ticks"] > 0
+        assert report["batch"]["geometries"] == 1
 
     def test_decider_kind_classification(self):
         instance = _quantised(T=4)
@@ -491,9 +475,6 @@ class TestReportCounters:
             ControllerSession(_SubclassedLCP(allow_heterogeneous=True), instance.server_types),
             ControllerSession(
                 AlgorithmA(tracker=FixedSequenceTracker([[1, 1]] * 4)), instance.server_types
-            ),
-            ControllerSession(
-                AlgorithmB(tracker=DPPrefixTracker(tie_break="largest")), instance.server_types
             ),
             ControllerSession(
                 LazyCapacityProvisioning(

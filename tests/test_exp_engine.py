@@ -121,19 +121,19 @@ class TestEngineEquivalence:
     def test_shared_tracker_matches_private_per_tie_break(self, make_instance):
         instance = make_instance()
         context = SharedInstanceContext(instance)
-        for tie_break in ("smallest", "largest"):
-            shared = context.tracker(tie_break=tie_break)
-            private = DPPrefixTracker(tie_break=tie_break)
-            private_slots = SlotContext(instance)
-            shared.reset()
-            private.reset()
-            for t in range(instance.T):
-                x_shared = shared.observe(context.slots.slot(t))
-                x_private = private.observe(private_slots.slot(t))
-                assert np.array_equal(x_shared, x_private), (tie_break, t)
-            assert shared.prefix_optimum_cost() == pytest.approx(
-                private.prefix_optimum_cost(), abs=1e-9
-            )
+        shared = context.tracker()
+        private = DPPrefixTracker()
+        private_slots = SlotContext(instance)
+        for t in range(instance.T):
+            x_shared = shared.observe(context.slots.slot(t))
+            x_private = private.observe(private_slots.slot(t))
+            assert np.array_equal(x_shared, x_private), t
+            assert np.array_equal(
+                shared.argmin("largest"), private.argmin("largest")
+            ), t
+        assert shared.prefix_optimum_cost() == pytest.approx(
+            private.prefix_optimum_cost(), abs=1e-9
+        )
 
     @pytest.mark.parametrize("make_instance", ALL_INSTANCES)
     def test_stream_values_equal_offline_dp_tables(self, make_instance):

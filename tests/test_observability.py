@@ -99,17 +99,6 @@ class TestMetricsRegistry:
             'cumulative_cost{tenant="a"}': 1.5,
         }
 
-    def test_prometheus_text(self):
-        reg = MetricsRegistry()
-        reg.counter("ticks", tenant="a").add(3)
-        reg.histogram("lat", bounds=(10, 20), tenant="a").observe(15)
-        text = reg.prometheus_text()
-        assert "# TYPE ticks counter" in text
-        assert 'ticks{tenant="a"} 3' in text
-        assert '# TYPE lat histogram' in text
-        assert 'le="+Inf"' in text
-        assert 'lat_count{tenant="a"} 1' in text
-
     def test_series_cap_evicts_lru_and_folds(self):
         reg = MetricsRegistry(max_series_per_metric=4)
         for k in range(10):

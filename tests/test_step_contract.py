@@ -74,13 +74,15 @@ class TestTrackerTieBreaks:
 
         instance = instances["I1"]
         context = SlotContext(instance)
-        tracker = DPPrefixTracker(tie_break=tie_break)
+        tracker = DPPrefixTracker()
         runs = []
         for _ in range(2):
             tracker.reset()
-            runs.append(
-                np.stack([tracker.observe(context.slot(t)) for t in range(instance.T)])
-            )
+            hats = []
+            for t in range(instance.T):
+                tracker.observe(context.slot(t))
+                hats.append(tracker.argmin(tie_break))
+            runs.append(np.stack(hats))
         assert np.array_equal(runs[0], runs[1])
 
     def test_tie_break_interval_well_formed_on_homogeneous(self):
@@ -90,9 +92,8 @@ class TestTrackerTieBreaks:
 
         instance = build("homogeneous", T=10)
         context = SlotContext(instance)
-        lower = DPPrefixTracker(tie_break="smallest")
-        upper = DPPrefixTracker(tie_break="largest")
+        tracker = DPPrefixTracker()
         for t in range(instance.T):
-            lo = lower.observe(context.slot(t))
-            hi = upper.observe(context.slot(t))
+            lo = tracker.observe(context.slot(t))
+            hi = tracker.argmin("largest")
             assert np.all(lo <= hi)

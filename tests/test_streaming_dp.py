@@ -298,16 +298,20 @@ class TestCheckpointedSharedStream:
         factory = SharedTrackerFactory(checkpoint_every=6)
         first = factory.tracker()
         hats_first = [first.observe(slots.slot(t)) for t in range(horizon_instance.T)]
-        second = factory.tracker(tie_break="largest")
+        second = factory.tracker()
         hats_second = []
         for t in range(horizon_instance.T):
-            hats_second.append(second.observe(slots.slot(t)))
+            second.observe(slots.slot(t))
+            hats_second.append(second.argmin("largest"))
         plain = SharedTrackerFactory()
         ref_first = plain.tracker()
         ref_hats = [ref_first.observe(slots.slot(t)) for t in range(horizon_instance.T)]
         assert np.array_equal(np.array(hats_first), np.array(ref_hats))
-        ref_second = plain.tracker(tie_break="largest")
-        ref_hats2 = [ref_second.observe(slots.slot(t)) for t in range(horizon_instance.T)]
+        ref_second = plain.tracker()
+        ref_hats2 = []
+        for t in range(horizon_instance.T):
+            ref_second.observe(slots.slot(t))
+            ref_hats2.append(ref_second.argmin("largest"))
         assert np.array_equal(np.array(hats_second), np.array(ref_hats2))
 
     def test_checkpointed_stream_refuses_values_property(self):

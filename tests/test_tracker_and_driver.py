@@ -63,23 +63,21 @@ class TestDPPrefixTracker:
             assert table[idx] == pytest.approx(costs[t], rel=1e-6)
 
     def test_tie_break_smallest_vs_largest(self, load_independent_instance):
-        small_out, small_costs = drive_tracker(
-            load_independent_instance, DPPrefixTracker(tie_break="smallest")
-        )
-        large_out, large_costs = drive_tracker(
-            load_independent_instance, DPPrefixTracker(tie_break="largest")
-        )
-        # both report the same optimal prefix costs; the reported end states are
-        # lexicographically ordered (they may be incomparable componentwise)
-        np.testing.assert_allclose(small_costs, large_costs, rtol=1e-9)
-        for s, l in zip(small_out, large_out):
-            assert tuple(s) <= tuple(l)
+        context = SlotContext(load_independent_instance)
+        tracker = DPPrefixTracker()
+        for t in range(load_independent_instance.T):
+            small = tracker.observe(context.slot(t))
+            large = tracker.argmin("largest")
+            # both end states are optimal for the one V_t; they are
+            # lexicographically ordered (they may be incomparable componentwise)
+            optimum = tracker.prefix_optimum_cost()
+            for config in (small, large):
+                assert tracker._value[tracker._grid.index_of(config)] == optimum
+            assert tuple(small) <= tuple(large)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             DPPrefixTracker(gamma=1.0)
-        with pytest.raises(ValueError):
-            DPPrefixTracker(tie_break="middle")
 
     def test_reduced_grid_tracker_costs_are_upper_bounds(self, small_instance):
         _, exact_costs = drive_tracker(small_instance, DPPrefixTracker())
@@ -160,7 +158,6 @@ class TestStackedObserve:
         assert not tracker.holds(tuple(c + 1 for c in counts))
         for other in (
             DPPrefixTracker(gamma=2.0),
-            DPPrefixTracker(tie_break="largest"),
             SharedTrackerFactory().tracker(),
             _SubclassedTracker(),
             FixedSequenceTracker([[0, 0]]),
