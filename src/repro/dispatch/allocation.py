@@ -303,6 +303,9 @@ class DispatchSolver:
         self.tol = float(tol)
         self.max_bisection_steps = int(max_bisection_steps)
         self.stats = DispatchStats()
+        # the result memos are keyed by signature first, so forget() drops a
+        # signature's entries without scanning: signature -> {(scale,
+        # configuration): result} and {(scale, configs key): (costs, loads)}
         self._cache: dict = {}
         self._block_cache: dict = {}
         self._sig_cache: dict = {}
@@ -323,18 +326,35 @@ class DispatchSolver:
         x_arr = np.asarray(x, dtype=int)
         if x_arr.shape != (self.instance.d,):
             raise ValueError(f"configuration must have shape ({self.instance.d},), got {x_arr.shape}")
-        key = (self._slot_signature(t), tuple(int(v) for v in x_arr))
-        hit = self._cache.get(key)
+        sig, scale = self._slot_signature(t)
+        key = (scale, tuple(int(v) for v in x_arr))
+        memo = self._cache.get(sig)
+        hit = None if memo is None else memo.get(key)
         if hit is not None:
             return hit
         costs, loads = self.solve_grid(t, x_arr[None, :])
         result = DispatchResult(cost=float(costs[0]), loads=loads[0], feasible=bool(np.isfinite(costs[0])))
-        self._cache[key] = result
+        self._cache.setdefault(sig, {})[key] = result
         return result
 
     def operating_cost(self, t: int, x: Sequence[int]) -> float:
         """Shortcut for ``solve(t, x).cost``."""
         return self.solve(t, x).cost
+
+    def forget(self, t: int) -> None:
+        """Drop slot ``t``'s signature and every result memoised for it.
+
+        Called when a growable ledger reuses slot ``t`` for new content (the
+        serve cache's ``ledger_budget`` eviction), so the memos stay bounded
+        by the live slots.  Another live slot sharing the signature (the same
+        demand at another price scale) simply solves again, bit-identically.
+        """
+        cached = self._sig_cache.pop(t, None)
+        if cached is not None:
+            sig = cached[0]
+            self._cache.pop(sig, None)
+            self._block_cache.pop(sig, None)
+            self._solved.pop(sig, None)
 
     def clear_cache(self) -> None:
         """Drop memoised dispatch results (e.g. after mutating workloads in tests)."""
@@ -424,7 +444,8 @@ class DispatchSolver:
         pending: dict = {}
         for i, t in enumerate(ts):
             sig, scale = self._slot_signature(t)
-            cached = self._block_cache.get((sig, scale, configs_key))
+            memo = self._block_cache.get(sig)
+            cached = None if memo is None else memo.get((scale, configs_key))
             if cached is not None:
                 out_costs[i], out_loads[i] = cached
                 continue
@@ -467,7 +488,7 @@ class DispatchSolver:
             solved_rows = [(sig, rows, costs_u[k], loads_u[k]) for k, (sig, rows) in enumerate(entries)]
             # only cells computed from their own data alone may be gathered
             # later: the bisection's stopping width is block-wide
-            if memoise and (d == 1 or self._pieces(row_key) is not None):
+            if memoise and self._cellwise(row_key):
                 for sig, _, costs_k, loads_k in solved_rows:
                     record = (configs_key, costs_k, loads_k)
                     if len(self._solved.setdefault(sig, record)[1]) < n:
@@ -486,6 +507,7 @@ class DispatchSolver:
         """
         for sig, rows, base_costs, loads in entries:
             scaled_costs: dict = {1.0: base_costs}
+            memo = self._block_cache.setdefault(sig, {}) if memoise else None
             for i, scale in rows:
                 row_costs = scaled_costs.get(scale)
                 if row_costs is None:
@@ -495,7 +517,7 @@ class DispatchSolver:
                     row_costs.setflags(write=False)
                     scaled_costs[scale] = row_costs
                 if memoise:
-                    self._block_cache[(sig, scale, configs_key)] = (row_costs, loads)
+                    memo[(scale, configs_key)] = (row_costs, loads)
                 out_costs[i] = row_costs
                 out_loads[i] = loads
 
@@ -521,6 +543,14 @@ class DispatchSolver:
         if memoise:
             self._gathers[pair] = index
         return index
+
+    def _cellwise(self, row_key) -> bool:
+        """Whether a cost row's cells come out the same alone as in any block.
+
+        True on the event sweep (``d == 1``, or a row with marginal pieces);
+        the bisection's stopping width spans its whole block.
+        """
+        return self.instance.d == 1 or self._pieces(row_key) is not None
 
     def _pieces(self, row_key) -> Optional[_RowPieces]:
         """The marginal pieces of a cost row (``None`` for the bisection path)."""

@@ -91,6 +91,9 @@ class AlgorithmA(OnlineAlgorithm):
         xhat = np.asarray(self._tracker.observe(slot), dtype=int)
         return self.decide(slot.t, xhat)
 
+    def evaluation_grid(self, counts: np.ndarray):
+        return self._tracker.grid(counts)
+
     def decide(self, t: int, xhat: np.ndarray) -> np.ndarray:
         """Slot ``t``'s configuration from its prefix optimum ``\\hat x^t_t``.
 

@@ -78,6 +78,9 @@ class AlgorithmB(OnlineAlgorithm):
         xhat = np.asarray(self._tracker.observe(slot), dtype=int)
         return self.decide(slot.t, xhat, idle, slot.beta)
 
+    def evaluation_grid(self, counts: np.ndarray):
+        return self._tracker.grid(counts)
+
     def decide(self, t: int, xhat: np.ndarray, idle: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """Slot ``t``'s configuration from its prefix optimum ``\\hat x^t_t``.
 

@@ -132,6 +132,10 @@ class AlgorithmC(OnlineAlgorithm):
         best = int(np.argmin(np.asarray(costs)[inverse]))
         return sub_configs[best]
 
+    def evaluation_grid(self, counts: np.ndarray):
+        # every sub-slot reads the slot's tensor, scaled, on the inner B's grid
+        return self._inner.evaluation_grid(counts)
+
     def finish(self) -> None:
         self._inner.finish()
 

@@ -142,6 +142,17 @@ class OnlineAlgorithm(abc.ABC):
     def finish(self) -> None:
         """Hook called after the last slot (optional bookkeeping)."""
 
+    def evaluation_grid(self, counts: np.ndarray):
+        """The grid whose ``g_t`` tensor :meth:`step` reads at available ``counts``.
+
+        A :class:`~repro.offline.state_grid.StateGrid` or ``None`` (the
+        default: the step reads no grid tensor, or does not say).  The serve
+        engine solves a round's cold tensors on these grids in one dispatch
+        block before the sessions step.  Dispatch is exact per cell, so a
+        wrong answer costs a wasted solve, never a different decision.
+        """
+        return None
+
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
         """JSON-safe snapshot of all *decision-relevant* state.

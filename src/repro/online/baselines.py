@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 
+def _greedy_grid(counts, gamma: Optional[float]) -> StateGrid:
+    """The grid the greedy baselines minimise over: full, or ``M^gamma``."""
+    return StateGrid.full(counts) if gamma is None else StateGrid.geometric(counts, gamma)
+
+
 class AllOn(OnlineAlgorithm):
     """Keep every available server powered up in every slot."""
 
@@ -66,9 +71,11 @@ class FollowDemand(OnlineAlgorithm):
     def __init__(self, gamma: Optional[float] = None):
         self.gamma = gamma
 
+    def evaluation_grid(self, counts: np.ndarray) -> StateGrid:
+        return _greedy_grid(counts, self.gamma)
+
     def step(self, slot: SlotInfo) -> np.ndarray:
-        grid = StateGrid.full(slot.counts) if self.gamma is None else StateGrid.geometric(slot.counts, self.gamma)
-        configs = grid.configs()
+        configs = self.evaluation_grid(slot.counts).configs()
         costs = slot.operating_cost(configs)
         best = int(np.argmin(costs))
         return configs[best].astype(int)
@@ -86,9 +93,11 @@ class Reactive(OnlineAlgorithm):
     def start(self, context: OnlineContext) -> None:
         self._current = np.zeros(context.d, dtype=int)
 
+    def evaluation_grid(self, counts: np.ndarray) -> StateGrid:
+        return _greedy_grid(counts, self.gamma)
+
     def step(self, slot: SlotInfo) -> np.ndarray:
-        grid = StateGrid.full(slot.counts) if self.gamma is None else StateGrid.geometric(slot.counts, self.gamma)
-        configs = grid.configs()
+        configs = self.evaluation_grid(slot.counts).configs()
         costs = slot.operating_cost(configs)
         switch = np.sum(
             np.maximum(configs - self._current[None, :], 0) * slot.beta[None, :], axis=1

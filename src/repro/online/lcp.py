@@ -87,6 +87,9 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
         upper = np.asarray(self._tracker.argmin("largest"), dtype=int)
         return self.decide(lower, upper)
 
+    def evaluation_grid(self, counts: np.ndarray):
+        return self._tracker.grid(counts)
+
     def decide(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """Project the current configuration onto ``[lower, upper]``.
 

@@ -295,6 +295,10 @@ class PrefixOptimumTracker(abc.ABC):
         """
         return float("nan")
 
+    def grid(self, counts: np.ndarray) -> Optional[StateGrid]:
+        """The grid whose ``g_t`` tensor :meth:`observe` reads at ``counts`` (``None``: none)."""
+        return None
+
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
         """JSON-safe snapshot of the tracker state (serve-layer checkpoints)."""
@@ -445,6 +449,10 @@ class DPPrefixTracker(PrefixOptimumTracker):
             raise ValueError("tie_break must be 'smallest' or 'largest'")
         config, self._scratch = argmin_config(self._value, self._grid, tie_break, self._scratch)
         return config
+
+    def grid(self, counts: np.ndarray) -> StateGrid:
+        """The (cached) grid :meth:`observe` reads its ``g_t`` tensor on at ``counts``."""
+        return self._build_grid(counts)
 
     def holds(self, counts: tuple) -> bool:
         """Whether the tracker holds a ``V_t`` on the grid of the ``counts`` tuple."""

@@ -9,6 +9,16 @@ solves and whole-grid tensors behind their ticks are computed once per
 distinct demand level across the whole engine, not once per tenant; the
 resulting cache-hit counters and wall times are what ``repro serve bench``
 records in ``BENCH_serve.json``.
+
+A round is one tick per live tenant.  Before any session observes, the
+round's *cold* arrivals — demand levels whose grid cost tensor ``g_t`` is
+not memoised yet, the norm on continuous demand — are grouped by ``(cache,
+evaluation grid)`` and each group's missing tensors are solved in one
+:meth:`~repro.dispatch.allocation.DispatchSolver.solve_block`
+(:meth:`ServeCache.grid_tensors`); the sessions' own queries then hit the
+memo.  A dispatch cell is exact on its own, so the block changes no
+decision and no solve count, only how many calls the solves take.  Each
+member's tick is charged its share of the block's wall.
 """
 
 from __future__ import annotations
@@ -307,14 +317,58 @@ class ServeEngine:
     def resolve(self, arrivals) -> None:
         """Decide a round's ``(tenant, tick)`` arrivals one session at a time.
 
+        First the round's cold grid tensors are solved together
+        (:meth:`_solve_cold`); then each session observes its tick in
+        arrival order, charged its share of the block it was solved in.
         The batched engine overrides this with cohort resolution and hands
         back here whatever it cannot vectorise.
         """
-        for tenant, tick in arrivals:
+        charges = self._solve_cold(arrivals)
+        for index, (tenant, tick) in enumerate(arrivals):
             state = tenant.session.observe(
-                tick.demand, cost_row=tick.cost_row, counts=tick.counts
+                tick.demand, cost_row=tick.cost_row, counts=tick.counts,
+                charge_ns=charges[index] if charges else 0,
             )
             self._record(tenant, state)
+
+    def _solve_cold(self, arrivals) -> Optional[List[int]]:
+        """One dispatch block per ``(cache, evaluation grid)`` of the round's cold arrivals.
+
+        Each session names its arrival's slot and grid
+        (:meth:`ControllerSession.cold_tensor`, O(1) on a warm tick); a
+        group of two or more goes to :meth:`ServeCache.grid_tensors`, which
+        solves the missing tensors in one block when that pays.  Returns the
+        nanoseconds to charge each arrival — the block's wall split evenly
+        over the arrivals it solved, as cohort work is split in the batched
+        engine — or ``None`` when no block ran.
+        """
+        groups: Dict[tuple, tuple] = {}
+        for index, (tenant, tick) in enumerate(arrivals):
+            session = tenant.session
+            query = session.cold_tensor(tick.demand, tick.cost_row, tick.counts)
+            if query is None:
+                continue
+            vt, grid = query
+            key = (id(session.cache), grid.key)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = (session.cache, grid, [(index, vt)])
+            else:
+                group[2].append((index, vt))
+        charges = None
+        for cache, grid, members in groups.values():
+            if len(members) < 2:
+                continue
+            started = time.perf_counter_ns()
+            solved = cache.grid_tensors([vt for _, vt in members], grid)
+            paid = [index for index, vt in members if vt in solved]
+            if paid:
+                share = (time.perf_counter_ns() - started) // len(paid)
+                if charges is None:
+                    charges = [0] * len(arrivals)
+                for index in paid:
+                    charges[index] += share
+        return charges
 
     def _record(self, tenant: _Tenant, state) -> None:
         """After a decided tick: its telemetry row, then the checkpoint cadence."""

@@ -18,9 +18,10 @@ batch ``run_online`` schedule exactly and its total cost to 1e-9 — including
 across a mid-stream :meth:`ControllerSession.checkpoint` /
 :meth:`ControllerSession.restore` round-trip.  This holds because
 
-* each tick is solved by the same single-slot dispatch query batch
-  ``run_online`` issues (one ``solve_block([t], configs)`` per slot, and a
-  dispatch cell's result never depends on the block it is solved in),
+* each tick is solved by the same dispatch query batch ``run_online``
+  issues (one ``solve_block([t], configs)`` per slot; the serve engine may
+  solve a round's cold slots in one block instead, and a dispatch cell's
+  result never depends on the block it is solved in),
 * the per-tick grid tensors served to the trackers are bit-identical to the
   batch path's, and
 * :meth:`checkpoint` serialises every decision-relevant byte of algorithm and
@@ -320,8 +321,10 @@ class _StreamInstance:
         """Reuse ledger slot ``vt`` for a new observation (LRU eviction path).
 
         The caller must invalidate any per-*index* caches downstream (the
-        dispatch solver's slot-signature memo); content-keyed caches stay
-        valid because the old content's entries simply stop being queried.
+        dispatch solver's slot-signature memo, :meth:`DispatchSolver.forget
+        <repro.dispatch.allocation.DispatchSolver.forget>`); content-keyed
+        caches stay valid because the old content's entries simply stop
+        being queried.
         """
         self.demand[vt] = float(demand)
         self._rows[vt] = row
@@ -350,7 +353,9 @@ class ServeCache:
     * ``ledger_budget`` caps the demand ledger at that many virtual slots:
       the least-recently-observed ``(demand, cost row)`` entry is evicted and
       its ledger index *reused* for the new observation, so the ledger —
-      and the per-index slot-signature memo behind it — stays flat.
+      and the dispatcher's signature and result memos behind it
+      (:meth:`~repro.dispatch.allocation.DispatchSolver.forget`) — stays
+      flat.
 
     Eviction changes nothing numerically: a re-observed evicted level is
     simply re-solved (single-slot queries are bit-identical by construction),
@@ -374,6 +379,14 @@ class ServeCache:
     for a known demand alphabet up front (and returns the resulting
     :class:`~repro.dispatch.tables.SolutionTable`), moving even the
     *first-seen* solves off the tick path.
+
+    On continuous streams every tick is first-seen, so the serve engine
+    solves a round's cold tensors together before its sessions observe:
+    :meth:`warm` tells a known level from the two fast maps in O(1), and
+    :meth:`grid_tensors` solves the missing tensors of several slots in one
+    dispatch block and installs each row exactly as :meth:`grid_tensor`'s
+    miss path does (one install step), so the sessions' queries become memo
+    hits.
     """
 
     def __init__(
@@ -423,6 +436,9 @@ class ServeCache:
         self._vt_base: dict = {}
         self._fast_tensors: dict = {}
         self._fast_solves: dict = {}
+        # grid key -> the grid object blocks are solved on: it outlives the
+        # round, because the solver pins every read-only configs array by id
+        self._grids: dict = {}
 
     def _collect_metrics(self) -> None:
         """Scrape-time sync of the dispatch solver's stats into the registry."""
@@ -493,12 +509,13 @@ class ServeCache:
             and len(self._virtual) >= self.ledger_budget
         ):
             # evict the least-recently-observed level and reuse its slot; the
-            # solver's per-index signature memo must forget the old content
-            # (unhashable-row slots bypass the map and stay append-only:
-            # their ("slot", index) signatures pin the index's identity)
+            # solver forgets the old content's signature and its results, so
+            # its memos stay bounded too (unhashable-row slots bypass the map
+            # and stay append-only: their ("slot", index) signatures pin the
+            # index's identity)
             _, vt = self._virtual.popitem(last=False)
             self.stream.replace(vt, demand, row)
-            self.dispatcher._sig_cache.pop(vt, None)
+            self.dispatcher.forget(vt)
             self._fast_tensors.pop(vt, None)
             self._fast_solves.pop(vt, None)
             self._c_ledger_evictions.inc()
@@ -524,6 +541,15 @@ class ServeCache:
             self._vt_base[demand] = vt
         return vt
 
+    def warm(self, demand: float) -> bool:
+        """Whether a base-row level already has a memoised grid tensor (O(1)).
+
+        Reads the demand → slot and slot → tensor fast maps only, so
+        ``False`` means "not known", not "cold".
+        """
+        vt = self._vt_base.get(demand)
+        return vt is not None and vt in self._fast_tensors
+
     def grid_tensor(self, vt: int, grid) -> np.ndarray:
         """Memoised value tensor of ``g_t`` over ``grid`` at virtual slot ``vt``.
 
@@ -545,29 +571,67 @@ class ServeCache:
         key = (sig, scale, grid.key)
         tensor = self._tensors.get(key)
         if tensor is None:
-            self._c_tensor_misses.inc()
-            if self.tensor_budget_bytes is None:
-                costs, _ = self.dispatcher.solve_grid(vt, grid.configs())
-            else:
-                # a budgeted memo must not mirror whole-grid blocks into the
-                # dispatcher's unbounded block cache
-                block_costs, _ = self.dispatcher.solve_block(
-                    [vt], grid.configs(), memoise=False
-                )
-                costs = block_costs[0]
-            tensor = costs.reshape(grid.shape)
-            self._tensors[key] = tensor
-            self._tensor_bytes += tensor.nbytes
-            self._evict_tensors()
-        else:
-            self._c_tensor_hits.inc()
-            self._tensors.move_to_end(key)
+            costs = self._solve_tensors([vt], grid)
+            return self._install(key, vt, grid, costs[0])
+        self._c_tensor_hits.inc()
+        self._tensors.move_to_end(key)
+        self._fast_install(vt, grid, tensor)
+        return tensor
+
+    def grid_tensors(self, vts, grid) -> set:
+        """Solve the missing grid tensors of the slots ``vts`` in one block.
+
+        Each slot's signature is read now and its tensor installed under that
+        content key by :meth:`grid_tensor`'s own install step, so the later
+        ``grid_tensor`` queries hit.  The block runs only when it pays and
+        stays bit-identical: when at least two distinct signatures miss, on
+        cost rows whose cells do not depend on their block (no bisection
+        rows).  Returns the slots the block solved (empty when it did not
+        run).
+        """
+        grid = self._grids.setdefault(grid.key, grid)
+        dispatcher = self.dispatcher
+        missing: dict = {}
+        signatures = set()
+        for vt in vts:
+            sig, scale = dispatcher._slot_signature(vt)
+            key = (sig, scale, grid.key)
+            if key in self._tensors or key in missing or not dispatcher._cellwise(sig[1]):
+                continue
+            missing[key] = vt
+            signatures.add(sig)
+        if len(signatures) < 2:
+            return set()
+        costs = self._solve_tensors(list(missing.values()), grid)
+        for (key, vt), row in zip(missing.items(), costs):
+            self._install(key, vt, grid, row)
+        return set(missing.values())
+
+    def _solve_tensors(self, vts, grid) -> np.ndarray:
+        """``g`` over ``grid`` at the slots ``vts``, one cost row per slot.
+
+        A budgeted memo must not mirror whole-grid blocks into the
+        dispatcher's unbounded block cache, so it solves unmemoised.
+        """
+        costs, _ = self.dispatcher.solve_block(
+            vts, grid.configs(), memoise=self.tensor_budget_bytes is None
+        )
+        return costs
+
+    def _install(self, key, vt: int, grid, costs: np.ndarray) -> np.ndarray:
+        """Memoise a freshly solved tensor: one miss, LRU-bounded, fast-mapped."""
+        self._c_tensor_misses.inc()
+        tensor = costs.reshape(grid.shape)
+        self._tensors[key] = tensor
+        self._tensor_bytes += tensor.nbytes
+        self._evict_tensors()
+        self._fast_install(vt, grid, tensor)
+        return tensor
+
+    def _fast_install(self, vt: int, grid, tensor: np.ndarray) -> None:
         if self.tensor_budget_bytes is None:
             # the entry holds a strong ref to the grid, pinning its id
-            if fast is None:
-                fast = self._fast_tensors.setdefault(vt, {})
-            fast[id(grid)] = (grid, tensor)
-        return tensor
+            self._fast_tensors.setdefault(vt, {})[id(grid)] = (grid, tensor)
 
     def solve_config(self, vt: int, rounded: np.ndarray) -> "DispatchResult":
         """Per-configuration dispatch at a virtual slot — the tick fast path.
@@ -916,7 +980,9 @@ class ControllerSession:
         return np.asarray(list(self._latencies), dtype=float) * 1e-9
 
     # ------------------------------------------------------------------ ticks
-    def observe(self, demand: float, cost_row=None, counts=None) -> FleetState:
+    def observe(
+        self, demand: float, cost_row=None, counts=None, *, charge_ns: int = 0
+    ) -> FleetState:
         """Feed the next demand tick and return the controller's decision.
 
         ``cost_row`` optionally reveals this tick's operating-cost functions
@@ -945,11 +1011,18 @@ class ControllerSession:
         :meth:`_observe_traced` instead (same calls, same state transitions —
         tracing only reads clocks and counters, so traced replays stay
         bit-identical); unsampled ticks pay a single branch.
+
+        ``charge_ns`` is work done for this tick before the call and added to
+        its latency: the serve engine charges each member of a round's
+        dispatch block its share of the block's wall
+        (:meth:`~repro.serve.engine.ServeEngine.resolve`), as the batched
+        engine charges cohort members, so a tick's latency still counts the
+        solve it needed.
         """
         tracer = self._tracer
         if tracer is not None and tracer.should_sample():
-            return self._observe_traced(demand, cost_row, counts, tracer)
-        started = time.perf_counter_ns()
+            return self._observe_traced(demand, cost_row, counts, tracer, charge_ns)
+        started = time.perf_counter_ns() - charge_ns
         demand, served, shed, counts_t, vt, slot = self.prepare_tick(
             demand, cost_row, counts
         )
@@ -959,13 +1032,14 @@ class ControllerSession:
             slot=slot, started_ns=started,
         )
 
-    def _observe_traced(self, demand, cost_row, counts, tracer) -> FleetState:
+    def _observe_traced(self, demand, cost_row, counts, tracer, charge_ns=0) -> FleetState:
         """The phase-stamped twin of :meth:`observe` (sampled ticks only).
 
         Stamps ``perf_counter_ns`` at the prepare/decide/commit boundaries
         and attributes the decide span to the dispatch tier that served it —
         ``cold`` when the tick ran a fresh dispatch solve (the solver's
-        ``unique_solves`` moved), ``table`` otherwise.
+        ``unique_solves`` moved), ``table`` otherwise.  ``charge_ns`` enters
+        the tick's latency, not its spans.
         """
         stats = self.cache.dispatcher.stats
         tick = self._t
@@ -979,7 +1053,7 @@ class ControllerSession:
         t2 = time.perf_counter_ns()
         state = self.commit_tick(
             demand, served, shed, vt, rounded, r_list, forced,
-            slot=slot, started_ns=t0,
+            slot=slot, started_ns=t0 - charge_ns,
         )
         t3 = time.perf_counter_ns()
         kind = "decide[cold]" if stats.unique_solves != solves0 else "decide[table]"
@@ -1023,38 +1097,9 @@ class ControllerSession:
         does not call this: its cohorts validate their demands and resolve
         their ledger slots themselves, and never materialise per-tenant slots.
         """
-        stream = self.cache.stream
-        demand = float(demand)
-        if not math.isfinite(demand) or demand < 0:
-            raise ValueError(f"demand must be finite and non-negative, got {demand!r}")
-        if cost_row is None:
-            row = stream.base_cost_row
-        else:
-            row = tuple(cost_row)
-            if len(row) != stream.d:
-                raise ValueError(f"cost_row must have {stream.d} entries, got {len(row)}")
-        if counts is None:
-            counts_t = stream.m
-            capacity = self._base_capacity
-        else:
-            counts_t = np.asarray(counts, dtype=int)
-            if counts_t.shape != (stream.d,):
-                raise ValueError(f"counts must have shape ({stream.d},), got {counts_t.shape}")
-            capacity = float(np.sum(counts_t * stream.zmax))
-        served = demand
-        shed = 0.0
-        if demand > capacity + 1e-9:
-            if self.degradation == "strict":
-                raise ValueError(
-                    f"tick {self._t}: demand {demand:g} exceeds the fleet capacity {capacity:g}"
-                )
-            # deterministic load shedding: serve exactly the capacity, account
-            # for the remainder — the stream keeps flowing, telemetry records
-            # the violation
-            served = capacity
-            shed = demand - capacity
-
+        demand, served, shed, row, counts_t = self.admit(demand, cost_row, counts)
         cache = self.cache
+        stream = cache.stream
         if cost_row is None:
             vt = cache.virtual_slot_base(served)
         else:
@@ -1090,6 +1135,82 @@ class ControllerSession:
             if reusable:
                 self._slot_templates[vt] = slot
         return demand, served, shed, counts_t, vt, slot
+
+    def cold_tensor(self, demand: float, cost_row=None, counts=None) -> Optional[tuple]:
+        """``(ledger slot, grid)`` of a tick whose grid tensor may be unsolved.
+
+        What the serve engine's round block asks of each arrival before any
+        session observes.  ``None`` when the tick is known warm (two O(1)
+        lookups, :meth:`ServeCache.warm`, before anything is built), when
+        :meth:`prepare_tick` would reject it, when the algorithm names no
+        :meth:`~repro.online.base.OnlineAlgorithm.evaluation_grid`, when its
+        cost row is unhashable (each resolution gets a fresh slot, so a
+        tensor solved now would never be read), and on budgeted caches,
+        where a block adds solves: under ``ledger_budget`` resolving the
+        round's slots first recycles slots before their tensors are read,
+        and under ``tensor_budget_bytes`` the block is solved unmemoised, so
+        the greedy baselines, which read ``g_t`` through the dispatcher's
+        memo, solve their rows again.  Otherwise the slot is resolved here
+        as :meth:`prepare_tick` will resolve it.
+        """
+        cache = self.cache
+        if cache.ledger_budget is not None or cache.tensor_budget_bytes is not None:
+            return None
+        if cost_row is None and counts is None and cache.warm(demand):
+            return None
+        try:
+            _, served, _, row, counts_t = self.admit(demand, cost_row, counts)
+            grid = self.algorithm.evaluation_grid(counts_t)
+        except (TypeError, ValueError):  # observe raises it in its turn
+            return None
+        if grid is None:
+            return None
+        if cost_row is None:
+            return cache.virtual_slot_base(served), grid
+        try:
+            hash(row)
+        except TypeError:
+            return None
+        return cache.virtual_slot(served, row), grid
+
+    def admit(self, demand: float, cost_row=None, counts=None) -> tuple:
+        """Validate a tick and resolve its capacity: ``(demand, served, shed, row, counts_t)``.
+
+        Raises on an invalid demand, cost row or counts, and on demand above
+        the tick's capacity under ``"strict"``; under ``"shed"`` the fleet
+        serves exactly its capacity and ``shed`` is the rest.
+        """
+        stream = self.cache.stream
+        demand = float(demand)
+        if not math.isfinite(demand) or demand < 0:
+            raise ValueError(f"demand must be finite and non-negative, got {demand!r}")
+        if cost_row is None:
+            row = stream.base_cost_row
+        else:
+            row = tuple(cost_row)
+            if len(row) != stream.d:
+                raise ValueError(f"cost_row must have {stream.d} entries, got {len(row)}")
+        if counts is None:
+            counts_t = stream.m
+            capacity = self._base_capacity
+        else:
+            counts_t = np.asarray(counts, dtype=int)
+            if counts_t.shape != (stream.d,):
+                raise ValueError(f"counts must have shape ({stream.d},), got {counts_t.shape}")
+            capacity = float(np.sum(counts_t * stream.zmax))
+        served = demand
+        shed = 0.0
+        if demand > capacity + 1e-9:
+            if self.degradation == "strict":
+                raise ValueError(
+                    f"tick {self._t}: demand {demand:g} exceeds the fleet capacity {capacity:g}"
+                )
+            # deterministic load shedding: serve exactly the capacity, account
+            # for the remainder — the stream keeps flowing, telemetry records
+            # the violation
+            served = capacity
+            shed = demand - capacity
+        return demand, served, shed, row, counts_t
 
     def decide_tick(self, slot, counts_t):
         """Phase 2 of a tick: step the algorithm and enforce the decision contract.

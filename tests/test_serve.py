@@ -11,14 +11,20 @@ benchmark's deterministic gates.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from repro import scenarios
-from repro.online.base import run_online
+from repro.core.cost_functions import CallableCost
+from repro.core.instance import ProblemInstance
+from repro.core.server import ServerType
+from repro.offline.state_grid import StateGrid
+from repro.online.base import OnlineAlgorithm, run_online
 from repro.scenarios import build
 from repro.serve import (
+    SERVE_ALGORITHMS,
     ArrayFeed,
     ControllerSession,
     InstanceFeed,
@@ -39,7 +45,9 @@ from repro.serve import (
 )
 from repro.serve.fabric import _materialise, _WorkerTenant
 from repro.serve.supervisor import BreakerConfig, CircuitBreaker
+from repro.serve.verify import assert_same
 from repro.workloads import named_trace
+from repro.workloads.scale import quantise_trace
 
 ALGORITHMS = ["A", "B", "C", "lcp", "reactive", "follow-demand", "all-on"]
 
@@ -388,6 +396,312 @@ class TestServeEngine:
         engine.add_tenant("t2", "A", InstanceFeed(b))
         assert len(engine.caches) == 2
         assert fleet_signature(a.server_types) != fleet_signature(b.server_types)
+
+
+# --------------------------------------------------------------------------- #
+# One dispatch block per round
+# --------------------------------------------------------------------------- #
+
+
+class _FullGridGreedy(OnlineAlgorithm):
+    """A custom algorithm object: reads the full-grid tensor, names no grid."""
+
+    name = "custom-greedy"
+
+    def step(self, slot):
+        grid = StateGrid.full(slot.counts)
+        tensor = slot.grid_operating_cost(grid)
+        return grid.configs()[int(np.argmin(tensor))].copy()
+
+
+class _OneArrivalPerResolve(ServeEngine):
+    """The same engine with every arrival resolved on its own: no round blocks."""
+
+    def resolve(self, arrivals):
+        for arrival in arrivals:
+            super().resolve([arrival])
+
+
+#: (tenant, algorithm, add_tenant kwargs); a callable builds a fresh object.
+BLOCK_TENANTS = [
+    ("A", "A", {}),
+    ("B", "B", {}),
+    ("C", "C", {}),
+    ("lcp", "lcp", {}),
+    ("reactive", "reactive", {}),
+    ("follow-demand", "follow-demand", {}),
+    ("all-on", "all-on", {}),
+    ("A-gamma", {"kind": "A", "params": {"gamma": 2.0}}, {}),
+    ("A-regret", "A", {"track_regret": True}),
+    ("custom", _FullGridGreedy, {}),
+]
+BLOCK_FLEETS = [
+    "diurnal-cpu-gpu", "priced-cpu-gpu", "time-varying-m",
+    "spiky-three-tier", "homogeneous", "callable-d2",
+]
+BLOCK_ENGINE_KWARGS = [
+    {},
+    {"ledger_budget": 2},
+    {"ledger_budget": 3},
+    {"tensor_budget_bytes": 0},
+    {"tensor_budget_bytes": 1 << 20},
+]
+BLOCK_T = 8
+
+
+class _QuadraticCallable(CallableCost):
+    """``a + b z + c z^2`` as a CallableCost: no marginal pieces, so dispatch
+    bisects; the closed-form marginal and its inverse only keep it fast."""
+
+    def __init__(self, a, b, c, name):
+        super().__init__(lambda z: a + b * z + c * z * z, name=name)
+        self._b, self._c = b, c
+
+    def derivative(self, z):
+        out = self._b + 2.0 * self._c * np.asarray(z, dtype=float)
+        return out if out.ndim else float(out)
+
+    def inverse_derivative(self, y):
+        out = np.maximum((np.asarray(y, dtype=float) - self._b) / (2.0 * self._c), 0.0)
+        return out if out.ndim else float(out)
+
+
+def _callable_d2(T):
+    """A d = 2 fleet of CallableCost rows: dispatch bisects, never sweeps."""
+    fleet = (
+        ServerType("cpu", 3, 4.0, 2.0, _QuadraticCallable(1.0, 0.6, 0.4, "cpu")),
+        ServerType("gpu", 2, 6.0, 3.0, _QuadraticCallable(2.0, 0.3, 0.1, "gpu")),
+    )
+    demand = 1.0 + 8.0 * np.abs(np.sin(np.arange(T) * np.pi / T))
+    return ProblemInstance(fleet, demand, name="callable-d2")
+
+
+def _block_streams(fleet, stream, T=BLOCK_T):
+    """``[(tenant instance, served-demand instance)]``, one per tenant.
+
+    Every tenant gets its own unquantised trace over the same fleet objects
+    (and the same cost rows and counts); ``"shed"`` scales each trace's peak
+    to 1.25x the tick's capacity.
+    """
+    base = _callable_d2(T) if fleet == "callable-d2" else build(fleet, T=T)
+    capacity = np.array(
+        [float(np.sum(base.counts_at(t) * base.zmax)) for t in range(T)]
+    )
+    tenants = []
+    for k in range(len(BLOCK_TENANTS)):
+        noise = np.random.default_rng(100 + k).uniform(-0.15, 0.15, T)
+        demand = np.maximum(base.demand * (1.0 + noise), 0.05)
+        if stream == "shed":
+            demand = demand * (1.25 / np.max(demand / capacity))
+        else:
+            demand = np.minimum(demand, 0.95 * capacity)
+        served = np.where(demand > capacity + 1e-9, capacity, demand)
+        tenants.append(
+            (base.with_demand(demand, name=f"t{k}"), base.with_demand(served, name=f"s{k}"))
+        )
+    return tenants
+
+
+def _block_engine(engine, tenants, stream):
+    degradation = "shed" if stream == "shed" else "strict"
+    for (name, algorithm, kwargs), (instance, _) in zip(BLOCK_TENANTS, tenants):
+        if callable(algorithm):
+            algorithm = algorithm()
+        engine.add_tenant(
+            name, algorithm, InstanceFeed(instance), degradation=degradation, **kwargs
+        )
+    engine.run(max_ticks=BLOCK_T // 2, finalize=False)
+    for name in list(engine.tenants):
+        engine.roundtrip_tenant(name)
+    engine.run()
+    return engine
+
+
+def _dispatch_total(engine, field):
+    return sum(getattr(cache.dispatcher.stats, field) for cache in engine.caches)
+
+
+class TestRoundBlock:
+    @pytest.mark.parametrize("stream", ["continuous", "shed"])
+    @pytest.mark.parametrize("fleet", BLOCK_FLEETS)
+    def test_blocked_rounds_decide_as_unblocked_ones(self, fleet, stream):
+        """A shared-cache engine, whose rounds block, decides every tenant
+        exactly as isolated caches (never blocked) and batch run_online do,
+        under every budget and across a mid-stream round-trip; and it runs
+        the unique solves of the same engine fed one arrival at a time."""
+        tenants = _block_streams(fleet, stream)
+        references = [
+            run_online(served, build_serve_algorithm(algorithm() if callable(algorithm) else algorithm))
+            for (_, algorithm, _), (_, served) in zip(BLOCK_TENANTS, tenants)
+        ]
+        isolated = _block_engine(ServeEngine(share_caches=False), tenants, stream)
+        for kwargs in BLOCK_ENGINE_KWARGS:
+            blocked = _block_engine(ServeEngine(**kwargs), tenants, stream)
+            single = _block_engine(_OneArrivalPerResolve(**kwargs), tenants, stream)
+            for (name, _, _), reference in zip(BLOCK_TENANTS, references):
+                label = f"{fleet}/{stream}/{kwargs}/{name}"
+                session = blocked.session(name)
+                assert_same(reference, session, label=label + " vs run_online", tolerance=1e-9)
+                assert_same(isolated.session(name), session, label=label + " vs isolated", tolerance=0.0)
+                assert_same(single.session(name), session, label=label + " vs unblocked", tolerance=0.0)
+            assert _dispatch_total(blocked, "unique_solves") == _dispatch_total(
+                single, "unique_solves"
+            ), f"{fleet}/{stream}/{kwargs}"
+            if not kwargs and fleet != "callable-d2":
+                assert _dispatch_total(blocked, "block_calls") < _dispatch_total(
+                    single, "block_calls"
+                )
+
+    def test_grid_tensors_install_what_grid_tensor_computes(self):
+        """A block installs, bit for bit, the tensor each slot's own
+        grid_tensor computes on a fresh cache, and those queries then hit;
+        bisection rows stay out of blocks."""
+        instance = build("diurnal-cpu-gpu", T=8)
+        cache = ServeCache(instance.server_types)
+        grid = StateGrid.full(instance.m)
+        vts = [cache.virtual_slot_base(float(v)) for v in instance.demand[:5]]
+        assert cache.grid_tensors(vts, grid) == set(vts)
+        assert cache.dispatcher.stats.block_calls == 1
+        assert cache.grid_tensors(vts, grid) == set()  # nothing left missing
+        for vt, demand in zip(vts, instance.demand[:5]):
+            alone = ServeCache(instance.server_types)
+            expected = alone.grid_tensor(alone.virtual_slot_base(float(demand)), grid)
+            hits = cache.tensor_hits
+            assert np.array_equal(cache.grid_tensor(vt, StateGrid.full(instance.m)), expected)
+            assert cache.tensor_hits == hits + 1
+        bisecting = ServeCache(_callable_d2(8).server_types)
+        vts = [bisecting.virtual_slot_base(float(v)) for v in (1.0, 2.0, 3.0)]
+        assert bisecting.grid_tensors(vts, StateGrid.full([3, 2])) == set()
+        assert bisecting.dispatcher.stats.block_calls == 0
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [*SERVE_ALGORITHMS, {"kind": "A", "params": {"gamma": 2.0}},
+         {"kind": "reactive", "params": {}}],
+    )
+    def test_evaluation_grid_covers_every_step_query(self, algorithm):
+        """Every configuration a step sends to solve_block lies in the
+        algorithm's evaluation grid, across a change of the fleet counts."""
+        instance = build("time-varying-m", T=12)
+        session = ControllerSession(algorithm, instance.server_types)
+        dispatcher = session.cache.dispatcher
+        solve_block = dispatcher.solve_block
+        sent = []
+
+        def recording(ts, configs, memoise=True):
+            sent.append(np.array(configs))
+            return solve_block(ts, configs, memoise=memoise)
+
+        for t in range(instance.T):
+            demand, served, shed, counts_t, vt, slot = session.prepare_tick(
+                instance.demand[t], counts=instance.counts_at(t)
+            )
+            sent.clear()
+            dispatcher.solve_block = recording
+            rounded, r_list, forced = session.decide_tick(slot, counts_t)
+            dispatcher.solve_block = solve_block
+            session.commit_tick(demand, served, shed, vt, rounded, r_list, forced)
+            grid = session.algorithm.evaluation_grid(counts_t)
+            if grid is None:
+                assert not sent
+                continue
+            members = {tuple(row) for row in grid.configs().tolist()}
+            for configs in sent:
+                assert {tuple(row) for row in configs.astype(int).tolist()} <= members
+        assert len({tuple(c) for c in (instance.counts_at(t) for t in range(12))}) > 1
+
+    def test_custom_and_all_on_name_no_grid(self):
+        counts = np.array([3, 2])
+        assert _FullGridGreedy().evaluation_grid(counts) is None
+        assert build_serve_algorithm("all-on").evaluation_grid(counts) is None
+
+    def test_block_wall_is_charged_to_its_members(self, monkeypatch):
+        """A solve_block slowed by 2 ms on multi-slot calls makes every tick
+        of a 4-tenant cold round take at least its 0.5 ms share."""
+        tenants = _block_streams("diurnal-cpu-gpu", "continuous", T=6)
+        engine = ServeEngine()
+        for k, (instance, _) in enumerate(tenants[:4]):
+            engine.add_tenant(f"t{k}", "A", InstanceFeed(instance))
+        (cache,) = engine.caches
+        solve_block = cache.dispatcher.solve_block
+        blocks = []
+
+        def slow(ts, configs, memoise=True):
+            if len(ts) > 1:
+                blocks.append(len(ts))
+                time.sleep(0.002)
+            return solve_block(ts, configs, memoise=memoise)
+
+        monkeypatch.setattr(cache.dispatcher, "solve_block", slow)
+        engine.run()
+        assert blocks == [4] * 6
+        for session in engine.sessions:
+            assert session.latencies_ns.min() >= 500_000
+
+    def test_a_rejected_tick_raises_in_its_turn(self):
+        """The block skips a tick that observe rejects, so the error still
+        surfaces at that tenant, after the ticks before it committed."""
+        fleet = build("diurnal-cpu-gpu", T=4).server_types
+        streams = {"a": [1.1, 2.2, 3.3], "b": [1.2, -1.0, 3.4], "c": [1.3, 2.3, 3.5]}
+        for engine in (ServeEngine(), _OneArrivalPerResolve()):
+            for name, demand in streams.items():
+                engine.add_tenant(name, "A", ArrayFeed(demand, server_types=fleet))
+            with pytest.raises(ValueError, match="non-negative"):
+                engine.run()
+            assert [session.ticks for session in engine.sessions] == [2, 1, 1]
+
+    def test_warm_rounds_solve_nothing(self, monkeypatch):
+        """After prewarm on a quantised fleet no round blocks or solves, and
+        the round builds no evaluation grid: the O(1) warm check answers."""
+        instance = build("diurnal-cpu-gpu", T=24)
+        demand = quantise_trace(instance.demand, levels=6)
+        engine = ServeEngine()
+        for k, kind in enumerate(["A", "B", "lcp", "A"]):
+            engine.add_tenant(
+                f"t{k}", kind,
+                InstanceFeed(instance.with_demand(np.roll(demand, k), name=f"t{k}")),
+            )
+        engine.prewarm(sorted({float(v) for v in demand}))
+        asked = []
+        for session in engine.sessions:
+            monkeypatch.setattr(
+                session.algorithm, "evaluation_grid", lambda counts: asked.append(counts)
+            )
+        (cache,) = engine.caches
+        before = cache.dispatcher.stats.block_calls
+        engine.run()
+        assert cache.dispatcher.stats.block_calls == before
+        assert not asked
+
+
+class TestDispatcherMemoBound:
+    @pytest.mark.parametrize("T", [256, 1024])
+    def test_ledger_budget_bounds_the_dispatcher_memos(self, T):
+        """Evicting a ledger slot forgets its signature's dispatch memos, so
+        under ledger_budget they stay flat on a continuous stream."""
+        budget = 8
+        base = build("diurnal-cpu-gpu", T=T, seed=0)
+        engine = ServeEngine(ledger_budget=budget, tensor_budget_bytes=0)
+        instances = []
+        for k, kind in enumerate(["A", "reactive"] * 3):
+            instance = base.with_demand(build("diurnal-cpu-gpu", T=T, seed=k + 1).demand)
+            instances.append((f"t{k}", kind, instance))
+            engine.add_tenant(f"t{k}", kind, InstanceFeed(instance))
+        engine.run()
+        (cache,) = engine.caches
+        dispatcher = cache.dispatcher
+        grid_size = StateGrid.full(base.m).size
+        assert len(dispatcher._sig_cache) <= budget
+        for memo in (dispatcher._cache, dispatcher._block_cache, dispatcher._solved):
+            assert len(memo) <= budget
+        # per signature: one entry per configuration set and scale it was asked
+        for memo in (dispatcher._cache, dispatcher._block_cache):
+            assert sum(len(entries) for entries in memo.values()) <= budget * (grid_size + 1)
+        for name, kind, instance in instances:
+            assert_same(
+                run_online(instance, build_serve_algorithm(kind)), engine.session(name),
+                label=name, tolerance=1e-9,
+            )
 
 
 # --------------------------------------------------------------------------- #
