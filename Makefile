@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-sweep bench-scale bench-serve bench-fabric bench-latency-smoke bench-batch-smoke perf-regress scenarios-smoke serve-smoke chaos-smoke fabric-smoke watch-smoke perfbench-smoke
+.PHONY: test bench bench-smoke bench-sweep bench-scale bench-serve bench-fabric bench-latency-smoke bench-batch-smoke perf-regress scenarios-smoke serve-smoke chaos-smoke fabric-smoke watch-smoke perfbench-smoke figures-smoke loc
 
 # warnings are errors: the suite runs warning-free and stays that way
 test:
@@ -78,6 +78,19 @@ perfbench-smoke:
 		fi; \
 		echo "perfbench-smoke: $$w correct"; \
 	done
+
+# Paper-figure gate: regenerate Figures 1-3 (Algorithm A's trace, the block
+# decomposition, Algorithm B's trace with its W_t sets) and fail on any
+# difference from the committed artifacts in benchmarks/output/.
+FIGURES := FIG1_algorithm_a FIG2_blocks FIG3_algorithm_b
+figures-smoke:
+	cd benchmarks && $(PYTHON) -m pytest -q --benchmark-only -p no:cacheprovider \
+		bench_fig1_algorithm_a.py bench_fig2_blocks.py bench_fig3_algorithm_b.py
+	git diff --exit-code -- $(FIGURES:%=benchmarks/output/%.txt)
+
+# Source size as CHANGES.md entries report it: lines of src/**/*.py.
+loc:
+	@find src -name '*.py' -exec cat {} + | wc -l
 
 # Observability gate: a short traced replay writes per-tick telemetry, a
 # Chrome trace and the summarise_sessions payload; `repro serve watch` must

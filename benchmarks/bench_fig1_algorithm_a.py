@@ -18,6 +18,7 @@ import numpy as np
 from repro import ConstantCost, ProblemInstance, ServerType, run_online
 from repro.analysis import step_plot
 from repro.online import AlgorithmA, FixedSequenceTracker
+from repro.online.blocks import fixed_runtime_blocks, power_up_log
 
 from bench_utils import once, result_section, write_result
 
@@ -48,12 +49,13 @@ def test_fig1_algorithm_a_trace(benchmark):
 
     assert algo.runtimes[0] == 5
     assert np.all(x_a >= FIG1_XHAT)
-    blocks = algo.blocks(0)
+    blocks = fixed_runtime_blocks(result.decisions, 0, algo.runtimes[0])
     assert all(b.length == 5 for b in blocks if b.end < len(FIG1_XHAT) - 1)
 
+    powered_up = power_up_log(result.decisions)
     rows = [
         {"t": t + 1, "xhat_t": int(FIG1_XHAT[t]), "x_A_t": int(x_a[t]),
-         "powered_up": int(algo.power_up_log[t, 0])}
+         "powered_up": int(powered_up[t, 0])}
         for t in range(len(FIG1_XHAT))
     ]
     text = "\n\n".join(

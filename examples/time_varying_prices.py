@@ -53,8 +53,7 @@ def main(T: int = 36) -> None:
         }
     )
     for eps in (1.0, 0.5, 0.25):
-        algo = AlgorithmC(epsilon=eps)
-        result = run_online(instance, algo, dispatcher=dispatcher)
+        result = run_online(instance, AlgorithmC(epsilon=eps), dispatcher=dispatcher)
         rows.append(
             {
                 "algorithm": "C",
@@ -62,7 +61,9 @@ def main(T: int = 36) -> None:
                 "cost": round(result.cost, 2),
                 "ratio": round(result.cost / optimal_cost, 3),
                 "bound": round(2 * instance.d + 1 + eps, 3),
-                "mean_sub_slots": round(float(np.mean(algo.sub_slot_counts)), 2),
+                "mean_sub_slots": round(
+                    float(np.mean([record.sub_slots for record in result.decisions])), 2
+                ),
             }
         )
     print(format_table(rows, title=f"time-dependent costs (OPT = {optimal_cost:.2f})"))

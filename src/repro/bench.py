@@ -1497,8 +1497,8 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
     * **cold** — the default path; pins ``unique_solves``, ``slot_queries``,
       ``tensor_hits``/``tensor_misses`` and the serve-level ``grid_hit_rate``,
       and
-    * **prewarmed** — the demand alphabet prewarmed into the solution-table
-      fast maps; pins ``table_gathers`` and ``prewarmed_levels``,
+    * **prewarmed** — the demand alphabet prewarmed into the cache's fast
+      maps; pins ``table_gathers`` and ``prewarmed_levels``,
 
     plus a **continuous** replay: one tenant each of A, B, C, lcp and
     reactive, each on its own fixed-seed *unquantised* 32-tick

@@ -69,7 +69,7 @@ without writing Python:
 
 ``python -m repro bench --counters``
     Re-run the pinned multi-tenant serve workload two ways (cold and
-    with prewarmed solution tables) and assert every hot-path work counter —
+    with prewarmed fast maps) and assert every hot-path work counter —
     unique solves, slot queries, tensor hits/misses, grid hit rate, table
     gathers — matches its pinned value exactly (part of ``make perf-regress``).
 

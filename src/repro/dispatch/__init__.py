@@ -1,12 +1,10 @@
 """Load-dispatch solver: batched evaluation of the operating cost ``g_t(x)``."""
 
 from .allocation import DispatchResult, DispatchSolver, DispatchStats, reference_dispatch
-from .tables import SolutionTable
 
 __all__ = [
     "DispatchResult",
     "DispatchSolver",
     "DispatchStats",
-    "SolutionTable",
     "reference_dispatch",
 ]

@@ -203,12 +203,12 @@ def _resolve_bound(entry: AlgorithmSpec, instance: ProblemInstance) -> Optional[
     raise ValueError(f"bound must be a number, None or 'theory', got {entry.bound!r}")
 
 
-def _algorithm_extras(algorithm) -> dict:
+def _algorithm_extras(algorithm, result) -> dict:
     if isinstance(algorithm, AlgorithmC):
-        counts = algorithm.sub_slot_counts
+        counts = [record.sub_slots for record in result.decisions]
         return {
             "epsilon": algorithm.epsilon,
-            "mean_sub_slots": float(np.mean(counts)) if len(counts) else 0.0,
+            "mean_sub_slots": float(np.mean(counts)) if counts else 0.0,
         }
     return {}
 
@@ -315,7 +315,7 @@ def run_instance(
                 breakdown=result.breakdown.summary(),
                 dispatch_stats=result.dispatch_stats,
                 scenario=scenario_row,
-                extras=_algorithm_extras(algorithm),
+                extras=_algorithm_extras(algorithm, result),
                 result=result,
             )
         )

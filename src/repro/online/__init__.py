@@ -14,7 +14,9 @@ from .adversary import (
 from .algorithm_a import AlgorithmA
 from .algorithm_b import AlgorithmB, compute_retirement_sets, compute_runtimes
 from .algorithm_c import AlgorithmC, sub_slot_count
-from .base import OnlineAlgorithm, OnlineContext, OnlineRunResult, SlotContext, SlotInfo, run_online
+from .base import (
+    Decision, OnlineAlgorithm, OnlineContext, OnlineRunResult, SlotContext, SlotInfo, run_online,
+)
 from .baselines import AllOn, FollowDemand, Reactive, optimal_static_schedule, receding_horizon_schedule
 from .blocks import Block, block_index_sets, blocks_from_power_ups, special_slots, verify_partition
 from .lcp import LazyCapacityProvisioning
@@ -37,6 +39,7 @@ __all__ = [
     "Block",
     "ChasingGameResult",
     "DPPrefixTracker",
+    "Decision",
     "FixedSequenceTracker",
     "FollowDemand",
     "FractionalRunResult",

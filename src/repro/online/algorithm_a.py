@@ -17,7 +17,10 @@ The algorithm maintains two invariants:
 
 The implementation separates the *tracker* (which produces ``\\hat x^t_t``,
 see :mod:`repro.online.tracker`) from the power-up/-down bookkeeping, so the
-bookkeeping can be tested against the exact series shown in Figure 1.
+bookkeeping can be tested against the exact series shown in Figure 1.  The
+algorithm holds decision state only; each step's ``\\hat x^t_t`` and
+power-ups ``w_t`` are its :class:`~repro.online.base.Decision` record, from
+which :func:`~repro.online.blocks.fixed_runtime_blocks` rebuilds the blocks.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .base import OnlineAlgorithm, OnlineContext, SlotInfo
-from .blocks import Block, blocks_from_power_ups
+from .base import Decision, OnlineAlgorithm, OnlineContext, SlotInfo
 from .tracker import DPPrefixTracker, PrefixOptimumTracker
 
 __all__ = ["AlgorithmA"]
@@ -67,8 +69,6 @@ class AlgorithmA(OnlineAlgorithm):
         self._runtimes: Optional[np.ndarray] = None
         self._runtime_ticks: Optional[List[int]] = None
         self._current: Optional[np.ndarray] = None
-        self._power_ups: List[np.ndarray] = []
-        self._xhat_history: List[np.ndarray] = []
         self._expiry: Dict[int, np.ndarray] = {}
         self._d = 0
 
@@ -79,8 +79,6 @@ class AlgorithmA(OnlineAlgorithm):
         self._runtimes = None
         self._runtime_ticks = None
         self._current = np.zeros(self._d, dtype=int)
-        self._power_ups = []
-        self._xhat_history = []
         self._expiry = {}
 
     def step(self, slot: SlotInfo) -> np.ndarray:
@@ -108,7 +106,6 @@ class AlgorithmA(OnlineAlgorithm):
             self._runtime_ticks = [
                 int(r) if math.isfinite(r) else -1 for r in self._runtimes
             ]
-        self._xhat_history.append(xhat.copy())
 
         # Power-down rule: servers powered up exactly \bar t_j slots ago expire
         # now.  Expirations are scheduled at power-up time, so each step pops a
@@ -121,7 +118,6 @@ class AlgorithmA(OnlineAlgorithm):
         w_t = xhat - self._current
         np.maximum(w_t, 0, out=w_t)
         self._current = np.maximum(self._current, xhat)
-        self._power_ups.append(w_t)
         for j, w in enumerate(w_t.tolist()):
             if w > 0:
                 runtime = self._runtime_ticks[j]
@@ -132,14 +128,13 @@ class AlgorithmA(OnlineAlgorithm):
                         bucket = np.zeros(self._d, dtype=int)
                         self._expiry[due] = bucket
                     bucket[j] += w
+        self.last_decision = Decision(xhat, w_t)
         return self._current.copy()
 
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
         """Decision-relevant state: tracker, runtimes, fleet, pending expiries.
 
-        The analysis logs (power-up history, prefix optima) restart empty
-        after a restore; they do not influence future ``step`` decisions.
         ``inf`` runtimes (zero idle cost) are encoded as ``None`` to stay
         strictly JSON-safe.
         """
@@ -166,46 +161,12 @@ class AlgorithmA(OnlineAlgorithm):
         self._expiry = {
             int(t): np.asarray(vec, dtype=int) for t, vec in state["expiry"].items()
         }
-        self._power_ups = []
-        self._xhat_history = []
 
     # ------------------------------------------------------------------ analysis
     @property
     def runtimes(self) -> Optional[np.ndarray]:
         """The per-type runtimes ``\\bar t_j`` (``inf`` when the idle cost is zero)."""
         return None if self._runtimes is None else self._runtimes.copy()
-
-    @property
-    def power_up_log(self) -> np.ndarray:
-        """``(T, d)`` array ``w_{t,j}`` of servers powered up in every slot."""
-        if not self._power_ups:
-            return np.zeros((0, self._d), dtype=int)
-        return np.stack(self._power_ups)
-
-    @property
-    def prefix_optima(self) -> np.ndarray:
-        """``(T, d)`` array of the observed prefix optima ``\\hat x^t_t``."""
-        if not self._xhat_history:
-            return np.zeros((0, self._d), dtype=int)
-        return np.stack(self._xhat_history)
-
-    def blocks(self, j: int, horizon: Optional[int] = None) -> List[Block]:
-        """The blocks ``A_{j,i}`` (activity intervals) of server type ``j``.
-
-        One block per powered-up server, of length exactly ``\\bar t_j``
-        (clipped to the horizon).  Used to reproduce Figures 1 and 2 and by the
-        tests of Lemma 6/7's premises.
-        """
-        log = self.power_up_log
-        if self._runtimes is None:
-            return []
-        runtime = self._runtimes[j]
-        if not math.isfinite(runtime):
-            runtime = len(log) if horizon is None else horizon
-        slots = []
-        for t in range(len(log)):
-            slots.extend([t] * int(log[t, j]))
-        return blocks_from_power_ups(slots, [int(runtime)] * len(slots), horizon=horizon)
 
     # ------------------------------------------------------------------ internals
     def _compute_runtimes(self, slot: SlotInfo) -> np.ndarray:

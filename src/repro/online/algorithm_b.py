@@ -16,17 +16,21 @@ runtime is unknown at power-up time, but whether the server must be shut down
 Theorem 13 shows Algorithm B is ``(2d + 1 + c(I))``-competitive with
 ``c(I) = sum_j max_t l_{t,j} / beta_j``; Algorithm C (Section 3.2) shrinks the
 additive constant to any ``eps > 0`` by sub-slot refinement.
+
+The algorithm holds decision state only: the fleet and the open power-up
+records.  Each step's ``\\hat x^t_t``, power-ups ``w_t`` and retirement set
+``W_t`` (Figure 3) are its :class:`~repro.online.base.Decision` record, from
+which :func:`~repro.online.blocks.retirement_blocks` rebuilds the blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .base import OnlineAlgorithm, OnlineContext, SlotInfo
-from .blocks import Block
+from .base import Decision, OnlineAlgorithm, OnlineContext, SlotInfo
 from .tracker import DPPrefixTracker, PrefixOptimumTracker
 
 __all__ = ["AlgorithmB", "compute_runtimes", "compute_retirement_sets"]
@@ -51,25 +55,15 @@ class AlgorithmB(OnlineAlgorithm):
             raise ValueError("give either an explicit tracker or gamma, not both")
         self._tracker = tracker if tracker is not None else DPPrefixTracker(gamma=gamma)
         self._d = 0
-        self._steps = 0
         self._current: Optional[np.ndarray] = None
         self._records: List[List[_PowerUpRecord]] = []
-        self._power_ups: List[np.ndarray] = []
-        self._xhat_history: List[np.ndarray] = []
-        self._retired: List[List[Block]] = []
-        self._retirement_log: List[dict] = []
 
     # ---------------------------------------------------------------- life-cycle
     def start(self, context: OnlineContext) -> None:
         self._d = context.d
-        self._steps = 0
         self._tracker.reset()
         self._current = np.zeros(self._d, dtype=int)
         self._records = [[] for _ in range(self._d)]
-        self._power_ups = []
-        self._xhat_history = []
-        self._retired = [[] for _ in range(self._d)]
-        self._retirement_log = []
 
     def step(self, slot: SlotInfo) -> np.ndarray:
         if self._current is None:
@@ -89,11 +83,9 @@ class AlgorithmB(OnlineAlgorithm):
         tracker's ``observe`` plus this rule; the batched serve engine feeds
         it ``xhat`` from a stacked tracker advance).
         """
-        self._xhat_history.append(xhat.copy())
-
         # Power-down rule: retire the servers whose accumulated idle cost since
         # power-up would exceed beta_j if they also stayed active during slot t.
-        retired_now = {j: [] for j in range(self._d)}
+        retired = []
         for j in range(self._d):
             # a zero idle cost can never push the accumulated idle over beta_j
             # (records only survive while accumulated <= beta_j), so the scan
@@ -104,13 +96,11 @@ class AlgorithmB(OnlineAlgorithm):
             for record in self._records[j]:
                 if record.accumulated_idle + idle[j] > beta[j] + 1e-12:
                     self._current[j] -= record.count
-                    self._retired[j].append(Block(start=record.slot, end=t - 1))
-                    retired_now[j].append(record.slot)
+                    retired.append((j, record.slot))
                 else:
                     record.accumulated_idle += idle[j]
                     surviving.append(record)
             self._records[j] = surviving
-        self._retirement_log.append(retired_now)
 
         # Power-up rule: match the prefix optimum.
         w_t = np.maximum(xhat - self._current, 0)
@@ -118,27 +108,12 @@ class AlgorithmB(OnlineAlgorithm):
             if w_t[j] > 0:
                 self._records[j].append(_PowerUpRecord(slot=t, count=int(w_t[j])))
         self._current = np.maximum(self._current, xhat)
-        self._power_ups.append(w_t.astype(int))
-        self._steps += 1
+        self.last_decision = Decision(xhat, w_t, retired)
         return self._current.copy()
-
-    def finish(self) -> None:
-        # close the blocks of servers that are still running at the end of the
-        # horizon (the step counter, not the analysis log — the log restarts
-        # empty after a checkpoint restore while records keep absolute slots)
-        horizon = self._steps
-        for j in range(self._d):
-            for record in self._records[j]:
-                self._retired[j].append(Block(start=record.slot, end=horizon - 1))
-            self._records[j] = []
 
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
-        """Decision-relevant state: tracker, fleet and open power-up records.
-
-        The retired-block and power-up logs are analysis-only and restart
-        empty after a restore.
-        """
+        """Decision-relevant state: tracker, fleet and open power-up records."""
         return {
             "tracker": self._tracker.state_dict(),
             "current": None if self._current is None else [int(v) for v in self._current],
@@ -150,12 +125,10 @@ class AlgorithmB(OnlineAlgorithm):
                 for records in self._records
             ],
             "d": int(self._d),
-            "steps": int(self._steps),
         }
 
     def load_state_dict(self, state: dict) -> None:
         self._d = int(state["d"])
-        self._steps = int(state["steps"])
         self._tracker.load_state_dict(state["tracker"])
         current = state["current"]
         self._current = None if current is None else np.asarray(current, dtype=int)
@@ -167,44 +140,6 @@ class AlgorithmB(OnlineAlgorithm):
             ]
             for records in state["records"]
         ]
-        self._power_ups = []
-        self._xhat_history = []
-        self._retired = [[] for _ in range(self._d)]
-        self._retirement_log = []
-
-    # ------------------------------------------------------------------ analysis
-    @property
-    def power_up_log(self) -> np.ndarray:
-        """``(T, d)`` array ``w_{t,j}`` of servers powered up in every slot."""
-        if not self._power_ups:
-            return np.zeros((0, self._d), dtype=int)
-        return np.stack(self._power_ups)
-
-    @property
-    def prefix_optima(self) -> np.ndarray:
-        """``(T, d)`` array of the observed prefix optima ``\\hat x^t_t``."""
-        if not self._xhat_history:
-            return np.zeros((0, self._d), dtype=int)
-        return np.stack(self._xhat_history)
-
-    @property
-    def retirement_log(self) -> List[dict]:
-        """Per-slot mapping ``j -> [power-up slots retired at this slot]``.
-
-        This reproduces the sets ``W_t`` of the paper's pseudocode (Figure 3):
-        ``W_t`` contains the power-up slots whose servers are shut down when
-        slot ``t`` is processed.
-        """
-        return list(self._retirement_log)
-
-    def blocks(self, j: int) -> List[Block]:
-        """The blocks ``A_{j,i}`` (activity intervals) of server type ``j``.
-
-        One block per power-up event (events that power up ``k`` servers at
-        once yield a single record covering all ``k`` — they share the same
-        interval).  Call after the run finished.
-        """
-        return sorted(self._retired[j], key=lambda b: (b.start, b.end))
 
 
 # --------------------------------------------------------------------------- #

@@ -16,18 +16,21 @@ comparable to switching costs.  Algorithm C removes it by a refinement trick:
 
 Theorem 15: for every ``eps > 0`` this yields a ``(2d + 1 + eps)``-competitive
 algorithm for time-dependent operating costs.
+
+The algorithm holds decision state only (the inner Algorithm B and the
+sub-slot cursor); each original slot's ``n_t`` is its
+:class:`~repro.online.base.Decision` record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from .algorithm_b import AlgorithmB
-from .base import OnlineAlgorithm, OnlineContext, SlotInfo
+from .base import Decision, OnlineAlgorithm, OnlineContext, SlotInfo
 from .tracker import DPPrefixTracker, PrefixOptimumTracker
 
 __all__ = ["AlgorithmC", "sub_slot_count"]
@@ -86,21 +89,18 @@ class AlgorithmC(OnlineAlgorithm):
         self.max_sub_slots = max_sub_slots
         self._inner = AlgorithmB(tracker=tracker, gamma=gamma)
         self._d = 0
-        self._sub_slot_counts: List[int] = []
         self._sub_slot_cursor = 0
 
     # ---------------------------------------------------------------- life-cycle
     def start(self, context: OnlineContext) -> None:
         self._d = context.d
         self._inner.start(context)
-        self._sub_slot_counts = []
         self._sub_slot_cursor = 0
 
     def step(self, slot: SlotInfo) -> np.ndarray:
         n_t = sub_slot_count(self._d, self.epsilon, slot.idle_costs(), slot.beta)
         if self.max_sub_slots is not None:
             n_t = min(n_t, int(self.max_sub_slots))
-        self._sub_slot_counts.append(n_t)
 
         scaled = slot.with_scaled_costs(1.0 / n_t)
         sub_configs = []
@@ -130,14 +130,12 @@ class AlgorithmC(OnlineAlgorithm):
         inverse = np.asarray(inverse).reshape(-1)
         costs = slot.operating_cost(unique)
         best = int(np.argmin(np.asarray(costs)[inverse]))
+        self.last_decision = Decision(None, None, (), None, None, n_t)
         return sub_configs[best]
 
     def evaluation_grid(self, counts: np.ndarray):
         # every sub-slot reads the slot's tensor, scaled, on the inner B's grid
         return self._inner.evaluation_grid(counts)
-
-    def finish(self) -> None:
-        self._inner.finish()
 
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
@@ -152,15 +150,3 @@ class AlgorithmC(OnlineAlgorithm):
         self._d = int(state["d"])
         self._inner.load_state_dict(state["inner"])
         self._sub_slot_cursor = int(state["cursor"])
-        self._sub_slot_counts = []
-
-    # ------------------------------------------------------------------ analysis
-    @property
-    def sub_slot_counts(self) -> np.ndarray:
-        """The refinement counts ``n_t`` used for every original slot."""
-        return np.asarray(self._sub_slot_counts, dtype=int)
-
-    @property
-    def inner_algorithm(self) -> AlgorithmB:
-        """The internal Algorithm B instance (its schedule lives on the refined time axis)."""
-        return self._inner

@@ -11,14 +11,16 @@ cost ``g_t``), plus the static fleet description at start-up.  The total
 horizon ``T`` is *not* revealed.
 
 Algorithms return one integral configuration per step; the driver validates it
-against the fleet limits, assembles the schedule, and evaluates its exact cost.
+against the fleet limits, assembles the schedule, and evaluates its exact cost,
+and it collects each step's :class:`Decision` record (the facts the paper's
+analysis reads per slot) into :attr:`OnlineRunResult.decisions`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -26,10 +28,10 @@ from ..core.costs import CostBreakdown, breakdown_from_parts, evaluate_schedule
 from ..core.instance import ProblemInstance
 from ..core.schedule import Schedule
 from ..dispatch.allocation import DispatchSolver
-from ..dispatch.tables import SolutionTable
 from ..offline.state_grid import grid_for_slot
 
 __all__ = [
+    "Decision",
     "OnlineContext",
     "SlotContext",
     "SlotInfo",
@@ -126,11 +128,41 @@ class SlotInfo:
         )
 
 
+class Decision(NamedTuple):
+    """The analysis facts of one online step (one slot ``t``).
+
+    ``xhat`` is the prefix optimum ``\\hat x^t_t`` and ``power_ups`` the
+    servers ``w_t`` powered up (Algorithms A and B); ``retired`` is B's
+    retirement set ``W_t`` as ``(type, power-up slot)`` pairs; ``lower`` and
+    ``upper`` are LCP's targets ``(X^L_t, X^U_t)``; ``sub_slots`` is C's
+    ``n_t``.  A field the algorithm does not produce keeps its default.  The
+    arrays are the step's own (references, not copies), and the algorithms
+    build the record positionally, in this field order, on the tick path.
+    """
+
+    xhat: Optional[np.ndarray] = None
+    power_ups: Optional[np.ndarray] = None
+    retired: Sequence = ()
+    lower: Optional[np.ndarray] = None
+    upper: Optional[np.ndarray] = None
+    sub_slots: Optional[int] = None
+
+
 class OnlineAlgorithm(abc.ABC):
-    """Base class of integral online right-sizing algorithms."""
+    """Base class of integral online right-sizing algorithms.
+
+    An algorithm holds decision state only: what the next :meth:`step`
+    needs.  Algorithms A, B, C and LCP describe each step in a
+    :class:`Decision` that overwrites :attr:`last_decision`, so a long-lived
+    session holds one record however many ticks it serves.
+    """
 
     #: Human-readable identifier used in reports and benchmark tables.
     name: str = "online"
+
+    #: The :class:`Decision` of the latest step (the per-tick provenance
+    #: hook); ``None`` for algorithms that record none, such as the baselines.
+    last_decision: Optional[Decision] = None
 
     def start(self, context: OnlineContext) -> None:
         """Reset internal state for a new run (called once before the first slot)."""
@@ -161,9 +193,9 @@ class OnlineAlgorithm(abc.ABC):
         :meth:`~repro.serve.ControllerSession.checkpoint` and feeds it back
         through :meth:`load_state_dict` after a restart; an algorithm must
         capture enough state here that every future :meth:`step` decision is
-        unchanged by the round-trip.  Analysis-only logs (power-up history,
-        block records) may be dropped.  Stateless algorithms inherit this
-        empty default.
+        unchanged by the round-trip.  :attr:`last_decision` describes a past
+        step and is not part of it.  Stateless algorithms inherit this empty
+        default.
         """
         return {}
 
@@ -186,12 +218,17 @@ class OnlineRunResult:
     engine deduplicates.  Deltas (not cumulative snapshots) are reported
     because the sweep engine shares one solver across every run of an
     instance.
+
+    ``decisions`` holds the algorithm's :attr:`~OnlineAlgorithm.last_decision`
+    after every slot, one entry per slot (``None`` entries for algorithms that
+    record none).
     """
 
     algorithm: str
     schedule: Schedule
     breakdown: CostBreakdown
     dispatch_stats: Optional[dict] = None
+    decisions: tuple = ()
 
     @property
     def cost(self) -> float:
@@ -365,46 +402,6 @@ class SlotContext:
             for i, key in enumerate(pending_keys[lo : lo + chunk]):
                 self._cache_tensors(key, costs[i].reshape(grid.shape), loads[i])
 
-    def solution_table(self, grid, reference_slot: int = 0) -> SolutionTable:
-        """Quantised :class:`~repro.dispatch.SolutionTable` of ``g_t`` over ``grid``.
-
-        Collects one row per *unique demand level* among the slots that share
-        the reference slot's base cost row and scale (and whose fleet matches
-        the grid) — on a ``quantise_trace``-binned stream that is the whole
-        demand alphabet.  Every row is pulled through :meth:`_grid_tensors`,
-        i.e. the exact memoised tensors a cold online run reads, so a table
-        gather is bit-identical to the cold path by construction.
-        """
-        ref_sig, ref_scale = self.dispatcher._slot_signature(reference_slot)
-        ref_row = ref_sig[1]
-        counts_key = tuple(int(v) for v in grid.max_values())
-        levels: list = []
-        cost_rows: list = []
-        load_rows: list = []
-        seen: set = set()
-        for t in range(self.instance.T):
-            sig, scale = self.dispatcher._slot_signature(t)
-            if sig[1] != ref_row or scale != ref_scale:
-                continue
-            if tuple(int(c) for c in self.instance.counts_at(t)) != counts_key:
-                continue
-            lam = float(sig[0])
-            if lam in seen:
-                continue
-            seen.add(lam)
-            costs, loads = self._grid_tensors(t, grid)
-            levels.append(lam)
-            cost_rows.append(costs.reshape(-1))
-            load_rows.append(loads)
-        if not levels:
-            raise ValueError(
-                f"no slot shares the cost row and fleet of slot {reference_slot} "
-                "on this grid; cannot build a solution table"
-            )
-        return SolutionTable(
-            levels, grid.configs(), np.stack(cost_rows), np.stack(load_rows)
-        )
-
     def evaluate_schedule(self, schedule: Schedule) -> CostBreakdown:
         """Exact cost breakdown of a schedule, gathered from the grid tensors.
 
@@ -483,6 +480,7 @@ def run_online(
 
     T, d = instance.T, instance.d
     configs = np.zeros((T, d), dtype=int)
+    decisions = []
     for t in range(T):
         if slot_context is not None:
             slot = slot_context.slot(t)
@@ -513,6 +511,7 @@ def run_online(
                 f"{algorithm.name}: configuration {rounded} violates fleet limits {slot.counts} at slot {t}"
             )
         configs[t] = rounded
+        decisions.append(algorithm.last_decision)
     algorithm.finish()
 
     schedule = Schedule(configs)
@@ -525,4 +524,5 @@ def run_online(
         schedule=schedule,
         breakdown=breakdown,
         dispatch_stats=dispatcher.stats.delta_since(stats_before),
+        decisions=tuple(decisions),
     )

@@ -18,16 +18,24 @@ These helpers reproduce Figure 2's decomposition and are exercised by the
 benchmark ``bench_fig2_blocks.py`` and by the property-based tests (every
 block contains exactly one special slot; consecutive special slots of
 Algorithm A are at least ``\\bar t_j`` apart).
+
+The readers below turn a run's :class:`~repro.online.base.Decision` records
+(:attr:`~repro.online.base.OnlineRunResult.decisions`) into the analysis's
+series: ``w_t``, ``\\hat x^t_t``, A's blocks, and B's sets ``W_t`` and blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Block", "special_slots", "block_index_sets", "blocks_from_power_ups"]
+__all__ = [
+    "Block", "special_slots", "block_index_sets", "blocks_from_power_ups",
+    "power_up_log", "prefix_optima", "fixed_runtime_blocks", "retirement_sets", "retirement_blocks",
+]
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,60 @@ def blocks_from_power_ups(
             end = min(end, horizon - 1)
         blocks.append(Block(start=int(s), end=int(end)))
     return sorted(blocks, key=lambda b: (b.start, b.end))
+
+
+def power_up_log(decisions: Sequence) -> np.ndarray:
+    """``(T, d)`` array ``w_{t,j}`` of the servers powered up in every slot (A, B)."""
+    return np.stack([record.power_ups for record in decisions])
+
+
+def prefix_optima(decisions: Sequence) -> np.ndarray:
+    """``(T, d)`` array of the prefix optima ``\\hat x^t_t`` observed in every slot (A, B)."""
+    return np.stack([record.xhat for record in decisions])
+
+
+def fixed_runtime_blocks(
+    decisions: Sequence, j: int, runtime: float, horizon: Optional[int] = None
+) -> List[Block]:
+    """Algorithm A's blocks ``A_{j,i}`` of server type ``j``.
+
+    One block per powered-up server, of length exactly ``runtime``
+    (``\\bar t_j``, see :attr:`~repro.online.algorithm_a.AlgorithmA.runtimes`;
+    an infinite runtime runs to the horizon), clipped to ``horizon``.  Used
+    to reproduce Figures 1 and 2 and by the tests of Lemma 6/7's premises.
+    """
+    if not math.isfinite(runtime):
+        runtime = len(decisions) if horizon is None else horizon
+    slots = [t for t, record in enumerate(decisions) for _ in range(int(record.power_ups[j]))]
+    return blocks_from_power_ups(slots, [int(runtime)] * len(slots), horizon=horizon)
+
+
+def retirement_sets(decisions: Sequence, j: int) -> List[List[int]]:
+    """Algorithm B's sets ``W_t`` of server type ``j``, indexed by slot ``t``.
+
+    ``W_t`` holds the power-up slots whose servers B shut down when it
+    processed slot ``t`` (Figure 3), laid out like
+    :func:`~repro.online.algorithm_b.compute_retirement_sets`.
+    """
+    return [[slot for k, slot in record.retired if k == j] for record in decisions]
+
+
+def retirement_blocks(decisions: Sequence, j: int) -> List[Block]:
+    """Algorithm B's blocks ``A_{j,i}`` of server type ``j``.
+
+    One block per power-up event (``k`` servers powered up at once share
+    one interval), from its slot to the slot before the one that retired it,
+    or to the last slot for servers still running at the end of the run.
+    """
+    retired_at = {}
+    for t, slots in enumerate(retirement_sets(decisions, j)):
+        for slot in slots:
+            retired_at[slot] = t
+    return [
+        Block(start=s, end=retired_at.get(s, len(decisions)) - 1)
+        for s, record in enumerate(decisions)
+        if record.power_ups[j] > 0
+    ]
 
 
 def special_slots(blocks: Sequence[Block]) -> List[int]:

@@ -22,7 +22,9 @@ tensor ``V_t``, so one incremental DP tracker produces both, as its
 (:meth:`~repro.online.tracker.DPPrefixTracker.argmin`).  ``step`` is that
 tracker's ``observe`` plus the projection rule ``decide``; the batched serve
 engine runs the same ``decide`` after advancing a cohort of LCP trackers in
-one stacked transition.
+one stacked transition.  The algorithm holds decision state only; each
+step's normalised targets ``(X^L_t, X^U_t)`` are its
+:class:`~repro.online.base.Decision` record.
 
 This is a faithful adaptation of LCP's "lazy between prefix optima" principle
 to the discrete heterogeneous code base rather than a line-by-line port of the
@@ -39,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import OnlineAlgorithm, OnlineContext, SlotInfo
+from .base import Decision, OnlineAlgorithm, OnlineContext, SlotInfo
 from .tracker import DPPrefixTracker, SharedTrackerFactory
 
 __all__ = ["LazyCapacityProvisioning"]
@@ -70,7 +72,6 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
             self._tracker = DPPrefixTracker(gamma=gamma)
         self.allow_heterogeneous = bool(allow_heterogeneous)
         self._current: Optional[np.ndarray] = None
-        self._bounds_history = []
 
     def start(self, context: OnlineContext) -> None:
         if context.d != 1 and not self.allow_heterogeneous:
@@ -80,7 +81,6 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
             )
         self._tracker.reset()
         self._current = np.zeros(context.d, dtype=int)
-        self._bounds_history = []
 
     def step(self, slot: SlotInfo) -> np.ndarray:
         lower = np.asarray(self._tracker.observe(slot), dtype=int)
@@ -102,8 +102,8 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
         # normalise so that the projection interval is well defined.
         lo = np.minimum(lower, upper)
         hi = np.maximum(lower, upper)
-        self._bounds_history.append((lo.copy(), hi.copy()))
         self._current = np.clip(self._current, lo, hi)
+        self.last_decision = Decision(None, None, (), lo, hi)
         return self._current.copy()
 
     # -------------------------------------------------------- checkpointing
@@ -118,9 +118,3 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
         current = state["current"]
         self._current = None if current is None else np.asarray(current, dtype=int)
         self._tracker.load_state_dict(state["tracker"])
-        self._bounds_history = []
-
-    @property
-    def bounds_history(self):
-        """Per-slot ``(X^L_t, X^U_t)`` targets (after normalisation)."""
-        return list(self._bounds_history)

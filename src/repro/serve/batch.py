@@ -4,7 +4,7 @@
 resolve the arrivals, write telemetry and checkpoints — and resolves the
 arrivals one ``session.observe`` at a time: 10k tenants pay 10k interpreter
 round-trips per round even when every one of them resolves to the same
-quantised solution table.  :class:`BatchedServeEngine` keeps that round and
+prewarmed fast-map entries.  :class:`BatchedServeEngine` keeps that round and
 replaces only its resolution, applying the ``solve_block`` idea one level up,
 **across tenants**:
 

@@ -123,13 +123,13 @@ class ServeEngine:
         return cache
 
     def prewarm(self, levels) -> int:
-        """Precompute quantised solution tables on every registered cache.
+        """Prewarm every registered cache with a known demand alphabet.
 
         ``levels`` is the expected demand alphabet (e.g. the bin values of a
         ``quantise_trace``-binned stream).  Each tenant cache runs
         :meth:`ServeCache.prewarm`, which installs the whole-grid tensor and
         every per-configuration dispatch solution for each level through the
-        exact cold code path — steady-state ticks then reduce to table
+        exact cold code path — steady-state ticks then reduce to fast-map
         gathers.  Returns the number of caches prewarmed.  Call after
         registering tenants (an engine with no tenants has no caches yet).
         """

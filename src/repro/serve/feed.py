@@ -203,8 +203,10 @@ class JsonlFeed(TraceFeed):
     Input hardening (a live trace file is the least trustworthy input in the
     serve stack):
 
-    * malformed lines raise :class:`FeedError` naming ``path:line`` — or are
-      counted and skipped under ``on_error="skip"`` (degrade-per-policy),
+    * malformed lines (undecodable bytes, bad JSON, a demand that is not a
+      finite non-negative number — booleans included) raise
+      :class:`FeedError` naming ``path:line`` — or are counted and skipped
+      under ``on_error="skip"`` (degrade-per-policy),
     * ``verify_checksum=True`` requires every line to carry the ``checksum``
       field written by :func:`write_jsonl_trace` and rejects mismatches;
       by default checksums are verified only when present,
@@ -236,19 +238,19 @@ class JsonlFeed(TraceFeed):
         delay = self.retry_delay
         for attempt in range(self.retries + 1):
             try:
-                return open(self.path, "r", encoding="utf-8")
+                return open(self.path, "rb")
             except OSError:
                 if attempt == self.retries:
                     raise
                 time.sleep(delay)
                 delay *= 2
 
-    def _parse_line(self, line: str, line_no: int) -> float:
+    def _parse_line(self, line: bytes, line_no: int) -> float:
         where = f"{self.path}:{line_no}"
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FeedError(f"{where}: malformed JSONL line ({exc.msg})") from exc
+            payload = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # undecodable bytes, bad JSON, an over-long integer
+            raise FeedError(f"{where}: malformed JSONL line ({exc})") from exc
         if isinstance(payload, dict):
             if "demand" not in payload:
                 raise FeedError(f"{where}: object line has no 'demand' key (got {sorted(payload)})")
@@ -267,8 +269,12 @@ class JsonlFeed(TraceFeed):
             if self.verify_checksum:
                 raise FeedError(f"{where}: checksum required but line is a bare number")
             raw = payload
+        if isinstance(raw, bool):
+            raise FeedError(f"{where}: demand {raw!r} is not a number")
         try:
             demand = float(raw)
+        except OverflowError as exc:
+            raise FeedError(f"{where}: demand is an integer beyond float range") from exc
         except (TypeError, ValueError) as exc:
             raise FeedError(f"{where}: demand {raw!r} is not a number") from exc
         if not np.isfinite(demand) or demand < 0:

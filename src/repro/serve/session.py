@@ -133,11 +133,11 @@ def save_checkpoint(path, payload: dict, keep_previous: bool = True) -> Path:
 def _read_checkpoint(path, retries: int, retry_delay: float) -> dict:
     """One checkpoint file → validated payload (no fallback)."""
     delay = float(retry_delay)
-    text = None
+    data = None
     for attempt in range(int(retries) + 1):
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(path, "rb") as handle:
+                data = handle.read()
             break
         except OSError:
             if attempt == retries:
@@ -145,8 +145,8 @@ def _read_checkpoint(path, retries: int, retry_delay: float) -> dict:
             time.sleep(delay)
             delay *= 2
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # undecodable bytes, bad JSON, an over-long integer
         raise CheckpointCorruptError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CheckpointCorruptError(
@@ -376,9 +376,8 @@ class ServeCache:
     tensor fast maps are disabled under ``ledger_budget`` /
     ``tensor_budget_bytes`` respectively, where eviction recency matters and a
     flat mirror would leak evicted entries.  :meth:`prewarm` fills all three
-    for a known demand alphabet up front (and returns the resulting
-    :class:`~repro.dispatch.tables.SolutionTable`), moving even the
-    *first-seen* solves off the tick path.
+    for a known demand alphabet up front, moving even the *first-seen*
+    solves off the tick path.
 
     On continuous streams every tick is first-seen, so the serve engine
     solves a round's cold tensors together before its sessions observe:
@@ -653,24 +652,21 @@ class ServeCache:
             self._c_table_gathers.inc()
         return hit
 
-    def prewarm(self, levels, cost_row=None, grid=None) -> "SolutionTable":
-        """Precompute the full demand-level × configuration solution table.
+    def prewarm(self, levels, cost_row=None, grid=None) -> None:
+        """Solve a known demand alphabet into the fast maps ahead of the ticks.
 
         For every level of a known demand alphabet (``quantise_trace`` bins),
         runs the *exact* queries a cold tick would — the whole-grid tensor
-        build (when ``grid`` is given) and the per-configuration single-slot
-        solves — and installs their results into the fast maps, so first-seen
-        demand levels stop paying dispatch solves on the tick path.  Returns
-        the resulting :class:`~repro.dispatch.tables.SolutionTable` (built
-        from the per-config solves; configurations come from ``grid`` when
-        given, else from the full fleet grid implied by the server counts).
+        build on ``grid`` (default: the full fleet grid implied by the server
+        counts) and the per-configuration single-slot solves — and installs
+        their results into the fast maps, so first-seen demand levels stop
+        paying dispatch solves on the tick path.
 
-        Because every row is produced by the cold path itself, serving ticks
+        Because every entry is produced by the cold path itself, serving ticks
         from a prewarmed cache is bit-identical to a cold replay — which the
         table-vs-solver equality sweep (``tests/test_hotpath.py``) gates for
         every registered scenario family.
         """
-        from ..dispatch.tables import SolutionTable
         from ..offline.state_grid import StateGrid
 
         if grid is None:
@@ -678,24 +674,18 @@ class ServeCache:
         row = self.stream.base_cost_row if cost_row is None else tuple(cost_row)
         configs = grid.configs()
         levels = [float(v) for v in levels]
-        costs = np.empty((len(levels), len(configs)), dtype=float)
-        loads = np.empty((len(levels), len(configs), self.stream.d), dtype=float)
-        for i, level in enumerate(levels):
+        for level in levels:
             vt = self.virtual_slot(level, row)
             if cost_row is None and self.ledger_budget is None:
                 self._vt_base.setdefault(level, vt)
             self.grid_tensor(vt, grid)
             sub = self._fast_solves.setdefault(vt, {})
-            for c, config in enumerate(configs):
+            for config in configs:
                 rounded = np.asarray(config, dtype=int)
-                result = sub.get(rounded.tobytes())
-                if result is None:
-                    result = self.dispatcher.solve(vt, rounded)
-                    sub[rounded.tobytes()] = result
-                costs[i, c] = result.cost
-                loads[i, c] = result.loads
+                key = rounded.tobytes()
+                if key not in sub:
+                    sub[key] = self.dispatcher.solve(vt, rounded)
         self._g_prewarmed.set(max(self.prewarmed_levels, len(levels)))
-        return SolutionTable(levels, configs, costs, loads)
 
     def _evict_tensors(self) -> None:
         if self.tensor_budget_bytes is None:
@@ -843,7 +833,13 @@ class ControllerSession:
         cumulative costs, SLA counters, algorithm/tracker state) plus a
         bounded window of recent latencies for the percentiles, so both the
         resident session and its :meth:`checkpoint` payload stay O(1) in the
-        stream length instead of O(T).
+        stream length instead of O(T).  The algorithms hold decision state
+        only: the latest tick's analysis facts are the one
+        ``algorithm.last_decision`` record, overwritten every tick.  On a
+        quantised stream over a prewarmed cache nothing else grows per tick;
+        on continuous demand an unbudgeted cache, and this session's slot
+        templates, still keep entries per distinct demand level (a cache
+        ``ledger_budget`` and ``tensor_budget_bytes`` bound them).
     name:
         Tenant identifier stamped into telemetry rows.
     """

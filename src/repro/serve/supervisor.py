@@ -80,7 +80,7 @@ def read_json(path, default=None):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # undecodable bytes, bad JSON, an over-long integer
         return default
 
 

@@ -85,19 +85,19 @@ class TelemetryTail:
             self.offset = 0
         if size == self.offset:
             return []
-        with open(self.path, "r", encoding="utf-8") as handle:
+        with open(self.path, "rb") as handle:
             handle.seek(self.offset)
             chunk = handle.read(size - self.offset)
         # only complete lines; the unterminated tail stays unconsumed
-        consumed = chunk.rfind("\n") + 1
-        self.offset += len(chunk[:consumed].encode("utf-8"))
+        consumed = chunk.rfind(b"\n") + 1
+        self.offset += consumed
         rows = []
-        for line in chunk[:consumed].splitlines():
+        for line in chunk[:consumed].split(b"\n"):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
-            except (ValueError, TypeError):
+                row = json.loads(line.decode("utf-8"))
+            except ValueError:  # undecodable bytes, bad JSON, an over-long integer
                 self.bad_lines += 1
                 continue
             # a row without an integer schema (missing, null, a string, a

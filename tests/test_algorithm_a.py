@@ -15,7 +15,14 @@ from repro import (
     theoretical_bound,
 )
 from repro.online import AlgorithmA, DPPrefixTracker, FixedSequenceTracker
-from repro.online.blocks import block_index_sets, special_slots, verify_partition
+from repro.online.blocks import (
+    block_index_sets,
+    fixed_runtime_blocks,
+    power_up_log,
+    prefix_optima,
+    special_slots,
+    verify_partition,
+)
 from repro.workloads import diurnal_trace, spike_trace
 
 from conftest import random_instance
@@ -70,7 +77,7 @@ class TestBookkeeping:
         algo = AlgorithmA(tracker=FixedSequenceTracker(xhat))
         result = run_online(inst, algo)
         # power-ups: 1 at t0, 1 at t1, 1 at t2; each runs 3 slots
-        np.testing.assert_array_equal(algo.power_up_log[:, 0], [1, 1, 1, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(power_up_log(result.decisions)[:, 0], [1, 1, 1, 0, 0, 0, 0, 0])
         np.testing.assert_array_equal(result.schedule.x[:, 0], [1, 2, 3, 2, 1, 0, 0, 0])
 
     def test_staggered_expiry_with_simultaneous_powerups(self):
@@ -84,7 +91,7 @@ class TestBookkeeping:
     def test_invariant_x_at_least_xhat(self, small_instance):
         algo = AlgorithmA()
         result = run_online(small_instance, algo)
-        assert np.all(result.schedule.x >= algo.prefix_optima)
+        assert np.all(result.schedule.x >= prefix_optima(result.decisions))
 
     def test_feasibility_lemma1(self, small_instance):
         """Lemma 1: the schedule of Algorithm A is feasible."""
@@ -116,8 +123,8 @@ class TestBlocksAndSpecialSlots:
         xhat = np.zeros(20, dtype=int)
         xhat[[0, 4, 5, 12]] = [1, 2, 1, 1]
         algo = AlgorithmA(tracker=FixedSequenceTracker(xhat))
-        run_online(inst, algo)
-        blocks = algo.blocks(0)
+        result = run_online(inst, algo)
+        blocks = fixed_runtime_blocks(result.decisions, 0, algo.runtimes[0])
         # power-ups: 1 at slot 0, 2 at slot 4 (the single extra request at slot 5
         # is already covered by running servers), 1 at slot 12 -> 4 blocks
         assert len(blocks) == 4
@@ -128,8 +135,8 @@ class TestBlocksAndSpecialSlots:
         rng = np.random.default_rng(0)
         xhat = rng.integers(0, 3, size=30)
         algo = AlgorithmA(tracker=FixedSequenceTracker(xhat))
-        run_online(inst, algo)
-        blocks = algo.blocks(0)
+        result = run_online(inst, algo)
+        blocks = fixed_runtime_blocks(result.decisions, 0, algo.runtimes[0])
         if blocks:
             assert verify_partition(blocks)
 
@@ -138,8 +145,8 @@ class TestBlocksAndSpecialSlots:
         rng = np.random.default_rng(1)
         xhat = rng.integers(0, 3, size=30)
         algo = AlgorithmA(tracker=FixedSequenceTracker(xhat))
-        run_online(inst, algo)
-        blocks = algo.blocks(0)
+        result = run_online(inst, algo)
+        blocks = fixed_runtime_blocks(result.decisions, 0, algo.runtimes[0])
         taus = special_slots(blocks)
         assert all(b - a >= 5 for a, b in zip(taus, taus[1:]))
 
@@ -148,8 +155,8 @@ class TestBlocksAndSpecialSlots:
         rng = np.random.default_rng(2)
         xhat = rng.integers(0, 4, size=25)
         algo = AlgorithmA(tracker=FixedSequenceTracker(xhat))
-        run_online(inst, algo)
-        blocks = algo.blocks(0)
+        result = run_online(inst, algo)
+        blocks = fixed_runtime_blocks(result.decisions, 0, algo.runtimes[0])
         sets = block_index_sets(blocks)
         flattened = sorted(i for group in sets for i in group)
         assert flattened == list(range(len(blocks)))

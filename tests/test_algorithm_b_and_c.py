@@ -21,6 +21,7 @@ from repro.online import (
     compute_runtimes,
     sub_slot_count,
 )
+from repro.online.blocks import power_up_log, prefix_optima, retirement_blocks, retirement_sets
 from repro.workloads import diurnal_trace
 
 from conftest import random_instance
@@ -88,19 +89,18 @@ class TestFigure3:
         expected_ups = np.zeros(T, dtype=int)
         for s, count in ups:
             expected_ups[s] += count
-        np.testing.assert_array_equal(algo.power_up_log[:, 0], expected_ups)
+        np.testing.assert_array_equal(power_up_log(result.decisions)[:, 0], expected_ups)
 
     def test_retirement_log_matches_paper_sets(self):
         inst = figure3_instance()
         algo = AlgorithmB(tracker=FixedSequenceTracker(FIGURE3_XHAT))
-        run_online(inst, algo)
-        log = algo.retirement_log
+        log = retirement_sets(run_online(inst, algo).decisions, 0)
         # Power-ups happen at 1-based slots 1, 2, 4 and 8 (wherever x_hat exceeds the
         # currently running servers).  The paper's W_t sets list *all* candidate
         # power-up slots; the algorithm only records the ones where servers were
         # actually started, so the recorded retirements are the subset of the
         # paper's W_5, W_9 and W_10 sets corresponding to real power-ups.
-        retired = {(t + 1): [s + 1 for s in entry[0]] for t, entry in enumerate(log) if entry[0]}
+        retired = {(t + 1): [s + 1 for s in entry] for t, entry in enumerate(log) if entry}
         assert retired == {5: [1, 2], 9: [4], 10: [8]}
         paper_sets = {5: [1, 2], 8: [3], 9: [4, 5], 10: [6, 7, 8], 12: [9]}
         for slot, ups in retired.items():
@@ -111,19 +111,18 @@ class TestAlgorithmBBehaviour:
     def test_invariant_x_at_least_xhat(self, time_dependent_instance):
         algo = AlgorithmB()
         result = run_online(time_dependent_instance, algo)
-        assert np.all(result.schedule.x >= algo.prefix_optima)
+        assert np.all(result.schedule.x >= prefix_optima(result.decisions))
 
     def test_feasibility_lemma10(self, time_dependent_instance):
         result = run_online(time_dependent_instance, AlgorithmB())
         assert result.schedule.is_feasible(time_dependent_instance)
 
     def test_blocks_cover_power_ups(self, time_dependent_instance):
-        algo = AlgorithmB()
-        run_online(time_dependent_instance, algo)
+        decisions = run_online(time_dependent_instance, AlgorithmB()).decisions
         for j in range(time_dependent_instance.d):
-            blocks = algo.blocks(j)
+            blocks = retirement_blocks(decisions, j)
             ups_from_blocks = len(blocks)
-            events = int(np.sum(algo.power_up_log[:, j] > 0))
+            events = int(np.sum(power_up_log(decisions)[:, j] > 0))
             assert ups_from_blocks == events
 
     def test_bound_theorem13(self, time_dependent_instance):
@@ -157,6 +156,11 @@ class TestAlgorithmBBehaviour:
         assert np.all(result_b.schedule.x >= result_a.schedule.x - 1)
 
 
+def _sub_slot_counts(result):
+    """The refinement counts ``n_t`` Algorithm C used for every original slot."""
+    return np.array([record.sub_slots for record in result.decisions])
+
+
 class TestAlgorithmC:
     def test_sub_slot_count_formula(self):
         # n_t = ceil(d/eps * max_j l_{t,j}/beta_j)
@@ -186,23 +190,19 @@ class TestAlgorithmC:
         assert result.cost <= bound * opt + 1e-6
 
     def test_sub_slot_counts_recorded(self, time_dependent_instance):
-        algo = AlgorithmC(epsilon=0.5)
-        run_online(time_dependent_instance, algo)
-        counts = algo.sub_slot_counts
+        result = run_online(time_dependent_instance, AlgorithmC(epsilon=0.5))
+        counts = _sub_slot_counts(result)
         assert counts.shape == (time_dependent_instance.T,)
         assert np.all(counts >= 1)
 
     def test_smaller_epsilon_means_more_sub_slots(self, time_dependent_instance):
-        coarse = AlgorithmC(epsilon=1.0)
-        fine = AlgorithmC(epsilon=0.1)
-        run_online(time_dependent_instance, coarse)
-        run_online(time_dependent_instance, fine)
-        assert np.all(fine.sub_slot_counts >= coarse.sub_slot_counts)
+        coarse = run_online(time_dependent_instance, AlgorithmC(epsilon=1.0))
+        fine = run_online(time_dependent_instance, AlgorithmC(epsilon=0.1))
+        assert np.all(_sub_slot_counts(fine) >= _sub_slot_counts(coarse))
 
     def test_max_sub_slot_cap(self, time_dependent_instance):
-        algo = AlgorithmC(epsilon=0.001, max_sub_slots=5)
-        run_online(time_dependent_instance, algo)
-        assert np.all(algo.sub_slot_counts <= 5)
+        result = run_online(time_dependent_instance, AlgorithmC(epsilon=0.001, max_sub_slots=5))
+        assert np.all(_sub_slot_counts(result) <= 5)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bound_on_random_instances(self, seed):

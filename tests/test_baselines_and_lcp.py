@@ -125,9 +125,8 @@ class TestLCP:
         assert result.cost <= 3.0 * opt + 1e-6
 
     def test_moves_lazily(self, homogeneous_instance):
-        algo = LazyCapacityProvisioning()
-        result = run_online(homogeneous_instance, algo)
-        bounds = algo.bounds_history
+        result = run_online(homogeneous_instance, LazyCapacityProvisioning())
+        bounds = [(record.lower, record.upper) for record in result.decisions]
         for t in range(homogeneous_instance.T):
             lo, hi = bounds[t]
             assert np.all(result.schedule.x[t] >= lo)

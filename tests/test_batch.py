@@ -267,9 +267,9 @@ class TestDPCohorts:
         for inst in (instance, zero_idle):
             context = SlotContext(inst)
             lcp = LazyCapacityProvisioning(allow_heterogeneous=True)
-            run_online(inst, lcp, slot_context=context)
+            result = run_online(inst, lcp, slot_context=context)
             tracker = DPPrefixTracker()
-            bounds = lcp.bounds_history
+            bounds = [(record.lower, record.upper) for record in result.decisions]
             assert len(bounds) == inst.T
             for t, (lo, hi) in enumerate(bounds):
                 lower = tracker.observe(context.slot(t))

@@ -11,11 +11,14 @@ circuit breaker), deterministic sharding, atomic checkpoint rotation with
 checkpoints, and checkpoint-based live migration.
 """
 
+import gc
+import itertools
 import json
 import os
 import signal
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from repro import scenarios
 from repro.exp.sharding import assign_shards, chunked
 from repro.scenarios import build
 from repro.serve import (
+    SERVE_ALGORITHMS,
     BreakerConfig,
     CheckpointCorruptError,
     CircuitBreaker,
@@ -51,6 +55,7 @@ from repro.serve.supervisor import (
     read_json,
     write_json_atomic,
 )
+from repro.workloads.scale import quantise_trace
 
 SCENARIO = "diurnal-cpu-gpu"
 
@@ -378,6 +383,31 @@ class TestCompactHistory:
         growth = payload_bytes(False, 160) - payload_bytes(False, 80)
         assert abs(growth) < 64, growth
         assert payload_bytes(True, 160) - payload_bytes(True, 80) > 500
+
+    @pytest.mark.parametrize("kind", sorted(SERVE_ALGORITHMS))
+    def test_compact_session_memory_stays_flat(self, kind):
+        """A prewarmed quantised history=False session retains nothing per
+        tick: after a 1,024-tick warm-up, 4,096 more ticks grow the traced
+        heap by less than 512 KB (bounded memos may still fill up)."""
+        instance = build(SCENARIO, T=96)
+        demand = [float(v) for v in quantise_trace(instance.demand, levels=8)]
+        cache = ServeCache(instance.server_types)
+        cache.prewarm(sorted(set(demand)))
+        session = ControllerSession(kind, cache=cache, history=False)
+        ticks = itertools.cycle(demand)
+        for _ in range(1024):
+            session.observe(next(ticks))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(4096):
+                session.observe(next(ticks))
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 512 * 1024, grown
 
 
 # --------------------------------------------------------------------------- #

@@ -27,7 +27,6 @@ from repro.bench import (
     trend_report,
 )
 from repro.dispatch.allocation import DispatchSolver
-from repro.dispatch.tables import SolutionTable
 from repro.offline.state_grid import StateGrid, grid_for_slot
 from repro.offline.transitions import (
     _min_plus_axis,
@@ -36,7 +35,6 @@ from repro.offline.transitions import (
     transition,
 )
 from repro.online import AlgorithmA, AlgorithmB, run_online
-from repro.online.base import SlotContext
 from repro.scenarios import build
 from repro.serve import ControllerSession, InstanceFeed, ServeCache, ServeEngine
 from repro.workloads.scale import quantise_trace
@@ -251,31 +249,13 @@ class TestTablePathEquality:
         assert np.array_equal(warm.schedule.x, plain.schedule.x)
         assert abs(warm.cumulative_cost - plain.cumulative_cost) <= 1e-9
 
-    def test_prewarm_returns_exact_solution_table(self):
-        instance = build("diurnal-cpu-gpu", T=16)
-        demand = quantise_trace(instance.demand, levels=5)
-        levels = sorted({float(v) for v in demand})
-        cache = ServeCache(instance.server_types)
-        table = cache.prewarm(levels)
-        assert isinstance(table, SolutionTable)
-        assert len(table) == len(levels)
-        assert cache.prewarmed_levels == len(levels)
-        # every table entry equals a fresh single-slot solve
-        fresh = ServeCache(instance.server_types)
-        for level in levels:
-            vt = fresh.virtual_slot(level, fresh.stream.base_cost_row)
-            for c, config in enumerate(table.configs):
-                result = fresh.dispatcher.solve(vt, np.asarray(config, dtype=int))
-                cost, loads = table.entry(level, c)
-                assert cost == result.cost
-                assert np.array_equal(loads, result.loads)
-        assert table.costs_for(max(levels) + 123.0) is None
-
     def test_table_gathers_count_fast_hits(self):
         instance = build("diurnal-cpu-gpu", T=24)
         demand = quantise_trace(instance.demand, levels=4)
+        levels = sorted({float(v) for v in demand})
         cache = ServeCache(instance.server_types)
-        cache.prewarm(sorted({float(v) for v in demand}))
+        cache.prewarm(levels)
+        assert cache.prewarmed_levels == len(levels)
         session = ControllerSession("A", cache=cache)
         for value in demand:
             session.observe(float(value))
@@ -299,50 +279,6 @@ class TestTablePathEquality:
             engine.run()
             results[prewarm] = [s.cumulative_cost for s in engine.sessions]
         assert results[False] == pytest.approx(results[True], abs=1e-9)
-
-
-# --------------------------------------------------------------------------- #
-# SlotContext.solution_table
-# --------------------------------------------------------------------------- #
-
-
-class TestSlotContextSolutionTable:
-    def test_table_matches_grid_tensors_exactly(self):
-        instance = build("diurnal-cpu-gpu", T=24)
-        demand = quantise_trace(instance.demand, levels=6)
-        instance = instance.with_demand(demand, name="ctx-table")
-        ctx = SlotContext(instance)
-        grid = grid_for_slot(instance, 0)
-        table = ctx.solution_table(grid)
-        assert len(table) == len({float(v) for v in demand})
-        for t in range(instance.T):
-            level = float(instance.demand[t])
-            assert level in table
-            costs = table.costs_for(level)
-            expected = ctx.slot(t).grid_operating_cost(grid).reshape(-1)
-            assert np.array_equal(costs, expected)
-
-    def test_argmin_over_table_matches_tracker_enumeration(self):
-        instance = build("diurnal-cpu-gpu", T=16)
-        demand = quantise_trace(instance.demand, levels=5)
-        instance = instance.with_demand(demand, name="ctx-argmin")
-        ctx = SlotContext(instance)
-        grid = grid_for_slot(instance, 0)
-        table = ctx.solution_table(grid)
-        for t in range(instance.T):
-            row = table.costs_for(float(instance.demand[t]))
-            # configs() row i corresponds to flat index i of the value tensor
-            best = table.configs[int(row.argmin())]
-            tensor = ctx.slot(t).grid_operating_cost(grid)
-            assert row[int(row.argmin())] == tensor.reshape(-1).min()
-            assert np.array_equal(best, grid.configs()[int(tensor.reshape(-1).argmin())])
-
-    def test_mismatched_grid_raises(self):
-        instance = build("diurnal-cpu-gpu", T=8)
-        ctx = SlotContext(instance)
-        off_fleet = StateGrid.full(np.asarray(instance.m) + 3)
-        with pytest.raises(ValueError, match="solution table"):
-            ctx.solution_table(off_fleet)
 
 
 # --------------------------------------------------------------------------- #

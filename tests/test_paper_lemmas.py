@@ -25,6 +25,7 @@ import pytest
 from repro import evaluate_schedule, run_online, solve_optimal
 from repro.dispatch import DispatchSolver
 from repro.online import AlgorithmA, AlgorithmB
+from repro.online.blocks import fixed_runtime_blocks, prefix_optima, retirement_blocks
 
 from conftest import random_instance
 
@@ -91,15 +92,15 @@ class TestLemma6And7:
     def _run(self, instance):
         dispatcher = DispatchSolver(instance)
         algo = AlgorithmA()
-        run_online(instance, algo, dispatcher=dispatcher)
+        result = run_online(instance, algo, dispatcher=dispatcher)
         optimal_cost = solve_optimal(instance, dispatcher=dispatcher, return_schedule=False).cost
-        return algo, optimal_cost
+        return algo, result, optimal_cost
 
     @pytest.mark.parametrize("seed", range(3))
     def test_lemma6_per_block_charge(self, seed):
         rng = np.random.default_rng(22_000 + seed)
         instance = random_instance(rng, T=8, d=2, max_servers=3)
-        algo, _ = self._run(instance)
+        algo, _, _ = self._run(instance)
         idle = instance.idle_costs(0)
         for j in range(instance.d):
             runtime = algo.runtimes[j]
@@ -115,11 +116,11 @@ class TestLemma6And7:
         """sum_i H_{j,i} <= 2 C(X̂^T) for every type j (the heart of Theorem 8)."""
         rng = np.random.default_rng(23_000 + seed)
         instance = random_instance(rng, T=8, d=2, max_servers=3)
-        algo, optimal_cost = self._run(instance)
+        algo, result, optimal_cost = self._run(instance)
         idle = instance.idle_costs(0)
         for j in range(instance.d):
             runtime = algo.runtimes[j]
-            blocks = algo.blocks(j, horizon=instance.T)
+            blocks = fixed_runtime_blocks(result.decisions, j, runtime, horizon=instance.T)
             if not blocks or not np.isfinite(runtime):
                 continue
             total_h = sum(instance.beta[j] + runtime * idle[j] for _ in blocks)
@@ -129,12 +130,11 @@ class TestLemma6And7:
         """sum_i H_{j,i} <= (2 + max_t l_{t,j}/beta_j) C(X̂^T) for Algorithm B."""
         instance = time_dependent_instance
         dispatcher = DispatchSolver(instance)
-        algo = AlgorithmB()
-        run_online(instance, algo, dispatcher=dispatcher)
+        decisions = run_online(instance, AlgorithmB(), dispatcher=dispatcher).decisions
         optimal_cost = solve_optimal(instance, dispatcher=dispatcher, return_schedule=False).cost
         idle_by_slot = np.array([instance.idle_costs(t) for t in range(instance.T)])
         for j in range(instance.d):
-            blocks = algo.blocks(j)
+            blocks = retirement_blocks(decisions, j)
             if not blocks:
                 continue
             total_h = 0.0
@@ -149,11 +149,10 @@ class TestLemma6And7:
         """H_{j,i} <= 2 beta_j + max_t l_{t,j} for every block of Algorithm B."""
         instance = time_dependent_instance
         dispatcher = DispatchSolver(instance)
-        algo = AlgorithmB()
-        run_online(instance, algo, dispatcher=dispatcher)
+        decisions = run_online(instance, AlgorithmB(), dispatcher=dispatcher).decisions
         idle_by_slot = np.array([instance.idle_costs(t) for t in range(instance.T)])
         for j in range(instance.d):
-            for block in algo.blocks(j):
+            for block in retirement_blocks(decisions, j):
                 h = instance.beta[j] + float(np.sum(idle_by_slot[block.start : block.end + 1, j]))
                 bound = 2.0 * instance.beta[j] + float(np.max(idle_by_slot[:, j]))
                 assert h <= bound + 1e-9
@@ -201,4 +200,4 @@ class TestFeasibilityLemmas:
             capacity = float(np.sum(result.schedule.x[t] * instance.zmax))
             assert capacity >= instance.demand[t] - 1e-9
             # and the tracker's reported prefix optimum is dominated entry-wise
-            assert np.all(result.schedule.x[t] >= algo.prefix_optima[t])
+            assert np.all(result.schedule.x[t] >= prefix_optima(result.decisions)[t])
