@@ -3,9 +3,10 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench bench-smoke bench-sweep bench-scale bench-serve bench-fabric bench-latency-smoke bench-batch-smoke perf-regress scenarios-smoke serve-smoke chaos-smoke fabric-smoke watch-smoke perfbench-smoke figures-smoke loc
 
-# warnings are errors: the suite runs warning-free and stays that way
+# warnings are errors: the suite runs warning-free and stays that way; -X dev
+# adds the interpreter's debug checks (unclosed files, asyncio debug mode)
 test:
-	$(PYTHON) -m pytest -x -q -W error
+	$(PYTHON) -X dev -m pytest -x -q -W error
 
 # <60s regression harness: solves three pinned instances and asserts the DP
 # still returns seed-identical optimal costs (guards the batched dispatch

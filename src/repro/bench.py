@@ -1689,6 +1689,16 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
 PINNED_LATENCY_SMOKE_COST: Optional[float] = 2424.533801552966
 
 
+def _percentiles_us(us: np.ndarray) -> dict:
+    """p50/p90/p99/max of per-tick microseconds, rounded to 0.01 µs."""
+    return {
+        "p50_us": round(float(np.percentile(us, 50)), 2),
+        "p90_us": round(float(np.percentile(us, 90)), 2),
+        "p99_us": round(float(np.percentile(us, 99)), 2),
+        "max_us": round(float(us.max()), 2),
+    }
+
+
 def run_latency_smoke(
     budget_us: float = 50.0,
     budget_scale: float = 1.0,
@@ -1766,16 +1776,7 @@ def run_latency_smoke(
         )
         lat = session.latencies_ns
         per_tick[rep] = lat
-        us = lat / 1000.0
-        per_rep_rows.append(
-            {
-                "repeat": rep,
-                "p50_us": round(float(np.percentile(us, 50)), 2),
-                "p90_us": round(float(np.percentile(us, 90)), 2),
-                "p99_us": round(float(np.percentile(us, 99)), 2),
-                "max_us": round(float(us.max()), 2),
-            }
-        )
+        per_rep_rows.append({"repeat": rep, **_percentiles_us(lat / 1000.0)})
 
     defaults = (
         scenario == "diurnal-cpu-gpu"
@@ -1791,13 +1792,7 @@ def run_latency_smoke(
                 f"pinned value {PINNED_LATENCY_SMOKE_COST!r} by {pin_deviation:.3e}"
             )
 
-    floor_us = per_tick.min(axis=0) / 1000.0
-    floor = {
-        "p50_us": round(float(np.percentile(floor_us, 50)), 2),
-        "p90_us": round(float(np.percentile(floor_us, 90)), 2),
-        "p99_us": round(float(np.percentile(floor_us, 99)), 2),
-        "max_us": round(float(floor_us.max()), 2),
-    }
+    floor = _percentiles_us(per_tick.min(axis=0) / 1000.0)
     budget = float(budget_us) * float(budget_scale)
     if not floor["p99_us"] < budget:
         raise AssertionError(
@@ -1831,13 +1826,7 @@ def run_latency_smoke(
             tolerance=1e-9,
         )
         traced_tick[rep] = session.latencies_ns
-    traced_floor_us = traced_tick.min(axis=0) / 1000.0
-    traced_floor = {
-        "p50_us": round(float(np.percentile(traced_floor_us, 50)), 2),
-        "p90_us": round(float(np.percentile(traced_floor_us, 90)), 2),
-        "p99_us": round(float(np.percentile(traced_floor_us, 99)), 2),
-        "max_us": round(float(traced_floor_us.max()), 2),
-    }
+    traced_floor = _percentiles_us(traced_tick.min(axis=0) / 1000.0)
     if not traced_floor["p99_us"] < 2.0 * budget:
         raise AssertionError(
             f"latency smoke: fully-traced p99 tick latency {traced_floor['p99_us']}µs "

@@ -1160,7 +1160,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                       f"({payload_bytes} bytes)")
             state = session.observe(tick.demand, cost_row=tick.cost_row, counts=tick.counts)
             t1 = perf_ns() if sampled else 0
-            writer.write(state.as_row(), tenant=session.name)
+            writer.write(state, tenant=session.name)
             if sampled:
                 tracer.record("telemetry", session.name, state.t, t1, perf_ns())
     session.finish()

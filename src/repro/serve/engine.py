@@ -373,7 +373,7 @@ class ServeEngine:
     def _record(self, tenant: _Tenant, state) -> None:
         """After a decided tick: its telemetry row, then the checkpoint cadence."""
         if self._writer.active:
-            self._writer.write(state.as_row(), tenant=tenant.name)
+            self._writer.write(state, tenant=tenant.name)
         if self._cadence and tenant.session.ticks % self._cadence == 0:
             self._checkpoint(tenant)
 

@@ -767,7 +767,11 @@ class FleetState:
         return self.cumulative_cost - self.prefix_optimum_cost
 
     def as_row(self) -> dict:
-        """Flat JSON-safe telemetry row (one JSONL line per tick)."""
+        """Flat JSON-safe telemetry row, the dict view of one JSONL line per tick.
+
+        :meth:`json_row` encodes the same row without building this dict;
+        this view is the reference its tests compare against.
+        """
         row = {
             "t": int(self.t),
             "demand": float(self.demand),
@@ -790,6 +794,55 @@ class FleetState:
             row["prefix_optimum_cost"] = float(self.prefix_optimum_cost)
             row["regret"] = float(self.regret)
         return row
+
+    def json_row(self, stamp: str) -> str:
+        """``json.dumps`` of :meth:`as_row` extended by ``stamp``, without the dict.
+
+        ``stamp`` is already-encoded members (``', "schema": 1'`` ...) that
+        follow the row's own keys; :meth:`TelemetryWriter.write
+        <repro.serve.telemetry.TelemetryWriter.write>` passes its
+        ``"schema"`` and ``"tenant"``.  The text is byte-equal to
+        ``json.dumps`` of the row dict those members extend: the same keys in
+        the same order, :meth:`as_row`'s conversions, ``float.__repr__`` for
+        finite floats and JSON's ``NaN``/``Infinity``/``-Infinity`` for the
+        rest.
+        """
+        f = _json_float
+        line = (
+            f'{{"t": {int(self.t)}, "demand": {f(self.demand)}, '
+            f'"config": [{", ".join([str(int(v)) for v in self.config.tolist()])}], '
+            f'"operating_cost": {f(self.operating_cost)}, '
+            f'"switching_cost": {f(self.switching_cost)}, '
+            f'"tick_cost": {f(self.tick_cost)}, '
+            f'"cumulative_cost": {f(self.cumulative_cost)}, '
+            f'"loads": [{", ".join(map(f, self.loads.tolist()))}], '
+            f'"feasible": {"true" if self.feasible else "false"}, '
+            f'"sla_violation": {"true" if self.sla_violation else "false"}, '
+            f'"latency_ms": {f(round(self.latency_ns * 1e-6, 6))}'
+        )
+        if self.shed_demand > 0:
+            line += (
+                f', "served_demand": {f(self.served_demand)}'
+                f', "shed_demand": {f(self.shed_demand)}'
+            )
+        if self.forced_down > 0:
+            line += f', "forced_down": {int(self.forced_down)}'
+        if math.isfinite(self.prefix_optimum_cost):
+            line += (
+                f', "prefix_optimum_cost": {f(self.prefix_optimum_cost)}'
+                f', "regret": {f(self.regret)}'
+            )
+        return line + stamp + "}"
+
+
+#: ``json.dumps``'s spellings of the floats ``repr`` writes as ``nan``/``inf``.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value) -> str:
+    """``json.dumps(float(value))``: ``float.__repr__``, or JSON's non-finite spelling."""
+    text = repr(float(value))
+    return _JSON_NONFINITE.get(text, text)
 
 
 class ControllerSession:
@@ -1391,7 +1444,11 @@ class ControllerSession:
         dropped, leaving a payload whose size is constant in the stream
         length while still restoring to a bit-identical continuation (the
         algorithm state and the previous configuration are what the next
-        decision reads; the history is telemetry).
+        decision reads; the history is telemetry).  The history is copied in
+        one pass — one ``tolist()`` per configuration, one ``list()`` of the
+        latencies: the session keeps configurations as int arrays and
+        latencies as Python ints, so the payload, its checksum and the file
+        bytes are those of an ``int()`` per element.
         """
         payload = {
             "version": CHECKPOINT_VERSION,
@@ -1414,8 +1471,8 @@ class ControllerSession:
             "regret_gamma": None if self._regret_tracker is None else self._regret_gamma,
         }
         if self.history:
-            payload["configs"] = [[int(v) for v in c] for c in self._configs]
-            payload["latencies_ns"] = [int(v) for v in self._latencies]
+            payload["configs"] = [c.tolist() for c in self._configs]
+            payload["latencies_ns"] = list(self._latencies)
         payload["checksum"] = payload_checksum(payload)
         return payload
 

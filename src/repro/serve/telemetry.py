@@ -4,8 +4,11 @@ Every tick of a :class:`~repro.serve.session.ControllerSession` yields a
 :class:`~repro.serve.session.FleetState`; a :class:`TelemetryWriter` appends
 its flat row — tenant, demand, chosen configuration, tick/cumulative cost,
 wall latency, optional prefix-optimum regret — as one JSON line, the format
-every log shipper understands.  Rows are stamped with ``"schema": 1``, and
-readers count a row without an integer schema as malformed.
+every log shipper understands, encoded straight from the state
+(:meth:`~repro.serve.session.FleetState.json_row`) into the bytes
+``json.dumps`` gives for its :meth:`~repro.serve.session.FleetState.as_row`
+dict.  Rows are stamped with ``"schema": 1``, and readers count a row without
+an integer schema as malformed.
 :func:`latency_percentiles` and :func:`summarise_sessions` aggregate what
 ``repro serve replay`` prints, what ``BENCH_serve.json`` records and what
 ``repro serve watch`` reproduces from the files.
@@ -16,11 +19,12 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from .metrics import LATENCY_BUCKETS_NS
+from .session import FleetState
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
@@ -50,6 +54,10 @@ class TelemetryWriter:
     reaches the threshold (checked at row boundaries) it is rotated to
     ``<path>.1`` — the previous ``.1`` moving to ``.2``, two generations
     kept — and a fresh file is started.
+
+    Reopening a file whose last line is torn (a crash mid-row) first ends
+    that line, so the fragment reads as one bad line and the first new row
+    stays whole.
     """
 
     def __init__(
@@ -69,6 +77,8 @@ class TelemetryWriter:
         self._handle = None
         self._pending = 0
         self._bytes = 0
+        #: tenant -> its encoded ``"schema"``/``"tenant"`` members
+        self._stamps: Dict[Optional[str], str] = {}
         self.rows_written = 0
         self.rotations = 0
         if self.path is not None:
@@ -78,6 +88,13 @@ class TelemetryWriter:
                 self._bytes = os.fstat(self._handle.fileno()).st_size
             except OSError:  # pragma: no cover — exotic filesystems
                 self._bytes = 0
+            if self._bytes:
+                with open(self.path, "rb") as existing:
+                    existing.seek(-1, os.SEEK_END)
+                    torn = existing.read(1) != b"\n"
+                if torn:
+                    self._handle.write("\n")
+                    self._bytes += 1
 
     @property
     def active(self) -> bool:
@@ -89,16 +106,34 @@ class TelemetryWriter:
         """
         return self._handle is not None
 
-    def write(self, row: dict, tenant: Optional[str] = None) -> None:
-        """Append one telemetry row (stamping ``tenant`` and the schema version)."""
+    def write(self, row: Union[FleetState, dict], tenant: Optional[str] = None) -> None:
+        """Append one telemetry row, stamped with the schema version and ``tenant``.
+
+        ``row`` is a tick's :class:`~repro.serve.session.FleetState`, encoded
+        straight to its line by :meth:`~repro.serve.session.FleetState.json_row`
+        (the tenant name is JSON-escaped once per tenant), or a free-form dict
+        such as a fabric lifecycle event, which keeps a ``"schema"`` it
+        carries.  Either way the line is ``json.dumps`` of the row dict — a
+        state's :meth:`~repro.serve.session.FleetState.as_row` — with
+        ``"schema"`` and then ``"tenant"`` added.
+        """
         if self._handle is None:
             return
-        if tenant is not None or "schema" not in row:
-            row = dict(row)
-            row.setdefault("schema", TELEMETRY_SCHEMA_VERSION)
-            if tenant is not None:
-                row["tenant"] = tenant
-        line = json.dumps(row) + "\n"
+        if isinstance(row, FleetState):
+            stamp = self._stamps.get(tenant)
+            if stamp is None:
+                members = {"schema": TELEMETRY_SCHEMA_VERSION}
+                if tenant is not None:
+                    members["tenant"] = tenant
+                stamp = self._stamps[tenant] = ", " + json.dumps(members)[1:-1]
+            line = row.json_row(stamp) + "\n"
+        else:
+            if tenant is not None or "schema" not in row:
+                row = dict(row)
+                row.setdefault("schema", TELEMETRY_SCHEMA_VERSION)
+                if tenant is not None:
+                    row["tenant"] = tenant
+            line = json.dumps(row) + "\n"
         self._handle.write(line)
         self._bytes += len(line)
         self._pending += 1

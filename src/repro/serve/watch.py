@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import html as _html
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -64,9 +65,14 @@ class TelemetryTail:
 
     Keeps a byte offset and only consumes *complete* lines, so a writer
     flushing mid-row (or buffering with ``flush_every > 1``) never produces a
-    spurious parse error — the partial tail is retried on the next poll.  A
-    shrinking file (rotation by :class:`~repro.serve.telemetry.TelemetryWriter`)
-    resets the cursor to the start of the fresh file.
+    spurious parse error — the partial tail is retried on the next poll.
+
+    The offset belongs to one file: the tail keeps the file's identity
+    (``st_dev``, ``st_ino``) and the last line it consumed, and starts over
+    at byte 0 of a fresh file when rotation by
+    :class:`~repro.serve.telemetry.TelemetryWriter` replaced it — when the
+    identity changed, the file shrank, or that line no longer ends at the
+    offset (a filesystem may give the fresh file a recycled inode).
     """
 
     def __init__(self, path):
@@ -74,22 +80,30 @@ class TelemetryTail:
         self.offset = 0
         self.bad_lines = 0
         self.skipped_schema = 0
+        self._identity = None
+        self._last_line = b""
 
     def poll(self) -> List[dict]:
         """Return the telemetry rows appended since the previous poll."""
         try:
-            size = self.path.stat().st_size
+            handle = open(self.path, "rb")
         except OSError:
             return []
-        if size < self.offset:  # rotated underneath us: start over
-            self.offset = 0
-        if size == self.offset:
-            return []
-        with open(self.path, "rb") as handle:
-            handle.seek(self.offset)
-            chunk = handle.read(size - self.offset)
+        with handle:
+            stat = os.fstat(handle.fileno())
+            identity = (stat.st_dev, stat.st_ino)
+            if identity != self._identity or stat.st_size < self.offset:
+                self._identity, self.offset, self._last_line = identity, 0, b""
+            handle.seek(self.offset - len(self._last_line))
+            if handle.read(len(self._last_line)) != self._last_line:
+                # a fresh file on a recycled inode: read it from the start
+                self.offset, self._last_line = 0, b""
+                handle.seek(0)
+            chunk = handle.read(stat.st_size - self.offset)
         # only complete lines; the unterminated tail stays unconsumed
         consumed = chunk.rfind(b"\n") + 1
+        if consumed:
+            self._last_line = chunk[chunk.rfind(b"\n", 0, consumed - 1) + 1:consumed]
         self.offset += consumed
         rows = []
         for line in chunk[:consumed].split(b"\n"):

@@ -16,9 +16,14 @@ Three properties anchor the layer:
 
 import gc
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios import build
 from repro.scenarios.events import EventPlan
@@ -27,6 +32,7 @@ from repro.serve import (
     ControllerSession,
     FabricWatcher,
     FaultInjector,
+    FleetState,
     InstanceFeed,
     LATENCY_BUCKETS_NS,
     MetricsRegistry,
@@ -40,6 +46,7 @@ from repro.serve import (
     summarise_sessions,
 )
 from repro.serve.metrics import Counter, DEFAULT_MAX_SERIES, Gauge, Histogram
+from repro.serve.telemetry import TELEMETRY_SCHEMA_VERSION
 from repro.serve.watch import watch_command
 from repro.workloads.scale import quantise_trace
 
@@ -293,6 +300,98 @@ class TestTelemetryWriter:
         with open(path, "a") as handle:
             handle.write('}\n')
         assert [r["t"] for r in tail.poll()] == [1]
+
+    @pytest.mark.parametrize("first, more", [(5, 35), (3, 45)])
+    def test_tail_reads_a_rotated_file_from_its_start(self, tmp_path, first, more):
+        # (5, 35): five rotations leave a fresh file at least as long as the
+        # offset; (3, 45): six, after which a filesystem that recycles freed
+        # inodes (ext4) gives the fresh file the polled file's inode
+        path = tmp_path / "t.jsonl"
+        writer = TelemetryWriter(path, rotate_bytes=400)
+        tail = TelemetryTail(path)
+        for t in range(first):
+            writer.write({"t": t, "latency_ms": 0.001}, tenant="a")
+        assert [r["t"] for r in tail.poll()] == list(range(first))
+        for t in range(first, first + more):
+            writer.write({"t": t, "latency_ms": 0.001}, tenant="a")
+        writer.close()
+        fresh = [json.loads(line)["t"] for line in path.read_text().splitlines()]
+        assert len(fresh) >= first and fresh[0] > first
+        assert [r["t"] for r in tail.poll()] == fresh
+        assert tail.bad_lines == 0
+
+    def test_reopen_ends_a_torn_last_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with TelemetryWriter(path) as writer:
+            writer.write({"t": 0, "latency_ms": 0.001}, tenant="a")
+        with open(path, "a") as handle:
+            handle.write('{"t": 1, "latency_')  # a crash mid-row
+        with TelemetryWriter(path) as writer:
+            writer.write({"t": 2, "latency_ms": 0.002}, tenant="a")
+            writer.flush()
+            assert writer._bytes == path.stat().st_size
+        text = path.read_text()
+        TelemetryWriter(path).close()  # a whole last line is left alone
+        assert path.read_text() == text
+        tail = TelemetryTail(path)
+        assert [r["t"] for r in tail.poll()] == [0, 2]
+        assert tail.bad_lines == 1
+
+
+# --------------------------------------------------------------------------- #
+# FleetState rows: encoded straight from the state, byte-equal to json.dumps
+# --------------------------------------------------------------------------- #
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+_TENANTS = st.one_of(
+    st.none(),
+    st.sampled_from(['q"uote', "back\\slash", "n\u00e4me", "\u540d\u524d", '\\"\u00e9\n\t']),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _fleet_states(draw):
+    d = draw(st.integers(1, 4))
+    configs = st.integers(0, 10**6) if draw(st.booleans()) else st.floats(0, 1e6)
+    config = np.array(draw(st.lists(configs, min_size=d, max_size=d)))
+    return FleetState(
+        t=draw(st.integers(0, 2**40)),
+        demand=draw(st.floats(0, 1e6)),
+        config=config,
+        operating_cost=draw(_FLOATS),
+        switching_cost=draw(_FLOATS),
+        cumulative_cost=draw(_FLOATS),
+        loads=np.array(draw(st.lists(_FLOATS, min_size=d, max_size=d)), dtype=float),
+        feasible=draw(st.booleans()),
+        latency_ns=draw(st.integers(0, 10**12)),
+        prefix_optimum_cost=draw(st.one_of(st.just(math.nan), _FLOATS)),
+        served_demand=draw(st.floats(0, 1e6)),
+        shed_demand=draw(st.one_of(st.just(0.0), st.floats(1e-9, 1e6))),
+        sla_violation=draw(st.booleans()),
+        forced_down=draw(st.sampled_from([0, 1, 3])),
+    )
+
+
+class TestRowEncoder:
+    @given(state=_fleet_states(), tenant=_TENANTS)
+    @settings(max_examples=300, deadline=None)
+    def test_line_is_json_dumps_of_the_stamped_row(self, state, tenant):
+        # the dict path every row took before: copy, stamp schema, then tenant
+        row = dict(state.as_row())
+        row.setdefault("schema", TELEMETRY_SCHEMA_VERSION)
+        if tenant is not None:
+            row["tenant"] = tenant
+        expected = json.dumps(row) + "\n"
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "t.jsonl"
+            with TelemetryWriter(path) as writer:
+                writer.write(state, tenant=tenant)
+                writer.write(state, tenant=tenant)  # the tenant's cached stamp
+            assert path.read_text(encoding="utf-8") == expected * 2
 
 
 # --------------------------------------------------------------------------- #

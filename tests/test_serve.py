@@ -39,6 +39,7 @@ from repro.serve import (
     fleet_signature,
     latency_percentiles,
     load_checkpoint,
+    payload_checksum,
     summarise_sessions,
     verify_replay,
     write_jsonl_trace,
@@ -170,6 +171,34 @@ class TestControllerSession:
             a = session.observe(float(instance.demand[t]))
             b = restored.observe(float(instance.demand[t]))
             assert b.prefix_optimum_cost == pytest.approx(a.prefix_optimum_cost, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["history", "compact", "restored"])
+    def test_checkpoint_text_equals_per_element_int_conversion(self, mode):
+        # the payload's history rows are copied with one tolist()/list() per
+        # row; the text, checksum included, is what int() per element gives
+        instance = build("diurnal-cpu-gpu", T=12)
+
+        def fresh():
+            return ControllerSession(
+                "B", instance.server_types, track_regret=True, history=mode != "compact"
+            )
+
+        session = fresh()
+        for t in range(6):
+            session.observe(float(instance.demand[t]))
+        if mode == "restored":
+            session = fresh().restore(json.loads(json.dumps(session.checkpoint())))
+            for t in range(6, 12):
+                session.observe(float(instance.demand[t]))
+        payload = session.checkpoint()
+        reference = {k: v for k, v in payload.items() if k != "checksum"}
+        if mode != "compact":
+            reference["configs"] = [[int(v) for v in c] for c in session._configs]
+            reference["latencies_ns"] = [int(v) for v in session._latencies]
+        else:
+            assert "configs" not in payload and "latencies_ns" not in payload
+        reference["checksum"] = payload_checksum(reference)
+        assert json.dumps(payload) == json.dumps(reference)
 
     def test_checkpoint_algorithm_mismatch_rejected(self):
         instance = build("homogeneous", T=6)
