@@ -51,19 +51,19 @@ BUDGET_SCALE ?= 1.0
 bench-latency-smoke:
 	$(PYTHON) -m repro serve latency --budget-us 50 --budget-scale $(BUDGET_SCALE)
 
-# Fleet-batched tick gate: a 64-tenant mixed-family, mixed-algorithm fleet
-# (with chaos tenants and a mid-stream checkpoint/restore) run through the
-# BatchedServeEngine must reproduce the sequential engine's schedules
-# bit-identically, exercise both the vectorised and fallback paths, and keep
-# the batched per-tenant p99 within budget (the grid solves of first-seen
-# demand levels included, hence the millisecond default — the scale sweep
-# gates the microsecond steady state).
+# Cohort gate: a 64-tenant mixed-family, mixed-algorithm fleet (with chaos
+# tenants and a mid-stream checkpoint/restore) run through ServeEngine's
+# cohort rounds must reproduce each tenant's own session replay (per-tenant
+# replays, which run no round) bit-identically, exercise both the vectorised
+# and fallback paths, and keep the batched per-tenant p99 within budget (the
+# grid solves of first-seen demand levels included, hence the millisecond
+# default — the scale sweep gates the microsecond steady state).
 bench-batch-smoke:
 	$(PYTHON) -m repro serve batch --budget-scale $(BUDGET_SCALE)
 
 # Benchmark self-check: one short run of each perfbench workload.  Every pass
-# re-checks its schedules against run_online (the batched engine at 200
-# tenants included), the Thm 8/13/15 bounds against solve_dp, and its work
+# re-checks its schedules against run_online (the engine's cohort rounds at
+# 200 tenants included), the Thm 8/13/15 bounds against solve_dp, and its work
 # counters against the first pass.  run.py exits 0 even when a check fails,
 # so the gate reads "correct" from the JSON on its last line and prints the
 # run's "# FAIL" lines when it is not true.

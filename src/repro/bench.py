@@ -942,26 +942,27 @@ def run_batch_scale_bench(
     budget_us: float = 50.0,
     budget_scale: float = 1.0,
     p99_gate_tenants: int = 256,
-    overlap: bool = False,
     json_path: Optional[str] = None,
 ) -> dict:
-    """The 10k-tenant scale gate: batched rounds vs the sequential engine.
+    """The 10k-tenant scale gate: engine rounds vs per-tenant replays.
 
     One fleet geometry, ``n`` tenants replaying rotated copies of a quantised
     demand trace, for each ``n`` in ``tenant_counts``.  Every count runs
-    through :class:`~repro.serve.batch.BatchedServeEngine`; counts up to
-    ``seq_limit`` also run the sequential :class:`~repro.serve.ServeEngine`
-    as the reference.  Gates:
+    through :class:`~repro.serve.ServeEngine`, whose rounds decide the
+    tenants in one cohort; counts up to ``seq_limit`` also replay every
+    tenant on its own as the reference — its session observes its feed tick
+    by tick over the same shared cache (:func:`~repro.serve.verify.replay`),
+    with no round, block or cohort.  Gates:
 
-    * **bit-identity** — per tenant, the batched outcome matches the
-      sequential one: identical schedules and SLA counters, costs within 1e-9
+    * **bit-identity** — per tenant, the engine's outcome matches the
+      replay's: identical schedules and SLA counters, costs within 1e-9
       (full comparison up to ``seq_limit``; above it, ``sample_check``
-      tenants are replayed sequentially as a spot check and the batch
-      hit-rate must be 1.0),
-    * **throughput** — at 1000+ tenants the batched engine must be at least
-      ``min_speedup``× the sequential engine (``assert_speedup=False`` to
+      tenants are replayed as a spot check and the batch hit-rate must be
+      1.0),
+    * **throughput** — at 1000+ tenants the engine must be at least
+      ``min_speedup``× the per-tenant replays (``assert_speedup=False`` to
       record without gating on shared noisy runners),
-    * **p99 per-tenant tick** — pooled batched p99 must beat
+    * **p99 per-tenant tick** — pooled engine p99 must beat
       ``budget_us * budget_scale`` at ``p99_gate_tenants``+ tenants (below
       that a cohort's shared work, a cold level's grid solve among it,
       amortises over too few members to gate on; smaller rows record p99
@@ -969,8 +970,8 @@ def run_batch_scale_bench(
     * **flat memory** — the shared cache footprint (resident ledger slots and
       grid-tensor bytes) must be *identical* across tenant counts: cache
       state scales with the demand alphabet, never with the tenant count.
-      Peak tracemalloc and the RSS delta of each batched run are recorded
-      (measured on a second instrumented replay so the throughput gate stays
+      Peak tracemalloc and the RSS delta of each engine run are recorded
+      (measured on a second instrumented run so the throughput gate stays
       undistorted).
 
     Above ``seq_limit`` tenants run ``history=False`` (compact sessions)
@@ -978,7 +979,7 @@ def run_batch_scale_bench(
     footprint, not telemetry retention.  Merges a ``"batch_scale"`` section
     and a trend entry into ``BENCH_serve.json``.
     """
-    from .serve import BatchedServeEngine, InstanceFeed, ServeEngine
+    from .serve import InstanceFeed, ServeEngine, replay
     from .workloads.scale import quantise_trace
 
     ticks = 32 if ticks is None else int(ticks)
@@ -989,6 +990,18 @@ def run_batch_scale_bench(
     def tenant_feed(k: int) -> "InstanceFeed":
         rolled = np.roll(demand, k % max(ticks, 1))
         return InstanceFeed(instance.with_demand(rolled, name=f"tenant-{k}"))
+
+    def replayed(members) -> tuple:
+        """Replay each member on its own over one shared cache: ``(sessions, wall)``."""
+        registry = ServeEngine(share_caches=True)
+        for k in members:
+            registry.add_tenant(f"tenant-{k}", algorithm, tenant_feed(k))
+        started = time.perf_counter()
+        sessions = {
+            name: replay(tenant.session, tenant.iterator)
+            for name, tenant in registry.tenants.items()
+        }
+        return sessions, time.perf_counter() - started
 
     rows: List[dict] = []
     footprints: List[tuple] = []
@@ -1001,16 +1014,8 @@ def run_batch_scale_bench(
             else set(range(0, n, max(1, n // max(sample_check, 1)))[:sample_check])
         )
 
-        seq_report = None
-        seq_engine = None
-        if full_compare:
-            seq_engine = ServeEngine(share_caches=True)
-            for k in range(n):
-                seq_engine.add_tenant(f"tenant-{k}", algorithm, tenant_feed(k))
-            seq_report = seq_engine.run()
-
-        def make_batched(n=n, sample=sample, full_compare=full_compare):
-            engine = BatchedServeEngine(share_caches=True, overlap=overlap)
+        def make_engine(n=n, sample=sample, full_compare=full_compare):
+            engine = ServeEngine(share_caches=True)
             for k in range(n):
                 engine.add_tenant(
                     f"tenant-{k}",
@@ -1020,23 +1025,18 @@ def run_batch_scale_bench(
                 )
             return engine
 
-        batched = make_batched()
-        batch_report = batched.run()
-        _, peak_mb, rss_delta_mb = _memory_metered(lambda: make_batched().run())
+        engine = make_engine()
+        batch_report = engine.run()
+        _, peak_mb, rss_delta_mb = _memory_metered(lambda: make_engine().run())
+        # after the engine run, so its heap does not sit under the timed rounds
+        reference, reference_wall = replayed(sorted(sample))
 
         # --- bit-identity gate
-        if full_compare:
-            reference = seq_engine
-        else:
-            reference = ServeEngine(share_caches=True)
-            for k in sorted(sample):
-                reference.add_tenant(f"tenant-{k}", algorithm, tenant_feed(k))
-            reference.run()
         max_dev = max(
             (
                 assert_same(
-                    reference.session(f"tenant-{k}"), batched.session(f"tenant-{k}"),
-                    label=f"{n} tenants, tenant-{k}: batched vs sequential",
+                    reference[f"tenant-{k}"], engine.session(f"tenant-{k}"),
+                    label=f"{n} tenants, tenant-{k}: engine vs per-tenant replay",
                     tolerance=1e-9,
                 )
                 for k in sorted(sample)
@@ -1055,18 +1055,18 @@ def run_batch_scale_bench(
         budget = budget_us * budget_scale
         if n >= p99_gate_tenants and not p99_us <= budget:
             raise AssertionError(
-                f"{n} tenants: batched per-tenant tick p99 {p99_us:.1f}us exceeds "
+                f"{n} tenants: engine per-tenant tick p99 {p99_us:.1f}us exceeds "
                 f"the {budget:g}us budget (budget_us={budget_us:g} x scale={budget_scale:g})"
             )
 
         # --- throughput gate
         speedup = None
-        if seq_report is not None and batch_report["wall_seconds"]:
-            speedup = seq_report["wall_seconds"] / batch_report["wall_seconds"]
+        if full_compare and batch_report["wall_seconds"]:
+            speedup = reference_wall / batch_report["wall_seconds"]
             if assert_speedup and n >= 1000 and not speedup >= min_speedup:
                 raise AssertionError(
-                    f"{n} tenants: batched engine is only {speedup:.2f}x the "
-                    f"sequential engine (gate: >= {min_speedup:g}x)"
+                    f"{n} tenants: the engine is only {speedup:.2f}x the per-tenant "
+                    f"replays (gate: >= {min_speedup:g}x)"
                 )
 
         totals = batch_report["cache_totals"]
@@ -1078,7 +1078,7 @@ def run_batch_scale_bench(
                 "wall_seconds": batch_report["wall_seconds"],
                 "ticks_per_second": batch_report.get("ticks_per_second"),
                 "sequential_wall_seconds": (
-                    None if seq_report is None else seq_report["wall_seconds"]
+                    round(reference_wall, 6) if full_compare else None
                 ),
                 "speedup_vs_sequential": (
                     None if speedup is None else round(speedup, 2)
@@ -1117,11 +1117,12 @@ def run_batch_scale_bench(
         "min_speedup": min_speedup,
         "budget_us": budget_us,
         "budget_scale": budget_scale,
-        "overlap": bool(overlap),
         "rows": rows,
         "note": (
-            "schedule bit-identity, p99 budget, >=min_speedup at 1k+ tenants and "
-            "flat cache footprint gate; wall times advisory"
+            "reference: each tenant's session replayed on its own over one "
+            "shared cache (sequential_* columns); schedule bit-identity, p99 "
+            "budget, >=min_speedup at 1k+ tenants and flat cache footprint "
+            "gate; wall times advisory"
         ),
     }
     payload = {"recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
@@ -1174,7 +1175,7 @@ def run_batch_smoke(
     demand_levels: int = 12,
     json_path: Optional[str] = None,
 ) -> dict:
-    """The ``make bench-batch-smoke`` gate: mixed-family batched bit-identity.
+    """The ``make bench-batch-smoke`` gate: mixed-family cohort bit-identity.
 
     64 tenants spread over four scenario families and six algorithms —
     baselines (``reactive``, ``follow-demand``, ``all-on``) interleaved with
@@ -1182,21 +1183,22 @@ def run_batch_smoke(
     trackers in one stacked transition (``A``, ``lcp``, and ``B`` on the
     per-tick priced rows of ``priced-cpu-gpu``), and every eighth tenant under
     correlated chaos injection — run through
-    :func:`~repro.serve.batch.verify_batched` with a mid-stream
+    :func:`~repro.serve.verify.verify_batched` with a mid-stream
     checkpoint/restore round-trip.  Gates:
 
-    * batched schedules/SLA counters bit-identical to the sequential engine
-      and costs within 1e-9 for **every** tenant (``verify_batched`` raises),
+    * the engine's schedules/SLA counters bit-identical to each tenant's own
+      session replay and costs within 1e-9 for **every** tenant
+      (``verify_batched`` raises),
     * both the vectorised and the fallback path actually executed (a smoke
       that silently batches nothing proves nothing; the fallback ticks are
       the DP tenants' first ticks, count changes and chaos),
     * p99 per-tenant tick latency of the tenants that batch beats
       ``budget_us * budget_scale`` (the amortised cohort share plus each
-      tick's own commit; tenants that never batch pay the sequential path
-      and are exempt — the latency smoke budgets those).  With only ~3
-      members per (family, algorithm) cohort the shared work, a cold level's
-      grid solve among it, barely amortises, so the default budget is
-      milliseconds, not the
+      tick's own commit; tenants that never batch observe through their
+      sessions and are exempt — the latency smoke budgets those).  With only
+      ~3 members per (family, algorithm) cohort the shared work, a cold
+      level's grid solve among it, barely amortises, so the default budget
+      is milliseconds, not the
       microsecond steady-state the scale bench gates; this gate catches
       order-of-magnitude regressions, the 1k/10k scale rows gate the steady
       state.
@@ -1471,19 +1473,23 @@ def run_fabric_bench(
 #: machine, so the gate is exact equality.  ``grid_hit_rate`` is the serve
 #: cache's rounded hit ratio; ``*_prewarmed`` rows pin the table-gather
 #: fast path; ``*_continuous`` rows pin the cold continuous-demand tick (one
-#: tenant each of A, B, C, lcp and reactive on unquantised traces).
+#: tenant each of A, B, C, lcp and reactive on unquantised traces).  The
+#: engine's cohorts fetch one grid tensor per distinct level instead of one
+#: per member's tracker, and reactive's cohort reads the tensor memo instead
+#: of asking the dispatcher, hence ``tensor_hits``, ``grid_hit_rate``,
+#: ``table_gathers_prewarmed`` and the continuous slot queries and block calls.
 PINNED_SERVE_COUNTERS: Dict[str, float] = {
     "unique_solves": 12,
     "slot_queries": 57,
-    "tensor_hits": 505,
+    "tensor_hits": 315,
     "tensor_misses": 12,
-    "grid_hit_rate": 0.976789,
-    "table_gathers_prewarmed": 928,
+    "grid_hit_rate": 0.963303,
+    "table_gathers_prewarmed": 814,
     "prewarmed_levels": 12,
     "unique_solves_prewarmed": 12,
     "unique_solves_continuous": 160,
-    "slot_queries_continuous": 384,
-    "block_calls_continuous": 256,
+    "slot_queries_continuous": 352,
+    "block_calls_continuous": 224,
 }
 
 

@@ -954,7 +954,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 1
         print(format_table(
             [payload],
-            title="serve batch smoke — batched == sequential on a mixed-family fleet",
+            title="serve batch smoke — engine == per-tenant replays on a mixed-family fleet",
         ))
         print(f"\n{payload['tenants']} tenants over {payload['families']}: "
               f"{payload['batched_ticks']} vectorised + {payload['fallback_ticks']} fallback "
@@ -1015,7 +1015,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 algorithm=algorithm,
                 budget_us=args.budget_us if args.budget_us is not None else 50.0,
                 budget_scale=args.budget_scale,
-                overlap=args.overlap,
                 json_path=args.json,
             )
         except AssertionError as exc:
@@ -1037,10 +1036,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ]
         print(format_table(
             table_rows,
-            title=f"serve bench --batched — fleet-batched ticks, {algorithm} on "
+            title=f"serve bench --batched — cohort rounds, {algorithm} on "
                   f"{payload['scenario']}",
         ))
-        print("\nschedules bit-identical to the sequential engine at every count; "
+        print("\nschedules bit-identical to per-tenant session replays at every count; "
               "cache footprint flat across tenant counts "
               f"(virtual_slots={payload['rows'][-1]['virtual_slots']}, "
               f"tensor_bytes={payload['rows'][-1]['tensor_bytes']})")
@@ -1557,11 +1556,11 @@ def build_parser() -> argparse.ArgumentParser:
                "(p99 of the per-tick floor over repeated prewarmed replays "
                "must beat --budget-us, schedules bit-identical to the cold "
                "path); `batch` is the `make bench-batch-smoke` gate "
-               "(64-tenant mixed-family fleet: fleet-batched rounds must "
-               "reproduce the sequential engine bit-identically across a "
-               "mid-stream checkpoint, batched p99 within budget); `bench "
-               "--batched` runs the 1k/10k-tenant fleet-batched scale sweep "
-               "(>=5x vs sequential at 1k+, flat cache footprint, "
+               "(64-tenant mixed-family fleet: the engine's cohort rounds "
+               "must reproduce per-tenant session replays bit-identically "
+               "across a mid-stream checkpoint, batched p99 within budget); "
+               "`bench --batched` runs the 1k/10k-tenant cohort scale sweep "
+               "(>=5x vs per-tenant replays at 1k+, flat cache footprint, "
                "RSS+tracemalloc columns); `watch` tails a telemetry JSONL "
                "file or fabric run directory as a live dashboard (--once for "
                "one frame, --html for a static page, --expect is the `make "
@@ -1570,7 +1569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("action", choices=["replay", "bench", "latency", "batch",
                                             "smoke", "chaos", "fabric", "watch"],
                          help="stream one scenario / run the multi-tenant benchmark "
-                              "(--batched: the fleet-batched 1k/10k scale gate) / "
+                              "(--batched: the cohort 1k/10k scale gate) / "
                               "gate the microsecond tick hot path / "
                               "run the CI gates (smoke: batch equivalence, batch: "
                               "the `make bench-batch-smoke` bit-identity gate, chaos: fault "
@@ -1641,14 +1640,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ticks per tenant for bench (default: 64) / stream length for "
                               "latency (default: 256)")
     p_serve.add_argument("--batched", action=argparse.BooleanOptionalAction, default=False,
-                         help="with bench: run the fleet-batched scale sweep instead "
-                              "(BatchedServeEngine vs sequential; gates schedule "
-                              "bit-identity, >=5x throughput at 1k+ tenants, p99 tick "
-                              "budget and a flat cache footprint; default tenant "
-                              "counts 64,1000,10000)")
-    p_serve.add_argument("--overlap", action="store_true",
-                         help="with bench --batched: pump feeds through the overlapped "
-                              "thread-pool front end instead of inline iteration")
+                         help="with bench: run the cohort scale sweep instead "
+                              "(ServeEngine vs per-tenant session replays; gates "
+                              "schedule bit-identity, >=5x throughput at 1k+ tenants, "
+                              "p99 tick budget and a flat cache footprint; default "
+                              "tenant counts 64,1000,10000)")
     p_serve.add_argument("--budget-us", type=float, default=None, metavar="US",
                          help="latency: steady-state p99 tick budget in microseconds "
                               "(default: 50) / batch: p99 budget of the tenants that batch, "

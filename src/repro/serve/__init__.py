@@ -12,7 +12,7 @@ the paper's online algorithms were designed for:
   synthetic generators) with time-warped playback,
 * :class:`ServeEngine` — multi-tenant multiplexing over shared dispatch/grid
   caches (N tenants over one fleet geometry cost far less than N isolated
-  sessions),
+  sessions), whose rounds decide tenants of one kind together in cohorts,
 * :class:`ServeFabric` — tenants sharded across *supervised worker processes*
   with heartbeats, restart budgets, crash recovery from rotated atomic
   checkpoints, checkpoint-based live migration and per-tenant feed circuit
@@ -27,15 +27,14 @@ the paper's online algorithms were designed for:
 
 The correctness anchor is the differential oracle :mod:`~repro.serve.verify`:
 every way of running a tenant — batch ``run_online``, a session across a JSON
-checkpoint round-trip, the sequential and batched engines, a fabric worker
-recovered after SIGKILL — must yield the same :class:`~repro.serve.verify.Outcome`
+checkpoint round-trip, the engine's cohorts, a fabric worker recovered
+after SIGKILL — must yield the same :class:`~repro.serve.verify.Outcome`
 (schedule exact, cost within 1e-9, SLA counters exact).  Its four gates,
 :func:`verify_replay`, :func:`verify_chaos_replay`, :func:`verify_batched` and
 :func:`verify_crash_recovery`, back ``make serve-smoke``, ``chaos-smoke``,
 ``bench-batch-smoke`` and ``fabric-smoke``.
 """
 
-from .batch import BatchedServeEngine, FeedPump
 from .chaos import ChaosFeed, FaultInjector
 from .engine import ServeEngine
 from .fabric import FabricError, ServeFabric, TenantSpec
@@ -88,7 +87,6 @@ from .watch import FabricWatcher, TelemetryTail, WatchModel, watch_command
 
 __all__ = [
     "ArrayFeed",
-    "BatchedServeEngine",
     "BreakerConfig",
     "ChaosFeed",
     "CheckpointCorruptError",
@@ -99,7 +97,6 @@ __all__ = [
     "FabricWatcher",
     "FaultInjector",
     "FeedError",
-    "FeedPump",
     "FleetState",
     "Gauge",
     "Histogram",

@@ -15,10 +15,12 @@ Workers
 -------
 A worker process serves its tenants with a :class:`~repro.serve.engine.ServeEngine`
 that it drives round by round (:meth:`~repro.serve.engine.ServeEngine.play_round`):
-the same round — pull one tick per live tenant, decide, write telemetry,
-keep the checkpoint cadence, finish and checkpoint ended streams — that
-every in-process engine runs, with the sequential resolver.  A worker's
-tenant record adds only a breaker-gated pull and the recovery cursor.
+the same round — pull one tick per live tenant, decide (cold block, then
+cohorts, then the rest through their sessions), write telemetry, keep the
+checkpoint cadence, finish and checkpoint ended streams — that every
+in-process engine runs.  Tenants that share a cache (one ``group``) share
+its cohorts.  A worker's tenant record adds only a breaker-gated pull and
+the recovery cursor.
 Around the rounds the worker keeps what only a process needs: control-file
 sync (adoption and release), heartbeats, the deterministic ``die_at_round``
 fault, release markers and the result file.

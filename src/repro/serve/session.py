@@ -1048,12 +1048,12 @@ class ControllerSession:
         accounting, ledger slot, SlotInfo), :meth:`decide_tick`
         (``algorithm.step`` plus integrality/fleet-limit enforcement) and
         :meth:`commit_tick` (dispatch solve, switching cost, counters) — run
-        back to back here.  The batched engine (:mod:`repro.serve.batch`)
-        replaces the first two with cohort equivalents — a table gather, or a
+        back to back here.  The serve engine's cohorts
+        (:mod:`repro.serve.engine`) replace the first two with cohort
+        equivalents — a vectorised argmin over the round's grid tensors, or a
         stacked tracker advance followed by the algorithm's ``decide`` rule
-        and :meth:`check_choice` — and enters at :meth:`commit_tick`; the
-        phase boundaries are state-free, so this composed path is
-        bit-identical to the pre-split ``observe``.
+        and :meth:`check_choice` — and enter at :meth:`commit_tick`; the
+        phase boundaries are state-free, so both paths are bit-identical.
 
         With a :class:`~repro.serve.trace.TickTracer` attached, every
         ``trace_every``-th tick runs the phase-stamped twin
@@ -1064,9 +1064,9 @@ class ControllerSession:
         ``charge_ns`` is work done for this tick before the call and added to
         its latency: the serve engine charges each member of a round's
         dispatch block its share of the block's wall
-        (:meth:`~repro.serve.engine.ServeEngine.resolve`), as the batched
-        engine charges cohort members, so a tick's latency still counts the
-        solve it needed.
+        (:meth:`~repro.serve.engine.ServeEngine.resolve`), as it charges
+        cohort members, so a tick's latency still counts the solve it
+        needed.
         """
         tracer = self._tracer
         if tracer is not None and tracer.should_sample():
@@ -1142,8 +1142,8 @@ class ControllerSession:
         """Phase 1 of a tick: validate, resolve shed/capacity, pin the ledger slot.
 
         Returns ``(demand, served, shed, counts_t, vt, slot)``.  ``slot`` is
-        the :class:`SlotInfo` the algorithm will step on.  The batched engine
-        does not call this: its cohorts validate their demands and resolve
+        the :class:`SlotInfo` the algorithm will step on.  The serve engine's
+        cohorts do not call this: they validate their demands and resolve
         their ledger slots themselves, and never materialise per-tenant slots.
         """
         demand, served, shed, row, counts_t = self.admit(demand, cost_row, counts)
@@ -1275,8 +1275,8 @@ class ControllerSession:
 
         Checks shape, integrality and sign, and enforces the fleet limits
         ``counts_t`` (raising under ``"strict"``, forcing machines down under
-        ``"shed"``).  The batched engine calls it on the choice an algorithm's
-        ``decide`` rule made for a cohort member.
+        ``"shed"``).  The serve engine's cohorts call it on the choice an
+        algorithm's ``decide`` rule made for a member.
         """
         stream = self.cache.stream
         choice = np.asarray(choice)
@@ -1335,12 +1335,12 @@ class ControllerSession:
         """Phase 3 of a tick: solve, account, advance — the pure-state-update half.
 
         Runs the per-configuration dispatch solve (:meth:`ServeCache.solve_config`
-        — memoised, so a batched commit returns the identical
-        ``DispatchResult`` object a sequential tick would), the switching-cost
+        — memoised, so a cohort's commit returns the identical
+        ``DispatchResult`` object an observed tick would), the switching-cost
         update, SLA/cumulative counters and the history/previous/tick-cursor
         advance.  The tick's latency runs from ``started_ns`` to the end of
-        this commit (0 when ``started_ns`` is ``None``); the batched engine
-        backdates ``started_ns`` by each member's share of its cohort.
+        this commit (0 when ``started_ns`` is ``None``); the serve engine
+        backdates ``started_ns`` by each cohort member's share of its cohort.
         ``emit=False`` skips building the :class:`FleetState` (telemetry off)
         and returns ``None``.
         """
@@ -1357,8 +1357,8 @@ class ControllerSession:
         if self._regret_tracker is not None:
             if slot is None:
                 raise ValueError(
-                    "regret-tracked sessions need the tick's SlotInfo; the batched "
-                    "engine must route them through the per-tenant slow path"
+                    "regret-tracked sessions need the tick's SlotInfo; the serve "
+                    "engine must route them through observe, not a cohort"
                 )
             self._regret_tracker.observe(slot)
             prefix_opt = self._regret_tracker.prefix_optimum_cost()

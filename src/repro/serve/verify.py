@@ -4,8 +4,9 @@ The paper's guarantees (Algorithm A within ``(2d+1)·OPT``, Theorem 8, and
 the matching bounds for B and C) are statements about the schedule an online
 algorithm emits.  They hold for the served system only if every way of
 running a tenant emits that same schedule: batch ``run_online``, a session
-across a JSON checkpoint, the sequential and batched engines, and a fabric
-worker recovered after SIGKILL.  Every such check is built from three pieces:
+across a JSON checkpoint, the engine's rounds (cold blocks and cohorts), and
+a fabric worker recovered after SIGKILL.  Every such check is built from
+three pieces:
 
 * :func:`outcome` — reduces a :class:`ControllerSession`, a checkpoint
   payload or a batch/offline result to one :class:`Outcome` record (ticks,
@@ -16,14 +17,16 @@ worker recovered after SIGKILL.  Every such check is built from three pieces:
   exact, and
 * :func:`replay` — the in-process reference run: observe every tick of a
   feed, optionally across a mid-stream JSON checkpoint round-trip, then
-  finish.
+  finish.  It calls ``session.observe`` and nothing else, so it is the
+  reference every engine gate compares against.
 
 The four gates below are those pieces applied to one execution path each:
 :func:`verify_replay` (session vs batch ``run_online``, ``make
 serve-smoke``), :func:`verify_chaos_replay` (chaos replay across a round-trip,
-``make chaos-smoke``), :func:`verify_batched` (batched vs sequential engine,
-``make bench-batch-smoke``) and :func:`verify_crash_recovery` (fabric after a
-worker SIGKILL vs an uninterrupted replay, ``make fabric-smoke``).  A
+``make chaos-smoke``), :func:`verify_batched` (engine rounds vs per-tenant
+replays, ``make bench-batch-smoke``) and :func:`verify_crash_recovery`
+(fabric after a worker SIGKILL vs an uninterrupted replay, ``make
+fabric-smoke``).  A
 round-trip must land mid-stream: every gate rejects a ``checkpoint_at``
 outside ``[1, T)``, ``T`` being the shortest tenant stream.
 """
@@ -39,9 +42,8 @@ import numpy as np
 from ..core.instance import ProblemInstance
 from ..online.base import run_online
 from ..scenarios.events import EventPlan
-from .batch import BatchedServeEngine, _decider_kind
 from .chaos import ChaosFeed
-from .engine import ServeEngine
+from .engine import ServeEngine, _decider_kind
 from .fabric import ServeFabric, _materialise
 from .feed import InstanceFeed
 from .session import ControllerSession, build_serve_algorithm, load_checkpoint
@@ -304,19 +306,20 @@ def verify_batched(
     build_tenants,
     tolerance: float = 1e-9,
     checkpoint_at: Optional[int] = None,
-    overlap: bool = False,
-    max_ticks: Optional[int] = None,
     engine_kwargs: Optional[dict] = None,
 ) -> dict:
-    """Gate: a batched run must be bit-identical to the sequential engine.
+    """Gate: an engine run, cohorts included, must equal per-tenant replays.
 
     ``build_tenants(engine)`` registers the same tenants on whichever engine
     it is handed (it is called twice and must build fresh feeds each time).
-    The sequential :class:`ServeEngine` runs uninterrupted as the reference;
-    the :class:`BatchedServeEngine` then runs the same workload and every
-    tenant's outcome must match the reference's.
+    The reference registers them on a :class:`ServeEngine` it never runs:
+    every tenant's session replays its feed on its own through
+    :func:`replay`, so no reference tick goes through a round, a block or a
+    cohort.  A second :class:`ServeEngine` built with ``engine_kwargs`` then
+    runs the same workload round by round, and every tenant's outcome must
+    match its reference.
 
-    ``checkpoint_at`` exercises the mid-stream restart on the batched side:
+    ``checkpoint_at`` exercises the mid-stream restart on the engine side:
     after ``checkpoint_at`` rounds every tenant is checkpoint/restored in
     place through JSON (:meth:`ServeEngine.roundtrip_tenant`) and the streams
     resume to completion.  Raises :class:`AssertionError` on any mismatch and
@@ -324,45 +327,39 @@ def verify_batched(
     shortest tenant stream; returns a JSON-safe report row.
     """
     engine_kwargs = dict(engine_kwargs or {})
-    share_caches = engine_kwargs.pop("share_caches", True)
-    sequential = ServeEngine(
-        share_caches=share_caches,
-        ledger_budget=engine_kwargs.get("ledger_budget"),
-        tensor_budget_bytes=engine_kwargs.get("tensor_budget_bytes"),
-    )
-    build_tenants(sequential)
-    sequential.run(max_ticks=max_ticks)
-    _check_roundtrip(checkpoint_at, min((s.ticks for s in sequential.sessions), default=0))
+    reference = ServeEngine(**engine_kwargs)
+    build_tenants(reference)
+    for tenant in reference.tenants.values():
+        replay(tenant.session, tenant.iterator)
+    _check_roundtrip(checkpoint_at, min((s.ticks for s in reference.sessions), default=0))
 
-    batched = BatchedServeEngine(share_caches=share_caches, overlap=overlap, **engine_kwargs)
-    build_tenants(batched)
-    if sorted(batched.tenants) != sorted(sequential.tenants):
+    engine = ServeEngine(**engine_kwargs)
+    build_tenants(engine)
+    if sorted(engine.tenants) != sorted(reference.tenants):
         raise AssertionError("build_tenants registered different tenant sets")
     if checkpoint_at is None:
-        report = batched.run(max_ticks=max_ticks)
+        report = engine.run()
     else:
-        batched.run(max_ticks=checkpoint_at, finalize=False)
-        for name in list(batched.tenants):
-            batched.roundtrip_tenant(name)
-        report = batched.run(
-            max_ticks=None if max_ticks is None else max_ticks - checkpoint_at
-        )
+        engine.run(max_ticks=checkpoint_at, finalize=False)
+        for name in list(engine.tenants):
+            engine.roundtrip_tenant(name)
+        report = engine.run()
 
     tenants = []
-    for name in sequential.tenants:
-        seq = sequential.session(name)
-        bat = batched.session(name)
+    for name in reference.tenants:
+        ref = reference.session(name)
+        served = engine.session(name)
         deviation = assert_same(
-            seq, bat, label=f"{name}: batched vs sequential", tolerance=tolerance
+            ref, served, label=f"{name}: engine vs per-tenant replay", tolerance=tolerance
         )
         tenants.append(
             {
                 "tenant": name,
-                "ticks": int(seq.ticks),
+                "ticks": int(ref.ticks),
                 "cost_deviation": deviation,
-                "algorithm": seq.algorithm.name,
-                "batched": _decider_kind(bat) is not None,
-                "p99_ms": bat.latency_summary().get("p99_ms"),
+                "algorithm": ref.algorithm.name,
+                "batched": _decider_kind(served) is not None,
+                "p99_ms": served.latency_summary().get("p99_ms"),
             }
         )
 
@@ -372,7 +369,6 @@ def verify_batched(
         "max_cost_deviation": max((row["cost_deviation"] for row in tenants), default=0.0),
         "schedules_identical": True,
         "checkpoint_at": checkpoint_at,
-        "overlap": bool(overlap),
         "latency": report["latency"],
         "wall_seconds": report.get("wall_seconds"),
         "batch": report["batch"],

@@ -1,16 +1,16 @@
-"""Tests for the fleet-batched tick engine (:mod:`repro.serve.batch`).
+"""Tests for the serve engine's cohorts (:mod:`repro.serve.engine`).
 
-The anchor is the *batched equivalence gate*: a
-:class:`~repro.serve.BatchedServeEngine` run — cohort grid tensors,
-vectorised argmins, stacked DP transitions, overlapped feeds, chaos tenants,
-a mid-stream checkpoint/restore round-trip — must be **bit-identical** to the
-sequential :class:`~repro.serve.ServeEngine` (``np.array_equal`` schedules,
-exact SLA counters, cost within 1e-9) for every registered scenario family.
-On top of that: the ``observe`` → ``prepare_tick``/``decide_tick``/
-``commit_tick`` split, the feed pump, the report counters, cohort state that
-stays flat on priced streams, budgeted-cache eviction under tenant churn, and
-the telemetry rows and checkpoints the sequential engine, the batched engine
-and a fabric worker write from the one round they share.
+The anchor is the *cohort equivalence gate*: a
+:class:`~repro.serve.ServeEngine` run — cohort grid tensors, vectorised
+argmins, stacked DP transitions, chaos tenants, a mid-stream
+checkpoint/restore round-trip — must be **bit-identical** to each tenant's
+own session replay (``np.array_equal`` schedules, exact SLA counters, cost
+within 1e-9) for every registered scenario family.  On top of that: the
+``observe`` → ``prepare_tick``/``decide_tick``/``commit_tick`` split, the
+report counters, cohort state that stays flat on priced streams,
+budgeted-cache eviction under tenant churn, and the telemetry rows and
+checkpoints an engine and a fabric worker write from the one round they
+share, against per-tenant replays that write them without a round.
 """
 
 import json
@@ -27,9 +27,7 @@ from repro.core.server import ServerType
 from repro.scenarios import build
 from repro.scenarios.events import EventPlan
 from repro.serve import (
-    BatchedServeEngine,
     ControllerSession,
-    FeedPump,
     InstanceFeed,
     ServeCache,
     ServeEngine,
@@ -42,7 +40,7 @@ from repro.serve import (
 from repro.online import AlgorithmA, LazyCapacityProvisioning, run_online
 from repro.online.base import SlotContext
 from repro.online.tracker import DPPrefixTracker, FixedSequenceTracker, SharedTrackerFactory
-from repro.serve.batch import _decider_kind
+from repro.serve.engine import _decider_kind
 from repro.workloads.scale import quantise_trace
 
 BATCHED_ALGORITHMS = ["reactive", "follow-demand", "all-on"]
@@ -91,14 +89,14 @@ def _register_fleet(instance, n, algorithms, chaos_every=None, **tenant_kwargs):
 
 
 # --------------------------------------------------------------------------- #
-# The batched equivalence gate
+# The cohort equivalence gate
 # --------------------------------------------------------------------------- #
 
 
 class TestBatchedEquivalence:
     def test_pure_cohort_is_fully_batched_and_identical(self):
         """A homogeneous reactive fleet takes the vectorised path for every
-        tick and still reproduces the sequential engine bit-identically."""
+        tick and still reproduces per-tenant replays bit-identically."""
         instance = _quantised()
         report = verify_batched(_register_fleet(instance, 12, ["reactive"]))
         assert report["schedules_identical"]
@@ -117,8 +115,8 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("family", scenarios.names())
     def test_every_family_batches_identically(self, family):
         """The tentpole acceptance gate: for every registered scenario family
-        (chaos families included), a batched run with a mid-stream
-        checkpoint/restore matches the sequential engine exactly."""
+        (chaos families included), an engine run with a mid-stream
+        checkpoint/restore matches per-tenant replays exactly."""
         instance = _smoke_instance(family)
         # full-grid table deciders are intractable on huge fleets either way;
         # all-on exercises the batched commit path there instead
@@ -154,19 +152,6 @@ class TestBatchedEquivalence:
             "reactive": True, "follow-demand": True, "all-on": True,
             "algorithm-A": True, "algorithm-B": True, "LCP": True,
         }
-
-    def test_overlapped_pump_is_identical(self):
-        instance = _quantised(T=24)
-        build_tenants = _register_fleet(instance, 8, ["reactive", "follow-demand"])
-        report = verify_batched(build_tenants, overlap=True)
-        assert report["schedules_identical"]
-        pump = report["batch"]["feed_pump"]
-        assert pump["prefetched"] == report["ticks_total"]
-        assert pump["max_buffered"] <= pump["prefetch_bound"]
-        # an early stop hands the still-buffered ticks back in front of each
-        # tenant's iterator, so the resumed run loses none of them
-        resumed = verify_batched(build_tenants, overlap=True, checkpoint_at=12)
-        assert resumed["ticks_total"] == report["ticks_total"]
 
     def test_counts_varying_fleets_form_distinct_cohorts(self):
         instance = _smoke_instance("time-varying-m")
@@ -230,7 +215,7 @@ class TestDPCohorts:
 
     def test_first_ticks_and_count_changes_fall_back(self):
         """A DP tenant's first tick has no V yet, and a count change moves
-        its tracker to another grid: both take the sequential observe."""
+        its tracker to another grid: both go through the session's observe."""
         instance = _quantised(T=12)
         report = verify_batched(_register_fleet(instance, 3, ["A"]))
         assert report["batch"]["fallback_ticks"] == 3
@@ -282,9 +267,9 @@ class TestDPCohorts:
 class TestCohortLatency:
     def test_batched_ticks_are_charged_their_own_commit(self, monkeypatch):
         """A batched tick's latency is its share of the cohort plus its own
-        commit, as a sequential tick's runs to the end of commit_tick."""
+        commit, as an observed tick's runs to the end of commit_tick."""
         instance = _quantised(T=6)
-        engine = BatchedServeEngine()
+        engine = ServeEngine()
         for k in range(4):
             engine.add_tenant(f"t{k}", "reactive", InstanceFeed(instance))
         (cache,) = engine.caches
@@ -328,9 +313,8 @@ class TestObserveSplit:
         assert whole.cumulative_cost == split.cumulative_cost
 
     def test_commit_tick_commits_external_decisions(self):
-        """commit_tick with the sequential engine's own decision (the batched
-        engine's entry point) is the identity: state advances exactly as
-        observe would."""
+        """commit_tick with an observed tick's own decision (a cohort's entry
+        point) is the identity: state advances exactly as observe would."""
         instance = _quantised(T=12)
         reference = ControllerSession("all-on", instance.server_types)
         replayed = ControllerSession("all-on", instance.server_types)
@@ -359,58 +343,6 @@ class TestObserveSplit:
 
 
 # --------------------------------------------------------------------------- #
-# Feed pump
-# --------------------------------------------------------------------------- #
-
-
-class _PumpTenant:
-    def __init__(self, feed):
-        self.iterator = iter(feed)
-
-
-class TestFeedPump:
-    def test_pump_preserves_tick_order_and_bounds_buffering(self):
-        instance = _quantised(T=20)
-        names = [f"t{k}" for k in range(5)]
-        direct = {
-            name: list(InstanceFeed(instance)) for name in names
-        }
-        pump = FeedPump(
-            {name: _PumpTenant(InstanceFeed(instance)) for name in names},
-            prefetch=3,
-            workers=2,
-        ).start()
-        try:
-            for name in names:
-                got = []
-                while True:
-                    tick = pump.next_tick(name)
-                    if tick is None:
-                        break
-                    got.append(tick)
-                assert [t.demand for t in got] == [t.demand for t in direct[name]]
-            counters = pump.counters()
-            assert counters["prefetched"] == 5 * instance.T
-            assert counters["max_buffered"] <= counters["prefetch_bound"]
-        finally:
-            pump.stop()
-
-    def test_stop_returns_unconsumed_ticks(self):
-        instance = _quantised(T=16)
-        pump = FeedPump(
-            {"a": _PumpTenant(InstanceFeed(instance))}, prefetch=4, workers=1
-        ).start()
-        first = pump.next_tick("a")
-        leftovers = pump.stop()
-        buffered = leftovers.get("a", [])
-        assert first.demand == float(instance.demand[0])
-        assert 1 <= len(buffered) <= 4
-        assert [t.demand for t in buffered] == [
-            float(v) for v in instance.demand[1 : 1 + len(buffered)]
-        ]
-
-
-# --------------------------------------------------------------------------- #
 # Report counters (satellite: eviction + cohort hit-rate observability)
 # --------------------------------------------------------------------------- #
 
@@ -431,7 +363,7 @@ class TestReportCounters:
 
     def test_batched_report_carries_batch_section(self):
         instance = _quantised(T=12)
-        engine = BatchedServeEngine(share_caches=True)
+        engine = ServeEngine(share_caches=True)
         for k in range(4):
             engine.add_tenant(f"t{k}", "reactive", InstanceFeed(instance))
         engine.run()
@@ -548,8 +480,8 @@ class TestBudgetedChurn:
         assert budgeted.counters()["tensor_evictions"] > 0
 
     def test_batched_engine_forwards_budgets_and_stays_identical(self):
-        """ledger_budget on the engines: eviction churn underneath the cohort
-        tables must not perturb batched results."""
+        """ledger_budget on the engine: eviction churn underneath the cohort
+        tensors must not perturb its results."""
         instance = _quantised(T=16, levels=16)
         report = verify_batched(
             _register_fleet(instance, 8, ["reactive", "follow-demand"]),
@@ -610,15 +542,16 @@ class TestBenchHarness:
 
 
 # --------------------------------------------------------------------------- #
-# One round, three serving paths: the same telemetry rows and checkpoints
+# One round, two serving paths: the same telemetry rows and checkpoints
 # --------------------------------------------------------------------------- #
 
 
 class TestServingPathsWriteTheSameArtefacts:
-    """ServeEngine, BatchedServeEngine and a fabric worker all run
-    ServeEngine's round, so they must write the same telemetry rows and the
-    same checkpoints at the same cadence, apart from wall-clock latencies
-    (and the order of rows within a round, which the cohorts regroup)."""
+    """An in-process ServeEngine and a fabric worker both run ServeEngine's
+    round, so each tenant's telemetry rows and checkpoints must equal what
+    its session writes when it replays its feed on its own, at the same
+    cadence, apart from wall-clock latencies.  Rows within a round come out
+    grouped by cohort, so only each tenant's own rows are ordered."""
 
     T = 22
     EVERY = 4
@@ -663,23 +596,49 @@ class TestServingPathsWriteTheSameArtefacts:
             name: [_comparable(p) for p in payloads] for name, payloads in saved.items()
         }
 
-    def test_engines_and_fabric_write_identical_artefacts(self, tmp_path, monkeypatch):
-        seq_dir, bat_dir = tmp_path / "seq", tmp_path / "bat"
-        seq_rows, seq_ckpts = self._drive(ServeEngine(), seq_dir, monkeypatch)
-        batched = BatchedServeEngine()
-        bat_rows, bat_ckpts = self._drive(batched, bat_dir, monkeypatch)
+    def _replay(self, path):
+        """The reference: each tenant's session observes its feed on its own
+        and writes the rows and checkpoints the round would, with no round.
 
-        counters = batched.batch_counters()
+        Returns the payloads it checkpointed, by tenant."""
+        registry = ServeEngine()
+        self._register(registry)
+        saved = {}
+        with TelemetryWriter(path) as writer:
+            for name, tenant in registry.tenants.items():
+                session = tenant.session
+                payloads = saved[name] = []
+                for tick in tenant.iterator:
+                    state = session.observe(
+                        tick.demand, cost_row=tick.cost_row, counts=tick.counts
+                    )
+                    writer.write(state, tenant=name)
+                    if session.ticks % self.EVERY == 0:
+                        payloads.append(session.checkpoint())
+                session.finish()
+                payloads.append(session.checkpoint())
+        return {
+            name: [_comparable(json.loads(json.dumps(p))) for p in payloads]
+            for name, payloads in saved.items()
+        }
+
+    def test_engines_and_fabric_write_identical_artefacts(self, tmp_path, monkeypatch):
+        ref_ckpts = self._replay(tmp_path / "replay.jsonl")
+        ref_rows = _rows_by_tenant(tmp_path / "replay.jsonl")
+        engine = ServeEngine()
+        eng_rows, eng_ckpts = self._drive(engine, tmp_path / "engine", monkeypatch)
+
+        counters = engine.batch_counters()
         assert counters["batched_ticks"] > 0 and counters["fallback_ticks"] > 0
         names = ["reactive-0", "reactive-1", "follow", "B", "A", "chaos"]
-        assert list(seq_rows) == names and sorted(bat_rows) == sorted(names)
+        assert sorted(eng_rows) == sorted(names)
         cadence = list(range(self.EVERY, self.T + 1, self.EVERY)) + [self.T]
         for name in names:
-            assert len(seq_rows[name]) == self.T
-            assert bat_rows[name] == seq_rows[name], name
-            assert [p["tick"] for p in seq_ckpts[name]] == cadence, name
-            assert bat_ckpts[name] == seq_ckpts[name], name
-        assert any(row.get("shed_demand") for row in seq_rows["chaos"])
+            assert len(ref_rows[name]) == self.T
+            assert eng_rows[name] == ref_rows[name], name
+            assert [p["tick"] for p in ref_ckpts[name]] == cadence, name
+            assert eng_ckpts[name] == ref_ckpts[name], name
+        assert any(row.get("shed_demand") for row in ref_rows["chaos"])
 
         fabric = ServeFabric(workers=1, run_dir=tmp_path / "fabric",
                              checkpoint_every=self.EVERY, worker_telemetry=True)
@@ -693,8 +652,8 @@ class TestServingPathsWriteTheSameArtefacts:
         for name in ("A", "chaos"):
             assert report["tenants"][name]["status"] == "completed"
             final = load_checkpoint(Path(report["checkpoint_dir"]) / f"{name}.ckpt.json")
-            assert _comparable(final) == seq_ckpts[name][-1], name
-            assert fabric_rows[name] == seq_rows[name], name
+            assert _comparable(final) == ref_ckpts[name][-1], name
+            assert fabric_rows[name] == ref_rows[name], name
 
 
 def _rows_by_tenant(path):

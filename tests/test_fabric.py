@@ -520,6 +520,22 @@ class TestFabricRuns:
         assert report["tenants"]["a"]["worker"] == report["tenants"]["b"]["worker"]
         assert all(report["tenants"][n]["status"] == "completed" for n in "abc")
 
+    def test_grouped_tenants_decide_in_cohorts(self, tmp_path):
+        """A worker's engine resolves its rounds through the cohorts: four A
+        tenants sharing one cache batch, and each ends where its own replay
+        does."""
+        fabric = ServeFabric(workers=1, run_dir=tmp_path, checkpoint_every=4)
+        for i in range(4):
+            fabric.add_tenant(
+                f"t{i}", algorithm="A", feed={"scenario": SCENARIO, "seed": i}, group="g"
+            )
+        report = fabric.run()
+        assert report["metrics"]["counters"]["batched_ticks"] > 0
+        for name, spec in fabric.tenants.items():
+            row = report["tenants"][name]
+            assert row["status"] == "completed"
+            _assert_matches_replay(spec, row)
+
     def test_crash_recovery_gate(self, tmp_path):
         out = verify_crash_recovery(
             n_tenants=2, workers=2, kill_worker=0, checkpoint_every=4,

@@ -679,6 +679,28 @@ class TestRoundBlock:
                 engine.run()
             assert [session.ticks for session in engine.sessions] == [2, 1, 1]
 
+    @pytest.mark.parametrize(
+        "kinds, streams, match, ticks",
+        [
+            (["C", "A", "A"], [[1.1, -1.0, 3.3], [1.2, 2.2, 3.4], [1.3, 2.3, 3.5]],
+             "non-negative", [1, 1, 1]),
+            (["reactive"] * 3, [[1.1, 2.2, 3.3], [1.2, 99.0, 3.4], [1.3, 2.3, 3.5]],
+             "exceeds the fleet capacity", [2, 1, 1]),
+        ],
+        ids=["C-first", "strict-over-capacity"],
+    )
+    def test_rejected_ticks_raise_in_arrival_order(self, kinds, streams, match, ticks):
+        """Every tick is admitted before any session state changes: a rejected
+        tick ahead of a cohort, or a cohort member over a strict capacity,
+        raises in its turn, and no later tenant's tick commits."""
+        fleet = build("diurnal-cpu-gpu", T=4).server_types
+        for engine in (ServeEngine(), _OneArrivalPerResolve()):
+            for k, (kind, demand) in enumerate(zip(kinds, streams)):
+                engine.add_tenant(f"t{k}", kind, ArrayFeed(demand, server_types=fleet))
+            with pytest.raises(ValueError, match=match):
+                engine.run()
+            assert [session.ticks for session in engine.sessions] == ticks
+
     def test_warm_rounds_solve_nothing(self, monkeypatch):
         """After prewarm on a quantised fleet no round blocks or solves, and
         the round builds no evaluation grid: the O(1) warm check answers."""

@@ -15,8 +15,8 @@ Parametrised over every registered algorithm kind — A/B/C, LCP, and the
 baselines — plus both tracker tie-breaks for the DP prefix tracker.
 
 A, B, C and LCP also describe every step in one :class:`Decision` record,
-``last_decision``: ``run_online`` collects it per slot, and a session or a
-batched cohort must leave the very record the batch run collected at that
+``last_decision``: ``run_online`` collects it per slot, and a session or an
+engine cohort must leave the very record the batch run collected at that
 tick.
 """
 
@@ -28,9 +28,9 @@ from repro.online.tracker import DPPrefixTracker
 from repro.scenarios import build
 from repro.serve import (
     SERVE_ALGORITHMS,
-    BatchedServeEngine,
     ControllerSession,
     InstanceFeed,
+    ServeEngine,
     build_serve_algorithm,
 )
 from repro.workloads.scale import quantise_trace
@@ -163,7 +163,7 @@ class TestDecisionRecords:
         ``run_online`` collects, tick for tick."""
         base = build("diurnal-cpu-gpu", T=16)
         base = base.with_demand(quantise_trace(base.demand, levels=6))
-        engine = BatchedServeEngine()
+        engine = ServeEngine()
         expected = {}
         for k, kind in enumerate(["A", "B", "lcp"] * 2):
             instance = base.with_demand(np.roll(base.demand, k), name=f"t{k}")

@@ -172,6 +172,29 @@ class TestRoundtripRange:
         assert report["checkpoint_at"] == 7
         assert report["ticks_total"] == 20
 
+    def test_batched_gate_catches_a_broken_cohort(self, monkeypatch):
+        """The gate's reference replays every tenant on its own, so a fault in
+        the engine's cohort path (here every member powers the whole fleet
+        on) is caught, not reproduced on both sides."""
+        import repro.serve.engine as engine_module
+
+        decisions = engine_module._decisions
+
+        def all_on(kind, geometry, *args):
+            decisions(kind, geometry, *args)
+            rounded = geometry.counts_t.astype(int)
+            return lambda i, session: (rounded, rounded.tolist(), 0)
+
+        monkeypatch.setattr(engine_module, "_decisions", all_on)
+        instance = build("diurnal-cpu-gpu", T=12)
+
+        def build_tenants(engine):
+            for k in range(3):
+                engine.add_tenant(f"t{k}", "reactive", InstanceFeed(instance))
+
+        with pytest.raises(AssertionError, match="configs differ"):
+            verify_batched(build_tenants)
+
     def test_replay_hands_over_at_the_roundtrip_tick(self):
         instance = build("diurnal-cpu-gpu", T=12)
         original = ControllerSession("A", instance.server_types)
