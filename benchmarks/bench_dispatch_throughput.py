@@ -12,12 +12,13 @@ perf-trajectory record.
 import numpy as np
 
 from repro import ProblemInstance, QuadraticCost, LinearCost, ServerType, solve_optimal
+from repro.bench import write_bench_json
 from repro.dispatch import DispatchSolver
 from repro.offline import StateGrid
 from repro.offline.transitions import transition
 from repro.workloads import diurnal_trace
 
-from bench_utils import result_section, timed, write_bench_json, write_result
+from bench_utils import OUTPUT_DIR, result_section, timed, write_result
 
 
 def _instance(m=(30, 10), T=16):
@@ -59,8 +60,9 @@ def test_dispatch_grid_throughput(benchmark):
     _, warm_seconds = timed(lambda: cold_solver.solve_block(range(instance.T), configs))
     warm_stats = cold_solver.stats.snapshot()
     write_bench_json(
-        "dispatch",
+        OUTPUT_DIR / "BENCH_dispatch.json",
         {
+            "benchmark": "dispatch",
             "workload": {"T": instance.T, "configs": len(configs), "d": instance.d},
             "cold_block_seconds": round(cold_seconds, 6),
             "warm_block_seconds": round(warm_seconds, 6),

@@ -11,16 +11,22 @@ for ``n`` in {1, 8, 64} — once over one shared
   dispatch solves in shared mode for n > 1),
 * measures per-tick wall-latency p50/p95/p99, aggregate ticks/sec and
   tenants/sec, and the cache-hit counters, and
-* records everything in ``benchmarks/output/BENCH_serve.json`` plus a
-  human-readable ``SERVE_replay.txt``.
+* merges its payload and one trend entry into
+  ``benchmarks/output/BENCH_serve.json`` (the fabric, latency and batch
+  sections other gates record there survive) and writes a human-readable
+  ``SERVE_replay.txt``.
 
 Run directly (``python benchmarks/bench_serve_replay.py``) or through
 ``make bench`` / ``pytest --benchmark-only`` like the other experiments.
 """
 
-from repro.bench import run_serve_bench
+import json
 
-from bench_utils import once, result_section, write_bench_json, write_result
+from repro.bench import TREND_MAX_RUNS, run_serve_bench
+
+from bench_utils import OUTPUT_DIR, once, result_section, write_result
+
+JSON_PATH = OUTPUT_DIR / "BENCH_serve.json"
 
 
 def _report(payload: dict) -> str:
@@ -66,21 +72,25 @@ def _report(payload: dict) -> str:
 
 
 def test_serve_replay_benchmark(benchmark):
-    payload = once(benchmark, run_serve_bench, tenant_counts=(1, 8, 64))
+    before = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() else {}
+    payload = once(benchmark, run_serve_bench, tenant_counts=(1, 8, 64), json_path=JSON_PATH)
 
     # the deterministic gates re-asserted at the harness level
     for row in payload["comparisons"]:
         assert row["max_cost_deviation"] <= 1e-9
         if row["tenants"] > 1:
             assert row["unique_solves_shared"] < row["unique_solves_isolated"]
+    # the file is shared with the fabric, latency and batch gates: a serve run
+    # merges into it and appends to its trend series, never drops either
+    after = json.loads(JSON_PATH.read_text())
+    assert set(before) <= set(after)
+    assert len(after["runs"]) == min(len(before.get("runs", [])) + 1, TREND_MAX_RUNS)
 
-    write_bench_json("serve", payload)
     write_result("SERVE_replay", _report(payload))
 
 
 if __name__ == "__main__":
-    payload = run_serve_bench(tenant_counts=(1, 8, 64))
-    write_bench_json("serve", payload)
+    payload = run_serve_bench(tenant_counts=(1, 8, 64), json_path=JSON_PATH)
     path = write_result("SERVE_replay", _report(payload))
     print(_report(payload))
     print(f"\nwrote {path}")

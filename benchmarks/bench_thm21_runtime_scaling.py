@@ -17,10 +17,11 @@ import time
 import numpy as np
 
 from repro import ProblemInstance, QuadraticCost, ServerType, solve_approx, solve_optimal
+from repro.bench import write_bench_json
 from repro.dispatch import DispatchSolver
 from repro.workloads import diurnal_trace
 
-from bench_utils import once, result_section, write_bench_json, write_result
+from bench_utils import OUTPUT_DIR, once, result_section, write_result
 
 
 def _instance(m: int, T: int) -> ProblemInstance:
@@ -111,8 +112,9 @@ def test_thm21_runtime_scaling(benchmark):
 
     # machine-readable perf-trajectory record for the DP hot path
     write_bench_json(
-        "dp",
+        OUTPUT_DIR / "BENCH_dp.json",
         {
+            "benchmark": "dp",
             "wall_seconds_total": float(benchmark.stats.stats.mean)
             if benchmark.stats is not None else None,
             "fleet_sweep": fleet_rows,

@@ -16,13 +16,8 @@ runtime scaling) are visible.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
 from pathlib import Path
-
-import numpy as np
 
 from repro.analysis import format_markdown_table, format_table
 
@@ -41,30 +36,6 @@ def result_section(title: str, rows, markdown: bool = False) -> str:
     """Format a table section for the experiment output files."""
     fmt = format_markdown_table if markdown else format_table
     return fmt(rows, title=title)
-
-
-def write_bench_json(name: str, payload: dict) -> Path:
-    """Persist machine-readable benchmark measurements as ``BENCH_<name>.json``.
-
-    Future PRs diff these files against the committed history to track the
-    performance trajectory (wall time, states explored, cache-hit rate, ...).
-    An environment stamp is added so numbers from different machines are not
-    compared blindly.
-    """
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    path = OUTPUT_DIR / f"BENCH_{name}.json"
-    document = {
-        "benchmark": name,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        **payload,
-    }
-    path.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
-    return path
 
 
 def timed(func):

@@ -1,15 +1,13 @@
-"""Analysis toolkit: metrics, empirical ratios, sweeps, ASCII figures, reports."""
+"""Analysis toolkit: metrics, empirical ratios, ASCII figures, reports."""
 
 from .ascii_plot import compare_plot, schedule_plot, series_plot, step_plot
 from .competitive import RatioResult, empirical_ratio, ratio_table, theoretical_bound
 from .metrics import ScheduleMetrics, compute_metrics
 from .report import format_markdown_table, format_table, print_table, rows_to_csv
-from .sweep import SweepResult, run_algorithm_sweep, run_sweep
 
 __all__ = [
     "RatioResult",
     "ScheduleMetrics",
-    "SweepResult",
     "compare_plot",
     "compute_metrics",
     "empirical_ratio",
@@ -18,8 +16,6 @@ __all__ = [
     "print_table",
     "ratio_table",
     "rows_to_csv",
-    "run_algorithm_sweep",
-    "run_sweep",
     "schedule_plot",
     "series_plot",
     "step_plot",

@@ -1,4 +1,13 @@
-"""Benchmark regression harness: pinned smoke instances and exactness checks.
+"""The gate module: every ``make`` gate is one ``run_*`` function here.
+
+Each gate runs its workload, raises :class:`AssertionError` when a check
+fails, and returns its payload; the smokes (``run_scenarios_smoke``,
+``run_serve_smoke``, ``run_chaos_smoke``, ``run_fabric_smoke``) instead run
+every case and return the failures they collected next to their rows.  With
+``json_path`` a gate writes its payload through :func:`write_bench_json`, the
+one writer of the ``BENCH_*.json`` files: it stamps the environment, merges a
+section into the file and appends the file's one ``"runs"`` trend series.
+``repro.cli`` only parses the arguments, calls a gate and prints its table.
 
 The batched dispatch engine (:mod:`repro.dispatch.allocation`) is a pure
 hot-path optimisation — it must not change any computed optimum.  This module
@@ -34,7 +43,8 @@ import json
 import os
 import platform
 import time
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,13 +65,22 @@ __all__ = [
     "PINNED_SERVE_COUNTERS",
     "PINNED_SWEEP_COSTS",
     "PR1_BASELINE_WALL_SECONDS",
+    "run_batch_scale_bench",
+    "run_batch_smoke",
+    "run_chaos_smoke",
     "run_counter_regress",
+    "run_fabric_bench",
+    "run_fabric_smoke",
     "run_latency_smoke",
     "run_scale_bench",
+    "run_scenarios_smoke",
     "run_serve_bench",
+    "run_serve_smoke",
     "run_smoke_bench",
     "run_sweep_bench",
+    "trend_deltas",
     "trend_report",
+    "write_bench_json",
     "smoke_instances",
     "sweep_suite",
     "thm8_scenarios",
@@ -145,8 +164,7 @@ def run_smoke_bench(tolerance: float = 1e-6, json_path: Optional[str] = None) ->
                 "the dispatch/DP hot path is no longer exact"
             )
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump({"smoke": rows}, handle, indent=2)
+        write_bench_json(json_path, {"smoke": rows})
     return rows
 
 
@@ -534,25 +552,16 @@ def run_scale_bench(
 
     payload = {
         "benchmark": "scale_streaming",
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
         "suite": "full" if full else "quick",
         "tolerance": tolerance,
         "rows": rows,
         "comparisons": comparisons,
     }
     if json_path:
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        _with_trend(
-            payload,
+        return write_bench_json(
             json_path,
-            {
+            payload,
+            headline={
                 "benchmark": "scale_streaming",
                 "suite": payload["suite"],
                 "streaming_wall_seconds": round(
@@ -568,8 +577,6 @@ def run_scale_bench(
                 ),
             },
         )
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
     return payload
 
 
@@ -675,12 +682,6 @@ def run_sweep_bench(
 
     payload = {
         "benchmark": "sweep",
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
         "tolerance": tolerance,
         "max_cost_deviation": worst,
         "engine_wall_seconds": round(engine_wall, 4),
@@ -698,21 +699,16 @@ def run_sweep_bench(
         "experiments": experiments,
     }
     if json_path:
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        _with_trend(
-            payload,
+        return write_bench_json(
             json_path,
-            {
+            payload,
+            headline={
                 "benchmark": "sweep",
                 "engine_wall_seconds": payload["engine_wall_seconds"],
                 "speedup_vs_pr1": payload["speedup_vs_pr1"],
                 "max_cost_deviation": worst,
             },
         )
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
     return payload
 
 
@@ -873,59 +869,28 @@ def run_serve_bench(
         "ticks_per_tenant": ticks,
         "demand_levels": demand_levels,
         "tenant_counts": [int(n) for n in tenant_counts],
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
         "rows": rows,
         "comparisons": comparisons,
         "note": "cost equality and unique-solve counters gate; wall times are advisory",
     }
     if json_path:
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        existing = _read_bench_json(json_path)
-        if existing is not None:
-            # keep the sections recorded by run_fabric_bench / run_latency_smoke
-            # / run_batch_scale_bench / run_batch_smoke alive across
-            # serve-bench regenerations of the same file
-            for section in ("fabric", "latency", "batch_scale", "batch_smoke"):
-                if section in existing:
-                    payload[section] = existing[section]
-        shared_last = next(
-            (r for r in reversed(rows) if r["mode"] == "shared"), None
-        )
-        _with_trend(
-            payload,
+        shared = next((r for r in reversed(rows) if r["mode"] == "shared"), {})
+        return write_bench_json(
             json_path,
-            {
+            payload,
+            headline={
                 "benchmark": "serve",
-                "tenants": None if shared_last is None else shared_last["tenants"],
+                "tenants": shared.get("tenants"),
                 "max_cost_deviation": max(
                     (c["max_cost_deviation"] for c in comparisons), default=0.0
                 ),
-                "unique_solves_shared": None
-                if shared_last is None
-                else shared_last["unique_solves"],
-                "grid_hit_rate_shared": None
-                if shared_last is None
-                else shared_last["grid_hit_rate"],
-                "p99_ms_shared": None
-                if shared_last is None
-                else shared_last["latency"].get("p99_ms"),
-                "tracemalloc_peak_mb_shared": None
-                if shared_last is None
-                else shared_last["tracemalloc_peak_mb"],
-                "rss_delta_mb_shared": None
-                if shared_last is None
-                else shared_last["rss_delta_mb"],
+                "unique_solves_shared": shared.get("unique_solves"),
+                "grid_hit_rate_shared": shared.get("grid_hit_rate"),
+                "p99_ms_shared": shared.get("latency", {}).get("p99_ms"),
+                "tracemalloc_peak_mb_shared": shared.get("tracemalloc_peak_mb"),
+                "rss_delta_mb_shared": shared.get("rss_delta_mb"),
             },
         )
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
     return payload
 
 
@@ -1125,26 +1090,13 @@ def run_batch_scale_bench(
             "gate; wall times advisory"
         ),
     }
-    payload = {"recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
     if json_path:
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        existing = _read_bench_json(json_path)
-        if isinstance(existing, dict):
-            payload = existing
-        payload["batch_scale"] = section
-        payload["recorded_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        payload["environment"] = {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        }
         last = rows[-1]
-        _with_trend(
-            payload,
+        write_bench_json(
             json_path,
-            {
+            section,
+            section="batch_scale",
+            headline={
                 "benchmark": "serve-batch-scale",
                 "tenants": last["tenants"],
                 "speedup_vs_sequential": next(
@@ -1161,9 +1113,6 @@ def run_batch_scale_bench(
                 "rss_delta_mb": last["rss_delta_mb"],
             },
         )
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-    section["json_path"] = json_path
     return section
 
 
@@ -1284,53 +1233,306 @@ def run_batch_smoke(
         "p99_us_batched": round(p99_us, 2),
         "budget_us": budget_us,
         "budget_scale": budget_scale,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     if json_path:
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        payload = _read_bench_json(json_path)
-        payload = payload if isinstance(payload, dict) else {}
-        payload["batch_smoke"] = section
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
+        write_bench_json(json_path, section, section="batch_smoke")
     return section
 
 
-def _read_bench_json(json_path) -> Optional[dict]:
-    try:
-        with open(json_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
+# --------------------------------------------------------------------------- #
+# Smoke gates: every case runs, a broken one fails the gate
+# --------------------------------------------------------------------------- #
 
+
+def _run_cases(
+    label: str,
+    columns: Sequence[str],
+    cases: Sequence[Tuple[str, Callable[[], dict]]],
+    describe: Callable[[Exception], str] = str,
+) -> Tuple[List[dict], List[str]]:
+    """Run a smoke's ``(name, check)`` cases: ``(rows, failures)``.
+
+    ``check()`` returns its row's ``columns``.  A case that raises becomes a
+    row of ``-`` plus the failure ``"name: describe(exc)"``, and the other
+    cases still run.  Every row is labelled ``{label: name}`` and ends with
+    its ``seconds`` and ``ok``.
+    """
+    rows: List[dict] = []
+    failures: List[str] = []
+    for name, check in cases:
+        start = time.perf_counter()
+        try:
+            values, ok = check(), True
+        except Exception as exc:  # a broken case must fail the gate, not crash it
+            failures.append(f"{name}: {describe(exc)}")
+            values, ok = dict.fromkeys(columns, "-"), False
+        seconds = round(time.perf_counter() - start, 4)
+        rows.append({label: name, **values, "seconds": seconds, "ok": ok})
+    return rows, failures
+
+
+def _smoke_family(name: str):
+    """A registered scenario family built at its smoke size: ``(spec, instance)``."""
+    from . import scenarios
+
+    spec_obj = scenarios.ScenarioSpec(name, dict(scenarios.family(name).smoke_params))
+    return spec_obj, scenarios.build(spec_obj)
+
+
+def run_scenarios_smoke(json_path: Optional[str] = None) -> dict:
+    """The scenario-registry gate (``make scenarios-smoke``): every registered
+    family builds at its smoke size and runs Algorithm A through the sweep
+    engine, at a finite cost no lower than the exact optimum.
+
+    Returns ``{"scenarios_smoke": rows, "failures": [...]}``; ``json_path``
+    gets the rows.
+    """
+    from . import scenarios
+    from .exp import run_instance
+    from .exp.engine import spec as algo_spec
+
+    def check(name):
+        spec_obj, instance = _smoke_family(name)
+        record = run_instance(
+            instance, algorithms=(algo_spec("A", bound=None),), scenario=spec_obj
+        )[0]
+        if not (np.isfinite(record.cost) and record.ratio >= 1.0 - 1e-9):
+            raise AssertionError(f"cost {record.cost!r} vs optimum {record.optimal_cost!r}")
+        return {
+            "instance": instance.name,
+            "T": instance.T,
+            "d": instance.d,
+            "optimal": round(record.optimal_cost, 3),
+            "algorithm_A": round(record.cost, 3),
+            "ratio": round(record.ratio, 4),
+        }
+
+    rows, failures = _run_cases(
+        "scenario",
+        ("instance", "T", "d", "optimal", "algorithm_A", "ratio"),
+        [(name, partial(check, name)) for name in scenarios.names()],
+        describe=repr,
+    )
+    if json_path:
+        write_bench_json(json_path, {"scenarios_smoke": rows})
+    return {"scenarios_smoke": rows, "failures": failures}
+
+
+def run_serve_smoke(json_path: Optional[str] = None, tolerance: float = 1e-9) -> dict:
+    """The streaming-equivalence gate (``make serve-smoke``): every registered
+    scenario family must replay through a ControllerSession — including one
+    mid-stream checkpoint/restore round-trip — and reproduce the batch
+    ``run_online`` schedule exactly and its cost within ``tolerance``.
+
+    Returns ``{"serve_smoke": rows, "failures": [...]}``; ``json_path`` gets
+    the rows.
+    """
+    from . import scenarios
+    from .serve import verify_replay
+
+    def check(name):
+        _, instance = _smoke_family(name)
+        row = verify_replay(
+            instance,
+            "A",
+            # a one-slot family has no interior tick to checkpoint at
+            checkpoint_at=instance.T // 2 if instance.T >= 2 else None,
+            tolerance=tolerance,
+        )
+        return {
+            "ticks": row["ticks"],
+            "checkpoint_at": row["checkpoint_at"],
+            "cost": round(row["cost"], 3),
+            "cost_deviation": f"{row['cost_deviation']:.2e}",
+            "p50_ms": row["latency"].get("p50_ms"),
+        }
+
+    rows, failures = _run_cases(
+        "scenario",
+        ("ticks", "checkpoint_at", "cost", "cost_deviation", "p50_ms"),
+        [(name, partial(check, name)) for name in scenarios.names()],
+    )
+    if json_path:
+        write_bench_json(json_path, {"serve_smoke": rows})
+    return {"serve_smoke": rows, "failures": failures}
+
+
+def run_chaos_smoke(json_path: Optional[str] = None, tolerance: float = 1e-9) -> dict:
+    """The chaos gate (``make chaos-smoke``): every chaos-* family must replay
+    deterministically under an injected event plan — bit-identical schedules
+    and SLA counters across a mid-stream checkpoint/restore round-trip — and
+    targeted single-kind injections must actually shed and account (a fault
+    layer that never fires would gate nothing).  The per-tick telemetry rows
+    must carry the SLA accounting too.
+
+    Returns ``{"chaos_smoke": rows, "failures": [...]}``; ``json_path`` gets
+    the rows.
+    """
+    from . import scenarios
+    from .scenarios.events import ChaosEvent, EventPlan
+    from .serve import ChaosFeed, ControllerSession, InstanceFeed, verify_chaos_replay
+
+    def check(instance, plan, algorithm="A", must_violate=False):
+        row = verify_chaos_replay(instance, plan, algorithm=algorithm, tolerance=tolerance)
+        if must_violate and row["sla_violations"] == 0:
+            raise AssertionError(
+                "the injected fault produced no SLA violations — injection is not firing"
+            )
+        return {
+            "ticks": row["ticks"],
+            "events": row["events"],
+            "sla_violations": row["sla_violations"],
+            "shed": round(row["shed_demand"], 3),
+            "forced_down": row["forced_downs"],
+            "cost": round(row["cost"], 3),
+        }
+
+    def check_family(name):
+        _, instance = _smoke_family(name)
+        return check(instance, EventPlan.generate(instance.T, instance.d, seed=7, n_events=3))
+
+    # every chaos-* family replays deterministically under a generated plan,
+    # then targeted single-kind injections must fire (overload / forced downs)
+    base = scenarios.build("diurnal-cpu-gpu", T=12)
+    flash_crowd = EventPlan(events=(ChaosEvent("flash_crowd", t=3, duration=3, magnitude=50.0),))
+    targeted = [
+        ("inject:flash_crowd", flash_crowd, "A"),
+        ("inject:capacity_drop", EventPlan(events=(ChaosEvent("capacity_drop", t=5, duration=4, magnitude=0.9),)), "B"),
+        ("inject:price_shock", EventPlan(events=(ChaosEvent("price_shock", t=2, duration=5, magnitude=3.0),
+                                                 ChaosEvent("flash_crowd", t=8, duration=2, magnitude=20.0),)), "A"),
+    ]
+    rows, failures = _run_cases(
+        "case",
+        ("ticks", "events", "sla_violations", "shed", "forced_down", "cost"),
+        [(name, partial(check_family, name))
+         for name in scenarios.names() if name.startswith("chaos-")]
+        + [(label, partial(check, base, plan, algorithm, must_violate=True))
+           for label, plan, algorithm in targeted],
+    )
+
+    # the telemetry contract: SLA accounting must reach the per-tick rows
+    try:
+        feed = ChaosFeed(InstanceFeed(base), flash_crowd)
+        session = ControllerSession("A", base.server_types, degradation="shed")
+        saw_violation = False
+        for tick in feed:
+            row = session.observe(tick.demand, cost_row=tick.cost_row, counts=tick.counts).as_row()
+            if "sla_violation" not in row or "feasible" not in row:
+                raise AssertionError(f"telemetry row lacks SLA/feasibility keys: {sorted(row)}")
+            saw_violation = saw_violation or row["sla_violation"]
+        if not saw_violation:
+            raise AssertionError("no telemetry row carried sla_violation=True under overload")
+    except Exception as exc:
+        failures.append(f"telemetry-contract: {exc}")
+
+    if json_path:
+        write_bench_json(json_path, {"chaos_smoke": rows})
+    return {"chaos_smoke": rows, "failures": failures}
+
+
+def run_fabric_smoke(json_path: Optional[str] = None, tolerance: float = 1e-9) -> dict:
+    """The crash-recovery gate (``make fabric-smoke``): a small sharded fabric
+    with one injected worker SIGKILL must recover every tenant from its
+    rotated checkpoints bit-identically — schedules exact, costs within 1e-9,
+    SLA counters exact — in both clean and chaos-under-fire conditions.
+
+    Returns ``{"fabric_smoke": rows, "failures": [...]}``; ``json_path`` gets
+    the rows.
+    """
+    from .serve import verify_crash_recovery
+
+    def check(**kwargs):
+        row = verify_crash_recovery(tolerance=tolerance, **kwargs)
+        return {
+            "tenants": row["tenants"],
+            "workers": row["workers"],
+            "kill": f"w{row['kill']['worker']}@r{row['kill']['round']}",
+            "restarts": row["restarts"],
+            "recovery_ms": round(1e3 * max(row["recovery_latency_s"] or [0.0]), 1),
+            "ticks": row["ticks"],
+            "cost_delta": f"{row['max_cost_delta']:.2e}",
+            "sla_violations": row["sla_violations"],
+        }
+
+    rows, failures = _run_cases(
+        "case",
+        ("tenants", "workers", "kill", "restarts", "recovery_ms", "ticks", "cost_delta",
+         "sla_violations"),
+        [
+            ("kill+recover", partial(check, n_tenants=3, workers=2, kill_worker=0,
+                                     checkpoint_every=4, algorithm="A")),
+            # the hard case: the kill lands while a capacity drop is open and
+            # Algorithm B holds live power-up records, in shed mode
+            ("kill+recover:chaos", partial(
+                check, n_tenants=2, workers=2, kill_worker=0, kill_round=24,
+                checkpoint_every=4, algorithm="B", degradation="shed",
+                chaos={"events": [
+                    {"kind": "capacity_drop", "t": 18, "duration": 14, "magnitude": 0.5},
+                    {"kind": "flash_crowd", "t": 20, "duration": 10, "magnitude": 2.5},
+                ]},
+            )),
+        ],
+    )
+    if json_path:
+        write_bench_json(json_path, {"fabric_smoke": rows})
+    return {"fabric_smoke": rows, "failures": failures}
+
+
+# --------------------------------------------------------------------------- #
+# BENCH_*.json: the one writer and the trend series
+# --------------------------------------------------------------------------- #
 
 #: Rolling-history cap for the per-file ``"runs"`` trend series.  Old entries
 #: fall off the front so committed BENCH_*.json artifacts stay reviewable.
 TREND_MAX_RUNS = 40
 
 
-def _with_trend(payload: dict, json_path, headline: dict) -> dict:
-    """Attach the rolling ``"runs"`` trend series to a bench payload.
+def _read_bench_json(json_path) -> Optional[dict]:
+    try:
+        with open(json_path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, json.JSONDecodeError):
+        return None
+    return data if isinstance(data, dict) else None
 
-    The top-level keys of every ``BENCH_*.json`` always describe the *latest*
-    run; ``"runs"`` is the history — one compact env-stamped entry per gated
-    bench invocation (headline metrics only, full payloads would balloon the
-    committed artifacts), carried forward from the existing file instead of
-    being overwritten, capped at :data:`TREND_MAX_RUNS`.
+
+def write_bench_json(
+    path, payload: dict, section: Optional[str] = None, headline: Optional[dict] = None
+) -> dict:
+    """Merge one gate's ``payload`` into the ``BENCH_*.json`` file at ``path``.
+
+    A file holds one benchmark's payload at its top level (``section=None``)
+    and any number of other gates' payloads under their own ``section`` key.
+    A write replaces only its own keys, so every other section of the file
+    survives it.  The payload written is stamped with ``recorded_at`` and the
+    ``environment``; a section write stamps only its own section.  With a
+    ``headline``, one compact entry (the stamp plus the headline metrics,
+    which name their ``benchmark``) is appended to the file's one ``"runs"``
+    trend series, capped at :data:`TREND_MAX_RUNS`; benchmarks sharing a file
+    interleave in it.  Returns the document written.
     """
-    existing = _read_bench_json(json_path) if json_path else None
-    runs = list(existing.get("runs", [])) if isinstance(existing, dict) else []
-    entry = {
-        "recorded_at": payload.get("recorded_at")
-        or time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "environment": payload.get("environment"),
+    document = _read_bench_json(path) or {}
+    stamp = {
+        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+        },
     }
-    entry.update(headline)
-    runs.append(entry)
-    payload["runs"] = runs[-TREND_MAX_RUNS:]
-    return payload
+    if section is None:
+        document.update(payload, **stamp)
+    else:
+        document[section] = dict(payload, **stamp)
+    if headline is not None:
+        runs = document.get("runs", []) + [dict(stamp, **headline)]
+        document["runs"] = runs[-TREND_MAX_RUNS:]
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2)
+    return document
 
 
 def trend_deltas(runs) -> dict:
@@ -1366,18 +1568,31 @@ def trend_report(json_path) -> Optional[dict]:
     """The ``repro bench --latest`` view of one ``BENCH_*.json`` file.
 
     Returns the newest trend entry plus its deltas against the previous run
-    of the same benchmark, or ``None`` when the file is missing or predates
-    the trend series.
+    of the same benchmark, and under ``"benchmarks"`` the same view for each
+    ``benchmark`` of the series (the one recorded last comes last), or
+    ``None`` when the file is missing or predates the trend series.
     """
     data = _read_bench_json(json_path)
-    if not isinstance(data, dict) or not data.get("runs"):
+    if data is None or not data.get("runs"):
         return None
     runs = data["runs"]
+    newest: Dict[object, int] = {}
+    for index, run in enumerate(runs):
+        newest[run.get("benchmark")] = index
     return {
         "path": str(json_path),
         "entries": len(runs),
         "latest": runs[-1],
         "deltas_vs_previous": trend_deltas(runs),
+        "benchmarks": [
+            {
+                "benchmark": name,
+                "entries": sum(run.get("benchmark") == name for run in runs),
+                "latest": runs[index],
+                "deltas_vs_previous": trend_deltas(runs[: index + 1]),
+            }
+            for name, index in sorted(newest.items(), key=lambda item: item[1])
+        ],
     }
 
 
@@ -1453,13 +1668,7 @@ def run_fabric_bench(
         "note": "recovery equivalence gates; latency and wall numbers are advisory",
     }
     if json_path:
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        merged = _read_bench_json(json_path) or {}
-        merged["fabric"] = payload
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(merged, handle, indent=2)
+        write_bench_json(json_path, payload, section="fabric")
     return payload
 
 
@@ -1658,12 +1867,6 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
 
     payload = {
         "benchmark": "counter_regress",
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
         "workload": {
             "scenario": "diurnal-cpu-gpu",
             "ticks": ticks,
@@ -1681,11 +1884,7 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
                 "costs gate at 1e-9",
     }
     if json_path:
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
+        return write_bench_json(json_path, payload)
     return payload
 
 
@@ -1842,12 +2041,6 @@ def run_latency_smoke(
 
     payload = {
         "benchmark": "latency_smoke",
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
         "scenario": scenario,
         "algorithm": algorithm,
         "ticks": ticks,
@@ -1873,23 +2066,15 @@ def run_latency_smoke(
         ),
     }
     if json_path:
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        merged = _read_bench_json(json_path) or {}
-        previous = merged.get("latency")
-        runs = list(previous.get("runs", [])) if isinstance(previous, dict) else []
-        runs.append(
-            {
-                "recorded_at": payload["recorded_at"],
-                "environment": payload["environment"],
+        write_bench_json(
+            json_path,
+            payload,
+            section="latency",
+            headline={
+                "benchmark": "latency_smoke",
                 "floor_p99_us": floor["p99_us"],
                 "floor_p50_us": floor["p50_us"],
                 "budget_us": budget,
-            }
+            },
         )
-        payload["runs"] = runs[-TREND_MAX_RUNS:]
-        merged["latency"] = payload
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(merged, handle, indent=2)
     return payload

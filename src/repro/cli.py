@@ -74,9 +74,14 @@ without writing Python:
     gathers — matches its pinned value exactly (part of ``make perf-regress``).
 
 ``python -m repro bench --latest``
-    Print the newest entry of every ``BENCH_*.json`` trend series (the
-    rolling env-stamped ``"runs"`` history the gated benches append to) plus
-    its numeric deltas against the previous run.
+    Print, for each benchmark of every ``BENCH_*.json`` trend series (the
+    rolling env-stamped ``"runs"`` history the gated benches append to), its
+    newest entry plus the numeric deltas against that benchmark's previous
+    run.
+
+Every gate verb calls one :mod:`repro.bench` function, which runs the checks
+and writes ``--json``; the CLI only parses the arguments and prints the
+table, or ``FAIL:`` on stderr with exit code 1.
 
 Scenarios are described by a fleet preset (``--fleet``) and a trace generator
 (``--trace``) with ``--slots`` and ``--seed``; a custom demand trace can be
@@ -428,67 +433,256 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Scenario registry sub-commands
+# Gates: each `make` gate is a repro.bench function; the CLI prints its table
 # --------------------------------------------------------------------------- #
 
 
-def _scenarios_smoke(json_path: Optional[str] = None) -> int:
-    """Build every registered family at its smoke size, run one algorithm each."""
-    from . import scenarios
-    from .exp import run_instance
-    from .exp.engine import spec as algo_spec
+def _run_gate(gate: Callable, show: Callable, json_path: Optional[str], **kwargs) -> int:
+    """Call one ``repro.bench`` gate and ``show`` its payload.
 
-    rows = []
-    failures = []
-    for name in scenarios.names():
-        fam = scenarios.family(name)
-        spec_obj = scenarios.ScenarioSpec(name, dict(fam.smoke_params))
-        start = time.perf_counter()
-        try:
-            instance = scenarios.build(spec_obj)
-            records = run_instance(
-                instance, algorithms=(algo_spec("A", bound=None),), scenario=spec_obj
-            )
-            record = records[0]
-            elapsed = time.perf_counter() - start
-            ok = np.isfinite(record.cost) and record.ratio >= 1.0 - 1e-9
-            if not ok:
-                failures.append(f"{name}: cost {record.cost!r} vs optimum {record.optimal_cost!r}")
-            rows.append(
-                {
-                    "scenario": name,
-                    "instance": instance.name,
-                    "T": instance.T,
-                    "d": instance.d,
-                    "optimal": round(record.optimal_cost, 3),
-                    "algorithm_A": round(record.cost, 3),
-                    "ratio": round(record.ratio, 4),
-                    "seconds": round(elapsed, 4),
-                    "ok": ok,
-                }
-            )
-        except Exception as exc:  # a broken family must fail the gate, not crash it
-            failures.append(f"{name}: {exc!r}")
-            rows.append({"scenario": name, "instance": "-", "T": "-", "d": "-",
-                         "optimal": "-", "algorithm_A": "-", "ratio": "-",
-                         "seconds": round(time.perf_counter() - start, 4), "ok": False})
-    print(format_table(rows, title=f"scenarios smoke — {len(scenarios.names())} registered families"))
+    A failed check (the gate's ``AssertionError``, or the failures a smoke
+    collected, reported after its table) prints ``FAIL:`` to stderr and
+    returns 1.
+    """
+    try:
+        payload = gate(json_path=json_path, **kwargs)
+    except AssertionError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
+    show(payload)
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump({"scenarios_smoke": rows}, handle, indent=2, default=str)
         print(f"\nwrote {json_path}")
+    failures = payload.get("failures") if isinstance(payload, dict) else None
     if failures:
         print("\nFAIL:\n  " + "\n  ".join(failures), file=sys.stderr)
         return 1
-    print(f"\nall {len(rows)} families built and ran cleanly")
     return 0
+
+
+def _show_smoke(rows: List[dict], failures: List[str], title: str, verdict: str) -> None:
+    print(format_table(rows, title=title))
+    if not failures:
+        print(f"\nall {len(rows)} {verdict}")
+
+
+def _show_scenarios_smoke(payload: dict) -> None:
+    rows = payload["scenarios_smoke"]
+    _show_smoke(rows, payload["failures"], f"scenarios smoke — {len(rows)} registered families",
+                "families built and ran cleanly")
+
+
+def _show_serve_smoke(payload: dict) -> None:
+    rows = payload["serve_smoke"]
+    _show_smoke(rows, payload["failures"],
+                f"serve smoke — streaming replay == batch run_online "
+                f"(checkpoint/restore mid-stream, {len(rows)} families)",
+                "families replay equivalently (schedule exact, cost <= 1e-9)")
+
+
+def _show_chaos_smoke(payload: dict) -> None:
+    rows = payload["chaos_smoke"]
+    families = sum(row["case"].startswith("chaos-") for row in rows)
+    _show_smoke(rows, payload["failures"],
+                f"chaos smoke — deterministic fault injection + graceful degradation "
+                f"({families} chaos families, {len(rows) - families} targeted injections)",
+                "chaos cases replay deterministically "
+                "(bit-identical schedules + SLA counters across checkpoint/restore)")
+
+
+def _show_fabric_smoke(payload: dict) -> None:
+    _show_smoke(payload["fabric_smoke"], payload["failures"],
+                "fabric smoke — SIGKILL a worker mid-stream, recover bit-identically "
+                "from rotated checkpoints",
+                "crash-recovery cases verified (schedules bit-identical, "
+                "costs <= 1e-9, SLA counters exact)")
+
+
+def _show_fabric_bench(payload: dict) -> None:
+    latency = payload["tick_latency"]
+    recovery = payload["crash_recovery"]
+    print(format_table(
+        [{
+            "tenants": payload["tenants"],
+            "workers": payload["workers"],
+            "ticks": payload["ticks"],
+            "p99_ms_worst": latency["p99_ms_worst_tenant"],
+            "p99_ms_mean": latency["p99_ms_mean"],
+            "recovery_ms": round(1e3 * max(recovery["recovery_latency_s"] or [0.0]), 1),
+            "restarts": recovery["restarts"],
+            "verified": recovery["verified"],
+        }],
+        title="fabric bench — healthy-path tick latency + crash recovery",
+    ))
+
+
+def _show_batch_smoke(payload: dict) -> None:
+    print(format_table(
+        [payload],
+        title="serve batch smoke — engine == per-tenant replays on a mixed-family fleet",
+    ))
+    print(f"\n{payload['tenants']} tenants over {payload['families']}: "
+          f"{payload['batched_ticks']} vectorised + {payload['fallback_ticks']} fallback "
+          f"ticks, schedules bit-identical (max cost deviation "
+          f"{payload['max_cost_deviation']:.1e}), batched p99 "
+          f"{payload['p99_us_batched']:g}us < "
+          f"{payload['budget_us'] * payload['budget_scale']:g}us budget")
+
+
+def _show_latency_smoke(payload: dict) -> None:
+    print(format_table(
+        payload["per_repeat_us"],
+        title="serve latency — raw per-repeat percentiles (advisory, OS noise included)",
+    ))
+    floor = payload["floor_us"]
+    budget = payload["budget_us"] * payload["budget_scale"]
+    print(f"\nsteady-state floor (per-tick min across {payload['repeats']} repeats): "
+          f"p50 {floor['p50_us']}us, p90 {floor['p90_us']}us, "
+          f"p99 {floor['p99_us']}us < {budget:g}us budget")
+    print(f"schedules bit-identical to the cold path on every repeat; "
+          f"stream cost {payload['cost']:.6f} reproduced to 1e-9")
+
+
+def _show_batch_scale(payload: dict) -> None:
+    table_rows = [
+        {
+            "tenants": row["tenants"],
+            "ticks": row["total_ticks"],
+            "wall_s": row["wall_seconds"],
+            "speedup": row["speedup_vs_sequential"] or "-",
+            "p99_us": row["p99_us"],
+            "equality": row["equality"],
+            "hit_rate": row["batch_hit_rate"],
+            "tracemalloc_mb": row["tracemalloc_peak_mb"],
+            "rss_delta_mb": row["rss_delta_mb"],
+        }
+        for row in payload["rows"]
+    ]
+    print(format_table(
+        table_rows,
+        title=f"serve bench --batched — cohort rounds, {payload['algorithm']} on "
+              f"{payload['scenario']}",
+    ))
+    print("\nschedules bit-identical to per-tenant session replays at every count; "
+          "cache footprint flat across tenant counts "
+          f"(virtual_slots={payload['rows'][-1]['virtual_slots']}, "
+          f"tensor_bytes={payload['rows'][-1]['tensor_bytes']})")
+
+
+def _show_serve_bench(payload: dict) -> None:
+    table_rows = [
+        {
+            "tenants": row["tenants"],
+            "mode": row["mode"],
+            "ticks": row["total_ticks"],
+            "p50_ms": row["latency"]["p50_ms"],
+            "p95_ms": row["latency"]["p95_ms"],
+            "p99_ms": row["latency"]["p99_ms"],
+            "ticks_per_s": row["ticks_per_second"],
+            "unique_solves": row["unique_solves"],
+            "grid_hit_rate": row["grid_hit_rate"],
+        }
+        for row in payload["rows"]
+    ]
+    print(format_table(table_rows, title="serve bench — shared vs isolated multi-tenant replay"))
+    for cmp_row in payload["comparisons"]:
+        print(
+            f"\n{cmp_row['tenants']} tenants: shared caches run "
+            f"{cmp_row['speedup_vs_isolated']}x faster than isolated "
+            f"({cmp_row['unique_solves_shared']} vs {cmp_row['unique_solves_isolated']} "
+            "unique dispatch solves)"
+        )
+
+
+def _show_counters(payload: dict) -> None:
+    table_rows = [
+        {"counter": key, "pinned": pinned, "measured": payload["measured"][key]}
+        for key, pinned in sorted(payload["pinned"].items())
+    ]
+    print(format_table(table_rows, title="bench counters — hot-path work-counter pins"))
+    print(f"\nall {len(table_rows)} pinned counters reproduced exactly "
+          "(cold / prewarmed / continuous replays, per-tenant costs equal to 1e-9)")
+
+
+def _show_scale(payload: dict) -> None:
+    table_rows = [
+        {
+            "instance": row["instance"],
+            "mode": row["mode"],
+            "T": row["T"],
+            "states": row["grid_states"],
+            "k": row.get("checkpoint_every"),
+            "seconds": row["wall_seconds"],
+            "peak_mb": row["tracemalloc_peak_mb"],
+            "cost": None if row.get("cost") is None else round(row["cost"], 2),
+        }
+        for row in payload["rows"]
+    ]
+    print(format_table(table_rows, title="bench scale — streaming DP vs all-tables history"))
+    for cmp_row in payload["comparisons"]:
+        print(
+            f"\n{cmp_row['instance']}: streaming == keep-tables "
+            f"(cost deviation {cmp_row['cost_deviation']:.2e}, schedules identical), "
+            f"peak memory {cmp_row['memory_ratio']}x smaller, "
+            f"end-to-end {cmp_row['stream_wall_vs_forward']}x the forward-pass wall time"
+        )
+
+
+def _show_sweep(payload: dict) -> None:
+    from .bench import PINNED_SWEEP_COSTS
+
+    table_rows = [
+        {
+            "experiment": name,
+            "instance": row["instance"],
+            "algorithm": row["algorithm"],
+            "cost": round(row["cost"], 4),
+            "ratio": round(row["ratio"], 4),
+            "seconds": row["elapsed_seconds"],
+        }
+        for name, experiment in payload["experiments"].items()
+        for row in experiment["rows"]
+    ]
+    print(format_table(table_rows, title="bench sweep — combined THM8+13+15+22 via the shared-context engine"))
+    print(f"\nall {len(PINNED_SWEEP_COSTS)} pinned PR-1 costs reproduced within "
+          f"{payload['tolerance']:g} "
+          f"(max deviation {payload['max_cost_deviation']:.2e})")
+    print(f"wall time: engine {payload['engine_wall_seconds']:.3f}s, "
+          f"sequential orchestration {payload['sequential_wall_seconds']:.3f}s "
+          f"({payload['speedup_vs_sequential']}x), "
+          f"PR-1 reference {payload['pr1_reference']['wall_seconds']:.3f}s "
+          f"({payload['speedup_vs_pr1']}x, advisory)")
+
+
+def _show_smoke_bench(rows: List[dict], tolerance: float) -> None:
+    table_rows = [
+        {
+            "instance": row["instance"],
+            "T": row["T"],
+            "d": row["d"],
+            "cost": round(row["optimal_cost"], 6),
+            "deviation": f"{row['deviation']:.2e}",
+            "seconds": row["seconds"],
+            "states": row["states_explored"],
+            "cache_hit_rate": row["dispatch"]["cache_hit_rate"],
+        }
+        for row in rows
+    ]
+    print(format_table(table_rows, title="bench smoke — pinned exactness regression"))
+    print(f"\nall {len(rows)} pinned optimal costs reproduced within {tolerance:g}")
+
+
+# --------------------------------------------------------------------------- #
+# Scenario registry sub-commands
+# --------------------------------------------------------------------------- #
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     from . import scenarios
 
     if args.action == "smoke":
-        return _scenarios_smoke(json_path=args.json)
+        from .bench import run_scenarios_smoke
+
+        return _run_gate(run_scenarios_smoke, _show_scenarios_smoke, args.json)
 
     if args.action == "list":
         rows = []
@@ -568,62 +762,6 @@ def _serve_algorithm(args: argparse.Namespace) -> dict:
     return {"kind": args.algorithm, "params": params}
 
 
-def _serve_smoke(json_path: Optional[str] = None, tolerance: float = 1e-9) -> int:
-    """The streaming-equivalence gate: every registered scenario family must
-    replay through a ControllerSession — including one mid-stream
-    checkpoint/restore round-trip — and reproduce the batch ``run_online``
-    schedule exactly and its cost within ``tolerance``."""
-    from . import scenarios
-    from .serve import verify_replay
-
-    rows = []
-    failures = []
-    for name in scenarios.names():
-        fam = scenarios.family(name)
-        spec_obj = scenarios.ScenarioSpec(name, dict(fam.smoke_params))
-        start = time.perf_counter()
-        try:
-            instance = scenarios.build(spec_obj)
-            row = verify_replay(
-                instance,
-                "A",
-                # a one-slot family has no interior tick to checkpoint at
-                checkpoint_at=max(1, instance.T // 2) if instance.T >= 2 else None,
-                tolerance=tolerance,
-            )
-            rows.append(
-                {
-                    "scenario": name,
-                    "ticks": row["ticks"],
-                    "checkpoint_at": row["checkpoint_at"],
-                    "cost": round(row["cost"], 3),
-                    "cost_deviation": f"{row['cost_deviation']:.2e}",
-                    "p50_ms": row["latency"].get("p50_ms"),
-                    "seconds": round(time.perf_counter() - start, 4),
-                    "ok": True,
-                }
-            )
-        except Exception as exc:  # a broken family must fail the gate, not crash it
-            failures.append(f"{name}: {exc}")
-            rows.append({"scenario": name, "ticks": "-", "checkpoint_at": "-",
-                         "cost": "-", "cost_deviation": "-", "p50_ms": "-",
-                         "seconds": round(time.perf_counter() - start, 4), "ok": False})
-    print(format_table(
-        rows,
-        title=f"serve smoke — streaming replay == batch run_online "
-              f"(checkpoint/restore mid-stream, {len(rows)} families)",
-    ))
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump({"serve_smoke": rows}, handle, indent=2, default=str)
-        print(f"\nwrote {json_path}")
-    if failures:
-        print("\nFAIL:\n  " + "\n  ".join(failures), file=sys.stderr)
-        return 1
-    print(f"\nall {len(rows)} families replay equivalently (schedule exact, cost <= 1e-9)")
-    return 0
-
-
 def _parse_chaos_spec(spec: str, T: int, d: int, n_events: int):
     """Resolve a ``--chaos`` argument into an EventPlan.
 
@@ -649,204 +787,25 @@ def _parse_chaos_spec(spec: str, T: int, d: int, n_events: int):
     return EventPlan.parse(text)
 
 
-def _serve_chaos_smoke(json_path: Optional[str] = None, tolerance: float = 1e-9) -> int:
-    """The chaos gate (``make chaos-smoke``): every chaos-* family must
-    replay deterministically under an injected event plan — bit-identical
-    schedules and SLA counters across a mid-stream checkpoint/restore
-    round-trip — and targeted single-kind injections must actually shed and
-    account (a fault layer that never fires would gate nothing)."""
-    from . import scenarios
-    from .scenarios.events import ChaosEvent, EventPlan
-    from .serve import verify_chaos_replay
-
-    rows = []
-    failures = []
-
-    def run_case(label, instance, plan, algorithm="A", must_violate=False):
-        start = time.perf_counter()
-        try:
-            row = verify_chaos_replay(instance, plan, algorithm=algorithm, tolerance=tolerance)
-            if must_violate and row["sla_violations"] == 0:
-                raise AssertionError(
-                    "the injected fault produced no SLA violations — injection is not firing"
-                )
-            rows.append(
-                {
-                    "case": label,
-                    "ticks": row["ticks"],
-                    "events": row["events"],
-                    "sla_violations": row["sla_violations"],
-                    "shed": round(row["shed_demand"], 3),
-                    "forced_down": row["forced_downs"],
-                    "cost": round(row["cost"], 3),
-                    "seconds": round(time.perf_counter() - start, 4),
-                    "ok": True,
-                }
-            )
-        except Exception as exc:  # a broken case must fail the gate, not crash it
-            failures.append(f"{label}: {exc}")
-            rows.append({"case": label, "ticks": "-", "events": "-", "sla_violations": "-",
-                         "shed": "-", "forced_down": "-", "cost": "-",
-                         "seconds": round(time.perf_counter() - start, 4), "ok": False})
-
-    # every chaos-* family replays deterministically under a generated plan
-    chaos_families = [n for n in scenarios.names() if n.startswith("chaos-")]
-    for name in chaos_families:
-        fam = scenarios.family(name)
-        instance = scenarios.build(scenarios.ScenarioSpec(name, dict(fam.smoke_params)))
-        plan = EventPlan.generate(instance.T, instance.d, seed=7, n_events=3)
-        run_case(name, instance, plan)
-
-    # targeted single-kind injections that must fire (overload / forced downs)
-    base = scenarios.build("diurnal-cpu-gpu", T=12)
-    targeted = [
-        ("inject:flash_crowd", EventPlan(events=(ChaosEvent("flash_crowd", t=3, duration=3, magnitude=50.0),)), "A"),
-        ("inject:capacity_drop", EventPlan(events=(ChaosEvent("capacity_drop", t=5, duration=4, magnitude=0.9),)), "B"),
-        ("inject:price_shock", EventPlan(events=(ChaosEvent("price_shock", t=2, duration=5, magnitude=3.0),
-                                                 ChaosEvent("flash_crowd", t=8, duration=2, magnitude=20.0),)), "A"),
-    ]
-    for label, plan, algorithm in targeted:
-        run_case(label, base, plan, algorithm=algorithm, must_violate=True)
-
-    # the telemetry contract: SLA accounting must reach the per-tick rows
-    try:
-        from .serve import ChaosFeed, ControllerSession, InstanceFeed
-
-        feed = ChaosFeed(InstanceFeed(base), targeted[0][1])
-        session = ControllerSession("A", base.server_types, degradation="shed")
-        saw_violation = False
-        for tick in feed:
-            row = session.observe(tick.demand, cost_row=tick.cost_row, counts=tick.counts).as_row()
-            if "sla_violation" not in row or "feasible" not in row:
-                raise AssertionError(f"telemetry row lacks SLA/feasibility keys: {sorted(row)}")
-            saw_violation = saw_violation or row["sla_violation"]
-        if not saw_violation:
-            raise AssertionError("no telemetry row carried sla_violation=True under overload")
-    except Exception as exc:
-        failures.append(f"telemetry-contract: {exc}")
-
-    print(format_table(
-        rows,
-        title=f"chaos smoke — deterministic fault injection + graceful degradation "
-              f"({len(chaos_families)} chaos families, {len(targeted)} targeted injections)",
-    ))
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump({"chaos_smoke": rows}, handle, indent=2, default=str)
-        print(f"\nwrote {json_path}")
-    if failures:
-        print("\nFAIL:\n  " + "\n  ".join(failures), file=sys.stderr)
-        return 1
-    print(f"\nall {len(rows)} chaos cases replay deterministically "
-          "(bit-identical schedules + SLA counters across checkpoint/restore)")
-    return 0
-
-
-def _serve_fabric_smoke(json_path: Optional[str] = None, tolerance: float = 1e-9) -> int:
-    """The crash-recovery gate (``make fabric-smoke``): a small sharded fabric
-    with one injected worker SIGKILL must recover every tenant from its
-    rotated checkpoints bit-identically — schedules exact, costs within 1e-9,
-    SLA counters exact — in both clean and chaos-under-fire conditions."""
-    from .serve import verify_crash_recovery
-
-    cases = [
-        ("kill+recover", dict(n_tenants=3, workers=2, kill_worker=0,
-                              checkpoint_every=4, algorithm="A")),
-        # the hard case: the kill lands while a capacity drop is open and
-        # Algorithm B holds live power-up records, in shed mode
-        ("kill+recover:chaos", dict(
-            n_tenants=2, workers=2, kill_worker=0, kill_round=24,
-            checkpoint_every=4, algorithm="B", degradation="shed",
-            chaos={"events": [
-                {"kind": "capacity_drop", "t": 18, "duration": 14, "magnitude": 0.5},
-                {"kind": "flash_crowd", "t": 20, "duration": 10, "magnitude": 2.5},
-            ]},
-        )),
-    ]
-    rows = []
-    failures = []
-    for label, kwargs in cases:
-        start = time.perf_counter()
-        try:
-            row = verify_crash_recovery(tolerance=tolerance, **kwargs)
-            rows.append(
-                {
-                    "case": label,
-                    "tenants": row["tenants"],
-                    "workers": row["workers"],
-                    "kill": f"w{row['kill']['worker']}@r{row['kill']['round']}",
-                    "restarts": row["restarts"],
-                    "recovery_ms": round(1e3 * max(row["recovery_latency_s"] or [0.0]), 1),
-                    "ticks": row["ticks"],
-                    "cost_delta": f"{row['max_cost_delta']:.2e}",
-                    "sla_violations": row["sla_violations"],
-                    "seconds": round(time.perf_counter() - start, 4),
-                    "ok": True,
-                }
-            )
-        except Exception as exc:  # a broken case must fail the gate, not crash it
-            failures.append(f"{label}: {exc}")
-            rows.append({"case": label, "tenants": "-", "workers": "-", "kill": "-",
-                         "restarts": "-", "recovery_ms": "-", "ticks": "-",
-                         "cost_delta": "-", "sla_violations": "-",
-                         "seconds": round(time.perf_counter() - start, 4), "ok": False})
-    print(format_table(
-        rows,
-        title="fabric smoke — SIGKILL a worker mid-stream, recover bit-identically "
-              "from rotated checkpoints",
-    ))
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump({"fabric_smoke": rows}, handle, indent=2, default=str)
-        print(f"\nwrote {json_path}")
-    if failures:
-        print("\nFAIL:\n  " + "\n  ".join(failures), file=sys.stderr)
-        return 1
-    print(f"\nall {len(rows)} crash-recovery cases verified (schedules bit-identical, "
-          "costs <= 1e-9, SLA counters exact)")
-    return 0
-
-
 def _serve_fabric(args: argparse.Namespace) -> int:
     """``repro serve fabric``: run a sharded fabric (or its CI smoke gate)."""
     if args.n_tenants is None:
         args.n_tenants = 4
     if args.smoke:
-        return _serve_fabric_smoke(json_path=args.json)
+        from .bench import run_fabric_smoke
 
+        return _run_gate(run_fabric_smoke, _show_fabric_smoke, args.json)
     if args.bench:
         from .bench import run_fabric_bench
 
-        try:
-            payload = run_fabric_bench(
-                n_tenants=args.n_tenants,
-                workers=args.workers,
-                scenario=args.scenario or "diurnal-cpu-gpu",
-                algorithm=args.algorithm,
-                checkpoint_every=args.checkpoint_every,
-                json_path=args.json,
-            )
-        except AssertionError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        latency = payload["tick_latency"]
-        recovery = payload["crash_recovery"]
-        print(format_table(
-            [{
-                "tenants": payload["tenants"],
-                "workers": payload["workers"],
-                "ticks": payload["ticks"],
-                "p99_ms_worst": latency["p99_ms_worst_tenant"],
-                "p99_ms_mean": latency["p99_ms_mean"],
-                "recovery_ms": round(1e3 * max(recovery["recovery_latency_s"] or [0.0]), 1),
-                "restarts": recovery["restarts"],
-                "verified": recovery["verified"],
-            }],
-            title="fabric bench — healthy-path tick latency + crash recovery",
-        ))
-        if args.json:
-            print(f"\nmerged fabric section into {args.json}")
-        return 0
+        return _run_gate(
+            run_fabric_bench, _show_fabric_bench, args.json,
+            n_tenants=args.n_tenants,
+            workers=args.workers,
+            scenario=args.scenario or "diurnal-cpu-gpu",
+            algorithm=args.algorithm,
+            checkpoint_every=args.checkpoint_every,
+        )
 
     from .serve import FabricError, ServeFabric
 
@@ -929,166 +888,61 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             expect=args.expect,
         )
 
-    if args.action == "smoke":
-        return _serve_smoke(json_path=args.json)
-
-    if args.action == "chaos":
-        return _serve_chaos_smoke(json_path=args.json)
-
     if args.action == "fabric":
         return _serve_fabric(args)
 
-    if args.action == "batch":
-        from .bench import run_batch_smoke
+    from . import bench
 
-        try:
-            payload = run_batch_smoke(
-                budget_us=args.budget_us if args.budget_us is not None else 5000.0,
-                budget_scale=args.budget_scale,
-                tenants=args.n_tenants or 64,
-                ticks=args.ticks or 48,
-                json_path=args.json,
-            )
-        except AssertionError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        print(format_table(
-            [payload],
-            title="serve batch smoke — engine == per-tenant replays on a mixed-family fleet",
-        ))
-        print(f"\n{payload['tenants']} tenants over {payload['families']}: "
-              f"{payload['batched_ticks']} vectorised + {payload['fallback_ticks']} fallback "
-              f"ticks, schedules bit-identical (max cost deviation "
-              f"{payload['max_cost_deviation']:.1e}), batched p99 "
-              f"{payload['p99_us_batched']:g}us < "
-              f"{payload['budget_us'] * payload['budget_scale']:g}us budget")
-        if args.json:
-            print(f"wrote {args.json}")
-        return 0
+    if args.action == "smoke":
+        return _run_gate(bench.run_serve_smoke, _show_serve_smoke, args.json)
+
+    if args.action == "chaos":
+        return _run_gate(bench.run_chaos_smoke, _show_chaos_smoke, args.json)
+
+    if args.action == "batch":
+        return _run_gate(
+            bench.run_batch_smoke, _show_batch_smoke, args.json,
+            budget_us=args.budget_us if args.budget_us is not None else 5000.0,
+            budget_scale=args.budget_scale,
+            tenants=args.n_tenants or 64,
+            ticks=args.ticks or 48,
+        )
 
     if args.action == "latency":
-        from .bench import run_latency_smoke
-
-        try:
-            payload = run_latency_smoke(
-                budget_us=args.budget_us if args.budget_us is not None else 50.0,
-                budget_scale=args.budget_scale,
-                repeats=args.repeats,
-                ticks=args.ticks or 256,
-                scenario=args.scenario or "diurnal-cpu-gpu",
-                algorithm=args.algorithm,
-                json_path=args.json,
-            )
-        except AssertionError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        print(format_table(
-            payload["per_repeat_us"],
-            title="serve latency — raw per-repeat percentiles (advisory, OS noise included)",
-        ))
-        floor = payload["floor_us"]
-        budget = payload["budget_us"] * payload["budget_scale"]
-        print(f"\nsteady-state floor (per-tick min across {payload['repeats']} repeats): "
-              f"p50 {floor['p50_us']}us, p90 {floor['p90_us']}us, "
-              f"p99 {floor['p99_us']}us < {budget:g}us budget")
-        print(f"schedules bit-identical to the cold path on every repeat; "
-              f"stream cost {payload['cost']:.6f} reproduced to 1e-9")
-        if args.json:
-            print(f"wrote {args.json}")
-        return 0
+        return _run_gate(
+            bench.run_latency_smoke, _show_latency_smoke, args.json,
+            budget_us=args.budget_us if args.budget_us is not None else 50.0,
+            budget_scale=args.budget_scale,
+            repeats=args.repeats,
+            ticks=args.ticks or 256,
+            scenario=args.scenario or "diurnal-cpu-gpu",
+            algorithm=args.algorithm,
+        )
 
     if args.action == "bench" and args.batched:
-        from .bench import run_batch_scale_bench
-
         tenants_arg = "64,1000,10000" if args.tenants == "1,8,64" else str(args.tenants)
-        tenant_counts = tuple(int(v) for v in tenants_arg.split(",") if v.strip())
-        algorithm = (
-            args.algorithm
-            if args.algorithm in ("reactive", "follow-demand", "all-on")
-            else "reactive"
+        return _run_gate(
+            bench.run_batch_scale_bench, _show_batch_scale, args.json,
+            tenant_counts=tuple(int(v) for v in tenants_arg.split(",") if v.strip()),
+            ticks=args.ticks,
+            scenario=args.scenario or "diurnal-cpu-gpu",
+            algorithm=(
+                args.algorithm
+                if args.algorithm in ("reactive", "follow-demand", "all-on")
+                else "reactive"
+            ),
+            budget_us=args.budget_us if args.budget_us is not None else 50.0,
+            budget_scale=args.budget_scale,
         )
-        try:
-            payload = run_batch_scale_bench(
-                tenant_counts=tenant_counts,
-                ticks=args.ticks,
-                scenario=args.scenario or "diurnal-cpu-gpu",
-                algorithm=algorithm,
-                budget_us=args.budget_us if args.budget_us is not None else 50.0,
-                budget_scale=args.budget_scale,
-                json_path=args.json,
-            )
-        except AssertionError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        table_rows = [
-            {
-                "tenants": row["tenants"],
-                "ticks": row["total_ticks"],
-                "wall_s": row["wall_seconds"],
-                "speedup": row["speedup_vs_sequential"] or "-",
-                "p99_us": row["p99_us"],
-                "equality": row["equality"],
-                "hit_rate": row["batch_hit_rate"],
-                "tracemalloc_mb": row["tracemalloc_peak_mb"],
-                "rss_delta_mb": row["rss_delta_mb"],
-            }
-            for row in payload["rows"]
-        ]
-        print(format_table(
-            table_rows,
-            title=f"serve bench --batched — cohort rounds, {algorithm} on "
-                  f"{payload['scenario']}",
-        ))
-        print("\nschedules bit-identical to per-tenant session replays at every count; "
-              "cache footprint flat across tenant counts "
-              f"(virtual_slots={payload['rows'][-1]['virtual_slots']}, "
-              f"tensor_bytes={payload['rows'][-1]['tensor_bytes']})")
-        if args.json:
-            print(f"wrote {args.json}")
-        return 0
 
     if args.action == "bench":
-        from .bench import run_serve_bench
-
-        tenant_counts = tuple(
-            int(v) for v in str(args.tenants).split(",") if v.strip()
+        return _run_gate(
+            bench.run_serve_bench, _show_serve_bench, args.json,
+            tenant_counts=tuple(int(v) for v in str(args.tenants).split(",") if v.strip()),
+            ticks=args.ticks,
+            scenario=args.scenario or "diurnal-cpu-gpu",
+            algorithm=_serve_algorithm(args),
         )
-        try:
-            payload = run_serve_bench(
-                tenant_counts=tenant_counts,
-                ticks=args.ticks,
-                scenario=args.scenario or "diurnal-cpu-gpu",
-                algorithm=_serve_algorithm(args),
-                json_path=args.json,
-            )
-        except AssertionError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        table_rows = [
-            {
-                "tenants": row["tenants"],
-                "mode": row["mode"],
-                "ticks": row["total_ticks"],
-                "p50_ms": row["latency"]["p50_ms"],
-                "p95_ms": row["latency"]["p95_ms"],
-                "p99_ms": row["latency"]["p99_ms"],
-                "ticks_per_s": row["ticks_per_second"],
-                "unique_solves": row["unique_solves"],
-                "grid_hit_rate": row["grid_hit_rate"],
-            }
-            for row in payload["rows"]
-        ]
-        print(format_table(table_rows, title="serve bench — shared vs isolated multi-tenant replay"))
-        for cmp_row in payload["comparisons"]:
-            print(
-                f"\n{cmp_row['tenants']} tenants: shared caches run "
-                f"{cmp_row['speedup_vs_isolated']}x faster than isolated "
-                f"({cmp_row['unique_solves_shared']} vs {cmp_row['unique_solves_isolated']} "
-                "unique dispatch solves)"
-            )
-        if args.json:
-            print(f"\nwrote {args.json}")
-        return 0
 
     # action == "replay"
     from .serve import ChaosFeed, ControllerSession, ScenarioFeed, TelemetryWriter, build_serve_algorithm
@@ -1232,7 +1086,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import PINNED_SWEEP_COSTS, run_scale_bench, run_smoke_bench, run_sweep_bench
+    from . import bench
 
     selected = [flag for flag in ("smoke", "sweep", "scale", "counters", "latest")
                 if getattr(args, flag)]
@@ -1247,158 +1101,70 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
 
     if args.latest:
-        import glob
-        import os as _os
-
-        from .bench import trend_report
-
-        paths = [args.json] if args.json else sorted(
-            glob.glob(_os.path.join("benchmarks", "output", "BENCH_*.json"))
-        )
-        shown = 0
-        for path in paths:
-            report = trend_report(path)
-            if report is None:
-                continue
-            shown += 1
-            latest = report["latest"]
-            deltas = report["deltas_vs_previous"]
-            print(f"{path}: {report['entries']} recorded run(s)")
-            print("  latest: " + ", ".join(
-                f"{key}={value}" for key, value in latest.items()
-                if key != "environment"
-            ))
-            if deltas:
-                print("  vs previous: " + ", ".join(
-                    f"{key} {value:+g}" for key, value in deltas.items()
-                ))
-            else:
-                print("  no previous run to compare")
-        if not shown:
-            print("no BENCH_*.json with a recorded trend series found "
-                  "(gated benches append one entry per run)", file=sys.stderr)
-            return 1
-        return 0
+        return _print_trends(args.json)
 
     if args.counters:
-        from .bench import PINNED_SERVE_COUNTERS, run_counter_regress
-
-        try:
-            payload = run_counter_regress(json_path=args.json)
-        except AssertionError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        table_rows = [
-            {
-                "counter": key,
-                "pinned": PINNED_SERVE_COUNTERS[key],
-                "measured": payload["measured"][key],
-            }
-            for key in sorted(PINNED_SERVE_COUNTERS)
-        ]
-        print(format_table(table_rows, title="bench counters — hot-path work-counter pins"))
-        print(f"\nall {len(table_rows)} pinned counters reproduced exactly "
-              "(cold / prewarmed / continuous replays, per-tenant costs equal to 1e-9)")
-        if args.json:
-            print(f"wrote {args.json}")
-        return 0
+        return _run_gate(bench.run_counter_regress, _show_counters, args.json)
 
     tolerance = args.tolerance
 
     if args.scale:
-        try:
-            payload = run_scale_bench(
-                full=args.full, json_path=args.json,
-                tolerance=1e-9 if tolerance is None else tolerance,
-            )
-        except AssertionError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        table_rows = [
-            {
-                "instance": row["instance"],
-                "mode": row["mode"],
-                "T": row["T"],
-                "states": row["grid_states"],
-                "k": row.get("checkpoint_every"),
-                "seconds": row["wall_seconds"],
-                "peak_mb": row["tracemalloc_peak_mb"],
-                "cost": None if row.get("cost") is None else round(row["cost"], 2),
-            }
-            for row in payload["rows"]
-        ]
-        print(format_table(table_rows, title="bench scale — streaming DP vs all-tables history"))
-        for cmp_row in payload["comparisons"]:
-            print(
-                f"\n{cmp_row['instance']}: streaming == keep-tables "
-                f"(cost deviation {cmp_row['cost_deviation']:.2e}, schedules identical), "
-                f"peak memory {cmp_row['memory_ratio']}x smaller, "
-                f"end-to-end {cmp_row['stream_wall_vs_forward']}x the forward-pass wall time"
-            )
-        if args.json:
-            print(f"\nwrote {args.json}")
-        return 0
+        return _run_gate(
+            bench.run_scale_bench, _show_scale, args.json,
+            full=args.full, tolerance=1e-9 if tolerance is None else tolerance,
+        )
 
     if tolerance is None:
         tolerance = 1e-6
 
     if args.sweep:
-        try:
-            payload = run_sweep_bench(tolerance=tolerance, json_path=args.json, jobs=args.jobs)
-        except AssertionError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        table_rows = [
-            {
-                "experiment": name,
-                "instance": row["instance"],
-                "algorithm": row["algorithm"],
-                "cost": round(row["cost"], 4),
-                "ratio": round(row["ratio"], 4),
-                "seconds": row["elapsed_seconds"],
-            }
-            for name, experiment in payload["experiments"].items()
-            for row in experiment["rows"]
-        ]
-        print(format_table(table_rows, title="bench sweep — combined THM8+13+15+22 via the shared-context engine"))
-        print(f"\nall {len(PINNED_SWEEP_COSTS)} pinned PR-1 costs reproduced within "
-              f"{tolerance:g} (max deviation {payload['max_cost_deviation']:.2e})")
-        print(f"wall time: engine {payload['engine_wall_seconds']:.3f}s, "
-              f"sequential orchestration {payload['sequential_wall_seconds']:.3f}s "
-              f"({payload['speedup_vs_sequential']}x), "
-              f"PR-1 reference {payload['pr1_reference']['wall_seconds']:.3f}s "
-              f"({payload['speedup_vs_pr1']}x, advisory)")
-        if args.json:
-            print(f"wrote {args.json}")
-        return 0
+        return _run_gate(
+            bench.run_sweep_bench, _show_sweep, args.json, tolerance=tolerance, jobs=args.jobs
+        )
 
     if not args.smoke:
         print("the full benchmark harness lives in benchmarks/ (run `make bench`); "
               "use `repro bench --smoke` for the pinned exactness subset or "
               "`repro bench --sweep` for the sweep-engine regression", file=sys.stderr)
         return 2
-    try:
-        rows = run_smoke_bench(tolerance=tolerance, json_path=args.json)
-    except AssertionError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
+    return _run_gate(
+        bench.run_smoke_bench, lambda rows: _show_smoke_bench(rows, tolerance), args.json,
+        tolerance=tolerance,
+    )
+
+
+def _print_trends(json_path: Optional[str]) -> int:
+    """``repro bench --latest``: the newest entry of each benchmark in each
+    ``BENCH_*.json`` trend series, with its deltas against that benchmark's
+    previous entry."""
+    import glob
+    import os
+
+    from .bench import trend_report
+
+    paths = [json_path] if json_path else sorted(
+        glob.glob(os.path.join("benchmarks", "output", "BENCH_*.json"))
+    )
+    reports = [report for report in map(trend_report, paths) if report is not None]
+    for report in reports:
+        print(f"{report['path']}: {report['entries']} recorded run(s)")
+        for series in report["benchmarks"]:
+            print(f"  {series['benchmark']}: {series['entries']} run(s)")
+            print("    latest: " + ", ".join(
+                f"{key}={value}" for key, value in series["latest"].items()
+                if key != "environment"
+            ))
+            deltas = series["deltas_vs_previous"]
+            if deltas:
+                print("    vs previous: " + ", ".join(
+                    f"{key} {value:+g}" for key, value in deltas.items()
+                ))
+            else:
+                print("    no previous run to compare")
+    if not reports:
+        print("no BENCH_*.json with a recorded trend series found "
+              "(gated benches append one entry per run)", file=sys.stderr)
         return 1
-    table_rows = [
-        {
-            "instance": row["instance"],
-            "T": row["T"],
-            "d": row["d"],
-            "cost": round(row["optimal_cost"], 6),
-            "deviation": f"{row['deviation']:.2e}",
-            "seconds": row["seconds"],
-            "states": row["states_explored"],
-            "cache_hit_rate": row["dispatch"]["cache_hit_rate"],
-        }
-        for row in rows
-    ]
-    print(format_table(table_rows, title="bench smoke — pinned exactness regression"))
-    print(f"\nall {len(rows)} pinned optimal costs reproduced within {tolerance:g}")
-    if args.json:
-        print(f"wrote {args.json}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Tests for the analysis toolkit: metrics, ratios, sweeps, ASCII plots, reports."""
+"""Tests for the analysis toolkit: metrics, ratios, ASCII plots, reports."""
 
 import numpy as np
 import pytest
@@ -15,12 +15,10 @@ from repro import (
     theoretical_bound,
 )
 from repro.analysis import (
-    SweepResult,
     compare_plot,
     format_markdown_table,
     format_table,
     rows_to_csv,
-    run_sweep,
     schedule_plot,
     series_plot,
     step_plot,
@@ -87,27 +85,6 @@ class TestCompetitiveHelpers:
             theoretical_bound(small_instance, "C")
         with pytest.raises(ValueError):
             theoretical_bound(small_instance, "Z")
-
-
-class TestSweep:
-    def test_run_sweep_product(self):
-        result = run_sweep(
-            lambda a, b: {"sum": a + b},
-            {"a": [1, 2, 3], "b": [10, 20]},
-        )
-        assert len(result) == 6
-        assert set(result.column("sum")) == {11, 21, 12, 22, 13, 23}
-        assert all("elapsed_seconds" in row for row in result.as_rows())
-
-    def test_filter_and_column(self):
-        result = run_sweep(lambda a, b: {"sum": a + b}, {"a": [1, 2], "b": [5]})
-        filtered = result.filter(a=2)
-        assert len(filtered) == 1
-        assert filtered.column("sum") == [7]
-
-    def test_repeat_validation(self):
-        with pytest.raises(ValueError):
-            run_sweep(lambda a: {"v": a}, {"a": [1]}, repeat=0)
 
 
 class TestReports:

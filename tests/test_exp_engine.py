@@ -262,15 +262,6 @@ class TestEngineBatching:
 
 
 class TestAnalysisBridges:
-    def test_run_algorithm_sweep_rows(self):
-        from repro.analysis import run_algorithm_sweep
-
-        result = run_algorithm_sweep([_time_invariant()], ["A", "B"])
-        assert len(result) == 2
-        assert set(result.column("algorithm")) == {"algorithm-A", "algorithm-B"}
-        for row in result.as_rows():
-            assert row["ratio"] >= 1.0 - 1e-9
-
     def test_ratio_table_still_reuses_one_optimum(self):
         from repro.analysis import ratio_table
 

@@ -334,13 +334,13 @@ class TestBenchGates:
         assert len(payload["per_repeat_us"]) == 2
         written = json.loads(Path(json_path).read_text())
         assert written["latency"]["cost"] == payload["cost"]
-        assert len(written["latency"]["runs"]) == 1
+        assert len(written["runs"]) == 1
         run_latency_smoke(
             budget_us=50.0, budget_scale=1e6, repeats=2, ticks=32,
             json_path=json_path,
         )
         written = json.loads(Path(json_path).read_text())
-        assert len(written["latency"]["runs"]) == 2
+        assert len(written["runs"]) == 2
 
     def test_latency_smoke_budget_violation_raises(self):
         with pytest.raises(AssertionError, match="budget"):
