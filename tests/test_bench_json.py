@@ -1,0 +1,56 @@
+"""The shared ``BENCH_*.json`` files, written only by ``repro.bench.write_bench_json``.
+
+Several gates share one file (``BENCH_serve.json`` holds the serve bench at
+its top level and the fabric, latency and batch gates' sections), so a gate's
+write must keep every other section and stamp only its own, and the file's one
+``"runs"`` trend series interleaves their benchmarks: ``repro bench --latest``
+must report each of them, not just the newest entry.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from repro.cli import main
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_latest_reports_every_benchmark_of_an_interleaved_series(tmp_path):
+    path = tmp_path / "BENCH_serve.json"
+    runs = [
+        {"recorded_at": "t0", "benchmark": "serve", "tenants": 64, "p99_ms": 1.5},
+        {"recorded_at": "t1", "benchmark": "serve-batch-scale", "p99_us": 7.0},
+        {"recorded_at": "t2", "benchmark": "serve", "tenants": 64, "p99_ms": 1.25},
+        {"recorded_at": "t3", "benchmark": "latency_smoke", "floor_p99_us": 30.0},
+    ]
+    path.write_text(json.dumps({"runs": runs}))
+    code, out, _ = run_cli("bench", "--latest", "--json", str(path))
+    assert code == 0
+    for benchmark in ("serve", "serve-batch-scale", "latency_smoke"):
+        assert f"benchmark={benchmark}," in out
+    assert "p99_ms -0.25" in out  # serve's newest entry against its own predecessor
+
+
+def test_a_section_write_keeps_and_stamps_only_its_own_section(tmp_path):
+    path = tmp_path / "BENCH_serve.json"
+    before = {
+        "rows": [], "recorded_at": "2000-01-01T00:00:00", "fabric": {"kept": True},
+        "runs": [{"recorded_at": "2000-01-01T00:00:00", "benchmark": "serve"}],
+    }
+    path.write_text(json.dumps(before))
+    code, _, err = run_cli(
+        "serve", "bench", "--batched", "--tenants", "2", "--ticks", "8",
+        "--budget-scale", "1e6", "--json", str(path),
+    )
+    assert code == 0, err
+    after = json.loads(path.read_text())
+    assert after["recorded_at"] == before["recorded_at"]
+    assert after["fabric"] == {"kept": True}
+    assert {"recorded_at", "environment"} <= set(after["batch_scale"])
+    assert [run["benchmark"] for run in after["runs"]] == ["serve", "serve-batch-scale"]

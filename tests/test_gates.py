@@ -5,10 +5,7 @@ file: exit code 0, its table title on stdout and its top-level key or section
 in the JSON are what the Makefile and CI rely on.  Two failing cases pin the
 failure protocols: a gate whose check fails prints ``FAIL:`` to stderr, writes
 nothing and exits 1; a smoke with one broken case still runs the others,
-prints its table, then ``FAIL:`` naming that case, and exits 1.  Two more pin
-the shared ``BENCH_*.json`` files: a section write keeps the other sections
-and stamps only its own, and ``bench --latest`` reports every benchmark of an
-interleaved trend series.
+prints its table, then ``FAIL:`` naming that case, and exits 1.
 """
 
 import io
@@ -63,41 +60,6 @@ def test_gate_prints_its_table_and_writes_its_json(tmp_path, argv, title, key):
     assert "FAIL" not in err
     assert title in out
     assert key in json.loads(path.read_text())
-
-
-def test_latest_reports_every_benchmark_of_an_interleaved_series(tmp_path):
-    path = tmp_path / "BENCH_serve.json"
-    runs = [
-        {"recorded_at": "t0", "benchmark": "serve", "tenants": 64, "p99_ms": 1.5},
-        {"recorded_at": "t1", "benchmark": "serve-batch-scale", "p99_us": 7.0},
-        {"recorded_at": "t2", "benchmark": "serve", "tenants": 64, "p99_ms": 1.25},
-        {"recorded_at": "t3", "benchmark": "latency_smoke", "floor_p99_us": 30.0},
-    ]
-    path.write_text(json.dumps({"runs": runs}))
-    code, out, _ = run_cli("bench", "--latest", "--json", str(path))
-    assert code == 0
-    for benchmark in ("serve", "serve-batch-scale", "latency_smoke"):
-        assert f"benchmark={benchmark}," in out
-    assert "p99_ms -0.25" in out  # serve's newest entry against its own predecessor
-
-
-def test_a_section_write_keeps_and_stamps_only_its_own_section(tmp_path):
-    path = tmp_path / "BENCH_serve.json"
-    before = {
-        "rows": [], "recorded_at": "2000-01-01T00:00:00", "fabric": {"kept": True},
-        "runs": [{"recorded_at": "2000-01-01T00:00:00", "benchmark": "serve"}],
-    }
-    path.write_text(json.dumps(before))
-    code, _, err = run_cli(
-        "serve", "bench", "--batched", "--tenants", "2", "--ticks", "8",
-        "--budget-scale", "1e6", "--json", str(path),
-    )
-    assert code == 0, err
-    after = json.loads(path.read_text())
-    assert after["recorded_at"] == before["recorded_at"]
-    assert after["fabric"] == {"kept": True}
-    assert {"recorded_at", "environment"} <= set(after["batch_scale"])
-    assert [run["benchmark"] for run in after["runs"]] == ["serve", "serve-batch-scale"]
 
 
 def test_a_failing_gate_prints_fail_and_writes_nothing(tmp_path):
