@@ -6,8 +6,8 @@ streaming value pass of :func:`repro.offline.dp.solve_dp` and
 * **gates** on exactness: on every ``compare`` scenario the streaming schedule
   must be bit-identical to ``keep_tables=True`` and its cost equal to 1e-9,
 * measures wall time and peak memory (tracemalloc + process RSS) for the
-  streaming forward pass, the end-to-end streaming solve, the float32 value
-  stream and — where it is still payable — the classic all-tables pass, and
+  streaming forward pass, the end-to-end streaming solve and — where it is
+  still payable — the classic all-tables pass, and
 * records everything in ``benchmarks/output/BENCH_scale.json`` plus a
   human-readable ``SCALE_streaming.txt``, documenting the projected all-tables
   footprint of the instances the seed code cannot fit (long-horizon

@@ -129,12 +129,13 @@ def smoke_instances() -> List[ProblemInstance]:
     return [diurnal, priced, varying]
 
 
-def run_smoke_bench(tolerance: float = 1e-6, json_path: Optional[str] = None) -> List[dict]:
+def run_smoke_bench(tolerance: float = 1e-6, json_path: Optional[str] = None) -> dict:
     """Solve the pinned instances and assert seed-identical optimal costs.
 
-    Returns one row per instance with the measured wall time, explored states
-    and dispatch-engine counters.  Raises :class:`AssertionError` when a cost
-    deviates from its pinned value by more than ``tolerance``.
+    Returns ``{"smoke": rows}``, one row per instance with the measured wall
+    time, explored states and dispatch-engine counters.  Raises
+    :class:`AssertionError` when a cost deviates from its pinned value by more
+    than ``tolerance``.
     """
     rows: List[dict] = []
     for instance in smoke_instances():
@@ -163,9 +164,10 @@ def run_smoke_bench(tolerance: float = 1e-6, json_path: Optional[str] = None) ->
                 f"pinned seed value {expected!r} by {deviation:g} (> {tolerance:g}) — "
                 "the dispatch/DP hot path is no longer exact"
             )
+    payload = {"smoke": rows}
     if json_path:
-        write_bench_json(json_path, {"smoke": rows})
-    return rows
+        return write_bench_json(json_path, payload)
+    return payload
 
 
 # --------------------------------------------------------------------------- #
@@ -416,8 +418,7 @@ def run_scale_bench(
     streaming-only instead document the all-tables footprint as *projected*
     bytes (``T * |M| * 8`` of value-table history alone — OOM territory on
     typical runners long before the seed code's additional ``O(T * |M| * d)``
-    dispatch blocks).  A float32 value-stream row is recorded for the first
-    scenario of the suite.
+    dispatch blocks).
 
     Returns the ``BENCH_scale.json`` payload; wall times and memory are
     recorded, only cost/schedule equality gates.
@@ -431,7 +432,7 @@ def run_scale_bench(
     rows: List[dict] = []
     comparisons: List[dict] = []
     scenarios = scale_scenarios(full=full)
-    for index, scenario in enumerate(scenarios):
+    for scenario in scenarios:
         instance = scenario["instance"]
         gamma = scenario["gamma"]
         T = instance.T
@@ -476,29 +477,6 @@ def run_scale_bench(
                 cost=stream.cost,
             )
         )
-
-        if index == 0:
-            f32, f32_wall, f32_peak, f32_rss = _measured(
-                lambda: solve_dp(instance, gamma=gamma, checkpoint_every=k, value_dtype="float32")
-            )
-            deviation = abs(f32.cost - stream.cost) / max(abs(stream.cost), 1.0)
-            rows.append(
-                dict(
-                    base,
-                    mode="streaming-float32",
-                    checkpoint_every=k,
-                    wall_seconds=round(f32_wall, 4),
-                    tracemalloc_peak_mb=round(f32_peak / 1e6, 3),
-                    rss_peak_mb=round(f32_rss, 1),
-                    cost=f32.cost,
-                    relative_cost_deviation=deviation,
-                )
-            )
-            if deviation > 1e-5:
-                raise AssertionError(
-                    f"{instance.name}: float32 streaming cost deviates by {deviation:g} "
-                    "(> 1e-5) despite the float64 re-evaluation"
-                )
 
         if scenario["compare"]:
             tables, tables_wall, tables_peak, tables_rss = _measured(
@@ -1569,13 +1547,16 @@ def trend_report(json_path) -> Optional[dict]:
 
     Returns the newest trend entry plus its deltas against the previous run
     of the same benchmark, and under ``"benchmarks"`` the same view for each
-    ``benchmark`` of the series (the one recorded last comes last), or
-    ``None`` when the file is missing or predates the trend series.
+    ``benchmark`` of the series (the one recorded last comes last).  A file
+    without a trend series reports ``entries`` 0 and its ``recorded_at``, so
+    a stale file still shows; a missing file gives ``None``.
     """
     data = _read_bench_json(json_path)
-    if data is None or not data.get("runs"):
+    if data is None:
         return None
-    runs = data["runs"]
+    runs = data.get("runs")
+    if not runs:
+        return {"path": str(json_path), "entries": 0, "recorded_at": data.get("recorded_at")}
     newest: Dict[object, int] = {}
     for index, run in enumerate(runs):
         newest[run.get("benchmark")] = index
@@ -1701,6 +1682,22 @@ PINNED_SERVE_COUNTERS: Dict[str, float] = {
     "block_calls_continuous": 224,
 }
 
+#: Where each pin of :data:`PINNED_SERVE_COUNTERS` is measured: the replay and
+#: its key in the report's ``cache_totals`` (plus the derived ``grid_hit_rate``).
+COUNTER_PIN_SOURCES: Dict[str, Tuple[str, str]] = {
+    "unique_solves": ("cold", "unique_solves"),
+    "slot_queries": ("cold", "slot_queries"),
+    "tensor_hits": ("cold", "tensor_hits"),
+    "tensor_misses": ("cold", "tensor_misses"),
+    "grid_hit_rate": ("cold", "grid_hit_rate"),
+    "table_gathers_prewarmed": ("prewarmed", "table_gathers"),
+    "prewarmed_levels": ("prewarmed", "prewarmed_levels"),
+    "unique_solves_prewarmed": ("prewarmed", "unique_solves"),
+    "unique_solves_continuous": ("continuous", "unique_solves"),
+    "slot_queries_continuous": ("continuous", "slot_queries"),
+    "block_calls_continuous": ("continuous", "block_calls"),
+}
+
 
 def run_counter_regress(json_path: Optional[str] = None) -> dict:
     """Pin the hot-path work counters on fixed multi-tenant workloads.
@@ -1729,10 +1726,11 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
 
     The prewarmed run must also reproduce the cold run's per-tenant costs to 1e-9
     (the counters may only change when the *work routing* changes, never the
-    decisions).  All counters gate by exact equality against
-    :data:`PINNED_SERVE_COUNTERS` — they are integer-valued functions of the
-    instance, so any drift means the routing changed and the pins (plus
-    PERFORMANCE.md) must be re-derived deliberately.
+    decisions).  Each pin is read once, from its replay's report
+    ``cache_totals`` (:data:`COUNTER_PIN_SOURCES`), and gates by exact
+    equality against :data:`PINNED_SERVE_COUNTERS` — they are integer-valued
+    functions of the instance, so any drift means the routing changed and the
+    pins (plus PERFORMANCE.md) must be re-derived deliberately.
     """
     from .serve import InstanceFeed, ServeEngine
     from .workloads.scale import quantise_trace
@@ -1758,55 +1756,15 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
             engine.add_tenant(name, kind, InstanceFeed(tenant_instance))
         if prewarm:
             engine.prewarm(sorted({float(v) for v in demand}))
-        engine.run()
-        counters = [cache.counters() for cache in engine.caches]
-        summed = {
-            key: sum(c[key] for c in counters)
-            for key in (
-                "block_calls",
-                "unique_solves",
-                "slot_queries",
-                "tensor_hits",
-                "tensor_misses",
-                "table_gathers",
-                "prewarmed_levels",
-            )
-        }
-        summed["grid_hit_rate"] = round(
-            sum(c["tensor_hits"] for c in counters)
-            / max(sum(c["tensor_hits"] + c["tensor_misses"] for c in counters), 1),
-            6,
+        totals = engine.run()["cache_totals"]
+        totals["grid_hit_rate"] = round(
+            totals["tensor_hits"] / max(totals["tensor_hits"] + totals["tensor_misses"], 1), 6
         )
-        # second path to the same numbers: the engine's metrics registry
-        # (deterministic_snapshot runs the collectors), summed across the
-        # per-cache labelled series — must agree with the dict path exactly
-        engine.metrics.deterministic_snapshot()
-        registry = {key: engine.metrics.sum_metric(key) for key in summed if key != "grid_hit_rate"}
-        registry["grid_hit_rate"] = round(
-            registry["tensor_hits"]
-            / max(registry["tensor_hits"] + registry["tensor_misses"], 1),
-            6,
-        )
-        return summed, [s.cumulative_cost for s in engine.sessions], registry
+        return totals, [s.cumulative_cost for s in engine.sessions]
 
-    cold, cold_costs, cold_reg = replay(quantised)
-    pre, pre_costs, pre_reg = replay(quantised, prewarm=True)
-    cont, _, cont_reg = replay(continuous)
-
-    for label, counters_path, registry_path in (
-        ("cold", cold, cold_reg), ("prewarmed", pre, pre_reg), ("continuous", cont, cont_reg)
-    ):
-        if counters_path != registry_path:
-            diff = {
-                k: (counters_path.get(k), registry_path.get(k))
-                for k in set(counters_path) | set(registry_path)
-                if counters_path.get(k) != registry_path.get(k)
-            }
-            raise AssertionError(
-                f"counter regress: {label} registry snapshot disagrees with the "
-                f"counters() dict path ({diff}) — the registry threading dropped "
-                "or double-counted an increment site"
-            )
+    cold, cold_costs = replay(quantised)
+    pre, pre_costs = replay(quantised, prewarm=True)
+    cont, _ = replay(continuous)
 
     worst = max(abs(a - b) for a, b in zip(pre_costs, cold_costs))
     if not worst <= 1e-9:
@@ -1815,40 +1773,15 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
             f"{worst:.3e} — counter routing must be decision-neutral"
         )
 
+    modes = {"cold": cold, "prewarmed": pre, "continuous": cont}
     measured = {
-        "unique_solves": cold["unique_solves"],
-        "slot_queries": cold["slot_queries"],
-        "tensor_hits": cold["tensor_hits"],
-        "tensor_misses": cold["tensor_misses"],
-        "grid_hit_rate": cold["grid_hit_rate"],
-        "table_gathers_prewarmed": pre["table_gathers"],
-        "prewarmed_levels": pre["prewarmed_levels"],
-        "unique_solves_prewarmed": pre["unique_solves"],
-        "unique_solves_continuous": cont["unique_solves"],
-        "slot_queries_continuous": cont["slot_queries"],
-        "block_calls_continuous": cont["block_calls"],
+        pin: modes[mode][key] for pin, (mode, key) in COUNTER_PIN_SOURCES.items()
     }
-    measured_registry = {
-        "unique_solves": cold_reg["unique_solves"],
-        "slot_queries": cold_reg["slot_queries"],
-        "tensor_hits": cold_reg["tensor_hits"],
-        "tensor_misses": cold_reg["tensor_misses"],
-        "grid_hit_rate": cold_reg["grid_hit_rate"],
-        "table_gathers_prewarmed": pre_reg["table_gathers"],
-        "prewarmed_levels": pre_reg["prewarmed_levels"],
-        "unique_solves_prewarmed": pre_reg["unique_solves"],
-        "unique_solves_continuous": cont_reg["unique_solves"],
-        "slot_queries_continuous": cont_reg["slot_queries"],
-        "block_calls_continuous": cont_reg["block_calls"],
+    deviations = {
+        key: (pinned, measured.get(key))
+        for key, pinned in PINNED_SERVE_COUNTERS.items()
+        if measured.get(key) != pinned
     }
-    deviations = {}
-    for key, pinned in PINNED_SERVE_COUNTERS.items():
-        if key not in measured:
-            raise AssertionError(f"counter regress measured no value for pin {key!r}")
-        if measured[key] != pinned:
-            deviations[key] = (pinned, measured[key])
-        if measured_registry[key] != pinned:
-            deviations[f"{key} (registry path)"] = (pinned, measured_registry[key])
     if deviations:
         drifted = ", ".join(
             f"{key}: pinned {pinned!r} vs measured {got!r}"
@@ -1876,12 +1809,9 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
             "continuous": {"ticks": continuous_ticks, "algorithms": list(continuous_kinds)},
         },
         "measured": measured,
-        "registry": measured_registry,
         "pinned": dict(PINNED_SERVE_COUNTERS),
-        "modes": {"cold": cold, "prewarmed": pre, "continuous": cont},
-        "note": "all counters gate by exact equality — through both the "
-                "counters() dict path and the metrics-registry snapshot path; "
-                "costs gate at 1e-9",
+        "modes": modes,
+        "note": "all counters gate by exact equality; costs gate at 1e-9",
     }
     if json_path:
         return write_bench_json(json_path, payload)

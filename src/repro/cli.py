@@ -216,16 +216,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _build_instance(args)
     print(instance.describe())
     dispatcher = DispatchSolver(instance)
-    streaming = dict(
-        checkpoint_every=args.checkpoint_every,
-        value_dtype="float32" if args.float32 else None,
-    )
     if args.epsilon is None:
-        result = solve_optimal(instance, dispatcher=dispatcher, **streaming)
+        result = solve_optimal(
+            instance, dispatcher=dispatcher, checkpoint_every=args.checkpoint_every
+        )
         label = "exact optimum"
         guarantee = 1.0
     else:
-        result = solve_approx(instance, epsilon=args.epsilon, dispatcher=dispatcher, **streaming)
+        result = solve_approx(
+            instance, epsilon=args.epsilon, dispatcher=dispatcher,
+            checkpoint_every=args.checkpoint_every,
+        )
         label = f"(1+eps)-approximation, eps={args.epsilon}"
         guarantee = approximation_guarantee(result.gamma)
     metrics = compute_metrics(instance, result.schedule, name=label, dispatcher=dispatcher)
@@ -452,7 +453,7 @@ def _run_gate(gate: Callable, show: Callable, json_path: Optional[str], **kwargs
     show(payload)
     if json_path:
         print(f"\nwrote {json_path}")
-    failures = payload.get("failures") if isinstance(payload, dict) else None
+    failures = payload.get("failures")
     if failures:
         print("\nFAIL:\n  " + "\n  ".join(failures), file=sys.stderr)
         return 1
@@ -653,7 +654,8 @@ def _show_sweep(payload: dict) -> None:
           f"({payload['speedup_vs_pr1']}x, advisory)")
 
 
-def _show_smoke_bench(rows: List[dict], tolerance: float) -> None:
+def _show_smoke_bench(payload: dict, tolerance: float) -> None:
+    rows = payload["smoke"]
     table_rows = [
         {
             "instance": row["instance"],
@@ -1128,7 +1130,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               "`repro bench --sweep` for the sweep-engine regression", file=sys.stderr)
         return 2
     return _run_gate(
-        bench.run_smoke_bench, lambda rows: _show_smoke_bench(rows, tolerance), args.json,
+        bench.run_smoke_bench, lambda payload: _show_smoke_bench(payload, tolerance), args.json,
         tolerance=tolerance,
     )
 
@@ -1136,7 +1138,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _print_trends(json_path: Optional[str]) -> int:
     """``repro bench --latest``: the newest entry of each benchmark in each
     ``BENCH_*.json`` trend series, with its deltas against that benchmark's
-    previous entry."""
+    previous entry; a file without a series gets one line with its
+    ``recorded_at``."""
     import glob
     import os
 
@@ -1147,6 +1150,9 @@ def _print_trends(json_path: Optional[str]) -> int:
     )
     reports = [report for report in map(trend_report, paths) if report is not None]
     for report in reports:
+        if not report["entries"]:
+            print(f"{report['path']}: no trend series (recorded_at {report['recorded_at']})")
+            continue
         print(f"{report['path']}: {report['entries']} recorded run(s)")
         for series in report["benchmarks"]:
             print(f"  {series['benchmark']}: {series['entries']} run(s)")
@@ -1161,7 +1167,7 @@ def _print_trends(json_path: Optional[str]) -> int:
                 ))
             else:
                 print("    no previous run to compare")
-    if not reports:
+    if not any(report["entries"] for report in reports):
         print("no BENCH_*.json with a recorded trend series found "
               "(gated benches append one entry per run)", file=sys.stderr)
         return 1
@@ -1219,9 +1225,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Scaling limits: the classic DP keeps one value tensor per slot "
                "(O(T * |M|) memory); long horizons stream the value pass with "
                "checkpointed backtracking instead (O(sqrt(T) * |M|), auto-enabled "
-               "above ~32 MB of table history). --checkpoint-every forces a window, "
-               "--float32 halves the stream; for fleets with thousands of servers "
-               "per type combine with --epsilon (geometric grids). "
+               "above ~32 MB of table history). --checkpoint-every forces a window; "
+               "for fleets with thousands of servers per type combine with "
+               "--epsilon (geometric grids). "
                "See `repro bench --scale` and docs/PERFORMANCE.md.",
     )
     _add_scenario_arguments(p_solve)
@@ -1230,9 +1236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--checkpoint-every", type=_positive_int, default=None,
                          help="streaming-DP checkpoint window (default: auto — full history "
                               "on small instances, sqrt(T) on long horizons)")
-    p_solve.add_argument("--float32", action="store_true",
-                         help="run the DP value stream in float32 (half the memory; the "
-                              "reported cost is re-evaluated in float64)")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_online = sub.add_parser("online", help="run an online algorithm on a scenario")

@@ -95,13 +95,11 @@ class OfflineSpec:
     epsilon: Optional[float] = None
     gamma: Optional[float] = None
     return_schedule: bool = True
-    #: Streaming-DP options for **approximate** solves only: a checkpoint
-    #: window (``None`` = the plan's ``checkpoint_every``) and an optional
-    #: float32 value pass.  ``solver="optimal"`` reads the shared value
-    #: stream, whose streaming is governed by the plan's ``checkpoint_every``
-    #: — setting either field on an optimal spec raises.
+    #: Streaming-DP checkpoint window for **approximate** solves only
+    #: (``None`` = the plan's ``checkpoint_every``).  ``solver="optimal"``
+    #: reads the shared value stream, whose streaming is governed by the
+    #: plan's ``checkpoint_every`` — setting it on an optimal spec raises.
     checkpoint_every: Optional[int] = None
-    value_dtype: Optional[str] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,11 +257,11 @@ def run_instance(
     for off in offline:
         start = time.perf_counter()
         if off.solver == "optimal":
-            if off.checkpoint_every is not None or off.value_dtype is not None:
+            if off.checkpoint_every is not None:
                 raise ValueError(
                     "OfflineSpec(solver='optimal') reads the shared value stream; its "
-                    "streaming is set by the plan's checkpoint_every — per-spec "
-                    "checkpoint_every/value_dtype apply to approx solves only"
+                    "streaming is set by the plan's checkpoint_every — a per-spec "
+                    "checkpoint_every applies to approx solves only"
                 )
             result = ctx.solve_optimal(return_schedule=off.return_schedule)
             label = off.label or "offline-optimal"
@@ -273,7 +271,6 @@ def run_instance(
                 gamma=off.gamma,
                 return_schedule=off.return_schedule,
                 checkpoint_every=off.checkpoint_every,
-                value_dtype=off.value_dtype,
             )
             if off.label:
                 label = off.label

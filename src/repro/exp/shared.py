@@ -135,8 +135,8 @@ class SharedInstanceContext:
         return self._optimal_cost
 
     def solve_approx(self, epsilon: Optional[float] = None, gamma: Optional[float] = None,
-                     return_schedule: bool = True, checkpoint_every: Optional[int] = None,
-                     value_dtype=None) -> OfflineResult:
+                     return_schedule: bool = True,
+                     checkpoint_every: Optional[int] = None) -> OfflineResult:
         """The ``(1+eps)``-approximation, sharing this context's dispatch solver.
 
         Streaming defaults to the context's ``checkpoint_every`` (pass an
@@ -149,7 +149,6 @@ class SharedInstanceContext:
             dispatcher=self.dispatcher,
             return_schedule=return_schedule,
             checkpoint_every=self.checkpoint_every if checkpoint_every is None else checkpoint_every,
-            value_dtype=value_dtype,
         )
 
     # -------------------------------------------------------------- evaluation

@@ -85,22 +85,20 @@ STREAMING_TABLE_BYTES_THRESHOLD = 32 * 1024 * 1024
 def default_checkpoint_every(
     T: int,
     max_states: int,
-    itemsize: int = 8,
     threshold: int = STREAMING_TABLE_BYTES_THRESHOLD,
 ) -> Optional[int]:
     """Auto-tuned checkpoint window for a ``T``-slot DP over ``max_states`` states.
 
     Returns ``None`` (keep the full table history — no recompute) while
-    ``T * max_states * itemsize`` stays below ``threshold``, else
+    ``T * max_states`` float64 values stay below ``threshold`` bytes, else
     ``ceil(sqrt(T))``.  Streaming memory is ``T/k`` checkpoint tensors plus
     ``k`` rematerialised window tensors, which is minimised at ``k = sqrt(T)``
-    independent of the grid size — ``prod_j |M_j|`` (and the value dtype, via
-    ``itemsize``) only decides *whether* the 2x-forward-FLOPs trade is worth
-    taking at all.
+    independent of the grid size — ``prod_j |M_j|`` only decides *whether*
+    the 2x-forward-FLOPs trade is worth taking at all.
     """
     if T <= 2:
         return None
-    if T * max(int(max_states), 1) * itemsize <= threshold:
+    if T * max(int(max_states), 1) * 8 <= threshold:
         return None
     return max(1, int(math.ceil(math.sqrt(T))))
 
@@ -402,7 +400,6 @@ def solve_dp(
     keep_tables: bool = False,
     return_schedule: bool = True,
     checkpoint_every: Optional[int] = None,
-    value_dtype=None,
 ) -> OfflineResult:
     """Run the forward DP / shortest-path computation.
 
@@ -434,13 +431,6 @@ def solve_dp(
         values above ``T`` are clamped) — ``O(T/k + k)`` value tensors live
         instead of ``T``, at the cost of re-running the forward DP once
         inside each window during backtracking.
-    value_dtype:
-        dtype of the value tensors — ``float64`` (default) or ``float32``.
-        A ``float32`` stream halves the memory of checkpoints and windows;
-        the reported cost of a schedule-returning solve is *always* a
-        ``float64`` re-evaluation of the reconstructed schedule, so only the
-        argmin chain (and the cost of cost-only solves) feels the reduced
-        precision.
 
     Returns
     -------
@@ -468,10 +458,6 @@ def solve_dp(
             gamma=gamma,
         )
 
-    dtype = np.dtype(np.float64 if value_dtype is None else value_dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"value_dtype must be float32 or float64, got {dtype}")
-
     if checkpoint_every is not None and int(checkpoint_every) < 1:
         raise ValueError("checkpoint_every must be a positive integer when given")
     if keep_tables:
@@ -479,9 +465,7 @@ def solve_dp(
     elif checkpoint_every is not None:
         window = min(int(checkpoint_every), T)
     else:
-        window = default_checkpoint_every(
-            T, max(g.size for g in grids), itemsize=dtype.itemsize
-        )
+        window = default_checkpoint_every(T, max(g.size for g in grids))
     streaming = window is not None
     provider = WindowedOperatingCosts(
         instance, grids, dispatcher, window=window, memoise=not streaming
@@ -498,7 +482,7 @@ def solve_dp(
     # preallocated TransitionPlan (bit-identical kernels, no per-slot buffer
     # churn).  The full-history pass must not: the plan reuses its output
     # buffers, and `tables` needs every slot's tensor to stay distinct.
-    use_plan = not keep_history and dtype == np.dtype(np.float64)
+    use_plan = not keep_history
     plan = None
     plan_grid_key = None
     from_plan = False
@@ -509,12 +493,10 @@ def solve_dp(
         _check_some_feasible(g_tensor, t)
         if t == 0:
             arrival = startup_cost_tensor(grid.values, beta)
-            if arrival.dtype != dtype:
-                arrival = arrival.astype(dtype)
             from_plan = False
         else:
             arrival = None
-            if use_plan and value.dtype == np.float64 and grid.key == grids[t - 1].key:
+            if use_plan and grid.key == grids[t - 1].key:
                 if plan_grid_key != grid.key:
                     plan_grid_key = grid.key
                     plan = make_transition_plan(grid.values, grid.values, beta)
@@ -556,11 +538,9 @@ def solve_dp(
     else:
         configs = _backtrack_checkpointed(grids, beta, T, window, checkpoints, provider)
     schedule = Schedule(configs)
-    # Re-evaluate the schedule cost explicitly (always in float64); for the
-    # exact algorithm this equals ``best_cost`` (up to dispatch tolerance) and
-    # serves as a sanity check, for reduced grids it is by definition identical
-    # as well, and for float32 value streams it removes the accumulated
-    # single-precision error from the reported cost.
+    # Re-evaluate the schedule cost explicitly; for the exact algorithm this
+    # equals ``best_cost`` (up to dispatch tolerance) and serves as a sanity
+    # check, and for reduced grids it is by definition identical as well.
     breakdown = evaluate_schedule(instance, schedule, dispatcher, memoise=not streaming)
     return OfflineResult(
         schedule=schedule,

@@ -46,7 +46,6 @@ def solve_approx(
     keep_tables: bool = False,
     return_schedule: bool = True,
     checkpoint_every: Optional[int] = None,
-    value_dtype=None,
 ) -> OfflineResult:
     """Compute a ``(2*gamma - 1)``-approximate schedule on the reduced grids.
 
@@ -57,8 +56,8 @@ def solve_approx(
     The returned :class:`~repro.offline.dp.OfflineResult` carries the ``gamma``
     that was used; ``approximation_guarantee(result.gamma)`` is the proven
     worst-case factor, which the benchmarks compare against the measured ratio.
-    ``checkpoint_every`` / ``value_dtype`` tune the streaming value pass on
-    long horizons exactly as in :func:`repro.offline.dp.solve_dp` — combined
+    ``checkpoint_every`` tunes the streaming value pass on long horizons
+    exactly as in :func:`repro.offline.dp.solve_dp` — combined
     with the geometric grids this is what makes fleets of ``m_j ~ 10^4``
     servers over tens of thousands of slots fit in memory.
     """
@@ -75,5 +74,4 @@ def solve_approx(
         keep_tables=keep_tables,
         return_schedule=return_schedule,
         checkpoint_every=checkpoint_every,
-        value_dtype=value_dtype,
     )

@@ -37,7 +37,6 @@ def solve_optimal(
     keep_tables: bool = False,
     return_schedule: bool = True,
     checkpoint_every: Optional[int] = None,
-    value_dtype=None,
 ) -> OfflineResult:
     """Compute an optimal schedule for ``instance`` (discrete/integral setting).
 
@@ -45,7 +44,7 @@ def solve_optimal(
     use :func:`repro.offline.graph_approx.solve_approx` instead.  Memory is
     ``O(sqrt(T) * prod_j (m_{t,j} + 1))``: long horizons stream the value pass
     with checkpointed backtracking (see :func:`repro.offline.dp.solve_dp` for
-    ``checkpoint_every`` / ``value_dtype`` tuning; ``keep_tables=True`` forces
+    ``checkpoint_every`` tuning; ``keep_tables=True`` forces
     the classic all-tables pass).
     """
     return solve_dp(
@@ -55,7 +54,6 @@ def solve_optimal(
         keep_tables=keep_tables,
         return_schedule=return_schedule,
         checkpoint_every=checkpoint_every,
-        value_dtype=value_dtype,
     )
 
 

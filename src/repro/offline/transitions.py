@@ -118,8 +118,7 @@ def relax_dimension(
     value sets are supported — in particular the geometric grids ``M^gamma`` of
     the approximation algorithm and per-slot grids of different sizes.
 
-    Floating value tensors keep their dtype (the streaming DP optionally runs
-    ``float32`` value passes); any other input dtype is promoted to ``float64``.
+    Values are float64; any other input dtype is promoted.
     """
     src_f, dst_f, up_idx, all_up, valid_up, down_idx, all_down, valid_down = _relax_plan(
         src_values, dst_values
@@ -131,28 +130,25 @@ def relax_dimension(
     moved = axis not in (-1, V.ndim - 1)
     if moved:
         V = np.swapaxes(V, axis, -1)
-    if V.dtype not in (np.float32, np.float64):
+    if V.dtype != np.float64:
         V = V.astype(float)
     if V.shape[-1] != len(src_f):
         raise ValueError(
             f"axis {axis} has length {V.shape[-1]} but {len(src_f)} source values were given"
         )
-    dtype = V.dtype
 
     # Power-up direction: target >= source.  The shifted tensor is a scratch
     # buffer: the prefix minimum is accumulated into it in place, and the
     # gathered `up` array doubles as the output buffer below.
-    shifted = V - np.asarray(beta * src_f, dtype=dtype)  # broadcast along the last axis
+    shifted = V - beta * src_f  # broadcast along the last axis
     np.minimum.accumulate(shifted, axis=-1, out=shifted)
     if all_up:
         up = shifted[..., up_idx]
-        up += np.asarray(beta * dst_f, dtype=dtype)
+        up += beta * dst_f
     else:
-        up = np.full(V.shape[:-1] + (len(dst_f),), np.inf, dtype=dtype)
+        up = np.full(V.shape[:-1] + (len(dst_f),), np.inf)
         if np.any(valid_up):
-            up[..., valid_up] = shifted[..., up_idx[valid_up]] + np.asarray(
-                beta * dst_f[valid_up], dtype=dtype
-            )
+            up[..., valid_up] = shifted[..., up_idx[valid_up]] + beta * dst_f[valid_up]
 
     # Power-down direction: target <= source, no cost.  Reuse the scratch
     # buffer for the suffix minimum (V itself must stay intact for callers).
@@ -185,9 +181,7 @@ def transition(
     d = len(beta)
     if len(src_values) != d or len(dst_values) != d:
         raise ValueError("src_values, dst_values and beta must all have length d")
-    out = np.asarray(values_tensor)
-    if out.dtype not in (np.float32, np.float64):
-        out = out.astype(float)
+    out = values_tensor
     for j in range(d):
         out = relax_dimension(out, src_values[j], dst_values[j], float(beta[j]), axis=j)
     return out

@@ -424,11 +424,11 @@ class DPPrefixTracker(PrefixOptimumTracker):
         :func:`~repro.offline.transitions.transition`; feeding the plan's own
         previous output back as input is explicitly supported (see the plan's
         aliasing contract), which is exactly the tracker's steady-state loop.
-        Any mismatch — non-float64 value, unexpected shape, a grid whose relax
-        steps cannot be planned — falls back to the generic path.
+        Any mismatch — an unexpected shape, a grid whose relax steps cannot be
+        planned — falls back to the generic path.
         """
         value = self._value
-        if value.dtype != np.float64 or value.shape != grid.shape:
+        if value.shape != grid.shape:
             return None
         plan = self._plan_for(grid, beta)
         if plan is None:

@@ -130,7 +130,7 @@ def _offline_spec(entry) -> OfflineSpec:
     if isinstance(entry, str):
         return OfflineSpec(solver=entry)
     if isinstance(entry, Mapping):
-        fields = {"solver", "label", "epsilon", "gamma", "return_schedule", "checkpoint_every", "value_dtype"}
+        fields = {"solver", "label", "epsilon", "gamma", "return_schedule", "checkpoint_every"}
         unknown = sorted(set(entry) - fields)
         if unknown:
             raise ValueError(f"unknown offline-spec keys {unknown} (expected: {sorted(fields)})")

@@ -21,7 +21,7 @@ the paper's online algorithms were designed for:
   percentiles and prefix-optimum regret,
 * :mod:`~repro.serve.metrics` / :mod:`~repro.serve.trace` /
   :mod:`~repro.serve.watch` — the observability layer: a dependency-free
-  labelled metrics registry behind every counter above, a sampling
+  labelled metrics registry that mirrors every counter above, a sampling
   tick-phase tracer emitting Chrome ``trace_event`` JSON, and the
   ``repro serve watch`` live dashboard over telemetry/fabric files.
 

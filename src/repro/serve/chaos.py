@@ -17,7 +17,9 @@ SLA accounting instead of raising.
   signature-level caches keep deduplicating under chaos.
 * :class:`ChaosFeed` — wraps any feed with an injector; sharing one plan
   across tenants of an engine yields correlated cross-tenant bursts (every
-  tenant's flash crowd lands on the same ticks).
+  tenant's flash crowd lands on the same ticks).  When its stream ends or is
+  closed the injector mirrors its counts once more, so a finished tenant's
+  ``chaos_*`` series outlive the injector.
 
 The chaos determinism gate behind ``make chaos-smoke``,
 :func:`~repro.serve.verify.verify_chaos_replay`, replays through these feeds.
@@ -32,9 +34,15 @@ import numpy as np
 from ..core.cost_functions import ScaledCost
 from ..scenarios.events import EventPlan
 from .feed import Tick, TraceFeed
-from .metrics import MetricsRegistry
+from .metrics import COUNTER, MetricsRegistry
 
 __all__ = ["ChaosFeed", "FaultInjector"]
+
+#: :meth:`FaultInjector.counters` key -> the kind of its registry series
+#: ``chaos_<key>`` (labelled ``tenant=<name>`` when the injector has one).
+CHAOS_SERIES = dict.fromkeys(
+    ("injected_ticks", "demand_faults", "capacity_faults", "price_faults"), COUNTER
+)
 
 
 class FaultInjector:
@@ -60,15 +68,16 @@ class FaultInjector:
         if self.plan is None:
             self.plan = EventPlan()
         self.server_types = None if server_types is None else tuple(server_types)
-        # injection counters live in a metrics registry (the engine's when
-        # wired through add_tenant, a private one otherwise); labelled per
-        # tenant so correlated cross-tenant bursts stay attributable
+        self.injected_ticks = 0
+        self.demand_faults = 0
+        self.capacity_faults = 0
+        self.price_faults = 0
+        # mirrored into a registry (the engine's when wired through
+        # add_tenant, a private one otherwise), labelled per tenant so
+        # correlated cross-tenant bursts stay attributable
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        label = {} if tenant is None else {"tenant": str(tenant)}
-        self._c_injected = self.metrics.counter("chaos_injected_ticks", **label)
-        self._c_demand = self.metrics.counter("chaos_demand_faults", **label)
-        self._c_capacity = self.metrics.counter("chaos_capacity_faults", **label)
-        self._c_price = self.metrics.counter("chaos_price_faults", **label)
+        self._labels = {} if tenant is None else {"tenant": str(tenant)}
+        self.metrics.register_collector(self.collect_metrics)
         self._base_counts = (
             None
             if self.server_types is None
@@ -93,13 +102,17 @@ class FaultInjector:
         return scaled
 
     def counters(self) -> dict:
-        """JSON-safe injection totals (read from the registry series)."""
+        """JSON-safe injection totals (what the collector mirrors)."""
         return {
-            "injected_ticks": int(self._c_injected.value),
-            "demand_faults": int(self._c_demand.value),
-            "capacity_faults": int(self._c_capacity.value),
-            "price_faults": int(self._c_price.value),
+            "injected_ticks": self.injected_ticks,
+            "demand_faults": self.demand_faults,
+            "capacity_faults": self.capacity_faults,
+            "price_faults": self.price_faults,
         }
+
+    def collect_metrics(self) -> None:
+        """Mirror :meth:`counters` into the registry (the injector's collector)."""
+        self.metrics.mirror(CHAOS_SERIES, self.counters(), prefix="chaos_", **self._labels)
 
     def inject(self, tick: Tick) -> Tick:
         """Return the perturbed version of one tick (the tick itself if quiet)."""
@@ -115,7 +128,7 @@ class FaultInjector:
                     "server_types (or use a feed that carries them)"
                 )
             counts = self.plan.counts_at(t, base)
-            self._c_capacity.inc()
+            self.capacity_faults += 1
 
         row = tick.cost_row
         factor = self.plan.price_factor_at(t)
@@ -127,13 +140,13 @@ class FaultInjector:
                     "FaultInjector/ChaosFeed server_types (or use a feed that carries them)"
                 )
             row = self._scaled_row(tuple(base_row), factor)
-            self._c_price.inc()
+            self.price_faults += 1
 
         if demand != tick.demand:
-            self._c_demand.inc()
+            self.demand_faults += 1
         if demand == tick.demand and counts is tick.counts and row is tick.cost_row:
             return tick
-        self._c_injected.inc()
+        self.injected_ticks += 1
         return Tick(t=t, demand=demand, cost_row=row, counts=counts)
 
 
@@ -165,5 +178,9 @@ class ChaosFeed(TraceFeed):
         return len(self.feed)
 
     def ticks(self) -> Iterator[Tick]:
-        for tick in self.feed.ticks():
-            yield self.injector.inject(tick)
+        try:
+            for tick in self.feed.ticks():
+                yield self.injector.inject(tick)
+        finally:
+            # the injector may be gone by the next scrape: leave its counts
+            self.injector.collect_metrics()

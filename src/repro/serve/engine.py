@@ -87,7 +87,7 @@ from ..online.lcp import LazyCapacityProvisioning
 from ..online.tracker import observe_stacked, stackable
 from .chaos import ChaosFeed
 from .feed import TraceFeed
-from .metrics import MetricsRegistry
+from .metrics import COUNTER, MetricsRegistry
 from .session import ControllerSession, ServeCache, fleet_signature, save_checkpoint
 from .telemetry import TelemetryWriter, summarise_sessions
 
@@ -101,6 +101,12 @@ IDLE = object()
 #: Algorithms deciding from a prefix-DP value tensor: their cohorts advance
 #: the members' trackers in one stacked transition.
 _DP_KINDS = {AlgorithmA: "A", AlgorithmB: "B", LazyCapacityProvisioning: "lcp"}
+
+#: The :meth:`ServeEngine.batch_counters` keys the registry mirrors, as
+#: unlabelled series; the others are derived from them or count geometries.
+BATCH_SERIES = dict.fromkeys(
+    ("batched_ticks", "fallback_ticks", "rounds", "cohort_rounds"), COUNTER
+)
 
 
 def _decider_kind(session: ControllerSession) -> Optional[str]:
@@ -254,7 +260,6 @@ class ServeEngine:
         *,
         ledger_budget: Optional[int] = None,
         tensor_budget_bytes: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         self.share_caches = bool(share_caches)
         #: LRU bounds forwarded to every cache the engine creates — the knobs
@@ -265,32 +270,28 @@ class ServeEngine:
             None if tensor_budget_bytes is None else int(tensor_budget_bytes)
         )
         #: One registry for the whole engine: every cache and session it
-        #: creates lands its series here, so :meth:`report` exposes a single
+        #: creates mirrors its series here, so :meth:`report` exposes a single
         #: labelled snapshot across tenants and caches.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
+        self.metrics.register_collector(self.collect_metrics)
         self._caches: Dict[tuple, ServeCache] = {}
-        self._cache_seq = 0
         self._tenants: Dict[str, _Tenant] = {}
         self._geometries: Dict[tuple, _Geometry] = {}
-        # cohort counters are engine-level registry series (unlabelled — one
-        # engine, one registry), read back by batch_counters()
-        self._c_batched_ticks = self.metrics.counter("batched_ticks")
-        self._c_fallback_ticks = self.metrics.counter("fallback_ticks")
-        self._c_cohort_rounds = self.metrics.counter("cohort_rounds")
-        self._c_rounds = self.metrics.counter("rounds")
+        # cohort counters, read by batch_counters()
+        self.batched_ticks = 0
+        self.fallback_ticks = 0
+        self.cohort_rounds = 0
+        self.rounds = 0
         self.set_outputs()
 
     # ------------------------------------------------------------ registration
     def _build_cache(self, server_types) -> ServeCache:
-        cache = ServeCache(
+        return ServeCache(
             server_types,
             ledger_budget=self.ledger_budget,
             tensor_budget_bytes=self.tensor_budget_bytes,
             metrics=self.metrics,
-            metrics_label=f"cache{self._cache_seq}",
         )
-        self._cache_seq += 1
-        return cache
 
     def cache_for(self, server_types) -> ServeCache:
         """The shared cache of a fleet geometry (created on first use)."""
@@ -370,9 +371,16 @@ class ServeEngine:
         return session
 
     def release(self, name: str) -> _Tenant:
-        """Drop a tenant from the rounds, checkpointing it as it stands first."""
+        """Drop a tenant from the rounds, checkpointing it as it stands first.
+
+        Its cache mirrors its counts first: they are this engine's work, and
+        a private cache goes with the tenant.  The session's counts travel
+        in its checkpoint instead (whoever restores it reports them), so a
+        migrated tenant is not counted twice in a fabric's merged counters.
+        """
         tenant = self._tenants.pop(name)
         if tenant.session is not None:
+            tenant.session.cache.collect_metrics()
             self._checkpoint(tenant)
         return tenant
 
@@ -507,7 +515,7 @@ class ServeEngine:
         all of them when the round holds a rejected tick, so the error is
         raised in that tick's turn.  See the module docstring.
         """
-        self._c_rounds.inc()
+        self.rounds += 1
         charges = self._solve_cold(arrivals)
         admitted = self._cohorts(arrivals)
         if admitted is None:  # a rejected tick: every arrival in its own turn
@@ -520,7 +528,7 @@ class ServeEngine:
             if cohort is not None:
                 self._run_cohort(arrivals, cohort, rest, charges)
             if index in rest:
-                self._c_fallback_ticks.inc()
+                self.fallback_ticks += 1
                 state = tenant.session.observe(
                     tick.demand, cost_row=tick.cost_row, counts=tick.counts,
                     charge_ns=charges[index] if charges else 0,
@@ -712,8 +720,8 @@ class ServeEngine:
         # commit (an observed tick's latency runs from prepare_tick to the
         # end of commit_tick)
         latency_share = (time.perf_counter_ns() - cohort_started) // len(keep)
-        self._c_batched_ticks.add(len(keep))
-        self._c_cohort_rounds.inc()
+        self.batched_ticks += len(keep)
+        self.cohort_rounds += 1
         emit = self._writer.active
         for i, j in enumerate(keep):
             index = members[j]
@@ -787,16 +795,19 @@ class ServeEngine:
 
     def batch_counters(self) -> dict:
         """Cohort hit-rate stats: how much of the load the cohorts decided."""
-        batched = int(self._c_batched_ticks.value)
-        fallback = int(self._c_fallback_ticks.value)
-        cohort_rounds = int(self._c_cohort_rounds.value)
-        total = batched + fallback
+        batched = self.batched_ticks
+        cohort_rounds = self.cohort_rounds
+        total = batched + self.fallback_ticks
         return {
             "batched_ticks": batched,
-            "fallback_ticks": fallback,
+            "fallback_ticks": self.fallback_ticks,
             "batch_hit_rate": round(batched / total, 6) if total else 0.0,
-            "rounds": int(self._c_rounds.value),
+            "rounds": self.rounds,
             "cohort_rounds": cohort_rounds,
             "avg_cohort_size": round(batched / cohort_rounds, 3) if cohort_rounds else 0.0,
             "geometries": len(self._geometries),
         }
+
+    def collect_metrics(self) -> None:
+        """Mirror :meth:`batch_counters` into the registry (the engine's collector)."""
+        self.metrics.mirror(BATCH_SERIES, self.batch_counters())

@@ -1,6 +1,6 @@
 """Dependency-free metrics registry for the serve stack.
 
-One :class:`MetricsRegistry` per engine / worker process holds every
+One :class:`MetricsRegistry` per engine / worker process exposes every
 observable quantity behind the serve layer's ``counters()`` / ``report()``
 surfaces — cache memo hits, dispatch solver work, batched-round counters,
 chaos fault injections, per-tenant SLA accounting and tick-latency
@@ -16,20 +16,27 @@ histograms — as named, labelled series:
   provides the log-spaced 1µs→1s tick-latency buckets shared with
   :func:`~repro.serve.telemetry.latency_percentiles`.
 
-Hot-path safety: metric objects are plain ``__slots__`` records — an
-``inc()`` is one attribute add — and anything too hot to touch per tick
-(per-session SLA counters, latency histograms, the dispatch solver's
-:class:`DispatchStats`) is synced lazily through *collectors*: callbacks
-registered with :meth:`MetricsRegistry.register_collector` that run at
-snapshot/scrape time, prometheus-client style.  Collectors are held by weak
-reference, so short-lived sessions never leak through the registry.
+One write path: the objects that count — sessions, caches, the engine, chaos
+injectors — own their counters as plain int attributes (a hot-path
+increment is one attribute add) and never hold a registry series.  Each
+registers a *collector*, a callback that mirrors its counts into the
+registry when it is scraped (:meth:`MetricsRegistry.register_collector`,
+prometheus-client style); the cache, engine and injector declare each
+counter's series kind once and mirror through :meth:`MetricsRegistry.mirror`,
+the session also loads its latency window into a histogram
+(:meth:`Histogram.load`).  Collectors are held by weak reference, so
+short-lived sessions never leak through the registry; an owner about to be
+dropped mirrors itself once more (a released tenant's cache, the injector of
+an ended chaos stream), so its last counts stay in the registry.
 
 Cardinality under tenant churn is bounded by ``max_series_per_metric``:
 when one metric name accumulates more labelled series than the cap (e.g.
 ``sla_violations`` across thousands of short-lived tenants), the
 least-recently-touched series is evicted and its value folded into a
 per-metric ``evicted`` aggregate — registry memory stays flat while totals
-remain accountable.
+remain accountable.  Because every series is written at scrape time, the
+first scrape past the cap accounts every count exactly: resident series plus
+the ``evicted`` fold equal the owners' totals.
 
 Exposition: :meth:`MetricsRegistry.snapshot` (JSON-safe dict, stamped
 ``"schema": 1``), :meth:`MetricsRegistry.deterministic_snapshot` (counters +
@@ -47,7 +54,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 __all__ = [
     "LATENCY_BUCKETS_NS",
     "METRICS_SCHEMA_VERSION",
+    "COUNTER",
     "Counter",
+    "DETERMINISTIC_GAUGE",
+    "GAUGE",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -66,6 +76,12 @@ LATENCY_BUCKETS_NS = tuple(int(round(10 ** (3 + k / 4))) for k in range(25))
 
 #: Default per-metric series cap (see the module docstring on churn).
 DEFAULT_MAX_SERIES = 512
+
+#: Series kinds for :meth:`MetricsRegistry.mirror`: a counter, a gauge left
+#: out of the deterministic snapshot, and a gauge kept in it.
+COUNTER = "counter"
+GAUGE = "gauge"
+DETERMINISTIC_GAUGE = "deterministic gauge"
 
 
 def _label_suffix(labels: Tuple[Tuple[str, str], ...]) -> str:
@@ -134,9 +150,9 @@ class Histogram:
 
     ``bounds`` must be sorted ascending; an observation lands in the first
     bucket whose bound is >= the value (one trailing overflow bucket catches
-    the rest).  :meth:`fill` bulk-loads a sample window, replacing previous
-    contents — the collector-sync path for per-tick latencies that are too
-    hot to observe individually.
+    the rest).  :meth:`load` installs a bucketed sample window, replacing
+    previous contents — the collector path for per-tick latencies that are
+    too hot to observe individually.
     """
 
     __slots__ = ("name", "labels", "bounds", "counts", "sum", "count")
@@ -159,18 +175,6 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
-
-    def fill(self, values) -> None:
-        """Replace the histogram's contents with a bulk sample window."""
-        counts = [0] * (len(self.bounds) + 1)
-        total = 0
-        bounds = self.bounds
-        for value in values:
-            counts[bisect_left(bounds, value)] += 1
-            total += value
-        self.counts = counts
-        self.sum = total
-        self.count = sum(counts)
 
     def load(self, counts, sum_, count) -> None:
         """Install precomputed bucket counts (the vectorised-sync path).
@@ -222,6 +226,7 @@ class MetricsRegistry:
         self._evicted: Dict[str, dict] = {}
         self._collectors: List[weakref.ref] = []
         self._collector_prune_at = 64
+        self._label_seq: Dict[str, int] = {}
 
     # ------------------------------------------------------------- get/create
     def _get(self, cls, name: str, labels: dict, **kwargs):
@@ -270,6 +275,12 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get(Histogram, name, labels, bounds=bounds)
 
+    def new_label(self, prefix: str) -> str:
+        """The next of ``prefix0``, ``prefix1``, ... in this registry."""
+        n = self._label_seq.get(prefix, 0)
+        self._label_seq[prefix] = n + 1
+        return f"{prefix}{n}"
+
     # -------------------------------------------------------------- collectors
     def register_collector(self, callback: Callable[[], None]) -> None:
         """Register a scrape-time sync callback (held by weak reference).
@@ -299,6 +310,21 @@ class MetricsRegistry:
             live.append(ref)
             callback()
         self._collectors = live
+
+    def mirror(self, kinds: Dict[str, str], values: dict, prefix: str = "", **labels) -> None:
+        """Set each series ``prefix + key`` of ``kinds`` to ``values[key]``.
+
+        ``kinds[key]`` is :data:`COUNTER`, :data:`GAUGE` or
+        :data:`DETERMINISTIC_GAUGE`; keys of ``values`` it does not name are
+        not mirrored.
+        """
+        for key, kind in kinds.items():
+            name = prefix + key
+            if kind == COUNTER:
+                self.counter(name, **labels).set(values[key])
+            else:
+                deterministic = kind == DETERMINISTIC_GAUGE
+                self.gauge(name, deterministic=deterministic, **labels).set(values[key])
 
     # ------------------------------------------------------------- exposition
     def series_count(self, name: Optional[str] = None) -> int:
@@ -360,10 +386,3 @@ class MetricsRegistry:
                 elif isinstance(metric, Gauge) and metric.deterministic:
                     values[metric.series] = metric.value
         return {"schema": METRICS_SCHEMA_VERSION, "values": values}
-
-    def sum_metric(self, name: str):
-        """Sum of one metric's values across all its labelled series."""
-        family = self._families.get(name)
-        if not family:
-            return 0
-        return sum(m.value for m in family.values())

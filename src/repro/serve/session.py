@@ -66,7 +66,7 @@ from ..online.base import OnlineAlgorithm, OnlineContext, SlotInfo
 from ..online.lcp import LazyCapacityProvisioning
 from ..online.tracker import DPPrefixTracker
 from .feed import payload_checksum
-from .metrics import MetricsRegistry
+from .metrics import COUNTER, DETERMINISTIC_GAUGE, GAUGE, MetricsRegistry
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -89,6 +89,23 @@ DEGRADATION_MODES = ("strict", "shed")
 
 #: Latency samples a ``history=False`` session keeps for its percentiles.
 COMPACT_LATENCY_WINDOW = 512
+
+#: :meth:`ServeCache.counters` key -> the kind of its registry series, which
+#: is named after the key and labelled ``cache=<metrics_label>``.
+CACHE_SERIES = {
+    "virtual_slots": DETERMINISTIC_GAUGE,
+    "tensor_hits": COUNTER,
+    "tensor_misses": COUNTER,
+    "tensor_evictions": COUNTER,
+    "tensor_bytes": DETERMINISTIC_GAUGE,
+    "ledger_evictions": COUNTER,
+    "table_gathers": COUNTER,
+    "prewarmed_levels": DETERMINISTIC_GAUGE,
+    "block_calls": COUNTER,
+    "slot_queries": COUNTER,
+    "unique_solves": COUNTER,
+    "cache_hit_rate": GAUGE,
+}
 
 
 class CheckpointCorruptError(ValueError):
@@ -413,25 +430,20 @@ class ServeCache:
         self._virtual: OrderedDict = OrderedDict()
         self._tensors: OrderedDict = OrderedDict()
         self._tensor_bytes = 0
-        # cache counters live in the metrics registry (one series per cache
-        # label); engines label their caches "cache0", "cache1", ... in
-        # creation order so deterministic snapshots are stable across runs
-        if metrics is None:
-            metrics = MetricsRegistry()
-        if metrics_label is None:
-            metrics_label = f"cache{metrics.series_count('tensor_hits')}"
-        self.metrics = metrics
-        self.metrics_label = str(metrics_label)
-        label = {"cache": self.metrics_label}
-        self._c_tensor_hits = metrics.counter("tensor_hits", **label)
-        self._c_tensor_misses = metrics.counter("tensor_misses", **label)
-        self._c_tensor_evictions = metrics.counter("tensor_evictions", **label)
-        self._c_ledger_evictions = metrics.counter("ledger_evictions", **label)
-        self._c_table_gathers = metrics.counter("table_gathers", **label)
-        self._g_prewarmed = metrics.gauge(
-            "prewarmed_levels", deterministic=True, **label
+        self.tensor_hits = 0
+        self.tensor_misses = 0
+        self.tensor_evictions = 0
+        self.ledger_evictions = 0
+        self.table_gathers = 0
+        self.prewarmed_levels = 0
+        # the counts stay on plain attributes; the registry mirrors
+        # counters() at scrape time under the cache's label ("cache0",
+        # "cache1", ... in creation order unless one is given)
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self.metrics_label = (
+            self.metrics.new_label("cache") if metrics_label is None else str(metrics_label)
         )
-        metrics.register_collector(self._collect_metrics)
+        self.metrics.register_collector(self.collect_metrics)
         self._vt_base: dict = {}
         self._fast_tensors: dict = {}
         self._fast_solves: dict = {}
@@ -439,48 +451,9 @@ class ServeCache:
         # round, because the solver pins every read-only configs array by id
         self._grids: dict = {}
 
-    def _collect_metrics(self) -> None:
-        """Scrape-time sync of the dispatch solver's stats into the registry."""
-        stats = self.dispatcher.stats
-        metrics = self.metrics
-        label = {"cache": self.metrics_label}
-        metrics.counter("block_calls", **label).set(stats.block_calls)
-        metrics.counter("slot_queries", **label).set(stats.slot_queries)
-        metrics.counter("unique_solves", **label).set(stats.unique_solves)
-        metrics.gauge("virtual_slots", deterministic=True, **label).set(
-            self.virtual_slots
-        )
-        metrics.gauge("tensor_bytes", deterministic=True, **label).set(
-            self._tensor_bytes
-        )
-        metrics.gauge("cache_hit_rate", **label).set(
-            round(stats.cache_hit_rate, 6)
-        )
-
-    # backwards-compatible counter attributes, now reading the registry series
-    @property
-    def tensor_hits(self) -> int:
-        return int(self._c_tensor_hits.value)
-
-    @property
-    def tensor_misses(self) -> int:
-        return int(self._c_tensor_misses.value)
-
-    @property
-    def tensor_evictions(self) -> int:
-        return int(self._c_tensor_evictions.value)
-
-    @property
-    def ledger_evictions(self) -> int:
-        return int(self._c_ledger_evictions.value)
-
-    @property
-    def table_gathers(self) -> int:
-        return int(self._c_table_gathers.value)
-
-    @property
-    def prewarmed_levels(self) -> int:
-        return int(self._g_prewarmed.value)
+    def collect_metrics(self) -> None:
+        """Mirror :meth:`counters` into the registry (the cache's collector)."""
+        self.metrics.mirror(CACHE_SERIES, self.counters(), cache=self.metrics_label)
 
     @property
     def server_types(self) -> tuple:
@@ -517,7 +490,7 @@ class ServeCache:
             self.dispatcher.forget(vt)
             self._fast_tensors.pop(vt, None)
             self._fast_solves.pop(vt, None)
-            self._c_ledger_evictions.inc()
+            self.ledger_evictions += 1
         else:
             vt = self.stream.append(demand, row)
         if key is not None:
@@ -563,8 +536,8 @@ class ServeCache:
         if fast is not None:
             hit = fast.get(id(grid))
             if hit is not None and hit[0] is grid:
-                self._c_tensor_hits.inc()
-                self._c_table_gathers.inc()
+                self.tensor_hits += 1
+                self.table_gathers += 1
                 return hit[1]
         sig, scale = self.dispatcher._slot_signature(vt)
         key = (sig, scale, grid.key)
@@ -572,7 +545,7 @@ class ServeCache:
         if tensor is None:
             costs = self._solve_tensors([vt], grid)
             return self._install(key, vt, grid, costs[0])
-        self._c_tensor_hits.inc()
+        self.tensor_hits += 1
         self._tensors.move_to_end(key)
         self._fast_install(vt, grid, tensor)
         return tensor
@@ -619,7 +592,7 @@ class ServeCache:
 
     def _install(self, key, vt: int, grid, costs: np.ndarray) -> np.ndarray:
         """Memoise a freshly solved tensor: one miss, LRU-bounded, fast-mapped."""
-        self._c_tensor_misses.inc()
+        self.tensor_misses += 1
         tensor = costs.reshape(grid.shape)
         self._tensors[key] = tensor
         self._tensor_bytes += tensor.nbytes
@@ -649,7 +622,7 @@ class ServeCache:
             hit = self.dispatcher.solve(vt, rounded)
             sub[key] = hit
         else:
-            self._c_table_gathers.inc()
+            self.table_gathers += 1
         return hit
 
     def prewarm(self, levels, cost_row=None, grid=None) -> None:
@@ -685,7 +658,7 @@ class ServeCache:
                 key = rounded.tobytes()
                 if key not in sub:
                     sub[key] = self.dispatcher.solve(vt, rounded)
-        self._g_prewarmed.set(max(self.prewarmed_levels, len(levels)))
+        self.prewarmed_levels = max(self.prewarmed_levels, len(levels))
 
     def _evict_tensors(self) -> None:
         if self.tensor_budget_bytes is None:
@@ -693,15 +666,13 @@ class ServeCache:
         while self._tensor_bytes > self.tensor_budget_bytes and len(self._tensors) > 1:
             _, evicted = self._tensors.popitem(last=False)
             self._tensor_bytes -= evicted.nbytes
-            self._c_tensor_evictions.inc()
+            self.tensor_evictions += 1
 
     def counters(self) -> dict:
         """JSON-safe sharing counters (dispatch stats + memo hits + evictions).
 
-        The historical dict shape, now read from the metrics registry
-        series (plus the solver's live :class:`DispatchStats`) — the full
-        labelled view is :meth:`MetricsRegistry.snapshot` on
-        :attr:`metrics`.
+        The dict the cache's collector mirrors into :attr:`metrics`
+        (:data:`CACHE_SERIES` names each key's series kind).
         """
         stats = self.dispatcher.stats
         return {
@@ -908,7 +879,6 @@ class ControllerSession:
         degradation: str = "strict",
         history: bool = True,
         name: str = "tenant",
-        metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ):
         if degradation not in DEGRADATION_MODES:
@@ -966,10 +936,11 @@ class ControllerSession:
         self._forced_downs = 0
         # Observability: per-tick arithmetic stays on plain attributes (the
         # microsecond hot path), and a weakly-held collector mirrors them
-        # into tenant-labelled registry series at snapshot/scrape time —
-        # including the tick-latency histogram over the retained window.
-        self.metrics = metrics if metrics is not None else cache.metrics
-        self.metrics.register_collector(self._collect_metrics)
+        # into tenant-labelled series of the cache's registry at
+        # snapshot/scrape time — including the tick-latency histogram over
+        # the retained window.
+        self.metrics = cache.metrics
+        self.metrics.register_collector(self.collect_metrics)
         #: Optional :class:`~repro.serve.trace.TickTracer`; ``None`` (the
         #: default) costs one branch per ``observe``.
         self._tracer = tracer
@@ -1112,14 +1083,14 @@ class ControllerSession:
         tracer.record("commit", name, tick, t2, t3)
         return state
 
-    def _collect_metrics(self) -> None:
+    def collect_metrics(self) -> None:
         """Scrape-time sync of the session's counters into the registry.
 
         Registered weakly at construction: live sessions surface
         tenant-labelled series (tick cursor, SLA counters, the tick-latency
         histogram over the retained window) whenever the registry snapshots;
-        dead sessions cost nothing and their stale series age out of the
-        capped registry under churn.
+        dead sessions cost nothing, and their last mirrored series stay
+        until they age out of the capped registry under churn.
         """
         metrics = self.metrics
         label = {"tenant": self.name}

@@ -54,3 +54,25 @@ def test_a_section_write_keeps_and_stamps_only_its_own_section(tmp_path):
     assert after["fabric"] == {"kept": True}
     assert {"recorded_at", "environment"} <= set(after["batch_scale"])
     assert [run["benchmark"] for run in after["runs"]] == ["serve", "serve-batch-scale"]
+
+
+def test_latest_lists_a_file_without_a_trend_series(tmp_path, monkeypatch):
+    output = tmp_path / "benchmarks" / "output"
+    output.mkdir(parents=True)
+    (output / "BENCH_old.json").write_text(
+        json.dumps({"benchmark": "old", "recorded_at": "2026-07-29T12:02:32"})
+    )
+    runs = [{"recorded_at": "t0", "benchmark": "serve", "p99_ms": 1.5}]
+    (output / "BENCH_serve.json").write_text(json.dumps({"runs": runs}))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli("bench", "--latest")
+    assert code == 0
+    assert (
+        "benchmarks/output/BENCH_old.json: no trend series (recorded_at 2026-07-29T12:02:32)"
+        in out.splitlines()
+    )
+    assert "  serve: 1 run(s)" in out.splitlines()
+    # a file without a series alone is still "no series found"
+    code, out, err = run_cli("bench", "--latest", "--json", str(output / "BENCH_old.json"))
+    assert code == 1
+    assert "no trend series" in out and "no BENCH_*.json" in err

@@ -197,7 +197,7 @@ class TestGridMemoisation:
 
 class TestPinnedExactness:
     def test_smoke_harness_passes(self):
-        rows = run_smoke_bench(tolerance=1e-6)
+        rows = run_smoke_bench(tolerance=1e-6)["smoke"]
         assert len(rows) == len(PINNED_OPTIMAL_COSTS)
         for row in rows:
             assert row["deviation"] <= 1e-6

@@ -2,10 +2,12 @@
 
 Three properties anchor the layer:
 
-* **registry equality** — the counters the registry reports must be the same
-  numbers the legacy ``counters()`` dicts report (one source of truth,
-  two read paths), and the deterministic snapshot must be equality-stable
-  across bit-identical replays;
+* **one write path** — sessions, caches, the engine and chaos injectors
+  count in plain attributes and the registry mirrors them at scrape time, so
+  every series equals its owner's ``counters()`` entry (past the series cap,
+  resident series plus the ``evicted`` fold do), counts outlive their owner,
+  and the deterministic snapshot is equality-stable across bit-identical
+  replays;
 * **bounded cardinality** — 1k+ short-lived tenants over one shared cache
   must not grow registry memory unboundedly (series caps + weakref
   collectors), mirroring the ledger-budget churn gate in test_batch.py;
@@ -18,6 +20,7 @@ import gc
 import json
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -601,16 +604,85 @@ class TestRegistryThreading:
         assert session.latency_summary()["histogram"]["counts"] == hist["counts"]
 
     def test_cache_counters_dict_equals_registry_series(self):
+        """Each owner's counters are the series its collector mirrors: the
+        cache's 12 keys, the engine's raw ``batch_counters()`` keys (as
+        unlabelled series) and the injector's 4 keys (as ``chaos_*``)."""
         instance = _quantised(T=12)
         cache = ServeCache(instance.server_types, metrics_label="c0")
         session = ControllerSession("A", instance.server_types, cache=cache)
         for value in instance.demand:
             session.observe(float(value))
         counters = cache.counters()
-        snap = cache.metrics.snapshot()["counters"]
-        for key in ("tensor_hits", "tensor_misses", "table_gathers",
-                    "unique_solves", "slot_queries"):
-            assert snap[f'{key}{{cache="c0"}}'] == counters[key]
+        snap = cache.metrics.snapshot()
+        series = {**snap["counters"], **snap["gauges"]}
+        for key, value in counters.items():
+            assert series[f'{key}{{cache="c0"}}'] == value
+
+        engine = ServeEngine(share_caches=True)
+        for k in range(3):
+            feed = InstanceFeed(instance.with_demand(np.roll(instance.demand, k)))
+            engine.add_tenant(f"t{k}", "reactive", feed)
+        engine.add_tenant("solo", "A", InstanceFeed(instance))
+        report = engine.run()
+        batch = engine.batch_counters()
+        assert batch["batched_ticks"] > 0 and batch["fallback_ticks"] > 0
+        for key in ("batched_ticks", "fallback_ticks", "rounds", "cohort_rounds"):
+            assert report["metrics"]["counters"][key] == batch[key]
+
+        plan = EventPlan.generate(instance.T, instance.d, seed=3, n_events=4)
+        registry = MetricsRegistry()
+        injector = FaultInjector(
+            plan, server_types=instance.server_types, metrics=registry, tenant="x"
+        )
+        for tick in InstanceFeed(instance):
+            injector.inject(tick)
+        snap = registry.snapshot()["counters"]
+        for key, value in injector.counters().items():
+            assert snap[f'chaos_{key}{{tenant="x"}}'] == value
+
+    def test_series_past_the_cap_account_every_count(self):
+        """Five caches and five injectors on a registry capped at four series
+        a metric: in one snapshot, the resident series plus the ``evicted``
+        fold equal the owners' counters, key by key."""
+        instance = _quantised(T=16)
+        plan = EventPlan.generate(instance.T, instance.d, seed=3, n_events=4)
+        registry = MetricsRegistry(max_series_per_metric=4)
+        caches = [
+            ServeCache(instance.server_types, metrics=registry, metrics_label=f"c{k}")
+            for k in range(5)
+        ]
+        injectors = [
+            FaultInjector(
+                plan, server_types=instance.server_types,
+                metrics=registry, tenant=f"i{k}",
+            )
+            for k in range(5)
+        ]
+        ticks = list(InstanceFeed(instance))
+        for k, cache in enumerate(caches):
+            session = ControllerSession("A", cache=cache, name=f"s{k}")
+            for tick in ticks[: 4 + k]:
+                session.observe(tick.demand)
+        for k, injector in enumerate(injectors):
+            for tick in ticks[: 8 + k]:
+                injector.inject(tick)
+        snap = registry.snapshot()
+        assert snap["evicted"]  # the cap was hit
+
+        def total(name):
+            resident = sum(
+                value
+                for series, value in {**snap["counters"], **snap["gauges"]}.items()
+                if series.split("{", 1)[0] == name
+            )
+            return resident + snap.get("evicted", {}).get(name, {}).get("value", 0)
+
+        for key in caches[0].counters():
+            expected = sum(cache.counters()[key] for cache in caches)
+            assert total(key) == pytest.approx(expected, abs=1e-9), key
+        for key in injectors[0].counters():
+            expected = sum(injector.counters()[key] for injector in injectors)
+            assert total(f"chaos_{key}") == expected, key
 
     def test_engine_report_carries_registry_snapshot(self):
         instance = _quantised(T=8)
@@ -635,12 +707,56 @@ class TestRegistryThreading:
             perturbed += out is not tick
         counters = injector.counters()
         assert counters["injected_ticks"] == perturbed > 0
-        assert (
-            registry.counter("chaos_injected_ticks", tenant="chaotic").value
-            == perturbed
-        )
+        snap = registry.snapshot()["counters"]
+        assert snap['chaos_injected_ticks{tenant="chaotic"}'] == perturbed
         assert perturbed <= (
             counters["demand_faults"]
             + counters["capacity_faults"]
             + counters["price_faults"]
         )
+
+    def test_finished_chaos_tenant_keeps_its_series(self):
+        instance = build("diurnal-cpu-gpu", T=16)
+        plan = EventPlan.generate(16, 2, seed=3, n_events=4)
+        reference = FaultInjector(plan, server_types=instance.server_types)
+        for tick in InstanceFeed(instance):
+            reference.inject(tick)
+        engine = ServeEngine()
+        engine.add_tenant("c", "A", InstanceFeed(instance), chaos=plan)
+        report = engine.run()
+        counters = report["metrics"]["counters"]
+        for key, value in reference.counters().items():
+            assert counters[f'chaos_{key}{{tenant="c"}}'] == value
+        assert counters['chaos_injected_ticks{tenant="c"}'] == 5
+
+    @pytest.mark.parametrize("scraped", [True, False], ids=["after-a-report", "between-rounds"])
+    def test_released_tenant_keeps_its_last_counts(self, scraped):
+        """A released tenant's session and private cache are gone by the
+        end-of-run report, which still carries the cache's last counts —
+        whether or not a report scraped the registry before the release —
+        and the session's as the last report before the release left them
+        (its counts travel in its checkpoint)."""
+        instance = _quantised(T=16)
+        engine = ServeEngine(share_caches=False)
+        engine.add_tenant("kept", "A", InstanceFeed(instance))
+        engine.add_tenant("gone", "A", InstanceFeed(instance))
+        if scraped:
+            engine.run(max_ticks=5, finalize=False)
+        else:
+            for _ in range(5):
+                engine.play_round()
+        released = engine.release("gone")
+        ticks = released.session.ticks
+        label = released.session.cache.metrics_label
+        cache_counters = released.session.cache.counters()
+        owners = [weakref.ref(released.session), weakref.ref(released.session.cache)]
+        del released
+        gc.collect()
+        assert all(owner() is None for owner in owners)
+        report = engine.run()
+        counters = report["metrics"]["counters"]
+        assert ticks == 5
+        if scraped:
+            assert counters['ticks{tenant="gone"}'] == ticks
+        for key in ("tensor_misses", "unique_solves", "slot_queries"):
+            assert counters[f'{key}{{cache="{label}"}}'] == cache_counters[key]

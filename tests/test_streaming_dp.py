@@ -8,9 +8,7 @@ to the classic pass.  These tests assert exactly that, across
 
 * full and gamma-reduced grids,
 * time-varying fleet sizes ``m_{t,j}`` (different grids per slot),
-* checkpoint windows 1, 7, T and > T (degenerate window shapes), and
-* the float32 value stream (schedule-quality within 1e-5 of cost after the
-  float64 re-evaluation).
+* checkpoint windows 1, 7, T and > T (degenerate window shapes).
 
 Plus the supporting cast: the window auto-tuner, the windowed operating-cost
 provider, the ``return_schedule=False -> schedule is None`` contract, and the
@@ -144,36 +142,6 @@ class TestCheckpointedEquivalence:
         assert approx.cost == pytest.approx(reference.cost, abs=1e-9)
 
 
-class TestFloat32Stream:
-    def test_float32_cost_close_and_reeval_exact(self, horizon_instance):
-        reference = solve_dp(horizon_instance, keep_tables=True)
-        streamed = solve_dp(horizon_instance, checkpoint_every=7, value_dtype="float32")
-        # the cost is within the float32 stream tolerance of the optimum ...
-        assert streamed.cost == pytest.approx(reference.cost, rel=1e-5)
-        # ... and is the *float64* re-evaluation of the schedule the float32
-        # argmin chain picked, not a single-precision accumulation
-        from repro.core.costs import total_cost
-
-        assert streamed.cost == pytest.approx(
-            total_cost(horizon_instance, streamed.schedule), abs=1e-9
-        )
-
-    def test_float32_cost_only(self, horizon_instance):
-        reference = solve_dp(horizon_instance, return_schedule=False)
-        streamed = solve_dp(
-            horizon_instance, checkpoint_every=7, return_schedule=False, value_dtype="float32"
-        )
-        assert streamed.cost == pytest.approx(reference.cost, rel=1e-5)
-
-    def test_float32_keep_tables_dtype(self, horizon_instance):
-        result = solve_dp(horizon_instance, keep_tables=True, value_dtype="float32")
-        assert all(table.dtype == np.float32 for table in result.value_tables)
-
-    def test_rejects_other_dtypes(self, horizon_instance):
-        with pytest.raises(ValueError):
-            solve_dp(horizon_instance, value_dtype="int32")
-
-
 class TestAutoTuner:
     def test_small_keeps_history(self):
         assert default_checkpoint_every(100, 100) is None
@@ -186,12 +154,6 @@ class TestAutoTuner:
         small_T = STREAMING_TABLE_BYTES_THRESHOLD // (states * 8)
         assert default_checkpoint_every(small_T, states) is None
         assert default_checkpoint_every(small_T + 1, states) is not None
-
-    def test_float32_itemsize_doubles_reach(self):
-        states = 1000
-        T = STREAMING_TABLE_BYTES_THRESHOLD // (states * 8) + 1
-        assert default_checkpoint_every(T, states, itemsize=8) is not None
-        assert default_checkpoint_every(T, states, itemsize=4) is None
 
 
 class TestWindowedProvider:
@@ -374,20 +336,16 @@ class TestSweepPlanPlumbing:
             assert b.cost == pytest.approx(a.cost, abs=1e-9)
             assert b.optimal_cost == pytest.approx(a.optimal_cost, abs=1e-9)
 
-    def test_offline_spec_float32(self, horizon_instance):
-        from repro.exp.engine import OfflineSpec, run_instance
+    def test_value_dtype_fails_loudly(self, horizon_instance):
+        from repro.exp.engine import OfflineSpec
+        from repro.scenarios.compiler import compile_plan
 
-        records = run_instance(
-            horizon_instance,
-            offline=(
-                OfflineSpec(solver="approx", epsilon=0.5),
-                OfflineSpec(
-                    solver="approx", epsilon=0.5, label="approx-f32",
-                    checkpoint_every=7, value_dtype="float32",
-                ),
-            ),
-        )
-        by_label = {r.algorithm: r for r in records}
-        assert by_label["approx-f32"].cost == pytest.approx(
-            by_label["approx(eps=0.5)"].cost, rel=1e-5
-        )
+        with pytest.raises(TypeError):
+            solve_dp(horizon_instance, value_dtype="float32")
+        with pytest.raises(TypeError):
+            OfflineSpec(solver="approx", value_dtype="float32")
+        with pytest.raises(ValueError, match="value_dtype"):
+            compile_plan({
+                "scenarios": ["diurnal-cpu-gpu"],
+                "offline": [{"solver": "approx", "value_dtype": "float32"}],
+            })
