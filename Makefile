@@ -61,24 +61,27 @@ bench-latency-smoke:
 bench-batch-smoke:
 	$(PYTHON) -m repro serve batch --budget-scale $(BUDGET_SCALE)
 
-# Benchmark self-check: one short run of each perfbench workload.  Every pass
-# re-checks its schedules against run_online (the engine's cohort rounds at
-# 200 tenants included), the Thm 8/13/15 bounds against solve_dp, and its work
-# counters against the first pass.  run.py exits 0 even when a check fails,
-# so the gate reads "correct" from the JSON on its last line and prints the
-# run's "# FAIL" lines when it is not true.
+# Benchmark self-check: one short run of each perfbench workload, untraced
+# and traced.  Every pass re-checks its schedules against run_online (the
+# engine's cohort rounds at 200 tenants included), the Thm 8/13/15 bounds
+# against solve_dp, and its work counters against the first pass.  The traced
+# run wraps every function perfbench's trace_targets() names, so it also
+# fails when one of them is renamed or deleted, or a span escapes its
+# parent.  run.py exits 0 even when a check fails, so the gate reads
+# "correct" from the JSON on its last line and prints the run's "# FAIL"
+# lines when it is not true.
 PERFBENCH_WORKLOADS := fleet-steady continuous-cold offline-plan
 perfbench-smoke:
-	@for w in $(PERFBENCH_WORKLOADS); do \
-		out=$$($(PYTHON) perfbench/run.py --workload $$w --seconds 1) || { echo "$$out"; exit 1; }; \
+	@for w in $(PERFBENCH_WORKLOADS); do for trace in 0 1; do \
+		out=$$($(PYTHON) perfbench/run.py --workload $$w --seconds 1 --trace $$trace) || { echo "$$out"; exit 1; }; \
 		if ! echo "$$out" | tail -n 1 | $(PYTHON) -c 'import json, sys; sys.exit(json.loads(sys.stdin.read()).get("correct") is not True)'; then \
 			echo "$$out" | grep '^# FAIL'; \
 			echo "$$out" | tail -n 1; \
-			echo "perfbench-smoke: $$w failed its checks"; \
+			echo "perfbench-smoke: $$w (trace $$trace) failed its checks"; \
 			exit 1; \
 		fi; \
-		echo "perfbench-smoke: $$w correct"; \
-	done
+		echo "perfbench-smoke: $$w (trace $$trace) correct"; \
+	done; done
 
 # Paper-figure gate: regenerate Figures 1-3 (Algorithm A's trace, the block
 # decomposition, Algorithm B's trace with its W_t sets) and fail on any

@@ -478,34 +478,28 @@ def solve_dp(
     checkpoints: dict = {}
     value: Optional[np.ndarray] = None
 
-    # Streaming passes may run repeated same-grid slots through one
-    # preallocated TransitionPlan (bit-identical kernels, no per-slot buffer
+    # Streaming passes run repeated same-grid slots through one preallocated
+    # TransitionPlan (the same kernel as `transition`, no per-slot buffer
     # churn).  The full-history pass must not: the plan reuses its output
     # buffers, and `tables` needs every slot's tensor to stay distinct.
     use_plan = not keep_history
     plan = None
     plan_grid_key = None
-    from_plan = False
 
     for t in range(T):
         grid = grids[t]
         g_tensor = provider.tensor(t)
         _check_some_feasible(g_tensor, t)
+        from_plan = use_plan and t > 0 and grid.key == grids[t - 1].key
         if t == 0:
             arrival = startup_cost_tensor(grid.values, beta)
-            from_plan = False
+        elif from_plan:
+            if plan_grid_key != grid.key:
+                plan_grid_key = grid.key
+                plan = make_transition_plan(grid.values, grid.values, beta)
+            arrival = plan.apply(value)
         else:
-            arrival = None
-            if use_plan and grid.key == grids[t - 1].key:
-                if plan_grid_key != grid.key:
-                    plan_grid_key = grid.key
-                    plan = make_transition_plan(grid.values, grid.values, beta)
-                if plan is not None:
-                    arrival = plan.apply(value)
-                    from_plan = True
-            if arrival is None:
-                arrival = transition(value, grids[t - 1].values, grid.values, beta)
-                from_plan = False
+            arrival = transition(value, grids[t - 1].values, grid.values, beta)
         # arrival is a fresh tensor every slot (or a plan-owned buffer), so
         # accumulate in place
         value = np.add(arrival, g_tensor, out=arrival)

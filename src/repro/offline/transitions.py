@@ -57,7 +57,13 @@ _PLAN_CACHE_MAX = 4096
 
 
 def _relax_plan(src_values, dst_values) -> tuple:
-    """``(src_f, dst_f, up_idx, all_up, valid_up, down_idx, all_down, valid_down)``."""
+    """``(src_f, dst_f, up_idx, down_idx, no_up, no_down)`` of one value-list pair.
+
+    ``up_idx``/``down_idx`` are the :func:`_min_plus_axis` gather indices
+    (``None`` where the gather is the identity, i.e. equal value lists);
+    ``no_up``/``no_down`` index the destination values below / above every
+    source value (``None`` when there are none).
+    """
     src = np.asarray(src_values)
     dst = np.asarray(dst_values)
     id_key = None
@@ -69,22 +75,24 @@ def _relax_plan(src_values, dst_values) -> tuple:
     key = (src.dtype.str, src.tobytes(), dst.dtype.str, dst.tobytes())
     plan = _PLAN_CACHE.get(key)
     if plan is None:
+        if src.ndim != 1 or dst.ndim != 1 or len(src) == 0:
+            raise ValueError("value lists must be one-dimensional and the source non-empty")
         src_f = np.asarray(src, dtype=float)
         dst_f = np.asarray(dst, dtype=float)
-        # index of the last source value <= each destination value
+        # index of the last source value <= each destination value, and of
+        # the first source value >= it
         up_idx = np.searchsorted(src_f, dst_f, side="right") - 1
-        valid_up = up_idx >= 0
         down_idx = np.searchsorted(src_f, dst_f, side="left")
-        valid_down = down_idx < len(src_f)
+        no_up = np.flatnonzero(up_idx < 0)
+        no_down = np.flatnonzero(down_idx == len(src_f))
+        same = np.array_equal(src_f, dst_f)
         plan = (
             src_f,
             dst_f,
-            up_idx,
-            bool(valid_up.all()),
-            valid_up,
-            np.minimum(down_idx, max(len(src_f) - 1, 0)),
-            bool(valid_down.all()),
-            valid_down,
+            None if same else np.maximum(up_idx, 0),
+            None if same else np.minimum(down_idx, len(src_f) - 1),
+            no_up if len(no_up) else None,
+            no_down if len(no_down) else None,
         )
         if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
             _PLAN_CACHE.clear()
@@ -96,6 +104,43 @@ def _relax_plan(src_values, dst_values) -> tuple:
     return plan
 
 
+def _min_plus_axis(
+    V, bsrc, bdst, up_idx, down_idx, no_up, no_down, shifted, shifted_rev, gather, out
+) -> None:
+    """One-dimensional min-plus relaxation along the last axis, into ``out``.
+
+    Computes ``out[..., k] = min_i V[..., i] + beta * max(dst[k] - src[i], 0)``
+    as ``min(beta*dst[k] + min_{src<=dst[k]} (V - beta*src), min_{src>=dst[k]} V)``:
+    a prefix minimum for the power-up direction and a suffix minimum for the
+    free power-down direction.  ``bsrc``/``bdst`` are the ``beta * values``
+    vectors of the two value lists and the four indices come from
+    :func:`_relax_plan`: a ``None`` gather index is the identity and is
+    elided (``take(x, identity)`` is ``x``, value for value), and the
+    destination values that no source value reaches from below (``no_up``)
+    or above (``no_down``) get ``+inf`` for that direction.
+    ``shifted``/``out`` are caller-owned buffers, ``shifted_rev`` a
+    last-axis-reversed view of ``shifted`` and ``gather`` a buffer shaped
+    like ``out`` (``None`` allocates it).
+    """
+    np.subtract(V, bsrc, out=shifted)
+    np.minimum.accumulate(shifted, axis=-1, out=shifted)
+    if up_idx is None:
+        np.add(shifted, bdst, out=out)
+    else:
+        shifted.take(up_idx, axis=-1, out=out)
+        np.add(out, bdst, out=out)
+    if no_up is not None:
+        out[..., no_up] = np.inf
+    np.minimum.accumulate(V[..., ::-1], axis=-1, out=shifted_rev)
+    if down_idx is None:
+        np.minimum(out, shifted, out=out)
+        return
+    gather = shifted.take(down_idx, axis=-1, out=gather)
+    if no_down is not None:
+        gather[..., no_down] = np.inf
+    np.minimum(out, gather, out=out)
+
+
 def relax_dimension(
     values_tensor: np.ndarray,
     src_values: np.ndarray,
@@ -103,26 +148,20 @@ def relax_dimension(
     beta: float,
     axis: int,
 ) -> np.ndarray:
-    """One-dimensional min-plus relaxation along ``axis``.
+    """One-dimensional min-plus relaxation along ``axis``, into fresh buffers.
 
     Computes ``W[..., k, ...] = min_i  V[..., i, ...] + beta * max(dst[k] - src[i], 0)``
-    where ``i`` ranges over ``src_values`` and ``k`` over ``dst_values``.
-
-    The decomposition used is
-    ``min( beta*dst[k] + min_{src<=dst[k]} (V - beta*src),  min_{src>=dst[k]} V )``,
-    i.e. a prefix minimum for the power-up direction and a suffix minimum for
-    the (free) power-down direction.  Both are computed with
-    ``numpy.minimum.accumulate``; the ``numpy.searchsorted`` mapping between the
+    where ``i`` ranges over ``src_values`` and ``k`` over ``dst_values``, by
+    :func:`_min_plus_axis`.  The ``numpy.searchsorted`` mapping between the
     two value lists is hoisted into a content-keyed plan cache (consecutive
-    slots almost always share a grid), so arbitrary (sorted) source and target
-    value sets are supported — in particular the geometric grids ``M^gamma`` of
-    the approximation algorithm and per-slot grids of different sizes.
+    slots almost always share a grid), so arbitrary (sorted) source and
+    target value sets are supported — in particular the geometric grids
+    ``M^gamma`` of the approximation algorithm and per-slot grids of
+    different sizes.  The input is left intact.
 
     Values are float64; any other input dtype is promoted.
     """
-    src_f, dst_f, up_idx, all_up, valid_up, down_idx, all_down, valid_down = _relax_plan(
-        src_values, dst_values
-    )
+    src_f, dst_f, up_idx, down_idx, no_up, no_down = _relax_plan(src_values, dst_values)
     V = np.asarray(values_tensor)
     # swapaxes instead of moveaxis: the relaxation is elementwise along the
     # moved axis, so any consistent permutation works, and swapaxes skips
@@ -136,32 +175,13 @@ def relax_dimension(
         raise ValueError(
             f"axis {axis} has length {V.shape[-1]} but {len(src_f)} source values were given"
         )
-
-    # Power-up direction: target >= source.  The shifted tensor is a scratch
-    # buffer: the prefix minimum is accumulated into it in place, and the
-    # gathered `up` array doubles as the output buffer below.
-    shifted = V - beta * src_f  # broadcast along the last axis
-    np.minimum.accumulate(shifted, axis=-1, out=shifted)
-    if all_up:
-        up = shifted[..., up_idx]
-        up += beta * dst_f
-    else:
-        up = np.full(V.shape[:-1] + (len(dst_f),), np.inf)
-        if np.any(valid_up):
-            up[..., valid_up] = shifted[..., up_idx[valid_up]] + beta * dst_f[valid_up]
-
-    # Power-down direction: target <= source, no cost.  Reuse the scratch
-    # buffer for the suffix minimum (V itself must stay intact for callers).
-    np.minimum.accumulate(V[..., ::-1], axis=-1, out=shifted[..., ::-1])
-    suffix_min = shifted
-    if all_down:
-        np.minimum(up, suffix_min[..., down_idx], out=up)
-    elif np.any(valid_down):
-        up[..., valid_down] = np.minimum(
-            up[..., valid_down], suffix_min[..., down_idx[valid_down]]
-        )
-
-    return np.swapaxes(up, axis, -1) if moved else up
+    shifted = np.empty(V.shape)
+    out = np.empty(V.shape[:-1] + (len(dst_f),))
+    _min_plus_axis(
+        V, beta * src_f, beta * dst_f, up_idx, down_idx, no_up, no_down,
+        shifted, shifted[..., ::-1], None, out,
+    )
+    return np.swapaxes(out, axis, -1) if moved else out
 
 
 def transition(
@@ -175,7 +195,9 @@ def transition(
     ``result[x] = min_{x'} V[x'] + sum_j beta_j (x_j - x'_j)^+`` for every ``x``
     of the destination grid.  Implemented as ``d`` sequential calls to
     :func:`relax_dimension`; the order of dimensions does not matter because the
-    kernel is separable.
+    kernel is separable.  The grid is the trailing ``d`` axes of
+    ``values_tensor``: leading axes are lanes, and lane ``i`` of the result
+    equals the transition of lane ``i`` bit for bit.
     """
     beta = np.asarray(beta, dtype=float)
     d = len(beta)
@@ -183,61 +205,22 @@ def transition(
         raise ValueError("src_values, dst_values and beta must all have length d")
     out = values_tensor
     for j in range(d):
-        out = relax_dimension(out, src_values[j], dst_values[j], float(beta[j]), axis=j)
+        out = relax_dimension(out, src_values[j], dst_values[j], float(beta[j]), axis=j - d)
     return out
-
-
-def _min_plus_axis(V, bsrc, bdst, up_idx, down_idx, shifted, shifted_rev, gather, out) -> None:
-    """One-dimensional min-plus relaxation along the last axis, into ``out``.
-
-    ``bsrc``/``bdst`` are the ``beta * values`` vectors of the source and
-    destination grids, ``up_idx``/``down_idx`` the plan's gather indices,
-    ``shifted``/``gather`` caller-owned scratch and ``shifted_rev`` a
-    last-axis-reversed view of ``shifted``.  Allocates nothing.
-    """
-    # power-up direction: prefix minimum of V - beta*src, gathered at up_idx,
-    # plus beta*dst — the exact operation sequence of relax_dimension
-    np.subtract(V, bsrc, out=shifted)
-    np.minimum.accumulate(shifted, axis=-1, out=shifted)
-    shifted.take(up_idx, axis=-1, out=out)
-    np.add(out, bdst, out=out)
-    # power-down direction: suffix minimum of V, gathered at down_idx
-    np.minimum.accumulate(V[..., ::-1], axis=-1, out=shifted_rev)
-    shifted.take(down_idx, axis=-1, out=gather)
-    np.minimum(out, gather, out=out)
-
-
-def _min_plus_axis_same(V, bsrc, bdst, shifted, shifted_rev, out) -> None:
-    """:func:`_min_plus_axis` for equal source and destination grids.
-
-    The identity gathers are elided (``take(x, identity)`` is ``x``, value
-    for value), so the result equals the general kernel's bit for bit.
-    """
-    np.subtract(V, bsrc, out=shifted)
-    np.minimum.accumulate(shifted, axis=-1, out=shifted)
-    np.add(shifted, bdst, out=out)
-    np.minimum.accumulate(V[..., ::-1], axis=-1, out=shifted_rev)
-    np.minimum(out, shifted, out=out)
 
 
 class TransitionPlan:
     """Preallocated form of :func:`transition` for one ``(src, dst, beta)`` triple.
 
-    The generic path allocates two scratch tensors per axis per slot and
-    recomputes the broadcastable ``beta * values`` vectors every call.  A plan
-    hoists all of that: per-axis gather indices, shift vectors and scratch
-    buffers are built once, and :meth:`apply` routes each axis through the
-    :func:`_min_plus_axis` kernel with zero allocations.  The
-    kernel's operation sequence matches :func:`relax_dimension` exactly, so a
-    plan-produced value tensor is bit-identical to the generic one — callers
-    may mix the two paths freely (the streaming DP's checkpointed backtracking
-    relies on this).
-
-    Restrictions (``make_transition_plan`` returns ``None`` when violated, and
-    callers fall back to :func:`transition`): every destination value must have
-    both a power-up predecessor and a power-down successor in the source grid
-    (``all_up and all_down`` in plan terms), and :meth:`apply` only accepts
-    ``float64`` tensors of the planned source shape.
+    :func:`transition` allocates fresh buffers per axis per call and
+    recomputes the broadcastable ``beta * values`` vectors every time.  A plan
+    hoists all of that: per-axis gather indices, shift vectors and buffers
+    are built once, and :meth:`apply` runs each axis through the same
+    :func:`_min_plus_axis` kernel with zero allocations, so a plan-produced
+    value tensor is bit-identical to :func:`transition`'s — callers may mix
+    the two freely (the streaming DP's checkpointed backtracking relies on
+    this).  :meth:`apply` only accepts ``float64`` tensors of the planned
+    source shape.
 
     The returned tensor aliases an internal buffer: it stays valid until the
     next :meth:`apply` call, and writing into it is safe.  Feeding the previous
@@ -266,8 +249,7 @@ class TransitionPlan:
         cur = V
         last = len(steps) - 1
         for i, step in enumerate(steps):
-            (axis, moved, same, bsrc, bdst, up_idx, down_idx,
-             shifted, shifted_rev, gather, out) = step
+            axis, moved, kernel_args, out = step
             if i == last and cur is out:
                 # the previous output fed back as input: swap in the alternate
                 # final buffer (ping-pong); the next call alternates back.
@@ -277,45 +259,8 @@ class TransitionPlan:
                 steps[i] = step[:-1] + (out,)
                 self._final_alt = step[-1]
             work = cur.swapaxes(axis, -1) if moved else cur
-            if same:
-                _min_plus_axis_same(work, bsrc, bdst, shifted, shifted_rev, out)
-            else:
-                _min_plus_axis(
-                    work, bsrc, bdst, up_idx, down_idx, shifted, shifted_rev, gather, out
-                )
+            _min_plus_axis(work, *kernel_args, out)
             cur = out.swapaxes(axis, -1) if moved else out
-        return cur
-
-    def apply_lanes(self, values_tensor: np.ndarray) -> np.ndarray:
-        """:meth:`apply` over a leading lane axis: ``(k, *src_shape)`` in.
-
-        Lane ``i`` of the result equals ``apply(values_tensor[i])`` bit for
-        bit: the kernels are elementwise or reduce along the last axis, so
-        one call over ``k`` stacked tensors runs each lane's exact operation
-        sequence.  Returns a fresh ``(k, *dst_shape)`` tensor (the plan's
-        buffers are untouched) and leaves the input intact.
-        """
-        V = values_tensor
-        if V.dtype != np.float64 or V.shape[1:] != self.src_shape:
-            raise ValueError(
-                f"plan expects float64 lanes of shape {self.src_shape}, "
-                f"got {V.dtype} {V.shape}"
-            )
-        lanes = V.shape[:1]
-        cur = V
-        for (axis, moved, same, bsrc, bdst, up_idx, down_idx,
-             shifted, _rev, _gather, out) in self._steps:
-            work = cur.swapaxes(axis + 1, -1) if moved else cur
-            shifted = np.empty(lanes + shifted.shape)
-            out = np.empty(lanes + out.shape)
-            if same:
-                _min_plus_axis_same(work, bsrc, bdst, shifted, shifted[..., ::-1], out)
-            else:
-                _min_plus_axis(
-                    work, bsrc, bdst, up_idx, down_idx, shifted, shifted[..., ::-1],
-                    np.empty_like(out), out,
-                )
-            cur = out.swapaxes(axis + 1, -1) if moved else out
         return cur
 
 
@@ -323,48 +268,40 @@ def make_transition_plan(
     src_values: Sequence[np.ndarray],
     dst_values: Sequence[np.ndarray],
     beta: Sequence[float],
-) -> Optional[TransitionPlan]:
-    """Build a :class:`TransitionPlan`, or ``None`` when the pair is unsupported."""
+) -> TransitionPlan:
+    """Build the :class:`TransitionPlan` of one ``(src, dst, beta)`` triple.
+
+    Raises ``ValueError`` unless ``beta``, ``src_values`` and ``dst_values``
+    have the same non-zero length and every value list is one-dimensional
+    with a non-empty source.
+    """
     beta_arr = np.asarray(beta, dtype=float)
     d = len(beta_arr)
     if d == 0 or len(src_values) != d or len(dst_values) != d:
-        return None
+        raise ValueError("src_values, dst_values and beta must all have the same length d >= 1")
     steps: List[Tuple] = []
     in_shape = [len(np.asarray(v)) for v in src_values]
     src_shape = tuple(in_shape)
     for j in range(d):
-        src_f, dst_f, up_idx, all_up, _vu, down_idx, all_down, _vd = _relax_plan(
+        src_f, dst_f, up_idx, down_idx, no_up, no_down = _relax_plan(
             src_values[j], dst_values[j]
         )
-        if not (all_up and all_down):
-            return None
         swapped = list(in_shape)
         swapped[j], swapped[-1] = swapped[-1], swapped[j]
         out_shape = tuple(swapped[:-1]) + (len(dst_f),)
-        up_c = np.ascontiguousarray(up_idx, dtype=np.intp)
-        down_c = np.ascontiguousarray(down_idx, dtype=np.intp)
-        # identity gather maps (src and dst value lists equal) route through
-        # the elided same-grid kernel — same values, fewer ops
-        identity = np.arange(len(dst_f), dtype=np.intp)
-        same = len(dst_f) == len(src_f) and np.array_equal(up_c, identity) and np.array_equal(
-            down_c, identity
-        )
         shifted = np.empty(tuple(swapped))
-        steps.append(
-            (
-                j,
-                j != d - 1,
-                same,
-                np.asarray(beta_arr[j] * src_f, dtype=np.float64),
-                np.asarray(beta_arr[j] * dst_f, dtype=np.float64),
-                up_c,
-                down_c,
-                shifted,
-                shifted[..., ::-1],
-                np.empty(out_shape),
-                np.empty(out_shape),
-            )
+        kernel_args = (
+            beta_arr[j] * src_f,
+            beta_arr[j] * dst_f,
+            up_idx,
+            down_idx,
+            no_up,
+            no_down,
+            shifted,
+            shifted[..., ::-1],
+            None if down_idx is None else np.empty(out_shape),
         )
+        steps.append((j, j != d - 1, kernel_args, np.empty(out_shape)))
         in_shape[j] = len(dst_f)
     return TransitionPlan(steps, src_shape, tuple(in_shape))
 

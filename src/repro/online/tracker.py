@@ -403,12 +403,12 @@ class DPPrefixTracker(PrefixOptimumTracker):
             self._finite_seen[id(g_tensor)] = g_tensor
         if self._value is None:
             arrival = startup_cost_tensor(grid.values, slot.beta)
+        elif self._grid is grid:
+            # the plan's ping-pong buffers take their own previous output
+            # back as input: the tracker's steady-state loop
+            arrival = self._plan_for(grid, slot.beta).apply(self._value)
         else:
-            arrival = None
-            if self._grid is grid:
-                arrival = self._planned_transition(grid, slot.beta)
-            if arrival is None:
-                arrival = transition(self._value, self._grid.values, grid.values, slot.beta)
+            arrival = transition(self._value, self._grid.values, grid.values, slot.beta)
         # arrival is freshly allocated each step (or a plan-owned buffer that
         # becomes this step's value) — accumulate in place
         self._value = np.add(arrival, g_tensor, out=arrival)
@@ -417,26 +417,8 @@ class DPPrefixTracker(PrefixOptimumTracker):
         self._steps += 1
         return self.argmin("smallest")
 
-    def _planned_transition(self, grid: StateGrid, beta: np.ndarray) -> Optional[np.ndarray]:
-        """Apply the cached same-grid :class:`TransitionPlan`, or ``None``.
-
-        The plan's preallocated kernels are bit-identical to
-        :func:`~repro.offline.transitions.transition`; feeding the plan's own
-        previous output back as input is explicitly supported (see the plan's
-        aliasing contract), which is exactly the tracker's steady-state loop.
-        Any mismatch — an unexpected shape, a grid whose relax steps cannot be
-        planned — falls back to the generic path.
-        """
-        value = self._value
-        if value.shape != grid.shape:
-            return None
-        plan = self._plan_for(grid, beta)
-        if plan is None:
-            return None
-        return plan.apply(value)
-
     def _plan_for(self, grid: StateGrid, beta: np.ndarray):
-        """The cached same-grid :class:`TransitionPlan` (``None`` if unplannable)."""
+        """The cached same-grid :class:`TransitionPlan` of ``(grid, beta)``."""
         key = (id(grid), beta.tobytes())
         if key != self._plan_key:
             self._plan_key = key
@@ -561,7 +543,7 @@ def observe_stacked(
     lead = trackers[0]
     grid = lead._grid
     values = np.stack([tracker._value for tracker in trackers])
-    arrival = lead._plan_for(grid, beta).apply_lanes(values)
+    arrival = transition(values, grid.values, grid.values, beta)
     value = np.add(arrival, costs, out=arrival)
     for tracker, row in zip(trackers, value):
         tracker._value = row

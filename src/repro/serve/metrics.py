@@ -34,9 +34,10 @@ when one metric name accumulates more labelled series than the cap (e.g.
 ``sla_violations`` across thousands of short-lived tenants), the
 least-recently-touched series is evicted and its value folded into a
 per-metric ``evicted`` aggregate — registry memory stays flat while totals
-remain accountable.  Because every series is written at scrape time, the
-first scrape past the cap accounts every count exactly: resident series plus
-the ``evicted`` fold equal the owners' totals.
+remain accountable.  Collectors write without evicting, and each family is
+trimmed to the cap once after they all ran, so every scrape is exact: in
+each snapshot, the resident series plus the ``evicted`` fold count every
+live owner's totals exactly once.
 
 Exposition: :meth:`MetricsRegistry.snapshot` (JSON-safe dict, stamped
 ``"schema": 1``), :meth:`MetricsRegistry.deterministic_snapshot` (counters +
@@ -102,12 +103,6 @@ class Counter:
         self.labels = labels
         self.value = 0
 
-    def inc(self, amount=1) -> None:
-        self.value += amount
-
-    def add(self, amount) -> None:
-        self.value += amount
-
     def set(self, value) -> None:
         """Overwrite the total (checkpoint restore / collector sync only)."""
         self.value = value
@@ -136,9 +131,6 @@ class Gauge:
 
     def set(self, value) -> None:
         self.value = value
-
-    def inc(self, amount=1) -> None:
-        self.value += amount
 
     @property
     def series(self) -> str:
@@ -213,7 +205,9 @@ class MetricsRegistry:
     ``counter()`` / ``gauge()`` / ``histogram()`` are get-or-create: the
     first call with a given ``(name, labels)`` pair creates the series, later
     calls return the same object (and refresh its recency for the eviction
-    order).  Mixing kinds under one name raises.
+    order).  Mixing kinds under one name raises.  A series created past the
+    cap evicts at once, except inside :meth:`collect`, which trims each
+    family once after its collectors ran.
     """
 
     def __init__(self, max_series_per_metric: int = DEFAULT_MAX_SERIES):
@@ -226,6 +220,7 @@ class MetricsRegistry:
         self._evicted: Dict[str, dict] = {}
         self._collectors: List[weakref.ref] = []
         self._collector_prune_at = 64
+        self._collecting = False
         self._label_seq: Dict[str, int] = {}
 
     # ------------------------------------------------------------- get/create
@@ -245,21 +240,17 @@ class MetricsRegistry:
             return metric
         metric = cls(name, key, **kwargs)
         family[key] = metric
-        while len(family) > self.max_series_per_metric:
-            _, evicted = family.popitem(last=False)
-            self._fold_evicted(name, evicted)
+        if not self._collecting:
+            self._trim(name, family)
         return metric
 
-    def _fold_evicted(self, name: str, metric) -> None:
-        agg = self._evicted.get(name)
-        if agg is None:
-            agg = {"series": 0, "value": 0}
-            self._evicted[name] = agg
-        agg["series"] += 1
-        if isinstance(metric, Histogram):
-            agg["value"] += metric.count
-        else:
-            agg["value"] += metric.value
+    def _trim(self, name: str, family: OrderedDict) -> None:
+        """Evict ``family``'s least-recently-touched series down to the cap."""
+        while len(family) > self.max_series_per_metric:
+            _, metric = family.popitem(last=False)
+            agg = self._evicted.setdefault(name, {"series": 0, "value": 0})
+            agg["series"] += 1
+            agg["value"] += metric.count if isinstance(metric, Histogram) else metric.value
 
     def counter(self, name: str, **labels) -> Counter:
         return self._get(Counter, name, labels)
@@ -301,30 +292,48 @@ class MetricsRegistry:
             self._collector_prune_at = max(64, 2 * len(self._collectors))
 
     def collect(self) -> None:
-        """Run every live collector (dead ones are pruned in passing)."""
+        """Run every live collector, then trim each family to the cap.
+
+        Dead collectors are pruned in passing.  The collectors write without
+        evicting, so a live owner's series that the previous trim evicted is
+        re-created and folded once per scrape, and no owner's write evicts
+        another owner's series between two trims.
+        """
         live = []
-        for ref in self._collectors:
-            callback = ref()
-            if callback is None:
-                continue
-            live.append(ref)
-            callback()
+        self._collecting = True
+        try:
+            for ref in self._collectors:
+                callback = ref()
+                if callback is None:
+                    continue
+                live.append(ref)
+                callback()
+        finally:
+            self._collecting = False
         self._collectors = live
+        for name, family in self._families.items():
+            self._trim(name, family)
 
     def mirror(self, kinds: Dict[str, str], values: dict, prefix: str = "", **labels) -> None:
         """Set each series ``prefix + key`` of ``kinds`` to ``values[key]``.
 
         ``kinds[key]`` is :data:`COUNTER`, :data:`GAUGE` or
         :data:`DETERMINISTIC_GAUGE`; keys of ``values`` it does not name are
-        not mirrored.
+        not mirrored.  Like a collector's writes, a mirror never evicts — an
+        owner's last mirror before it is dropped may hold its series past the
+        cap until the next :meth:`collect` trims them.
         """
-        for key, kind in kinds.items():
-            name = prefix + key
-            if kind == COUNTER:
-                self.counter(name, **labels).set(values[key])
-            else:
-                deterministic = kind == DETERMINISTIC_GAUGE
-                self.gauge(name, deterministic=deterministic, **labels).set(values[key])
+        collecting, self._collecting = self._collecting, True
+        try:
+            for key, kind in kinds.items():
+                name = prefix + key
+                if kind == COUNTER:
+                    self.counter(name, **labels).set(values[key])
+                else:
+                    deterministic = kind == DETERMINISTIC_GAUGE
+                    self.gauge(name, deterministic=deterministic, **labels).set(values[key])
+        finally:
+            self._collecting = collecting
 
     # ------------------------------------------------------------- exposition
     def series_count(self, name: Optional[str] = None) -> int:
@@ -336,11 +345,12 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """JSON-safe dump of every resident series (collectors run first).
 
-        The ``evicted`` aggregates are per-snapshot deltas ("evictions since
-        the previous snapshot"), reset after being read: beyond the cap,
-        live series evicted once are re-created by their collectors on the
-        next scrape, so a *cumulative* fold would inflate without bound.
-        They are a cardinality-pressure signal, not an exact running total.
+        Every snapshot is exact, past the cap too: the resident series plus
+        the ``evicted`` aggregates count every live owner's totals exactly
+        once.  The aggregates fold the series evicted since the previous
+        snapshot and are reset after being read — beyond the cap, a live
+        owner's evicted series is re-created by its collector at the next
+        scrape, so a cumulative fold would count it again.
         """
         self.collect()
         counters: Dict[str, object] = {}

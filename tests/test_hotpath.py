@@ -28,12 +28,7 @@ from repro.bench import (
 )
 from repro.dispatch.allocation import DispatchSolver
 from repro.offline.state_grid import StateGrid, grid_for_slot
-from repro.offline.transitions import (
-    _min_plus_axis,
-    _min_plus_axis_same,
-    make_transition_plan,
-    transition,
-)
+from repro.offline.transitions import _min_plus_axis, make_transition_plan, transition
 from repro.online import AlgorithmA, AlgorithmB, run_online
 from repro.scenarios import build
 from repro.serve import ControllerSession, InstanceFeed, ServeCache, ServeEngine
@@ -71,7 +66,6 @@ class TestTransitionPlanExactness:
             grid = _random_grid(rng, d, full)
             beta = rng.uniform(0.1, 5.0, size=d)
             plan = make_transition_plan(grid.values, grid.values, beta)
-            assert plan is not None
             V = rng.uniform(0.0, 50.0, size=grid.shape)
             if trial % 3 == 0:
                 V.reshape(-1)[:: max(1, V.size // 4)] = np.inf
@@ -101,7 +95,6 @@ class TestTransitionPlanExactness:
         dst = StateGrid.geometric([6, 4], gamma=2.0)
         beta = np.array([1.5, 0.7])
         plan = make_transition_plan(src.values, dst.values, beta)
-        assert plan is not None
         V = rng.uniform(0.0, 30.0, size=src.shape)
         assert np.array_equal(
             plan.apply(V.copy()), transition(V, src.values, dst.values, beta)
@@ -120,7 +113,7 @@ class TestTransitionPlanExactness:
             V = rng.uniform(0.0, 50.0, size=(1 + trial,) + grid.shape)
             V[V > 45.0] = np.inf
             before = V.copy()
-            got = plan.apply_lanes(V)
+            got = transition(V, grid.values, grid.values, beta)
             assert np.array_equal(V, before)
             assert got.shape == V.shape
             for lane, value in zip(got, V):
@@ -131,24 +124,16 @@ class TestTransitionPlanExactness:
         src = StateGrid.full([6, 4])
         dst = StateGrid.geometric([6, 4], gamma=2.0)
         beta = np.array([1.5, 0.7])
-        plan = make_transition_plan(src.values, dst.values, beta)
-        V = rng.uniform(0.0, 30.0, size=(5,) + src.shape)
-        got = plan.apply_lanes(V)
-        assert got.shape == (5,) + dst.shape
-        for lane, value in zip(got, V):
-            assert np.array_equal(lane, transition(value, src.values, dst.values, beta))
-
-    def test_lanes_reject_wrong_shapes(self):
-        grid = StateGrid.full([3, 2])
-        plan = make_transition_plan(grid.values, grid.values, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="lanes"):
-            plan.apply_lanes(np.zeros(grid.shape))
-        with pytest.raises(ValueError, match="lanes"):
-            plan.apply_lanes(np.zeros((2,) + grid.shape, dtype=np.float32))
+        V = rng.uniform(0.0, 30.0, size=(3, 5) + src.shape)
+        got = transition(V, src.values, dst.values, beta)
+        assert got.shape == (3, 5) + dst.shape
+        for lanes, values in zip(got, V):
+            for lane, value in zip(lanes, values):
+                assert np.array_equal(lane, transition(value, src.values, dst.values, beta))
 
     def test_same_grid_kernel_matches_general_kernel(self):
-        # the identity-gather specialisation must equal the general kernel
-        # with identity up/down index vectors, bit for bit
+        # a None gather index (the elided identity gather) must equal an
+        # explicit identity index of the one kernel, bit for bit
         rng = np.random.default_rng(3)
         for shape in ((7,), (4, 6), (3, 4, 5)):
             V = rng.uniform(0.0, 40.0, size=shape)
@@ -156,19 +141,16 @@ class TestTransitionPlanExactness:
             bsrc = rng.uniform(0.0, 5.0, size=n)
             bdst = rng.uniform(0.0, 5.0, size=n)
             identity = np.arange(n, dtype=np.intp)
-            shifted = np.empty(shape)
-            out_general = np.empty(shape)
-            out_same = np.empty(shape)
-            gather = np.empty(shape)
-            _min_plus_axis(
-                V, bsrc, bdst, identity, identity,
-                shifted, shifted[..., ::-1], gather, out_general,
-            )
-            shifted2 = np.empty(shape)
-            _min_plus_axis_same(
-                V, bsrc, bdst, shifted2, shifted2[..., ::-1], out_same
-            )
-            assert np.array_equal(out_same, out_general)
+            outs = []
+            for index in (identity, None):
+                shifted = np.empty(shape)
+                out = np.empty(shape)
+                _min_plus_axis(
+                    V, bsrc, bdst, index, index, None, None,
+                    shifted, shifted[..., ::-1], None, out,
+                )
+                outs.append(out)
+            assert np.array_equal(outs[1], outs[0])
 
 
 # --------------------------------------------------------------------------- #

@@ -68,8 +68,7 @@ class TestMetricsRegistry:
     def test_counter_gauge_histogram_basics(self):
         reg = MetricsRegistry()
         c = reg.counter("ticks", tenant="a")
-        c.inc()
-        c.add(2)
+        c.set(3)
         assert c.value == 3
         assert reg.counter("ticks", tenant="a") is c  # same series, same object
         g = reg.gauge("virtual_slots", deterministic=True, cache="c0")
@@ -93,7 +92,7 @@ class TestMetricsRegistry:
 
     def test_snapshot_and_deterministic_subset(self):
         reg = MetricsRegistry()
-        reg.counter("ticks", tenant="a").add(5)
+        reg.counter("ticks", tenant="a").set(5)
         reg.gauge("cumulative_cost", deterministic=True, tenant="a").set(1.5)
         reg.gauge("cache_hit_rate").set(0.5)  # wall-clock-ish: non-deterministic
         reg.histogram("tick_latency_ns", tenant="a").observe(2000)
@@ -112,7 +111,7 @@ class TestMetricsRegistry:
     def test_series_cap_evicts_lru_and_folds(self):
         reg = MetricsRegistry(max_series_per_metric=4)
         for k in range(10):
-            reg.counter("ticks", tenant=f"t{k}").inc()
+            reg.counter("ticks", tenant=f"t{k}").set(1)
         assert reg.series_count("ticks") == 4
         snap = reg.snapshot()
         evicted = snap["evicted"]["ticks"]
@@ -129,7 +128,7 @@ class TestMetricsRegistry:
                 self.c = reg.counter("pulls", src=name)
 
             def collect(self):
-                self.c.inc()
+                self.c.set(self.c.value + 1)
 
         live = Source("live")
         dead = Source("dead")
@@ -683,6 +682,42 @@ class TestRegistryThreading:
         for key in injectors[0].counters():
             expected = sum(injector.counters()[key] for injector in injectors)
             assert total(f"chaos_{key}") == expected, key
+
+    def test_every_snapshot_past_the_cap_is_exact(self):
+        """Scrape after scrape, collectors re-create the series the last trim
+        evicted: every snapshot must still fold each count exactly once —
+        also the first one after a dropped owner's last mirror."""
+        instance = _quantised(T=16)
+        registry = MetricsRegistry(max_series_per_metric=4)
+        caches = [
+            ServeCache(instance.server_types, metrics=registry, metrics_label=f"c{k}")
+            for k in range(5)
+        ]
+        for cache in caches:
+            session = ControllerSession("A", cache=cache)
+            for tick in list(InstanceFeed(instance))[:3]:
+                session.observe(tick.demand)
+        owned = sum(cache.counters()["tensor_misses"] for cache in caches)
+        assert owned > 0
+
+        def read():
+            snap = registry.snapshot()
+            resident = [
+                value for series, value in snap["counters"].items()
+                if series.startswith("tensor_misses{")
+            ]
+            evicted = snap["evicted"]["tensor_misses"]
+            assert len(resident) == 4 and evicted["series"] == 1
+            return sum(resident) + evicted["value"]
+
+        for _ in range(3):
+            assert read() == owned
+        # a released cache mirrors once more before it is dropped (as
+        # ServeEngine.release does); that write must not evict a live series
+        caches[0].collect_metrics()
+        del caches[0], session
+        gc.collect()
+        assert read() == owned
 
     def test_engine_report_carries_registry_snapshot(self):
         instance = _quantised(T=8)

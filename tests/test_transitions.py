@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.offline.transitions import (
+    make_transition_plan,
     relax_dimension,
     startup_cost_tensor,
     switching_cost_between,
@@ -123,6 +124,63 @@ class TestFullTransition:
         beta = [data.draw(st.floats(0.0, 5.0)), data.draw(st.floats(0.0, 5.0))]
         out = transition(V, src, src, beta)
         np.testing.assert_allclose(out, brute_force_transition(V, src, src, beta), rtol=1e-9, atol=1e-9)
+
+
+@st.composite
+def value_list_pairs(draw):
+    """One dimension's sorted (src, dst) value lists.
+
+    Equal, nested (either contains the other), or with a destination value
+    above or below every source value — the grids of consecutive slots when
+    the fleet grows or shrinks between them (Section 4.3).
+    """
+    src = draw(st.sets(st.integers(3, 12), min_size=1, max_size=5))
+    other = draw(st.sets(st.integers(0, 15), max_size=5))
+    kind = draw(st.sampled_from(["equal", "nested", "above", "below"]))
+    if kind == "equal":
+        dst = set(src)
+    elif kind == "nested":
+        dst = src | other
+        if draw(st.booleans()):
+            src, dst = dst, src
+    elif kind == "above":
+        dst = other | {max(src) + draw(st.integers(1, 3))}
+    else:
+        dst = other | {min(src) - draw(st.integers(1, 3))}
+    return np.array(sorted(src)), np.array(sorted(dst))
+
+
+class TestOneKernel:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_transition_and_plan_over_lanes(self, data):
+        """``transition`` over 0-2 leading lane axes matches the brute force
+        lane by lane, and the plan matches ``transition`` bit for bit."""
+        d = data.draw(st.integers(1, 3))
+        src, dst = zip(*(data.draw(value_list_pairs()) for _ in range(d)))
+        lanes = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+        beta = data.draw(st.lists(st.floats(0.0, 5.0), min_size=d, max_size=d))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        V = rng.uniform(0.0, 100.0, size=lanes + tuple(len(v) for v in src))
+        V[V > 90.0] = np.inf
+        out = transition(V, src, dst, beta)
+        assert out.shape == lanes + tuple(len(v) for v in dst)
+        plan = make_transition_plan(src, dst, beta)
+        for index in np.ndindex(*lanes):
+            np.testing.assert_allclose(
+                out[index], brute_force_transition(V[index], src, dst, beta),
+                rtol=1e-9, atol=1e-9,
+            )
+            assert np.array_equal(plan.apply(V[index].copy()), out[index])
+
+    def test_malformed_plans_rejected(self):
+        values = [np.arange(3), np.arange(2)]
+        with pytest.raises(ValueError):
+            make_transition_plan(values, values[:1], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            make_transition_plan([], [], [])
+        with pytest.raises(ValueError):
+            make_transition_plan([np.array([], dtype=int)], [np.arange(2)], [1.0])
 
 
 class TestSwitchingCostHelpers:
