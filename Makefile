@@ -83,13 +83,22 @@ perfbench-smoke:
 		echo "perfbench-smoke: $$w (trace $$trace) correct"; \
 	done; done
 
-# Paper-figure gate: regenerate Figures 1-3 (Algorithm A's trace, the block
-# decomposition, Algorithm B's trace with its W_t sets) and fail on any
-# difference from the committed artifacts in benchmarks/output/.
-FIGURES := FIG1_algorithm_a FIG2_blocks FIG3_algorithm_b
+# Paper-artifact gate: regenerate Figures 1-3 (Algorithm A's trace, the block
+# decomposition, Algorithm B's trace with its W_t sets), the THM8/13/15/16/22
+# ratio tables and the baseline comparison, and fail on any difference from
+# the committed artifacts in benchmarks/output/.  The tables run solve_dp,
+# the sweep engine's shared value stream (run_plan) and receding-horizon
+# control, so they pin every consumer of the DP's value history byte for
+# byte; none of them prints a timing.
+FIGURES := FIG1_algorithm_a FIG2_blocks FIG3_algorithm_b THM8_algorithm_a_ratio \
+	THM13_algorithm_b_ratio THM15_algorithm_c_ratio THM16_approx_quality \
+	THM22_time_varying_m COMP_baselines
 figures-smoke:
 	cd benchmarks && $(PYTHON) -m pytest -q --benchmark-only -p no:cacheprovider \
-		bench_fig1_algorithm_a.py bench_fig2_blocks.py bench_fig3_algorithm_b.py
+		bench_fig1_algorithm_a.py bench_fig2_blocks.py bench_fig3_algorithm_b.py \
+		bench_thm8_algorithm_a_ratio.py bench_thm13_algorithm_b_ratio.py \
+		bench_thm15_algorithm_c_ratio.py bench_thm16_approx_quality.py \
+		bench_thm22_time_varying_m.py bench_comparison_baselines.py
 	git diff --exit-code -- $(FIGURES:%=benchmarks/output/%.txt)
 
 # Source size as CHANGES.md entries report it: lines of src/**/*.py.

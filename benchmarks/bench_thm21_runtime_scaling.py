@@ -111,15 +111,16 @@ def test_thm21_runtime_scaling(benchmark):
     write_result("THM21_runtime_scaling", text)
 
     # machine-readable perf-trajectory record for the DP hot path
+    wall = float(benchmark.stats.stats.mean) if benchmark.stats is not None else None
     write_bench_json(
         OUTPUT_DIR / "BENCH_dp.json",
         {
             "benchmark": "dp",
-            "wall_seconds_total": float(benchmark.stats.stats.mean)
-            if benchmark.stats is not None else None,
+            "wall_seconds_total": wall,
             "fleet_sweep": fleet_rows,
             "horizon_sweep": horizon_rows,
             "eps_sweep": eps_rows,
             "dispatch_engine": dispatch_counters,
         },
+        headline={"benchmark": "dp", "wall_seconds_total": wall},
     )

@@ -150,9 +150,8 @@ def _build_c(ctx: SharedInstanceContext, params: dict):
 
 def _build_lcp(ctx: SharedInstanceContext, params: dict):
     return LazyCapacityProvisioning(
-        gamma=params.get("gamma"),
         allow_heterogeneous=params.get("allow_heterogeneous", False),
-        tracker_factory=ctx.trackers,
+        tracker=ctx.tracker(gamma=params.get("gamma")),
     )
 
 

@@ -12,11 +12,11 @@ repeats four kinds of work that are identical across runs:
 
 :class:`SharedInstanceContext` does each exactly once: one dispatch solver and
 slot context (1, 2, 4 — see :class:`~repro.online.base.SlotContext`), one
-:class:`~repro.online.tracker.SharedTrackerFactory` holding a memoised value
-stream per ``gamma`` (3), and an offline optimum derived from that very stream
-— ``min_x V_{T-1}[x]`` — so the prefix DP is not run a second time for the
-baseline cost, and the optimal *schedule* is reconstructed by the standard
-backward pass over the memoised tensors.
+memoised :class:`~repro.online.tracker.SharedValueStream` per ``gamma`` (3),
+and an offline optimum derived from that very stream — ``min_x V_{T-1}[x]`` —
+so the prefix DP is not run a second time for the baseline cost, and the
+optimal *schedule* is reconstructed by the standard backward pass over the
+memoised tensors.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from ..dispatch.allocation import DispatchSolver
 from ..offline.dp import OfflineResult
 from ..offline.graph_approx import solve_approx
 from ..online.base import OnlineAlgorithm, OnlineRunResult, SlotContext, run_online
-from ..online.tracker import DPPrefixTracker, SharedTrackerFactory
+from ..online.tracker import DPPrefixTracker, SharedValueStream
 
 __all__ = ["SharedInstanceContext"]
 
@@ -69,7 +69,7 @@ class SharedInstanceContext:
         self.slots = SlotContext(instance, dispatcher, tensor_budget_bytes=tensor_budget_bytes)
         self.dispatcher = self.slots.dispatcher
         self.checkpoint_every = checkpoint_every
-        self.trackers = SharedTrackerFactory(checkpoint_every=checkpoint_every)
+        self._streams: dict = {}
         self._optimal_cost: Optional[float] = None
 
     # ------------------------------------------------------------- online runs
@@ -77,14 +77,28 @@ class SharedInstanceContext:
         """Run an online algorithm through the shared slot context."""
         return run_online(self.instance, algorithm, slot_context=self.slots)
 
+    def stream(self, gamma: Optional[float] = None) -> SharedValueStream:
+        """This context's one memoised prefix-DP value stream for ``gamma``.
+
+        Algorithms A, B and LCP read it between them instead of three
+        independent ones.  (Algorithm C's inner tracker observes scaled
+        sub-slots and keeps a private :class:`DPPrefixTracker`.)
+        """
+        key = None if gamma is None else float(gamma)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = SharedValueStream(gamma=gamma, checkpoint_every=self.checkpoint_every)
+            self._streams[key] = stream
+        return stream
+
     def tracker(self, gamma: Optional[float] = None) -> DPPrefixTracker:
         """A prefix-optimum tracker backed by this context's shared value stream."""
-        return self.trackers.tracker(gamma=gamma)
+        return DPPrefixTracker(gamma=gamma, stream=self.stream(gamma))
 
     # ---------------------------------------------------------- offline solves
     def _full_stream(self):
         """The exact (gamma=None) value stream, advanced to the full horizon."""
-        stream = self.trackers.stream(None)
+        stream = self.stream(None)
         for t in range(len(stream), self.instance.T):
             stream.at(t, self.slots.slot(t))
         return stream
@@ -118,7 +132,7 @@ class SharedInstanceContext:
                 grids=stream.grids,
                 checkpoint_every=stream.checkpoint_every,
             )
-        configs = stream.backtrack(instance.beta)
+        configs = stream.backtrack()
         schedule = Schedule(configs)
         breakdown = self.slots.evaluate_schedule(schedule)
         return OfflineResult(

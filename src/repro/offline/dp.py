@@ -23,16 +23,20 @@ The forward recurrence only ever needs the *previous* value tensor, but
 reconstructing the argmin chain classically requires all ``T`` tensors —
 ``O(T * |M|)`` memory, the scaling wall on long horizons.  The engine therefore
 runs a **streaming value pass with checkpointed backtracking** (Hirschberg-style
-divide and conquer on the layered graph): the forward pass retains one value
-tensor every ``checkpoint_every`` slots, and the backward pass rematerialises
-each checkpoint window by re-running the forward DP inside it — ``O(sqrt(T) *
-|M|)`` memory at most one extra forward pass of work.  Operating-cost tensors
-are likewise produced window by window (:class:`WindowedOperatingCosts`)
-instead of all-T upfront, and the dispatch engine is asked not to memoise
-per-slot results while streaming.  Small instances (below
-:data:`STREAMING_TABLE_BYTES_THRESHOLD` of table history) keep the classic
-full-history pass, which costs no recompute; ``keep_tables=True`` forces it and
-exposes the tensors.
+divide and conquer on the layered graph): the forward pass records its tensors
+in a :class:`ValueHistory`, which keeps one every ``checkpoint_every`` slots
+and, for the backward pass, rematerialises each checkpoint window by re-running
+the forward DP inside it — ``O(sqrt(T) * |M|)`` memory at most one extra
+forward pass of work.  :class:`ValueHistory` is the one owner of kept tensors
+and of the backward argmin walk: the sweep engine's shared prefix stream
+(:class:`~repro.online.tracker.SharedValueStream`) and receding-horizon control
+(:func:`~repro.online.baselines.receding_horizon_schedule`) use it too.
+Operating-cost tensors are likewise produced window by window
+(:class:`WindowedOperatingCosts`) instead of all-T upfront, and the dispatch
+engine is asked not to memoise per-slot results while streaming.  Small
+instances (below :data:`STREAMING_TABLE_BYTES_THRESHOLD` of table history)
+keep the classic full-history pass, which costs no recompute;
+``keep_tables=True`` forces it and exposes the tensors.
 
 The same engine serves
 
@@ -67,8 +71,8 @@ from .transitions import (
 __all__ = [
     "OfflineResult",
     "STREAMING_TABLE_BYTES_THRESHOLD",
+    "ValueHistory",
     "WindowedOperatingCosts",
-    "backtrack_schedule",
     "default_checkpoint_every",
     "operating_cost_tensor",
     "operating_cost_tensors",
@@ -289,107 +293,120 @@ def _check_some_feasible(tensor: np.ndarray, t: int) -> None:
         )
 
 
-def _backtrack_windowed(
-    grids: Sequence[StateGrid],
-    beta: np.ndarray,
-    T: int,
-    window: int,
-    tables_for_window: Callable[[int, int], Sequence[np.ndarray]],
-) -> np.ndarray:
-    """Walk the argmin chain backwards, one table window at a time.
+class ValueHistory:
+    """The value tensors ``V_t`` a backward pass reads: kept or rematerialised.
 
-    ``tables_for_window(c, e)`` returns the value tensors of slots ``c..e``
-    (inclusive); windows are processed from the last to the first, each seeded
-    by the configuration the following window chose for its first slot.  With
-    ``window >= T`` and the full table list this is the classic single-sweep
-    backtrack; with rematerialising callbacks it is the checkpointed
-    ``O(sqrt(T))``-memory variant.  Two scratch buffers are threaded through
-    the walk; the switching-cost tensor is additionally memoised on its
-    ``(grid, next configuration)`` pair — optimal schedules hold their
-    configuration over long stretches, so most slots reuse it outright.
+    A forward pass appends each step's grid and tensor.  ``window=None`` keeps
+    every tensor; a ``window`` keeps every ``window``-th one (the checkpoints)
+    plus the newest, and :meth:`value_at` rematerialises any other step by
+    re-running the forward recurrence from its window's checkpoint on the
+    ``g_tensor(t)`` operating-cost tensors, with the forward pass's own
+    ``transition`` plus in-place add, so every tensor comes back bit-identical.
+    The last rematerialised window stays cached: a walk through one window
+    recomputes it once, in any order.  ``beta`` is the switching-cost vector
+    the transitions and :meth:`backtrack` charge.
     """
-    d = len(beta)
-    configs = np.zeros((T, d), dtype=int)
-    if T == 0:
+
+    __slots__ = ("beta", "window", "g_tensor", "grids", "_kept", "_newest", "_window_values")
+
+    def __init__(
+        self,
+        beta: Optional[np.ndarray],
+        window: Optional[int] = None,
+        g_tensor: Optional[Callable[[int], np.ndarray]] = None,
+    ):
+        if window is not None and int(window) < 1:
+            raise ValueError("window must be a positive integer when given")
+        self.beta = beta
+        self.window = None if window is None else int(window)
+        self.g_tensor = g_tensor
+        #: ``grids[t]`` is the grid ``V_t`` lives on.
+        self.grids: List[StateGrid] = []
+        self._kept: dict = {}  # step -> tensor: every step, or every window-th
+        self._newest: Optional[np.ndarray] = None
+        self._window_values: dict = {}  # the last rematerialised window
+
+    def __len__(self) -> int:
+        return len(self.grids)
+
+    def keeps(self, t: int) -> bool:
+        """Whether step ``t``'s tensor is still held after later steps are appended."""
+        return self.window is None or t % self.window == 0
+
+    def append(self, grid: StateGrid, value: np.ndarray) -> None:
+        """Record the next step's grid and tensor (held by reference, not copied)."""
+        if self.keeps(len(self.grids)):
+            self._kept[len(self.grids)] = value
+        self.grids.append(grid)
+        self._newest = value
+
+    @property
+    def values(self) -> tuple:
+        """Every step's tensor; a windowed history refuses (it keeps O(T/window))."""
+        if self.window is not None:
+            raise RuntimeError(
+                "a windowed ValueHistory keeps every window-th tensor; "
+                "use value_at(t) / backtrack() instead of .values"
+            )
+        return tuple(self._kept.values())
+
+    def value_at(self, t: int) -> np.ndarray:
+        """The tensor ``V_t``, rematerialising its window if it is not kept."""
+        if not 0 <= t < len(self.grids):
+            raise IndexError(f"step {t} outside the recorded range 0..{len(self.grids) - 1}")
+        if t == len(self.grids) - 1:
+            return self._newest
+        value = self._kept.get(t)
+        if value is None:
+            value = self._window_values.get(t)
+        if value is None:
+            value = self._rematerialise(t - t % self.window)[t]
+        return value
+
+    def _rematerialise(self, c: int) -> dict:
+        """Recompute (and cache) the unkept tensors of the window starting at ``c``."""
+        value = self._kept[c]
+        # the previous window goes first, so one window is live at a time
+        self._window_values = window = {}
+        # the newest tensor is held, so the recompute stops short of it
+        for t in range(c + 1, min(c + self.window, len(self.grids) - 1)):
+            arrival = transition(value, self.grids[t - 1].values, self.grids[t].values, self.beta)
+            value = np.add(arrival, self.g_tensor(t), out=arrival)
+            value.setflags(write=False)
+            window[t] = value
+        return window
+
+    def backtrack(self) -> np.ndarray:
+        """The optimal configuration path over every recorded step, ``(T, d)``.
+
+        The path ends at the argmin of the newest tensor (powering down after
+        the horizon is free) and walks backwards through the argmin of
+        ``V_{t-1} + S(., x_t)``; reading the steps newest first rematerialises
+        each window of a windowed history once.  Two scratch buffers are
+        threaded through the walk, and the switching-cost tensor is memoised
+        on its ``(grid, next configuration)`` pair: optimal schedules hold
+        their configuration over long stretches, so most steps reuse it.
+        """
+        T = len(self.grids)
+        configs = np.zeros((T, len(self.beta)), dtype=int)
+        switch: Optional[np.ndarray] = None
+        total: Optional[np.ndarray] = None
+        switch_key: Optional[tuple] = None
+        for t in range(T - 1, -1, -1):
+            grid = self.grids[t]
+            table = self.value_at(t)
+            if t < T - 1:
+                x_next = configs[t + 1]
+                key = (id(grid), tuple(int(v) for v in x_next))
+                if switch_key != key:
+                    out = switch if switch is not None and switch.shape == grid.shape else None
+                    switch = switching_cost_tensor(grid.values, x_next, self.beta, out=out)
+                    switch_key = key
+                if total is None or total.shape != grid.shape:
+                    total = np.empty(grid.shape)
+                table = np.add(table, switch, out=total)
+            configs[t] = grid.config_at(np.unravel_index(int(np.argmin(table)), grid.shape))
         return configs
-    switch: Optional[np.ndarray] = None
-    total: Optional[np.ndarray] = None
-    switch_key: Optional[tuple] = None
-
-    def argmin_prev(grid: StateGrid, table: np.ndarray, x_next: np.ndarray) -> np.ndarray:
-        nonlocal switch, total, switch_key
-        key = (id(grid), tuple(int(v) for v in x_next))
-        if switch_key != key:
-            out = switch if switch is not None and switch.shape == grid.shape else None
-            switch = switching_cost_tensor(grid.values, x_next, beta, out=out)
-            switch_key = key
-        if total is None or total.shape != grid.shape:
-            total = np.empty(grid.shape)
-        np.add(table, switch, out=total)
-        idx = np.unravel_index(int(np.argmin(total)), grid.shape)
-        return grid.config_at(idx)
-
-    next_config: Optional[np.ndarray] = None
-    for c in range(((T - 1) // window) * window, -1, -window):
-        e = min(c + window, T) - 1
-        tables = tables_for_window(c, e)
-        if next_config is None:
-            # final slot of the horizon: free power-down, plain argmin
-            idx = np.unravel_index(int(np.argmin(tables[e - c])), grids[e].shape)
-            configs[e] = grids[e].config_at(idx)
-        else:
-            configs[e] = argmin_prev(grids[e], tables[e - c], next_config)
-        for t in range(e, c, -1):
-            configs[t - 1] = argmin_prev(grids[t - 1], tables[t - 1 - c], configs[t])
-        next_config = configs[c]
-    return configs
-
-
-def backtrack_schedule(
-    grids: Sequence[StateGrid],
-    tables: Sequence[np.ndarray],
-    beta: np.ndarray,
-) -> np.ndarray:
-    """Reconstruct the optimal configuration path from the DP value tensors.
-
-    ``tables[t]`` is the value tensor ``V_t`` on ``grids[t]``; the path ends at
-    the argmin of the final tensor and walks backwards through the argmin of
-    ``V_{t-1} + S(., x_t)``.  Shared by :func:`solve_dp` and the sweep engine's
-    shared-context path (which reuses the memoised per-slot value stream as the
-    tables).
-    """
-    T = len(grids)
-    return _backtrack_windowed(grids, beta, T, max(T, 1), lambda c, e: tables)
-
-
-def _backtrack_checkpointed(
-    grids: Sequence[StateGrid],
-    beta: np.ndarray,
-    T: int,
-    window: int,
-    checkpoints: dict,
-    provider: WindowedOperatingCosts,
-) -> np.ndarray:
-    """Checkpointed backward pass: rematerialise each window by forward DP.
-
-    ``checkpoints`` maps window-start slots to their value tensors (consumed —
-    each checkpoint is released once its window has been walked, so the live
-    set only shrinks).  Rematerialisation repeats the exact forward-pass
-    operations from the checkpoint, so the recovered tables — and therefore
-    the argmin chain — are bit-identical to the full-history pass.
-    """
-
-    def tables_for_window(c: int, e: int) -> List[np.ndarray]:
-        value = checkpoints.pop(c)
-        tables = [value]
-        for t in range(c + 1, e + 1):
-            g_tensor = provider.tensor(t)
-            arrival = transition(value, grids[t - 1].values, grids[t].values, beta)
-            value = np.add(arrival, g_tensor, out=arrival)
-            tables.append(value)
-        return tables
-
-    return _backtrack_windowed(grids, beta, T, window, tables_for_window)
 
 
 def solve_dp(
@@ -471,18 +488,15 @@ def solve_dp(
         instance, grids, dispatcher, window=window, memoise=not streaming
     )
 
-    keep_history = keep_tables or (return_schedule and not streaming)
-    track_checkpoints = streaming and return_schedule
-
-    tables: List[np.ndarray] = []
-    checkpoints: dict = {}
+    history = (
+        ValueHistory(beta, window, provider.tensor) if keep_tables or return_schedule else None
+    )
     value: Optional[np.ndarray] = None
 
-    # Streaming passes run repeated same-grid slots through one preallocated
-    # TransitionPlan (the same kernel as `transition`, no per-slot buffer
-    # churn).  The full-history pass must not: the plan reuses its output
-    # buffers, and `tables` needs every slot's tensor to stay distinct.
-    use_plan = not keep_history
+    # Repeated same-grid slots run through one preallocated TransitionPlan
+    # (the same kernel as `transition`, no per-slot buffer churn), except
+    # when the history keeps every tensor: the plan reuses its output buffers.
+    use_plan = history is None or streaming
     plan = None
     plan_grid_key = None
 
@@ -503,34 +517,33 @@ def solve_dp(
         # arrival is a fresh tensor every slot (or a plan-owned buffer), so
         # accumulate in place
         value = np.add(arrival, g_tensor, out=arrival)
-        if keep_history:
-            tables.append(value)
-        elif track_checkpoints and t % window == 0:
+        if history is not None:
             # a plan-owned buffer is overwritten two slots later (ping-pong):
-            # checkpoints must own their bytes
-            checkpoints[t] = value.copy() if from_plan else value
+            # a tensor the history keeps must own its bytes
+            history.append(grid, value.copy() if from_plan and history.keeps(t) else value)
 
     assert value is not None
     best_flat = int(np.argmin(value))
     best_cost = float(value.reshape(-1)[best_flat])
     if not np.isfinite(best_cost):
         raise ValueError("no feasible schedule exists on the given grids")
+    tables = history.values if keep_tables else None
 
     if not return_schedule:
         return OfflineResult(
             schedule=None,
             cost=best_cost,
             grids=grids,
-            value_tables=tuple(tables) if keep_tables else None,
+            value_tables=tables,
             gamma=gamma,
-            checkpoint_every=window if streaming else None,
+            checkpoint_every=window,
         )
 
     # ------------------------------------------------------------ backward pass
-    if keep_history:
-        configs = backtrack_schedule(grids, tables, beta)
-    else:
-        configs = _backtrack_checkpointed(grids, beta, T, window, checkpoints, provider)
+    configs = history.backtrack()
+    # the kept tensors go before the schedule is re-priced, so they add
+    # nothing to that step's memory peak
+    del history
     schedule = Schedule(configs)
     # Re-evaluate the schedule cost explicitly; for the exact algorithm this
     # equals ``best_cost`` (up to dispatch tolerance) and serves as a sanity
@@ -540,7 +553,7 @@ def solve_dp(
         schedule=schedule,
         cost=float(breakdown.total),
         grids=grids,
-        value_tables=tuple(tables) if keep_tables else None,
+        value_tables=tables,
         gamma=gamma,
-        checkpoint_every=window if streaming else None,
+        checkpoint_every=window,
     )

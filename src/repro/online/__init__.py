@@ -25,7 +25,6 @@ from .tracker import (
     DPPrefixTracker,
     FixedSequenceTracker,
     PrefixOptimumTracker,
-    SharedTrackerFactory,
     SharedValueStream,
     argmin_config,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "OnlineRunResult",
     "PrefixOptimumTracker",
     "Reactive",
-    "SharedTrackerFactory",
     "SharedValueStream",
     "SlotContext",
     "SlotInfo",

@@ -30,9 +30,9 @@ from ..core.costs import evaluate_schedule
 from ..core.instance import ProblemInstance
 from ..core.schedule import Schedule
 from ..dispatch.allocation import DispatchSolver
-from ..offline.dp import solve_dp
+from ..offline.dp import ValueHistory
 from ..offline.state_grid import StateGrid, grid_for_slot
-from ..offline.transitions import switching_cost_tensor
+from ..offline.transitions import transition
 from .base import OnlineAlgorithm, OnlineContext, SlotInfo
 
 __all__ = [
@@ -164,17 +164,12 @@ def receding_horizon_schedule(
     current = np.zeros(d, dtype=int)
 
     for t in range(T):
-        end = min(T, t + lookahead + 1)
-        window = range(t, end)
         # forward DP over the window, seeded with the switching cost from `current`
+        history = ValueHistory(beta)
         value = None
-        prev_grid = None
-        first_tables = []
-        grids = []
-        for u in window:
+        for u in range(t, min(T, t + lookahead + 1)):
             grid = grid_for_slot(instance, u)
-            configs = grid.configs()
-            costs, _ = dispatcher.solve_grid(u, configs)
+            costs, _ = dispatcher.solve_grid(u, grid.configs())
             g_tensor = costs.reshape(grid.shape)
             if value is None:
                 # switching cost from `current` to every configuration of the grid
@@ -186,23 +181,10 @@ def receding_horizon_schedule(
                     shape[j] = len(vals)
                     arrival = arrival + per_dim.reshape(shape)
             else:
-                from ..offline.transitions import transition
-
-                arrival = transition(value, prev_grid.values, grid.values, beta)
+                arrival = transition(value, history.grids[-1].values, grid.values, beta)
             value = arrival + g_tensor
-            prev_grid = grid
-            grids.append(grid)
-            first_tables.append(value)
-        # choose the window-optimal end state, then backtrack to the first slot
-        flat = int(np.argmin(value))
-        idx = np.unravel_index(flat, grids[-1].shape)
-        chosen = grids[-1].config_at(idx)
-        for u_index in range(len(grids) - 1, 0, -1):
-            prev_value = first_tables[u_index - 1]
-            switch = switching_cost_tensor(grids[u_index - 1].values, chosen, beta)
-            flat = int(np.argmin(prev_value + switch))
-            idx = np.unravel_index(flat, grids[u_index - 1].shape)
-            chosen = grids[u_index - 1].config_at(idx)
-        xs[t] = chosen
-        current = chosen
+            history.append(grid, value)
+        # commit the first decision of the window-optimal path
+        current = history.backtrack()[0]
+        xs[t] = current
     return Schedule(xs)

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .base import Decision, OnlineAlgorithm, OnlineContext, SlotInfo
-from .tracker import DPPrefixTracker, SharedTrackerFactory
+from .tracker import DPPrefixTracker, PrefixOptimumTracker
 
 __all__ = ["LazyCapacityProvisioning"]
 
@@ -52,10 +52,11 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
 
     One tracker, two argmins: the lower and upper targets are the
     ``"smallest"`` and ``"largest"`` optimal last configurations of one
-    prefix-DP value tensor.  ``tracker_factory`` (a
-    :class:`~repro.online.tracker.SharedTrackerFactory`) lets the sweep engine
-    hand LCP its per-instance shared value stream, which Algorithms A and B
-    read too; without one, LCP keeps a private tracker.
+    prefix-DP value tensor.  An explicit ``tracker`` (as for Algorithms A, B
+    and C) lets the sweep engine hand LCP a tracker on its per-instance
+    shared value stream, which Algorithms A and B read too; without one, LCP
+    keeps a private :class:`~repro.online.tracker.DPPrefixTracker` on
+    ``gamma``'s grids.
     """
 
     name = "LCP"
@@ -64,12 +65,11 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
         self,
         gamma: Optional[float] = None,
         allow_heterogeneous: bool = False,
-        tracker_factory: Optional[SharedTrackerFactory] = None,
+        tracker: Optional[PrefixOptimumTracker] = None,
     ):
-        if tracker_factory is not None:
-            self._tracker = tracker_factory.tracker(gamma=gamma)
-        else:
-            self._tracker = DPPrefixTracker(gamma=gamma)
+        if tracker is not None and gamma is not None:
+            raise ValueError("give either an explicit tracker or gamma, not both")
+        self._tracker = tracker if tracker is not None else DPPrefixTracker(gamma=gamma)
         self.allow_heterogeneous = bool(allow_heterogeneous)
         self._current: Optional[np.ndarray] = None
 

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..offline.dp import _backtrack_windowed, backtrack_schedule
+from ..offline.dp import ValueHistory
 from ..offline.state_grid import StateGrid
 from ..offline.transitions import make_transition_plan, startup_cost_tensor, transition
 from .base import SlotInfo
@@ -43,7 +43,6 @@ __all__ = [
     "DPPrefixTracker",
     "FixedSequenceTracker",
     "SharedValueStream",
-    "SharedTrackerFactory",
     "argmin_config",
     "observe_stacked",
     "stackable",
@@ -89,14 +88,13 @@ class SharedValueStream:
     tracker; both tie-breaks read the same stream because tie-breaking only
     affects which argmin is reported, not the tensors.
 
-    ``checkpoint_every`` switches the stream's history to the checkpointed
-    ``O(sqrt(T) * |M|)`` representation of :func:`repro.offline.dp.solve_dp`:
-    only every ``k``-th tensor (plus the frontier) is retained, and replayed
-    steps rematerialise their checkpoint window by re-running the forward DP
-    inside it — the tensors come out bit-identical because the recurrence is
-    deterministic.  Each full replay (a later tracker, or the backward pass of
-    the offline optimum) then costs at most one extra forward pass instead of
-    ``O(T * |M|)`` resident history.
+    The stream is its slots plus one :class:`~repro.offline.dp.ValueHistory`
+    fed from ``slot.grid_operating_cost``.  ``checkpoint_every`` is the
+    history's window: only every ``k``-th tensor (plus the frontier) is
+    retained, and replayed steps rematerialise their window by re-running the
+    forward DP inside it, bit-identically.  Each full replay (a later tracker,
+    or the backward pass of the offline optimum) then costs at most one extra
+    forward pass instead of ``O(T * |M|)`` resident history.
 
     The stream trusts its callers to feed the same slot sequence in order
     (``run_online`` over one :class:`~repro.online.base.SlotContext` guarantees
@@ -105,28 +103,28 @@ class SharedValueStream:
     """
 
     def __init__(self, gamma: Optional[float] = None, checkpoint_every: Optional[int] = None):
-        if gamma is not None and gamma <= 1.0:
-            raise ValueError("gamma must be > 1 when given")
-        if checkpoint_every is not None and int(checkpoint_every) < 1:
-            raise ValueError("checkpoint_every must be a positive integer when given")
+        # a private tracker validates gamma and builds (and caches) the grids
+        self._grid_source = DPPrefixTracker(gamma=gamma)
         self.gamma = gamma
-        self.checkpoint_every = None if checkpoint_every is None else int(checkpoint_every)
-        self._steps = 0
-        self._grids: list = []
-        self._values: list = []  # full history (checkpoint_every is None)
-        self._slots: list = []  # SlotInfo refs for window rematerialisation
-        self._checkpoints: dict = {}  # step -> tensor (checkpointed mode)
-        self._last_value: Optional[np.ndarray] = None
-        self._window: dict = {}  # last rematerialised window, step -> tensor
-        self._grid_cache: dict = {}
+        # the switching costs arrive with the first slot
+        self._history = ValueHistory(None, checkpoint_every)
+        self._slots: list = []
+        slots, grids = self._slots, self._history.grids
+        # closes over the two lists, not the stream, so no reference cycle forms
+        self._history.g_tensor = lambda t: slots[t].grid_operating_cost(grids[t])
 
     def __len__(self) -> int:
-        return self._steps
+        return len(self._history)
+
+    @property
+    def checkpoint_every(self) -> Optional[int]:
+        """The history's checkpoint window (``None``: every tensor is kept)."""
+        return self._history.window
 
     @property
     def grids(self) -> tuple:
         """Per-step grids computed so far."""
-        return tuple(self._grids)
+        return tuple(self._history.grids)
 
     @property
     def values(self) -> tuple:
@@ -139,143 +137,53 @@ class SharedValueStream:
         stream exposes :meth:`value_at` and :meth:`backtrack` instead —
         materialising every tensor at once is exactly what it exists to avoid.
         """
-        if self.checkpoint_every is not None:
-            raise RuntimeError(
-                "a checkpointed SharedValueStream keeps O(sqrt(T)) tensors; "
-                "use value_at(step) / backtrack(beta) instead of .values"
-            )
-        return tuple(self._values)
+        return self._history.values
 
     def value_at(self, step: int) -> np.ndarray:
         """The value tensor ``V_step``, rematerialising its window if needed."""
-        if not 0 <= step < self._steps:
-            raise IndexError(f"step {step} outside the computed range 0..{self._steps - 1}")
-        if self.checkpoint_every is None:
-            return self._values[step]
-        if step == self._steps - 1:
-            return self._last_value
-        hit = self._checkpoints.get(step)
-        if hit is None:
-            hit = self._window.get(step)
-        if hit is None:
-            k = self.checkpoint_every
-            self._rematerialise((step // k) * k)
-            hit = self._window[step]
-        return hit
+        return self._history.value_at(step)
 
     def at(self, step: int, slot: SlotInfo) -> tuple:
         """``(grid, value tensor)`` after observing ``slot`` as step ``step``.
 
-        Previously-computed steps are replayed from the memo (or rematerialised
-        from the nearest checkpoint); the next new step extends the stream.
-        Requesting a step beyond the frontier means the caller skipped slots
-        and is an error.
+        Previously-computed steps are replayed from the history (or
+        rematerialised from the nearest checkpoint); the next new step extends
+        the stream.  Requesting a step beyond the frontier means the caller
+        skipped slots and is an error.
         """
-        if step < self._steps:
-            return self._grids[step], self.value_at(step)
-        if step != self._steps:
+        history = self._history
+        if step < len(history):
+            return history.grids[step], history.value_at(step)
+        if step != len(history):
             raise IndexError(
-                f"stream is at step {self._steps} but step {step} was requested"
+                f"stream is at step {len(history)} but step {step} was requested"
             )
-        grid = self._build_grid(slot.counts)
+        grid = self._grid_source.grid(slot.counts)
         g_tensor = slot.grid_operating_cost(grid)
         if not np.any(np.isfinite(g_tensor)):
             raise ValueError(
                 f"slot {slot.t}: no grid configuration can serve demand {slot.demand:g}"
             )
         if step == 0:
+            history.beta = slot.beta
             arrival = startup_cost_tensor(grid.values, slot.beta)
         else:
-            prev = self._values[step - 1] if self.checkpoint_every is None else self._last_value
-            arrival = transition(prev, self._grids[step - 1].values, grid.values, slot.beta)
+            prev = history.value_at(step - 1)
+            arrival = transition(prev, history.grids[step - 1].values, grid.values, slot.beta)
         value = np.add(arrival, g_tensor, out=arrival)
         value.setflags(write=False)
-        self._grids.append(grid)
-        if self.checkpoint_every is None:
-            self._values.append(value)
-        else:
-            self._slots.append(slot)
-            if step % self.checkpoint_every == 0:
-                self._checkpoints[step] = value
-            self._last_value = value
-        self._steps += 1
+        self._slots.append(slot)
+        history.append(grid, value)
         return grid, value
 
-    def backtrack(self, beta: np.ndarray) -> np.ndarray:
+    def backtrack(self) -> np.ndarray:
         """Optimal configuration path over all observed steps (backward pass).
 
-        Full-history streams hand their tensors straight to
-        :func:`repro.offline.dp.backtrack_schedule`; checkpointed streams walk
-        the same argmin chain window by window, rematerialising each window's
-        tensors from its checkpoint — the sweep engine's offline-optimum path
-        at ``O(sqrt(T) * |M|)`` memory.
+        The history's one backward walk, which rematerialises each window of a
+        checkpointed stream from its checkpoint — the sweep engine's
+        offline-optimum path at ``O(sqrt(T) * |M|)`` memory.
         """
-        beta = np.asarray(beta, dtype=float)
-        if self.checkpoint_every is None:
-            return backtrack_schedule(self._grids, self._values, beta)
-        grids = tuple(self._grids)
-        return _backtrack_windowed(
-            grids,
-            beta,
-            self._steps,
-            self.checkpoint_every,
-            lambda c, e: self._rematerialise(c),
-        )
-
-    def _rematerialise(self, c: int) -> list:
-        """Recompute (and cache) the tensors of the window starting at ``c``."""
-        k = self.checkpoint_every
-        e = min(c + k, self._steps) - 1
-        value = self._checkpoints[c]
-        window = {c: value}
-        for t in range(c + 1, e + 1):
-            grid = self._grids[t]
-            slot = self._slots[t]
-            g_tensor = slot.grid_operating_cost(grid)
-            arrival = transition(value, self._grids[t - 1].values, grid.values, slot.beta)
-            value = np.add(arrival, g_tensor, out=arrival)
-            value.setflags(write=False)
-            window[t] = value
-        self._window = window
-        return [window[t] for t in range(c, e + 1)]
-
-    def _build_grid(self, counts: np.ndarray) -> StateGrid:
-        key = tuple(int(c) for c in counts)
-        grid = self._grid_cache.get(key)
-        if grid is None:
-            if self.gamma is None:
-                grid = StateGrid.full(counts)
-            else:
-                grid = StateGrid.geometric(counts, self.gamma)
-            self._grid_cache[key] = grid
-        return grid
-
-
-class SharedTrackerFactory:
-    """Hands out trackers that share one memoised value stream per ``gamma``.
-
-    One factory serves one instance sweep: Algorithms A, B and LCP then
-    maintain a *single* prefix-DP value stream between them instead of three
-    independent ones.  (Algorithm C's inner tracker observes scaled
-    sub-slots and must keep a private stream — give it a plain
-    :class:`DPPrefixTracker`.)  ``checkpoint_every`` puts every stream the
-    factory creates into the checkpointed ``O(sqrt(T))``-memory mode.
-    """
-
-    def __init__(self, checkpoint_every: Optional[int] = None):
-        self.checkpoint_every = checkpoint_every
-        self._streams: dict = {}
-
-    def stream(self, gamma: Optional[float] = None) -> SharedValueStream:
-        key = None if gamma is None else float(gamma)
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = SharedValueStream(gamma=gamma, checkpoint_every=self.checkpoint_every)
-            self._streams[key] = stream
-        return stream
-
-    def tracker(self, gamma: Optional[float] = None) -> "DPPrefixTracker":
-        return DPPrefixTracker(gamma=gamma, stream=self.stream(gamma))
+        return self._history.backtrack()
 
 
 class PrefixOptimumTracker(abc.ABC):
@@ -329,8 +237,9 @@ class DPPrefixTracker(PrefixOptimumTracker):
         Optional :class:`SharedValueStream`.  When given, the tracker replays
         (and lazily extends) the shared memoised value stream instead of
         maintaining a private one — the cross-run tensor-reuse path of the
-        sweep engine.  Use :class:`SharedTrackerFactory` to construct matching
-        trackers.
+        sweep engine, whose
+        :meth:`~repro.exp.shared.SharedInstanceContext.tracker` builds
+        matching trackers.
     """
 
     def __init__(

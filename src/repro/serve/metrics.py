@@ -35,9 +35,14 @@ when one metric name accumulates more labelled series than the cap (e.g.
 least-recently-touched series is evicted and its value folded into a
 per-metric ``evicted`` aggregate — registry memory stays flat while totals
 remain accountable.  Collectors write without evicting, and each family is
-trimmed to the cap once after they all ran, so every scrape is exact: in
-each snapshot, the resident series plus the ``evicted`` fold count every
-live owner's totals exactly once.
+trimmed to the cap once after they all ran.  A live owner's evicted series
+is re-created by its collector at the next scrape, so its fold counts in
+that scrape's snapshot only; a series no collector re-wrote during the
+scrape that evicts it (a dropped owner's last mirror) folds into an
+aggregate every later snapshot keeps.  So every scrape is exact: in each
+snapshot, the resident series plus the ``evicted`` fold count every live
+owner's totals, and every dropped owner's last mirrored counts, exactly
+once.
 
 Exposition: :meth:`MetricsRegistry.snapshot` (JSON-safe dict, stamped
 ``"schema": 1``), :meth:`MetricsRegistry.deterministic_snapshot` (counters +
@@ -217,10 +222,14 @@ class MetricsRegistry:
             )
         self.max_series_per_metric = int(max_series_per_metric)
         self._families: Dict[str, OrderedDict] = {}
+        # folds of evicted series: the live ones the latest scrape evicted
+        # (re-created at the next), and the ones no collector re-writes
         self._evicted: Dict[str, dict] = {}
+        self._retired: Dict[str, dict] = {}
         self._collectors: List[weakref.ref] = []
         self._collector_prune_at = 64
         self._collecting = False
+        self._rewritten: Optional[set] = None  # (name, labels) written this scrape
         self._label_seq: Dict[str, int] = {}
 
     # ------------------------------------------------------------- get/create
@@ -230,6 +239,8 @@ class MetricsRegistry:
             family = OrderedDict()
             self._families[name] = family
         key = tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+        if self._rewritten is not None:
+            self._rewritten.add((name, key))
         metric = family.get(key)
         if metric is not None:
             if type(metric) is not cls:
@@ -244,11 +255,16 @@ class MetricsRegistry:
             self._trim(name, family)
         return metric
 
-    def _trim(self, name: str, family: OrderedDict) -> None:
-        """Evict ``family``'s least-recently-touched series down to the cap."""
+    def _trim(self, name: str, family: OrderedDict, rewritten=frozenset()) -> None:
+        """Evict ``family``'s least-recently-touched series down to the cap.
+
+        A series in ``rewritten`` (a collector wrote it this scrape) folds
+        into the per-scrape aggregate, any other into the kept one.
+        """
         while len(family) > self.max_series_per_metric:
-            _, metric = family.popitem(last=False)
-            agg = self._evicted.setdefault(name, {"series": 0, "value": 0})
+            key, metric = family.popitem(last=False)
+            folds = self._evicted if (name, key) in rewritten else self._retired
+            agg = folds.setdefault(name, {"series": 0, "value": 0})
             agg["series"] += 1
             agg["value"] += metric.count if isinstance(metric, Histogram) else metric.value
 
@@ -297,10 +313,13 @@ class MetricsRegistry:
         Dead collectors are pruned in passing.  The collectors write without
         evicting, so a live owner's series that the previous trim evicted is
         re-created and folded once per scrape, and no owner's write evicts
-        another owner's series between two trims.
+        another owner's series between two trims.  A series no collector
+        wrote during this scrape has no live owner; evicting it folds it for
+        good.
         """
         live = []
         self._collecting = True
+        self._rewritten = rewritten = set()
         try:
             for ref in self._collectors:
                 callback = ref()
@@ -310,9 +329,11 @@ class MetricsRegistry:
                 callback()
         finally:
             self._collecting = False
+            self._rewritten = None
         self._collectors = live
+        self._evicted = {}
         for name, family in self._families.items():
-            self._trim(name, family)
+            self._trim(name, family, rewritten)
 
     def mirror(self, kinds: Dict[str, str], values: dict, prefix: str = "", **labels) -> None:
         """Set each series ``prefix + key`` of ``kinds`` to ``values[key]``.
@@ -346,11 +367,11 @@ class MetricsRegistry:
         """JSON-safe dump of every resident series (collectors run first).
 
         Every snapshot is exact, past the cap too: the resident series plus
-        the ``evicted`` aggregates count every live owner's totals exactly
-        once.  The aggregates fold the series evicted since the previous
-        snapshot and are reset after being read — beyond the cap, a live
-        owner's evicted series is re-created by its collector at the next
-        scrape, so a cumulative fold would count it again.
+        the ``evicted`` aggregates count every live owner's totals, and every
+        dropped owner's last mirrored counts, exactly once.  The aggregates
+        add the live series this scrape evicted, which the next scrape
+        re-creates (so they are not kept), to the series no collector
+        re-writes, which every snapshot keeps.
         """
         self.collect()
         counters: Dict[str, object] = {}
@@ -371,11 +392,14 @@ class MetricsRegistry:
             "histograms": histograms,
             "series": self.series_count(),
         }
-        if self._evicted:
-            snap["evicted"] = {
-                name: dict(agg) for name, agg in sorted(self._evicted.items())
-            }
-            self._evicted = {}
+        evicted: Dict[str, dict] = {}
+        for folds in (self._retired, self._evicted):
+            for name, agg in folds.items():
+                total = evicted.setdefault(name, {"series": 0, "value": 0})
+                total["series"] += agg["series"]
+                total["value"] += agg["value"]
+        if evicted:
+            snap["evicted"] = dict(sorted(evicted.items()))
         return snap
 
     def deterministic_snapshot(self) -> dict:

@@ -1089,8 +1089,9 @@ class ControllerSession:
         Registered weakly at construction: live sessions surface
         tenant-labelled series (tick cursor, SLA counters, the tick-latency
         histogram over the retained window) whenever the registry snapshots;
-        dead sessions cost nothing, and their last mirrored series stay
-        until they age out of the capped registry under churn.
+        dead sessions cost nothing.  Their series keep the last scraped
+        values, and past the series cap fold into the ``evicted`` aggregate
+        every later snapshot keeps.
         """
         metrics = self.metrics
         label = {"tenant": self.name}

@@ -39,7 +39,7 @@ from repro.serve import (
 )
 from repro.online import AlgorithmA, LazyCapacityProvisioning, run_online
 from repro.online.base import SlotContext
-from repro.online.tracker import DPPrefixTracker, FixedSequenceTracker, SharedTrackerFactory
+from repro.online.tracker import DPPrefixTracker, FixedSequenceTracker, SharedValueStream
 from repro.serve.engine import _decider_kind
 from repro.workloads.scale import quantise_trace
 
@@ -410,7 +410,8 @@ class TestReportCounters:
             ),
             ControllerSession(
                 LazyCapacityProvisioning(
-                    allow_heterogeneous=True, tracker_factory=SharedTrackerFactory()
+                    allow_heterogeneous=True,
+                    tracker=DPPrefixTracker(stream=SharedValueStream()),
                 ),
                 instance.server_types,
             ),

@@ -33,7 +33,7 @@ from repro.exp import (
     run_plan,
     spec,
 )
-from repro.online import DPPrefixTracker, SharedTrackerFactory, SlotContext
+from repro.online import DPPrefixTracker, SlotContext
 from repro.workloads import cpu_gpu_fleet, diurnal_trace, fleet_instance, single_type_fleet
 
 
@@ -140,7 +140,7 @@ class TestEngineEquivalence:
         instance = make_instance()
         context = SharedInstanceContext(instance)
         engine_opt = context.optimal_cost()
-        stream = context.trackers.stream(None)
+        stream = context.stream(None)
         reference = solve_optimal(instance, keep_tables=True)
         assert len(stream) == instance.T
         for t in range(instance.T):

@@ -10,20 +10,26 @@ to the classic pass.  These tests assert exactly that, across
 * time-varying fleet sizes ``m_{t,j}`` (different grids per slot),
 * checkpoint windows 1, 7, T and > T (degenerate window shapes).
 
-Plus the supporting cast: the window auto-tuner, the windowed operating-cost
-provider, the ``return_schedule=False -> schedule is None`` contract, and the
-checkpointed :class:`~repro.online.tracker.SharedValueStream`.
+Plus the supporting cast: the :class:`~repro.offline.dp.ValueHistory` every
+backward pass reads (a hypothesis property against a plain forward loop), the
+window auto-tuner, the windowed operating-cost provider, the
+``return_schedule=False -> schedule is None`` contract, and the checkpointed
+:class:`~repro.online.tracker.SharedValueStream`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ProblemInstance
 from repro.dispatch.allocation import DispatchSolver
+from repro.exp.shared import SharedInstanceContext
 from repro.offline.dp import (
     STREAMING_TABLE_BYTES_THRESHOLD,
+    ValueHistory,
     WindowedOperatingCosts,
     default_checkpoint_every,
     operating_cost_tensors,
@@ -31,9 +37,10 @@ from repro.offline.dp import (
 )
 from repro.offline.graph_approx import solve_approx
 from repro.offline.graph_optimal import solve_optimal
-from repro.offline.state_grid import grid_for_slot
+from repro.offline.state_grid import StateGrid, grid_for_slot
+from repro.offline.transitions import startup_cost_tensor, transition
 from repro.online.base import SlotContext
-from repro.online.tracker import SharedTrackerFactory, SharedValueStream
+from repro.online.tracker import SharedValueStream
 from repro.workloads import (
     bursty_trace,
     cpu_gpu_fleet,
@@ -142,6 +149,64 @@ class TestCheckpointedEquivalence:
         assert approx.cost == pytest.approx(reference.cost, abs=1e-9)
 
 
+class TestValueHistory:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_windowed_history_equals_a_plain_forward_loop(self, data):
+        """Per-step grids that change (so a rematerialised window crosses a
+        grid change), operating costs with ``+inf`` entries, every window
+        shape: ``value_at`` in a random order returns the plain forward
+        loop's tensors bit for bit, ``backtrack`` equals the full-history
+        walk and its path costs ``min V_{T-1}``, and ``values`` raises exactly
+        when the history is windowed."""
+        T = data.draw(st.integers(1, 30))
+        d = data.draw(st.integers(1, 2))
+        window = data.draw(st.one_of(st.none(), st.integers(1, T + 3)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        beta = rng.uniform(0.5, 5.0, size=d)
+        grids, costs, reference = [], [], []
+        for t in range(T):
+            counts = rng.integers(1, 5, size=d)
+            if rng.random() < 0.5:
+                grid = StateGrid.full(counts)
+            else:
+                grid = StateGrid.geometric(counts, 1.5)
+            g = rng.uniform(0.0, 10.0, size=grid.shape)
+            g[rng.random(grid.shape) < 0.3] = np.inf
+            g.flat[rng.integers(g.size)] = rng.uniform(0.0, 10.0)  # one finite entry
+            if t == 0:
+                arrival = startup_cost_tensor(grid.values, beta)
+            else:
+                arrival = transition(reference[-1], grids[-1].values, grid.values, beta)
+            grids.append(grid)
+            costs.append(g)
+            reference.append(arrival + g)
+
+        history = ValueHistory(beta, window, costs.__getitem__)
+        full = ValueHistory(beta)
+        for grid, value in zip(grids, reference):
+            history.append(grid, value.copy())
+            full.append(grid, value)
+        for t in data.draw(st.permutations(range(T))):
+            assert np.array_equal(history.value_at(t), reference[t]), t
+
+        path = history.backtrack()
+        assert np.array_equal(path, full.backtrack())
+        cost, previous = 0.0, np.zeros(d)
+        for t, (grid, x) in enumerate(zip(grids, path)):
+            index = tuple(int(np.searchsorted(v, x_j)) for v, x_j in zip(grid.values, x))
+            assert np.array_equal(grid.config_at(index), x)
+            cost += costs[t][index] + float(np.sum(beta * np.maximum(x - previous, 0)))
+            previous = x
+        assert cost == pytest.approx(float(np.min(reference[-1])), abs=1e-9)
+
+        if window is None:
+            assert len(history.values) == T
+        else:
+            with pytest.raises(RuntimeError):
+                history.values
+
+
 class TestAutoTuner:
     def test_small_keeps_history(self):
         assert default_checkpoint_every(100, 100) is None
@@ -235,11 +300,11 @@ class TestCheckpointedSharedStream:
         slots = self._context(instance)
         reference = solve_dp(instance, keep_tables=True)
 
-        factory = SharedTrackerFactory(checkpoint_every=window)
-        tracker = factory.tracker()
+        context = SharedInstanceContext(instance, checkpoint_every=window)
+        tracker = context.tracker()
         for t in range(instance.T):
             tracker.observe(slots.slot(t))
-        stream = factory.stream()
+        stream = context.stream()
         assert len(stream) == instance.T
         # the frontier minimum is the offline optimum of the forward tables
         assert float(np.min(stream.value_at(instance.T - 1))) == pytest.approx(
@@ -252,20 +317,20 @@ class TestCheckpointedSharedStream:
                 np.asarray(stream.value_at(t)), np.asarray(reference.value_tables[t])
             )
         # the windowed backward pass reproduces the reference schedule
-        configs = stream.backtrack(instance.beta)
+        configs = stream.backtrack()
         assert np.array_equal(configs, reference.schedule.x)
 
     def test_second_tracker_replays_identically(self, horizon_instance):
         slots = self._context(horizon_instance)
-        factory = SharedTrackerFactory(checkpoint_every=6)
-        first = factory.tracker()
+        context = SharedInstanceContext(horizon_instance, checkpoint_every=6)
+        first = context.tracker()
         hats_first = [first.observe(slots.slot(t)) for t in range(horizon_instance.T)]
-        second = factory.tracker()
+        second = context.tracker()
         hats_second = []
         for t in range(horizon_instance.T):
             second.observe(slots.slot(t))
             hats_second.append(second.argmin("largest"))
-        plain = SharedTrackerFactory()
+        plain = SharedInstanceContext(horizon_instance)
         ref_first = plain.tracker()
         ref_hats = [ref_first.observe(slots.slot(t)) for t in range(horizon_instance.T)]
         assert np.array_equal(np.array(hats_first), np.array(ref_hats))

@@ -14,7 +14,7 @@ from repro.online import (
 )
 from repro.offline.state_grid import StateGrid
 from repro.online.base import OnlineRunResult, SlotContext
-from repro.online.tracker import SharedTrackerFactory, observe_stacked, stackable
+from repro.online.tracker import SharedValueStream, observe_stacked, stackable
 
 from conftest import random_instance
 
@@ -158,7 +158,7 @@ class TestStackedObserve:
         assert not tracker.holds(tuple(c + 1 for c in counts))
         for other in (
             DPPrefixTracker(gamma=2.0),
-            SharedTrackerFactory().tracker(),
+            DPPrefixTracker(stream=SharedValueStream()),
             _SubclassedTracker(),
             FixedSequenceTracker([[0, 0]]),
         ):
