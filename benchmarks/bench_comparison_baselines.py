@@ -27,7 +27,7 @@ from bench_utils import once, result_section, write_result
 
 def _compare_on(scenario, include_lcp=False):
     # One shared context serves every online run (A/B and the LCP trackers
-    # read one prefix-DP value stream), the offline optimum *and* the
+    # replay one prefix-DP value history), the offline optimum *and* the
     # static/receding-horizon baselines below, which reuse its dispatcher.
     instance = build_scenario(scenario)
     context = SharedInstanceContext(instance)

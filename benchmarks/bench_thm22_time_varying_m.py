@@ -18,7 +18,7 @@ from bench_utils import once, result_section, write_result
 
 def _run():
     # Both solves route through one shared engine context: the exact schedule
-    # is reconstructed from the context's memoised value stream, the
+    # is reconstructed from the context's shared value history, the
     # approximation shares its dispatch solver and block caches.  The scenario
     # (maintenance window slots 10-14, expansion from slot 20) is addressed
     # declaratively via repro.bench.thm22_spec — the 'time-varying-m' registry

@@ -118,7 +118,7 @@ def ratio_table(
     The comparison routes through the sweep engine
     (:func:`repro.exp.run_plan`): every instance's runs share one dispatch
     solver and its per-slot grid tensors, and the offline optimum is taken
-    from the engine's memoised prefix-DP value stream instead of a separate
+    from the engine's shared prefix-DP value history instead of a separate
     solve.
     """
     from ..exp.engine import AlgorithmSpec, SweepPlan, run_plan

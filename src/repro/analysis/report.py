@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-__all__ = ["format_table", "format_markdown_table", "rows_to_csv", "print_table"]
+__all__ = ["format_table", "format_markdown_table", "rows_to_csv"]
 
 
 def _normalise(rows: Sequence[dict]) -> tuple:
@@ -76,8 +76,3 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
     for row in rows:
         writer.writerow({c: row.get(c, "") for c in columns})
     return buffer.getvalue()
-
-
-def print_table(rows: Sequence[dict], title: Optional[str] = None) -> None:
-    """Print a plain-text table (convenience for benchmarks and examples)."""
-    print(format_table(rows, title=title))

@@ -360,6 +360,9 @@ def _memory_metered(fn):
     The RSS delta is measured around the call from ``/proc/self/status``
     (current residency, not the monotonic peak), so back-to-back metered runs
     each report their own growth — the number the flat-memory gates record.
+    The tracemalloc peak of the same code varies by a few hundred bytes from
+    run to run, so it is rounded to 0.01 MB: a finer figure reports that
+    noise as growth.
     """
     import tracemalloc
 
@@ -371,7 +374,7 @@ def _memory_metered(fn):
     finally:
         tracemalloc.stop()
     rss_delta = max(0.0, _rss_mb() - rss_before)
-    return result, round(peak / 1e6, 3), round(rss_delta, 2)
+    return result, round(peak / 1e6, 2), round(rss_delta, 2)
 
 
 def _measured(fn):
@@ -421,7 +424,9 @@ def run_scale_bench(
     dispatch blocks).
 
     Returns the ``BENCH_scale.json`` payload; wall times and memory are
-    recorded, only cost/schedule equality gates.
+    recorded, only cost/schedule equality gates.  The tracemalloc peaks are
+    rounded to 0.01 MB: the same code's peak varies by a few hundred bytes
+    from run to run, so the same code reads the same number.
     """
     import math
 
@@ -458,7 +463,7 @@ def run_scale_bench(
                 mode="streaming-forward",
                 checkpoint_every=k,
                 wall_seconds=round(fwd_wall, 4),
-                tracemalloc_peak_mb=round(fwd_peak / 1e6, 3),
+                tracemalloc_peak_mb=round(fwd_peak / 1e6, 2),
                 rss_peak_mb=round(fwd_rss, 1),
             )
         )
@@ -472,7 +477,7 @@ def run_scale_bench(
                 mode="streaming",
                 checkpoint_every=k,
                 wall_seconds=round(stream_wall, 4),
-                tracemalloc_peak_mb=round(stream_peak / 1e6, 3),
+                tracemalloc_peak_mb=round(stream_peak / 1e6, 2),
                 rss_peak_mb=round(stream_rss, 1),
                 cost=stream.cost,
             )
@@ -488,7 +493,7 @@ def run_scale_bench(
                     mode="keep-tables",
                     checkpoint_every=None,
                     wall_seconds=round(tables_wall, 4),
-                    tracemalloc_peak_mb=round(tables_peak / 1e6, 3),
+                    tracemalloc_peak_mb=round(tables_peak / 1e6, 2),
                     rss_peak_mb=round(tables_rss, 1),
                     cost=tables.cost,
                 )
@@ -683,6 +688,8 @@ def run_sweep_bench(
             headline={
                 "benchmark": "sweep",
                 "engine_wall_seconds": payload["engine_wall_seconds"],
+                "sequential_wall_seconds": payload["sequential_wall_seconds"],
+                "speedup_vs_sequential": payload["speedup_vs_sequential"],
                 "speedup_vs_pr1": payload["speedup_vs_pr1"],
                 "max_cost_deviation": worst,
             },

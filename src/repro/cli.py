@@ -28,7 +28,7 @@ without writing Python:
 ``python -m repro sweep``
     Batch several online algorithms (times several seeds) through the
     shared-context sweep engine: one dispatch solver, one set of grid
-    operating-cost tensors and one memoised prefix-DP value stream per
+    operating-cost tensors and one prefix-DP value history per
     instance, with optional process sharding (``--jobs``) and machine-readable
     output (``--json``).  Instances come from ``--fleet``/``--trace`` as
     before, or declaratively: ``--scenario NAME[,NAME...] --param k=v`` builds
@@ -1300,8 +1300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=None,
                          help="shard instance sources across this many worker processes")
     p_sweep.add_argument("--checkpoint-every", type=_positive_int, default=None,
-                         help="checkpoint window of the shared prefix-DP value streams "
-                              "(O(sqrt(T)) memory for long-horizon sweeps; default: full history)")
+                         help="checkpoint window of the shared prefix-DP value histories "
+                              "(O(sqrt(T)) memory for long-horizon sweeps; default: every "
+                              "tensor kept)")
     p_sweep.add_argument("--json", default=None, help="write the full report to this JSON file")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -278,30 +278,23 @@ class DispatchSolver:
     ----------
     instance:
         The problem instance providing demands, capacities and cost functions.
-    tol:
-        Relative tolerance of the :class:`~repro.core.cost_functions.CallableCost`
-        dual bisection (it stops once the bracket width falls below ``tol``
-        times the initial bracket scale).
-    max_bisection_steps:
-        Hard cap on the steps of that bisection and of the Newton refinement
-        of curved segments (60 gives ~1e-18 interval width, far below float
-        precision of the cost).
     """
 
+    #: Relative tolerance of the :class:`~repro.core.cost_functions.CallableCost`
+    #: dual bisection: it stops once the bracket width falls below ``tol``
+    #: times the initial bracket scale.
+    tol = 1e-10
+    #: Hard cap on the steps of that bisection and of the Newton refinement of
+    #: curved segments (60 gives ~1e-18 interval width, far below the float
+    #: precision of the cost).
+    max_bisection_steps = 60
     #: Cells per event sweep.  Bounds the sweep's (cells x events)
     #: temporaries on large blocks, such as the streaming DP's windows;
     #: cells never interact, so the chunking leaves every result unchanged.
     _SWEEP_CELLS = 4096
 
-    def __init__(
-        self,
-        instance: ProblemInstance,
-        tol: float = 1e-10,
-        max_bisection_steps: int = 60,
-    ):
+    def __init__(self, instance: ProblemInstance):
         self.instance = instance
-        self.tol = float(tol)
-        self.max_bisection_steps = int(max_bisection_steps)
         self.stats = DispatchStats()
         # the result memos are keyed by signature first, so forget() drops a
         # signature's entries without scanning: signature -> {(scale,
@@ -336,10 +329,6 @@ class DispatchSolver:
         result = DispatchResult(cost=float(costs[0]), loads=loads[0], feasible=bool(np.isfinite(costs[0])))
         self._cache.setdefault(sig, {})[key] = result
         return result
-
-    def operating_cost(self, t: int, x: Sequence[int]) -> float:
-        """Shortcut for ``solve(t, x).cost``."""
-        return self.solve(t, x).cost
 
     def forget(self, t: int) -> None:
         """Drop slot ``t``'s signature and every result memoised for it.

@@ -2,8 +2,8 @@
 
 ``run_plan`` executes a :class:`SweepPlan` — N online algorithms and optional
 offline solves over M instance sources — through one shared context per
-instance (dispatch solver, per-slot grid tensors, memoised prefix-DP value
-stream), with optional process-level sharding for large sweeps.  Instance
+instance (dispatch solver, per-slot grid tensors, one prefix-DP value
+history per ``gamma``), with optional process-level sharding for large sweeps.  Instance
 sources are pre-built :class:`~repro.core.instance.ProblemInstance` objects
 and/or declarative :class:`~repro.scenarios.spec.ScenarioSpec` entries; the
 latter are materialised lazily inside the executing shard and stamped into

@@ -4,13 +4,14 @@ The competitive-ratio experiments (THM8/13/15/22, the comparison and adversary
 sweeps) all follow the same shape: for every instance, compute the offline
 optimum, run a set of online algorithms, and report costs and ratios.  Run
 sequentially, every ``run_online`` call builds its own solver and every
-algorithm recomputes the identical prefix-DP value stream.  The engine instead
+algorithm recomputes the identical prefix-DP forward pass.  The engine instead
 runs the whole plan through one :class:`~repro.exp.shared.SharedInstanceContext`
 per instance:
 
 * one dispatch solver and one set of per-slot grid operating-cost tensors,
-* one memoised prefix-DP value stream per ``gamma`` shared by A/B/LCP (both
-  tie-breaks) — and reused again for the offline optimum,
+* one prefix-DP value history per ``gamma``, built by one forward pass and
+  replayed by A/B/LCP (both tie-breaks) — and read again for the offline
+  optimum,
 * schedule evaluation by gathers from the shared tensors, and
 * optional process-level sharding across instances (``jobs > 1``) for large
   sweeps.
@@ -97,8 +98,8 @@ class OfflineSpec:
     return_schedule: bool = True
     #: Streaming-DP checkpoint window for **approximate** solves only
     #: (``None`` = the plan's ``checkpoint_every``).  ``solver="optimal"``
-    #: reads the shared value stream, whose streaming is governed by the
-    #: plan's ``checkpoint_every`` — setting it on an optimal spec raises.
+    #: reads the shared value history, whose window is the plan's
+    #: ``checkpoint_every`` — setting it on an optimal spec raises.
     checkpoint_every: Optional[int] = None
 
 
@@ -118,9 +119,9 @@ class SweepPlan:
     compute_optimal: bool = True
     #: Process-level sharding across instances (1 = in-process).
     jobs: int = 1
-    #: Checkpoint window of the shared prefix-DP value streams (``None`` =
-    #: full history).  Long-horizon plans set this to keep every instance's
-    #: stream at O(sqrt(T) * |M|) resident tensors.
+    #: Checkpoint window of the shared prefix-DP value histories (``None`` =
+    #: every tensor kept).  Long-horizon plans set this to keep every
+    #: instance's history at O(sqrt(T) * |M|) resident tensors.
     checkpoint_every: Optional[int] = None
 
 
@@ -139,7 +140,7 @@ def _build_b(ctx: SharedInstanceContext, params: dict):
 
 def _build_c(ctx: SharedInstanceContext, params: dict):
     # Algorithm C's inner tracker observes scaled sub-slots — a different
-    # value stream than A/B/LCP — so it keeps a private tracker and shares
+    # value history than A/B/LCP — so it keeps a private tracker and shares
     # only the dispatch solver and the per-slot grid tensors.
     return AlgorithmC(
         epsilon=params.get("epsilon", 0.25),
@@ -258,8 +259,8 @@ def run_instance(
         if off.solver == "optimal":
             if off.checkpoint_every is not None:
                 raise ValueError(
-                    "OfflineSpec(solver='optimal') reads the shared value stream; its "
-                    "streaming is set by the plan's checkpoint_every — a per-spec "
+                    "OfflineSpec(solver='optimal') reads the shared value history; its "
+                    "window is set by the plan's checkpoint_every — a per-spec "
                     "checkpoint_every applies to approx solves only"
                 )
             result = ctx.solve_optimal(return_schedule=off.return_schedule)

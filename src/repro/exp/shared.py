@@ -6,17 +6,17 @@ repeats four kinds of work that are identical across runs:
 1. building a :class:`~repro.dispatch.allocation.DispatchSolver` and solving
    the per-slot grid operating-cost tensors,
 2. constructing the ``T`` :class:`~repro.online.base.SlotInfo` objects,
-3. maintaining the prefix-DP value stream (Algorithms A, B and LCP
-   recompute the *same* tensors ``V_t`` slot by slot), and
+3. the prefix-DP forward pass (Algorithms A, B and LCP recompute the *same*
+   tensors ``V_t`` slot by slot), and
 4. evaluating final schedules against every slot.
 
 :class:`SharedInstanceContext` does each exactly once: one dispatch solver and
-slot context (1, 2, 4 — see :class:`~repro.online.base.SlotContext`), one
-memoised :class:`~repro.online.tracker.SharedValueStream` per ``gamma`` (3),
-and an offline optimum derived from that very stream — ``min_x V_{T-1}[x]`` —
-so the prefix DP is not run a second time for the baseline cost, and the
-optimal *schedule* is reconstructed by the standard backward pass over the
-memoised tensors.
+slot context (1, 2, 4 — see :class:`~repro.online.base.SlotContext`), and one
+:func:`~repro.offline.dp.forward_pass` into a
+:class:`~repro.offline.dp.ValueHistory` per ``gamma`` (3), which every
+tracker of that ``gamma`` replays.  The offline optimum is ``min_x V_{T-1}[x]``
+of the same history, so the DP is not run a second time for the baseline cost,
+and the optimal *schedule* is the history's backward pass.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from ..core.costs import CostBreakdown
 from ..core.instance import ProblemInstance
 from ..core.schedule import Schedule
 from ..dispatch.allocation import DispatchSolver
-from ..offline.dp import OfflineResult
+from ..offline.dp import OfflineResult, ValueHistory, forward_pass
 from ..offline.graph_approx import solve_approx
+from ..offline.state_grid import grid_for_slot
 from ..online.base import OnlineAlgorithm, OnlineRunResult, SlotContext, run_online
-from ..online.tracker import DPPrefixTracker, SharedValueStream
+from ..online.tracker import DPPrefixTracker
 
 __all__ = ["SharedInstanceContext"]
 
@@ -40,17 +41,16 @@ __all__ = ["SharedInstanceContext"]
 class SharedInstanceContext:
     """All cross-run shared state for sweeping one problem instance.
 
-    ``checkpoint_every`` puts the shared prefix-DP value streams into the
-    checkpointed ``O(sqrt(T) * |M|)``-memory mode of the streaming DP core:
-    trackers then retain one tensor per checkpoint window instead of the full
-    per-slot history, and the offline optimum's backward pass rematerialises
-    windows on demand.  Replays (every tracker after the first, plus the
-    backward pass) each cost up to one extra forward DP — the trade that lets
-    long-horizon sweeps fit in memory.  A checkpointed context also caps the
-    slot context's grid-tensor memo (``tensor_budget_bytes``, default 64 MB)
-    so a horizon of per-slot-unique demands cannot rebuild the
-    ``O(T * |M| * d)`` footprint through the dispatch layer; slots past the
-    budget are re-solved per query.
+    ``checkpoint_every`` windows the shared value histories, the
+    ``O(sqrt(T) * |M|)``-memory mode of the streaming DP core: a history then
+    keeps one tensor per checkpoint window instead of every slot's, and its
+    readers rematerialise windows on demand.  Every replay (each tracker, and
+    the offline optimum's backward pass) costs up to one extra forward DP —
+    the trade that lets long-horizon sweeps fit in memory.  A checkpointed
+    context also caps the slot context's grid-tensor memo
+    (``tensor_budget_bytes``, default 64 MB) so a horizon of per-slot-unique
+    demands cannot rebuild the ``O(T * |M| * d)`` footprint through the
+    dispatch layer; slots past the budget are re-solved per query.
     """
 
     #: Grid-tensor memo cap applied when the context runs checkpointed.
@@ -69,7 +69,7 @@ class SharedInstanceContext:
         self.slots = SlotContext(instance, dispatcher, tensor_budget_bytes=tensor_budget_bytes)
         self.dispatcher = self.slots.dispatcher
         self.checkpoint_every = checkpoint_every
-        self._streams: dict = {}
+        self._histories: dict = {}
         self._optimal_cost: Optional[float] = None
 
     # ------------------------------------------------------------- online runs
@@ -77,42 +77,44 @@ class SharedInstanceContext:
         """Run an online algorithm through the shared slot context."""
         return run_online(self.instance, algorithm, slot_context=self.slots)
 
-    def stream(self, gamma: Optional[float] = None) -> SharedValueStream:
-        """This context's one memoised prefix-DP value stream for ``gamma``.
+    def history(self, gamma: Optional[float] = None) -> ValueHistory:
+        """This context's one value history of the instance on ``gamma``'s grids.
 
-        Algorithms A, B and LCP read it between them instead of three
-        independent ones.  (Algorithm C's inner tracker observes scaled
-        sub-slots and keeps a private :class:`DPPrefixTracker`.)
+        Built on first use by one :func:`~repro.offline.dp.forward_pass` over
+        the slot context's grid tensors, windowed at ``checkpoint_every``.
         """
         key = None if gamma is None else float(gamma)
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = SharedValueStream(gamma=gamma, checkpoint_every=self.checkpoint_every)
-            self._streams[key] = stream
-        return stream
+        history = self._histories.get(key)
+        if history is None:
+            slots, instance, beta = self.slots, self.instance, self.instance.beta
+            grids = [grid_for_slot(instance, t, gamma) for t in range(instance.T)]
+            history = ValueHistory(
+                beta,
+                self.checkpoint_every,
+                lambda t: slots.slot(t).grid_operating_cost(grids[t]),
+            )
+            forward_pass(grids, history.g_tensor, beta, history)
+            self._histories[key] = history
+        return history
 
     def tracker(self, gamma: Optional[float] = None) -> DPPrefixTracker:
-        """A prefix-optimum tracker backed by this context's shared value stream."""
-        return DPPrefixTracker(gamma=gamma, stream=self.stream(gamma))
+        """A prefix-optimum tracker replaying this context's value history.
+
+        Algorithms A, B and LCP read one history between them instead of
+        three forward passes.  (Algorithm C's inner tracker observes scaled
+        sub-slots and keeps a private :class:`DPPrefixTracker`.)
+        """
+        return DPPrefixTracker(gamma=gamma, history=self.history(gamma))
 
     # ---------------------------------------------------------- offline solves
-    def _full_stream(self):
-        """The exact (gamma=None) value stream, advanced to the full horizon."""
-        stream = self.stream(None)
-        for t in range(len(stream), self.instance.T):
-            stream.at(t, self.slots.slot(t))
-        return stream
-
     def solve_optimal(self, return_schedule: bool = False) -> OfflineResult:
-        """Offline optimum, computed from the shared value stream.
+        """Offline optimum, read from the exact value history.
 
-        The stream's tensors equal the forward-DP tables of
+        The history's tensors are the forward-DP tables of
         :func:`repro.offline.dp.solve_dp` on the same grids, so the reported
         cost is the same ``min_x V_{T-1}[x]`` and the schedule (when requested)
-        comes from the same backward pass — without running the DP again when
-        any tracker already advanced the stream.  With a checkpointed context
-        the backward pass rematerialises the stream's windows instead of
-        reading a full table history.
+        comes from the same backward pass, which rematerialises the windows of
+        a checkpointed context.
         """
         instance = self.instance
         T, d = instance.T, instance.d
@@ -120,8 +122,8 @@ class SharedInstanceContext:
             return OfflineResult(
                 schedule=Schedule.empty(0, d) if return_schedule else None, cost=0.0, grids=()
             )
-        stream = self._full_stream()
-        best_cost = float(np.min(stream.value_at(T - 1)))
+        history = self.history(None)
+        best_cost = float(np.min(history.value_at(T - 1)))
         if not np.isfinite(best_cost):
             raise ValueError("no feasible schedule exists on the given grids")
         self._optimal_cost = best_cost
@@ -129,17 +131,16 @@ class SharedInstanceContext:
             return OfflineResult(
                 schedule=None,
                 cost=best_cost,
-                grids=stream.grids,
-                checkpoint_every=stream.checkpoint_every,
+                grids=tuple(history.grids),
+                checkpoint_every=history.window,
             )
-        configs = stream.backtrack()
-        schedule = Schedule(configs)
+        schedule = Schedule(history.backtrack())
         breakdown = self.slots.evaluate_schedule(schedule)
         return OfflineResult(
             schedule=schedule,
             cost=float(breakdown.total),
-            grids=stream.grids,
-            checkpoint_every=stream.checkpoint_every,
+            grids=tuple(history.grids),
+            checkpoint_every=history.window,
         )
 
     def optimal_cost(self) -> float:

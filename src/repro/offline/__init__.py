@@ -1,7 +1,7 @@
 """Offline algorithms: exact shortest-path DP, (1+eps)-approximation, reference solvers."""
 
 from .bruteforce import exhaustive_optimal, pairwise_dp_optimal
-from .dp import OfflineResult, operating_cost_tensor, solve_dp
+from .dp import OfflineResult, solve_dp
 from .fractional import FractionalBound, convex_lower_bound
 from .graph_approx import approximation_guarantee, gamma_for_epsilon, solve_approx
 from .graph_optimal import build_graph, optimal_cost, shortest_path_schedule, solve_optimal
@@ -22,7 +22,6 @@ __all__ = [
     "geometric_levels",
     "grid_for_slot",
     "is_linear_instance",
-    "operating_cost_tensor",
     "optimal_cost",
     "pairwise_dp_optimal",
     "round_schedule_to_grid",

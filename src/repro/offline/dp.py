@@ -27,10 +27,14 @@ divide and conquer on the layered graph): the forward pass records its tensors
 in a :class:`ValueHistory`, which keeps one every ``checkpoint_every`` slots
 and, for the backward pass, rematerialises each checkpoint window by re-running
 the forward DP inside it — ``O(sqrt(T) * |M|)`` memory at most one extra
-forward pass of work.  :class:`ValueHistory` is the one owner of kept tensors
-and of the backward argmin walk: the sweep engine's shared prefix stream
-(:class:`~repro.online.tracker.SharedValueStream`) and receding-horizon control
-(:func:`~repro.online.baselines.receding_horizon_schedule`) use it too.
+forward pass of work.  :class:`ForwardDP` is the one forward step and
+:func:`forward_pass` the one forward pass over a horizon; :class:`ValueHistory`
+is the one owner of kept tensors and of the backward argmin walk.  The sweep
+engine's per-``gamma`` history
+(:meth:`~repro.exp.shared.SharedInstanceContext.history`) is a
+:func:`forward_pass` too, and receding-horizon control
+(:func:`~repro.online.baselines.receding_horizon_schedule`) walks a
+:class:`ValueHistory` of its own seeded loop.
 Operating-cost tensors are likewise produced window by window
 (:class:`WindowedOperatingCosts`) instead of all-T upfront, and the dispatch
 engine is asked not to memoise per-slot results while streaming.  Small
@@ -44,8 +48,8 @@ The same engine serves
 * the (1+eps)-approximation (geometric grids ``M^gamma``, Section 4.2),
 * time-dependent data-center sizes (per-slot grids, Section 4.3), and
 * the incremental prefix-optimum tracker used by the online algorithms
-  (:mod:`repro.online.tracker`), which simply keeps the last value tensor and
-  feeds one more slot at a time.
+  (:mod:`repro.online.tracker`), which steps one :class:`ForwardDP` a slot at
+  a time.
 """
 
 from __future__ import annotations
@@ -69,12 +73,13 @@ from .transitions import (
 )
 
 __all__ = [
+    "ForwardDP",
     "OfflineResult",
     "STREAMING_TABLE_BYTES_THRESHOLD",
     "ValueHistory",
     "WindowedOperatingCosts",
     "default_checkpoint_every",
-    "operating_cost_tensor",
+    "forward_pass",
     "operating_cost_tensors",
     "solve_dp",
 ]
@@ -145,18 +150,6 @@ class OfflineResult:
     def num_states_explored(self) -> int:
         """Total number of (slot, configuration) pairs examined."""
         return int(sum(g.size for g in self.grids))
-
-
-def operating_cost_tensor(
-    instance: ProblemInstance,
-    t: int,
-    grid: StateGrid,
-    dispatcher: DispatchSolver,
-) -> np.ndarray:
-    """Evaluate ``g_t(x)`` for every configuration of ``grid`` as a value tensor."""
-    configs = grid.configs()
-    costs, _ = dispatcher.solve_grid(t, configs)
-    return costs.reshape(grid.shape)
 
 
 def operating_cost_tensors(
@@ -293,15 +286,59 @@ def _check_some_feasible(tensor: np.ndarray, t: int) -> None:
         )
 
 
+class ForwardDP:
+    """One step of the forward recurrence ``V_t = g_t + min-plus(V_{t-1})``.
+
+    Holds the newest ``grid`` and ``value`` tensor (``None`` before the first
+    step, unless seeded, e.g. at a history checkpoint) and the same-grid
+    :class:`~repro.offline.transitions.TransitionPlan`.  :meth:`step` charges
+    the start-up costs on the first step, runs the plan when the grid is the
+    previous step's grid object, and a fresh ``transition`` otherwise; the two
+    run one kernel, so the tensors are the same bit for bit.  A plan-produced
+    tensor lives in the plan's buffers and a later step overwrites it: a
+    tensor that must outlive the next steps is stepped with ``keep=True``,
+    which always takes the fresh ``transition``.
+    """
+
+    __slots__ = ("grid", "value", "_plan", "_plan_grid", "_plan_beta")
+
+    def __init__(self, grid: Optional[StateGrid] = None, value: Optional[np.ndarray] = None):
+        self.grid = grid
+        self.value = value
+        self._plan = None
+        self._plan_grid: Optional[StateGrid] = None
+        self._plan_beta: Optional[bytes] = None
+
+    def step(
+        self, grid: StateGrid, g_tensor: np.ndarray, beta: np.ndarray, keep: bool = False
+    ) -> np.ndarray:
+        """Advance to ``V_t`` on ``grid`` with the operating costs ``g_tensor``."""
+        value = self.value
+        if value is None:
+            arrival = startup_cost_tensor(grid.values, beta)
+        elif grid is self.grid and not keep:
+            beta_key = beta.tobytes()
+            if grid is not self._plan_grid or beta_key != self._plan_beta:
+                self._plan = make_transition_plan(grid.values, grid.values, beta)
+                self._plan_grid, self._plan_beta = grid, beta_key
+            arrival = self._plan.apply(value)
+        else:
+            arrival = transition(value, self.grid.values, grid.values, beta)
+        # arrival is a fresh tensor or a plan-owned buffer: accumulate in place
+        self.value = np.add(arrival, g_tensor, out=arrival)
+        self.grid = grid
+        return self.value
+
+
 class ValueHistory:
     """The value tensors ``V_t`` a backward pass reads: kept or rematerialised.
 
     A forward pass appends each step's grid and tensor.  ``window=None`` keeps
     every tensor; a ``window`` keeps every ``window``-th one (the checkpoints)
     plus the newest, and :meth:`value_at` rematerialises any other step by
-    re-running the forward recurrence from its window's checkpoint on the
-    ``g_tensor(t)`` operating-cost tensors, with the forward pass's own
-    ``transition`` plus in-place add, so every tensor comes back bit-identical.
+    stepping a :class:`ForwardDP` from its window's checkpoint on the
+    ``g_tensor(t)`` operating-cost tensors, so every tensor comes back
+    bit-identical.
     The last rematerialised window stays cached: a walk through one window
     recomputes it once, in any order.  ``beta`` is the switching-cost vector
     the transitions and :meth:`backtrack` charge.
@@ -311,7 +348,7 @@ class ValueHistory:
 
     def __init__(
         self,
-        beta: Optional[np.ndarray],
+        beta: np.ndarray,
         window: Optional[int] = None,
         g_tensor: Optional[Callable[[int], np.ndarray]] = None,
     ):
@@ -365,13 +402,12 @@ class ValueHistory:
 
     def _rematerialise(self, c: int) -> dict:
         """Recompute (and cache) the unkept tensors of the window starting at ``c``."""
-        value = self._kept[c]
         # the previous window goes first, so one window is live at a time
         self._window_values = window = {}
+        forward = ForwardDP(self.grids[c], self._kept[c])
         # the newest tensor is held, so the recompute stops short of it
         for t in range(c + 1, min(c + self.window, len(self.grids) - 1)):
-            arrival = transition(value, self.grids[t - 1].values, self.grids[t].values, self.beta)
-            value = np.add(arrival, self.g_tensor(t), out=arrival)
+            value = forward.step(self.grids[t], self.g_tensor(t), self.beta, keep=True)
             value.setflags(write=False)
             window[t] = value
         return window
@@ -409,10 +445,34 @@ class ValueHistory:
         return configs
 
 
+def forward_pass(
+    grids: Sequence[StateGrid],
+    g_tensor: Callable[[int], np.ndarray],
+    beta: np.ndarray,
+    history: Optional[ValueHistory] = None,
+) -> np.ndarray:
+    """Run the forward recurrence over ``grids`` and return ``V_{T-1}``.
+
+    ``g_tensor(t)`` is slot ``t``'s operating-cost tensor on ``grids[t]``; a
+    slot no configuration can serve raises ``ValueError``.  Each step's grid
+    and tensor are appended to the (empty) ``history`` when one is given, and
+    the steps it keeps are stepped with ``keep=True``, so no kept tensor
+    aliases a plan buffer.
+    """
+    forward = ForwardDP()
+    for t, grid in enumerate(grids):
+        cost = g_tensor(t)
+        _check_some_feasible(cost, t)
+        if history is None:
+            forward.step(grid, cost, beta)
+        else:
+            history.append(grid, forward.step(grid, cost, beta, keep=history.keeps(t)))
+    return forward.value
+
+
 def solve_dp(
     instance: ProblemInstance,
     gamma: Optional[float] = None,
-    grids: Optional[Sequence[StateGrid]] = None,
     dispatcher: Optional[DispatchSolver] = None,
     keep_tables: bool = False,
     return_schedule: bool = True,
@@ -427,9 +487,6 @@ def solve_dp(
     gamma:
         When given, use the reduced grids ``M^gamma_{t,j}`` (approximation
         algorithm); when ``None``, use the full grids (exact algorithm).
-        Ignored when explicit ``grids`` are supplied.
-    grids:
-        Optional explicit per-slot grids (advanced use; length must be ``T``).
     dispatcher:
         Shared dispatch solver (created on demand).
     keep_tables:
@@ -459,12 +516,7 @@ def solve_dp(
     beta = instance.beta
     dispatcher = dispatcher or DispatchSolver(instance)
 
-    if grids is not None:
-        grids = tuple(grids)
-        if len(grids) != T:
-            raise ValueError(f"expected {T} grids, got {len(grids)}")
-    else:
-        grids = tuple(grid_for_slot(instance, t, gamma) for t in range(T))
+    grids = tuple(grid_for_slot(instance, t, gamma) for t in range(T))
 
     if T == 0:
         return OfflineResult(
@@ -491,40 +543,7 @@ def solve_dp(
     history = (
         ValueHistory(beta, window, provider.tensor) if keep_tables or return_schedule else None
     )
-    value: Optional[np.ndarray] = None
-
-    # Repeated same-grid slots run through one preallocated TransitionPlan
-    # (the same kernel as `transition`, no per-slot buffer churn), except
-    # when the history keeps every tensor: the plan reuses its output buffers.
-    use_plan = history is None or streaming
-    plan = None
-    plan_grid_key = None
-
-    for t in range(T):
-        grid = grids[t]
-        g_tensor = provider.tensor(t)
-        _check_some_feasible(g_tensor, t)
-        from_plan = use_plan and t > 0 and grid.key == grids[t - 1].key
-        if t == 0:
-            arrival = startup_cost_tensor(grid.values, beta)
-        elif from_plan:
-            if plan_grid_key != grid.key:
-                plan_grid_key = grid.key
-                plan = make_transition_plan(grid.values, grid.values, beta)
-            arrival = plan.apply(value)
-        else:
-            arrival = transition(value, grids[t - 1].values, grid.values, beta)
-        # arrival is a fresh tensor every slot (or a plan-owned buffer), so
-        # accumulate in place
-        value = np.add(arrival, g_tensor, out=arrival)
-        if history is not None:
-            # a plan-owned buffer is overwritten two slots later (ping-pong):
-            # a tensor the history keeps must own its bytes
-            history.append(grid, value.copy() if from_plan and history.keeps(t) else value)
-
-    assert value is not None
-    best_flat = int(np.argmin(value))
-    best_cost = float(value.reshape(-1)[best_flat])
+    best_cost = float(np.min(forward_pass(grids, provider.tensor, beta, history)))
     if not np.isfinite(best_cost):
         raise ValueError("no feasible schedule exists on the given grids")
     tables = history.values if keep_tables else None

@@ -25,7 +25,6 @@ from .tracker import (
     DPPrefixTracker,
     FixedSequenceTracker,
     PrefixOptimumTracker,
-    SharedValueStream,
     argmin_config,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "OnlineRunResult",
     "PrefixOptimumTracker",
     "Reactive",
-    "SharedValueStream",
     "SlotContext",
     "SlotInfo",
     "adaptive_adversary",

@@ -262,7 +262,7 @@ class SlotContext:
     is spent, further slots are re-solved per query instead of memoised.  A
     horizon whose demands are all distinct would otherwise pin one ``|M|``
     cost tensor plus one ``|M| x d`` load block per slot — the very
-    ``O(T * |M| * d)`` footprint the checkpointed value streams exist to
+    ``O(T * |M| * d)`` footprint the checkpointed value histories exist to
     avoid, which is why :class:`~repro.exp.shared.SharedInstanceContext`
     sets a budget whenever it runs checkpointed.  ``None`` (default) keeps
     the unbounded classic behaviour.

@@ -53,10 +53,10 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
     One tracker, two argmins: the lower and upper targets are the
     ``"smallest"`` and ``"largest"`` optimal last configurations of one
     prefix-DP value tensor.  An explicit ``tracker`` (as for Algorithms A, B
-    and C) lets the sweep engine hand LCP a tracker on its per-instance
-    shared value stream, which Algorithms A and B read too; without one, LCP
-    keeps a private :class:`~repro.online.tracker.DPPrefixTracker` on
-    ``gamma``'s grids.
+    and C) lets the sweep engine hand LCP a tracker replaying its
+    per-instance shared value history, which Algorithms A and B read too;
+    without one, LCP keeps a private
+    :class:`~repro.online.tracker.DPPrefixTracker` on ``gamma``'s grids.
     """
 
     name = "LCP"

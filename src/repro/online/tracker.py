@@ -11,12 +11,18 @@ Because power-down is free and every schedule ends in the empty configuration,
 ``OPT(I_t) = min_x V_t[x]`` where ``V_t`` is the forward DP tensor of
 :mod:`repro.offline.dp` — and ``V_t`` can be *maintained incrementally*: one
 separable min-plus transition plus one operating-cost accumulation per slot.
-:class:`DPPrefixTracker` implements exactly that, so the online algorithms run
-in the same asymptotic time as a single offline solve.  Ties among optimal last
-configurations are broken deterministically: :meth:`DPPrefixTracker.observe`
-reports the lexicographically smallest, and :meth:`DPPrefixTracker.argmin`
-reads the largest from the same ``V_t``.  The competitive analysis holds for
-any optimal schedule, so the choice only matters for reproducibility.
+:class:`DPPrefixTracker` implements exactly that by stepping the offline DP's
+own :class:`~repro.offline.dp.ForwardDP`, so the online algorithms run in the
+same asymptotic time as a single offline solve.  A tracker given a complete
+:class:`~repro.offline.dp.ValueHistory` replays it instead: the sweep engine
+runs the forward pass once per instance and ``gamma``, and Algorithms A, B and
+LCP all read it.
+
+Ties among optimal last configurations are broken deterministically:
+:meth:`DPPrefixTracker.observe` reports the lexicographically smallest, and
+:meth:`DPPrefixTracker.argmin` reads the largest from the same ``V_t``.  The
+competitive analysis holds for any optimal schedule, so the choice only
+matters for reproducibility.
 :func:`observe_stacked` advances many private trackers on one grid by one slot
 in one stacked transition (the batched serve engine's DP cohorts).
 
@@ -33,16 +39,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..offline.dp import ValueHistory
+from ..offline.dp import ForwardDP, ValueHistory
 from ..offline.state_grid import StateGrid
-from ..offline.transitions import make_transition_plan, startup_cost_tensor, transition
+from ..offline.transitions import transition
 from .base import SlotInfo
 
 __all__ = [
     "PrefixOptimumTracker",
     "DPPrefixTracker",
     "FixedSequenceTracker",
-    "SharedValueStream",
     "argmin_config",
     "observe_stacked",
     "stackable",
@@ -75,115 +80,6 @@ def argmin_config(
     # grid.configs() row i corresponds to flat index i of the value tensor
     # (C order), so the config is a single row gather — no unravel needed.
     return grid.configs()[idx].copy(), scratch
-
-
-class SharedValueStream:
-    """Memoised prefix-DP value-tensor stream of one canonical slot sequence.
-
-    The incremental DP behind :class:`DPPrefixTracker` depends only on the
-    *observed slots*, never on the consuming algorithm's decisions — so when
-    several algorithms sweep the same instance, their trackers all recompute
-    the identical sequence of value tensors ``V_t``.  A shared stream computes
-    each tensor once (on first traversal) and replays it to every later
-    tracker; both tie-breaks read the same stream because tie-breaking only
-    affects which argmin is reported, not the tensors.
-
-    The stream is its slots plus one :class:`~repro.offline.dp.ValueHistory`
-    fed from ``slot.grid_operating_cost``.  ``checkpoint_every`` is the
-    history's window: only every ``k``-th tensor (plus the frontier) is
-    retained, and replayed steps rematerialise their window by re-running the
-    forward DP inside it, bit-identically.  Each full replay (a later tracker,
-    or the backward pass of the offline optimum) then costs at most one extra
-    forward pass instead of ``O(T * |M|)`` resident history.
-
-    The stream trusts its callers to feed the same slot sequence in order
-    (``run_online`` over one :class:`~repro.online.base.SlotContext` guarantees
-    this); a stream must not be shared between different instances or between
-    differently-scaled slot sequences (e.g. Algorithm C's sub-slot stream).
-    """
-
-    def __init__(self, gamma: Optional[float] = None, checkpoint_every: Optional[int] = None):
-        # a private tracker validates gamma and builds (and caches) the grids
-        self._grid_source = DPPrefixTracker(gamma=gamma)
-        self.gamma = gamma
-        # the switching costs arrive with the first slot
-        self._history = ValueHistory(None, checkpoint_every)
-        self._slots: list = []
-        slots, grids = self._slots, self._history.grids
-        # closes over the two lists, not the stream, so no reference cycle forms
-        self._history.g_tensor = lambda t: slots[t].grid_operating_cost(grids[t])
-
-    def __len__(self) -> int:
-        return len(self._history)
-
-    @property
-    def checkpoint_every(self) -> Optional[int]:
-        """The history's checkpoint window (``None``: every tensor is kept)."""
-        return self._history.window
-
-    @property
-    def grids(self) -> tuple:
-        """Per-step grids computed so far."""
-        return tuple(self._history.grids)
-
-    @property
-    def values(self) -> tuple:
-        """Per-step (read-only) value tensors computed so far.
-
-        ``values[t]`` equals the forward-DP tensor ``V_t`` of
-        :func:`repro.offline.dp.solve_dp` on the same grids, which is what lets
-        the sweep engine reuse the stream for the offline optimum and its
-        backward pass.  Only available with the full history; a checkpointed
-        stream exposes :meth:`value_at` and :meth:`backtrack` instead —
-        materialising every tensor at once is exactly what it exists to avoid.
-        """
-        return self._history.values
-
-    def value_at(self, step: int) -> np.ndarray:
-        """The value tensor ``V_step``, rematerialising its window if needed."""
-        return self._history.value_at(step)
-
-    def at(self, step: int, slot: SlotInfo) -> tuple:
-        """``(grid, value tensor)`` after observing ``slot`` as step ``step``.
-
-        Previously-computed steps are replayed from the history (or
-        rematerialised from the nearest checkpoint); the next new step extends
-        the stream.  Requesting a step beyond the frontier means the caller
-        skipped slots and is an error.
-        """
-        history = self._history
-        if step < len(history):
-            return history.grids[step], history.value_at(step)
-        if step != len(history):
-            raise IndexError(
-                f"stream is at step {len(history)} but step {step} was requested"
-            )
-        grid = self._grid_source.grid(slot.counts)
-        g_tensor = slot.grid_operating_cost(grid)
-        if not np.any(np.isfinite(g_tensor)):
-            raise ValueError(
-                f"slot {slot.t}: no grid configuration can serve demand {slot.demand:g}"
-            )
-        if step == 0:
-            history.beta = slot.beta
-            arrival = startup_cost_tensor(grid.values, slot.beta)
-        else:
-            prev = history.value_at(step - 1)
-            arrival = transition(prev, history.grids[step - 1].values, grid.values, slot.beta)
-        value = np.add(arrival, g_tensor, out=arrival)
-        value.setflags(write=False)
-        self._slots.append(slot)
-        history.append(grid, value)
-        return grid, value
-
-    def backtrack(self) -> np.ndarray:
-        """Optimal configuration path over all observed steps (backward pass).
-
-        The history's one backward walk, which rematerialises each window of a
-        checkpointed stream from its checkpoint — the sweep engine's
-        offline-optimum path at ``O(sqrt(T) * |M|)`` memory.
-        """
-        return self._history.backtrack()
 
 
 class PrefixOptimumTracker(abc.ABC):
@@ -233,31 +129,27 @@ class DPPrefixTracker(PrefixOptimumTracker):
         degrades the competitive guarantee by the same factor but makes the
         per-slot work polynomial in ``log m_j`` (an engineering extension,
         see DESIGN.md).
-    stream:
-        Optional :class:`SharedValueStream`.  When given, the tracker replays
-        (and lazily extends) the shared memoised value stream instead of
-        maintaining a private one — the cross-run tensor-reuse path of the
-        sweep engine, whose
-        :meth:`~repro.exp.shared.SharedInstanceContext.tracker` builds
-        matching trackers.
+    history:
+        Optional complete :class:`~repro.offline.dp.ValueHistory` of the
+        slots the tracker will observe, on ``gamma``'s grids.  The tracker
+        then replays ``history.grids[t]`` and ``history.value_at(t)`` instead
+        of stepping its own :class:`~repro.offline.dp.ForwardDP` — the sweep
+        engine's shared path, whose
+        :meth:`~repro.exp.shared.SharedInstanceContext.tracker` builds the
+        history and its trackers from one ``gamma``.
     """
 
     def __init__(
         self,
         gamma: Optional[float] = None,
-        stream: Optional[SharedValueStream] = None,
+        history: Optional[ValueHistory] = None,
     ):
-        if stream is not None:
-            if gamma is None:
-                gamma = stream.gamma
-            elif stream.gamma is None or float(gamma) != float(stream.gamma):
-                raise ValueError("gamma does not match the shared value stream")
         if gamma is not None and gamma <= 1.0:
             raise ValueError("gamma must be > 1 when given")
         self.gamma = gamma
-        self._stream = stream
-        self._value: Optional[np.ndarray] = None
-        self._grid: Optional[StateGrid] = None
+        self._history = history
+        # the newest grid and V_t, and the same-grid transition plan
+        self._dp = ForwardDP()
         self._grid_counts: Optional[tuple] = None
         self._steps = 0
         self._scratch: Optional[np.ndarray] = None
@@ -268,26 +160,24 @@ class DPPrefixTracker(PrefixOptimumTracker):
         self._grid_cache: dict = {}
         # Steady-state fast paths (all correctness-neutral memos; see observe):
         # the last counts *object* -> its grid, so repeat ticks skip the tuple
-        # key build; ids of cost tensors already past the finiteness check
-        # (value holds the tensor so the id cannot be recycled while mapped);
-        # and a preplanned in-place transition for the unchanged-grid case.
+        # key build; and ids of cost tensors already past the finiteness check
+        # (value holds the tensor so the id cannot be recycled while mapped).
         self._counts_obj: Optional[np.ndarray] = None
         self._counts_grid: Optional[StateGrid] = None
         self._counts_tuple: Optional[tuple] = None
         self._finite_seen: dict = {}
-        self._plan = None
-        self._plan_key: Optional[tuple] = None
 
     # -------------------------------------------------------------- interface
     def reset(self) -> None:
-        self._value = None
-        self._grid = None
+        self._dp = ForwardDP()
         self._grid_counts = None
         self._steps = 0
 
     def observe(self, slot: SlotInfo) -> np.ndarray:
-        if self._stream is not None:
-            self._grid, self._value = self._stream.at(self._steps, slot)
+        dp = self._dp
+        if self._history is not None:
+            dp.value = self._history.value_at(self._steps)
+            dp.grid = self._history.grids[self._steps]
             self._steps += 1
             return self.argmin("smallest")
         counts = slot.counts
@@ -310,35 +200,18 @@ class DPPrefixTracker(PrefixOptimumTracker):
             if len(self._finite_seen) >= 512:
                 self._finite_seen.clear()
             self._finite_seen[id(g_tensor)] = g_tensor
-        if self._value is None:
-            arrival = startup_cost_tensor(grid.values, slot.beta)
-        elif self._grid is grid:
-            # the plan's ping-pong buffers take their own previous output
-            # back as input: the tracker's steady-state loop
-            arrival = self._plan_for(grid, slot.beta).apply(self._value)
-        else:
-            arrival = transition(self._value, self._grid.values, grid.values, slot.beta)
-        # arrival is freshly allocated each step (or a plan-owned buffer that
-        # becomes this step's value) — accumulate in place
-        self._value = np.add(arrival, g_tensor, out=arrival)
-        self._grid = grid
+        # V_t is the tracker's own, so the same-grid steps run the plan
+        dp.step(grid, g_tensor, slot.beta)
         self._grid_counts = self._counts_tuple
         self._steps += 1
         return self.argmin("smallest")
-
-    def _plan_for(self, grid: StateGrid, beta: np.ndarray):
-        """The cached same-grid :class:`TransitionPlan` of ``(grid, beta)``."""
-        key = (id(grid), beta.tobytes())
-        if key != self._plan_key:
-            self._plan_key = key
-            self._plan = make_transition_plan(grid.values, grid.values, beta)
-        return self._plan
 
     def argmin(self, tie_break: str) -> np.ndarray:
         """The ``tie_break`` optimal last configuration of the current ``V_t``."""
         if tie_break not in ("smallest", "largest"):
             raise ValueError("tie_break must be 'smallest' or 'largest'")
-        config, self._scratch = argmin_config(self._value, self._grid, tie_break, self._scratch)
+        dp = self._dp
+        config, self._scratch = argmin_config(dp.value, dp.grid, tie_break, self._scratch)
         return config
 
     def grid(self, counts: np.ndarray) -> StateGrid:
@@ -347,12 +220,12 @@ class DPPrefixTracker(PrefixOptimumTracker):
 
     def holds(self, counts: tuple) -> bool:
         """Whether the tracker holds a ``V_t`` on the grid of the ``counts`` tuple."""
-        return self._value is not None and self._grid_counts == counts
+        return self._dp.value is not None and self._grid_counts == counts
 
     def prefix_optimum_cost(self) -> float:
-        if self._value is None:
+        if self._dp.value is None:
             return 0.0
-        return float(np.min(self._value))
+        return float(np.min(self._dp.value))
 
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
@@ -361,22 +234,19 @@ class DPPrefixTracker(PrefixOptimumTracker):
         Python floats are doubles, so finite values round-trip exactly and a
         restored tracker continues the incremental DP bit-identically; the
         ``+inf`` entries of infeasible configurations are encoded as ``None``
-        to stay strictly JSON-compliant.  Trackers backed by a
-        :class:`SharedValueStream` are sweep-engine internals and are
-        deliberately not checkpointable — the serve layer gives every session
-        a private tracker.
+        to stay strictly JSON-compliant.  Trackers replaying a shared
+        :class:`~repro.offline.dp.ValueHistory` are sweep-engine internals and
+        are deliberately not checkpointable — the serve layer gives every
+        session a private tracker.
         """
-        if self._stream is not None:
+        if self._history is not None:
             raise RuntimeError(
-                "a tracker backed by a SharedValueStream is not checkpointable; "
+                "a tracker replaying a shared ValueHistory is not checkpointable; "
                 "use a private DPPrefixTracker for serve sessions"
             )
-        if self._value is None:
-            value = None
-        else:
-            value = [
-                None if np.isinf(v) else float(v) for v in self._value.reshape(-1)
-            ]
+        value = self._dp.value
+        if value is not None:
+            value = [None if np.isinf(v) else float(v) for v in value.reshape(-1)]
         return {
             "steps": int(self._steps),
             "value": value,
@@ -384,21 +254,20 @@ class DPPrefixTracker(PrefixOptimumTracker):
         }
 
     def load_state_dict(self, state: dict) -> None:
-        if self._stream is not None:
-            raise RuntimeError("cannot restore state into a shared-stream tracker")
+        if self._history is not None:
+            raise RuntimeError("cannot restore state into a shared-history tracker")
         self._steps = int(state["steps"])
         if state["value"] is None:
-            self._value = None
-            self._grid = None
+            self._dp = ForwardDP()
             self._grid_counts = None
         else:
             counts = np.asarray(state["counts"], dtype=int)
-            self._grid = self._build_grid(counts)
+            grid = self._build_grid(counts)
             self._grid_counts = tuple(int(c) for c in counts)
             flat = np.array(
                 [np.inf if v is None else v for v in state["value"]], dtype=float
             )
-            self._value = flat.reshape(self._grid.shape)
+            self._dp = ForwardDP(grid, flat.reshape(grid.shape))
 
     # -------------------------------------------------------------- internals
     def _build_grid(self, counts: np.ndarray) -> StateGrid:
@@ -418,13 +287,13 @@ def stackable(tracker: PrefixOptimumTracker) -> bool:
 
     Only a private exact :class:`DPPrefixTracker` (the class itself, full
     grids, its own value tensor) qualifies; subclasses, ``gamma``-reduced
-    and shared-stream trackers advance through their own
+    and shared-history trackers advance through their own
     :meth:`~DPPrefixTracker.observe`.
     """
     return (
         type(tracker) is DPPrefixTracker
         and tracker.gamma is None
-        and tracker._stream is None
+        and tracker._history is None
     )
 
 
@@ -449,13 +318,12 @@ def observe_stacked(
     Returns one ``(k, d)`` array per entry of ``tie_breaks``: row ``i`` is
     ``trackers[i].argmin(tie_break)`` after the step.
     """
-    lead = trackers[0]
-    grid = lead._grid
-    values = np.stack([tracker._value for tracker in trackers])
+    grid = trackers[0]._dp.grid
+    values = np.stack([tracker._dp.value for tracker in trackers])
     arrival = transition(values, grid.values, grid.values, beta)
     value = np.add(arrival, costs, out=arrival)
     for tracker, row in zip(trackers, value):
-        tracker._value = row
+        tracker._dp.value = row
         tracker._steps += 1
     flat = value.reshape(len(trackers), -1)
     configs = grid.configs()

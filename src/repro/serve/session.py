@@ -217,8 +217,8 @@ def load_checkpoint(
 # --------------------------------------------------------------------------- #
 
 # Serve-side builders construct *private* per-session state (plain trackers,
-# never shared value streams): tenants advance at independent rates, so the
-# lock-step slot sequence a SharedValueStream trusts does not exist here.
+# never a shared value history): tenants advance at independent rates, and a
+# history needs the whole slot sequence before its first reader.
 SERVE_ALGORITHMS: Dict[str, callable] = {
     "A": lambda params: AlgorithmA(gamma=params.get("gamma")),
     "B": lambda params: AlgorithmB(gamma=params.get("gamma")),

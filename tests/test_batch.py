@@ -37,9 +37,10 @@ from repro.serve import (
     load_checkpoint,
     verify_batched,
 )
+from repro.offline.dp import ValueHistory
 from repro.online import AlgorithmA, LazyCapacityProvisioning, run_online
 from repro.online.base import SlotContext
-from repro.online.tracker import DPPrefixTracker, FixedSequenceTracker, SharedValueStream
+from repro.online.tracker import DPPrefixTracker, FixedSequenceTracker
 from repro.serve.engine import _decider_kind
 from repro.workloads.scale import quantise_trace
 
@@ -411,7 +412,7 @@ class TestReportCounters:
             ControllerSession(
                 LazyCapacityProvisioning(
                     allow_heterogeneous=True,
-                    tracker=DPPrefixTracker(stream=SharedValueStream()),
+                    tracker=DPPrefixTracker(history=ValueHistory(instance.beta)),
                 ),
                 instance.server_types,
             ),

@@ -10,11 +10,12 @@ to the classic pass.  These tests assert exactly that, across
 * time-varying fleet sizes ``m_{t,j}`` (different grids per slot),
 * checkpoint windows 1, 7, T and > T (degenerate window shapes).
 
-Plus the supporting cast: the :class:`~repro.offline.dp.ValueHistory` every
-backward pass reads (a hypothesis property against a plain forward loop), the
-window auto-tuner, the windowed operating-cost provider, the
-``return_schedule=False -> schedule is None`` contract, and the checkpointed
-:class:`~repro.online.tracker.SharedValueStream`.
+Plus the supporting cast: the one forward step
+(:class:`~repro.offline.dp.ForwardDP`, :func:`~repro.offline.dp.forward_pass`)
+and the :class:`~repro.offline.dp.ValueHistory` every backward pass reads (a
+hypothesis property against a plain forward loop), the window auto-tuner, the
+windowed operating-cost provider, the ``return_schedule=False -> schedule is
+None`` contract, and the sweep context's checkpointed shared history.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from repro.dispatch.allocation import DispatchSolver
 from repro.exp.shared import SharedInstanceContext
 from repro.offline.dp import (
     STREAMING_TABLE_BYTES_THRESHOLD,
+    ForwardDP,
     ValueHistory,
     WindowedOperatingCosts,
     default_checkpoint_every,
+    forward_pass,
     operating_cost_tensors,
     solve_dp,
 )
@@ -40,7 +43,6 @@ from repro.offline.graph_optimal import solve_optimal
 from repro.offline.state_grid import StateGrid, grid_for_slot
 from repro.offline.transitions import startup_cost_tensor, transition
 from repro.online.base import SlotContext
-from repro.online.tracker import SharedValueStream
 from repro.workloads import (
     bursty_trace,
     cpu_gpu_fleet,
@@ -153,24 +155,34 @@ class TestValueHistory:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_windowed_history_equals_a_plain_forward_loop(self, data):
-        """Per-step grids that change (so a rematerialised window crosses a
-        grid change), operating costs with ``+inf`` entries, every window
-        shape: ``value_at`` in a random order returns the plain forward
-        loop's tensors bit for bit, ``backtrack`` equals the full-history
-        walk and its path costs ``min V_{T-1}``, and ``values`` raises exactly
-        when the history is windowed."""
+        """Per-step grids that repeat (the plan path) and change (so a
+        rematerialised window crosses a grid change; one pair of grids shares
+        a shape), operating costs with ``+inf`` entries, every window shape.
+        A :class:`ForwardDP` stepped with random ``keep`` flags returns the
+        plain forward loop's tensor at every step, bit for bit, and every
+        ``keep=True`` tensor is unchanged after the later steps.
+        :func:`forward_pass` into a history returns ``V_{T-1}``; ``value_at``
+        in a random order returns the plain loop's tensors bit for bit,
+        ``backtrack`` equals the full-history walk and its path costs
+        ``min V_{T-1}``, and ``values`` raises exactly when the history is
+        windowed."""
         T = data.draw(st.integers(1, 30))
         d = data.draw(st.integers(1, 2))
         window = data.draw(st.one_of(st.none(), st.integers(1, T + 3)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         beta = rng.uniform(0.5, 5.0, size=d)
+        full_grid = StateGrid.full(rng.integers(1, 5, size=d))
+        pool = [
+            full_grid,
+            StateGrid([2 * v for v in full_grid.values]),  # same shape, other values
+            StateGrid.geometric(rng.integers(1, 9, size=d), 1.5),
+        ]
         grids, costs, reference = [], [], []
+        index = 0
         for t in range(T):
-            counts = rng.integers(1, 5, size=d)
-            if rng.random() < 0.5:
-                grid = StateGrid.full(counts)
-            else:
-                grid = StateGrid.geometric(counts, 1.5)
+            if t == 0 or rng.random() < 0.4:
+                index = int(rng.integers(len(pool)))
+            grid = pool[index]
             g = rng.uniform(0.0, 10.0, size=grid.shape)
             g[rng.random(grid.shape) < 0.3] = np.inf
             g.flat[rng.integers(g.size)] = rng.uniform(0.0, 10.0)  # one finite entry
@@ -180,12 +192,22 @@ class TestValueHistory:
                 arrival = transition(reference[-1], grids[-1].values, grid.values, beta)
             grids.append(grid)
             costs.append(g)
-            reference.append(arrival + g)
+            reference.append(np.add(arrival, g, out=arrival))
+
+        forward, kept = ForwardDP(), {}
+        for t, (grid, g) in enumerate(zip(grids, costs)):
+            keep = bool(rng.random() < 0.3)
+            value = forward.step(grid, g, beta, keep=keep)
+            assert np.array_equal(value, reference[t]), t
+            if keep:
+                kept[t] = value
+        for t, value in kept.items():
+            assert np.array_equal(value, reference[t]), t
 
         history = ValueHistory(beta, window, costs.__getitem__)
+        assert np.array_equal(forward_pass(grids, costs.__getitem__, beta, history), reference[-1])
         full = ValueHistory(beta)
         for grid, value in zip(grids, reference):
-            history.append(grid, value.copy())
             full.append(grid, value)
         for t in data.draw(st.permutations(range(T))):
             assert np.array_equal(history.value_at(t), reference[t]), t
@@ -202,6 +224,7 @@ class TestValueHistory:
 
         if window is None:
             assert len(history.values) == T
+            assert all(map(np.array_equal, history.values, reference))
         else:
             with pytest.raises(RuntimeError):
                 history.values
@@ -304,20 +327,20 @@ class TestCheckpointedSharedStream:
         tracker = context.tracker()
         for t in range(instance.T):
             tracker.observe(slots.slot(t))
-        stream = context.stream()
-        assert len(stream) == instance.T
-        # the frontier minimum is the offline optimum of the forward tables
-        assert float(np.min(stream.value_at(instance.T - 1))) == pytest.approx(
+        history = context.history()
+        assert len(history) == instance.T
+        # the newest minimum is the offline optimum of the forward tables
+        assert float(np.min(history.value_at(instance.T - 1))) == pytest.approx(
             float(np.min(reference.value_tables[-1])), abs=1e-9
         )
         # rematerialised interior tensors equal the reference tables exactly
         for t in (0, 3, window - 1 if window > 1 else 1, instance.T // 2, instance.T - 2):
             t = min(max(t, 0), instance.T - 1)
             np.testing.assert_array_equal(
-                np.asarray(stream.value_at(t)), np.asarray(reference.value_tables[t])
+                np.asarray(history.value_at(t)), np.asarray(reference.value_tables[t])
             )
         # the windowed backward pass reproduces the reference schedule
-        configs = stream.backtrack()
+        configs = history.backtrack()
         assert np.array_equal(configs, reference.schedule.x)
 
     def test_second_tracker_replays_identically(self, horizon_instance):
@@ -341,14 +364,9 @@ class TestCheckpointedSharedStream:
             ref_hats2.append(ref_second.argmin("largest"))
         assert np.array_equal(np.array(hats_second), np.array(ref_hats2))
 
-    def test_checkpointed_stream_refuses_values_property(self):
-        stream = SharedValueStream(checkpoint_every=4)
-        with pytest.raises(RuntimeError):
-            stream.values
-
-    def test_rejects_bad_checkpoint_every(self):
+    def test_rejects_bad_checkpoint_every(self, horizon_instance):
         with pytest.raises(ValueError):
-            SharedValueStream(checkpoint_every=0)
+            SharedInstanceContext(horizon_instance, checkpoint_every=0).history()
 
 
 class TestSlotContextBudget:

@@ -12,9 +12,10 @@ from repro.online import (
     OnlineContext,
     SlotInfo,
 )
+from repro.offline.dp import ValueHistory
 from repro.offline.state_grid import StateGrid
 from repro.online.base import OnlineRunResult, SlotContext
-from repro.online.tracker import SharedValueStream, observe_stacked, stackable
+from repro.online.tracker import observe_stacked, stackable
 
 from conftest import random_instance
 
@@ -72,7 +73,7 @@ class TestDPPrefixTracker:
             # lexicographically ordered (they may be incomparable componentwise)
             optimum = tracker.prefix_optimum_cost()
             for config in (small, large):
-                assert tracker._value[tracker._grid.index_of(config)] == optimum
+                assert tracker._dp.value[tracker._dp.grid.index_of(config)] == optimum
             assert tuple(small) <= tuple(large)
 
     def test_invalid_parameters(self):
@@ -158,7 +159,7 @@ class TestStackedObserve:
         assert not tracker.holds(tuple(c + 1 for c in counts))
         for other in (
             DPPrefixTracker(gamma=2.0),
-            DPPrefixTracker(stream=SharedValueStream()),
+            DPPrefixTracker(history=ValueHistory(small_instance.beta)),
             _SubclassedTracker(),
             FixedSequenceTracker([[0, 0]]),
         ):
