@@ -1139,7 +1139,8 @@ def _print_trends(json_path: Optional[str]) -> int:
     """``repro bench --latest``: the newest entry of each benchmark in each
     ``BENCH_*.json`` trend series, with its deltas against that benchmark's
     previous entry; a file without a series gets one line with its
-    ``recorded_at``."""
+    ``recorded_at``, and a file that cannot be read one line with the reason
+    (exit 1)."""
     import glob
     import os
 
@@ -1148,8 +1149,11 @@ def _print_trends(json_path: Optional[str]) -> int:
     paths = [json_path] if json_path else sorted(
         glob.glob(os.path.join("benchmarks", "output", "BENCH_*.json"))
     )
-    reports = [report for report in map(trend_report, paths) if report is not None]
+    reports = [trend_report(path) for path in paths]
     for report in reports:
+        if "unreadable" in report:
+            print(f"{report['path']}: unreadable ({report['unreadable']})")
+            continue
         if not report["entries"]:
             print(f"{report['path']}: no trend series (recorded_at {report['recorded_at']})")
             continue
@@ -1167,7 +1171,9 @@ def _print_trends(json_path: Optional[str]) -> int:
                 ))
             else:
                 print("    no previous run to compare")
-    if not any(report["entries"] for report in reports):
+    if any("unreadable" in report for report in reports):
+        return 1
+    if not any(report.get("entries") for report in reports):
         print("no BENCH_*.json with a recorded trend series found "
               "(gated benches append one entry per run)", file=sys.stderr)
         return 1

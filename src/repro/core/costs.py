@@ -105,9 +105,9 @@ def evaluate_schedule(
 
     Infeasible slots (demand exceeding the capacity of the chosen configuration)
     contribute ``inf`` operating cost, mirroring equation (1).  ``memoise=False``
-    forwards to :meth:`~repro.dispatch.DispatchSolver.solve_block` so the
-    streaming DP's final re-evaluation does not repopulate the per-slot dispatch
-    cache it deliberately avoided building.
+    forwards to :meth:`~repro.dispatch.DispatchSolver.solve_block` so a caller
+    that bounds its memory (a budgeted slot context) does not repopulate the
+    per-slot dispatch cache it deliberately avoided building.
     """
     if schedule.x.shape != (instance.T, instance.d):
         raise ValueError(
@@ -127,12 +127,12 @@ def evaluate_schedule(
     # solves is (unique signatures) x (unique configs) fused into vectorised
     # passes — far cheaper than T sequential single-configuration solves.
     # Long horizons are *chunked* so the transient (slots x configs) result
-    # block stays bounded (~500k entries, the streaming DP's final
-    # re-evaluation must not reintroduce an O(T * |M|) allocation); a single
-    # chunk reproduces the historical one-block behaviour exactly.  Only when
-    # the schedule has so many distinct configurations that chunks would
-    # degenerate to a handful of slots does the per-slot single-configuration
-    # path remain the cheaper option.
+    # block stays bounded (~500k entries, so a long schedule never costs an
+    # O(T * |M|) allocation); a single chunk reproduces the historical
+    # one-block behaviour exactly.  Only when the schedule has so many
+    # distinct configurations that chunks would degenerate to a handful of
+    # slots does the per-slot single-configuration path remain the cheaper
+    # option.
     unique_configs, inverse = np.unique(schedule.x, axis=0, return_inverse=True)
     inverse = np.asarray(inverse).reshape(-1)
     chunk = max(1, 500_000 // max(len(unique_configs), 1)) if T else 0

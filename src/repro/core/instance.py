@@ -79,6 +79,17 @@ class ProblemInstance:
             if not isinstance(st, ServerType):
                 raise TypeError(f"server_types entries must be ServerType, got {type(st)!r}")
         object.__setattr__(self, "server_types", types)
+        # the per-type vectors are built once, read-only, so every access
+        # (counts_at on a time-invariant fleet, each slot's beta and zmax)
+        # hands out the same array
+        for attr, values, dtype in (
+            ("_m", [st.count for st in types], int),
+            ("_beta", [st.switching_cost for st in types], float),
+            ("_zmax", [st.capacity for st in types], float),
+        ):
+            vector = np.array(values, dtype=dtype)
+            vector.setflags(write=False)
+            object.__setattr__(self, attr, vector)
 
         demand = _as_demand_array(self.demand)
         demand.setflags(write=False)
@@ -124,18 +135,18 @@ class ProblemInstance:
 
     @property
     def m(self) -> np.ndarray:
-        """Base server counts ``m_j`` as an integer array of length ``d``."""
-        return np.array([st.count for st in self.server_types], dtype=int)
+        """Base server counts ``m_j`` as a read-only integer array of length ``d``."""
+        return self._m
 
     @property
     def beta(self) -> np.ndarray:
-        """Switching costs ``beta_j`` as a float array of length ``d``."""
-        return np.array([st.switching_cost for st in self.server_types], dtype=float)
+        """Switching costs ``beta_j`` as a read-only float array of length ``d``."""
+        return self._beta
 
     @property
     def zmax(self) -> np.ndarray:
-        """Per-server capacities ``zmax_j`` as a float array of length ``d``."""
-        return np.array([st.capacity for st in self.server_types], dtype=float)
+        """Per-server capacities ``zmax_j`` as a read-only float array of length ``d``."""
+        return self._zmax
 
     # -------------------------------------------------------------- accessors
     def cost_function(self, t: int, j: int) -> CostFunction:

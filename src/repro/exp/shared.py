@@ -114,7 +114,8 @@ class SharedInstanceContext:
         :func:`repro.offline.dp.solve_dp` on the same grids, so the reported
         cost is the same ``min_x V_{T-1}[x]`` and the schedule (when requested)
         comes from the same backward pass, which rematerialises the windows of
-        a checkpointed context.
+        a checkpointed context and prices the schedule from the grid tensors
+        it reads (:meth:`~repro.offline.dp.ValueHistory.priced_schedule`).
         """
         instance = self.instance
         T, d = instance.T, instance.d
@@ -127,18 +128,10 @@ class SharedInstanceContext:
         if not np.isfinite(best_cost):
             raise ValueError("no feasible schedule exists on the given grids")
         self._optimal_cost = best_cost
-        if not return_schedule:
-            return OfflineResult(
-                schedule=None,
-                cost=best_cost,
-                grids=tuple(history.grids),
-                checkpoint_every=history.window,
-            )
-        schedule = Schedule(history.backtrack())
-        breakdown = self.slots.evaluate_schedule(schedule)
+        schedule, cost = history.priced_schedule() if return_schedule else (None, best_cost)
         return OfflineResult(
             schedule=schedule,
-            cost=float(breakdown.total),
+            cost=cost,
             grids=tuple(history.grids),
             checkpoint_every=history.window,
         )

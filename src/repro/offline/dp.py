@@ -35,12 +35,13 @@ engine's per-``gamma`` history
 :func:`forward_pass` too, and receding-horizon control
 (:func:`~repro.online.baselines.receding_horizon_schedule`) walks a
 :class:`ValueHistory` of its own seeded loop.
-Operating-cost tensors are likewise produced window by window
-(:class:`WindowedOperatingCosts`) instead of all-T upfront, and the dispatch
-engine is asked not to memoise per-slot results while streaming.  Small
-instances (below :data:`STREAMING_TABLE_BYTES_THRESHOLD` of table history)
-keep the classic full-history pass, which costs no recompute;
-``keep_tables=True`` forces it and exposes the tensors.
+Operating-cost tensors are likewise produced window by window, one per
+dispatch signature and grid (:class:`WindowedOperatingCosts`), and the
+backward walk prices the schedule from the ``g_t(x_t)`` it reads
+(:meth:`ValueHistory.priced_schedule`).  Small instances (below
+:data:`STREAMING_TABLE_BYTES_THRESHOLD` of table history) keep the classic
+full-history pass, which costs no recompute; ``keep_tables=True`` forces it
+and exposes the tensors.
 
 The same engine serves
 
@@ -56,11 +57,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.costs import evaluate_schedule
 from ..core.instance import ProblemInstance
 from ..core.schedule import Schedule
 from ..dispatch.allocation import DispatchSolver
@@ -125,7 +125,9 @@ class OfflineResult:
         could silently masquerade as a solved one; ``None`` makes the
         distinction explicit.
     cost:
-        The total cost ``C(X)`` with respect to the *original* instance.
+        The total cost ``C(X)`` with respect to the *original* instance,
+        priced by the backward walk (:meth:`ValueHistory.priced_schedule`);
+        a cost-only run reports ``min_x V_{T-1}[x]``.
     grids:
         The per-slot state grids that were searched.
     value_tables:
@@ -185,23 +187,26 @@ def operating_cost_tensors(
 class WindowedOperatingCosts:
     """Produce ``g_t`` value tensors one checkpoint window at a time.
 
-    The provider materialises the window containing the requested slot —
-    grouping the window's slots by grid and issuing one batched
-    :meth:`~repro.dispatch.DispatchSolver.solve_block` per distinct grid, the
-    same per-grid batching the whole-horizon path uses — and drops the previous
-    window, so at most ``window`` cost tensors are live.  Windows are aligned
-    to multiples of ``window``, which makes the backward pass rematerialise
-    exactly the tensors the forward pass produced.
+    The provider materialises the window containing the requested slot and
+    drops the previous window.  Windows are aligned to multiples of
+    ``window``, which makes the backward pass rematerialise exactly the
+    tensors the forward pass produced.  Slots are keyed by
+    ``(_slot_signature(t), grid.key)``, and equal keys have the same ``g_t``:
+    a window asks :meth:`~repro.dispatch.DispatchSolver.solve_block` for one
+    representative slot per key (one block per distinct grid, so no
+    ``(slots x |M| x d)`` load block), and the key's slots share its one
+    read-only tensor.  The engine deduplicates by signature anyway, so every
+    cell is the one a whole-window block gives.
 
     With ``memoise=False`` the dispatch engine is told not to cache the
     per-slot results (on long horizons that cache — one cost row *and* one
     ``|M| x d`` load block per signature — is itself ``O(T * |M|)``).  The
-    provider instead keeps its own **byte-capped signature memo of cost
-    tensors only**: real long-horizon traces carry far fewer distinct
-    ``(demand, cost-row)`` signatures than slots, so later windows (and the
-    entire backtracking pass) reuse the forward pass's tensors instead of
-    re-running the dispatch solve, while adversarially unique horizons simply
-    stop inserting once the budget is reached and degrade to recompute.
+    provider instead keeps its own **byte-capped memo of the key tensors**:
+    real long-horizon traces carry far fewer distinct keys than slots, so
+    later windows (and the entire backtracking pass) reuse the forward pass's
+    tensors instead of re-running the dispatch solve, while adversarially
+    unique horizons simply stop inserting once the budget is reached and
+    degrade to recompute.
     """
 
     def __init__(
@@ -240,38 +245,26 @@ class WindowedOperatingCosts:
     def _materialise(self, lo: int) -> None:
         hi = min(lo + self.window, len(self.grids))
         self._tensors.clear()
-        by_grid: dict = {}
-        sig_keys: dict = {}
-        use_sig_memo = not self.memoise  # streaming mode only; the classic
-        # whole-horizon pass already deduplicates inside its single block
+        # grid key -> (grid, {slot key: slots}) of the keys the memo misses
+        pending: dict = {}
         for t in range(lo, hi):
             grid = self.grids[t]
-            if use_sig_memo:
-                sig_keys[t] = (self.dispatcher._slot_signature(t), grid.key)
-                hit = self._sig_memo.get(sig_keys[t])
-                if hit is not None:
-                    self._tensors[t] = hit
-                    self.signature_memo_hits += 1
-                    continue
-            by_grid.setdefault(grid.key, (grid, []))[1].append(t)
-        for grid, ts in by_grid.values():
-            costs, _ = self.dispatcher.solve_block(ts, grid.configs(), memoise=self.memoise)
-            for i, t in enumerate(ts):
-                if not use_sig_memo:
-                    self._tensors[t] = costs[i].reshape(grid.shape)
-                    continue
-                key = sig_keys[t]
-                cached = self._sig_memo.get(key)
-                if cached is not None:
-                    # duplicate signature within the window, first copy wins
-                    self._tensors[t] = cached
-                    continue
-                # copy the row out of the (window x configs) block so a memo
-                # entry pins |M| floats, not the whole window's result (and
-                # the block's load array can be freed immediately)
-                tensor = costs[i].reshape(grid.shape).copy()
-                tensor.setflags(write=False)
-                self._tensors[t] = tensor
+            key = (self.dispatcher._slot_signature(t), grid.key)
+            hit = self._sig_memo.get(key)
+            if hit is not None:
+                self._tensors[t] = hit
+                self.signature_memo_hits += 1
+                continue
+            pending.setdefault(grid.key, (grid, {}))[1].setdefault(key, []).append(t)
+        for grid, by_key in pending.values():
+            representatives = [ts[0] for ts in by_key.values()]
+            costs, _ = self.dispatcher.solve_block(
+                representatives, grid.configs(), memoise=self.memoise
+            )
+            for row, (key, ts) in zip(costs, by_key.items()):
+                tensor = row.reshape(grid.shape)  # read-only, like the block
+                for t in ts:
+                    self._tensors[t] = tensor
                 if self._sig_memo_used + tensor.nbytes <= self.memo_bytes:
                     self._sig_memo[key] = tensor
                     self._sig_memo_used += tensor.nbytes
@@ -291,13 +284,13 @@ class ForwardDP:
 
     Holds the newest ``grid`` and ``value`` tensor (``None`` before the first
     step, unless seeded, e.g. at a history checkpoint) and the same-grid
-    :class:`~repro.offline.transitions.TransitionPlan`.  :meth:`step` charges
-    the start-up costs on the first step, runs the plan when the grid is the
-    previous step's grid object, and a fresh ``transition`` otherwise; the two
-    run one kernel, so the tensors are the same bit for bit.  A plan-produced
-    tensor lives in the plan's buffers and a later step overwrites it: a
-    tensor that must outlive the next steps is stepped with ``keep=True``,
-    which always takes the fresh ``transition``.
+    :class:`~repro.offline.transitions.TransitionPlan` (of the last grid and
+    ``beta`` objects).  :meth:`step` charges the start-up costs on the first
+    step, runs the plan when the grid is the previous step's grid object, and
+    a fresh ``transition`` only on a grid change; the two run one kernel, so
+    the tensors are the same bit for bit.  A plan-produced tensor lives in
+    the plan's buffers and a later step overwrites it, so a tensor that must
+    outlive the next steps is stepped with ``keep=True``, which copies it.
     """
 
     __slots__ = ("grid", "value", "_plan", "_plan_grid", "_plan_beta")
@@ -307,7 +300,7 @@ class ForwardDP:
         self.value = value
         self._plan = None
         self._plan_grid: Optional[StateGrid] = None
-        self._plan_beta: Optional[bytes] = None
+        self._plan_beta: Optional[np.ndarray] = None
 
     def step(
         self, grid: StateGrid, g_tensor: np.ndarray, beta: np.ndarray, keep: bool = False
@@ -316,12 +309,13 @@ class ForwardDP:
         value = self.value
         if value is None:
             arrival = startup_cost_tensor(grid.values, beta)
-        elif grid is self.grid and not keep:
-            beta_key = beta.tobytes()
-            if grid is not self._plan_grid or beta_key != self._plan_beta:
+        elif grid is self.grid:
+            if grid is not self._plan_grid or beta is not self._plan_beta:
                 self._plan = make_transition_plan(grid.values, grid.values, beta)
-                self._plan_grid, self._plan_beta = grid, beta_key
+                self._plan_grid, self._plan_beta = grid, beta
             arrival = self._plan.apply(value)
+            if keep:
+                arrival = arrival.copy()
         else:
             arrival = transition(value, self.grid.values, grid.values, beta)
         # arrival is a fresh tensor or a plan-owned buffer: accumulate in place
@@ -344,7 +338,10 @@ class ValueHistory:
     the transitions and :meth:`backtrack` charge.
     """
 
-    __slots__ = ("beta", "window", "g_tensor", "grids", "_kept", "_newest", "_window_values")
+    __slots__ = (
+        "beta", "window", "g_tensor", "grids", "operating",
+        "_kept", "_newest", "_window_values", "_window_costs",
+    )
 
     def __init__(
         self,
@@ -359,9 +356,12 @@ class ValueHistory:
         self.g_tensor = g_tensor
         #: ``grids[t]`` is the grid ``V_t`` lives on.
         self.grids: List[StateGrid] = []
+        #: ``g_t(x_t)`` along the last :meth:`backtrack`'s path.
+        self.operating: Optional[np.ndarray] = None
         self._kept: dict = {}  # step -> tensor: every step, or every window-th
         self._newest: Optional[np.ndarray] = None
         self._window_values: dict = {}  # the last rematerialised window
+        self._window_costs: dict = {}  # ... and the g_tensor(t) it stepped on
 
     def __len__(self) -> int:
         return len(self.grids)
@@ -404,10 +404,12 @@ class ValueHistory:
         """Recompute (and cache) the unkept tensors of the window starting at ``c``."""
         # the previous window goes first, so one window is live at a time
         self._window_values = window = {}
+        self._window_costs = costs = {}
         forward = ForwardDP(self.grids[c], self._kept[c])
         # the newest tensor is held, so the recompute stops short of it
         for t in range(c + 1, min(c + self.window, len(self.grids) - 1)):
-            value = forward.step(self.grids[t], self.g_tensor(t), self.beta, keep=True)
+            costs[t] = g_tensor = self.g_tensor(t)
+            value = forward.step(self.grids[t], g_tensor, self.beta, keep=True)
             value.setflags(write=False)
             window[t] = value
         return window
@@ -422,9 +424,12 @@ class ValueHistory:
         threaded through the walk, and the switching-cost tensor is memoised
         on its ``(grid, next configuration)`` pair: optimal schedules hold
         their configuration over long stretches, so most steps reuse it.
+        With a ``g_tensor``, the walk records each ``g_t(x_t)`` in
+        :attr:`operating` while the step's window is live.
         """
         T = len(self.grids)
         configs = np.zeros((T, len(self.beta)), dtype=int)
+        operating = None if self.g_tensor is None else np.zeros(T)
         switch: Optional[np.ndarray] = None
         total: Optional[np.ndarray] = None
         switch_key: Optional[tuple] = None
@@ -441,8 +446,27 @@ class ValueHistory:
                 if total is None or total.shape != grid.shape:
                     total = np.empty(grid.shape)
                 table = np.add(table, switch, out=total)
-            configs[t] = grid.config_at(np.unravel_index(int(np.argmin(table)), grid.shape))
+            index = np.unravel_index(int(np.argmin(table)), grid.shape)
+            configs[t] = grid.config_at(index)
+            if operating is not None:
+                # a rematerialised step prices from the tensor it stepped on
+                g_tensor = self._window_costs.get(t)
+                operating[t] = (self.g_tensor(t) if g_tensor is None else g_tensor)[index]
+        self.operating = operating
         return configs
+
+    def priced_schedule(self) -> Tuple[Schedule, float]:
+        """:meth:`backtrack`'s schedule and its cost ``C(X)``, priced from the walk.
+
+        Needs a ``g_tensor``.  Summed as :class:`~repro.core.costs.CostBreakdown`
+        sums it, so a piece-row cost is
+        :func:`~repro.core.costs.evaluate_schedule`'s total bit for bit (a
+        dispatch cell is the same in any block); the ``CallableCost``
+        bisection agrees to its tolerance.
+        """
+        schedule = Schedule(self.backtrack())
+        switching = (schedule.power_ups() * self.beta[None, :]).sum(axis=1)
+        return schedule, float(np.sum(self.operating) + np.sum(switching))
 
 
 def forward_pass(
@@ -535,9 +559,8 @@ def solve_dp(
         window = min(int(checkpoint_every), T)
     else:
         window = default_checkpoint_every(T, max(g.size for g in grids))
-    streaming = window is not None
     provider = WindowedOperatingCosts(
-        instance, grids, dispatcher, window=window, memoise=not streaming
+        instance, grids, dispatcher, window=window, memoise=window is None
     )
 
     history = (
@@ -546,33 +569,13 @@ def solve_dp(
     best_cost = float(np.min(forward_pass(grids, provider.tensor, beta, history)))
     if not np.isfinite(best_cost):
         raise ValueError("no feasible schedule exists on the given grids")
-    tables = history.values if keep_tables else None
-
-    if not return_schedule:
-        return OfflineResult(
-            schedule=None,
-            cost=best_cost,
-            grids=grids,
-            value_tables=tables,
-            gamma=gamma,
-            checkpoint_every=window,
-        )
-
-    # ------------------------------------------------------------ backward pass
-    configs = history.backtrack()
-    # the kept tensors go before the schedule is re-priced, so they add
-    # nothing to that step's memory peak
-    del history
-    schedule = Schedule(configs)
-    # Re-evaluate the schedule cost explicitly; for the exact algorithm this
-    # equals ``best_cost`` (up to dispatch tolerance) and serves as a sanity
-    # check, and for reduced grids it is by definition identical as well.
-    breakdown = evaluate_schedule(instance, schedule, dispatcher, memoise=not streaming)
+    # the backward pass prices its path from the operating costs it reads
+    schedule, cost = history.priced_schedule() if return_schedule else (None, best_cost)
     return OfflineResult(
         schedule=schedule,
-        cost=float(breakdown.total),
+        cost=cost,
         grids=grids,
-        value_tables=tables,
+        value_tables=history.values if keep_tables else None,
         gamma=gamma,
         checkpoint_every=window,
     )

@@ -76,3 +76,20 @@ def test_latest_lists_a_file_without_a_trend_series(tmp_path, monkeypatch):
     code, out, err = run_cli("bench", "--latest", "--json", str(output / "BENCH_old.json"))
     assert code == 1
     assert "no trend series" in out and "no BENCH_*.json" in err
+
+
+def test_latest_names_an_unreadable_file_and_fails(tmp_path, monkeypatch):
+    output = tmp_path / "benchmarks" / "output"
+    output.mkdir(parents=True)
+    (output / "BENCH_bad.json").write_text("{broken")
+    runs = [{"recorded_at": "t0", "benchmark": "serve", "p99_ms": 1.5}]
+    (output / "BENCH_serve.json").write_text(json.dumps({"runs": runs}))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli("bench", "--latest")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("benchmarks/output/BENCH_bad.json: unreadable (Expecting ")
+    assert "benchmarks/output/BENCH_serve.json: 1 recorded run(s)" in lines  # the good file still shows
+    code, out, _ = run_cli("bench", "--latest", "--json", str(output / "BENCH_missing.json"))
+    assert code == 1
+    assert out.strip().endswith(": unreadable (No such file or directory)")

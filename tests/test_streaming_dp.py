@@ -13,9 +13,11 @@ to the classic pass.  These tests assert exactly that, across
 Plus the supporting cast: the one forward step
 (:class:`~repro.offline.dp.ForwardDP`, :func:`~repro.offline.dp.forward_pass`)
 and the :class:`~repro.offline.dp.ValueHistory` every backward pass reads (a
-hypothesis property against a plain forward loop), the window auto-tuner, the
-windowed operating-cost provider, the ``return_schedule=False -> schedule is
-None`` contract, and the sweep context's checkpointed shared history.
+hypothesis property against a plain forward loop), the backward walk's own
+pricing (equal to ``evaluate_schedule``), the window auto-tuner, the windowed
+operating-cost provider (one dispatch query per key), the
+``return_schedule=False -> schedule is None`` contract, and the sweep
+context's checkpointed shared history.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ProblemInstance
+from conftest import random_instance
+from repro import ProblemInstance, ServerType, evaluate_schedule
+from repro.core.cost_functions import CallableCost, QuadraticCost
 from repro.dispatch.allocation import DispatchSolver
 from repro.exp.shared import SharedInstanceContext
 from repro.offline.dp import (
@@ -230,6 +234,71 @@ class TestValueHistory:
                 history.values
 
 
+class TestWalkPricing:
+    """The backward walk prices its own path: ``g_t(x_t)`` read from the
+    operating-cost tensors it walks, plus the power-up costs.  A dispatch cell
+    is bit-identical in any block, so the price is ``evaluate_schedule``'s
+    bit for bit on every family with marginal pieces."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_walk_price_equals_evaluate_schedule(self, data):
+        """Random piece-row fleets (d = 1..3, price rows of ``ScaledCost``
+        factors, time-varying counts), full and gamma grids, every window
+        shape: ``solve_dp`` and the sweep context's ``solve_optimal`` return
+        ``evaluate_schedule``'s total of their schedule exactly."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        T = data.draw(st.integers(1, 12))
+        instance = random_instance(rng, T=T, d=data.draw(st.integers(1, 3)), max_servers=3)
+        if data.draw(st.booleans()):
+            instance = instance.with_price_profile(rng.uniform(0.5, 2.0, size=T))
+        if data.draw(st.booleans()):
+            counts = rng.integers(0, instance.m + 1, size=(T, instance.d))
+            demand = np.minimum(instance.demand, counts @ instance.zmax)
+            instance = ProblemInstance(
+                instance.server_types, demand, instance.cost_functions, counts=counts
+            )
+        gamma = data.draw(st.sampled_from([None, 1.5, 2.0]))
+        window = data.draw(st.sampled_from([None, 1, 3, T]))
+
+        result = solve_dp(instance, gamma=gamma, checkpoint_every=window)
+        priced = evaluate_schedule(instance, result.schedule, DispatchSolver(instance))
+        assert result.cost == priced.total
+
+        optimal = SharedInstanceContext(instance, checkpoint_every=window).solve_optimal(
+            return_schedule=True
+        )
+        priced = evaluate_schedule(instance, optimal.schedule, DispatchSolver(instance))
+        assert optimal.cost == priced.total
+
+    def test_walk_solves_each_step_once_past_the_tensor_budget(self, horizon_instance):
+        """With the grid-tensor budget spent, every ``g_tensor(t)`` re-solves;
+        the walk prices a rematerialised step from the tensor its window
+        stepped on, so the backward pass queries each slot exactly once."""
+        T = horizon_instance.T
+        context = SharedInstanceContext(horizon_instance, checkpoint_every=7, tensor_budget_bytes=0)
+        context.history()
+        stats = context.dispatcher.stats
+        before = stats.slot_queries
+        context.solve_optimal(return_schedule=True)
+        assert stats.slot_queries - before == T
+
+    @pytest.mark.parametrize("window", [None, 1, 3])
+    def test_bisection_rows_price_within_tolerance(self, window):
+        """A ``CallableCost`` row runs the bisection, whose stopping width
+        spans its block, so the walk's price agrees to the tolerance."""
+        types = (
+            ServerType("measured", count=3, switching_cost=1.5, capacity=2.0,
+                       cost_function=CallableCost(lambda z: 0.4 + 0.3 * z + 0.6 * z ** 2.5)),
+            ServerType("quad", count=2, switching_cost=1.0, capacity=3.0,
+                       cost_function=QuadraticCost(idle=0.5, a=0.2, b=0.4)),
+        )
+        instance = ProblemInstance(types, np.array([0.0, 0.7, 2.5, 6.0, 6.0, 3.1, 0.4, 9.5]))
+        result = solve_dp(instance, checkpoint_every=window)
+        priced = evaluate_schedule(instance, result.schedule, DispatchSolver(instance))
+        assert result.cost == pytest.approx(priced.total, rel=1e-9)
+
+
 class TestAutoTuner:
     def test_small_keeps_history(self):
         assert default_checkpoint_every(100, 100) is None
@@ -292,6 +361,33 @@ class TestWindowedProvider:
             horizon_instance, grids, DispatchSolver(horizon_instance)
         )
         np.testing.assert_allclose(provider.tensor(40), reference[40], atol=1e-9)
+
+    @pytest.mark.parametrize("window", [None, 7])
+    def test_one_slot_per_key_in_both_modes(self, varying_counts_instance, window):
+        """Slots sharing ``(signature, grid)`` share one read-only tensor, and
+        ``solve_block`` sees one representative per key: the forward and
+        backward traversals of both modes, and a whole ``solve_dp``, ask for
+        each key once."""
+        T = varying_counts_instance.T
+        instance = varying_counts_instance.with_price_profile(
+            np.tile([1.0, 1.5], (T + 1) // 2)[:T]
+        )
+        grids = tuple(grid_for_slot(instance, t) for t in range(T))
+        dispatcher = DispatchSolver(instance)
+        keys = {(dispatcher._slot_signature(t), grids[t].key) for t in range(T)}
+        assert len(keys) < T  # the trace repeats demand levels
+        reference = operating_cost_tensors(instance, grids, DispatchSolver(instance))
+        provider = WindowedOperatingCosts(
+            instance, grids, dispatcher, window=window, memoise=window is None
+        )
+        for t in [*range(T), *reversed(range(T))]:
+            tensor = provider.tensor(t)
+            assert np.array_equal(tensor, reference[t]) and not tensor.flags.writeable
+        assert dispatcher.stats.slot_queries == len(keys)
+
+        dispatcher = DispatchSolver(instance)
+        solve_dp(instance, dispatcher=dispatcher, checkpoint_every=window)
+        assert dispatcher.stats.slot_queries == len(keys)
 
     def test_streaming_does_not_grow_dispatch_cache(self, horizon_instance):
         dispatcher = DispatchSolver(horizon_instance)
