@@ -27,7 +27,6 @@ from .schedule import Schedule
 
 __all__ = [
     "CostBreakdown",
-    "breakdown_from_parts",
     "evaluate_schedule",
     "total_cost",
     "operating_cost",
@@ -106,7 +105,7 @@ def evaluate_schedule(
     Infeasible slots (demand exceeding the capacity of the chosen configuration)
     contribute ``inf`` operating cost, mirroring equation (1).  ``memoise=False``
     forwards to :meth:`~repro.dispatch.DispatchSolver.solve_block` so a caller
-    that bounds its memory (a budgeted slot context) does not repopulate the
+    that bounds its memory (a windowed slot context) does not repopulate the
     per-slot dispatch cache it deliberately avoided building.
     """
     if schedule.x.shape != (instance.T, instance.d):
@@ -164,25 +163,6 @@ def evaluate_schedule(
             if not np.isfinite(cost_t):
                 feasible = False
 
-    return breakdown_from_parts(instance, schedule, operating, loads, feasible)
-
-
-def breakdown_from_parts(
-    instance: ProblemInstance,
-    schedule: Schedule,
-    operating: np.ndarray,
-    loads: np.ndarray,
-    feasible: bool,
-) -> CostBreakdown:
-    """Assemble a :class:`CostBreakdown` from precomputed per-slot dispatch results.
-
-    ``operating[t]`` is ``g_t(x_t)`` (``inf`` for infeasible slots) and
-    ``loads[t]`` the optimal per-type volumes.  The sweep engine gathers both
-    from the per-slot grid tensors it already computed instead of re-solving
-    the schedule's configurations, then shares this assembly with
-    :func:`evaluate_schedule`.
-    """
-    T, d = instance.T, instance.d
     idle = np.zeros((T, d))
     load_dep = np.zeros((T, d))
     for t in range(T):
@@ -201,11 +181,11 @@ def breakdown_from_parts(
 
     switching = (schedule.power_ups() * instance.beta[None, :]).sum(axis=1)
     return CostBreakdown(
-        operating=np.asarray(operating, dtype=float),
+        operating=operating,
         switching=switching,
         idle=idle,
         load_dependent=load_dep,
-        loads=np.asarray(loads, dtype=float),
+        loads=loads,
         feasible=feasible,
     )
 

@@ -9,10 +9,11 @@ runs the whole plan through one :class:`~repro.exp.shared.SharedInstanceContext`
 per instance:
 
 * one dispatch solver and one set of per-slot grid operating-cost tensors,
-* one prefix-DP value history per ``gamma``, built by one forward pass and
-  replayed by A/B/LCP (both tie-breaks) — and read again for the offline
-  optimum,
-* schedule evaluation by gathers from the shared tensors, and
+* one prefix-DP value history per ``gamma``, built by one forward pass over
+  those tensors and replayed by A/B/LCP (both tie-breaks) — and read again
+  for the offline optimum,
+* schedule evaluation through the shared solver, which answers a schedule's
+  configurations from the grid rows it already solved, and
 * optional process-level sharding across instances (``jobs > 1``) for large
   sweeps.
 

@@ -1,17 +1,18 @@
 """Per-instance shared execution context of the sweep engine.
 
 Running ``N`` online algorithms plus the offline optimum on one instance
-repeats four kinds of work that are identical across runs:
+repeats three kinds of work that are identical across runs:
 
 1. building a :class:`~repro.dispatch.allocation.DispatchSolver` and solving
-   the per-slot grid operating-cost tensors,
-2. constructing the ``T`` :class:`~repro.online.base.SlotInfo` objects,
+   the per-slot grid operating-cost tensors ``g_t``,
+2. constructing the ``T`` :class:`~repro.online.base.SlotInfo` objects, and
 3. the prefix-DP forward pass (Algorithms A, B and LCP recompute the *same*
-   tensors ``V_t`` slot by slot), and
-4. evaluating final schedules against every slot.
+   tensors ``V_t`` slot by slot).
 
-:class:`SharedInstanceContext` does each exactly once: one dispatch solver and
-slot context (1, 2, 4 — see :class:`~repro.online.base.SlotContext`), and one
+:class:`SharedInstanceContext` does each exactly once: one slot context (1, 2
+— see :class:`~repro.online.base.SlotContext`, whose per-``gamma``
+:class:`~repro.offline.dp.WindowedOperatingCosts` providers are the ``g_t``
+every run, tracker and history reads), and one
 :func:`~repro.offline.dp.forward_pass` into a
 :class:`~repro.offline.dp.ValueHistory` per ``gamma`` (3), which every
 tracker of that ``gamma`` replays.  The offline optimum is ``min_x V_{T-1}[x]``
@@ -25,13 +26,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.costs import CostBreakdown
+from ..core.costs import CostBreakdown, evaluate_schedule
 from ..core.instance import ProblemInstance
 from ..core.schedule import Schedule
 from ..dispatch.allocation import DispatchSolver
 from ..offline.dp import OfflineResult, ValueHistory, forward_pass
 from ..offline.graph_approx import solve_approx
-from ..offline.state_grid import grid_for_slot
 from ..online.base import OnlineAlgorithm, OnlineRunResult, SlotContext, run_online
 from ..online.tracker import DPPrefixTracker
 
@@ -46,27 +46,21 @@ class SharedInstanceContext:
     keeps one tensor per checkpoint window instead of every slot's, and its
     readers rematerialise windows on demand.  Every replay (each tracker, and
     the offline optimum's backward pass) costs up to one extra forward DP —
-    the trade that lets long-horizon sweeps fit in memory.  A checkpointed
-    context also caps the slot context's grid-tensor memo
-    (``tensor_budget_bytes``, default 64 MB) so a horizon of per-slot-unique
-    demands cannot rebuild the ``O(T * |M| * d)`` footprint through the
-    dispatch layer; slots past the budget are re-solved per query.
+    the trade that lets long-horizon sweeps fit in memory.  It is also the
+    slot context's window, so the ``g_t`` tensors come one window at a time
+    (plus the provider's byte-capped key memo) and no read writes the
+    dispatch engine's memo: a horizon of per-slot-unique demands cannot
+    rebuild the ``O(T * |M| * d)`` footprint through the dispatch layer.
     """
-
-    #: Grid-tensor memo cap applied when the context runs checkpointed.
-    DEFAULT_TENSOR_BUDGET_BYTES = 64 * 1024 * 1024
 
     def __init__(
         self,
         instance: ProblemInstance,
         dispatcher: Optional[DispatchSolver] = None,
         checkpoint_every: Optional[int] = None,
-        tensor_budget_bytes: Optional[int] = None,
     ):
         self.instance = instance
-        if tensor_budget_bytes is None and checkpoint_every is not None:
-            tensor_budget_bytes = self.DEFAULT_TENSOR_BUDGET_BYTES
-        self.slots = SlotContext(instance, dispatcher, tensor_budget_bytes=tensor_budget_bytes)
+        self.slots = SlotContext(instance, dispatcher, window=checkpoint_every)
         self.dispatcher = self.slots.dispatcher
         self.checkpoint_every = checkpoint_every
         self._histories: dict = {}
@@ -81,19 +75,15 @@ class SharedInstanceContext:
         """This context's one value history of the instance on ``gamma``'s grids.
 
         Built on first use by one :func:`~repro.offline.dp.forward_pass` over
-        the slot context's grid tensors, windowed at ``checkpoint_every``.
+        the slot context's provider of ``gamma``'s grids (the tensors the
+        slots read), windowed at ``checkpoint_every``.
         """
         key = None if gamma is None else float(gamma)
         history = self._histories.get(key)
         if history is None:
-            slots, instance, beta = self.slots, self.instance, self.instance.beta
-            grids = [grid_for_slot(instance, t, gamma) for t in range(instance.T)]
-            history = ValueHistory(
-                beta,
-                self.checkpoint_every,
-                lambda t: slots.slot(t).grid_operating_cost(grids[t]),
-            )
-            forward_pass(grids, history.g_tensor, beta, history)
+            costs, beta = self.slots.costs(gamma), self.instance.beta
+            history = ValueHistory(beta, self.checkpoint_every, costs.tensor)
+            forward_pass(costs.grids, costs.tensor, beta, history)
             self._histories[key] = history
         return history
 
@@ -161,5 +151,7 @@ class SharedInstanceContext:
 
     # -------------------------------------------------------------- evaluation
     def evaluate(self, schedule: Schedule) -> CostBreakdown:
-        """Exact cost breakdown via the shared per-slot grid tensors."""
-        return self.slots.evaluate_schedule(schedule)
+        """Exact cost breakdown through the shared dispatch solver."""
+        return evaluate_schedule(
+            self.instance, schedule, self.dispatcher, memoise=self.checkpoint_every is None
+        )

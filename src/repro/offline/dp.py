@@ -193,10 +193,11 @@ class WindowedOperatingCosts:
     tensors the forward pass produced.  Slots are keyed by
     ``(_slot_signature(t), grid.key)``, and equal keys have the same ``g_t``:
     a window asks :meth:`~repro.dispatch.DispatchSolver.solve_block` for one
-    representative slot per key (one block per distinct grid, so no
-    ``(slots x |M| x d)`` load block), and the key's slots share its one
-    read-only tensor.  The engine deduplicates by signature anyway, so every
-    cell is the one a whole-window block gives.
+    representative slot per key, at most ``500_000 // (|M| * (1 + d))`` of
+    them per call (so one call's cost and load block stays within ~500k
+    floats), and the key's slots share its one read-only tensor.  The engine
+    deduplicates by signature anyway, so every cell is the one a whole-window
+    block gives.
 
     With ``memoise=False`` the dispatch engine is told not to cache the
     per-slot results (on long horizons that cache — one cost row *and* one
@@ -257,17 +258,21 @@ class WindowedOperatingCosts:
                 continue
             pending.setdefault(grid.key, (grid, {}))[1].setdefault(key, []).append(t)
         for grid, by_key in pending.values():
-            representatives = [ts[0] for ts in by_key.values()]
-            costs, _ = self.dispatcher.solve_block(
-                representatives, grid.configs(), memoise=self.memoise
-            )
-            for row, (key, ts) in zip(costs, by_key.items()):
-                tensor = row.reshape(grid.shape)  # read-only, like the block
-                for t in ts:
-                    self._tensors[t] = tensor
-                if self._sig_memo_used + tensor.nbytes <= self.memo_bytes:
-                    self._sig_memo[key] = tensor
-                    self._sig_memo_used += tensor.nbytes
+            # bound each call's transient (slots x |M| x (1 + d)) result block
+            chunk = max(1, 500_000 // (grid.size * (1 + self.instance.d)))
+            entries = list(by_key.items())
+            for first in range(0, len(entries), chunk):
+                part = entries[first : first + chunk]
+                costs, _ = self.dispatcher.solve_block(
+                    [ts[0] for _, ts in part], grid.configs(), memoise=self.memoise
+                )
+                for row, (key, ts) in zip(costs, part):
+                    tensor = row.reshape(grid.shape)  # read-only, like the block
+                    for t in ts:
+                        self._tensors[t] = tensor
+                    if self._sig_memo_used + tensor.nbytes <= self.memo_bytes:
+                        self._sig_memo[key] = tensor
+                        self._sig_memo_used += tensor.nbytes
         self.windows_materialised += 1
 
 

@@ -19,15 +19,17 @@ analysis reads per slot) into :attr:`OnlineRunResult.decisions`.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..core.costs import CostBreakdown, breakdown_from_parts, evaluate_schedule
+from ..core.costs import CostBreakdown, evaluate_schedule
 from ..core.instance import ProblemInstance
 from ..core.schedule import Schedule
 from ..dispatch.allocation import DispatchSolver
+from ..offline.dp import WindowedOperatingCosts
 from ..offline.state_grid import grid_for_slot
 
 __all__ = [
@@ -73,8 +75,9 @@ class SlotInfo:
     zmax: np.ndarray
     _evaluator: Callable[[np.ndarray], np.ndarray]
     #: Optional fast path: ``grid -> value tensor of g_t over the whole grid``.
-    #: Populated by :class:`SlotContext` so that every tracker sharing the
-    #: context reads one precomputed tensor instead of re-querying dispatch.
+    #: :class:`SlotContext` reads it from its providers (and the serve
+    #: sessions from their cache), so every tracker reading the slot gets one
+    #: shared tensor instead of re-querying dispatch.
     _grid_evaluator: Optional[Callable] = None
 
     def idle_costs(self) -> np.ndarray:
@@ -240,203 +243,104 @@ class OnlineRunResult:
         return out
 
 
+class _SlotCosts:
+    """The ``g_t`` reads of one instance's slots: one provider per grid family.
+
+    A :class:`SlotContext`'s slots hold this object's bound methods, never
+    the context, so dropping a context frees it by reference counting.
+    """
+
+    def __init__(self, instance: ProblemInstance, dispatcher: DispatchSolver, window: Optional[int]):
+        self.instance = instance
+        self.dispatcher = dispatcher
+        self.window = window
+        self.providers: dict = {}
+
+    def provider(self, gamma: Optional[float] = None) -> WindowedOperatingCosts:
+        key = None if gamma is None else float(gamma)
+        provider = self.providers.get(key)
+        if provider is None:
+            instance = self.instance
+            grids = [grid_for_slot(instance, t, gamma) for t in range(instance.T)]
+            provider = self.providers[key] = WindowedOperatingCosts(
+                instance, grids, self.dispatcher, window=self.window, memoise=self.window is None
+            )
+        return provider
+
+    def row(self, t: int, configs: np.ndarray) -> np.ndarray:
+        costs, _ = self.dispatcher.solve_block([t], configs, memoise=self.window is None)
+        return costs[0]
+
+    def grid_tensor(self, t: int, grid) -> np.ndarray:
+        self.provider()  # the full grids' provider is built on the first read
+        for provider in self.providers.values():
+            if provider.grids[t].key == grid.key:
+                return provider.tensor(t)
+        return self.row(t, grid.configs()).reshape(grid.shape)
+
+
 class SlotContext:
-    """Reusable per-instance driver state shared by many online runs.
+    """The slots of one instance, as :func:`run_online` reveals them.
 
-    ``run_online`` builds ``T`` :class:`SlotInfo` objects and evaluates the
-    final schedule for every run.  When one instance is swept by several
-    algorithms (the sweep engine's core loop), that work is identical across
-    runs; a ``SlotContext`` does it once:
+    Every run steps one: :func:`run_online` builds a private context unless
+    it is given one, and the sweep engine shares one between every run of an
+    instance.  A context builds each slot's immutable :class:`SlotInfo` once
+    and reads ``g_t`` through one
+    :class:`~repro.offline.dp.WindowedOperatingCosts` per grid family
+    (:meth:`costs`), built on first use over
+    :func:`~repro.offline.state_grid.grid_for_slot`'s grids as
+    :func:`~repro.offline.dp.solve_dp` builds its own.  A slot's
+    :meth:`SlotInfo.grid_operating_cost` returns the provider's tensor when
+    the grid is the slot's grid in a built family (the full grids' provider
+    is built on the first read); any other read, a configuration batch or a
+    grid of no built family, is one ``solve_block`` row of the same solver.
 
-    * one shared :class:`DispatchSolver`,
-    * prebuilt, immutable per-slot :class:`SlotInfo` objects whose
-      :meth:`SlotInfo.grid_operating_cost` serves memoised whole-grid value
-      tensors — computed once per distinct dispatch signature and handed to
-      every algorithm and tracker that shares the context, and
-    * schedule evaluation by *gathering* costs and loads from those tensors
-      (:meth:`evaluate_schedule`) instead of re-solving each schedule's
-      configuration set from scratch.
-
-    ``tensor_budget_bytes`` caps the grid-tensor memo (and tells the dispatch
-    engine not to mirror the entries in its own block cache): once the budget
-    is spent, further slots are re-solved per query instead of memoised.  A
-    horizon whose demands are all distinct would otherwise pin one ``|M|``
-    cost tensor plus one ``|M| x d`` load block per slot — the very
-    ``O(T * |M| * d)`` footprint the checkpointed value histories exist to
-    avoid, which is why :class:`~repro.exp.shared.SharedInstanceContext`
-    sets a budget whenever it runs checkpointed.  ``None`` (default) keeps
-    the unbounded classic behaviour.
+    ``window`` is the providers' window.  ``None`` (default) solves a grid's
+    every key in one pass and memoises in the dispatch engine; a window (the
+    sweep's ``checkpoint_every``) holds one window of tensors plus the
+    provider's byte-capped key memo, and no read writes the dispatch
+    engine's memo, so a horizon of per-slot-unique demands keeps no
+    ``O(T * |M| * d)`` footprint.
     """
 
     def __init__(
         self,
         instance: ProblemInstance,
         dispatcher: Optional[DispatchSolver] = None,
-        tensor_budget_bytes: Optional[int] = None,
+        window: Optional[int] = None,
     ):
         self.instance = instance
         self.dispatcher = dispatcher or DispatchSolver(instance)
+        self.window = window
         self.context = OnlineContext(
             server_types=instance.server_types,
             beta=instance.beta,
             zmax=instance.zmax,
             base_counts=instance.m,
         )
-        self.tensor_budget_bytes = tensor_budget_bytes
-        self._tensor_bytes_used = 0
+        self._costs = _SlotCosts(instance, self.dispatcher, window)
         self._slots: list = [None] * instance.T
-        self._tensor_cache: dict = {}
-        self._batched_grids: set = set()
 
-    def _cache_tensors(self, key, costs: np.ndarray, loads: np.ndarray) -> None:
-        if self.tensor_budget_bytes is not None:
-            size = costs.nbytes + loads.nbytes
-            if self._tensor_bytes_used + size > self.tensor_budget_bytes:
-                return
-            self._tensor_bytes_used += size
-            # copy rows out of the batched block so a cached entry pins its
-            # own bytes, not the whole (slots x configs) result it came from
-            costs = costs.copy()
-            costs.setflags(write=False)
-            loads = loads.copy()
-            loads.setflags(write=False)
-        self._tensor_cache[key] = (costs, loads)
+    def costs(self, gamma: Optional[float] = None) -> WindowedOperatingCosts:
+        """The ``g_t`` provider of ``gamma``'s grids, the one the slots read."""
+        return self._costs.provider(gamma)
 
     def slot(self, t: int) -> SlotInfo:
         """The (cached) :class:`SlotInfo` of slot ``t``."""
         slot = self._slots[t]
         if slot is None:
-            instance, dispatcher = self.instance, self.dispatcher
-
-            def evaluator(batch: np.ndarray, _t: int = t) -> np.ndarray:
-                costs, _ = dispatcher.solve_grid(_t, batch)
-                return costs
-
-            def grid_evaluator(grid, _t: int = t) -> np.ndarray:
-                return self._grid_tensors(_t, grid)[0]
-
-            slot = SlotInfo(
+            instance, costs = self.instance, self._costs
+            slot = self._slots[t] = SlotInfo(
                 t=t,
                 demand=float(instance.demand[t]),
                 cost_functions=instance.cost_row(t),
                 counts=instance.counts_at(t),
                 beta=instance.beta,
                 zmax=instance.zmax,
-                _evaluator=evaluator,
-                _grid_evaluator=grid_evaluator,
+                _evaluator=partial(costs.row, t),
+                _grid_evaluator=partial(costs.grid_tensor, t),
             )
-            self._slots[t] = slot
         return slot
-
-    def _grid_tensors(self, t: int, grid) -> tuple:
-        """``(cost tensor, per-config loads)`` of ``g_t`` over ``grid``.
-
-        Memoised per ``(dispatch signature, scale, grid)``, so slots that share
-        a signature share one tensor and repeat queries skip even the dispatch
-        block-cache lookup and reshape.  The first query for a grid triggers
-        :meth:`_batch_grid`, which pushes *every* slot sharing the grid through
-        one ``solve_block`` call — keeping the cross-demand vectorisation
-        that slot-by-slot queries would forfeit.
-        """
-        sig, scale = self.dispatcher._slot_signature(t)
-        key = (sig, scale, grid.key)
-        hit = self._tensor_cache.get(key)
-        if hit is None:
-            self._batch_grid(grid)
-            hit = self._tensor_cache.get(key)
-        if hit is None:
-            # budget-evicted slot, or a slot whose counts match no batch:
-            # re-solve per query (correct, just not memoised)
-            costs, loads = self.dispatcher.solve_block(
-                [t], grid.configs(), memoise=self.tensor_budget_bytes is None
-            )
-            hit = (costs[0].reshape(grid.shape), loads[0])
-            self._cache_tensors(key, *hit)
-        return hit
-
-    def _batch_grid(self, grid) -> None:
-        """Solve ``g_t`` over ``grid`` for all matching slots in one block.
-
-        A grid applies to every slot whose available counts equal the grid's
-        per-dimension maxima (full and geometric grids both satisfy this), so
-        those slots form one dispatch block: the solver deduplicates them by
-        signature and runs a single vectorised solve across the unique
-        demands, exactly as the offline DP's ``operating_cost_tensors`` does.
-        """
-        if grid.key in self._batched_grids:
-            return
-        self._batched_grids.add(grid.key)
-        instance = self.instance
-        counts_key = tuple(int(v) for v in grid.max_values())
-        pending_keys: list = []
-        pending_ts: list = []
-        seen: set = set()
-        for t in range(instance.T):
-            if tuple(int(c) for c in instance.counts_at(t)) != counts_key:
-                continue
-            sig, scale = self.dispatcher._slot_signature(t)
-            key = (sig, scale, grid.key)
-            if key in self._tensor_cache or key in seen:
-                continue
-            seen.add(key)
-            pending_keys.append(key)
-            pending_ts.append(t)
-        if not pending_ts:
-            return
-        memoise = self.tensor_budget_bytes is None
-        if memoise:
-            chunk = len(pending_ts)
-        else:
-            # bound the transient (slots x configs x (1+d)) result block the
-            # same way evaluate_schedule chunks long horizons — one unchunked
-            # call would materialise O(T * |M| * d) regardless of the budget
-            chunk = max(1, 500_000 // max(grid.size * (1 + self.instance.d), 1))
-        for lo in range(0, len(pending_ts), chunk):
-            if not memoise and self._tensor_bytes_used >= self.tensor_budget_bytes:
-                # budget exhausted: the remaining slots would be solved only
-                # to be discarded — leave them to the per-query safety net
-                break
-            costs, loads = self.dispatcher.solve_block(
-                pending_ts[lo : lo + chunk], grid.configs(), memoise=memoise
-            )
-            for i, key in enumerate(pending_keys[lo : lo + chunk]):
-                self._cache_tensors(key, costs[i].reshape(grid.shape), loads[i])
-
-    def evaluate_schedule(self, schedule: Schedule) -> CostBreakdown:
-        """Exact cost breakdown of a schedule, gathered from the grid tensors.
-
-        Gathers only from tensors that earlier runs already materialised; a
-        cold slot (e.g. a reduced-grid-only sweep that never touched the full
-        grid) falls back to the general path, which solves just the schedule's
-        own configurations instead of a whole grid.
-        """
-        instance = self.instance
-        T, d = instance.T, instance.d
-        operating = np.zeros(T)
-        loads = np.zeros((T, d))
-        feasible = True
-        # the fallback must honour the tensor budget: with memoise=True it
-        # would repopulate the unbounded dispatch block cache the budget caps
-        memoise = self.tensor_budget_bytes is None
-        for t in range(T):
-            grid = grid_for_slot(instance, t)
-            sig, scale = self.dispatcher._slot_signature(t)
-            hit = self._tensor_cache.get((sig, scale, grid.key))
-            if hit is None:
-                return evaluate_schedule(instance, schedule, self.dispatcher, memoise=memoise)
-            try:
-                idx = grid.index_of(schedule[t])
-            except ValueError:
-                # off-grid configuration (exceeds the slot's fleet): take the
-                # general path, which reports the slot as infeasible
-                return evaluate_schedule(instance, schedule, self.dispatcher, memoise=memoise)
-            costs, load_rows = hit
-            flat = int(np.ravel_multi_index(idx, grid.shape))
-            operating[t] = float(costs.reshape(-1)[flat])
-            loads[t] = load_rows[flat]
-            if not np.isfinite(operating[t]):
-                feasible = False
-        return breakdown_from_parts(instance, schedule, operating, loads, feasible)
 
 
 def run_online(
@@ -453,51 +357,27 @@ def run_online(
     choosing more servers than exist raises immediately (this would mean the
     algorithm is not producing feasible schedules, cf. Lemmas 1 and 10).
 
-    ``slot_context`` enables the shared-context path of the sweep engine: the
-    run reuses the context's dispatch solver, prebuilt slots and memoised grid
-    tensors, and the final schedule is evaluated by gathering from those
-    tensors.  ``dispatch_stats`` always reports the *per-run delta* of the
-    solver's work counters, so shared solvers do not leak one run's work into
-    the next run's report.
+    ``slot_context`` shares slots between runs (the sweep engine's path): the
+    run steps the given :class:`SlotContext` and its dispatch solver instead
+    of a private one.  ``dispatch_stats`` always reports the *per-run delta*
+    of the solver's work counters, so shared solvers do not leak one run's
+    work into the next run's report.
     """
-    if slot_context is not None:
-        if slot_context.instance is not instance:
-            raise ValueError("slot_context was built for a different instance")
-        if dispatcher is not None and dispatcher is not slot_context.dispatcher:
-            raise ValueError("give either a dispatcher or a slot_context, not both")
-        dispatcher = slot_context.dispatcher
-        context = slot_context.context
-    else:
-        dispatcher = dispatcher or DispatchSolver(instance)
-        context = OnlineContext(
-            server_types=instance.server_types,
-            beta=instance.beta,
-            zmax=instance.zmax,
-            base_counts=instance.m,
-        )
+    if slot_context is None:
+        slot_context = SlotContext(instance, dispatcher)
+    elif slot_context.instance is not instance:
+        raise ValueError("slot_context was built for a different instance")
+    elif dispatcher is not None and dispatcher is not slot_context.dispatcher:
+        raise ValueError("give either a dispatcher or a slot_context, not both")
+    dispatcher = slot_context.dispatcher
     stats_before = dispatcher.stats.snapshot()
-    algorithm.start(context)
+    algorithm.start(slot_context.context)
 
     T, d = instance.T, instance.d
     configs = np.zeros((T, d), dtype=int)
     decisions = []
     for t in range(T):
-        if slot_context is not None:
-            slot = slot_context.slot(t)
-        else:
-            def evaluator(batch: np.ndarray, _t: int = t) -> np.ndarray:
-                costs, _ = dispatcher.solve_grid(_t, batch)
-                return costs
-
-            slot = SlotInfo(
-                t=t,
-                demand=float(instance.demand[t]),
-                cost_functions=instance.cost_row(t),
-                counts=instance.counts_at(t),
-                beta=instance.beta,
-                zmax=instance.zmax,
-                _evaluator=evaluator,
-            )
+        slot = slot_context.slot(t)
         choice = np.asarray(algorithm.step(slot))
         if choice.shape != (d,):
             raise ValueError(
@@ -515,10 +395,9 @@ def run_online(
     algorithm.finish()
 
     schedule = Schedule(configs)
-    if slot_context is not None:
-        breakdown = slot_context.evaluate_schedule(schedule)
-    else:
-        breakdown = evaluate_schedule(instance, schedule, dispatcher)
+    breakdown = evaluate_schedule(
+        instance, schedule, dispatcher, memoise=slot_context.window is None
+    )
     return OnlineRunResult(
         algorithm=algorithm.name,
         schedule=schedule,

@@ -189,9 +189,10 @@ class DPPrefixTracker(PrefixOptimumTracker):
             self._counts_grid = grid
             self._counts_tuple = tuple(int(c) for c in counts)
         g_tensor = slot.grid_operating_cost(grid)
-        # Memoised tensors (the serve cache and SlotContext both hand back one
-        # shared read-only object per slot signature) only need the finiteness
-        # scan once; fresh tensors always miss and are checked.
+        # Memoised tensors (the serve cache and the slot context's providers
+        # both hand back one shared read-only object per slot signature) only
+        # need the finiteness scan once; fresh tensors always miss and are
+        # checked.
         if id(g_tensor) not in self._finite_seen:
             if not np.any(np.isfinite(g_tensor)):
                 raise ValueError(

@@ -36,7 +36,7 @@ append-only demand ledger (one *virtual slot* per distinct ``(demand, cost
 row)`` observation) behind a shared
 :class:`~repro.dispatch.allocation.DispatchSolver`, plus a whole-grid
 operating-cost tensor memo keyed by dispatch signature — the serve-side
-analogue of the sweep engine's :class:`~repro.online.base.SlotContext`.  Many
+analogue of the providers a :class:`~repro.online.base.SlotContext` reads.  Many
 sessions over the same fleet geometry share one cache: the first tenant to
 observe a demand level pays the dispatch solve, every other tenant's tick is a
 dictionary hit (see ``repro serve bench`` / ``BENCH_serve.json``).
@@ -359,10 +359,8 @@ class ServeCache:
     per ``(signature, scale, grid)`` so N tenants asking for the tensor of one
     demand level trigger exactly one dispatch solve.
 
-    Unbounded-stream hardening (the :class:`SlotContext
-    <repro.online.base.SlotContext>` ``tensor_budget_bytes`` pattern, applied
-    serve-side): a month-scale stream of *continuous* demands would otherwise
-    grow the ledger and the tensor memo without bound.
+    Unbounded-stream hardening: a month-scale stream of *continuous* demands
+    would otherwise grow the ledger and the tensor memo without bound.
 
     * ``tensor_budget_bytes`` caps the grid-tensor memo with LRU eviction
       (and routes the underlying solves around the dispatcher's own unbounded

@@ -272,16 +272,21 @@ class TestWalkPricing:
         assert optimal.cost == priced.total
 
     def test_walk_solves_each_step_once_past_the_tensor_budget(self, horizon_instance):
-        """With the grid-tensor budget spent, every ``g_tensor(t)`` re-solves;
-        the walk prices a rematerialised step from the tensor its window
-        stepped on, so the backward pass queries each slot exactly once."""
-        T = horizon_instance.T
-        context = SharedInstanceContext(horizon_instance, checkpoint_every=7, tensor_budget_bytes=0)
-        context.history()
-        stats = context.dispatcher.stats
-        before = stats.slot_queries
-        context.solve_optimal(return_schedule=True)
-        assert stats.slot_queries - before == T
+        """With the provider's key memo spent (``memo_bytes=0``), every window
+        re-solves; the walk prices a rematerialised step from the tensor its
+        window stepped on, so the backward pass queries each slot exactly
+        once (its own provider starts cold, so no window is left live)."""
+        instance, T = horizon_instance, horizon_instance.T
+        grids = [grid_for_slot(instance, t) for t in range(T)]
+        walk_dispatcher = DispatchSolver(instance)
+        assert len({walk_dispatcher._slot_signature(t) for t in range(T)}) == T
+        spent = dict(window=7, memoise=False, memo_bytes=0)
+        forward = WindowedOperatingCosts(instance, grids, DispatchSolver(instance), **spent)
+        walk = WindowedOperatingCosts(instance, grids, walk_dispatcher, **spent)
+        history = ValueHistory(instance.beta, 7, walk.tensor)
+        forward_pass(grids, forward.tensor, instance.beta, history)
+        history.priced_schedule()
+        assert walk_dispatcher.stats.slot_queries == T
 
     @pytest.mark.parametrize("window", [None, 1, 3])
     def test_bisection_rows_price_within_tolerance(self, window):
@@ -361,6 +366,32 @@ class TestWindowedProvider:
             horizon_instance, grids, DispatchSolver(horizon_instance)
         )
         np.testing.assert_allclose(provider.tensor(40), reference[40], atol=1e-9)
+
+    def test_solve_block_calls_stay_within_the_chunk(self, monkeypatch):
+        """A window with more keys than one call's chunk of
+        ``500_000 // (|M| * (1 + d))`` slots: no ``solve_block`` call asks for
+        more, and the tensors equal the whole-horizon block's bit for bit."""
+        instance = fleet_instance(
+            cpu_gpu_fleet(cpu_count=250, gpu_count=200),
+            diurnal_trace(8, period=8, base=50.0, peak=900.0, noise=0.1, rng=5),
+        )
+        grids = tuple(grid_for_slot(instance, t) for t in range(instance.T))
+        chunk = 500_000 // (grids[0].size * (1 + instance.d))
+        dispatcher = DispatchSolver(instance)
+        assert chunk < len({dispatcher._slot_signature(t) for t in range(instance.T)})
+        calls = []
+        solve_block = dispatcher.solve_block
+
+        def spy(ts, configs, memoise=True):
+            calls.append(len(ts))
+            return solve_block(ts, configs, memoise=memoise)
+
+        monkeypatch.setattr(dispatcher, "solve_block", spy)
+        provider = WindowedOperatingCosts(instance, grids, dispatcher)
+        reference = operating_cost_tensors(instance, grids, DispatchSolver(instance))
+        for t in range(instance.T):
+            assert np.array_equal(provider.tensor(t), reference[t]), t
+        assert len(calls) > 1 and max(calls) <= chunk
 
     @pytest.mark.parametrize("window", [None, 7])
     def test_one_slot_per_key_in_both_modes(self, varying_counts_instance, window):
@@ -465,34 +496,37 @@ class TestCheckpointedSharedStream:
             SharedInstanceContext(horizon_instance, checkpoint_every=0).history()
 
 
-class TestSlotContextBudget:
-    def test_budgeted_context_bounds_cache_and_stays_exact(self, horizon_instance):
+class TestWindowedSlotContext:
+    def test_checkpointed_runs_match_and_write_no_whole_grid_row(self, horizon_instance):
+        """A, C, reactive and follow-demand through a checkpointed sweep
+        context on a horizon of per-slot-unique demands: the schedules equal
+        the unstreamed context's, the costs agree to 1e-9, and no
+        ``solve_block`` memo holds a whole-grid row (the greedy baselines'
+        grid queries included)."""
         from repro.online.algorithm_a import AlgorithmA
-        from repro.online.base import run_online
+        from repro.online.algorithm_c import AlgorithmC
+        from repro.online.baselines import FollowDemand, Reactive
 
-        plain = SlotContext(horizon_instance)
-        budgeted = SlotContext(horizon_instance, tensor_budget_bytes=10_000)
-        ref = run_online(horizon_instance, AlgorithmA(), slot_context=plain)
-        got = run_online(horizon_instance, AlgorithmA(), slot_context=budgeted)
-        assert np.array_equal(got.schedule.x, ref.schedule.x)
-        assert got.cost == pytest.approx(ref.cost, abs=1e-9)
-        assert budgeted._tensor_bytes_used <= 10_000
-        assert len(budgeted._tensor_cache) < len(plain._tensor_cache)
-        # the budgeted context keeps whole-grid blocks out of the dispatcher's
-        # cache (small per-configuration rows from the algorithms' candidate
-        # queries are fine — they are O(d) each, not O(|M| * d))
-        grid = grid_for_slot(horizon_instance, 0)
-        assert all(
-            costs.shape[0] < grid.size
-            for costs, _ in budgeted.dispatcher._block_cache.values()
+        instance = horizon_instance
+        assert len(set(instance.demand.tolist())) == instance.T
+        size = grid_for_slot(instance, 0).size
+        plain = SharedInstanceContext(instance)
+        streamed = SharedInstanceContext(instance, checkpoint_every=7)
+        builders = (
+            lambda ctx: AlgorithmA(tracker=ctx.tracker()),
+            lambda ctx: AlgorithmC(),
+            lambda ctx: Reactive(),
+            lambda ctx: FollowDemand(),
         )
-
-    def test_checkpointed_shared_context_sets_budget(self, horizon_instance):
-        from repro.exp.shared import SharedInstanceContext
-
-        ctx = SharedInstanceContext(horizon_instance, checkpoint_every=7)
-        assert ctx.slots.tensor_budget_bytes == SharedInstanceContext.DEFAULT_TENSOR_BUDGET_BYTES
-        assert SharedInstanceContext(horizon_instance).slots.tensor_budget_bytes is None
+        for build in builders:
+            ref = plain.run(build(plain))
+            got = streamed.run(build(streamed))
+            assert np.array_equal(got.schedule.x, ref.schedule.x), got.algorithm
+            assert got.cost == pytest.approx(ref.cost, abs=1e-9), got.algorithm
+            dispatcher = streamed.dispatcher
+            rows = [costs for memo in dispatcher._block_cache.values() for costs, _ in memo.values()]
+            rows += [costs for _, costs, _ in dispatcher._solved.values()]
+            assert all(row.shape[0] < size for row in rows), got.algorithm
 
 
 class TestSweepPlanPlumbing:

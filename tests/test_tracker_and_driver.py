@@ -1,5 +1,8 @@
 """Tests for the prefix-optimum trackers and the online driver."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -275,6 +278,24 @@ class TestOnlineDriver:
         assert isinstance(captured["single"], float)
         assert captured["batch"].shape == (2,)
         assert captured["batch"][0] == pytest.approx(captured["single"])
+
+    def test_dropped_slot_context_is_freed_by_reference_counting(self, small_instance):
+        """A context's slots read ``g_t`` through objects that never refer
+        back to it, so no reference cycle keeps a dropped context (and its
+        tensors) alive until the cyclic collector runs."""
+        from repro.online import AlgorithmA
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            context = SlotContext(small_instance)
+            run_online(small_instance, AlgorithmA(), slot_context=context)
+            ref = weakref.ref(context)
+            del context
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_scaled_slot_info(self, small_instance):
         class ScaleProbe(OnlineAlgorithm):
