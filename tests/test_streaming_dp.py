@@ -496,11 +496,12 @@ class TestCheckpointedSharedStream:
             SharedInstanceContext(horizon_instance, checkpoint_every=0).history()
 
 
-class TestWindowedSlotContext:
-    def test_checkpointed_runs_match_and_write_no_whole_grid_row(self, horizon_instance):
+class TestSlotContextBudget:
+    def test_budgeted_context_bounds_cache_and_stays_exact(self, horizon_instance):
         """A, C, reactive and follow-demand through a checkpointed sweep
         context on a horizon of per-slot-unique demands: the schedules equal
-        the unstreamed context's, the costs agree to 1e-9, and no
+        the unstreamed context's, the costs agree to 1e-9, the provider holds
+        at most one window of tensors and a memo within its byte cap, and no
         ``solve_block`` memo holds a whole-grid row (the greedy baselines'
         grid queries included)."""
         from repro.online.algorithm_a import AlgorithmA
@@ -523,10 +524,25 @@ class TestWindowedSlotContext:
             got = streamed.run(build(streamed))
             assert np.array_equal(got.schedule.x, ref.schedule.x), got.algorithm
             assert got.cost == pytest.approx(ref.cost, abs=1e-9), got.algorithm
+            provider = streamed.slots.costs()
+            assert len(provider._tensors) <= 7, got.algorithm
+            assert provider._sig_memo_used <= provider.memo_bytes, got.algorithm
             dispatcher = streamed.dispatcher
             rows = [costs for memo in dispatcher._block_cache.values() for costs, _ in memo.values()]
             rows += [costs for _, costs, _ in dispatcher._solved.values()]
             assert all(row.shape[0] < size for row in rows), got.algorithm
+
+    def test_checkpointed_shared_context_sets_budget(self, horizon_instance):
+        """``checkpoint_every`` is the slots' window: a checkpointed context's
+        provider windows at it and leaves the dispatch memo alone, while an
+        unstreamed context solves the whole horizon in one memoised pass."""
+        ctx = SharedInstanceContext(horizon_instance, checkpoint_every=7)
+        assert ctx.slots.window == 7
+        assert ctx.slots.costs().window == 7 and not ctx.slots.costs().memoise
+        plain = SharedInstanceContext(horizon_instance)
+        assert plain.slots.window is None
+        assert plain.slots.costs().window == horizon_instance.T
+        assert plain.slots.costs().memoise
 
 
 class TestSweepPlanPlumbing:
