@@ -87,15 +87,31 @@ def _run():
     return fleet_rows, horizon_rows, eps_rows, dispatch_counters
 
 
-#: Rounds of the whole sweep; the trend records the fastest, because one
-#: pass of these small solves takes well under a second and reads host noise.
+#: Rounds of the whole sweep; the trend and every row record the fastest,
+#: because one pass of these small solves takes well under a second and reads
+#: host noise.
 TIMING_ROUNDS = 5
 
 
+def _fastest(rounds):
+    """The rows of one sweep, each ``*_seconds`` field the fastest of its rounds."""
+    fastest = []
+    for rows in zip(*rounds):
+        row = dict(rows[0])
+        for key in row:
+            if key.endswith("_seconds"):
+                row[key] = min(r[key] for r in rows)
+        fastest.append(row)
+    return fastest
+
+
 def test_thm21_runtime_scaling(benchmark):
-    fleet_rows, horizon_rows, eps_rows, dispatch_counters = benchmark.pedantic(
-        _run, rounds=TIMING_ROUNDS, iterations=1
+    rounds = []
+    benchmark.pedantic(lambda: rounds.append(_run()), rounds=TIMING_ROUNDS, iterations=1)
+    fleet_rows, horizon_rows, eps_rows = (
+        _fastest([sweeps[k] for sweeps in rounds]) for k in range(3)
     )
+    dispatch_counters = rounds[-1][3]
 
     # the approximation explores asymptotically fewer states as m grows
     reductions = [row["state_reduction"] for row in fleet_rows]

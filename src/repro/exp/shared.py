@@ -30,7 +30,7 @@ from ..core.costs import CostBreakdown, evaluate_schedule
 from ..core.instance import ProblemInstance
 from ..core.schedule import Schedule
 from ..dispatch.allocation import DispatchSolver
-from ..offline.dp import OfflineResult, ValueHistory, forward_pass
+from ..offline.dp import OfflineResult, ValueHistory, check_window, forward_pass
 from ..offline.graph_approx import solve_approx
 from ..online.base import OnlineAlgorithm, OnlineRunResult, SlotContext, run_online
 from ..online.tracker import DPPrefixTracker
@@ -51,6 +51,8 @@ class SharedInstanceContext:
     (plus the provider's byte-capped key memo) and no read writes the
     dispatch engine's memo: a horizon of per-slot-unique demands cannot
     rebuild the ``O(T * |M| * d)`` footprint through the dispatch layer.
+    A ``checkpoint_every`` that is not a positive integer raises
+    ``ValueError``, as :func:`~repro.offline.dp.solve_dp` does.
     """
 
     def __init__(
@@ -60,9 +62,9 @@ class SharedInstanceContext:
         checkpoint_every: Optional[int] = None,
     ):
         self.instance = instance
-        self.slots = SlotContext(instance, dispatcher, window=checkpoint_every)
+        self.checkpoint_every = check_window(checkpoint_every, "checkpoint_every")
+        self.slots = SlotContext(instance, dispatcher, window=self.checkpoint_every)
         self.dispatcher = self.slots.dispatcher
-        self.checkpoint_every = checkpoint_every
         self._histories: dict = {}
         self._optimal_cost: Optional[float] = None
 
@@ -83,7 +85,7 @@ class SharedInstanceContext:
         if history is None:
             costs, beta = self.slots.costs(gamma), self.instance.beta
             history = ValueHistory(beta, self.checkpoint_every, costs.tensor)
-            forward_pass(costs.grids, costs.tensor, beta, history)
+            forward_pass(costs, beta, history)
             self._histories[key] = history
         return history
 

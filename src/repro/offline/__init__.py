@@ -7,7 +7,7 @@ from .graph_approx import approximation_guarantee, gamma_for_epsilon, solve_appr
 from .graph_optimal import build_graph, optimal_cost, shortest_path_schedule, solve_optimal
 from .milp import MilpResult, is_linear_instance, solve_lp_relaxation, solve_milp
 from .rounding import round_schedule_to_grid, rounding_invariant_holds
-from .state_grid import StateGrid, geometric_levels, grid_for_slot
+from .state_grid import StateGrid, geometric_levels, grid_for_slot, slot_grids
 
 __all__ = [
     "FractionalBound",
@@ -27,6 +27,7 @@ __all__ = [
     "round_schedule_to_grid",
     "rounding_invariant_holds",
     "shortest_path_schedule",
+    "slot_grids",
     "solve_approx",
     "solve_dp",
     "solve_lp_relaxation",

@@ -64,7 +64,7 @@ import numpy as np
 from ..core.instance import ProblemInstance
 from ..core.schedule import Schedule
 from ..dispatch.allocation import DispatchSolver
-from .state_grid import StateGrid, grid_for_slot
+from .state_grid import StateGrid, slot_grids
 from .transitions import (
     make_transition_plan,
     startup_cost_tensor,
@@ -78,6 +78,7 @@ __all__ = [
     "STREAMING_TABLE_BYTES_THRESHOLD",
     "ValueHistory",
     "WindowedOperatingCosts",
+    "check_window",
     "default_checkpoint_every",
     "forward_pass",
     "operating_cost_tensors",
@@ -110,6 +111,15 @@ def default_checkpoint_every(
     if T * max(int(max_states), 1) * 8 <= threshold:
         return None
     return max(1, int(math.ceil(math.sqrt(T))))
+
+
+def check_window(window: Optional[int], name: str) -> Optional[int]:
+    """``window`` as an ``int`` (``None`` stays ``None``); raises unless it is positive."""
+    if window is None:
+        return None
+    if int(window) < 1:
+        raise ValueError(f"{name} must be a positive integer when given")
+    return int(window)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,17 +197,27 @@ def operating_cost_tensors(
 class WindowedOperatingCosts:
     """Produce ``g_t`` value tensors one checkpoint window at a time.
 
+    Slots are keyed by their grid's ``grid.key`` and their dispatch
+    signature (``_slot_signature(t)``), and equal keys have the same
+    ``g_t``.  The provider numbers the keys once, when it is built:
+    :attr:`key_of` holds one integer key id per slot.  Without a per-slot
+    cost table every slot reads the instance's one cost row, so its demand
+    stands for its signature and one ``np.unique`` over the demands numbers
+    them; otherwise the provider asks for each slot's signature once.
+
     The provider materialises the window containing the requested slot and
-    drops the previous window.  Windows are aligned to multiples of
+    drops the previous window.  ``window`` is a positive integer, clamped to
+    ``T`` (``None``: the whole horizon).  Windows are aligned to multiples of
     ``window``, which makes the backward pass rematerialise exactly the
-    tensors the forward pass produced.  Slots are keyed by
-    ``(_slot_signature(t), grid.key)``, and equal keys have the same ``g_t``:
-    a window asks :meth:`~repro.dispatch.DispatchSolver.solve_block` for one
-    representative slot per key, at most ``500_000 // (|M| * (1 + d))`` of
-    them per call (so one call's cost and load block stays within ~500k
-    floats), and the key's slots share its one read-only tensor.  The engine
-    deduplicates by signature anyway, so every cell is the one a whole-window
-    block gives.
+    tensors the forward pass produced.  A window asks
+    :meth:`~repro.dispatch.DispatchSolver.solve_block` for one representative
+    slot per key (its first slot in the window; keys in first-slot order,
+    grouped by grid), at most ``500_000 // (|M| * (1 + d))`` of them per call
+    (so one call's cost and load block stays within ~500k floats), and the
+    key's slots share its one read-only tensor.  The engine deduplicates by
+    signature anyway, so every cell is the one a whole-window block gives.
+    Each solved tensor is checked once: a key no configuration can serve
+    raises ``ValueError`` naming the window's earliest such slot.
 
     With ``memoise=False`` the dispatch engine is told not to cache the
     per-slot results (on long horizons that cache — one cost row *and* one
@@ -223,65 +243,91 @@ class WindowedOperatingCosts:
         self.grids = tuple(grids)
         self.dispatcher = dispatcher
         T = len(self.grids)
-        self.window = T if window is None else max(1, min(int(window), max(T, 1)))
+        self.window = T if window is None else min(check_window(window, "window"), max(T, 1))
         self.memoise = memoise
         self.memo_bytes = int(memo_bytes)
-        self._tensors: dict = {}
-        self._sig_memo: dict = {}
+        #: ``key_of[t]`` is slot ``t``'s key id.
+        self.key_of: List[int] = self._index_keys()
+        self._lo = self._hi = 0  # the live window's slots
+        self._tensors: dict = {}  # key id -> tensor, for the live window
+        self._sig_memo: dict = {}  # key id -> tensor, within memo_bytes
         self._sig_memo_used = 0
         #: Number of window materialisations (2x the window count for a full
         #: streaming solve: one forward pass, one backtracking pass).
         self.windows_materialised = 0
-        #: Slots served from the signature memo instead of a dispatch solve.
+        #: Slots served from the key memo instead of a dispatch solve.
         self.signature_memo_hits = 0
+
+    def _index_keys(self) -> List[int]:
+        """One key id per slot; slots share an id exactly when their keys are equal."""
+        instance, grids = self.instance, self.grids
+        T = len(grids)
+        # equal grid keys share an id, looked up once per grid object
+        grid_ids, by_key = dict.fromkeys(grids), {}
+        for grid in grid_ids:
+            grid_ids[grid] = by_key.setdefault(grid.key, len(by_key))
+        grid_of = np.fromiter(map(grid_ids.__getitem__, grids), np.int64, T)
+        if instance.cost_functions is None:
+            # every slot reads one cost row, so equal demands have equal g_t
+            sig_of = np.unique(instance.demand, return_inverse=True)[1]
+        else:
+            signature, sigs = self.dispatcher._slot_signature, {}
+            sig_of = np.fromiter(
+                (sigs.setdefault(signature(t), len(sigs)) for t in range(T)), np.int64, T
+            )
+        return (sig_of * len(by_key) + grid_of).tolist()
 
     def tensor(self, t: int) -> np.ndarray:
         """The ``g_t`` value tensor of slot ``t`` (materialising its window)."""
-        g_tensor = self._tensors.get(t)
-        if g_tensor is None:
-            self._materialise((t // self.window) * self.window)
-            g_tensor = self._tensors[t]
-        return g_tensor
+        if not self._lo <= t < self._hi:
+            self._materialise(t - t % self.window)
+        return self._tensors[self.key_of[t]]
 
     def _materialise(self, lo: int) -> None:
         hi = min(lo + self.window, len(self.grids))
-        self._tensors.clear()
-        # grid key -> (grid, {slot key: slots}) of the keys the memo misses
+        # the previous window goes first, so one window is live at a time
+        self._lo = self._hi = 0
+        self._tensors = tensors = {}
+        keys, first, counts = np.unique(
+            self.key_of[lo:hi], return_index=True, return_counts=True
+        )
+        order = np.argsort(first)
+        # grid key -> (grid, [(key id, first slot)]) of the keys the memo misses
         pending: dict = {}
-        for t in range(lo, hi):
-            grid = self.grids[t]
-            key = (self.dispatcher._slot_signature(t), grid.key)
+        for key, t, count in zip(
+            keys[order].tolist(), (first[order] + lo).tolist(), counts[order].tolist()
+        ):
             hit = self._sig_memo.get(key)
             if hit is not None:
-                self._tensors[t] = hit
-                self.signature_memo_hits += 1
+                tensors[key] = hit
+                self.signature_memo_hits += count
                 continue
-            pending.setdefault(grid.key, (grid, {}))[1].setdefault(key, []).append(t)
-        for grid, by_key in pending.values():
+            grid = self.grids[t]
+            pending.setdefault(grid.key, (grid, []))[1].append((key, t))
+        infeasible = []
+        for grid, entries in pending.values():
             # bound each call's transient (slots x |M| x (1 + d)) result block
             chunk = max(1, 500_000 // (grid.size * (1 + self.instance.d)))
-            entries = list(by_key.items())
-            for first in range(0, len(entries), chunk):
-                part = entries[first : first + chunk]
+            for start in range(0, len(entries), chunk):
+                part = entries[start : start + chunk]
                 costs, _ = self.dispatcher.solve_block(
-                    [ts[0] for _, ts in part], grid.configs(), memoise=self.memoise
+                    [t for _, t in part], grid.configs(), memoise=self.memoise
                 )
-                for row, (key, ts) in zip(costs, part):
-                    tensor = row.reshape(grid.shape)  # read-only, like the block
-                    for t in ts:
-                        self._tensors[t] = tensor
-                    if self._sig_memo_used + tensor.nbytes <= self.memo_bytes:
+                feasible = np.isfinite(costs).any(axis=1).tolist()
+                for row, ok, (key, t) in zip(costs, feasible, part):
+                    tensors[key] = tensor = row.reshape(grid.shape)  # read-only, like the block
+                    if not ok:
+                        infeasible.append(t)
+                    elif self._sig_memo_used + tensor.nbytes <= self.memo_bytes:
                         self._sig_memo[key] = tensor
                         self._sig_memo_used += tensor.nbytes
+        if infeasible:
+            raise ValueError(
+                f"slot {min(infeasible)}: no configuration on the grid can serve the demand "
+                "(instance infeasible or grid too coarse)"
+            )
+        self._lo, self._hi = lo, hi
         self.windows_materialised += 1
-
-
-def _check_some_feasible(tensor: np.ndarray, t: int) -> None:
-    if not np.any(np.isfinite(tensor)):
-        raise ValueError(
-            f"slot {t}: no configuration on the grid can serve the demand "
-            "(instance infeasible or grid too coarse)"
-        )
 
 
 class ForwardDP:
@@ -354,10 +400,8 @@ class ValueHistory:
         window: Optional[int] = None,
         g_tensor: Optional[Callable[[int], np.ndarray]] = None,
     ):
-        if window is not None and int(window) < 1:
-            raise ValueError("window must be a positive integer when given")
         self.beta = beta
-        self.window = None if window is None else int(window)
+        self.window = check_window(window, "window")
         self.g_tensor = g_tensor
         #: ``grids[t]`` is the grid ``V_t`` lives on.
         self.grids: List[StateGrid] = []
@@ -427,10 +471,12 @@ class ValueHistory:
         ``V_{t-1} + S(., x_t)``; reading the steps newest first rematerialises
         each window of a windowed history once.  Two scratch buffers are
         threaded through the walk, and the switching-cost tensor is memoised
-        on its ``(grid, next configuration)`` pair: optimal schedules hold
-        their configuration over long stretches, so most steps reuse it.
-        With a ``g_tensor``, the walk records each ``g_t(x_t)`` in
-        :attr:`operating` while the step's window is live.
+        on the step's grid and the next step's grid and flat index: optimal
+        schedules hold their configuration over long stretches, so most steps
+        reuse it.  The walk reads flat indices (row ``i`` of
+        ``grid.configs()`` is entry ``i`` of a C-order tensor).  With a
+        ``g_tensor``, the walk records each ``g_t(x_t)`` in :attr:`operating`
+        while the step's window is live.
         """
         T = len(self.grids)
         configs = np.zeros((T, len(self.beta)), dtype=int)
@@ -438,25 +484,25 @@ class ValueHistory:
         switch: Optional[np.ndarray] = None
         total: Optional[np.ndarray] = None
         switch_key: Optional[tuple] = None
+        index = 0
         for t in range(T - 1, -1, -1):
             grid = self.grids[t]
             table = self.value_at(t)
             if t < T - 1:
-                x_next = configs[t + 1]
-                key = (id(grid), tuple(int(v) for v in x_next))
+                key = (grid, self.grids[t + 1], index)
                 if switch_key != key:
                     out = switch if switch is not None and switch.shape == grid.shape else None
-                    switch = switching_cost_tensor(grid.values, x_next, self.beta, out=out)
+                    switch = switching_cost_tensor(grid.values, configs[t + 1], self.beta, out=out)
                     switch_key = key
                 if total is None or total.shape != grid.shape:
                     total = np.empty(grid.shape)
                 table = np.add(table, switch, out=total)
-            index = np.unravel_index(int(np.argmin(table)), grid.shape)
-            configs[t] = grid.config_at(index)
+            index = int(table.argmin())
+            configs[t] = grid.configs()[index]
             if operating is not None:
                 # a rematerialised step prices from the tensor it stepped on
                 g_tensor = self._window_costs.get(t)
-                operating[t] = (self.g_tensor(t) if g_tensor is None else g_tensor)[index]
+                operating[t] = (self.g_tensor(t) if g_tensor is None else g_tensor).flat[index]
         self.operating = operating
         return configs
 
@@ -475,27 +521,24 @@ class ValueHistory:
 
 
 def forward_pass(
-    grids: Sequence[StateGrid],
-    g_tensor: Callable[[int], np.ndarray],
+    costs: WindowedOperatingCosts,
     beta: np.ndarray,
     history: Optional[ValueHistory] = None,
 ) -> np.ndarray:
-    """Run the forward recurrence over ``grids`` and return ``V_{T-1}``.
+    """Run the forward recurrence over a provider's horizon and return ``V_{T-1}``.
 
-    ``g_tensor(t)`` is slot ``t``'s operating-cost tensor on ``grids[t]``; a
-    slot no configuration can serve raises ``ValueError``.  Each step's grid
-    and tensor are appended to the (empty) ``history`` when one is given, and
-    the steps it keeps are stepped with ``keep=True``, so no kept tensor
-    aliases a plan buffer.
+    ``costs.grids[t]`` is slot ``t``'s grid and ``costs.tensor(t)`` its
+    operating-cost tensor; the provider raises ``ValueError`` on a slot no
+    configuration can serve.  Each step's grid and tensor are appended to the
+    (empty) ``history`` when one is given, and the steps it keeps are stepped
+    with ``keep=True``, so no kept tensor aliases a plan buffer.
     """
-    forward = ForwardDP()
-    for t, grid in enumerate(grids):
-        cost = g_tensor(t)
-        _check_some_feasible(cost, t)
+    forward, tensor = ForwardDP(), costs.tensor
+    for t, grid in enumerate(costs.grids):
         if history is None:
-            forward.step(grid, cost, beta)
+            forward.step(grid, tensor(t), beta)
         else:
-            history.append(grid, forward.step(grid, cost, beta, keep=history.keeps(t)))
+            history.append(grid, forward.step(grid, tensor(t), beta, keep=history.keeps(t)))
     return forward.value
 
 
@@ -545,7 +588,7 @@ def solve_dp(
     beta = instance.beta
     dispatcher = dispatcher or DispatchSolver(instance)
 
-    grids = tuple(grid_for_slot(instance, t, gamma) for t in range(T))
+    grids = slot_grids(instance, gamma)
 
     if T == 0:
         return OfflineResult(
@@ -556,12 +599,11 @@ def solve_dp(
             gamma=gamma,
         )
 
-    if checkpoint_every is not None and int(checkpoint_every) < 1:
-        raise ValueError("checkpoint_every must be a positive integer when given")
+    checkpoint_every = check_window(checkpoint_every, "checkpoint_every")
     if keep_tables:
         window = None
     elif checkpoint_every is not None:
-        window = min(int(checkpoint_every), T)
+        window = min(checkpoint_every, T)
     else:
         window = default_checkpoint_every(T, max(g.size for g in grids))
     provider = WindowedOperatingCosts(
@@ -571,7 +613,7 @@ def solve_dp(
     history = (
         ValueHistory(beta, window, provider.tensor) if keep_tables or return_schedule else None
     )
-    best_cost = float(np.min(forward_pass(grids, provider.tensor, beta, history)))
+    best_cost = float(np.min(forward_pass(provider, beta, history)))
     if not np.isfinite(best_cost):
         raise ValueError("no feasible schedule exists on the given grids")
     # the backward pass prices its path from the operating costs it reads

@@ -26,7 +26,7 @@ from ..core.instance import ProblemInstance
 from ..core.schedule import Schedule
 from ..dispatch.allocation import DispatchSolver
 from .dp import OfflineResult, operating_cost_tensors, solve_dp
-from .state_grid import StateGrid, grid_for_slot
+from .state_grid import slot_grids
 
 __all__ = ["solve_optimal", "optimal_cost", "build_graph", "shortest_path_schedule"]
 
@@ -88,7 +88,7 @@ def build_graph(instance: ProblemInstance, dispatcher: Optional[DispatchSolver] 
     dispatcher = dispatcher or DispatchSolver(instance)
     graph = nx.DiGraph()
     T = instance.T
-    grids = [grid_for_slot(instance, t) for t in range(T)]
+    grids = slot_grids(instance)
     # one batched dispatch per distinct grid instead of one per slot; the
     # flattened tensor rows are in configs() order (C order, see StateGrid)
     g_tensors = operating_cost_tensors(instance, grids, dispatcher)

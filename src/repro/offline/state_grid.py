@@ -19,13 +19,14 @@ onto the grid (needed by the rounding construction of Theorem 16).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..core.instance import ProblemInstance
 
-__all__ = ["StateGrid", "geometric_levels", "grid_for_slot"]
+__all__ = ["StateGrid", "geometric_levels", "grid_for_slot", "slot_grids"]
 
 
 def geometric_levels(m: int, gamma: float) -> np.ndarray:
@@ -83,6 +84,7 @@ class StateGrid:
         self._configs: Optional[np.ndarray] = None
         self._key = None
         self._shape = tuple(len(v) for v in self._values)
+        self._size = math.prod(self._shape)
 
     # ------------------------------------------------------------- factories
     @classmethod
@@ -119,7 +121,7 @@ class StateGrid:
     @property
     def size(self) -> int:
         """Total number of configurations in the grid."""
-        return int(np.prod([len(v) for v in self._values], dtype=np.int64))
+        return self._size
 
     def max_values(self) -> np.ndarray:
         """Largest admissible value per dimension."""
@@ -244,3 +246,22 @@ def grid_for_slot(
         grid = StateGrid.full(counts) if gamma is None else StateGrid.geometric(counts, gamma)
         cache[key] = grid
     return grid
+
+
+def slot_grids(instance: ProblemInstance, gamma: Optional[float] = None) -> tuple:
+    """The state grid of every slot ``0 .. T-1`` of an instance.
+
+    One :func:`grid_for_slot` call per distinct counts row: a time-invariant
+    instance repeats one grid object ``T`` times, and slots with equal
+    counts rows share theirs.
+    """
+    T = instance.T
+    if T == 0:
+        return ()
+    if instance.counts is None:
+        return (grid_for_slot(instance, 0, gamma),) * T
+    _, first, inverse = np.unique(
+        instance.counts, axis=0, return_index=True, return_inverse=True
+    )
+    grids = [grid_for_slot(instance, int(t), gamma) for t in first]
+    return tuple(grids[k] for k in inverse.reshape(-1).tolist())

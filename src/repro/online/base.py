@@ -29,8 +29,8 @@ from ..core.costs import CostBreakdown, evaluate_schedule
 from ..core.instance import ProblemInstance
 from ..core.schedule import Schedule
 from ..dispatch.allocation import DispatchSolver
-from ..offline.dp import WindowedOperatingCosts
-from ..offline.state_grid import grid_for_slot
+from ..offline.dp import WindowedOperatingCosts, check_window
+from ..offline.state_grid import slot_grids
 
 __all__ = [
     "Decision",
@@ -260,10 +260,12 @@ class _SlotCosts:
         key = None if gamma is None else float(gamma)
         provider = self.providers.get(key)
         if provider is None:
-            instance = self.instance
-            grids = [grid_for_slot(instance, t, gamma) for t in range(instance.T)]
             provider = self.providers[key] = WindowedOperatingCosts(
-                instance, grids, self.dispatcher, window=self.window, memoise=self.window is None
+                self.instance,
+                slot_grids(self.instance, gamma),
+                self.dispatcher,
+                window=self.window,
+                memoise=self.window is None,
             )
         return provider
 
@@ -288,14 +290,15 @@ class SlotContext:
     and reads ``g_t`` through one
     :class:`~repro.offline.dp.WindowedOperatingCosts` per grid family
     (:meth:`costs`), built on first use over
-    :func:`~repro.offline.state_grid.grid_for_slot`'s grids as
+    :func:`~repro.offline.state_grid.slot_grids` as
     :func:`~repro.offline.dp.solve_dp` builds its own.  A slot's
     :meth:`SlotInfo.grid_operating_cost` returns the provider's tensor when
     the grid is the slot's grid in a built family (the full grids' provider
     is built on the first read); any other read, a configuration batch or a
     grid of no built family, is one ``solve_block`` row of the same solver.
 
-    ``window`` is the providers' window.  ``None`` (default) solves a grid's
+    ``window`` is the providers' window, a positive integer or ``None``
+    (anything else raises ``ValueError``).  ``None`` (default) solves a grid's
     every key in one pass and memoises in the dispatch engine; a window (the
     sweep's ``checkpoint_every``) holds one window of tensors plus the
     provider's byte-capped key memo, and no read writes the dispatch
@@ -310,15 +313,15 @@ class SlotContext:
         window: Optional[int] = None,
     ):
         self.instance = instance
+        self.window = check_window(window, "window")
         self.dispatcher = dispatcher or DispatchSolver(instance)
-        self.window = window
         self.context = OnlineContext(
             server_types=instance.server_types,
             beta=instance.beta,
             zmax=instance.zmax,
             base_counts=instance.m,
         )
-        self._costs = _SlotCosts(instance, self.dispatcher, window)
+        self._costs = _SlotCosts(instance, self.dispatcher, self.window)
         self._slots: list = [None] * instance.T
 
     def costs(self, gamma: Optional[float] = None) -> WindowedOperatingCosts:

@@ -21,12 +21,15 @@ from repro import (
     solve_optimal,
     total_cost,
 )
+from repro.exp.shared import SharedInstanceContext
 from repro.offline import (
     build_graph,
     exhaustive_optimal,
     optimal_cost,
     pairwise_dp_optimal,
     shortest_path_schedule,
+    solve_approx,
+    solve_dp,
     solve_lp_relaxation,
 )
 
@@ -218,6 +221,37 @@ class TestTimeVaryingCounts:
         inst = small_instance.with_counts(counts)
         with pytest.raises(ValueError):
             solve_optimal(inst)
+
+
+class TestInfeasibleSlot:
+    """The error of an instance no schedule can serve names its earliest
+    infeasible slot, whichever grid and key the provider solves first."""
+
+    @pytest.fixture
+    def two_bad_slots(self, two_type_fleet):
+        """Slots 3 and 7 exceed their counts' capacity.  Slot 7's grid (one
+        CPU, no GPU) already serves slot 1, so its key is solved before slot
+        3's grid comes up; with ``checkpoint_every=2`` slot 3's window also
+        holds slot 2's full grid."""
+        demand = np.array([1.0, 0.5, 2.0, 5.0, 2.0, 1.0, 3.0, 6.0, 2.0, 1.0])
+        counts = np.tile([3, 2], (len(demand), 1))
+        counts[[1, 7]] = [1, 0]  # capacity 1: serves 0.5, not 6
+        counts[3] = [3, 0]  # capacity 3 < 5
+        return ProblemInstance(two_type_fleet, demand, counts=counts)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda inst: solve_dp(inst),
+            lambda inst: solve_dp(inst, checkpoint_every=2),
+            lambda inst: solve_approx(inst, gamma=2.0),
+            lambda inst: SharedInstanceContext(inst).history(),
+        ],
+        ids=["classic", "checkpointed", "approx", "shared-history"],
+    )
+    def test_error_names_the_earliest_infeasible_slot(self, two_bad_slots, solve):
+        with pytest.raises(ValueError, match=r"^slot 3: "):
+            solve(two_bad_slots)
 
 
 class TestExplicitGraph:

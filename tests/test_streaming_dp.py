@@ -22,6 +22,8 @@ context's checkpointed shared history.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,7 @@ from repro.offline.graph_optimal import solve_optimal
 from repro.offline.state_grid import StateGrid, grid_for_slot
 from repro.offline.transitions import startup_cost_tensor, transition
 from repro.online.base import SlotContext
+from repro.online.baselines import Reactive
 from repro.workloads import (
     bursty_trace,
     cpu_gpu_fleet,
@@ -209,7 +212,8 @@ class TestValueHistory:
             assert np.array_equal(value, reference[t]), t
 
         history = ValueHistory(beta, window, costs.__getitem__)
-        assert np.array_equal(forward_pass(grids, costs.__getitem__, beta, history), reference[-1])
+        horizon = SimpleNamespace(grids=grids, tensor=costs.__getitem__)
+        assert np.array_equal(forward_pass(horizon, beta, history), reference[-1])
         full = ValueHistory(beta)
         for grid, value in zip(grids, reference):
             full.append(grid, value)
@@ -284,7 +288,7 @@ class TestWalkPricing:
         forward = WindowedOperatingCosts(instance, grids, DispatchSolver(instance), **spent)
         walk = WindowedOperatingCosts(instance, grids, walk_dispatcher, **spent)
         history = ValueHistory(instance.beta, 7, walk.tensor)
-        forward_pass(grids, forward.tensor, instance.beta, history)
+        forward_pass(forward, instance.beta, history)
         history.priced_schedule()
         assert walk_dispatcher.stats.slot_queries == T
 
@@ -431,6 +435,91 @@ class TestWindowedProvider:
         assert len(dispatcher._block_cache) > 0
 
 
+class TestKeyIndex:
+    """The DP's per-slot bookkeeping, pinned as call counts: grids come from
+    one ``grid_for_slot`` call per distinct counts row, and the provider
+    numbers its keys once, asking for no signature but a representative's
+    when one cost row serves every slot."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_slot_grids_one_grid_per_distinct_counts_row(
+        self, horizon_instance, varying_counts_instance, monkeypatch
+    ):
+        from repro.offline import state_grid
+
+        calls = self._count(monkeypatch, state_grid, "grid_for_slot")
+        grids = state_grid.slot_grids(horizon_instance)
+        assert len(grids) == horizon_instance.T and len(calls) == 1
+        assert all(grid is grids[0] for grid in grids)
+
+        calls.clear()
+        instance = varying_counts_instance
+        grids = state_grid.slot_grids(instance, 1.5)
+        rows = {tuple(row) for row in instance.counts.tolist()}
+        assert len(calls) == len(rows) == len({id(grid) for grid in grids}) == 3
+        for t, grid in enumerate(grids):
+            assert grid is grid_for_slot(instance, t, 1.5), t
+
+    def test_time_invariant_solve_builds_one_grid(self, monkeypatch):
+        from repro.offline import state_grid
+
+        instance = fleet_instance(
+            cpu_gpu_fleet(cpu_count=4, gpu_count=2),
+            diurnal_trace(30, period=12, base=1.0, peak=9.0, noise=0.0, rng=3),
+        )
+        calls = self._count(monkeypatch, state_grid, "grid_for_slot")
+        for checkpoint_every in (None, 4):
+            calls.clear()
+            solve_dp(instance, checkpoint_every=checkpoint_every)
+            assert len(calls) == 1, checkpoint_every
+
+    @pytest.mark.parametrize("window", [None, 4])
+    def test_signatures_only_for_representatives(self, monkeypatch, window):
+        """With one cost row the key index is one ``np.unique`` over the
+        demands: a whole solve asks for the signature of exactly the slots
+        it hands ``solve_block`` (one per key and window)."""
+        instance = fleet_instance(
+            cpu_gpu_fleet(cpu_count=4, gpu_count=2),
+            np.tile([1.0, 3.5, 3.5, 6.0, 1.0, 2.0], 5),
+        )
+        dispatcher = DispatchSolver(instance)
+        signed = self._count(monkeypatch, dispatcher, "_slot_signature")
+        blocks = self._count(monkeypatch, dispatcher, "solve_block")
+        solve_dp(instance, dispatcher=dispatcher, checkpoint_every=window)
+        solved = [t for ts, _ in blocks for t in ts]
+        assert sorted(t for (t,) in signed) == sorted(solved)
+        if window is None:
+            assert solved == [0, 1, 3, 5]  # one key per demand level, first slots
+
+    @pytest.mark.parametrize("priced", [False, True])
+    def test_windowed_solve_indexes_keys_once(self, horizon_instance, monkeypatch, priced):
+        """One key index serves the forward pass and the backtracking's
+        rematerialised windows; a per-slot cost table asks each slot's
+        signature once for it, besides the representatives ``solve_block``
+        reads."""
+        instance = horizon_instance
+        if priced:
+            instance = instance.with_price_profile(np.tile([1.0, 1.5, 1.5], 14)[: instance.T])
+        indexes = self._count(monkeypatch, WindowedOperatingCosts, "_index_keys")
+        dispatcher = DispatchSolver(instance)
+        signed = self._count(monkeypatch, dispatcher, "_slot_signature")
+        result = solve_dp(instance, dispatcher=dispatcher, checkpoint_every=5)
+        assert result.checkpoint_every == 5 and len(indexes) == 1
+        index_asks = instance.T if priced else 0
+        assert len(signed) == index_asks + dispatcher.stats.slot_queries
+
+
 class TestCostOnlyContract:
     def test_schedule_none_and_empty_instance(self, horizon_instance, two_type_fleet):
         assert solve_dp(horizon_instance, return_schedule=False).schedule is None
@@ -494,6 +583,27 @@ class TestCheckpointedSharedStream:
     def test_rejects_bad_checkpoint_every(self, horizon_instance):
         with pytest.raises(ValueError):
             SharedInstanceContext(horizon_instance, checkpoint_every=0).history()
+
+    @pytest.mark.parametrize("window", [0, -3, None])
+    def test_constructors_reject_non_positive_windows(self, horizon_instance, window):
+        """A window that is not a positive integer fails in the constructor,
+        as ``solve_dp`` fails on it, instead of running clamped to 1."""
+        if window is None:
+            context = SharedInstanceContext(horizon_instance, checkpoint_every=window)
+            assert context.run(Reactive()).schedule.T == horizon_instance.T
+            assert len(context.history()) == horizon_instance.T
+            assert SlotContext(horizon_instance, window=window).window is None
+            return
+        with pytest.raises(ValueError, match="checkpoint_every must be a positive integer"):
+            SharedInstanceContext(horizon_instance, checkpoint_every=window)
+        with pytest.raises(ValueError, match="window must be a positive integer"):
+            SlotContext(horizon_instance, window=window)
+        grids = [grid_for_slot(horizon_instance, 0)] * horizon_instance.T
+        dispatcher = DispatchSolver(horizon_instance)
+        with pytest.raises(ValueError, match="window must be a positive integer"):
+            WindowedOperatingCosts(horizon_instance, grids, dispatcher, window=window)
+        with pytest.raises(ValueError, match="checkpoint_every must be a positive integer"):
+            solve_dp(horizon_instance, checkpoint_every=window)
 
 
 class TestSlotContextBudget:
