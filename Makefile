@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-sweep bench-scale bench-serve bench-fabric bench-latency-smoke bench-batch-smoke perf-regress scenarios-smoke serve-smoke chaos-smoke fabric-smoke watch-smoke perfbench-smoke figures-smoke loc
+.PHONY: test bench bench-smoke bench-sweep bench-scale bench-serve bench-fabric bench-latency-smoke bench-batch-smoke bench-perfbench perf-regress scenarios-smoke serve-smoke chaos-smoke fabric-smoke watch-smoke perfbench-smoke figures-smoke loc
 
 # warnings are errors: the suite runs warning-free and stays that way; -X dev
 # adds the interpreter's debug checks (unclosed files, asyncio debug mode)
@@ -82,6 +82,15 @@ perfbench-smoke:
 		fi; \
 		echo "perfbench-smoke: $$w (trace $$trace) correct"; \
 	done; done
+
+# Repository-benchmark trend: one `perfbench/run.py --seconds 25` run of each
+# workload, whose end-to-end metrics plus correct/failed are appended,
+# env-stamped, to the runs series of benchmarks/output/BENCH_perfbench.json
+# (one section and one headline per workload; `repro bench --latest` shows
+# them).  Takes minutes, so CI does not run it; a run whose checks fail
+# fails the target.
+bench-perfbench:
+	$(PYTHON) -m repro bench --perfbench --seconds 25 --json benchmarks/output/BENCH_perfbench.json
 
 # Paper-artifact gate: regenerate Figures 1-3 (Algorithm A's trace, the block
 # decomposition, Algorithm B's trace with its W_t sets), the THM8/13/15/16/22

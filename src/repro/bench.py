@@ -42,8 +42,11 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
+import sys
 import time
 from functools import partial
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,6 +65,7 @@ from .workloads import bursty_trace, cpu_gpu_fleet, diurnal_trace, fleet_instanc
 
 __all__ = [
     "PINNED_OPTIMAL_COSTS",
+    "PERFBENCH_WORKLOADS",
     "PINNED_SERVE_COUNTERS",
     "PINNED_SWEEP_COSTS",
     "PR1_BASELINE_WALL_SECONDS",
@@ -71,7 +75,9 @@ __all__ = [
     "run_counter_regress",
     "run_fabric_bench",
     "run_fabric_smoke",
+    "record_perfbench_run",
     "run_latency_smoke",
+    "run_perfbench_bench",
     "run_scale_bench",
     "run_scenarios_smoke",
     "run_serve_bench",
@@ -1625,6 +1631,75 @@ def trend_report(json_path) -> dict:
     }
 
 
+#: The ``perfbench/run.py`` workloads ``repro bench --perfbench`` records.
+PERFBENCH_WORKLOADS = ("fleet-steady", "continuous-cold", "offline-plan")
+
+
+def record_perfbench_run(
+    json_path, workload: str, line: str, seed: int, seconds: float
+) -> dict:
+    """One ``perfbench/run.py`` result as a trend row, written when ``json_path`` is given.
+
+    ``line`` is the run's last line of output, its JSON result.  The
+    workload's section of the file holds the whole result; its headline
+    (benchmark ``perfbench-<workload>``) holds every end-to-end metric plus
+    ``correct`` and ``failed``.  Returns the row.
+    """
+    result = json.loads(line)
+    row = {
+        "workload": workload,
+        "seed": int(seed),
+        "seconds": float(seconds),
+        "correct": result.get("correct") is True,
+        "attempted": int(result.get("attempted", 0)),
+        "failed": int(result.get("failed", 0)),
+        **{name: float(f"{entry['value']:.6g}") for name, entry in result.get("metrics", {}).items()},
+    }
+    if json_path:
+        write_bench_json(
+            json_path,
+            dict(row, units={name: e["unit"] for name, e in result.get("metrics", {}).items()}),
+            section=workload,
+            headline={
+                "benchmark": f"perfbench-{workload}",
+                **{k: v for k, v in row.items() if k not in ("workload", "seed", "seconds", "attempted")},
+            },
+        )
+    return row
+
+
+def run_perfbench_bench(json_path: Optional[str] = None, seconds: float = 25.0) -> dict:
+    """Run the repository benchmark's end-to-end pass per workload and record it.
+
+    ``make bench-perfbench``: ``python perfbench/run.py --workload W --seed
+    1 --seconds X`` for every workload, each in its own process from the
+    repository root, and its last output line through
+    :func:`record_perfbench_run`, so ``BENCH_perfbench.json`` keeps one
+    section and one trend headline per workload.  One seed keeps the
+    entries comparable run to run.  A run that exits non-zero, prints no
+    result or reads ``correct`` false is a failure.
+    """
+    root = Path(__file__).resolve().parents[2]
+    seed = 1
+    rows, failures = [], []
+    for workload in PERFBENCH_WORKLOADS:
+        done = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds)],
+            cwd=root, capture_output=True, text=True,
+        )
+        lines = done.stdout.strip().splitlines()
+        if done.returncode != 0 or not lines:
+            failures.append(f"{workload}: perfbench exited {done.returncode}: {done.stderr.strip()[-500:]}")
+            continue
+        row = record_perfbench_run(json_path, workload, lines[-1], seed, seconds)
+        rows.append(row)
+        if not row["correct"]:
+            checks = [text for text in lines if text.startswith("# FAIL")]
+            failures.append(f"{workload}: {row['failed']} failed; " + "; ".join(checks))
+    return {"benchmark": "perfbench", "rows": rows, "failures": failures}
+
+
 def run_fabric_bench(
     n_tenants: int = 6,
     workers: int = 2,
@@ -1716,18 +1791,23 @@ def run_fabric_bench(
 #: per member's tracker, and reactive's cohort reads the tensor memo instead
 #: of asking the dispatcher, hence ``tensor_hits``, ``grid_hit_rate``,
 #: ``table_gathers_prewarmed`` and the continuous slot queries and block calls.
+#: A configuration's first answer and Algorithm C's repair read the slot's
+#: solved grid block instead of querying the dispatcher, so the only slot
+#: queries left are the grid solves (``slot_queries`` = ``unique_solves``,
+#: one block call per continuous round), and ``table_gathers_prewarmed``
+#: counts prewarm's 12 x 18 configuration reads as well.
 PINNED_SERVE_COUNTERS: Dict[str, float] = {
     "unique_solves": 12,
-    "slot_queries": 57,
+    "slot_queries": 12,
     "tensor_hits": 315,
     "tensor_misses": 12,
     "grid_hit_rate": 0.963303,
-    "table_gathers_prewarmed": 814,
+    "table_gathers_prewarmed": 1030,
     "prewarmed_levels": 12,
     "unique_solves_prewarmed": 12,
     "unique_solves_continuous": 160,
-    "slot_queries_continuous": 352,
-    "block_calls_continuous": 224,
+    "slot_queries_continuous": 160,
+    "block_calls_continuous": 32,
 }
 
 #: Where each pin of :data:`PINNED_SERVE_COUNTERS` is measured: the replay and
@@ -1764,9 +1844,11 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
     reactive, each on its own fixed-seed *unquantised* 32-tick
     ``diurnal-cpu-gpu`` trace, shared caches, no prewarm.  Every tick sees a
     new demand level, so it pins the cold tick's ``unique_solves`` (one grid
-    solve per tenant-tick; configuration queries gather from it),
-    ``slot_queries`` and ``block_calls`` (each round's cold grids are solved
-    in one block, so a return to one grid solve per tenant-tick fails).
+    solve per tenant-tick; the committed configuration and Algorithm C's
+    repair are read from it), ``slot_queries`` and ``block_calls`` (each
+    round's cold grids are solved in one block and nothing else queries, so
+    a return to one grid solve, or one configuration query, per tenant-tick
+    fails).
 
     No replay warm-starts the dispatch: it solves each cell exactly by an
     event sweep, which needs no starting bracket, so there is no bracket

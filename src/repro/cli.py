@@ -73,6 +73,12 @@ without writing Python:
     unique solves, slot queries, tensor hits/misses, grid hit rate, table
     gathers — matches its pinned value exactly (part of ``make perf-regress``).
 
+``python -m repro bench --perfbench [--seconds 25]``
+    Run ``perfbench/run.py`` on each of its workloads and append the
+    end-to-end metrics plus ``correct``/``failed``, env-stamped, to the
+    ``--json`` trend file (``make bench-perfbench`` writes
+    ``BENCH_perfbench.json``); a run whose checks fail fails the gate.
+
 ``python -m repro bench --latest``
     Print, for each benchmark of every ``BENCH_*.json`` trend series (the
     rolling env-stamped ``"runs"`` history the gated benches append to), its
@@ -604,6 +610,17 @@ def _show_counters(payload: dict) -> None:
           "(cold / prewarmed / continuous replays, per-tenant costs equal to 1e-9)")
 
 
+def _show_perfbench(payload: dict) -> None:
+    columns = ("workload", "correct", "failed", "ticks_per_s", "tick_p50_us", "tick_p99_us",
+               "solve_s", "approx_solve_s", "setup_s", "peak_rss_mb")
+    table_rows = [
+        {key: round(value) if isinstance(value, float) and value >= 1000 else value
+         for key, value in ((key, row.get(key)) for key in columns)}
+        for row in payload["rows"]
+    ]
+    print(format_table(table_rows, title="bench perfbench — end-to-end metrics per workload"))
+
+
 def _show_scale(payload: dict) -> None:
     table_rows = [
         {
@@ -1090,10 +1107,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from . import bench
 
-    selected = [flag for flag in ("smoke", "sweep", "scale", "counters", "latest")
+    selected = [flag for flag in ("smoke", "sweep", "scale", "counters", "latest", "perfbench")
                 if getattr(args, flag)]
     if len(selected) > 1:
-        print(f"choose one of --smoke/--sweep/--scale/--counters/--latest per invocation "
+        print(f"choose one of --smoke/--sweep/--scale/--counters/--latest/--perfbench per invocation "
               f"(got {', '.join('--' + f for f in selected)}); "
               "run them as separate commands — `make bench-smoke` chains the gates",
               file=sys.stderr)
@@ -1107,6 +1124,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.counters:
         return _run_gate(bench.run_counter_regress, _show_counters, args.json)
+
+    if args.perfbench:
+        return _run_gate(bench.run_perfbench_bench, _show_perfbench, args.json,
+                         seconds=args.seconds)
 
     tolerance = args.tolerance
 
@@ -1480,6 +1501,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the newest BENCH_*.json trend entries with deltas vs "
                               "the previous recorded run (no solves; reads benchmarks/output/ "
                               "or the file given via --json)")
+    p_bench.add_argument("--perfbench", action="store_true",
+                         help="run perfbench/run.py's end-to-end pass on every workload and "
+                              "append its metrics to the --json trend file (minutes; "
+                              "`make bench-perfbench`)")
+    p_bench.add_argument("--seconds", type=float, default=25.0,
+                         help="with --perfbench: perfbench's --seconds per workload (default: 25)")
     p_bench.add_argument("--jobs", type=int, default=1,
                          help="process sharding for --sweep (default: 1)")
     p_bench.add_argument("--json", default=None, help="also write the measurements to this JSON file")

@@ -65,12 +65,14 @@ slot, and the online algorithms re-evaluate the same grid slot after slot.
   the repeated whole-grid queries of the online trackers (and Algorithm C's
   sub-slot refinement) into dictionary lookups, and
 * a signature solved fresh on a configuration set answers any **subset** of
-  it (the configuration an online algorithm then pays, Algorithm C's
-  Lemma-14 repair, a schedule's configurations) by gathering those rows, so
-  a cold tick runs one solve, not one per query.  The solver keeps the
-  widest set per signature; only cells computed from their own data alone
-  (the event sweep, ``d == 1``) are gathered, never bisection rows, and a
-  ``memoise=False`` call records no set.
+  it (a schedule's configurations, a fallback query) by gathering those
+  rows, so a cold tick runs one solve, not one per query.  The solver keeps
+  the widest set per signature; only cells computed from their own data
+  alone (the event sweep, ``d == 1``) are gathered, never bisection rows,
+  and a ``memoise=False`` call records no set.  When that set is a whole
+  grid, :meth:`DispatchSolver.block_rows` locates configurations in it, so
+  the configuration a serve tick pays and Algorithm C's Lemma-14 repair
+  read the slot's grid tensor and load rows without a query.
 
 A SciPy (SLSQP) reference solver is included for cross-validation in the test
 suite.
@@ -329,6 +331,26 @@ class DispatchSolver:
         result = DispatchResult(cost=float(costs[0]), loads=loads[0], feasible=bool(np.isfinite(costs[0])))
         self._cache.setdefault(sig, {})[key] = result
         return result
+
+    def block_rows(self, t: int, grid, configs: np.ndarray) -> Optional[tuple]:
+        """Where slot ``t``'s solved block answers ``configs``: ``(flat indices, load rows)``.
+
+        The one rule of the block readers, a serve cache's first answer for a
+        configuration and Algorithm C's Lemma-14 repair: slot ``t``'s
+        signature was solved fresh on exactly ``grid``'s configuration set
+        (a memoised solve of a row whose cells do not depend on their block),
+        and every row of ``configs`` lies on ``grid``.  Then cell ``i`` of
+        the slot's ``grid`` value tensor and row ``i`` of the load rows are,
+        bit for bit, what :meth:`solve` and :meth:`solve_grid` would gather
+        for configuration ``i``.  ``None`` — ask the solver — on bisection
+        rows (never recorded), after unmemoised blocks, for a record on
+        another configuration set, and for configurations off the grid.
+        """
+        solved = self._solved.get(self._slot_signature(t)[0])
+        if solved is None or solved[0] != self._configs_key(grid.configs()):
+            return None
+        index = grid.flat_index(configs)
+        return None if index is None else (index, solved[2])
 
     def forget(self, t: int) -> None:
         """Drop slot ``t``'s signature and every result memoised for it.

@@ -82,6 +82,7 @@ class StateGrid:
             vals.append(arr)
         self._values = tuple(vals)
         self._configs: Optional[np.ndarray] = None
+        self._positions: Optional[tuple] = None
         self._key = None
         self._shape = tuple(len(v) for v in self._values)
         self._size = math.prod(self._shape)
@@ -172,6 +173,27 @@ class StateGrid:
                 raise ValueError(f"value {config[j]} not in grid dimension {j}")
             idx.append(int(pos))
         return tuple(idx)
+
+    def flat_index(self, configs: np.ndarray) -> Optional[list]:
+        """Flat indices of the integral rows of ``configs``, or ``None`` when one is off the grid.
+
+        Row ``i`` is cell ``index[i]`` of a value tensor over the grid (row
+        ``index[i]`` of :meth:`configs`).
+        """
+        if self._positions is None:
+            self._positions = tuple(
+                {value: k for k, value in enumerate(v.tolist())} for v in self._values
+            )
+        index = []
+        for row in configs.tolist():
+            flat = 0
+            for value, positions, n in zip(row, self._positions, self._shape):
+                k = positions.get(value)
+                if k is None:
+                    return None
+                flat = flat * n + k
+            index.append(flat)
+        return index
 
     def contains(self, config: Sequence[int]) -> bool:
         """Whether the configuration lies exactly on the grid."""

@@ -25,6 +25,7 @@ sub-slot cursor); each original slot's ``n_t`` is its
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -42,10 +43,10 @@ def sub_slot_count(d: int, epsilon: float, idle_costs: np.ndarray, beta: np.ndar
     ``n_t = ceil( d/eps * max_j l_{t,j} / beta_j )``, and at least 1 so that the
     slot is always represented.  (The paper sets ``n = d/eps`` and
     ``n_t = n * max_j l_{t,j}/beta_j``; taking the ceiling keeps ``n_t``
-    integral without weakening the bound ``c(~I) <= eps``.)
+    integral without weakening the bound ``c(~I) <= eps``.)  ``epsilon``
+    must be finite and positive.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     idle_costs = np.asarray(idle_costs, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if np.any(beta <= 0):
@@ -55,21 +56,37 @@ def sub_slot_count(d: int, epsilon: float, idle_costs: np.ndarray, beta: np.ndar
     return max(1, int(n_t))
 
 
+def _check_epsilon(epsilon) -> float:
+    eps = float(epsilon)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    return eps
+
+
 class AlgorithmC(OnlineAlgorithm):
     """The ``(2d + 1 + eps)``-competitive online algorithm of Section 3.2.
 
     Parameters
     ----------
     epsilon:
-        The desired additive slack ``eps > 0``.  Smaller values mean more
-        sub-slots per original slot and therefore more work per step.
+        The desired additive slack, a finite ``eps > 0``.  Smaller values
+        mean more sub-slots per original slot and therefore more work per
+        step.
     tracker / gamma:
         Prefix-optimum tracker used by the *internal* Algorithm B on the
         refined instance; defaults to the exact incremental DP tracker.
     max_sub_slots:
         Safety cap on ``n_t`` (the refinement count grows with
         ``max_j l_{t,j}/beta_j``; the cap guards against pathological
-        instances with near-zero switching costs).  ``None`` disables the cap.
+        instances with near-zero switching costs): an integer ``>= 1``, or
+        ``None``, which disables the cap.
+
+    Malformed ``epsilon`` or ``max_sub_slots`` raise ``ValueError`` here,
+    before any step.  The repair reads ``g_t`` at the sub-slot
+    configurations from the slot's solved block on the inner tracker's grid
+    (:meth:`SlotInfo.block_costs <repro.online.base.SlotInfo.block_costs>`),
+    and asks ``operating_cost`` for the distinct ones only where the block
+    cannot answer.
     """
 
     name = "algorithm-C"
@@ -81,12 +98,16 @@ class AlgorithmC(OnlineAlgorithm):
         gamma: Optional[float] = None,
         max_sub_slots: Optional[int] = 1000,
     ):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if max_sub_slots is not None and (
+            isinstance(max_sub_slots, bool)
+            or not isinstance(max_sub_slots, numbers.Integral)
+            or max_sub_slots < 1
+        ):
+            raise ValueError(f"max_sub_slots must be None or an integer >= 1, got {max_sub_slots!r}")
         if tracker is not None and gamma is not None:
             raise ValueError("give either an explicit tracker or gamma, not both")
-        self.epsilon = float(epsilon)
-        self.max_sub_slots = max_sub_slots
+        self.epsilon = _check_epsilon(epsilon)
+        self.max_sub_slots = None if max_sub_slots is None else int(max_sub_slots)
         self._inner = AlgorithmB(tracker=tracker, gamma=gamma)
         self._d = 0
         self._sub_slot_cursor = 0
@@ -100,7 +121,7 @@ class AlgorithmC(OnlineAlgorithm):
     def step(self, slot: SlotInfo) -> np.ndarray:
         n_t = sub_slot_count(self._d, self.epsilon, slot.idle_costs(), slot.beta)
         if self.max_sub_slots is not None:
-            n_t = min(n_t, int(self.max_sub_slots))
+            n_t = min(n_t, self.max_sub_slots)
 
         scaled = slot.with_scaled_costs(1.0 / n_t)
         sub_configs = []
@@ -121,15 +142,18 @@ class AlgorithmC(OnlineAlgorithm):
         # Repair step (Lemma 14): pick the sub-slot configuration with the
         # cheapest operating cost for the original slot.  Since every sub-slot
         # cost is the original cost divided by n_t, minimising ~g_u(x) is the
-        # same as minimising g_t(x).  Consecutive sub-slots mostly repeat the
-        # same configuration, so evaluate the distinct ones only (the dispatch
-        # engine memoises them anyway, but this keeps even the lookup count
-        # independent of n_t).
+        # same as minimising g_t(x).  The sub-slots read the slot's tensor on
+        # the inner tracker's grid, so g_t at their configurations is read
+        # from that block; where the block cannot answer, the solver is asked
+        # once per distinct configuration, the query set a bisection row's
+        # result depends on.
         stacked = np.stack(sub_configs)
-        unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).reshape(-1)
-        costs = slot.operating_cost(unique)
-        best = int(np.argmin(np.asarray(costs)[inverse]))
+        grid = self._inner.evaluation_grid(slot.counts)
+        costs = None if grid is None else slot.block_costs(grid, stacked)
+        if costs is None:
+            unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
+            costs = np.asarray(slot.operating_cost(unique))[np.asarray(inverse).reshape(-1)]
+        best = int(np.argmin(costs))
         self.last_decision = Decision(None, None, (), None, None, n_t)
         return sub_configs[best]
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -79,6 +78,9 @@ class SlotInfo:
     #: sessions from their cache), so every tracker reading the slot gets one
     #: shared tensor instead of re-querying dispatch.
     _grid_evaluator: Optional[Callable] = None
+    #: Optional block reader: ``(grid, configs) -> g_t at those rows`` read
+    #: from the slot's solved grid block, or ``None`` (see :meth:`block_costs`).
+    _block_costs: Optional[Callable] = None
 
     def idle_costs(self) -> np.ndarray:
         """Idle operating costs ``l_{t,j} = f_{t,j}(0)`` of the current slot."""
@@ -101,11 +103,42 @@ class SlotInfo:
             return self._grid_evaluator(grid)
         return self.operating_cost(grid.configs()).reshape(grid.shape)
 
+    @classmethod
+    def reading(cls, source, key: int, **fields) -> "SlotInfo":
+        """A slot whose ``g_t`` reads are ``source``'s, at its slot ``key``.
+
+        ``source`` answers ``row(key, configs)``, ``grid_tensor(key, grid)``
+        and ``block_costs(key, grid, configs)``: a
+        :class:`SlotContext`'s providers, or a serve cache at a ledger slot.
+        The three reads are bound methods of one small object, which keeps a
+        slot light where many are kept (a context's horizon, a session's
+        slot per demand level).
+        """
+        reads = _SlotReads(source, key)
+        return cls(
+            **fields,
+            _evaluator=reads.row,
+            _grid_evaluator=reads.grid_tensor,
+            _block_costs=reads.block_costs,
+        )
+
+    def block_costs(self, grid, configs: np.ndarray) -> Optional[np.ndarray]:
+        """``g_t`` at integral configuration rows of ``grid``, read from the slot's solved block.
+
+        The cells of the slot's ``grid`` tensor, bit for bit what
+        :meth:`operating_cost` returns for them.  ``None`` when the slot has
+        no block reader or the dispatcher's rule
+        (:meth:`~repro.dispatch.allocation.DispatchSolver.block_rows`) says
+        the solver must answer: then ask :meth:`operating_cost`.
+        """
+        return None if self._block_costs is None else self._block_costs(grid, configs)
+
     def with_scaled_costs(self, factor: float) -> "SlotInfo":
         """A copy of this slot whose operating costs are multiplied by ``factor``.
 
         Used by Algorithm C, which splits a slot into ``n_t`` sub-slots each
-        carrying ``1/n_t`` of the operating cost (Section 3.2).
+        carrying ``1/n_t`` of the operating cost (Section 3.2).  The copy
+        reads no block (:meth:`block_costs` is ``None``).
         """
         scaled_functions = tuple(f.scaled(factor) for f in self.cost_functions)
         evaluator = self._evaluator
@@ -129,6 +162,25 @@ class SlotInfo:
             _evaluator=scaled_evaluator,
             _grid_evaluator=scaled_grid_evaluator,
         )
+
+
+class _SlotReads:
+    """The ``g_t`` reads of one slot: its source's, at the slot's key."""
+
+    __slots__ = ("source", "key")
+
+    def __init__(self, source, key: int):
+        self.source = source
+        self.key = key
+
+    def row(self, configs: np.ndarray) -> np.ndarray:
+        return self.source.row(self.key, configs)
+
+    def grid_tensor(self, grid) -> np.ndarray:
+        return self.source.grid_tensor(self.key, grid)
+
+    def block_costs(self, grid, configs: np.ndarray) -> Optional[np.ndarray]:
+        return self.source.block_costs(self.key, grid, configs)
 
 
 class Decision(NamedTuple):
@@ -280,6 +332,10 @@ class _SlotCosts:
                 return provider.tensor(t)
         return self.row(t, grid.configs()).reshape(grid.shape)
 
+    def block_costs(self, t: int, grid, configs: np.ndarray) -> Optional[np.ndarray]:
+        found = self.dispatcher.block_rows(t, grid, configs)
+        return None if found is None else self.grid_tensor(t, grid).reshape(-1)[found[0]]
+
 
 class SlotContext:
     """The slots of one instance, as :func:`run_online` reveals them.
@@ -332,16 +388,16 @@ class SlotContext:
         """The (cached) :class:`SlotInfo` of slot ``t``."""
         slot = self._slots[t]
         if slot is None:
-            instance, costs = self.instance, self._costs
-            slot = self._slots[t] = SlotInfo(
+            instance = self.instance
+            slot = self._slots[t] = SlotInfo.reading(
+                self._costs,
+                t,
                 t=t,
                 demand=float(instance.demand[t]),
                 cost_functions=instance.cost_row(t),
                 counts=instance.counts_at(t),
                 beta=instance.beta,
                 zmax=instance.zmax,
-                _evaluator=partial(costs.row, t),
-                _grid_evaluator=partial(costs.grid_tensor, t),
             )
         return slot
 

@@ -18,9 +18,12 @@ it in three steps (the last two interleaved in arrival order):
    are grouped by ``(cache, evaluation grid)`` and each group's missing
    tensors are solved in one
    :meth:`~repro.dispatch.allocation.DispatchSolver.solve_block`
-   (:meth:`ServeCache.grid_tensors`); every later query hits the memo.  A
-   dispatch cell is exact on its own, so the block changes no decision and no
-   solve count, only how many calls the solves take.
+   (:meth:`ServeCache.grid_tensors`); every later query hits the memo, and
+   the configurations the ticks commit, and Algorithm C's repair, are read
+   from the block (:meth:`ServeCache.solve_config`), so a cold round asks the
+   dispatcher once.  A dispatch cell is exact on its own, so the block
+   changes no decision and no solve count, only how many calls the solves
+   take.
 2. **Cohorts.**  The arrivals are grouped by ``(cache identity, decider
    kind, cost row, counts)``.  A cohort fetches one grid cost tensor per
    distinct served demand (:meth:`ServeCache.grid_tensor`, the tensor a

@@ -57,7 +57,7 @@ import numpy as np
 
 from ..core.schedule import Schedule
 from ..core.server import ServerType
-from ..dispatch.allocation import DispatchSolver
+from ..dispatch.allocation import DispatchResult, DispatchSolver
 from ..online.algorithm_a import AlgorithmA
 from ..online.algorithm_b import AlgorithmB
 from ..online.algorithm_c import AlgorithmC
@@ -401,6 +401,18 @@ class ServeCache:
     dispatch block and installs each row exactly as :meth:`grid_tensor`'s
     miss path does (one install step), so the sessions' queries become memo
     hits.
+
+    That block is the only dispatch a cold tick pays.  The configuration a
+    tick commits is a cell of the grid its algorithm decided on, so
+    :meth:`solve_config` answers a first query from the slot's fast tensor
+    (the cost at the configuration's flat index) and the load rows the
+    dispatcher's solved record already holds, and Algorithm C's Lemma-14
+    repair reads its sub-slot configurations the same way
+    (:meth:`block_costs`).  One rule,
+    :meth:`~repro.dispatch.allocation.DispatchSolver.block_rows`, decides
+    when a block may answer; bisection rows, configurations off the grid and
+    ``tensor_budget_bytes`` caches (no fast tensors) ask the solver, as
+    before.  Each answer read from a block counts in ``table_gathers``.
     """
 
     def __init__(
@@ -548,6 +560,11 @@ class ServeCache:
         self._fast_install(vt, grid, tensor)
         return tensor
 
+    def row(self, vt: int, configs: np.ndarray) -> np.ndarray:
+        """``g`` at virtual slot ``vt`` for a batch of configurations (one ``solve_grid`` row)."""
+        costs, _ = self.dispatcher.solve_grid(vt, configs)
+        return costs
+
     def grid_tensors(self, vts, grid) -> set:
         """Solve the missing grid tensors of the slots ``vts`` in one block.
 
@@ -603,12 +620,14 @@ class ServeCache:
             # the entry holds a strong ref to the grid, pinning its id
             self._fast_tensors.setdefault(vt, {})[id(grid)] = (grid, tensor)
 
-    def solve_config(self, vt: int, rounded: np.ndarray) -> "DispatchResult":
+    def solve_config(self, vt: int, rounded: np.ndarray) -> DispatchResult:
         """Per-configuration dispatch at a virtual slot — the tick fast path.
 
-        Misses delegate to ``dispatcher.solve`` (the exact call the slow tick
-        path makes) and install its :class:`DispatchResult`, so a fast hit
-        returns the identical object the cold path would.
+        A miss is answered from the slot's solved block when one holds the
+        configuration (:meth:`_first_answer`), else by ``dispatcher.solve``
+        (the call a tick made before blocks answered), and its
+        :class:`DispatchResult` is installed, so a fast hit returns the
+        identical object the miss did.
         """
         sub = self._fast_solves.get(vt)
         if sub is None:
@@ -617,21 +636,65 @@ class ServeCache:
         key = rounded.tobytes()
         hit = sub.get(key)
         if hit is None:
-            hit = self.dispatcher.solve(vt, rounded)
-            sub[key] = hit
+            hit = sub[key] = self._first_answer(vt, rounded)
         else:
             self.table_gathers += 1
         return hit
+
+    def _first_answer(self, vt: int, rounded: np.ndarray) -> DispatchResult:
+        """``g`` and the loads of one configuration at ``vt``, from a block when one answers.
+
+        A fast tensor of ``vt`` whose grid the dispatcher's rule
+        (:meth:`~repro.dispatch.allocation.DispatchSolver.block_rows`) lets
+        answer gives the cost at the configuration's flat index and the
+        load row the solved record holds (a view, no copy): the values
+        ``dispatcher.solve`` would gather, bit for bit.  Otherwise the
+        solver answers: on bisection rows, for configurations off every
+        grid, and on a ``tensor_budget_bytes`` cache, which keeps no fast
+        tensors.
+        """
+        found = self._read_block(vt, rounded[None, :])
+        if found is None:
+            return self.dispatcher.solve(vt, rounded)
+        tensor, (flat,), loads = found
+        cost = float(tensor.flat[flat])
+        return DispatchResult(cost=cost, loads=loads[flat], feasible=math.isfinite(cost))
+
+    def block_costs(self, vt: int, grid, configs: np.ndarray) -> Optional[np.ndarray]:
+        """``g`` at configuration rows of ``grid`` read from ``vt``'s fast tensor, or ``None``.
+
+        Algorithm C's repair reads its sub-slot configurations here (the
+        slot's ``block_costs``); ``None`` under the same rule as
+        :meth:`_first_answer`, and the repair asks the solver.
+        """
+        found = self._read_block(vt, configs, grid)
+        return None if found is None else found[0].reshape(-1)[found[1]]
+
+    def _read_block(self, vt: int, configs: np.ndarray, grid=None) -> Optional[tuple]:
+        """``(tensor, flat indices, load rows)`` of ``configs`` in a fast tensor of ``vt``.
+
+        Tries ``grid``'s fast tensor (each of the slot's when ``grid`` is
+        ``None``); an answer read counts in ``table_gathers``.
+        """
+        for key, (block_grid, tensor) in self._fast_tensors.get(vt, {}).items():
+            if grid is not None and key != id(grid):
+                continue
+            found = self.dispatcher.block_rows(vt, block_grid, configs)
+            if found is not None:
+                self.table_gathers += 1
+                return tensor, found[0], found[1]
+        return None
 
     def prewarm(self, levels, cost_row=None, grid=None) -> None:
         """Solve a known demand alphabet into the fast maps ahead of the ticks.
 
         For every level of a known demand alphabet (``quantise_trace`` bins),
-        runs the *exact* queries a cold tick would — the whole-grid tensor
-        build on ``grid`` (default: the full fleet grid implied by the server
-        counts) and the per-configuration single-slot solves — and installs
-        their results into the fast maps, so first-seen demand levels stop
-        paying dispatch solves on the tick path.
+        runs what a cold tick would — the whole-grid tensor build on ``grid``
+        (default: the full fleet grid implied by the server counts) and each
+        configuration's first answer (:meth:`solve_config`'s miss, read from
+        that tensor's block) — and installs the results into the fast maps,
+        so first-seen demand levels stop paying dispatch solves on the tick
+        path.
 
         Because every entry is produced by the cold path itself, serving ticks
         from a prewarmed cache is bit-identical to a cold replay — which the
@@ -655,7 +718,7 @@ class ServeCache:
                 rounded = np.asarray(config, dtype=int)
                 key = rounded.tobytes()
                 if key not in sub:
-                    sub[key] = self.dispatcher.solve(vt, rounded)
+                    sub[key] = self._first_answer(vt, rounded)
         self.prewarmed_levels = max(self.prewarmed_levels, len(levels))
 
     def _evict_tensors(self) -> None:
@@ -1134,22 +1197,15 @@ class ControllerSession:
         if slot is not None:
             object.__setattr__(slot, "t", self._t)
         else:
-            def evaluator(batch: np.ndarray, _vt: int = vt) -> np.ndarray:
-                costs, _ = cache.dispatcher.solve_grid(_vt, batch)
-                return costs
-
-            def grid_evaluator(grid, _vt: int = vt) -> np.ndarray:
-                return cache.grid_tensor(_vt, grid)
-
-            slot = SlotInfo(
+            slot = SlotInfo.reading(
+                cache,
+                vt,
                 t=self._t,
                 demand=served,
                 cost_functions=row,
                 counts=counts_t,
                 beta=stream.beta,
                 zmax=stream.zmax,
-                _evaluator=evaluator,
-                _grid_evaluator=grid_evaluator,
             )
             if reusable:
                 self._slot_templates[vt] = slot
@@ -1302,11 +1358,12 @@ class ControllerSession:
         started_ns=None,
         emit: bool = True,
     ) -> Optional[FleetState]:
-        """Phase 3 of a tick: solve, account, advance — the pure-state-update half.
+        """Phase 3 of a tick: price, account, advance — the pure-state-update half.
 
-        Runs the per-configuration dispatch solve (:meth:`ServeCache.solve_config`
-        — memoised, so a cohort's commit returns the identical
-        ``DispatchResult`` object an observed tick would), the switching-cost
+        Reads the configuration's dispatch (:meth:`ServeCache.solve_config`:
+        from the tick's solved grid block on a cold tick, memoised, so a
+        cohort's commit returns the identical ``DispatchResult`` object an
+        observed tick would), the switching-cost
         update, SLA/cumulative counters and the history/previous/tick-cursor
         advance.  The tick's latency runs from ``started_ns`` to the end of
         this commit (0 when ``started_ns`` is ``None``); the serve engine

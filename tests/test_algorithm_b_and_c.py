@@ -178,6 +178,40 @@ class TestAlgorithmC:
         with pytest.raises(ValueError):
             AlgorithmC(epsilon=0.0)
 
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"max_sub_slots": 0}, "max_sub_slots"),
+            ({"max_sub_slots": -2}, "max_sub_slots"),
+            ({"max_sub_slots": 2.5}, "max_sub_slots"),
+            ({"max_sub_slots": True}, "max_sub_slots"),
+            ({"epsilon": float("nan")}, "epsilon"),
+            ({"epsilon": float("inf")}, "epsilon"),
+            ({"epsilon": -0.5}, "epsilon"),
+        ],
+        ids=["cap-0", "cap-neg", "cap-float", "cap-bool", "eps-nan", "eps-inf", "eps-neg"],
+    )
+    def test_malformed_parameters_fail_in_the_constructor(self, params, match):
+        """Every malformed epsilon or cap raises ValueError when C is built,
+        directly and through the serve builder, before any step runs."""
+        from repro.serve import build_serve_algorithm
+
+        with pytest.raises(ValueError, match=match):
+            AlgorithmC(**params)
+        with pytest.raises(ValueError, match=match):
+            build_serve_algorithm({"kind": "C", "params": params})
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0])
+    def test_sub_slot_count_needs_a_finite_positive_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            sub_slot_count(2, epsilon, np.array([1.0]), np.array([1.0]))
+
+    def test_integral_caps_are_kept(self, time_dependent_instance):
+        assert AlgorithmC(max_sub_slots=np.int64(3)).max_sub_slots == 3
+        assert AlgorithmC(max_sub_slots=None).max_sub_slots is None
+        result = run_online(time_dependent_instance, AlgorithmC(epsilon=0.001, max_sub_slots=1))
+        assert np.all(_sub_slot_counts(result) == 1)
+
     def test_feasibility(self, time_dependent_instance):
         result = run_online(time_dependent_instance, AlgorithmC(epsilon=0.5))
         assert result.schedule.is_feasible(time_dependent_instance)

@@ -93,3 +93,40 @@ def test_latest_names_an_unreadable_file_and_fails(tmp_path, monkeypatch):
     code, out, _ = run_cli("bench", "--latest", "--json", str(output / "BENCH_missing.json"))
     assert code == 1
     assert out.strip().endswith(": unreadable (No such file or directory)")
+
+
+def _perfbench_line(correct=True, ticks_per_s=4100.5):
+    """A canned last line of ``perfbench/run.py`` (its JSON result)."""
+    metrics = {
+        "ticks_per_s": (ticks_per_s, "1/s"), "tick_p50_us": (172.0, "us"),
+        "tick_p99_us": (260.0, "us"), "solve_s": (0.156, "s"),
+        "approx_solve_s": (0.147, "s"), "setup_s": (0.05, "s"), "peak_rss_mb": (88.5, "MB"),
+    }
+    return json.dumps({
+        "correct": correct, "attempted": 5000, "failed": 0 if correct else 200,
+        "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()},
+    })
+
+
+def test_perfbench_runs_are_recorded_one_section_and_headline_per_workload(tmp_path):
+    from repro.bench import record_perfbench_run
+
+    path = tmp_path / "BENCH_perfbench.json"
+    record_perfbench_run(path, "continuous-cold", _perfbench_line(ticks_per_s=4000.0), 1, 25.0)
+    record_perfbench_run(path, "offline-plan", _perfbench_line(), 1, 25.0)
+    row = record_perfbench_run(path, "continuous-cold", _perfbench_line(), 1, 25.0)
+    assert row["correct"] is True and row["ticks_per_s"] == 4100.5
+    document = json.loads(path.read_text())
+    section = document["continuous-cold"]
+    assert section["units"]["tick_p99_us"] == "us" and section["seconds"] == 25.0
+    assert {"recorded_at", "environment"} <= set(section)
+    runs = document["runs"]
+    assert [run["benchmark"] for run in runs] == [
+        "perfbench-continuous-cold", "perfbench-offline-plan", "perfbench-continuous-cold",
+    ]
+    assert runs[-1]["correct"] is True and runs[-1]["failed"] == 0
+    assert runs[-1]["peak_rss_mb"] == 88.5 and "environment" in runs[-1]
+    code, out, _ = run_cli("bench", "--latest", "--json", str(path))
+    assert code == 0
+    assert "perfbench-offline-plan: 1 run(s)" in out
+    assert "ticks_per_s +100.5" in out  # against the same workload's previous run

@@ -98,3 +98,36 @@ def test_a_broken_smoke_case_fails_the_gate_after_its_table(monkeypatch):
     assert [line.strip() for line in failure.strip().splitlines()] == [
         "homogeneous: RuntimeError('injected breakage')"
     ]
+
+
+def test_perfbench_gate_records_every_workload_and_fails_on_a_failed_check(
+    tmp_path, monkeypatch
+):
+    """``bench --perfbench`` records each workload's last output line (canned
+    here: the real runs take minutes) and fails naming a run whose checks
+    failed, after recording it."""
+    import subprocess
+
+    from repro import bench
+
+    asked = []
+
+    def fake_run(argv, **kwargs):
+        workload = argv[argv.index("--workload") + 1]
+        asked.append((workload, argv[argv.index("--seconds") + 1]))
+        correct = workload != "offline-plan"
+        result = {"correct": correct, "attempted": 10, "failed": 0 if correct else 3,
+                  "metrics": {"ticks_per_s": {"value": 10.0, "unit": "1/s"}}}
+        stdout = ("" if correct else "# FAIL a schedule differs\n") + json.dumps(result) + "\n"
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    path = tmp_path / "BENCH_perfbench.json"
+    code, out, err = run_cli("bench", "--perfbench", "--seconds", "2", "--json", str(path))
+    assert code == 1
+    assert "bench perfbench" in out
+    assert "offline-plan: 3 failed; # FAIL a schedule differs" in err
+    assert asked == [(w, "2.0") for w in bench.PERFBENCH_WORKLOADS]
+    document = json.loads(path.read_text())
+    assert set(bench.PERFBENCH_WORKLOADS) <= set(document)
+    assert [run["correct"] for run in document["runs"]] == [True, True, False]

@@ -46,7 +46,7 @@ from repro.serve import (
 )
 from repro.serve.fabric import _materialise, _WorkerTenant
 from repro.serve.supervisor import BreakerConfig, CircuitBreaker
-from repro.serve.verify import assert_same
+from repro.serve.verify import assert_same, replay
 from repro.workloads import named_trace
 from repro.workloads.scale import quantise_trace
 
@@ -723,6 +723,183 @@ class TestRoundBlock:
         engine.run()
         assert cache.dispatcher.stats.block_calls == before
         assert not asked
+
+
+def _spy_queries(monkeypatch, dispatcher):
+    """Record the name of every dispatcher query (``solve``/``solve_grid``/``solve_block``)."""
+    calls = []
+    for name in ("solve", "solve_grid", "solve_block"):
+        method = getattr(dispatcher, name)
+
+        def spy(*args, _method=method, _name=name, **kwargs):
+            calls.append(_name)
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(dispatcher, name, spy)
+    return calls
+
+
+class TestBlockReads:
+    """A configuration's first answer and Algorithm C's repair read the slot's
+    solved grid block; the solver answers only where the block cannot."""
+
+    @pytest.mark.parametrize("fleet", ["diurnal-cpu-gpu", "priced-cpu-gpu", "time-varying-m"])
+    def test_block_answers_equal_a_fresh_solver(self, fleet, monkeypatch):
+        """For every configuration of each slot's grid (piece rows, ScaledCost
+        price rows, time-varying counts) the cache reads the answer from the
+        block, with no query, and it is the fresh solver's: cost by repr,
+        loads by bytes."""
+        from repro.dispatch import DispatchSolver
+
+        instance = build(fleet, T=6)
+        cache = ServeCache(instance.server_types)
+        calls = _spy_queries(monkeypatch, cache.dispatcher)
+        for t in range(instance.T):
+            vt = cache.virtual_slot(float(instance.demand[t]), instance.cost_row(t))
+            grid = StateGrid.full(instance.counts_at(t))
+            cache.grid_tensor(vt, grid)
+            calls.clear()
+            gathers = cache.table_gathers
+            fresh = DispatchSolver(instance)
+            for config in grid.configs():
+                got = cache.solve_config(vt, np.array(config))
+                want = fresh.solve(t, config)
+                assert repr(got.cost) == repr(want.cost), (fleet, t, config)
+                assert got.loads.tobytes() == want.loads.tobytes(), (fleet, t, config)
+                assert got.feasible == want.feasible
+            assert calls == [], (fleet, t)
+            assert cache.table_gathers == gathers + grid.size
+            costs = cache.block_costs(vt, grid, grid.configs()[::-1])
+            assert np.array_equal(costs, cache.grid_tensor(vt, grid).reshape(-1)[::-1])
+
+    def test_a_record_on_another_grid_answers_only_through_that_grid(self):
+        """Once a wider grid's solve replaces a slot's record, the narrower
+        grid's tensor no longer locates its rows: the commit reads the wider
+        block (the fresh solver's loads), and C's reader on the narrower grid
+        says no."""
+        fleet = build("diurnal-cpu-gpu", T=4).server_types
+        cache, alone = ServeCache(fleet), ServeCache(fleet)
+        vt, alone_vt = cache.virtual_slot_base(2.5), alone.virtual_slot_base(2.5)
+        small, full = StateGrid.full([3, 1]), StateGrid.full([5, 2])
+        cache.grid_tensor(vt, small)
+        cache.grid_tensor(vt, full)  # the wider set becomes the record
+        assert cache.block_costs(vt, small, small.configs()) is None
+        wide = cache.grid_tensor(vt, full).reshape(-1)
+        index = full.flat_index(small.configs())
+        assert np.array_equal(cache.block_costs(vt, full, small.configs()), wide[index])
+        for config in small.configs():
+            got = cache.solve_config(vt, np.array(config))
+            want = alone.dispatcher.solve(alone_vt, config)
+            assert repr(got.cost) == repr(want.cost)
+            assert got.loads.tobytes() == want.loads.tobytes()
+
+    def test_bisection_rows_gamma_grids_and_budgeted_caches_take_the_solver(self, monkeypatch):
+        """CallableCost rows (no record: their cells depend on the block),
+        configurations off a gamma grid, and a tensor-budgeted cache (no fast
+        tensors) keep the solver query in both readers."""
+        bisecting = _callable_d2(4)
+        fleet = build("diurnal-cpu-gpu", T=4)
+        geometric = StateGrid.geometric(fleet.m, 2.0)  # no 3 servers of type 0
+        cases = [
+            (ServeCache(bisecting.server_types), StateGrid.full(bisecting.m), [2, 1]),
+            (ServeCache(fleet.server_types), geometric, [3, 1]),
+            (ServeCache(fleet.server_types, tensor_budget_bytes=1 << 20),
+             StateGrid.full(fleet.m), [2, 1]),
+        ]
+        for cache, grid, config in cases:
+            vt = cache.virtual_slot_base(2.5)
+            cache.grid_tensor(vt, grid)
+            calls = _spy_queries(monkeypatch, cache.dispatcher)
+            gathers = cache.table_gathers
+            configs = np.array([[0, 1], config])
+            assert cache.block_costs(vt, grid, configs) is None
+            cache.solve_config(vt, np.array(config))
+            assert calls[0] == "solve" and cache.table_gathers == gathers
+        # on the gamma grid, a configuration that lies on it is read from the block
+        cache = cases[1][0]
+        calls = _spy_queries(monkeypatch, cache.dispatcher)
+        cache.solve_config(cache.virtual_slot_base(2.5), np.array([4, 1]))
+        assert calls == []
+
+    def test_one_cold_continuous_round_makes_one_block_call(self, monkeypatch):
+        """A cold continuous round of A, B, C, lcp and reactive asks the
+        dispatcher exactly one solve_block: the round's block.  Commits and
+        C's repair read it."""
+        fleet = build("diurnal-cpu-gpu", T=4).server_types
+        engine = ServeEngine()
+        for k, kind in enumerate(["A", "B", "C", "lcp", "reactive"]):
+            demand = build("diurnal-cpu-gpu", T=4, seed=k + 1).demand
+            engine.add_tenant(kind, kind, ArrayFeed(demand, server_types=fleet))
+        (cache,) = engine.caches
+        calls = _spy_queries(monkeypatch, cache.dispatcher)
+        for round_ in range(4):
+            calls.clear()
+            assert engine.play_round()
+            assert calls == ["solve_block"], round_
+        assert [session.ticks for session in engine.sessions] == [4] * 5
+
+    @pytest.mark.parametrize("family", scenarios.names())
+    def test_sessions_with_gamma_trackers_equal_run_online(self, family):
+        """A- and C-gamma tenants, whose configurations may leave the gamma
+        grid, replay bit for bit as batch run_online."""
+        instance = _smoke_instance(family)
+        for algorithm in ({"kind": "A", "params": {"gamma": 2.0}},
+                          {"kind": "C", "params": {"gamma": 2.0}}):
+            reference = run_online(instance, build_serve_algorithm(algorithm))
+            session = replay(
+                ControllerSession(algorithm, instance.server_types), InstanceFeed(instance)
+            )
+            assert_same(reference, session, label=f"{family}/{algorithm}", tolerance=1e-9)
+
+    def test_c_without_a_grid_evaluator_repairs_through_operating_cost(self):
+        """Slots with no grid evaluator and no block reader: C's repair asks
+        operating_cost once per slot for its distinct sub-slot configurations,
+        and decides as run_online's block-reading C does."""
+        import dataclasses
+
+        from repro.online import AlgorithmC
+        from repro.online.base import SlotContext
+
+        instance = build("priced-cpu-gpu", T=10)
+        context = SlotContext(instance)
+        sizes = []
+        algorithm = AlgorithmC(epsilon=0.1)
+        algorithm.start(context.context)
+        chosen = []
+        for t in range(instance.T):
+            slot = context.slot(t)
+
+            def evaluator(configs, _slot=slot):
+                sizes.append(len(configs))
+                return _slot.operating_cost(configs)
+
+            bare = dataclasses.replace(
+                slot, _evaluator=evaluator, _grid_evaluator=None, _block_costs=None
+            )
+            before = len(sizes)
+            chosen.append(algorithm.step(bare))
+            n_t = algorithm.last_decision.sub_slots
+            grid_size = StateGrid.full(instance.counts_at(t)).size
+            asked = sizes[before:]
+            assert asked[:n_t] == [grid_size] * n_t
+            assert len(asked) == n_t + 1 and 1 <= asked[-1] <= n_t
+        reference = run_online(instance, AlgorithmC(epsilon=0.1))
+        assert np.array_equal(np.array(chosen), reference.schedule.x)
+
+    def test_checkpointed_slot_contexts_read_no_block(self):
+        """Unmemoised (windowed) providers record no solved set, so their
+        slots' block reader says no; an unwindowed context's reads the tensor."""
+        from repro.online.base import SlotContext
+
+        instance = build("diurnal-cpu-gpu", T=6)
+        grid = StateGrid.full(instance.m)
+        configs = grid.configs()[:3]
+        windowed, whole = SlotContext(instance, window=2), SlotContext(instance)
+        for context in (windowed, whole):
+            context.slot(1).grid_operating_cost(grid)
+        assert windowed.slot(1).block_costs(grid, configs) is None
+        tensor = whole.slot(1).grid_operating_cost(grid).reshape(-1)
+        assert np.array_equal(whole.slot(1).block_costs(grid, configs), tensor[:3])
 
 
 class TestDispatcherMemoBound:
