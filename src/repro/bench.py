@@ -1668,19 +1668,19 @@ def record_perfbench_run(
     return row
 
 
-def run_perfbench_bench(json_path: Optional[str] = None, seconds: float = 25.0) -> dict:
+def run_perfbench_bench(json_path: Optional[str] = None) -> dict:
     """Run the repository benchmark's end-to-end pass per workload and record it.
 
     ``make bench-perfbench``: ``python perfbench/run.py --workload W --seed
-    1 --seconds X`` for every workload, each in its own process from the
+    1 --seconds 25`` for every workload, each in its own process from the
     repository root, and its last output line through
     :func:`record_perfbench_run`, so ``BENCH_perfbench.json`` keeps one
-    section and one trend headline per workload.  One seed keeps the
-    entries comparable run to run.  A run that exits non-zero, prints no
-    result or reads ``correct`` false is a failure.
+    section and one trend headline per workload.  One seed and one run
+    length keep the entries comparable run to run.  A run that exits
+    non-zero, prints no result or reads ``correct`` false is a failure.
     """
     root = Path(__file__).resolve().parents[2]
-    seed = 1
+    seed, seconds = 1, 25.0
     rows, failures = [], []
     for workload in PERFBENCH_WORKLOADS:
         done = subprocess.run(

@@ -73,11 +73,12 @@ without writing Python:
     unique solves, slot queries, tensor hits/misses, grid hit rate, table
     gathers — matches its pinned value exactly (part of ``make perf-regress``).
 
-``python -m repro bench --perfbench [--seconds 25]``
-    Run ``perfbench/run.py`` on each of its workloads and append the
-    end-to-end metrics plus ``correct``/``failed``, env-stamped, to the
-    ``--json`` trend file (``make bench-perfbench`` writes
-    ``BENCH_perfbench.json``); a run whose checks fail fails the gate.
+``python -m repro bench --perfbench``
+    Run ``perfbench/run.py --seconds 25`` on each of its workloads (about
+    35 s in all) and append the end-to-end metrics plus
+    ``correct``/``failed``, env-stamped, to the ``--json`` trend file
+    (``make bench-perfbench`` writes ``BENCH_perfbench.json``); a run whose
+    checks fail fails the gate.
 
 ``python -m repro bench --latest``
     Print, for each benchmark of every ``BENCH_*.json`` trend series (the
@@ -1126,8 +1127,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _run_gate(bench.run_counter_regress, _show_counters, args.json)
 
     if args.perfbench:
-        return _run_gate(bench.run_perfbench_bench, _show_perfbench, args.json,
-                         seconds=args.seconds)
+        return _run_gate(bench.run_perfbench_bench, _show_perfbench, args.json)
 
     tolerance = args.tolerance
 
@@ -1503,10 +1503,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "or the file given via --json)")
     p_bench.add_argument("--perfbench", action="store_true",
                          help="run perfbench/run.py's end-to-end pass on every workload and "
-                              "append its metrics to the --json trend file (minutes; "
+                              "append its metrics to the --json trend file (about 35 s; "
                               "`make bench-perfbench`)")
-    p_bench.add_argument("--seconds", type=float, default=25.0,
-                         help="with --perfbench: perfbench's --seconds per workload (default: 25)")
     p_bench.add_argument("--jobs", type=int, default=1,
                          help="process sharding for --sweep (default: 1)")
     p_bench.add_argument("--json", default=None, help="also write the measurements to this JSON file")

@@ -165,20 +165,17 @@ class StateGrid:
 
     def index_of(self, config: Sequence[int]) -> tuple:
         """Indices of an exact grid member; raises when ``config`` is off-grid."""
-        config = np.asarray(config, dtype=int)
-        idx = []
-        for j in range(self.d):
-            pos = np.searchsorted(self._values[j], config[j])
-            if pos >= len(self._values[j]) or self._values[j][pos] != config[j]:
-                raise ValueError(f"value {config[j]} not in grid dimension {j}")
-            idx.append(int(pos))
-        return tuple(idx)
+        index = self.flat_index(np.asarray(config, dtype=int)[None])
+        if index is None:
+            raise ValueError(f"configuration {np.asarray(config).tolist()} is not on the grid")
+        return tuple(int(k) for k in np.unravel_index(index[0], self._shape))
 
     def flat_index(self, configs: np.ndarray) -> Optional[list]:
         """Flat indices of the integral rows of ``configs``, or ``None`` when one is off the grid.
 
         Row ``i`` is cell ``index[i]`` of a value tensor over the grid (row
-        ``index[i]`` of :meth:`configs`).
+        ``index[i]`` of :meth:`configs`).  The grid's one membership test:
+        :meth:`index_of` and :meth:`contains` ask it too.
         """
         if self._positions is None:
             self._positions = tuple(
@@ -197,11 +194,7 @@ class StateGrid:
 
     def contains(self, config: Sequence[int]) -> bool:
         """Whether the configuration lies exactly on the grid."""
-        try:
-            self.index_of(config)
-            return True
-        except ValueError:
-            return False
+        return self.flat_index(np.asarray(config, dtype=int)[None]) is not None
 
     # ---------------------------------------------------------- value lookup
     def ceil_value(self, j: int, value: float) -> int:

@@ -103,9 +103,9 @@ def test_a_broken_smoke_case_fails_the_gate_after_its_table(monkeypatch):
 def test_perfbench_gate_records_every_workload_and_fails_on_a_failed_check(
     tmp_path, monkeypatch
 ):
-    """``bench --perfbench`` records each workload's last output line (canned
-    here: the real runs take minutes) and fails naming a run whose checks
-    failed, after recording it."""
+    """``bench --perfbench`` runs every workload at ``--seconds 25``, records
+    each last output line (canned here: the real runs take about 35 s) and
+    fails naming a run whose checks failed, after recording it."""
     import subprocess
 
     from repro import bench
@@ -123,11 +123,11 @@ def test_perfbench_gate_records_every_workload_and_fails_on_a_failed_check(
 
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     path = tmp_path / "BENCH_perfbench.json"
-    code, out, err = run_cli("bench", "--perfbench", "--seconds", "2", "--json", str(path))
+    code, out, err = run_cli("bench", "--perfbench", "--json", str(path))
     assert code == 1
     assert "bench perfbench" in out
     assert "offline-plan: 3 failed; # FAIL a schedule differs" in err
-    assert asked == [(w, "2.0") for w in bench.PERFBENCH_WORKLOADS]
+    assert asked == [(w, "25.0") for w in bench.PERFBENCH_WORKLOADS]
     document = json.loads(path.read_text())
     assert set(bench.PERFBENCH_WORKLOADS) <= set(document)
     assert [run["correct"] for run in document["runs"]] == [True, True, False]
