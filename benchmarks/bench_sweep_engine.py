@@ -6,9 +6,9 @@ run) and once through the shared-context sweep engine (:mod:`repro.exp`), then
 
 * asserts the engine reproduces every pinned PR-1 cost within 1e-6 and agrees
   with the sequential orchestration to 1e-9, and
-* records both wall times — plus the PR-1 reference wall time — in
-  ``benchmarks/output/BENCH_sweep.json`` so the performance trajectory of the
-  sweep path is tracked numerically (wall times are advisory, costs gate).
+* records both wall times in ``benchmarks/output/BENCH_sweep.json`` so the
+  performance trajectory of the sweep path is tracked numerically (wall times
+  are advisory, costs gate).
 """
 
 from repro.bench import PINNED_SWEEP_COSTS, run_sweep_bench
@@ -40,21 +40,14 @@ def test_sweep_engine_combined_workload(benchmark):
     ]
     timing = [
         {
-            "orchestration": "PR-1 reference (pinned)",
-            "wall_seconds": payload["pr1_reference"]["wall_seconds"],
-            "speedup_vs_pr1": 1.0,
-        },
-        {
-            "orchestration": "sequential (PR-1 style, this machine)",
+            "orchestration": "sequential (fresh solver per run)",
             "wall_seconds": payload["sequential_wall_seconds"],
-            "speedup_vs_pr1": round(
-                payload["pr1_reference"]["wall_seconds"] / payload["sequential_wall_seconds"], 2
-            ),
+            "speedup_vs_sequential": 1.0,
         },
         {
             "orchestration": "shared-context engine",
             "wall_seconds": payload["engine_wall_seconds"],
-            "speedup_vs_pr1": payload["speedup_vs_pr1"],
+            "speedup_vs_sequential": payload["speedup_vs_sequential"],
         },
     ]
     text = "\n\n".join(

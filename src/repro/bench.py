@@ -68,7 +68,6 @@ __all__ = [
     "PERFBENCH_WORKLOADS",
     "PINNED_SERVE_COUNTERS",
     "PINNED_SWEEP_COSTS",
-    "PR1_BASELINE_WALL_SECONDS",
     "run_batch_scale_bench",
     "run_batch_smoke",
     "run_chaos_smoke",
@@ -179,12 +178,6 @@ def run_smoke_bench(tolerance: float = 1e-6, json_path: Optional[str] = None) ->
 # --------------------------------------------------------------------------- #
 # Sweep regression suite: the combined THM8+13+15+22 ratio workload
 # --------------------------------------------------------------------------- #
-
-#: Wall time of the combined THM8+13+15+22 workload measured at the PR-1
-#: commit on the reference machine (best of 3).  Advisory only — recorded so
-#: that ``BENCH_sweep.json`` can report the end-to-end speedup of the sweep
-#: engine against the state it replaced; never gated (machines differ).
-PR1_BASELINE_WALL_SECONDS = 1.046
 
 #: Costs of every run of the combined sweep workload, computed at the PR-1
 #: commit.  Keyed by ``(experiment, instance, algorithm)`` where algorithm
@@ -710,12 +703,6 @@ def run_sweep_bench(
         "speedup_vs_sequential": None
         if baseline_wall is None
         else round(baseline_wall / engine_wall, 2),
-        "pr1_reference": {
-            "wall_seconds": PR1_BASELINE_WALL_SECONDS,
-            "note": "combined THM8+13+15+22 wall time measured at the PR-1 commit "
-                    "on the reference machine (advisory only)",
-        },
-        "speedup_vs_pr1": round(PR1_BASELINE_WALL_SECONDS / engine_wall, 2),
         "timing_passes": len(engine_walls),
         "jobs": jobs,
         "experiments": experiments,
@@ -729,7 +716,6 @@ def run_sweep_bench(
                 "engine_wall_seconds": payload["engine_wall_seconds"],
                 "sequential_wall_seconds": payload["sequential_wall_seconds"],
                 "speedup_vs_sequential": payload["speedup_vs_sequential"],
-                "speedup_vs_pr1": payload["speedup_vs_pr1"],
                 "max_cost_deviation": worst,
             },
         )

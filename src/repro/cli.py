@@ -667,9 +667,7 @@ def _show_sweep(payload: dict) -> None:
           f"(max deviation {payload['max_cost_deviation']:.2e})")
     print(f"wall time: engine {payload['engine_wall_seconds']:.3f}s, "
           f"sequential orchestration {payload['sequential_wall_seconds']:.3f}s "
-          f"({payload['speedup_vs_sequential']}x), "
-          f"PR-1 reference {payload['pr1_reference']['wall_seconds']:.3f}s "
-          f"({payload['speedup_vs_pr1']}x, advisory)")
+          f"({payload['speedup_vs_sequential']}x, advisory)")
 
 
 def _show_smoke_bench(payload: dict, tolerance: float) -> None:

@@ -99,6 +99,11 @@ class StateGrid:
         return cls([geometric_levels(int(m), gamma) for m in counts])
 
     @classmethod
+    def for_gamma(cls, counts: Sequence[int], gamma: Optional[float]) -> "StateGrid":
+        """The full grid when ``gamma`` is ``None``, else the reduced grid ``M^gamma``."""
+        return cls.full(counts) if gamma is None else cls.geometric(counts, gamma)
+
+    @classmethod
     def from_epsilon(cls, counts: Sequence[int], epsilon: float) -> "StateGrid":
         """Reduced grid with ``gamma = 1 + eps/2`` so that ``2*gamma - 1 = 1 + eps``."""
         if epsilon <= 0:
@@ -258,7 +263,7 @@ def grid_for_slot(
     key = (tuple(int(c) for c in counts), None if gamma is None else float(gamma))
     grid = cache.get(key)
     if grid is None:
-        grid = StateGrid.full(counts) if gamma is None else StateGrid.geometric(counts, gamma)
+        grid = StateGrid.for_gamma(counts, gamma)
         cache[key] = grid
     return grid
 

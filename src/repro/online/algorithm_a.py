@@ -30,24 +30,19 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .base import Decision, OnlineAlgorithm, OnlineContext, SlotInfo
-from .tracker import DPPrefixTracker, PrefixOptimumTracker
+from .base import Decision, OnlineContext, SlotInfo
+from .tracker import PrefixOptimumAlgorithm, PrefixOptimumTracker
 
 __all__ = ["AlgorithmA"]
 
 
-class AlgorithmA(OnlineAlgorithm):
+class AlgorithmA(PrefixOptimumAlgorithm):
     """The deterministic ``(2d+1)``-competitive online algorithm of Section 2.
 
-    Parameters
-    ----------
-    tracker:
-        Source of the prefix optima ``\\hat x^t_t``.  Defaults to the exact
-        incremental DP tracker; a :class:`~repro.online.tracker.FixedSequenceTracker`
-        can be supplied for unit tests, and a grid-reduced tracker
-        (``DPPrefixTracker(gamma=...)``) for large fleets.
-    gamma:
-        Convenience shortcut for ``DPPrefixTracker(gamma=gamma)``.
+    ``tracker`` supplies the prefix optima ``\\hat x^t_t`` (default: the
+    exact incremental DP tracker; a
+    :class:`~repro.online.tracker.FixedSequenceTracker` for unit tests);
+    ``gamma`` is a shortcut for ``DPPrefixTracker(gamma=gamma)``.
 
     Notes
     -----
@@ -63,9 +58,7 @@ class AlgorithmA(OnlineAlgorithm):
     name = "algorithm-A"
 
     def __init__(self, tracker: Optional[PrefixOptimumTracker] = None, gamma: Optional[float] = None):
-        if tracker is not None and gamma is not None:
-            raise ValueError("give either an explicit tracker or gamma, not both")
-        self._tracker = tracker if tracker is not None else DPPrefixTracker(gamma=gamma)
+        super().__init__(tracker, gamma)
         self._runtimes: Optional[np.ndarray] = None
         self._runtime_ticks: Optional[List[int]] = None
         self._current: Optional[np.ndarray] = None
@@ -84,22 +77,24 @@ class AlgorithmA(OnlineAlgorithm):
     def step(self, slot: SlotInfo) -> np.ndarray:
         if self._current is None:
             raise RuntimeError("start() must be called before step()")
-        if self._runtimes is None:
-            self._runtimes = self._compute_runtimes(slot)
         xhat = np.asarray(self._tracker.observe(slot), dtype=int)
-        return self.decide(slot.t, xhat)
+        return self.decide(slot.t, (xhat,), slot)
 
-    def evaluation_grid(self, counts: np.ndarray):
-        return self._tracker.grid(counts)
+    @classmethod
+    def decide_lanes(cls, algorithms, lanes) -> np.ndarray:
+        return cls.decide_prefix_lanes(algorithms, lanes, ("smallest",))
 
-    def decide(self, t: int, xhat: np.ndarray) -> np.ndarray:
-        """Slot ``t``'s configuration from its prefix optimum ``\\hat x^t_t``.
+    def decide(self, t: int, optima: tuple, slot) -> np.ndarray:
+        """The power-down and power-up rules at slot ``t``, ``optima = (\\hat x^t_t,)``.
 
-        The power-down and power-up rules, after the tracker has observed the
-        slot (:meth:`step` is the tracker's ``observe`` plus this rule; the
-        batched serve engine feeds it ``xhat`` from a stacked tracker
-        advance).  Needs the runtimes, which the first :meth:`step` computes.
+        The first decision fixes the runtimes from ``slot``'s idle costs.
         """
+        (xhat,) = optima
+        if self._runtimes is None:
+            # \bar t_j = max(ceil(beta_j / f_j(0)), 1), inf for zero idle cost
+            idle = slot.idle_costs()
+            ratio = slot.beta / np.where(idle > 0.0, idle, 1.0)
+            self._runtimes = np.where(idle > 0.0, np.maximum(np.ceil(ratio), 1.0), math.inf)
         if self._runtime_ticks is None:
             # integer ski-rental runtimes as plain ints (-1 = infinite): the
             # per-type expiry bookkeeping below stays off numpy scalars
@@ -167,16 +162,3 @@ class AlgorithmA(OnlineAlgorithm):
     def runtimes(self) -> Optional[np.ndarray]:
         """The per-type runtimes ``\\bar t_j`` (``inf`` when the idle cost is zero)."""
         return None if self._runtimes is None else self._runtimes.copy()
-
-    # ------------------------------------------------------------------ internals
-    def _compute_runtimes(self, slot: SlotInfo) -> np.ndarray:
-        """``\\bar t_j = ceil(beta_j / f_j(0))`` (``inf`` for zero idle cost)."""
-        runtimes = np.zeros(self._d)
-        idle = slot.idle_costs()
-        for j in range(self._d):
-            if idle[j] <= 0.0:
-                runtimes[j] = math.inf
-            else:
-                runtimes[j] = math.ceil(slot.beta[j] / idle[j])
-                runtimes[j] = max(runtimes[j], 1.0)
-        return runtimes

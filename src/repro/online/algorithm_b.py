@@ -30,8 +30,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .base import Decision, OnlineAlgorithm, OnlineContext, SlotInfo
-from .tracker import DPPrefixTracker, PrefixOptimumTracker
+from .base import Decision, OnlineContext, SlotInfo
+from .tracker import PrefixOptimumAlgorithm, PrefixOptimumTracker
 
 __all__ = ["AlgorithmB", "compute_runtimes", "compute_retirement_sets"]
 
@@ -45,15 +45,13 @@ class _PowerUpRecord:
     accumulated_idle: float = 0.0
 
 
-class AlgorithmB(OnlineAlgorithm):
+class AlgorithmB(PrefixOptimumAlgorithm):
     """The ``(2d + 1 + c(I))``-competitive online algorithm of Section 3.1."""
 
     name = "algorithm-B"
 
     def __init__(self, tracker: Optional[PrefixOptimumTracker] = None, gamma: Optional[float] = None):
-        if tracker is not None and gamma is not None:
-            raise ValueError("give either an explicit tracker or gamma, not both")
-        self._tracker = tracker if tracker is not None else DPPrefixTracker(gamma=gamma)
+        super().__init__(tracker, gamma)
         self._d = 0
         self._current: Optional[np.ndarray] = None
         self._records: List[List[_PowerUpRecord]] = []
@@ -68,21 +66,19 @@ class AlgorithmB(OnlineAlgorithm):
     def step(self, slot: SlotInfo) -> np.ndarray:
         if self._current is None:
             raise RuntimeError("start() must be called before step()")
-        idle = slot.idle_costs()
         xhat = np.asarray(self._tracker.observe(slot), dtype=int)
-        return self.decide(slot.t, xhat, idle, slot.beta)
+        return self.decide(slot.t, (xhat,), slot)
 
-    def evaluation_grid(self, counts: np.ndarray):
-        return self._tracker.grid(counts)
+    @classmethod
+    def decide_lanes(cls, algorithms, lanes) -> np.ndarray:
+        return cls.decide_prefix_lanes(algorithms, lanes, ("smallest",))
 
-    def decide(self, t: int, xhat: np.ndarray, idle: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        """Slot ``t``'s configuration from its prefix optimum ``\\hat x^t_t``.
-
-        The power-down and power-up rules, given the slot's idle costs
-        ``l_{t,j}`` and switching costs ``beta`` (:meth:`step` is the
-        tracker's ``observe`` plus this rule; the batched serve engine feeds
-        it ``xhat`` from a stacked tracker advance).
-        """
+    def decide(self, t: int, optima: tuple, slot) -> np.ndarray:
+        """The power-down and power-up rules at slot ``t``, ``optima = (\\hat x^t_t,)``,
+        given ``slot``'s idle costs ``l_{t,j}`` and switching costs ``beta``."""
+        (xhat,) = optima
+        idle = slot.idle_costs()
+        beta = slot.beta
         # Power-down rule: retire the servers whose accumulated idle cost since
         # power-up would exceed beta_j if they also stayed active during slot t.
         retired = []

@@ -32,7 +32,7 @@ import numpy as np
 
 from .algorithm_b import AlgorithmB
 from .base import Decision, OnlineAlgorithm, OnlineContext, SlotInfo
-from .tracker import DPPrefixTracker, PrefixOptimumTracker
+from .tracker import PrefixOptimumTracker
 
 __all__ = ["AlgorithmC", "sub_slot_count"]
 
@@ -104,8 +104,6 @@ class AlgorithmC(OnlineAlgorithm):
             or max_sub_slots < 1
         ):
             raise ValueError(f"max_sub_slots must be None or an integer >= 1, got {max_sub_slots!r}")
-        if tracker is not None and gamma is not None:
-            raise ValueError("give either an explicit tracker or gamma, not both")
         self.epsilon = _check_epsilon(epsilon)
         self.max_sub_slots = None if max_sub_slots is None else int(max_sub_slots)
         self._inner = AlgorithmB(tracker=tracker, gamma=gamma)

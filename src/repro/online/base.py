@@ -29,10 +29,11 @@ from ..core.instance import ProblemInstance
 from ..core.schedule import Schedule
 from ..dispatch.allocation import DispatchSolver
 from ..offline.dp import WindowedOperatingCosts, check_window
-from ..offline.state_grid import slot_grids
+from ..offline.state_grid import StateGrid, slot_grids
 
 __all__ = [
     "Decision",
+    "Lanes",
     "OnlineContext",
     "SlotContext",
     "SlotInfo",
@@ -203,6 +204,39 @@ class Decision(NamedTuple):
     sub_slots: Optional[int] = None
 
 
+@dataclass(eq=False)
+class Lanes:
+    """What a lane rule reads: ``k`` algorithms' ticks on one grid, decided at once.
+
+    ``tensors`` stacks the distinct ``g_t`` tensors (or flattened rows) on
+    ``grid`` along its first axis (both ``None`` for a rule that reads no
+    tensor); lane ``i`` reads ``tensors[rows][i]`` at tick ``ticks[i]``
+    (``rows``: an index array, or a slice when lane ``i`` reads tensor ``i``).
+    Every lane shares the cost row, ``beta`` and the available ``counts``.
+    """
+
+    grid: Optional[StateGrid]
+    tensors: Optional[np.ndarray]
+    rows: object
+    ticks: Sequence[int]
+    cost_row: tuple
+    beta: np.ndarray
+    counts: np.ndarray
+    _idle: Optional[np.ndarray] = None
+
+    @classmethod
+    def of_slot(cls, slot: SlotInfo, grid=None, tensor=None) -> "Lanes":
+        """One lane: ``slot``, reading ``tensor`` on ``grid`` (what ``step`` decides)."""
+        tensors = None if tensor is None else tensor[None]
+        return cls(grid, tensors, slice(None), (slot.t,), slot.cost_functions, slot.beta, slot.counts)
+
+    def idle_costs(self) -> np.ndarray:
+        """The cost row's idle costs ``l_{t,j}``, as :meth:`SlotInfo.idle_costs` gives them (computed once)."""
+        if self._idle is None:
+            self._idle = np.array([f.idle_cost() for f in self.cost_row], dtype=float)
+        return self._idle
+
+
 class OnlineAlgorithm(abc.ABC):
     """Base class of integral online right-sizing algorithms.
 
@@ -210,6 +244,16 @@ class OnlineAlgorithm(abc.ABC):
     needs.  Algorithms A, B, C and LCP describe each step in a
     :class:`Decision` that overwrites :attr:`last_decision`, so a long-lived
     session holds one record however many ticks it serves.
+
+    **Lane rule.**  A class may declare :meth:`decide_lanes` in its own
+    body: its one decision rule, applied to ``k`` algorithms' ticks
+    (:class:`Lanes`) at once, which its :meth:`step` applies to one.  A
+    serve-engine cohort and ``k`` sequential steps then give bit-identical
+    configurations, states and :attr:`last_decision` records.  Without a
+    rule of its own (Algorithm C, custom algorithms, a subclass that
+    declares none) an algorithm only steps.  Two facts, read without
+    building a grid, say who may share a call: :meth:`lane_family` (class
+    and grid family) and :meth:`lane_ready` (whether this tick may join).
     """
 
     #: Human-readable identifier used in reports and benchmark tables.
@@ -219,12 +263,45 @@ class OnlineAlgorithm(abc.ABC):
     #: hook); ``None`` for algorithms that record none, such as the baselines.
     last_decision: Optional[Decision] = None
 
+    #: The grids :meth:`evaluation_grid` draws from: ``None`` (full) or ``gamma``.
+    grid_family = None
+
+    #: The fewest lanes one :meth:`decide_lanes` call is worth; fewer step.
+    min_lanes: int = 1
+
     def start(self, context: OnlineContext) -> None:
         """Reset internal state for a new run (called once before the first slot)."""
 
     @abc.abstractmethod
     def step(self, slot: SlotInfo) -> np.ndarray:
         """Choose the configuration ``x_t`` for the current slot."""
+
+    @classmethod
+    def decide_lanes(cls, algorithms: Sequence["OnlineAlgorithm"], lanes: Lanes) -> np.ndarray:
+        """The lane rule: a ``(k, d)`` integer array, row ``i`` for ``algorithms[i]``.
+
+        Updates each algorithm's state and :attr:`last_decision` exactly as
+        its :meth:`step` would.  The base class declares no rule.
+        """
+        raise NotImplementedError(f"{cls.__name__} declares no lane rule")
+
+    def lane_family(self) -> Optional[tuple]:
+        """Which lanes may share a :meth:`decide_lanes` call: ``(class, grid family)``.
+
+        ``None`` when the class does not declare the rule in its own body: a
+        subclass inherits none, since it may decide differently.
+        """
+        cls = type(self)
+        return (cls, self.grid_family) if "decide_lanes" in vars(cls) else None
+
+    def lane_ready(self, counts: tuple) -> bool:
+        """Whether this tick, at available ``counts``, may join a lane rule call."""
+        return True
+
+    @classmethod
+    def lane_grid(cls, counts: np.ndarray, family) -> Optional[StateGrid]:
+        """The grid :meth:`evaluation_grid` names at ``counts`` for grid ``family``, from the family alone."""
+        return StateGrid.for_gamma(counts, family)
 
     def finish(self) -> None:
         """Hook called after the last slot (optional bookkeeping)."""

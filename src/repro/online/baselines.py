@@ -33,7 +33,7 @@ from ..dispatch.allocation import DispatchSolver
 from ..offline.dp import ValueHistory
 from ..offline.state_grid import StateGrid, grid_for_slot
 from ..offline.transitions import transition
-from .base import OnlineAlgorithm, OnlineContext, SlotInfo
+from .base import Lanes, OnlineAlgorithm, OnlineContext, SlotInfo
 
 __all__ = [
     "AllOn",
@@ -44,67 +44,88 @@ __all__ = [
 ]
 
 
-def _greedy_grid(counts, gamma: Optional[float]) -> StateGrid:
-    """The grid the greedy baselines minimise over: full, or ``M^gamma``."""
-    return StateGrid.full(counts) if gamma is None else StateGrid.geometric(counts, gamma)
-
-
 class AllOn(OnlineAlgorithm):
     """Keep every available server powered up in every slot."""
 
     name = "all-on"
+    grid_family = "counts"  # no grid: shares no grid record with a grid reader
 
     def step(self, slot: SlotInfo) -> np.ndarray:
-        return np.asarray(slot.counts, dtype=int)
+        return self.decide_lanes((self,), Lanes.of_slot(slot))[0]
+
+    @classmethod
+    def lane_grid(cls, counts: np.ndarray, family) -> None:
+        return None
+
+    @classmethod
+    def decide_lanes(cls, algorithms, lanes: Lanes) -> np.ndarray:
+        return np.tile(np.asarray(lanes.counts).astype(int), (len(algorithms), 1))
 
 
-class FollowDemand(OnlineAlgorithm):
-    """Per slot, pick the configuration minimising ``g_t`` alone (ignoring switching).
-
-    Ties are broken towards fewer servers (lexicographically smallest argmin).
-    A ``gamma`` parameter restricts the search to the reduced grid ``M^gamma``
-    for large fleets.
-    """
-
-    name = "follow-demand"
+class _GreedyBaseline(OnlineAlgorithm):
+    """A greedy baseline over each slot's full grid, or its reduced grid ``M^gamma``."""
 
     def __init__(self, gamma: Optional[float] = None):
         self.gamma = gamma
 
+    @property
+    def grid_family(self) -> Optional[float]:
+        return self.gamma
+
     def evaluation_grid(self, counts: np.ndarray) -> StateGrid:
-        return _greedy_grid(counts, self.gamma)
+        return StateGrid.for_gamma(counts, self.gamma)
+
+
+class FollowDemand(_GreedyBaseline):
+    """Per slot, pick the configuration minimising ``g_t`` alone (ignoring switching).
+
+    Ties are broken towards fewer servers (lexicographically smallest argmin).
+    """
+
+    name = "follow-demand"
 
     def step(self, slot: SlotInfo) -> np.ndarray:
-        configs = self.evaluation_grid(slot.counts).configs()
-        costs = slot.operating_cost(configs)
-        best = int(np.argmin(costs))
-        return configs[best].astype(int)
+        grid = self.evaluation_grid(slot.counts)
+        costs = slot.operating_cost(grid.configs())
+        return self.decide_lanes((self,), Lanes.of_slot(slot, grid, costs))[0]
+
+    @classmethod
+    def decide_lanes(cls, algorithms, lanes: Lanes) -> np.ndarray:
+        # one switching-blind argmin per distinct tensor
+        best = np.argmin(lanes.tensors.reshape(len(lanes.tensors), -1), axis=1)
+        return lanes.grid.configs()[best[lanes.rows]]
 
 
-class Reactive(OnlineAlgorithm):
+class Reactive(_GreedyBaseline):
     """Myopic greedy: minimise ``g_t(x) + sum_j beta_j (x_j - x^{prev}_j)^+`` per slot."""
 
     name = "reactive"
 
     def __init__(self, gamma: Optional[float] = None):
-        self.gamma = gamma
+        super().__init__(gamma)
         self._current: Optional[np.ndarray] = None
 
     def start(self, context: OnlineContext) -> None:
         self._current = np.zeros(context.d, dtype=int)
 
-    def evaluation_grid(self, counts: np.ndarray) -> StateGrid:
-        return _greedy_grid(counts, self.gamma)
-
     def step(self, slot: SlotInfo) -> np.ndarray:
-        configs = self.evaluation_grid(slot.counts).configs()
-        costs = slot.operating_cost(configs)
-        switch = np.sum(
-            np.maximum(configs - self._current[None, :], 0) * slot.beta[None, :], axis=1
-        )
-        best = int(np.argmin(costs + switch))
-        self._current = configs[best].astype(int)
-        return self._current.copy()
+        grid = self.evaluation_grid(slot.counts)
+        costs = slot.operating_cost(grid.configs())
+        return self.decide_lanes((self,), Lanes.of_slot(slot, grid, costs))[0].copy()
+
+    @classmethod
+    def decide_lanes(cls, algorithms, lanes: Lanes) -> np.ndarray:
+        configs = lanes.grid.configs()
+        prev = np.array([algorithm._current for algorithm in algorithms])
+        # per lane: int subtraction, clamp, * beta, sum over the type axis
+        rises = configs - prev[:, None, :]
+        np.maximum(rises, 0, out=rises)
+        switch = np.sum(rises * lanes.beta, axis=2)
+        costs = lanes.tensors.reshape(len(lanes.tensors), -1)[lanes.rows]
+        chosen = configs[np.argmin(costs + switch, axis=1)]
+        for algorithm, current in zip(algorithms, chosen):
+            algorithm._current = current  # rows are never mutated in place
+        return chosen
 
     def state_dict(self) -> dict:
         return {

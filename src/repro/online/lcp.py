@@ -19,12 +19,9 @@ discrete setting:
 Both targets are optimal last configurations of the same prefix-DP value
 tensor ``V_t``, so one incremental DP tracker produces both, as its
 ``"smallest"`` and ``"largest"`` argmins
-(:meth:`~repro.online.tracker.DPPrefixTracker.argmin`).  ``step`` is that
-tracker's ``observe`` plus the projection rule ``decide``; the batched serve
-engine runs the same ``decide`` after advancing a cohort of LCP trackers in
-one stacked transition.  The algorithm holds decision state only; each
-step's normalised targets ``(X^L_t, X^U_t)`` are its
-:class:`~repro.online.base.Decision` record.
+(:meth:`~repro.online.tracker.DPPrefixTracker.argmin`), read by the
+projection rule ``decide``.  Each step's normalised targets
+``(X^L_t, X^U_t)`` are its :class:`~repro.online.base.Decision` record.
 
 This is a faithful adaptation of LCP's "lazy between prefix optima" principle
 to the discrete heterogeneous code base rather than a line-by-line port of the
@@ -41,21 +38,18 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Decision, OnlineAlgorithm, OnlineContext, SlotInfo
-from .tracker import DPPrefixTracker, PrefixOptimumTracker
+from .base import Decision, OnlineContext, SlotInfo
+from .tracker import PrefixOptimumAlgorithm, PrefixOptimumTracker
 
 __all__ = ["LazyCapacityProvisioning"]
 
 
-class LazyCapacityProvisioning(OnlineAlgorithm):
+class LazyCapacityProvisioning(PrefixOptimumAlgorithm):
     """Discrete Lazy Capacity Provisioning (Lin et al.) on top of the prefix-optimum DP.
 
-    One tracker, two argmins: the lower and upper targets are the
-    ``"smallest"`` and ``"largest"`` optimal last configurations of one
-    prefix-DP value tensor.  An explicit ``tracker`` (as for Algorithms A, B
-    and C) lets the sweep engine hand LCP a tracker replaying its
-    per-instance shared value history, which Algorithms A and B read too;
-    without one, LCP keeps a private
+    An explicit ``tracker`` (as for Algorithms A, B and C) lets the sweep
+    engine hand LCP a tracker replaying its per-instance shared value
+    history; without one, LCP keeps a private
     :class:`~repro.online.tracker.DPPrefixTracker` on ``gamma``'s grids.
     """
 
@@ -67,9 +61,7 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
         allow_heterogeneous: bool = False,
         tracker: Optional[PrefixOptimumTracker] = None,
     ):
-        if tracker is not None and gamma is not None:
-            raise ValueError("give either an explicit tracker or gamma, not both")
-        self._tracker = tracker if tracker is not None else DPPrefixTracker(gamma=gamma)
+        super().__init__(tracker, gamma)
         self.allow_heterogeneous = bool(allow_heterogeneous)
         self._current: Optional[np.ndarray] = None
 
@@ -85,18 +77,16 @@ class LazyCapacityProvisioning(OnlineAlgorithm):
     def step(self, slot: SlotInfo) -> np.ndarray:
         lower = np.asarray(self._tracker.observe(slot), dtype=int)
         upper = np.asarray(self._tracker.argmin("largest"), dtype=int)
-        return self.decide(lower, upper)
+        return self.decide(slot.t, (lower, upper), slot)
 
-    def evaluation_grid(self, counts: np.ndarray):
-        return self._tracker.grid(counts)
+    @classmethod
+    def decide_lanes(cls, algorithms, lanes) -> np.ndarray:
+        return cls.decide_prefix_lanes(algorithms, lanes, ("smallest", "largest"))
 
-    def decide(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-        """Project the current configuration onto ``[lower, upper]``.
-
-        ``lower`` and ``upper`` are the smallest and largest optimal last
-        configurations of the prefix instance, after the tracker has observed
-        the slot.
-        """
+    def decide(self, t: int, optima: tuple, slot) -> np.ndarray:
+        """Project the current configuration onto ``[lower, upper] = optima``,
+        the smallest and largest optimal last configurations of ``I_t``."""
+        lower, upper = optima
         # Degenerate ties can make the two targets cross on heterogeneous
         # instances (different optimal schedules trade one type for another);
         # normalise so that the projection interval is well defined.

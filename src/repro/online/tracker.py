@@ -20,11 +20,11 @@ LCP all read it.
 
 Ties among optimal last configurations are broken deterministically:
 :meth:`DPPrefixTracker.observe` reports the lexicographically smallest, and
-:meth:`DPPrefixTracker.argmin` reads the largest from the same ``V_t``.  The
-competitive analysis holds for any optimal schedule, so the choice only
-matters for reproducibility.
-:func:`observe_stacked` advances many private trackers on one grid by one slot
-in one stacked transition (the batched serve engine's DP cohorts).
+:meth:`DPPrefixTracker.argmin` reads the largest from the same ``V_t``; the
+analysis holds for any optimal schedule, so the choice only matters for
+reproducibility.  :class:`PrefixOptimumAlgorithm` is A's, B's and LCP's shared base: one
+tracker, and one lane rule that advances many private trackers on one grid
+by one slot in one stacked transition (:func:`observe_stacked`).
 
 :class:`FixedSequenceTracker` replays an explicitly given ``\\hat x`` series.
 It exists so that the behaviour of Algorithms A and B can be verified against
@@ -42,12 +42,13 @@ import numpy as np
 from ..offline.dp import ForwardDP, ValueHistory
 from ..offline.state_grid import StateGrid
 from ..offline.transitions import transition
-from .base import SlotInfo
+from .base import Lanes, OnlineAlgorithm, SlotInfo
 
 __all__ = [
     "PrefixOptimumTracker",
     "DPPrefixTracker",
     "FixedSequenceTracker",
+    "PrefixOptimumAlgorithm",
     "argmin_config",
     "observe_stacked",
     "stackable",
@@ -184,7 +185,7 @@ class DPPrefixTracker(PrefixOptimumTracker):
         if counts is self._counts_obj:
             grid = self._counts_grid
         else:
-            grid = self._build_grid(counts)
+            grid = self.grid(counts)
             self._counts_obj = counts
             self._counts_grid = grid
             self._counts_tuple = tuple(int(c) for c in counts)
@@ -217,7 +218,11 @@ class DPPrefixTracker(PrefixOptimumTracker):
 
     def grid(self, counts: np.ndarray) -> StateGrid:
         """The (cached) grid :meth:`observe` reads its ``g_t`` tensor on at ``counts``."""
-        return self._build_grid(counts)
+        key = tuple(int(c) for c in counts)
+        grid = self._grid_cache.get(key)
+        if grid is None:
+            grid = self._grid_cache[key] = StateGrid.for_gamma(counts, self.gamma)
+        return grid
 
     def holds(self, counts: tuple) -> bool:
         """Whether the tracker holds a ``V_t`` on the grid of the ``counts`` tuple."""
@@ -263,39 +268,23 @@ class DPPrefixTracker(PrefixOptimumTracker):
             self._grid_counts = None
         else:
             counts = np.asarray(state["counts"], dtype=int)
-            grid = self._build_grid(counts)
+            grid = self.grid(counts)
             self._grid_counts = tuple(int(c) for c in counts)
             flat = np.array(
                 [np.inf if v is None else v for v in state["value"]], dtype=float
             )
             self._dp = ForwardDP(grid, flat.reshape(grid.shape))
 
-    # -------------------------------------------------------------- internals
-    def _build_grid(self, counts: np.ndarray) -> StateGrid:
-        key = tuple(int(c) for c in counts)
-        grid = self._grid_cache.get(key)
-        if grid is None:
-            if self.gamma is None:
-                grid = StateGrid.full(counts)
-            else:
-                grid = StateGrid.geometric(counts, self.gamma)
-            self._grid_cache[key] = grid
-        return grid
-
 
 def stackable(tracker: PrefixOptimumTracker) -> bool:
     """Whether :func:`observe_stacked` may advance ``tracker``.
 
-    Only a private exact :class:`DPPrefixTracker` (the class itself, full
-    grids, its own value tensor) qualifies; subclasses, ``gamma``-reduced
-    and shared-history trackers advance through their own
+    Only a private :class:`DPPrefixTracker` (the class itself, on full or
+    ``gamma``-reduced grids, its own value tensor) qualifies; subclasses and
+    shared-history trackers advance through their own
     :meth:`~DPPrefixTracker.observe`.
     """
-    return (
-        type(tracker) is DPPrefixTracker
-        and tracker.gamma is None
-        and tracker._history is None
-    )
+    return type(tracker) is DPPrefixTracker and tracker._history is None
 
 
 def observe_stacked(
@@ -308,13 +297,10 @@ def observe_stacked(
 
     Every tracker must :meth:`~DPPrefixTracker.holds` a ``V_{t-1}`` on the
     slot's grid; ``costs`` is the ``(k, *grid.shape)`` stack of the slot's
-    operating-cost tensors ``g_t``, row ``i`` for ``trackers[i]``.  The
-    ``V_{t-1}`` are stacked into one tensor, advanced by one min-plus
-    transition over the lane axis and accumulated with ``costs``; row ``i``
-    is installed as ``trackers[i]``'s ``V_t``.  Every lane runs
-    :meth:`~DPPrefixTracker.observe`'s ufunc sequence, so the installed
-    tensors and the returned configurations are bit-identical to ``k``
-    sequential ``observe`` calls.
+    ``g_t`` tensors, row ``i`` for ``trackers[i]``.  One min-plus transition
+    over the lane axis plus ``costs`` gives each tracker its ``V_t``, with
+    :meth:`~DPPrefixTracker.observe`'s ufunc sequence per lane, so the
+    tensors and configurations are bit-identical to ``k`` ``observe`` calls.
 
     Returns one ``(k, d)`` array per entry of ``tie_breaks``: row ``i`` is
     ``trackers[i].argmin(tie_break)`` after the step.
@@ -337,6 +323,60 @@ def observe_stacked(
             idx = flat.shape[1] - 1 - flat[:, ::-1].argmin(axis=1)
         optima.append(configs[idx])
     return tuple(optima)
+
+
+class PrefixOptimumAlgorithm(OnlineAlgorithm):
+    """The shared base of A, B and LCP: a prefix-optimum tracker and :meth:`decide`.
+
+    The tracker is an explicit ``tracker`` or a private
+    :class:`DPPrefixTracker` on ``gamma``'s grids.  ``step`` is ``observe``
+    then ``decide``; the lane rule (:meth:`decide_prefix_lanes`) advances the
+    lanes' trackers in one :func:`observe_stacked` call, then runs each
+    lane's ``decide``.
+    """
+
+    #: a one-lane stacked transition costs ~2x an own ``observe`` (PERFORMANCE.md)
+    min_lanes = 2
+
+    def __init__(self, tracker: Optional[PrefixOptimumTracker] = None, gamma: Optional[float] = None):
+        if tracker is not None and gamma is not None:
+            raise ValueError("give either an explicit tracker or gamma, not both")
+        self._tracker = tracker if tracker is not None else DPPrefixTracker(gamma=gamma)
+
+    def evaluation_grid(self, counts: np.ndarray):
+        return self._tracker.grid(counts)
+
+    @property
+    def grid_family(self) -> Optional[float]:
+        return getattr(self._tracker, "gamma", None)
+
+    def lane_family(self) -> Optional[tuple]:
+        return super().lane_family() if stackable(self._tracker) else None
+
+    def lane_ready(self, counts: tuple) -> bool:
+        return self._tracker.holds(counts)
+
+    @abc.abstractmethod
+    def decide(self, t: int, optima: tuple, slot) -> np.ndarray:
+        """Slot ``t``'s configuration from the tracker's optima (one per tie-break).
+
+        ``slot`` answers ``idle_costs()`` and ``beta``: the tick's
+        :class:`SlotInfo`, or the cohort's :class:`Lanes`.
+        """
+
+    @staticmethod
+    def decide_prefix_lanes(algorithms, lanes: Lanes, tie_breaks: Sequence[str]) -> np.ndarray:
+        """The shared lane rule: one stacked tracker advance, then each lane's :meth:`decide`."""
+        optima = observe_stacked(
+            [algorithm._tracker for algorithm in algorithms],
+            lanes.tensors[lanes.rows],
+            lanes.beta,
+            tie_breaks,
+        )
+        return np.stack([
+            algorithm.decide(t, lane, lanes)
+            for algorithm, t, lane in zip(algorithms, lanes.ticks, zip(*optima))
+        ])
 
 
 class FixedSequenceTracker(PrefixOptimumTracker):

@@ -18,59 +18,52 @@ it in three steps (the last two interleaved in arrival order):
    are grouped by ``(cache, evaluation grid)`` and each group's missing
    tensors are solved in one
    :meth:`~repro.dispatch.allocation.DispatchSolver.solve_block`
-   (:meth:`ServeCache.grid_tensors`); every later query hits the memo, and
-   the configurations the ticks commit, and Algorithm C's repair, are read
-   from the block (:meth:`ServeCache.solve_config`), so a cold round asks the
-   dispatcher once.  A dispatch cell is exact on its own, so the block
-   changes no decision and no solve count, only how many calls the solves
-   take.
-2. **Cohorts.**  The arrivals are grouped by ``(cache identity, decider
-   kind, cost row, counts)``.  A cohort fetches one grid cost tensor per
-   distinct served demand (:meth:`ServeCache.grid_tensor`, the tensor a
-   session's tracker reads) and decides all its members at once: ``reactive``
-   and ``follow-demand`` take one vectorised argmin over the stacked tensors
-   (``reactive`` adds the switching cost), ``all-on`` decides from the
-   counts, and the prefix-DP algorithms (``A``, ``B``, ``lcp``) stack their
-   members' ``V_{t-1}`` and advance them with one min-plus transition
-   (:func:`~repro.online.tracker.observe_stacked`), after which each member's
-   own ``decide`` rule and :meth:`ControllerSession.check_choice` run.  Every
-   member is committed through :meth:`ControllerSession.commit_tick`.  The
-   only cohort state kept across rounds is one grid record per ``(cache,
-   counts)``.  A cohort runs at its first member's turn.
-3. **The rest.**  Every arrival no cohort takes goes through
-   ``session.observe`` at its own turn: custom algorithm objects and
-   subclasses, Algorithm C, regret-tracked sessions, ``gamma``-reduced
-   baselines and trackers, shared-stream or custom trackers; a DP tenant
-   alone in its cohort (its own transition is cheaper than a one-lane
-   stacked one), its first tick (no ``V`` yet) and ticks whose counts change
-   its grid; ticks whose cost row is unhashable, and ticks whose cost tensor
-   has no finite entry.
+   (:meth:`ServeCache.grid_tensors`); the configurations the ticks commit,
+   and Algorithm C's repair, are read from the block, so a cold round asks
+   the dispatcher once.  A dispatch cell is exact on its own, so the block
+   changes no decision and no solve count.
+2. **Cohorts.**  Arrivals whose sessions report a lane family
+   (:meth:`ControllerSession.lane_family`: the algorithm's class and grid
+   family) are grouped by ``(cache identity, lane family, cost row,
+   counts)``.  A cohort fetches one grid cost tensor per distinct served
+   demand (:meth:`ServeCache.grid_tensor`) on the grid its class's
+   :meth:`~repro.online.base.OnlineAlgorithm.lane_grid` builds, hands its
+   members' ticks as one :class:`~repro.online.base.Lanes` record to the
+   class's lane rule (:meth:`~repro.online.base.OnlineAlgorithm.decide_lanes`,
+   the rule the algorithm's ``step`` runs on one lane) and commits every
+   member through :meth:`ControllerSession.commit_tick`, at its first
+   member's turn.  The only cohort state kept across rounds is one grid
+   record per ``(cache, counts, grid family)``.
+3. **The rest** observes through its session at its own turn: algorithms
+   with no lane rule of their own (C, custom algorithms, subclasses),
+   regret-tracked sessions, trackers that are not private DP trackers;
+   ticks not ``lane_ready`` (a DP tracker's first tick, or one whose counts
+   change its grid); a group smaller than its class's ``min_lanes`` (a lone
+   A, B or lcp tick); unhashable cost rows; tensors with no finite entry.
 
 Every tick is validated before any session state changes: cohort members'
 demands vectorised per cohort, every other tick through
-:meth:`ControllerSession.admit` (a round without cohorts observes in
-arrival order, which already gives that guarantee).  A round that holds a
-rejected tick (an invalid demand, cost row or counts, or demand over a
-strict tenant's capacity) runs every arrival through ``session.observe`` in
-arrival order, so the error surfaces at that tenant after the ticks before
-it committed and before any later one does.
+:meth:`ControllerSession.admit` (a round without cohorts observes in arrival
+order, which gives that already).  A round that holds a rejected tick (an
+invalid demand, cost row or counts, or demand over a strict tenant's
+capacity) runs every arrival through ``session.observe`` in arrival order,
+so the error surfaces at that tenant after the ticks before it committed and
+before any later one does.
 
-Bit-identity with a per-tenant replay is by construction, not by tolerance.
-Dispatch is exact per cell, so a flattened grid tensor is the
-``solve_grid(vt, configs)`` row that ``Reactive.step``/``FollowDemand.step``
-read through ``slot.operating_cost``, and committed operating costs and loads
-come from the same memoised :meth:`ServeCache.solve_config` results.  The
-vectorised switching computation ``max(x - prev, 0) · beta`` reduces over
-the same axis in the same order as the per-tenant expression, and every lane
-of a stacked transition runs the tracker's own ufunc sequence.
+Bit-identity with a per-tenant replay is by construction: a lane rule is the
+algorithm's one decision rule, with the same ufunc sequence per lane on one
+lane or ``k``; dispatch is exact per cell, so a flattened grid tensor is the
+``solve_grid(vt, configs)`` row a greedy ``step`` reads through
+``slot.operating_cost``; commits read the same memoised
+:meth:`ServeCache.solve_config` results.
 :func:`~repro.serve.verify.verify_batched` gates this against per-tenant
 replays over every registered scenario family.
 
 Latency: each tick is charged its share of the block it was solved in, and
-a cohort member its share of the cohort's joint work on top, plus its own
-decide and commit.  Telemetry rows within a round come out grouped by
-cohort: in arrival order, except that a cohort's members are written
-together at its first member's turn.
+a cohort member its share of the cohort's joint work (the lane rule call
+included) on top, plus its own commit.  Telemetry rows within a round come
+out grouped by cohort: in arrival order, except that a cohort's members are
+written together at its first member's turn.
 """
 
 from __future__ import annotations
@@ -82,12 +75,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..offline.state_grid import StateGrid
-from ..online.algorithm_a import AlgorithmA
-from ..online.algorithm_b import AlgorithmB
-from ..online.baselines import AllOn, FollowDemand, Reactive
-from ..online.lcp import LazyCapacityProvisioning
-from ..online.tracker import observe_stacked, stackable
+from ..online.base import Lanes
 from .chaos import ChaosFeed
 from .feed import TraceFeed
 from .metrics import COUNTER, MetricsRegistry
@@ -101,10 +89,6 @@ __all__ = ["ServeEngine"]
 #: tick this round (a fabric tenant whose feed is failing or quarantined).
 IDLE = object()
 
-#: Algorithms deciding from a prefix-DP value tensor: their cohorts advance
-#: the members' trackers in one stacked transition.
-_DP_KINDS = {AlgorithmA: "A", AlgorithmB: "B", LazyCapacityProvisioning: "lcp"}
-
 #: The :meth:`ServeEngine.batch_counters` keys the registry mirrors, as
 #: unlabelled series; the others are derived from them or count geometries.
 BATCH_SERIES = dict.fromkeys(
@@ -112,116 +96,25 @@ BATCH_SERIES = dict.fromkeys(
 )
 
 
-def _decider_kind(session: ControllerSession) -> Optional[str]:
-    """Which cohort kind (if any) can replace ``algorithm.step``.
-
-    Exact-type checks on purpose: a subclass may override ``step`` and must
-    fall back.  Regret-tracked sessions always fall back — the tracker needs
-    the per-tick :class:`SlotInfo`.  ``gamma``-reduced baselines fall back too
-    (a cohort reads full-grid tensors, which matches the registry-built
-    ``Reactive()``/``FollowDemand()`` exactly), and so do DP algorithms whose
-    tracker :func:`~repro.online.tracker.stackable` rejects (``gamma``-reduced,
-    shared-stream or custom trackers).
-    """
-    if session._regret_tracker is not None:
-        return None
-    algorithm = session.algorithm
-    cls = type(algorithm)
-    if cls is Reactive:
-        return "reactive" if algorithm.gamma is None else None
-    if cls is FollowDemand:
-        return "follow-demand" if algorithm.gamma is None else None
-    if cls is AllOn:
-        return "all-on"
-    kind = _DP_KINDS.get(cls)
-    if kind is not None and stackable(algorithm._tracker):
-        return kind
-    return None
-
-
 class _Geometry:
-    """The grid record of one ``(cache, counts)`` pair, shared by its cohorts.
+    """The grid record of one ``(cache, counts, grid family)``, shared by its cohorts.
 
-    Counts, capacity, the full grid and its configurations: nothing that
-    depends on a demand or a cost row, so the record count is bounded by the
-    fleets and their count vectors.  The record holds its cache, so a
+    Counts, capacity and the one grid object the family's tensors are
+    fetched on, built once by the class's
+    :meth:`~repro.online.base.OnlineAlgorithm.lane_grid`: nothing that
+    depends on a demand or a cost row.  The record holds its cache, so a
     released cache's id cannot map to a stale grid.
     """
 
-    __slots__ = ("cache", "counts_t", "grid_counts", "capacity", "grid", "configs")
+    __slots__ = ("cache", "counts_t", "grid_counts", "capacity", "grid")
 
-    def __init__(self, cache: ServeCache, counts_key: Optional[tuple]):
+    def __init__(self, cache: ServeCache, counts_key: Optional[tuple], family: tuple):
         stream = cache.stream
         self.cache = cache
         self.counts_t = stream.m if counts_key is None else np.asarray(counts_key, dtype=int)
         self.grid_counts = tuple(int(c) for c in self.counts_t)
         self.capacity = float(np.sum(self.counts_t * stream.zmax))
-        self.grid = StateGrid.full(self.counts_t)
-        self.configs = self.grid.configs()
-
-
-def _decisions(kind, geometry, row, sessions, tensors, rows):
-    """``decide(i, session)`` for a cohort's members.
-
-    ``tensors`` are the round's grid cost tensors, one per distinct served
-    demand, and member ``i`` reads ``tensors[rows[i]]``.  ``decide`` hands
-    member ``i`` its ``(rounded, r_list, forced)``: the DP algorithm's rule
-    on the member's prefix optimum through
-    :meth:`ControllerSession.check_choice`, or the baselines' row of the
-    vectorised decision.
-    """
-    counts_t = geometry.counts_t
-    beta = geometry.cache.stream.beta
-    index = np.asarray(rows, dtype=np.intp)
-    if kind in _DP_KINDS.values():
-        trackers = [s.algorithm._tracker for s in sessions]
-        member_costs = np.stack(tensors)[index]
-        if kind == "lcp":
-            lower, upper = observe_stacked(
-                trackers, member_costs, beta, ("smallest", "largest")
-            )
-            return lambda i, s: s.check_choice(
-                s.algorithm.decide(lower[i], upper[i]), counts_t
-            )
-        (xhat,) = observe_stacked(trackers, member_costs, beta)
-        if kind == "A":
-            return lambda i, s: s.check_choice(
-                s.algorithm.decide(s.ticks, xhat[i]), counts_t
-            )
-        # what ``SlotInfo.idle_costs`` returns for the cohort's cost row
-        functions = geometry.cache.stream.base_cost_row if row is None else row
-        idle = np.array([f.idle_cost() for f in functions], dtype=float)
-        return lambda i, s: s.check_choice(
-            s.algorithm.decide(s.ticks, xhat[i], idle, beta), counts_t
-        )
-
-    if kind == "all-on":
-        # AllOn.step returns asarray(slot.counts).astype(int) — one fresh row
-        # per tenant; a tiled matrix gives identical content
-        rounded = np.tile(counts_t.astype(int), (len(sessions), 1))
-    else:
-        # row r of the flattened stack is the solve_grid(vt, configs) row
-        costs = np.stack(tensors).reshape(len(tensors), -1)
-        configs = geometry.configs
-        if kind == "follow-demand":  # switching-blind argmin per distinct demand
-            rounded = configs[np.argmin(costs, axis=1)[index]].astype(int)
-        else:
-            prev = np.stack([s.algorithm._current for s in sessions])
-            # same expression as Reactive.step, one tenant per leading axis:
-            # int subtraction, clamp, * beta, reduce over the config axis
-            switch = np.sum(
-                np.maximum(configs[None, :, :] - prev[:, None, :], 0)
-                * beta[None, None, :],
-                axis=2,
-            )
-            rounded = configs[np.argmin(costs[index] + switch, axis=1)].astype(int)
-            for session, current in zip(sessions, rounded):
-                # what ``self._current = configs[best].astype(int)`` leaves
-                # behind in Reactive.step; rows are never mutated in place
-                session.algorithm._current = current
-    r_lists = rounded.tolist()
-    # configurations come from the cohort's own grid: within its counts
-    return lambda i, session: (rounded[i], r_lists[i], 0)
+        self.grid = family[0].lane_grid(self.counts_t, family[1])
 
 
 class _Tenant:
@@ -509,14 +402,11 @@ class ServeEngine:
     def resolve(self, arrivals) -> None:
         """Decide a round's ``(tenant, tick)`` arrivals.
 
-        The round's cold grid tensors are solved together first
-        (:meth:`_solve_cold`).  Then every arrival is admitted and the
-        cohorts are formed (:meth:`_cohorts`).  The arrivals are resolved in
-        arrival order: a cohort decides and commits all its members at its
-        first member's turn (:meth:`_run_cohort`), and every arrival no
-        cohort takes observes its tick through its session at its own turn —
-        all of them when the round holds a rejected tick, so the error is
-        raised in that tick's turn.  See the module docstring.
+        Cold tensors first (:meth:`_solve_cold`), then admission and cohorts
+        (:meth:`_cohorts`); in arrival order, a cohort decides and commits its
+        members at its first member's turn (:meth:`_run_cohort`) and every
+        other arrival observes at its own — all of them when the round holds
+        a rejected tick.  See the module docstring.
         """
         self.rounds += 1
         charges = self._solve_cold(arrivals)
@@ -579,23 +469,21 @@ class ServeEngine:
     def _cohorts(self, arrivals):
         """Admit a round's arrivals and group the ones a cohort decides.
 
-        Returns ``(cohorts, rest)``.  A cohort is ``(key, geometry, members,
-        demands, over)``: its key, its grid record, its members' arrival
-        indices, their demands and which of them exceed the capacity.
-        ``rest`` lists the indices of the arrivals that observe through their
-        sessions.  Every tick is validated here, before any session state
-        changes: a cohort's demands at once (a tick that carries its own cost
-        row or counts also through :meth:`ControllerSession.admit`, which
-        normalises them into the cohort key), every other tick through
-        ``admit`` too when a cohort formed.  Returns ``None`` when one is
-        rejected.
+        Returns ``(cohorts, rest)``: each cohort ``(key, geometry, members,
+        demands, over)`` (members as arrival indices, ``over`` flags demand
+        above capacity), and the indices that observe through their sessions.
+        Every tick is validated before any session state changes: a cohort's
+        demands at once (a tick's own cost row or counts through
+        :meth:`ControllerSession.admit`, which normalises them into the key),
+        every other tick through ``admit`` when a cohort formed.  ``None``
+        when a tick is rejected.
         """
         groups: Dict[tuple, list] = {}
         rest: List[int] = []
         for index, (tenant, tick) in enumerate(arrivals):
             session = tenant.session
-            kind = _decider_kind(session)
-            if kind is not None:
+            family = session.lane_family()
+            if family is not None:
                 row_key = counts_key = None
                 if tick.cost_row is not None or tick.counts is not None:
                     try:
@@ -608,7 +496,7 @@ class ServeEngine:
                         row_key = row
                     if tick.counts is not None:
                         counts_key = tuple(int(v) for v in counts_t)
-                key = (id(session.cache), kind, row_key, counts_key)
+                key = (id(session.cache), family, row_key, counts_key)
                 try:
                     members = groups.get(key)
                 except TypeError:  # unhashable exotic cost row: per-tenant path
@@ -623,16 +511,14 @@ class ServeEngine:
 
         cohorts = []
         for key, members in groups.items():
-            if len(members) == 1 and key[1] in _DP_KINDS.values():
-                # a lone DP tenant's own observe is cheaper than a one-lane
-                # stacked transition (see PERFORMANCE.md, "One engine")
-                rest.append(members[0])
+            cache_id, family, _, counts_key = key
+            if len(members) < family[0].min_lanes:
+                rest.extend(members)
                 continue
-            cache_id, _, _, counts_key = key
-            geometry = self._geometries.get((cache_id, counts_key))
+            geometry = self._geometries.get((cache_id, counts_key, family[1]))
             if geometry is None:
-                geometry = _Geometry(arrivals[members[0]][0].session.cache, counts_key)
-                self._geometries[(cache_id, counts_key)] = geometry
+                geometry = _Geometry(arrivals[members[0]][0].session.cache, counts_key, family)
+                self._geometries[(cache_id, counts_key, family[1])] = geometry
             try:
                 demands = np.array([arrivals[i][1].demand for i in members], dtype=float)
             except (TypeError, ValueError):
@@ -659,18 +545,16 @@ class ServeEngine:
         return cohorts, rest
 
     def _run_cohort(self, arrivals, cohort, rest, charges) -> None:
-        """Decide one cohort's members together, then commit each of them.
+        """Decide one cohort's members with their class's lane rule, then commit each.
 
-        One membership loop: a member joins ``rest`` if it is a DP member
-        whose tracker does not hold ``V_{t-1}`` on the cohort's grid, or if
-        its level's tensor has no finite entry (the session decides those).
-        Cost tensors are fetched once per distinct served demand and keyed by
-        that demand, never by ledger slot (under ``ledger_budget`` resolving
-        one level can recycle another's slot); all-on resolves its slot per
-        level, as ``prepare_tick`` would, but needs no tensor.
+        A member joins ``rest`` if its tick is not ``lane_ready`` or its
+        level's tensor has no finite entry.  Tensors are fetched once per
+        distinct served demand, keyed by the demand, never by ledger slot
+        (under ``ledger_budget`` one level can recycle another's slot); a rule
+        that reads no tensor still resolves its slot per level.
         """
         cohort_started = time.perf_counter_ns()
-        (_, kind, row, _), geometry, members, demands, over = cohort
+        (_, (cls, _), row, _), geometry, members, demands, over = cohort
         cache = geometry.cache
         capacity = geometry.capacity
         # per-member values as Python floats (what float(array[i]) would give)
@@ -682,23 +566,22 @@ class ServeEngine:
         else:
             slot = partial(cache.virtual_slot, row=row)
 
-        dp = kind in _DP_KINDS.values()
         grid = geometry.grid
         level_index: Dict[float, int] = {}
         tensors: List[np.ndarray] = []
         keep: List[int] = []
+        sessions: List[ControllerSession] = []
         rows: List[int] = []
         for j, index in enumerate(members):
-            if dp and not arrivals[index][0].session.algorithm._tracker.holds(
-                geometry.grid_counts
-            ):
+            session = arrivals[index][0].session
+            if not session.algorithm.lane_ready(geometry.grid_counts):
                 rest.add(index)
                 continue
             level = served[j]
             position = level_index.get(level)
             if position is None:
                 vt = slot(level)
-                if kind == "all-on":
+                if grid is None:
                     position = 0
                 else:
                     tensor = cache.grid_tensor(vt, grid)
@@ -710,18 +593,24 @@ class ServeEngine:
                 rest.add(index)
                 continue
             keep.append(j)
+            sessions.append(session)
             rows.append(position)
         if not keep:
             return
-        decide = _decisions(
-            kind, geometry, row,
-            [arrivals[members[j]][0].session for j in keep], tensors, rows,
+        counts_t = geometry.counts_t
+        lanes = Lanes(
+            grid, None if grid is None else np.stack(tensors), np.asarray(rows, dtype=np.intp),
+            [session.ticks for session in sessions],
+            cache.stream.base_cost_row if row is None else row,
+            cache.stream.beta, counts_t,
         )
-
-        # every member's latency is its share of the cohort's joint work and
-        # of the block its level was solved in, plus its own decide and
-        # commit (an observed tick's latency runs from prepare_tick to the
-        # end of commit_tick)
+        chosen = cls.decide_lanes([session.algorithm for session in sessions], lanes)
+        # a non-integer result or a lane outside the counts (A's and B's
+        # power-ups from before a shrink) takes its session's own check
+        checked = chosen.dtype.kind == "i" and not ((chosen < 0) | (chosen > counts_t)).any()
+        r_lists = chosen.tolist()
+        # a member's latency: its share of the cohort's work and of its
+        # level's block, plus its own commit
         latency_share = (time.perf_counter_ns() - cohort_started) // len(keep)
         self.batched_ticks += len(keep)
         self.cohort_rounds += 1
@@ -729,15 +618,16 @@ class ServeEngine:
         for i, j in enumerate(keep):
             index = members[j]
             tenant = arrivals[index][0]
-            session = tenant.session
+            session = sessions[i]
             charge = latency_share + (charges[index] if charges else 0)
             started = time.perf_counter_ns() - charge
-            rounded, r_list, forced = decide(i, session)
+            if checked:
+                rounded, r_list, forced = chosen[i], r_lists[i], 0
+            else:
+                rounded, r_list, forced = session.check_choice(chosen[i], counts_t)
             level = served[j]
-            # under ledger_budget resolving one level can evict another, so a
-            # slot resolved while deciding may be recycled by now;
-            # re-resolving at the point of use restores the per-tenant
-            # resolve→commit interleaving (an O(1) dict hit when unbudgeted)
+            # under ledger_budget a slot resolved while deciding may be
+            # recycled by now: re-resolve it (an O(1) hit when unbudgeted)
             state = session.commit_tick(
                 offered[j], level, shed[j], slot(level),
                 rounded, r_list, forced, started_ns=started, emit=emit,

@@ -432,6 +432,7 @@ class _WorkerRuntime:
                 "worker": self.worker_id,
                 "incarnation": self.incarnation,
                 "rounds": self._round,
+                "epoch": self._epoch,  # the control last synced
                 "tenants": rows,
                 "caches": [c.counters() for c in self._caches.values()],
                 "metrics": self.engine.metrics.snapshot(),
@@ -508,6 +509,8 @@ class ServeFabric:
         self._handles: List[WorkerHandle] = []
         self._assignment: Dict[str, int] = {}
         self._epochs: Dict[int, int] = {}
+        #: worker id -> the control epoch that last handed it a tenant
+        self._handoffs: Dict[int, int] = {}
 
     # ---------------------------------------------------------------- tenants
     def add_tenant(
@@ -633,6 +636,7 @@ class ServeFabric:
         self._assignment = {spec.name: shard for spec, shard in zip(specs, shards)}
         self._handles = []
         self._epochs = {}
+        self._handoffs = {}
         for worker_id in range(self.n_workers):
             directory = run_dir / f"worker-{worker_id}"
             (directory / RELEASED_DIR).mkdir(parents=True, exist_ok=True)
@@ -675,7 +679,7 @@ class ServeFabric:
         started = time.perf_counter()
         try:
             supervisor.run(
-                on_poll=lambda sup: self._drive_migrations(sup, pending, checkpoint_dir),
+                on_poll=lambda sup: self._drive_migrations(sup, pending),
                 timeout=timeout,
             )
         finally:
@@ -708,12 +712,15 @@ class ServeFabric:
         )
 
     # -------------------------------------------------------------- migrations
-    def _drive_migrations(self, supervisor: Supervisor, pending: List[dict], checkpoint_dir: Path) -> None:
+    def _drive_migrations(self, supervisor: Supervisor, pending: List[dict]) -> None:
         """Advance queued migrations (runs once per supervisor poll).
 
         pending → (threshold reached) remove from source control → releasing
         → (released marker, or the source crashed/finished: its newest
-        checkpoint stands in) add to target control → done.
+        checkpoint stands in) add to target control → done.  A target whose
+        last tenant ends in the hand-off's round finishes without syncing it;
+        every poll revives a finished worker whose result records an epoch
+        older than its last hand-off's.
         """
         for migration in pending:
             state = migration.get("state")
@@ -754,11 +761,16 @@ class ServeFabric:
                     continue
                 self._assignment[tenant] = target
                 self._write_control(target)
-                if target_handle.status == "done":
-                    supervisor.revive(target)
+                self._handoffs[target] = self._epochs[target]
                 migration["state"] = "done"
                 supervisor.event("migration_complete", target, tenant=tenant,
                                  source=migration["source"])
+        for worker_id, epoch in self._handoffs.items():
+            handle = supervisor.workers[worker_id]
+            if handle.status == "done":
+                synced = (read_json(handle.result_path) or {}).get("epoch") or 0
+                if synced < epoch:
+                    supervisor.revive(worker_id)
 
     # ----------------------------------------------------------------- report
     def _collect(

@@ -231,8 +231,8 @@ SERVE_ALGORITHMS: Dict[str, callable] = {
         gamma=params.get("gamma"),
         allow_heterogeneous=params.get("allow_heterogeneous", True),
     ),
-    "reactive": lambda params: Reactive(),
-    "follow-demand": lambda params: FollowDemand(),
+    "reactive": lambda params: Reactive(gamma=params.get("gamma")),
+    "follow-demand": lambda params: FollowDemand(gamma=params.get("gamma")),
     "all-on": lambda params: AllOn(),
 }
 
@@ -1080,12 +1080,10 @@ class ControllerSession:
         accounting, ledger slot, SlotInfo), :meth:`decide_tick`
         (``algorithm.step`` plus integrality/fleet-limit enforcement) and
         :meth:`commit_tick` (dispatch solve, switching cost, counters) — run
-        back to back here.  The serve engine's cohorts
-        (:mod:`repro.serve.engine`) replace the first two with cohort
-        equivalents — a vectorised argmin over the round's grid tensors, or a
-        stacked tracker advance followed by the algorithm's ``decide`` rule
-        and :meth:`check_choice` — and enter at :meth:`commit_tick`; the
-        phase boundaries are state-free, so both paths are bit-identical.
+        back to back here.  The serve engine's cohorts replace the first two
+        with one call of the class's lane rule (the rule ``step`` runs on one
+        lane) and enter at :meth:`commit_tick`; the phase boundaries are
+        state-free, so both paths are bit-identical.
 
         With a :class:`~repro.serve.trace.TickTracer` attached, every
         ``trace_every``-th tick runs the phase-stamped twin
@@ -1296,13 +1294,18 @@ class ControllerSession:
         """
         return self.check_choice(self.algorithm.step(slot), counts_t)
 
+    def lane_family(self) -> Optional[tuple]:
+        """The algorithm's :meth:`~repro.online.base.OnlineAlgorithm.lane_family`;
+        ``None`` when regret-tracked (the tracker reads each tick's :class:`SlotInfo`)."""
+        return None if self._regret_tracker is not None else self.algorithm.lane_family()
+
     def check_choice(self, choice, counts_t):
         """The decision contract of :meth:`decide_tick`, on a ready choice.
 
         Checks shape, integrality and sign, and enforces the fleet limits
         ``counts_t`` (raising under ``"strict"``, forcing machines down under
-        ``"shed"``).  The serve engine's cohorts call it on the choice an
-        algorithm's ``decide`` rule made for a member.
+        ``"shed"``).  The serve engine's cohorts call it on a lane rule's
+        choice that leaves ``[0, counts_t]``.
         """
         stream = self.cache.stream
         choice = np.asarray(choice)

@@ -43,7 +43,7 @@ from ..core.instance import ProblemInstance
 from ..online.base import run_online
 from ..scenarios.events import EventPlan
 from .chaos import ChaosFeed
-from .engine import ServeEngine, _decider_kind
+from .engine import ServeEngine
 from .fabric import ServeFabric, _materialise
 from .feed import InstanceFeed
 from .session import ControllerSession, build_serve_algorithm, load_checkpoint
@@ -358,7 +358,7 @@ def verify_batched(
                 "ticks": int(ref.ticks),
                 "cost_deviation": deviation,
                 "algorithm": ref.algorithm.name,
-                "batched": _decider_kind(served) is not None,
+                "batched": served.lane_family() is not None,
                 "p99_ms": served.latency_summary().get("p99_ms"),
             }
         )

@@ -38,14 +38,26 @@ from repro.serve import (
     verify_batched,
 )
 from repro.offline.dp import ValueHistory
-from repro.online import AlgorithmA, LazyCapacityProvisioning, run_online
+from repro.online import (
+    AlgorithmA,
+    AlgorithmB,
+    AllOn,
+    FollowDemand,
+    LazyCapacityProvisioning,
+    Reactive,
+    run_online,
+)
 from repro.online.base import SlotContext
 from repro.online.tracker import DPPrefixTracker, FixedSequenceTracker
-from repro.serve.engine import _decider_kind
 from repro.workloads.scale import quantise_trace
 
 BATCHED_ALGORITHMS = ["reactive", "follow-demand", "all-on"]
 DP_ALGORITHMS = ["A", "B", "lcp"]
+#: the gamma = 2 forms: their cohorts read their own grid family's tensors
+GAMMA_ALGORITHMS = [
+    pytest.param({"kind": kind, "params": {"gamma": 2.0}}, id=f"{kind}-gamma2")
+    for kind in ["reactive", "follow-demand", "A", "B", "lcp"]
+]
 
 
 def _smoke_instance(name):
@@ -189,12 +201,13 @@ ENGINE_KWARGS = [{}, {"ledger_budget": 2}, {"ledger_budget": 3}, {"tensor_budget
 
 class TestDPCohorts:
     @pytest.mark.parametrize("family", DP_FAMILIES)
-    @pytest.mark.parametrize("kind", BATCHED_ALGORITHMS + DP_ALGORITHMS)
+    @pytest.mark.parametrize("kind", BATCHED_ALGORITHMS + DP_ALGORITHMS + GAMMA_ALGORITHMS)
     def test_dp_cohorts_match_the_sequential_engine(self, kind, family):
         """A fleet of one cohort kind, so ``batched_ticks > 0`` proves that
         kind batched: quantised demand, continuous demand and a continuous
         stream whose peaks exceed the fleet (shed), each restored mid-stream,
-        under unbounded, ledger-budgeted and tensor-budgeted caches."""
+        under unbounded, ledger-budgeted and tensor-budgeted caches; the
+        ``gamma`` forms on their own reduced grids."""
         base = build(family, T=16)
         capacity = float(np.sum(base.m * base.zmax))
         streams = [
@@ -387,23 +400,31 @@ class TestReportCounters:
         assert report["batch"]["batched_ticks"] > 0
         assert report["batch"]["geometries"] == 1
 
-    def test_decider_kind_classification(self):
+    def test_lane_family_classification(self):
+        """The public eligibility check: a session's lane family is its
+        algorithm's class and grid family, or ``None`` when it stays out."""
         instance = _quantised(T=4)
-        for algorithm, kind in [("reactive", "reactive"),
-                                ("follow-demand", "follow-demand"),
-                                ("all-on", "all-on"),
-                                ("A", "A"), ("B", "B"), ("lcp", "lcp"),
-                                ("C", None)]:
+        for algorithm, family in [("reactive", (Reactive, None)),
+                                  ("follow-demand", (FollowDemand, None)),
+                                  ("all-on", (AllOn, "counts")),
+                                  ("A", (AlgorithmA, None)), ("B", (AlgorithmB, None)),
+                                  ("lcp", (LazyCapacityProvisioning, None)),
+                                  ("C", None)]:
             session = ControllerSession(algorithm, instance.server_types)
-            assert _decider_kind(session) == kind
-        # what stays on the per-tenant path: regret tracking, reduced grids,
-        # subclasses, and trackers that are not private exact DP trackers
+            assert session.lane_family() == family
+        # reduced grids join, in their own grid family
+        for kind, cls in [("reactive", Reactive), ("follow-demand", FollowDemand),
+                          ("A", AlgorithmA), ("B", AlgorithmB),
+                          ("lcp", LazyCapacityProvisioning)]:
+            session = ControllerSession(
+                {"kind": kind, "params": {"gamma": 2.0}}, instance.server_types
+            )
+            assert session.lane_family() == (cls, 2.0)
+        # what stays on the per-tenant path: regret tracking, subclasses, and
+        # trackers that are not private DP trackers
         unbatched = [
             ControllerSession("A", instance.server_types, track_regret=True),
             ControllerSession("lcp", instance.server_types, track_regret=True),
-            ControllerSession({"kind": "A", "params": {"gamma": 2.0}}, instance.server_types),
-            ControllerSession({"kind": "B", "params": {"gamma": 2.0}}, instance.server_types),
-            ControllerSession({"kind": "lcp", "params": {"gamma": 2.0}}, instance.server_types),
             ControllerSession(_SubclassedA(), instance.server_types),
             ControllerSession(_SubclassedLCP(allow_heterogeneous=True), instance.server_types),
             ControllerSession(
@@ -418,7 +439,7 @@ class TestReportCounters:
             ),
         ]
         for session in unbatched:
-            assert _decider_kind(session) is None, session.algorithm
+            assert session.lane_family() is None, session.algorithm
 
 
 # --------------------------------------------------------------------------- #

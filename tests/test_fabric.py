@@ -559,6 +559,54 @@ class TestFabricRuns:
         assert row["status"] == "completed"
         _assert_matches_replay(fabric.tenants["t0"], row)
 
+    def test_migration_to_a_finishing_worker_is_adopted(self, tmp_path, monkeypatch):
+        """A target whose last tenant ends in the round a migration hands it a
+        tenant finishes without syncing that control; the fabric revives it.
+
+        The interleaving is forced, not left to the host's load: the target
+        (worker 1) holds its final step until its control file changes, and
+        the source (worker 0) releases only once the target holds there.
+        The workers fork from this process, so they run both patches.
+        """
+        from repro.serve import fabric as fabric_module
+
+        runtime = fabric_module._WorkerRuntime
+        finish, release = runtime._finish, runtime._release
+        holding = tmp_path / "target-holds"
+
+        def wait_for(condition):
+            deadline = time.monotonic() + 5.0
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.005)
+
+        def held_finish(self):
+            if self.worker_id == 1 and self.incarnation == 0:
+                holding.touch()
+                control = self.dir / fabric_module.CONTROL_FILE
+                wait_for(lambda: read_json(control)["epoch"] != self._epoch)
+            finish(self)
+
+        def gated_release(self, name):
+            wait_for(holding.exists)
+            release(self, name)
+
+        monkeypatch.setattr(runtime, "_finish", held_finish)
+        monkeypatch.setattr(runtime, "_release", gated_release)
+        fabric = ServeFabric(workers=2, run_dir=tmp_path / "run", checkpoint_every=4)
+        fabric.add_tenant("t0", algorithm="A", feed={"scenario": SCENARIO, "seed": 0})
+        fabric.add_tenant(
+            "t1", algorithm="A", feed={"scenario": SCENARIO, "seed": 1, "params": {"T": 3}}
+        )
+        assert assign_shards([s.shard_key for s in fabric.tenants.values()], 2) == [0, 1]
+        fabric.migrate("t0", 1, after_round=1)
+        report = fabric.run()
+        assert report["migrations"][0]["state"] == "done"
+        assert holding.exists()
+        row = report["tenants"]["t0"]
+        assert row["status"] == "completed"
+        assert row["worker"] == 1
+        _assert_matches_replay(fabric.tenants["t0"], row)
+
     def test_broken_feed_is_quarantined_not_fatal(self, tmp_path):
         """A feed that keeps raising trips the breaker, exhausts its opens and
         abandons only that tenant — the co-resident tenant still completes."""

@@ -17,14 +17,26 @@ baselines — plus both tracker tie-breaks for the DP prefix tracker.
 A, B, C and LCP also describe every step in one :class:`Decision` record,
 ``last_decision``: ``run_online`` collects it per slot, and a session or an
 engine cohort must leave the very record the batch run collected at that
-tick.
+tick.  A class with a lane rule decides ``k`` lanes at once exactly as ``k``
+one-lane steps (``TestLaneRules``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.online.base import Decision, OnlineAlgorithm, run_online
-from repro.online.tracker import DPPrefixTracker
+from repro.core.cost_functions import LinearCost
+from repro.online import (
+    AlgorithmA,
+    AlgorithmB,
+    AllOn,
+    FollowDemand,
+    LazyCapacityProvisioning,
+    Reactive,
+)
+from repro.online.base import Decision, Lanes, OnlineAlgorithm, OnlineContext, SlotInfo, run_online
+from repro.online.tracker import DPPrefixTracker, PrefixOptimumAlgorithm
 from repro.scenarios import build
 from repro.serve import (
     SERVE_ALGORITHMS,
@@ -179,3 +191,110 @@ class TestDecisionRecords:
         # every tick after a tenant's first one is decided in a cohort
         assert engine.batch_counters()["batched_ticks"] >= len(expected) * (base.T - 1)
         assert all(engine.session(name).ticks == base.T for name in expected)
+
+
+# --------------------------------------------------------------------------- #
+# Lane rules: k lanes decided at once == k one-lane steps
+# --------------------------------------------------------------------------- #
+
+#: every class with a lane rule, built on ``gamma``'s grids
+LANE_RULES = {
+    "reactive": lambda gamma: Reactive(gamma=gamma),
+    "follow-demand": lambda gamma: FollowDemand(gamma=gamma),
+    "all-on": lambda gamma: AllOn(),
+    "A": lambda gamma: AlgorithmA(gamma=gamma),
+    "B": lambda gamma: AlgorithmB(gamma=gamma),
+    "lcp": lambda gamma: LazyCapacityProvisioning(gamma=gamma, allow_heterogeneous=True),
+}
+
+
+def _slot(t, tensor, grid, row, counts, beta):
+    """A slot whose ``g_t`` is ``tensor`` on ``grid`` (any configuration read)."""
+    flat = tensor.reshape(-1)
+
+    def evaluator(configs):
+        return flat[grid.flat_index(np.asarray(configs, dtype=int))]
+
+    return SlotInfo(
+        t=t, demand=1.0, cost_functions=row, counts=counts, beta=beta,
+        zmax=np.ones(len(counts)), _evaluator=evaluator,
+        _grid_evaluator=lambda _grid: tensor,
+    )
+
+
+def _tensor(rng, shape):
+    """A ``g_t`` tensor with ``+inf`` cells and at least one finite cell."""
+    values = rng.uniform(0.0, 10.0, size=shape)
+    values[rng.random(shape) < 0.3] = np.inf
+    values.reshape(-1)[rng.integers(values.size)] = rng.uniform(0.0, 10.0)
+    return values
+
+
+def _same_decision(a, b):
+    if a is None or b is None:
+        return a is b
+    for x, y in zip(a, b):
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+class TestLaneRules:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(LANE_RULES)),
+        gamma=st.sampled_from([None, 1.5, 2.0]),
+        counts=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_k_lanes_equal_k_one_lane_steps(self, kind, gamma, counts, k, seed, data):
+        """``decide_lanes`` on k lanes == k sequential ``step`` calls, bit for
+        bit: configurations, ``last_decision`` and ``state_dict()``, on full
+        and reduced grids, over tensors with ``+inf`` cells, after each lane
+        was advanced through its own prefix of shared random slots."""
+        make = LANE_RULES[kind]
+        rng = np.random.default_rng(seed)
+        counts = np.asarray(counts, dtype=int)
+        d = len(counts)
+        beta = rng.uniform(0.5, 5.0, size=d)
+        row = tuple(LinearCost(idle=float(rng.choice([0.0, 0.3, 1.0, 2.5])), slope=1.0)
+                    for _ in range(d))
+        context = OnlineContext(
+            server_types=tuple(range(d)), beta=beta, zmax=np.ones(d), base_counts=counts
+        )
+        lanes_side = [make(gamma) for _ in range(k)]
+        steps_side = [make(gamma) for _ in range(k)]
+        grid = lanes_side[0].evaluation_grid(counts)
+        shape = (1,) if grid is None else grid.shape
+        shared = [_tensor(rng, shape) for _ in range(3)]
+        ticks = []
+        for i, (one, twin) in enumerate(zip(lanes_side, steps_side)):
+            one.start(context)
+            twin.start(context)
+            if kind == "reactive":  # a random previous configuration
+                current = [int(rng.integers(0, c + 1)) for c in counts]
+                one.load_state_dict({"current": current})
+                twin.load_state_dict({"current": current})
+            # a DP lane joins once its tracker holds V_{t-1}
+            prefix = data.draw(st.integers(int(isinstance(one, PrefixOptimumAlgorithm)), 3))
+            for t in range(prefix):
+                for algorithm in (one, twin):
+                    algorithm.step(_slot(t, shared[(t + i) % 3], grid, row, counts, beta))
+            ticks.append(prefix)
+        tensors = [_tensor(rng, shape) for _ in range(data.draw(st.integers(1, k)))]
+        rows = rng.integers(0, len(tensors), size=k).astype(np.intp)
+        lanes = Lanes(
+            grid, None if grid is None else np.stack(tensors), rows, ticks, row, beta, counts
+        )
+        chosen = type(lanes_side[0]).decide_lanes(lanes_side, lanes)
+        assert chosen.shape == (k, d) and chosen.dtype.kind == "i"
+        for i, (one, twin) in enumerate(zip(lanes_side, steps_side)):
+            expected = twin.step(_slot(ticks[i], tensors[rows[i]], grid, row, counts, beta))
+            assert np.array_equal(chosen[i], expected), i
+            assert _same_decision(one.last_decision, twin.last_decision), i
+            assert one.state_dict() == twin.state_dict(), i

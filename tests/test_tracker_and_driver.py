@@ -156,12 +156,12 @@ class TestStackedObserve:
         counts = tuple(int(c) for c in small_instance.m)
         tracker = DPPrefixTracker()
         assert stackable(tracker)
+        assert stackable(DPPrefixTracker(gamma=2.0))  # its own grid family's lanes
         assert not tracker.holds(counts)  # no V before the first slot
         tracker.observe(slots[0])
         assert tracker.holds(counts)
         assert not tracker.holds(tuple(c + 1 for c in counts))
         for other in (
-            DPPrefixTracker(gamma=2.0),
             DPPrefixTracker(history=ValueHistory(small_instance.beta)),
             _SubclassedTracker(),
             FixedSequenceTracker([[0, 0]]),

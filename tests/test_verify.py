@@ -174,23 +174,23 @@ class TestRoundtripRange:
 
     def test_batched_gate_catches_a_broken_cohort(self, monkeypatch):
         """The gate's reference replays every tenant on its own, so a fault in
-        the engine's cohort path (here every member powers the whole fleet
-        on) is caught, not reproduced on both sides."""
+        the engine's cohort path is caught, not reproduced on both sides.  The
+        lane rule runs on both sides, so the fault is one only the engine can
+        make: every lane reads the round's first distinct tensor."""
         import repro.serve.engine as engine_module
 
-        decisions = engine_module._decisions
+        lanes_type = engine_module.Lanes
 
-        def all_on(kind, geometry, *args):
-            decisions(kind, geometry, *args)
-            rounded = geometry.counts_t.astype(int)
-            return lambda i, session: (rounded, rounded.tolist(), 0)
+        def first_tensor_lanes(grid, tensors, rows, *rest):
+            return lanes_type(grid, tensors, np.zeros_like(rows), *rest)
 
-        monkeypatch.setattr(engine_module, "_decisions", all_on)
+        monkeypatch.setattr(engine_module, "Lanes", first_tensor_lanes)
         instance = build("diurnal-cpu-gpu", T=12)
 
         def build_tenants(engine):
             for k in range(3):
-                engine.add_tenant(f"t{k}", "reactive", InstanceFeed(instance))
+                rolled = instance.with_demand(np.roll(instance.demand, 4 * k))
+                engine.add_tenant(f"t{k}", "reactive", InstanceFeed(rolled))
 
         with pytest.raises(AssertionError, match="configs differ"):
             verify_batched(build_tenants)
