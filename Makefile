@@ -123,15 +123,16 @@ figures-smoke:
 loc:
 	@find src -name '*.py' -exec cat {} + | wc -l
 
-# Observability gate: a short traced replay writes per-tick telemetry, a
-# Chrome trace and the summarise_sessions payload; `repro serve watch` must
+# Observability gate: a short traced, regret-tracked replay writes per-tick
+# telemetry (rows carry prefix_optimum_cost and regret), a Chrome trace and
+# the summarise_sessions payload; `repro serve watch` must
 # then reproduce that summary from the telemetry file alone, equality-exact
 # (--expect diffs key by key and exits non-zero on any deviation).  The
 # artifacts are removed first because telemetry appends.
 WATCH_DIR := benchmarks/output/watch-smoke
 watch-smoke:
 	rm -rf $(WATCH_DIR)
-	$(PYTHON) -m repro serve replay --scenario diurnal-cpu-gpu --param T=64 \
+	$(PYTHON) -m repro serve replay --scenario diurnal-cpu-gpu --param T=64 --regret \
 		--telemetry $(WATCH_DIR)/telemetry.jsonl \
 		--trace $(WATCH_DIR)/trace.json \
 		--json $(WATCH_DIR)/replay.json

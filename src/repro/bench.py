@@ -1512,13 +1512,15 @@ def _read_bench_json(json_path) -> dict:
 def write_bench_json(
     path, payload: dict, section: Optional[str] = None, headline: Optional[dict] = None
 ) -> dict:
-    """Merge one gate's ``payload`` into the ``BENCH_*.json`` file at ``path``.
+    """Write one gate's ``payload`` into the ``BENCH_*.json`` file at ``path``.
 
     A file holds one benchmark's payload at its top level (``section=None``)
     and any number of other gates' payloads under their own ``section`` key.
-    A write replaces only its own keys, so every other section of the file
-    survives it.  The payload written is stamped with ``recorded_at`` and the
-    ``environment``; a section write stamps only its own section.  With a
+    A section write replaces its section; a top-level write replaces the
+    previous top-level payload and keeps only the ``"runs"`` series and the
+    sections (dict values with their own ``recorded_at``).  The payload
+    written is stamped with ``recorded_at`` and the ``environment``; a
+    section write stamps only its own section.  With a
     ``headline``, one compact entry (the stamp plus the headline metrics,
     which name their ``benchmark``) is appended to the file's one ``"runs"``
     trend series, capped at :data:`TREND_MAX_RUNS`; benchmarks sharing a file
@@ -1537,6 +1539,8 @@ def write_bench_json(
         },
     }
     if section is None:
+        document = {key: value for key, value in document.items()
+                    if key == "runs" or (isinstance(value, dict) and "recorded_at" in value)}
         document.update(payload, **stamp)
     else:
         document[section] = dict(payload, **stamp)

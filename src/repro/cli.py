@@ -1418,8 +1418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--verify", action="store_true",
                          help="assert the streamed schedule and cost reproduce batch run_online")
     p_serve.add_argument("--regret", action="store_true",
-                         help="track the offline prefix optimum per tick and report regret "
-                              "in the telemetry (one extra DP transition per tick)")
+                         help="track the offline prefix optimum per tick and report regret in the "
+                              "telemetry (A, B and lcp hold it; others pay one extra DP transition)")
     p_serve.add_argument("--chaos", default=None, metavar="SPEC",
                          help="inject mid-stream faults into the replay: an integer seed "
                               "(generates an event plan over the scenario's horizon), inline "

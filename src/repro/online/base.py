@@ -317,6 +317,11 @@ class OnlineAlgorithm(abc.ABC):
         """
         return None
 
+    def prefix_optimum_cost(self) -> float:
+        """``OPT(I_t)``, the optimal cost of the slots stepped so far, when the
+        algorithm's own state holds it exactly; ``nan`` (the default) otherwise."""
+        return float("nan")
+
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
         """JSON-safe snapshot of all *decision-relevant* state.

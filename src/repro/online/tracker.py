@@ -332,7 +332,8 @@ class PrefixOptimumAlgorithm(OnlineAlgorithm):
     :class:`DPPrefixTracker` on ``gamma``'s grids.  ``step`` is ``observe``
     then ``decide``; the lane rule (:meth:`decide_prefix_lanes`) advances the
     lanes' trackers in one :func:`observe_stacked` call, then runs each
-    lane's ``decide``.
+    lane's ``decide``.  A private exact :class:`DPPrefixTracker` holds
+    ``OPT(I_t) = min V_t``, which :meth:`prefix_optimum_cost` reports.
     """
 
     #: a one-lane stacked transition costs ~2x an own ``observe`` (PERFORMANCE.md)
@@ -355,6 +356,11 @@ class PrefixOptimumAlgorithm(OnlineAlgorithm):
 
     def lane_ready(self, counts: tuple) -> bool:
         return self._tracker.holds(counts)
+
+    def prefix_optimum_cost(self) -> float:
+        # min V_t is OPT(I_t) only on the exact grids of a private tracker
+        exact = stackable(self._tracker) and self._tracker.gamma is None
+        return self._tracker.prefix_optimum_cost() if exact else float("nan")
 
     @abc.abstractmethod
     def decide(self, t: int, optima: tuple, slot) -> np.ndarray:

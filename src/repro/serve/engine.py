@@ -22,9 +22,9 @@ it in three steps (the last two interleaved in arrival order):
    and Algorithm C's repair, are read from the block, so a cold round asks
    the dispatcher once.  A dispatch cell is exact on its own, so the block
    changes no decision and no solve count.
-2. **Cohorts.**  Arrivals whose sessions report a lane family
-   (:meth:`ControllerSession.lane_family`: the algorithm's class and grid
-   family) are grouped by ``(cache identity, lane family, cost row,
+2. **Cohorts.**  Arrivals whose algorithms report a lane family
+   (:meth:`~repro.online.base.OnlineAlgorithm.lane_family`: the class and
+   grid family) are grouped by ``(cache identity, lane family, cost row,
    counts)``.  A cohort fetches one grid cost tensor per distinct served
    demand (:meth:`ServeCache.grid_tensor`) on the grid its class's
    :meth:`~repro.online.base.OnlineAlgorithm.lane_grid` builds, hands its
@@ -36,7 +36,7 @@ it in three steps (the last two interleaved in arrival order):
    record per ``(cache, counts, grid family)``.
 3. **The rest** observes through its session at its own turn: algorithms
    with no lane rule of their own (C, custom algorithms, subclasses),
-   regret-tracked sessions, trackers that are not private DP trackers;
+   trackers that are not private DP trackers;
    ticks not ``lane_ready`` (a DP tracker's first tick, or one whose counts
    change its grid); a group smaller than its class's ``min_lanes`` (a lone
    A, B or lcp tick); unhashable cost rows; tensors with no finite entry.
@@ -482,7 +482,7 @@ class ServeEngine:
         rest: List[int] = []
         for index, (tenant, tick) in enumerate(arrivals):
             session = tenant.session
-            family = session.lane_family()
+            family = session.algorithm.lane_family()
             if family is not None:
                 row_key = counts_key = None
                 if tick.cost_row is not None or tick.counts is not None:
@@ -630,7 +630,7 @@ class ServeEngine:
             # recycled by now: re-resolve it (an O(1) hit when unbudgeted)
             state = session.commit_tick(
                 offered[j], level, shed[j], slot(level),
-                rounded, r_list, forced, started_ns=started, emit=emit,
+                rounded, r_list, forced, counts=counts_t, started_ns=started, emit=emit,
             )
             self._record(tenant, state)
 

@@ -83,7 +83,7 @@ __all__ = [
 ]
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 DEGRADATION_MODES = ("strict", "shed")
 
@@ -893,11 +893,12 @@ class ControllerSession:
         A :class:`ServeCache` to share with other sessions over the same
         fleet geometry; a private cache is created when omitted.
     track_regret:
-        Maintain a private exact :class:`DPPrefixTracker` alongside the
-        algorithm and report the optimal cost of the observed prefix in every
-        :class:`FleetState` (regret telemetry).  Costs one extra DP transition
-        per tick; the grid tensors are shared with the algorithm's tracker
-        through the cache.
+        Report the optimal cost of the observed prefix, ``OPT(I_t)``, in
+        every :class:`FleetState` (regret telemetry), read from the
+        algorithm when its state holds it (exact A, B and LCP:
+        :meth:`~repro.online.base.OnlineAlgorithm.prefix_optimum_cost`).
+        Otherwise (C, the baselines, ``gamma`` grids) a private exact
+        :class:`DPPrefixTracker` costs one extra DP transition per tick.
     degradation:
         ``"strict"`` (default) raises on infeasible ticks — demand above the
         tick's fleet capacity, or an algorithm configuration exceeding the
@@ -936,7 +937,6 @@ class ControllerSession:
         *,
         cache: Optional[ServeCache] = None,
         track_regret: bool = False,
-        regret_gamma: Optional[float] = None,
         degradation: str = "strict",
         history: bool = True,
         name: str = "tenant",
@@ -969,9 +969,12 @@ class ControllerSession:
             base_counts=stream.m,
         )
         self.algorithm.start(self.context)
-        self._regret_gamma = regret_gamma
+        self.track_regret = bool(track_regret)
+        # the private value stream, kept only when the algorithm holds none
         self._regret_tracker = (
-            DPPrefixTracker(gamma=regret_gamma) if track_regret else None
+            DPPrefixTracker()
+            if self.track_regret and math.isnan(self.algorithm.prefix_optimum_cost())
+            else None
         )
         self.degradation = degradation
         self.history = bool(history)
@@ -1003,7 +1006,7 @@ class ControllerSession:
         self.metrics = cache.metrics
         self.metrics.register_collector(self.collect_metrics)
         #: Optional :class:`~repro.serve.trace.TickTracer`; ``None`` (the
-        #: default) costs one branch per ``observe``.
+        #: default) costs a branch per phase of ``observe``.
         self._tracer = tracer
 
     # ------------------------------------------------------------- properties
@@ -1086,60 +1089,41 @@ class ControllerSession:
         state-free, so both paths are bit-identical.
 
         With a :class:`~repro.serve.trace.TickTracer` attached, every
-        ``trace_every``-th tick runs the phase-stamped twin
-        :meth:`_observe_traced` instead (same calls, same state transitions —
-        tracing only reads clocks and counters, so traced replays stay
-        bit-identical); unsampled ticks pay a single branch.
+        ``trace_every``-th tick records a ``prepare``, a ``decide[cold]`` or
+        ``decide[table]`` and a ``commit`` span (``cold`` when the solver's
+        ``unique_solves`` moved).  Tracing only reads clocks and counters, so
+        traced replays stay bit-identical.
 
         ``charge_ns`` is work done for this tick before the call and added to
-        its latency: the serve engine charges each member of a round's
-        dispatch block its share of the block's wall
+        its latency, not to its spans: the serve engine charges each member
+        of a round's dispatch block its share of the block's wall
         (:meth:`~repro.serve.engine.ServeEngine.resolve`), as it charges
         cohort members, so a tick's latency still counts the solve it
         needed.
         """
         tracer = self._tracer
-        if tracer is not None and tracer.should_sample():
-            return self._observe_traced(demand, cost_row, counts, tracer, charge_ns)
-        started = time.perf_counter_ns() - charge_ns
-        demand, served, shed, counts_t, vt, slot = self.prepare_tick(
-            demand, cost_row, counts
-        )
-        rounded, r_list, forced = self.decide_tick(slot, counts_t)
-        return self.commit_tick(
-            demand, served, shed, vt, rounded, r_list, forced,
-            slot=slot, started_ns=started,
-        )
-
-    def _observe_traced(self, demand, cost_row, counts, tracer, charge_ns=0) -> FleetState:
-        """The phase-stamped twin of :meth:`observe` (sampled ticks only).
-
-        Stamps ``perf_counter_ns`` at the prepare/decide/commit boundaries
-        and attributes the decide span to the dispatch tier that served it —
-        ``cold`` when the tick ran a fresh dispatch solve (the solver's
-        ``unique_solves`` moved), ``table`` otherwise.  ``charge_ns`` enters
-        the tick's latency, not its spans.
-        """
-        stats = self.cache.dispatcher.stats
-        tick = self._t
+        sampled = tracer is not None and tracer.should_sample()
         t0 = time.perf_counter_ns()
         demand, served, shed, counts_t, vt, slot = self.prepare_tick(
             demand, cost_row, counts
         )
-        solves0 = stats.unique_solves
-        t1 = time.perf_counter_ns()
+        if sampled:
+            solves = self.cache.dispatcher.stats.unique_solves
+            t1 = time.perf_counter_ns()
         rounded, r_list, forced = self.decide_tick(slot, counts_t)
-        t2 = time.perf_counter_ns()
+        if sampled:
+            t2 = time.perf_counter_ns()
         state = self.commit_tick(
             demand, served, shed, vt, rounded, r_list, forced,
-            slot=slot, started_ns=t0 - charge_ns,
+            counts=counts_t, started_ns=t0 - charge_ns,
         )
-        t3 = time.perf_counter_ns()
-        kind = "decide[cold]" if stats.unique_solves != solves0 else "decide[table]"
-        name = self.name
-        tracer.record("prepare", name, tick, t0, t1)
-        tracer.record(kind, name, tick, t1, t2)
-        tracer.record("commit", name, tick, t2, t3)
+        if sampled:
+            t3 = time.perf_counter_ns()
+            cold = self.cache.dispatcher.stats.unique_solves != solves
+            tick = state.t
+            tracer.record("prepare", self.name, tick, t0, t1)
+            tracer.record("decide[cold]" if cold else "decide[table]", self.name, tick, t1, t2)
+            tracer.record("commit", self.name, tick, t2, t3)
         return state
 
     def collect_metrics(self) -> None:
@@ -1179,7 +1163,6 @@ class ControllerSession:
         """
         demand, served, shed, row, counts_t = self.admit(demand, cost_row, counts)
         cache = self.cache
-        stream = cache.stream
         if cost_row is None:
             vt = cache.virtual_slot_base(served)
         else:
@@ -1195,19 +1178,24 @@ class ControllerSession:
         if slot is not None:
             object.__setattr__(slot, "t", self._t)
         else:
-            slot = SlotInfo.reading(
-                cache,
-                vt,
-                t=self._t,
-                demand=served,
-                cost_functions=row,
-                counts=counts_t,
-                beta=stream.beta,
-                zmax=stream.zmax,
-            )
+            slot = self._slot(vt, served, row, counts_t)
             if reusable:
                 self._slot_templates[vt] = slot
         return demand, served, shed, counts_t, vt, slot
+
+    def _slot(self, vt: int, served: float, row: tuple, counts_t: np.ndarray) -> SlotInfo:
+        """The current tick's :class:`SlotInfo`, reading the cache at ledger slot ``vt``."""
+        stream = self.cache.stream
+        return SlotInfo.reading(
+            self.cache,
+            vt,
+            t=self._t,
+            demand=served,
+            cost_functions=row,
+            counts=counts_t,
+            beta=stream.beta,
+            zmax=stream.zmax,
+        )
 
     def cold_tensor(self, demand: float, cost_row=None, counts=None) -> Optional[tuple]:
         """``(ledger slot, grid)`` of a tick whose grid tensor may be unsolved.
@@ -1294,11 +1282,6 @@ class ControllerSession:
         """
         return self.check_choice(self.algorithm.step(slot), counts_t)
 
-    def lane_family(self) -> Optional[tuple]:
-        """The algorithm's :meth:`~repro.online.base.OnlineAlgorithm.lane_family`;
-        ``None`` when regret-tracked (the tracker reads each tick's :class:`SlotInfo`)."""
-        return None if self._regret_tracker is not None else self.algorithm.lane_family()
-
     def check_choice(self, choice, counts_t):
         """The decision contract of :meth:`decide_tick`, on a ready choice.
 
@@ -1357,7 +1340,7 @@ class ControllerSession:
         r_list,
         forced: int = 0,
         *,
-        slot=None,
+        counts=None,
         started_ns=None,
         emit: bool = True,
     ) -> Optional[FleetState]:
@@ -1372,7 +1355,9 @@ class ControllerSession:
         this commit (0 when ``started_ns`` is ``None``); the serve engine
         backdates ``started_ns`` by each cohort member's share of its cohort.
         ``emit=False`` skips building the :class:`FleetState` (telemetry off)
-        and returns ``None``.
+        and returns ``None``.  A regret-tracked session reads ``OPT(I_t)``
+        from its algorithm, or steps its private tracker on ledger slot
+        ``vt`` at the tick's available ``counts`` (default: the static fleet).
         """
         result = self.cache.solve_config(vt, rounded)
         operating = float(result.cost)
@@ -1384,14 +1369,15 @@ class ControllerSession:
                 switching += b * (r - p)
 
         prefix_opt = float("nan")
-        if self._regret_tracker is not None:
-            if slot is None:
-                raise ValueError(
-                    "regret-tracked sessions need the tick's SlotInfo; the serve "
-                    "engine must route them through observe, not a cohort"
-                )
-            self._regret_tracker.observe(slot)
-            prefix_opt = self._regret_tracker.prefix_optimum_cost()
+        if self.track_regret:
+            tracker = self._regret_tracker
+            if tracker is None:
+                prefix_opt = self.algorithm.prefix_optimum_cost()
+            else:
+                stream = self.cache.stream
+                counts_t = stream.m if counts is None else counts
+                tracker.observe(self._slot(vt, served, stream.cost_row(vt), counts_t))
+                prefix_opt = tracker.prefix_optimum_cost()
 
         violation = shed > 0 or forced > 0
         if violation:
@@ -1495,10 +1481,10 @@ class ControllerSession:
             "shed_total": self._shed_total,
             "forced_downs": self._forced_downs,
             "algorithm_state": self.algorithm.state_dict(),
+            "track_regret": self.track_regret,
             "regret_state": (
                 None if self._regret_tracker is None else self._regret_tracker.state_dict()
             ),
-            "regret_gamma": None if self._regret_tracker is None else self._regret_gamma,
         }
         if self.history:
             payload["configs"] = [c.tolist() for c in self._configs]
@@ -1512,7 +1498,9 @@ class ControllerSession:
         Version is checked first (an old payload fails with a version message,
         not a checksum one), then the integrity checksum — a payload without
         one, or whose bytes changed since :meth:`checkpoint`, raises
-        :class:`CheckpointCorruptError`.
+        :class:`CheckpointCorruptError`.  The session takes the payload's
+        ``history`` and ``track_regret``; a regret payload without a
+        ``regret_state`` needs an algorithm that holds ``OPT(I_t)`` itself.
         """
         if payload.get("version") != CHECKPOINT_VERSION:
             raise ValueError(
@@ -1544,16 +1532,19 @@ class ControllerSession:
             self._configs = []
             self._latencies = deque(maxlen=COMPACT_LATENCY_WINDOW)
         self.algorithm.load_state_dict(payload["algorithm_state"])
+        # regret tracking follows the payload too: its private stream, or
+        # ``null`` when the algorithm's own state holds OPT(I_t)
+        self.track_regret = bool(payload["track_regret"])
         regret_state = payload["regret_state"]
+        self._regret_tracker = None
         if regret_state is not None:
-            # the checkpoint records the tracker's gamma: a reduced-grid value
-            # tensor restored into an exact tracker (or vice versa) would be
-            # reshaped against the wrong grid
-            regret_gamma = payload["regret_gamma"]
-            if self._regret_tracker is None or self._regret_gamma != regret_gamma:
-                self._regret_gamma = regret_gamma
-                self._regret_tracker = DPPrefixTracker(gamma=regret_gamma)
+            self._regret_tracker = DPPrefixTracker()
             self._regret_tracker.load_state_dict(regret_state)
+        elif self.track_regret and math.isnan(self.algorithm.prefix_optimum_cost()):
+            raise ValueError(
+                "checkpoint tracks regret without a regret stream, and "
+                f"{self.algorithm.name} holds no prefix optimum of its own"
+            )
         return self
 
     def checkpoint_roundtrip(self, reuse_cache: bool = False) -> "ControllerSession":
@@ -1569,8 +1560,7 @@ class ControllerSession:
         """
         payload = json.loads(json.dumps(self.checkpoint()))
         kwargs = dict(
-            track_regret=self._regret_tracker is not None,
-            regret_gamma=self._regret_gamma,
+            track_regret=self.track_regret,
             degradation=self.degradation,
             history=self.history,
             name=self.name,

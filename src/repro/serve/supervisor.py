@@ -71,17 +71,19 @@ def write_json_atomic(path, payload: dict) -> Path:
 
 
 def read_json(path, default=None):
-    """Read a JSON file, returning ``default`` when missing or unreadable.
+    """Read a JSON object file, returning ``default`` when missing or unreadable.
 
     Files written by :func:`write_json_atomic` cannot be torn, so a decode
-    error here means a foreign/partial file — treated as absent rather than
-    fatal (the supervisor must keep polling through transient weirdness).
+    error or a value that is not an object here means a foreign/partial
+    file — treated as absent rather than fatal (the supervisor must keep
+    polling through transient weirdness).
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            payload = json.load(handle)
     except (OSError, ValueError):  # undecodable bytes, bad JSON, an over-long integer
         return default
+    return payload if isinstance(payload, dict) else default
 
 
 # --------------------------------------------------------------------------- #

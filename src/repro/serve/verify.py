@@ -358,7 +358,7 @@ def verify_batched(
                 "ticks": int(ref.ticks),
                 "cost_deviation": deviation,
                 "algorithm": ref.algorithm.name,
-                "batched": served.lane_family() is not None,
+                "batched": served.algorithm.lane_family() is not None,
                 "p99_ms": served.latency_summary().get("p99_ms"),
             }
         )

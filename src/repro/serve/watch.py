@@ -40,6 +40,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from .supervisor import read_json
 from .telemetry import TELEMETRY_SCHEMA_VERSION, latency_percentiles
 
 __all__ = [
@@ -253,15 +254,6 @@ class WatchModel:
 # --------------------------------------------------------------------------- #
 
 
-def _read_json(path: Path) -> Optional[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
 class FabricWatcher:
     """Reads a fabric run directory's file protocol into display rows."""
 
@@ -275,7 +267,7 @@ class FabricWatcher:
             if not directory.is_dir():
                 continue
             row = {"worker": directory.name, "status": "missing"}
-            beat = _read_json(directory / "heartbeat.json")
+            beat = read_json(directory / "heartbeat.json")
             if beat is not None:
                 age = time.time() - float(beat.get("time", 0.0))
                 row.update(
@@ -285,7 +277,7 @@ class FabricWatcher:
                     ticks=beat.get("ticks", {}),
                     status="stale" if age > self.stale_seconds else "live",
                 )
-            result = _read_json(directory / "result.json")
+            result = read_json(directory / "result.json")
             if result is not None:
                 row["status"] = "done"
                 row["tenants"] = {
@@ -305,7 +297,7 @@ class FabricWatcher:
     def checkpoints(self) -> List[dict]:
         rows = []
         for path in sorted(self.run_dir.rglob("*.ckpt.json")):
-            payload = _read_json(path)
+            payload = read_json(path)
             if payload is None:
                 continue
             rows.append(
@@ -641,7 +633,7 @@ def watch_command(
             if model is None:
                 print("watch: --expect needs a telemetry file source", file=sys.stderr)
                 return 2
-            expected = _read_json(Path(expect))
+            expected = read_json(expect)
             if expected is None:
                 print(f"watch: cannot read --expect file {expect}", file=sys.stderr)
                 return 2

@@ -14,13 +14,19 @@ share, against per-tenant replays that write them without a round.
 """
 
 import json
+import math
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_instance
 from repro import scenarios
+from repro.analysis import theoretical_bound
 from repro.core.cost_functions import LinearCost
 from repro.core.instance import ProblemInstance
 from repro.core.server import ServerType
@@ -37,7 +43,7 @@ from repro.serve import (
     load_checkpoint,
     verify_batched,
 )
-from repro.offline.dp import ValueHistory
+from repro.offline.dp import ValueHistory, solve_dp
 from repro.online import (
     AlgorithmA,
     AlgorithmB,
@@ -175,14 +181,17 @@ class TestBatchedEquivalence:
         assert report["schedules_identical"]
         assert report["batch"]["batched_ticks"] > 0
 
-    def test_regret_tracked_sessions_fall_back(self):
+    def test_regret_tracked_sessions_batch(self):
+        """Regret reads A's, B's and lcp's own value stream, and reactive's
+        private tracker steps in the cohort's commit: the fleet batches and
+        stays identical."""
         instance = _quantised(T=12)
         report = verify_batched(
-            _register_fleet(instance, 3, ["reactive"], track_regret=True)
+            _register_fleet(instance, 8, ["reactive", "A", "B", "lcp"], track_regret=True)
         )
         assert report["schedules_identical"]
-        assert report["batch"]["batched_ticks"] == 0
-        assert report["batch"]["fallback_ticks"] == report["ticks_total"]
+        assert report["batch"]["batched_ticks"] > 0
+        assert all(row["batched"] for row in report["tenants"])
 
 
 # --------------------------------------------------------------------------- #
@@ -343,17 +352,23 @@ class TestObserveSplit:
         assert reference.cumulative_cost == replayed.cumulative_cost
         assert reference.ticks == replayed.ticks
 
-    def test_commit_tick_refuses_regret_tracking_without_slot(self):
-        instance = _quantised(T=4)
-        session = ControllerSession(
-            "reactive", instance.server_types, track_regret=True
-        )
-        d, served, shed, counts_t, vt, _ = session.prepare_tick(
-            float(instance.demand[0])
-        )
-        rounded = np.zeros(instance.d, dtype=int)
-        with pytest.raises(ValueError, match="regret"):
-            session.commit_tick(d, served, shed, vt, rounded, rounded.tolist())
+    def test_slotless_commit_steps_the_private_regret_stream(self):
+        """A cohort's commit passes no SlotInfo: a regret-tracked reactive
+        session's private tracker reads the ledger slot's tensor at the
+        tick's counts and reports what observe reports."""
+        instance = _smoke_instance("time-varying-m")
+        observed = ControllerSession("reactive", instance.server_types, track_regret=True)
+        committed = ControllerSession("reactive", instance.server_types, track_regret=True)
+        for t in range(instance.T):
+            demand, counts = float(instance.demand[t]), instance.counts_at(t)
+            state = observed.observe(demand, counts=counts)
+            d, served, shed, counts_t, vt, _ = committed.prepare_tick(demand, counts=counts)
+            rounded = np.asarray(state.config, dtype=int)
+            row = committed.commit_tick(
+                d, served, shed, vt, rounded, rounded.tolist(), counts=counts_t
+            )
+            assert math.isfinite(row.prefix_optimum_cost)
+            assert row.prefix_optimum_cost == state.prefix_optimum_cost, t
 
 
 # --------------------------------------------------------------------------- #
@@ -401,8 +416,8 @@ class TestReportCounters:
         assert report["batch"]["geometries"] == 1
 
     def test_lane_family_classification(self):
-        """The public eligibility check: a session's lane family is its
-        algorithm's class and grid family, or ``None`` when it stays out."""
+        """The public eligibility check: an algorithm's lane family is its
+        class and grid family, or ``None`` when it stays out."""
         instance = _quantised(T=4)
         for algorithm, family in [("reactive", (Reactive, None)),
                                   ("follow-demand", (FollowDemand, None)),
@@ -411,20 +426,22 @@ class TestReportCounters:
                                   ("lcp", (LazyCapacityProvisioning, None)),
                                   ("C", None)]:
             session = ControllerSession(algorithm, instance.server_types)
-            assert session.lane_family() == family
-        # reduced grids join, in their own grid family
+            assert session.algorithm.lane_family() == family
+        # reduced grids join, in their own grid family, and regret tracking
+        # changes no family
         for kind, cls in [("reactive", Reactive), ("follow-demand", FollowDemand),
                           ("A", AlgorithmA), ("B", AlgorithmB),
                           ("lcp", LazyCapacityProvisioning)]:
             session = ControllerSession(
                 {"kind": kind, "params": {"gamma": 2.0}}, instance.server_types
             )
-            assert session.lane_family() == (cls, 2.0)
-        # what stays on the per-tenant path: regret tracking, subclasses, and
-        # trackers that are not private DP trackers
+            assert session.algorithm.lane_family() == (cls, 2.0)
+        for kind, cls in [("A", AlgorithmA), ("lcp", LazyCapacityProvisioning)]:
+            session = ControllerSession(kind, instance.server_types, track_regret=True)
+            assert session.algorithm.lane_family() == (cls, None)
+        # what stays on the per-tenant path: subclasses, and trackers that
+        # are not private DP trackers
         unbatched = [
-            ControllerSession("A", instance.server_types, track_regret=True),
-            ControllerSession("lcp", instance.server_types, track_regret=True),
             ControllerSession(_SubclassedA(), instance.server_types),
             ControllerSession(_SubclassedLCP(allow_heterogeneous=True), instance.server_types),
             ControllerSession(
@@ -439,7 +456,7 @@ class TestReportCounters:
             ),
         ]
         for session in unbatched:
-            assert session.lane_family() is None, session.algorithm
+            assert session.algorithm.lane_family() is None, session.algorithm
 
 
 # --------------------------------------------------------------------------- #
@@ -692,3 +709,113 @@ def _rows_by_tenant(path):
 def _comparable(payload):
     """A checkpoint payload without its wall-clock samples and checksum."""
     return {k: v for k, v in payload.items() if k not in ("latencies_ns", "checksum")}
+
+
+# --------------------------------------------------------------------------- #
+# Regret: one value stream per tenant, on every path
+# --------------------------------------------------------------------------- #
+
+ALL_ALGORITHMS = ["A", "B", "lcp", "C", "reactive", "follow-demand", "all-on"]
+
+
+def _prefix_optima(instance):
+    """``OPT(I_t)`` of every prefix: a plain tracker stepped over the instance's slots."""
+    context = SlotContext(instance)
+    tracker = DPPrefixTracker()
+    optima = []
+    for t in range(instance.T):
+        tracker.observe(context.slot(t))
+        optima.append(tracker.prefix_optimum_cost())
+    return optima
+
+
+def _engine_rows(build_tenants, directory, checkpoint_at=None, **engine_kwargs):
+    """Telemetry rows by tenant of one engine run, JSON round-tripped mid-stream."""
+    engine = ServeEngine(**engine_kwargs)
+    build_tenants(engine)
+    path = Path(directory) / "telemetry.jsonl"
+    with TelemetryWriter(path) as writer:
+        if checkpoint_at is not None:
+            engine.run(max_ticks=checkpoint_at, telemetry=writer, finalize=False)
+            for name in list(engine.tenants):
+                engine.roundtrip_tenant(name)
+        engine.run(telemetry=writer)
+    return engine, _rows_by_tenant(path)
+
+
+class TestRegretStream:
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"ledger_budget": 2}, {"tensor_budget_bytes": 0}],
+        ids=["unbudgeted", "ledger_budget", "tensor_budget_bytes"],
+    )
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    def test_every_path_reports_the_private_tracker_optimum(self, algorithm, kwargs, tmp_path):
+        """Regret on: engine rounds (cohorts included) equal per-tenant
+        replays, and every tick's ``prefix_optimum_cost`` on the engine, on
+        the observe path and across JSON round-trips equals a plain tracker
+        stepped over the tenant's own slots, bit for bit."""
+        instance = build("diurnal-cpu-gpu", T=12)
+        build_tenants = _register_fleet(instance, 3, [algorithm], track_regret=True)
+        report = verify_batched(build_tenants, checkpoint_at=6, engine_kwargs=kwargs)
+        assert report["schedules_identical"]
+        if algorithm != "C":
+            assert report["batch"]["batched_ticks"] > 0
+        _, rows = _engine_rows(build_tenants, tmp_path, checkpoint_at=6, **kwargs)
+        for k in range(3):
+            rolled = instance.with_demand(np.roll(instance.demand, k))
+            expected = _prefix_optima(rolled)
+            assert [row["prefix_optimum_cost"] for row in rows[f"tenant-{k}"]] == expected
+            session = ControllerSession(algorithm, instance.server_types, track_regret=True)
+            observed = []
+            for t, demand in enumerate(rolled.demand):
+                if t == 6:
+                    session = session.checkpoint_roundtrip()
+                observed.append(session.observe(demand).prefix_optimum_cost)
+            assert observed == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(2, 12),
+        d=st.integers(1, 2),
+    )
+    def test_theorem_bounds_hold_on_every_tick(self, seed, T, d):
+        """Thm 8 (A), Thm 13 (B) and Thm 15 (C, eps = 0.25) on every prefix.
+
+        The online schedule on ``I_t`` is the first ``t`` ticks of the
+        schedule on ``I``, and ``c(I_t) <= c(I)``, so the full instance's
+        bound holds on every prefix: each tick's cumulative cost is at most
+        the bound times ``OPT(I_t)``, which never decreases and never
+        exceeds the cumulative cost.  The last tick's ``OPT(I_t)`` is the
+        offline optimum.
+        """
+        instance = random_instance(np.random.default_rng(seed), T=T, d=d)
+        kinds = {"A": "A", "B": "B", "C": {"kind": "C", "params": {"epsilon": 0.25}}}
+        rolled = [instance.with_demand(np.roll(instance.demand, k)) for k in range(2)]
+
+        def build_tenants(engine):
+            for kind, algorithm in kinds.items():
+                for k, tenant in enumerate(rolled):
+                    engine.add_tenant(
+                        f"{kind}-{k}", algorithm, InstanceFeed(tenant), track_regret=True
+                    )
+
+        with tempfile.TemporaryDirectory() as directory:
+            engine, rows = _engine_rows(build_tenants, directory)
+        assert engine.batch_counters()["batched_ticks"] > 0
+        for k, tenant in enumerate(rolled):
+            expected = _prefix_optima(tenant)
+            optimum = solve_dp(tenant).cost
+            for kind in kinds:
+                bound = theoretical_bound(tenant, kind, 0.25)
+                series = rows[f"{kind}-{k}"]
+                assert len(series) == T
+                previous = 0.0
+                for t, row in enumerate(series):
+                    opt, cost = row["prefix_optimum_cost"], row["cumulative_cost"]
+                    assert opt == expected[t], (kind, t)
+                    assert opt >= previous - 1e-12 * abs(previous), (kind, t)
+                    assert opt <= cost * (1 + 1e-12), (kind, t)
+                    assert cost <= bound * opt * (1 + 1e-9), (kind, t, cost / opt, bound)
+                    previous = opt
+                assert abs(previous - optimum) <= 1e-9 * max(1.0, abs(optimum)), kind

@@ -130,3 +130,16 @@ def test_perfbench_runs_are_recorded_one_section_and_headline_per_workload(tmp_p
     assert code == 0
     assert "perfbench-offline-plan: 1 run(s)" in out
     assert "ticks_per_s +100.5" in out  # against the same workload's previous run
+
+
+def test_a_top_level_write_replaces_the_previous_payload(tmp_path):
+    from repro.bench import write_bench_json
+
+    path = tmp_path / "BENCH_x.json"
+    write_bench_json(path, {"a": 1, "b": 2}, headline={"benchmark": "x"})
+    write_bench_json(path, {"rows": [1]}, section="extra", headline={"benchmark": "y"})
+    after = write_bench_json(path, {"a": 3}, headline={"benchmark": "x"})
+    assert after == json.loads(path.read_text())
+    assert after["a"] == 3 and "b" not in after
+    assert after["extra"]["rows"] == [1] and "recorded_at" in after["extra"]
+    assert [run["benchmark"] for run in after["runs"]] == ["x", "y", "x"]

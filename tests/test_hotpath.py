@@ -25,6 +25,7 @@ from repro.bench import (
     run_serve_bench,
     trend_deltas,
     trend_report,
+    write_bench_json,
 )
 from repro.dispatch.allocation import DispatchSolver
 from repro.offline.state_grid import StateGrid, grid_for_slot
@@ -349,14 +350,10 @@ class TestBenchGates:
             budget_us=50.0, budget_scale=1e6, repeats=2, ticks=16,
             json_path=json_path,
         )
-        with open(json_path) as handle:
-            merged = json.load(handle)
-        merged["fabric"] = {"sentinel": True}
-        with open(json_path, "w") as handle:
-            json.dump(merged, handle)
+        write_bench_json(json_path, {"sentinel": True}, section="fabric")
         run_serve_bench(tenant_counts=(1,), ticks=8, json_path=json_path)
         written = json.loads(Path(json_path).read_text())
-        assert written["fabric"] == {"sentinel": True}
+        assert written["fabric"]["sentinel"] is True
         assert "latency" in written and written["latency"]["benchmark"] == "latency_smoke"
 
     def test_trend_deltas_numeric_only(self):

@@ -464,6 +464,10 @@ class TestTracer:
             row["spans"] for name, row in phases.items() if name.startswith("decide[")
         )
         assert decide == 16
+        # a level's first tick solves its dispatch block, every repeat reads the table
+        levels = len(set(instance.demand.tolist()))
+        assert phases["decide[cold]"]["spans"] == levels < 16
+        assert phases["decide[table]"]["spans"] == 16 - levels
 
     def test_chrome_trace_shape(self, tmp_path):
         tracer = TickTracer()
@@ -582,6 +586,16 @@ class TestWatch:
         assert summary["totals"] == {
             "ticks": 12, "cost": 4.5, "sla_violations": 0, "shed_demand": 0.0
         }
+
+    def test_fabric_watcher_reads_non_object_files_as_missing(self, tmp_path):
+        worker = tmp_path / "worker-0"
+        worker.mkdir()
+        (worker / "heartbeat.json").write_text("[]")
+        (worker / "result.json").write_text('[{"status": "done"}]')
+        (tmp_path / "a.ckpt.json").write_text("[12]")
+        summary = FabricWatcher(tmp_path).summary()
+        assert summary["workers"] == [{"worker": "worker-0", "status": "missing"}]
+        assert summary["checkpoints"] == []
 
 
 # --------------------------------------------------------------------------- #

@@ -121,6 +121,14 @@ class TestReaderRegressions:
         path.write_bytes(_flip(path.read_bytes(), 3, 0xFF))
         assert read_json(path, default="absent") == "absent"
 
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", '"done"', "3", "null"])
+    def test_read_json_reads_a_non_object_as_absent(self, tmp_path, text):
+        # the fabric's readers call .get on control, heartbeat and result
+        # files: valid JSON that is not an object must read as absent
+        path = tmp_path / "result.json"
+        path.write_text(text)
+        assert read_json(path, default="absent") == "absent"
+
 
 # --------------------------------------------------------------------------- #
 # Fuzz: truncations, single-byte flips and oversized literals of valid files
@@ -215,4 +223,5 @@ def test_fuzzed_telemetry_and_heartbeat_never_raise(valid_files, data):
 
     beat = valid_files["dir"] / "fuzz-heartbeat.json"
     beat.write_bytes(data.draw(corruptions(valid_files["heartbeat"])))
-    read_json(beat, default=None)
+    payload = read_json(beat, default=None)
+    assert payload is None or isinstance(payload, dict)

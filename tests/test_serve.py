@@ -11,6 +11,7 @@ benchmark's deterministic gates.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -156,21 +157,37 @@ class TestControllerSession:
             assert a.cumulative_cost == pytest.approx(b.cumulative_cost, abs=1e-12)
             assert b.prefix_optimum_cost == pytest.approx(a.prefix_optimum_cost, abs=1e-12)
 
-    def test_checkpoint_restores_regret_tracker_gamma(self):
-        # the checkpoint records the regret tracker's gamma: restoring a
-        # reduced-grid tensor into an exact tracker would mis-shape the grid
+    @pytest.mark.parametrize("algorithm", ["A", "reactive"])
+    def test_regret_payload_restores_into_a_plain_session(self, algorithm):
+        # the payload says whether it tracks regret and carries the private
+        # stream only where the algorithm holds none (reactive), so a plain
+        # session restored from it keeps reporting the prefix optimum
         instance = build("diurnal-cpu-gpu", T=10)
-        session = ControllerSession(
-            "A", instance.server_types, track_regret=True, regret_gamma=2.0
-        )
+        session = ControllerSession(algorithm, instance.server_types, track_regret=True)
         for t in range(4):
             session.observe(float(instance.demand[t]))
         payload = json.loads(json.dumps(session.checkpoint()))
-        restored = ControllerSession("A", instance.server_types).restore(payload)
+        assert payload["track_regret"] is True
+        assert (payload["regret_state"] is None) == (algorithm == "A")
+        restored = ControllerSession(algorithm, instance.server_types).restore(payload)
+        assert restored.track_regret
         for t in range(4, 10):
             a = session.observe(float(instance.demand[t]))
             b = restored.observe(float(instance.demand[t]))
-            assert b.prefix_optimum_cost == pytest.approx(a.prefix_optimum_cost, abs=1e-12)
+            assert math.isfinite(b.prefix_optimum_cost)
+            assert b.prefix_optimum_cost == a.prefix_optimum_cost
+
+    def test_regret_payload_without_a_stream_is_rejected(self):
+        # reactive holds no prefix optimum, so its payload must carry one
+        instance = build("diurnal-cpu-gpu", T=6)
+        session = ControllerSession("reactive", instance.server_types, track_regret=True)
+        session.observe(float(instance.demand[0]))
+        payload = session.checkpoint()
+        del payload["checksum"]
+        payload["regret_state"] = None
+        payload["checksum"] = payload_checksum(payload)
+        with pytest.raises(ValueError, match="regret stream"):
+            ControllerSession("reactive", instance.server_types).restore(payload)
 
     @pytest.mark.parametrize("mode", ["history", "compact", "restored"])
     def test_checkpoint_text_equals_per_element_int_conversion(self, mode):
@@ -452,6 +469,9 @@ class _OneArrivalPerResolve(ServeEngine):
 
 
 #: (tenant, algorithm, add_tenant kwargs); a callable builds a fresh object.
+#: No lane family appears twice: a cohort of two fetches a level both serve
+#: once, so under ``tensor_budget_bytes`` it can solve less than one-arrival
+#: rounds do.  The regret tenant keeps a private stream, which reads the block.
 BLOCK_TENANTS = [
     ("A", "A", {}),
     ("B", "B", {}),
@@ -461,7 +481,7 @@ BLOCK_TENANTS = [
     ("follow-demand", "follow-demand", {}),
     ("all-on", "all-on", {}),
     ("A-gamma", {"kind": "A", "params": {"gamma": 2.0}}, {}),
-    ("A-regret", "A", {"track_regret": True}),
+    ("C-regret", "C", {"track_regret": True}),
     ("custom", _FullGridGreedy, {}),
 ]
 BLOCK_FLEETS = [
