@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-sweep bench-scale bench-serve bench-fabric bench-latency-smoke bench-batch-smoke bench-batch-scale bench-perfbench perf-regress scenarios-smoke serve-smoke chaos-smoke fabric-smoke watch-smoke perfbench-smoke figures-smoke loc
+.PHONY: test bench bench-smoke bench-sweep bench-scale bench-serve bench-fabric bench-latency-smoke bench-batch-smoke bench-batch-scale bench-perfbench bench-dispatch perf-regress scenarios-smoke serve-smoke chaos-smoke fabric-smoke watch-smoke perfbench-smoke figures-smoke loc
 
 # warnings are errors: the suite runs warning-free and stays that way; -X dev
 # adds the interpreter's debug checks (unclosed files, asyncio debug mode)
@@ -91,6 +91,15 @@ perfbench-smoke:
 		fi; \
 		echo "perfbench-smoke: $$w (trace $$trace) correct"; \
 	done; done
+
+# Dispatch-throughput trend: the grid-evaluation, min-plus and exact-solve
+# microbenchmarks of benchmarks/bench_dispatch_throughput.py; refreshes
+# benchmarks/output/BENCH_dispatch.json (one headline appended to its runs
+# series) and the SCALE_dispatch_throughput / SCALE_offline_solver tables.
+# Takes about 10 s; CI does not run it.
+bench-dispatch:
+	cd benchmarks && $(PYTHON) -m pytest -q --benchmark-only -p no:cacheprovider \
+		bench_dispatch_throughput.py
 
 # Repository-benchmark trend: one `perfbench/run.py --seconds 25` run of each
 # workload, whose end-to-end metrics plus correct/failed are appended,

@@ -2,11 +2,12 @@
 
 Not a paper artifact, but the quantity that makes the reproduction practical:
 the offline DP evaluates ``g_t(x)`` for every grid vertex per slot, so the
-batched event-sweep dispatcher and the separable min-plus transition are
-the two hot loops.  These benchmarks track their throughput so performance
-regressions are visible, and emit a machine-readable ``BENCH_dispatch.json``
-file (wall times, solve counts, cache-hit rate) whose ``runs`` series keeps
-the perf-trajectory record.
+batched dispatcher (each demand read off its configuration set's volume
+table) and the separable min-plus transition are the two hot loops.  These
+benchmarks track their throughput so performance regressions are visible,
+and emit a machine-readable ``BENCH_dispatch.json`` file (wall times, solve
+counts, cache-hit rate) whose ``runs`` series keeps the perf-trajectory
+record.  ``make bench-dispatch`` runs them and refreshes that file.
 """
 
 import numpy as np

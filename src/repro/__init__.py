@@ -14,8 +14,9 @@ Every solver routes its operating-cost evaluations through the *batched
 dispatch engine* (:meth:`repro.dispatch.DispatchSolver.solve_block`), which
 solves ``g_t(x)`` for a whole ``(slots x configurations)`` block at once:
 slots are deduplicated by their ``(demand, cost-row)`` signature, each
-``(unique slot, configuration)`` cell is solved exactly by a vectorised event
-sweep over the piecewise marginal costs, and results are memoised per
+``(unique slot, configuration)`` cell is solved exactly by reading the demand
+off the configuration's volume curve over the piecewise marginal costs (one
+table per cost row and grid, built once), and results are memoised per
 ``(signature, configuration set)``.
 State grids are memoised per ``(counts, gamma)`` on the instance, so
 time-invariant instances build exactly one grid (with one cached ``configs()``

@@ -39,12 +39,14 @@ cache-hit rate, and can emit the numbers as JSON for trend tracking.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -351,6 +353,23 @@ def _rss_mb() -> float:
     import resource
 
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+@contextmanager
+def _collector_paused():
+    """A timed region with the cyclic collector off, started from a collected heap.
+
+    A generation-2 collection inside an engine round is charged to every
+    member of the cohort it lands in, so a gate timing rounds with the
+    collector on measures where the collector fires.  The collector is
+    enabled again however the region ends.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _memory_metered(fn):
@@ -949,6 +968,9 @@ def run_batch_scale_bench(
       (measured on a second instrumented run so the throughput gate stays
       undistorted).
 
+    Both timed regions, the engine run and the replays, run with the
+    cyclic collector paused (:func:`_collector_paused`).
+
     Above ``seq_limit`` tenants run ``history=False`` (compact sessions)
     except the spot-check sample — the 10k-tenant row measures the serving
     footprint, not telemetry retention.  Merges a ``"batch_scale"`` section
@@ -971,12 +993,14 @@ def run_batch_scale_bench(
         registry = ServeEngine(share_caches=True)
         for k in members:
             registry.add_tenant(f"tenant-{k}", algorithm, tenant_feed(k))
-        started = time.perf_counter()
-        sessions = {
-            name: replay(tenant.session, tenant.iterator)
-            for name, tenant in registry.tenants.items()
-        }
-        return sessions, time.perf_counter() - started
+        with _collector_paused():
+            started = time.perf_counter()
+            sessions = {
+                name: replay(tenant.session, tenant.iterator)
+                for name, tenant in registry.tenants.items()
+            }
+            wall = time.perf_counter() - started
+        return sessions, wall
 
     rows: List[dict] = []
     footprints: List[tuple] = []
@@ -1001,7 +1025,8 @@ def run_batch_scale_bench(
             return engine
 
         engine = make_engine()
-        batch_report = engine.run()
+        with _collector_paused():
+            batch_report = engine.run()
         _, peak_mb, rss_delta_mb = _memory_metered(lambda: make_engine().run())
         # after the engine run, so its heap does not sit under the timed rounds
         reference, reference_wall = replayed(sorted(sample))
@@ -1840,9 +1865,10 @@ def run_counter_regress(json_path: Optional[str] = None) -> dict:
     a return to one grid solve, or one configuration query, per tenant-tick
     fails).
 
-    No replay warm-starts the dispatch: it solves each cell exactly by an
-    event sweep, which needs no starting bracket, so there is no bracket
-    seeding to pin (the ``warm_hits``/``cold_solves`` pins went with it).
+    No replay warm-starts the dispatch: it solves each cell exactly from its
+    configuration's volume table, which needs no starting bracket, so there
+    is no bracket seeding to pin (the ``warm_hits``/``cold_solves`` pins went
+    with it).
 
     The prewarmed run must also reproduce the cold run's per-tenant costs to 1e-9
     (the counters may only change when the *work routing* changes, never the
@@ -1990,8 +2016,6 @@ def run_latency_smoke(
     GC is disabled around the timed loops; latencies are the sessions' own
     ``perf_counter_ns`` integers.
     """
-    import gc
-
     from .serve import ControllerSession, ServeCache
     from .workloads.scale import quantise_trace
 

@@ -22,26 +22,40 @@ conditions equalise marginal costs: there is a multiplier ``mu`` with
 is the per-server load at which type ``j`` saturates, and the total
 allocation ``W(mu) = sum_j w_j(mu)`` is non-decreasing in ``mu``.
 
-Event sweep
------------
+Volume tables
+-------------
 Every built-in cost family describes its marginal ``f'`` as consecutive
 pieces (:attr:`~repro.core.cost_functions.CostFunction.marginal_pieces`):
 *steps*, on which ``f'`` stays constant while the piece fills, and *ramps*,
-on which it rises.  Cut at the saturation load ``s_j``, a step adds a jump to
-``W`` at its marginal and an affine ramp adds a constant slope between its
-start and end marginals, so ``W`` is piecewise affine.  Per (demand,
-configuration) cell the solver sorts these events once, reads ``W`` at every
-event from cumulative sums of slopes and jumps, locates the event where
-``W`` first reaches ``lambda_t`` and solves for ``mu*`` in closed form: inside
-a ramp segment by affine interpolation, at a step by giving the stepping
-types the remainder of the demand.
+on which it rises.  Type ``j``'s volume at a marginal ``mu`` depends only on
+``f_{t,j}``, ``x_j`` and ``zmax_j``, so the volume curve ``W_x(mu)`` of a
+configuration does not depend on the demand, and ``mu* = W_x^{-1}(lambda_t)``.
+Cut at the type caps ``x_j * zmax_j``, a step adds a jump to ``W_x`` at its
+marginal and an affine ramp a constant slope between its start and end
+marginals, so ``W_x`` is piecewise affine.  The solver builds one table per
+(cost row, configuration set): each configuration's events sorted once, with
+``W_x`` read at every event from cumulative sums of slopes and jumps.  A
+block of demands is answered from it: one comparison per (demand,
+configuration, event) locates the event where ``W_x`` first reaches
+``lambda_t``, and ``mu*`` follows in closed form, inside a ramp segment by
+affine interpolation, at a step by giving the stepping types the remainder
+of the demand.  The demand's own cap ``c_j`` enters only there: the loads at
+``mu*`` are cut at ``c_j``, and a step at ``mu*`` shares the remainder by the
+volume it holds up to ``c_j``.  That volume is finite even where the table's
+volume of a step of unbounded capacity is not.  The solver memoises a table
+only for configuration sets it keys by identity (the read-only
+:meth:`~repro.offline.state_grid.StateGrid.configs` enumerations) in a
+memoising call, so it holds one table per (cost row, grid); other sets, such
+as OBD's fractional rows, get a transient one.  Blocks are read in chunks of
+whole demand rows.
 
 The one curved family, :class:`~repro.core.cost_functions.PowerCost` with an
 exponent outside ``{1, 2}``, adds its exact volume at every event, and a
 segment it runs through is refined by a safeguarded Newton method confined
-to that segment.  Every cell is computed from its own data alone, so its cost
-and loads are bit-identical whether it is solved on its own, in a grid or in
-a block of slots.
+to that segment, which ends no later than where a ramp's type holds
+``c_j``.  Every cell is computed from its configuration's table row and its
+demand alone, so its cost and loads are bit-identical whether it is solved
+on its own, in a grid or in a block of slots.
 
 Cost functions without pieces (:class:`~repro.core.cost_functions.CallableCost`)
 keep a vectorised dual bisection on the inverse marginals: the
@@ -68,7 +82,7 @@ slot, and the online algorithms re-evaluate the same grid slot after slot.
   it (a schedule's configurations, a fallback query) by gathering those
   rows, so a cold tick runs one solve, not one per query.  The solver keeps
   the widest set per signature; only cells computed from their own data
-  alone (the event sweep, ``d == 1``) are gathered, never bisection rows,
+  alone (the volume tables, ``d == 1``) are gathered, never bisection rows,
   and a ``memoise=False`` call records no set.  When that set is a whole
   grid, :meth:`DispatchSolver.block_rows` locates configurations in it, so
   the configuration a serve tick pays and Algorithm C's Lemma-14 repair
@@ -136,7 +150,7 @@ class DispatchStats:
     ``bisection_iterations`` counts iterative refinement only: the steps of
     the :class:`~repro.core.cost_functions.CallableCost` bisection and the
     Newton steps on curved :class:`~repro.core.cost_functions.PowerCost`
-    segments.  The event sweep of the other families needs none.
+    segments.  Reading the volume tables of the other families needs none.
     ``bracket_expansions`` counts the bisection's bracket-repair rounds.
     """
 
@@ -229,6 +243,10 @@ class _RowPieces:
     def has_curved(self) -> bool:
         return len(self.curved_index) > 0
 
+    @property
+    def has_steps(self) -> bool:
+        return bool(self.steps.any())
+
     @classmethod
     def of(cls, functions: Sequence[CostFunction]) -> Optional["_RowPieces"]:
         """The row's pieces, or ``None`` when a function has no closed-form marginal."""
@@ -267,6 +285,118 @@ def _curved_load(rel: np.ndarray, slope: np.ndarray, power: np.ndarray, ext: np.
         return np.minimum(np.power(np.maximum(rel, 0.0) / slope, 1.0 / power), ext)
 
 
+def _curved_volume(at: np.ndarray, x: np.ndarray, ext: np.ndarray, pc: _RowPieces) -> np.ndarray:
+    """Summed volume of the curved pieces at every event marginal ``at`` (configurations x events)."""
+    k = pc.curved_index
+    rel = at[:, :, None] - pc.start[k]  # (configurations, events, curved pieces)
+    load = _curved_load(rel, pc.slope[k], pc.power[k], ext[:, None, k])
+    return (x[:, None, k] * load).sum(axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class _VolumeTable:
+    """What a configuration set's dispatch needs that does not depend on the demand.
+
+    ``configs`` (float, shape ``(n, d)``), the type caps ``caps``
+    (``x_j * zmax_j``), their row sums ``total_cap`` and ``divisor`` (``x_j``,
+    or 1 where a type is off, so an idle type's per-server load reads 0)
+    serve every path.  With ``pieces`` (a row with marginal pieces and
+    ``d >= 2``) the table also holds each configuration's volume curve
+    ``W_x(mu)``, its pieces cut at the type caps alone:
+
+    * per piece, shape ``(n, pieces)``: the type's servers ``x`` and
+      ``piece_divisor``, the per-server load ``ext`` the piece carries before
+      its type saturates, and ``stepping``, whether it is a step of positive
+      volume;
+    * per event, shape ``(n, events)``, sorted: the marginal ``at``, the
+      affine rate ``slopes`` and affine volume ``level`` just after it, the
+      full volume ``total`` there (curved pieces included; ``inf`` at an
+      unbounded ramp's end) and the volume ``before`` its own jump;
+    * per configuration, ``peak``: the largest volume the curve reaches.
+
+    Rows never interact, so a configuration's row is the same in any set.
+    """
+
+    configs: np.ndarray
+    caps: np.ndarray
+    total_cap: np.ndarray
+    divisor: np.ndarray
+    pieces: Optional[_RowPieces] = None
+    x: Optional[np.ndarray] = None
+    piece_divisor: Optional[np.ndarray] = None
+    ext: Optional[np.ndarray] = None
+    stepping: Optional[np.ndarray] = None
+    at: Optional[np.ndarray] = None
+    slopes: Optional[np.ndarray] = None
+    level: Optional[np.ndarray] = None
+    total: Optional[np.ndarray] = None
+    before: Optional[np.ndarray] = None
+    peak: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, configs: np.ndarray, zmax: np.ndarray, pieces: Optional[_RowPieces]) -> "_VolumeTable":
+        """Build the table of float ``configs``; ``pieces=None`` builds no volume curves."""
+        # x_j * zmax_j for active types only (an idle type of unbounded
+        # capacity has no volume, not 0 * inf)
+        on = configs > 0
+        caps = np.zeros_like(configs)
+        np.multiply(configs, zmax, out=caps, where=on)
+        divisor = np.where(on, configs, 1.0)
+        common = dict(configs=configs, caps=caps, total_cap=caps.sum(axis=1), divisor=divisor)
+        if pieces is None:
+            return cls(**common)
+        pc = pieces
+        n, k = len(configs), len(pc.owner)
+        x = configs[:, pc.owner]
+        piece_divisor = divisor[:, pc.owner]
+        # per-server load each piece carries before its type saturates
+        ext = np.minimum(np.maximum(caps[:, pc.owner] / piece_divisor - pc.offset, 0.0), pc.length)
+        vol = x * ext
+
+        # --- events: every piece starts at `start` and ends at `end`; a ramp
+        # adds its rate of volume per unit of marginal in between, a step
+        # jumps by its volume at its start
+        marks = np.empty((n, 2 * k))
+        marks[:, :k] = pc.start
+        np.add(pc.start, pc.slope * (np.power(ext, pc.power) if pc.has_curved else ext), out=marks[:, k:])
+        marks[:, k:][:, pc.steps] = pc.start[pc.steps]
+        rates = np.zeros((n, 2 * k))
+        np.divide(x, pc.slope, out=rates[:, :k], where=pc.ramp & (ext > 0.0))
+        np.negative(rates[:, :k], out=rates[:, k:])
+        jumps = np.zeros((n, 2 * k))
+        np.copyto(jumps[:, :k], vol, where=pc.steps)
+        order = np.argsort(marks, axis=1, kind="stable")
+        order += np.arange(0, n * 2 * k, 2 * k)[:, None]
+        at = marks.take(order)
+        slopes = np.cumsum(rates.take(order), axis=1)
+        jumps = jumps.take(order)
+        # affine volume just after each event: jumps so far plus the ramps
+        # integrated over the gaps between events.  Past an unbounded step or
+        # between ends at +inf that reads inf - inf or 0 * inf; no demand is
+        # located there, and every end at +inf holds infinite volume.
+        with np.errstate(invalid="ignore"):
+            jumped = np.cumsum(jumps, axis=1)
+            ramped = np.zeros_like(at)
+            np.cumsum(slopes[:, :-1] * np.diff(at, axis=1), axis=1, out=ramped[:, 1:])
+            level = jumped + ramped
+            before = ramped
+            before[:, 1:] += jumped[:, :-1]
+            if pc.has_curved:
+                curved = _curved_volume(at, x, ext, pc)
+                total = level + curved
+                before += curved
+            else:
+                total = level
+            unbounded = np.isposinf(at)
+            total[unbounded] = np.inf
+            before[unbounded] = np.inf
+        return cls(
+            **common, pieces=pc, x=x, piece_divisor=piece_divisor, ext=ext,
+            stepping=pc.steps & (vol > 0.0), at=at, slopes=slopes, level=level,
+            total=total, before=before, peak=np.fmax.reduce(total, axis=1),
+        )
+
+
 class DispatchSolver:
     """Evaluates ``g_t(x)`` for configurations of a fixed problem instance.
 
@@ -290,9 +420,11 @@ class DispatchSolver:
     #: curved segments (60 gives ~1e-18 interval width, far below the float
     #: precision of the cost).
     max_bisection_steps = 60
-    #: Cells per event sweep.  Bounds the sweep's (cells x events)
-    #: temporaries on large blocks, such as the streaming DP's windows;
-    #: cells never interact, so the chunking leaves every result unchanged.
+    #: Cells per read of a volume table: a chunk holds this many
+    #: ``demands x configurations`` cells, whole demand rows unless the grid
+    #: alone is wider.  Bounds the read's (cells x events) temporaries on
+    #: large blocks, such as the streaming DP's windows; cells never
+    #: interact, so the chunking leaves every result unchanged.
     _SWEEP_CELLS = 4096
 
     def __init__(self, instance: ProblemInstance):
@@ -306,6 +438,8 @@ class DispatchSolver:
         self._sig_cache: dict = {}
         self._sig_functions: dict = {}
         self._row_pieces: dict = {}
+        # (row key, configs key) -> _VolumeTable of an identity-keyed set
+        self._tables: dict = {}
         self._configs_id_cache: dict = {}
         # signature -> the widest configuration set it was solved fresh on,
         # as (configs key, base cost row, load rows)
@@ -374,6 +508,7 @@ class DispatchSolver:
         self._sig_cache.clear()
         self._sig_functions.clear()
         self._row_pieces.clear()
+        self._tables.clear()
         self._configs_id_cache.clear()
         self._solved.clear()
         self._row_index.clear()
@@ -446,7 +581,7 @@ class DispatchSolver:
         if S == 0:
             return out_costs, out_loads
         configs_key = self._configs_key(configs)
-        float_configs: Optional[np.ndarray] = None
+        keep_tables = memoise and not configs.flags.writeable
 
         # --- dedup: signature -> rows of the output block that share it.  A
         # slot's signature is its *base* cost row; its scale (price factor,
@@ -490,9 +625,8 @@ class DispatchSolver:
         for row_key, entries in groups.items():
             entries.sort(key=lambda e: e[0][0])  # ascending demand
             lams = np.array([e[0][0] for e in entries], dtype=float)
-            if float_configs is None:
-                float_configs = np.ascontiguousarray(configs, dtype=float)
-            costs_u, loads_u = self._solve_rows(lams, float_configs, row_key)
+            table = self._table(row_key, configs, configs_key, keep_tables)
+            costs_u, loads_u = self._solve_rows(lams, table, row_key)
             costs_u.setflags(write=False)
             loads_u.setflags(write=False)
             self.stats.unique_solves += len(entries)
@@ -558,7 +692,7 @@ class DispatchSolver:
     def _cellwise(self, row_key) -> bool:
         """Whether a cost row's cells come out the same alone as in any block.
 
-        True on the event sweep (``d == 1``, or a row with marginal pieces);
+        True on the volume tables (``d == 1``, or a row with marginal pieces);
         the bisection's stopping width spans its whole block.
         """
         return self.instance.d == 1 or self._pieces(row_key) is not None
@@ -624,128 +758,126 @@ class DispatchSolver:
             self._sig_cache[t] = cached
         return cached
 
-    def _solve_rows(self, lams: np.ndarray, configs: np.ndarray, row_key) -> tuple:
-        """Solve the dispatch problem for ``u`` demand levels x ``n`` configurations.
+    def _table(self, row_key, configs: np.ndarray, configs_key, keep: bool) -> _VolumeTable:
+        """The volume table of ``configs`` under cost row ``row_key``.
 
-        ``lams`` must be sorted ascending (the caller guarantees it; the
-        bisection fallback propagates brackets along that order).
-        ``row_key`` names the cost row in :attr:`_sig_functions`.
+        Memoised per ``(row key, configs key)`` when ``keep``: the configuration
+        set is one the solver keys by identity (a read-only
+        :meth:`StateGrid.configs` enumeration) and the call memoises.  Any
+        other set (OBD's fractional rows, a single configuration) gets a
+        transient table, so the memo holds one entry per (cost row, grid).
+        """
+        key = (row_key, configs_key)
+        table = self._tables.get(key)
+        if table is None:
+            configs = np.ascontiguousarray(configs, dtype=float)
+            pieces = self._pieces(row_key) if configs.shape[1] > 1 else None
+            table = _VolumeTable.of(configs, self.instance.zmax, pieces)
+            if keep:
+                self._tables[key] = table
+        return table
+
+    def _solve_rows(self, lams: np.ndarray, table: _VolumeTable, row_key) -> tuple:
+        """Solve the dispatch problem for ``u`` demand levels x the table's ``n`` configurations.
+
+        ``lams`` must be sorted ascending (the caller guarantees it): the
+        positive demands are then the tail of the block, and the bisection
+        fallback propagates brackets along that order.  A row with marginal
+        pieces reads each demand off the table's volume curves, in chunks of
+        whole demand rows holding about :attr:`_SWEEP_CELLS` cells (a grid
+        wider than that is also cut by configurations).  ``row_key`` names
+        the cost row in :attr:`_sig_functions`.
         """
         functions = self._sig_functions[row_key]
         u = len(lams)
-        n, d = configs.shape
-        zmax = self.instance.zmax
-
-        # x_j * zmax_j for active types only (an idle type of unbounded
-        # capacity has no volume, not 0 * inf)
-        caps = np.zeros_like(configs)
-        np.multiply(configs, zmax, out=caps, where=configs > 0)
-        total_cap = caps.sum(axis=1)
-
-        pos = lams > 0.0
-        feasible = (total_cap[None, :] >= lams[:, None] - 1e-9) | ~pos[:, None]  # (u, n)
+        n, d = table.caps.shape
+        first = int(lams.searchsorted(0.0, side="right"))
+        lam_p = lams[first:]
+        infeasible = np.zeros((u, n), dtype=bool)
+        np.less(table.total_cap, lam_p[:, None] - 1e-9, out=infeasible[first:])
         w = np.zeros((u, n, d), dtype=float)
-        # columns that no requested positive demand can use are skipped entirely
-        active_cols = feasible[pos].any(axis=0)
-        if np.any(active_cols):
-            lam_p = lams[pos]
-            sub_caps = caps[active_cols]
-            if d == 1:
-                w_sub = np.minimum(lam_p[:, None, None], sub_caps[None, :, :])
-            else:
-                pieces = self._pieces(row_key)
-                if pieces is not None:
-                    # one row per (demand level, configuration) cell
-                    n_act = len(sub_caps)
-                    cell_lam = np.repeat(lam_p, n_act)
-                    cell_x = np.tile(configs[active_cols], (len(lam_p), 1))
-                    cell_caps = np.tile(sub_caps, (len(lam_p), 1))
-                    w_sub = np.empty(cell_x.shape)
-                    for i in range(0, len(cell_lam), self._SWEEP_CELLS):
-                        cut = slice(i, i + self._SWEEP_CELLS)
-                        w_sub[cut] = self._sweep_rows(cell_lam[cut], cell_x[cut], cell_caps[cut], pieces)
-                    w_sub = w_sub.reshape(len(lam_p), n_act, d)
-                else:
-                    w_sub = self._bisect_rows(
-                        lam_p, configs[active_cols], sub_caps, functions, feasible[pos][:, active_cols]
+        if len(lam_p) and d == 1:
+            np.minimum(lam_p[:, None, None], table.caps, out=w[first:])
+        elif len(lam_p) and table.at is not None:
+            rows = max(1, self._SWEEP_CELLS // n)
+            cols = min(n, self._SWEEP_CELLS)
+            for i in range(0, len(lam_p), rows):
+                for k in range(0, n, cols):
+                    w[first + i : first + i + rows, k : k + cols] = self._read_table(
+                        lam_p[i : i + rows], table, slice(k, k + cols)
                     )
-            w[np.ix_(np.flatnonzero(pos), np.flatnonzero(active_cols))] = w_sub
+        elif len(lam_p):
+            # columns that no requested positive demand can use are skipped
+            feasible = ~infeasible[first:]
+            active = np.flatnonzero(feasible.any(axis=0))
+            if len(active):
+                w[first:, active] = self._bisect_rows(
+                    lam_p, table.configs[active], table.caps[active], functions, feasible[:, active]
+                )
 
-        # cost = sum_j x_j f_j(w_j / x_j); idle servers of a type still pay f_j(0)
+        # cost = sum_j x_j f_j(w_j / x_j); idle servers of a type still pay
+        # f_j(0), and a type that is off adds 0 * f_j(0)
+        per_server = w / table.divisor
         costs = np.zeros((u, n), dtype=float)
         for j, f in enumerate(functions):
-            xj = configs[:, j]
-            on = xj > 0
-            if not np.any(on):
-                continue
-            per_server = w[:, on, j] / xj[on][None, :]
-            vals = np.asarray(f.value(per_server), dtype=float)
-            costs[:, on] += xj[on][None, :] * vals
-        costs[~feasible] = np.inf
-        w[~feasible] = 0.0
+            costs += table.configs[:, j] * np.asarray(f.value(per_server[:, :, j]), dtype=float)
+        costs[infeasible] = np.inf
+        w[infeasible] = 0.0
         return costs, w
 
-    def _sweep_rows(
-        self,
-        lam: np.ndarray,
-        configs: np.ndarray,
-        caps: np.ndarray,
-        pieces: _RowPieces,
-    ) -> np.ndarray:
-        """Exact water-filling by an event sweep, one (demand, configuration) cell per row.
+    def _read_table(self, lam: np.ndarray, table: _VolumeTable, cols: slice) -> np.ndarray:
+        """Type volumes at ``mu*`` for positive demands ``lam`` x the table's configurations ``cols``.
 
-        ``lam`` has shape ``(cells,)``, ``configs`` and ``caps``
-        (``x_j * zmax_j``) shape ``(cells, d)``.  Works on
-        ``(cells, pieces)`` arrays and returns the type volumes ``w``, shape
-        ``(cells, d)``.  Cells whose capacity falls short of the demand
-        (within the feasibility tolerance) get every type at its cap.
+        Works on ``(demands, configurations, events)`` arrays and returns ``w``,
+        shape ``(demands, configurations, d)``.  The demand enters only
+        through ``mu*`` and the cap ``c_j = min(x_j * zmax_j, lambda)`` on the
+        loads.  A cell whose capacity falls short of its demand (within the
+        feasibility tolerance) gets every type at its cap.
         """
-        pc = pieces
-        cells, d = configs.shape
-        vol_cap = np.minimum(caps, lam[:, None])  # c_j
-        x = configs[:, pc.owner]  # (cells, K)
-        # per-server load each piece carries before its type saturates
-        ext = np.clip(vol_cap[:, pc.owner] / np.where(x > 0.0, x, 1.0) - pc.offset, 0.0, pc.length)
-        vol = x * ext
-        rise = pc.slope * (np.power(ext, pc.power) if pc.has_curved else ext)
-        end = np.where(pc.steps, pc.start, pc.start + rise)
-        # volume per unit of marginal along an affine ramp; steps jump instead
-        rate = np.where(pc.ramp & (ext > 0.0), x / pc.slope, 0.0)
-        jump = np.where(pc.steps, vol, 0.0)
-
-        # --- events: every piece starts at `start` and ends at `end`
-        marks = np.concatenate([np.broadcast_to(pc.start, end.shape), end], axis=1)
-        order = np.argsort(marks, axis=1, kind="stable")
-        rows = np.arange(cells)
-        at = marks[rows[:, None], order]
-        slopes = np.cumsum(np.concatenate([rate, -rate], axis=1)[rows[:, None], order], axis=1)
-        jumps = np.concatenate([jump, np.zeros_like(jump)], axis=1)[rows[:, None], order]
-        # affine volume just after each event: jumps so far plus the ramps
-        # integrated over the gaps between events
-        level = np.cumsum(jumps, axis=1)
-        level[:, 1:] += np.cumsum(slopes[:, :-1] * np.diff(at, axis=1), axis=1)
-        total = level + self._curved_volume(at, x, ext, pc) if pc.has_curved else level
+        pc = table.pieces
+        x = table.x[cols]
+        at = table.at[cols]
+        c, events = at.shape
+        lam_col = lam[:, None]
+        lam_3d = lam[:, None, None]
+        vol_cap = np.minimum(table.caps[cols], lam_3d)  # c_j
+        # per-server load each piece carries before its type reaches c_j:
+        # the table's cut at x_j * zmax_j, cut again at lambda
+        ext = np.minimum(table.ext[cols], np.maximum(lam_3d / table.piece_divisor[cols] - pc.offset, 0.0))
 
         # --- locate the first event whose volume reaches the demand
-        hit = total >= lam[:, None]
-        e = np.argmax(hit, axis=1)
-        reached = hit[rows, e]
-        prev = np.maximum(e - 1, 0)
-        at_e = at[rows, e]
-        at_prev = at[rows, prev]
+        e = (table.total[cols] >= lam_3d).argmax(axis=2)
+        reached = table.peak[cols] >= lam_col
+        later = e > 0
+        flat = np.arange(0, c * events, events) + e
+        prev = flat - later
+        at_e = at.take(flat)
+        at_prev = at.take(prev)
         # the demand falls inside the ramp segment (at_prev, at_e] unless the
         # event's own jump is what reaches it; mu* = anchor + past
-        in_segment = (total[rows, e] - jumps[rows, e] >= lam) & (e > 0)
+        in_segment = (table.before[cols].take(flat) >= lam_col) & later
         anchor = np.where(in_segment, at_prev, at_e)
-        level_prev = level[rows, prev]
-        slope_prev = slopes[rows, prev]
+        level_prev = table.level[cols].take(prev)
+        slope_prev = table.slopes[cols].take(prev)
         if pc.has_curved:
-            past = self._newton_segment(
-                lam, at_prev, at_e, level_prev, slope_prev, in_segment & reached, x, ext, pc
-            )
+            past = np.zeros(e.shape)
+            seg = in_segment & reached
+            if seg.any():
+                col = np.broadcast_to(np.arange(c), e.shape)[seg]
+                ext_s = ext[seg]
+                # a ramp the demand cuts short ends where its type holds c_j
+                cut = (ext_s < table.ext[cols][col]) & ~pc.steps
+                with np.errstate(over="ignore"):
+                    ends = pc.start + pc.slope * np.power(ext_s, pc.power)
+                lo = at_prev[seg]
+                hi = np.maximum(np.minimum(at_e[seg], np.where(cut, ends, np.inf).min(axis=1)), lo)
+                lam_s = np.broadcast_to(lam_col, e.shape)[seg]
+                past[seg] = self._newton_segment(
+                    lam_s, lo, hi, level_prev[seg], slope_prev[seg], x[col], ext_s, pc
+                )
         else:
             gap = np.divide(
-                lam - level_prev, slope_prev, out=np.full(cells, np.inf), where=slope_prev > 0.0
+                lam_col - level_prev, slope_prev, out=np.full(e.shape, np.inf), where=slope_prev > 0.0
             )
             past = np.where(in_segment, np.minimum(gap, at_e - at_prev), 0.0)
 
@@ -753,30 +885,26 @@ class DispatchSolver:
         # full, steps exactly at mu* share what the demand still needs.  The
         # marginal above each piece's start is taken from the exact event
         # `anchor`, so a nearly flat ramp does not amplify the rounding of mu*.
-        rel = (anchor[:, None] - pc.start) + past[:, None]
-        u = np.where(rel > 0.0, ext, 0.0)
-        u = np.where(pc.ramp, np.clip(rel / pc.slope, 0.0, ext), u)
+        rel = (anchor[:, :, None] - pc.start) + past[:, :, None]
+        u = np.minimum(np.maximum(rel / pc.slope, 0.0), ext)
+        if pc.has_steps:
+            u = np.where(pc.steps, np.where(rel > 0.0, ext, 0.0), u)
         if pc.has_curved:
             u = np.where(pc.curved, _curved_load(rel, pc.slope, pc.power, ext), u)
         loads = x * u
-        on_mu = (rel == 0.0) & pc.steps & (vol > 0.0)
-        if np.any(on_mu):
-            sharing = np.where(on_mu, vol, 0.0)
-            shared = sharing.sum(axis=1)
-            need = lam - loads.sum(axis=1)
-            theta = np.divide(need, shared, out=np.zeros(cells), where=shared > 0.0)
-            loads += np.clip(theta, 0.0, 1.0)[:, None] * sharing
-        if len(pc.owner) > d:
-            loads = np.add.reduceat(loads, pc.first, axis=1)
-        return np.where(reached[:, None], np.minimum(loads, vol_cap), vol_cap)
-
-    @staticmethod
-    def _curved_volume(at: np.ndarray, x: np.ndarray, ext: np.ndarray, pc: _RowPieces) -> np.ndarray:
-        """Summed volume of the curved pieces at every event marginal ``at`` (cells x events)."""
-        k = pc.curved_index
-        rel = at[:, :, None] - pc.start[k]  # (cells, events, curved pieces)
-        load = _curved_load(rel, pc.slope[k], pc.power[k], ext[:, None, k])
-        return (x[:, None, k] * load).sum(axis=-1)
+        if pc.has_steps:
+            on_mu = (rel == 0.0) & table.stepping[cols]
+            if on_mu.any():
+                # shared by the volume each step holds up to c_j, which is
+                # finite where the table's volume of an unbounded step is not
+                sharing = np.where(on_mu, x * ext, 0.0)
+                shared = sharing.sum(axis=2)
+                need = lam_col - loads.sum(axis=2)
+                theta = np.divide(need, shared, out=np.zeros(shared.shape), where=shared > 0.0)
+                loads += np.minimum(np.maximum(theta, 0.0), 1.0)[:, :, None] * sharing
+        if len(pc.owner) > vol_cap.shape[2]:
+            loads = np.add.reduceat(loads, pc.first, axis=2)
+        return np.where(reached[:, :, None], np.minimum(loads, vol_cap), vol_cap)
 
     def _newton_segment(
         self,
@@ -785,54 +913,48 @@ class DispatchSolver:
         hi: np.ndarray,
         level_lo: np.ndarray,
         slope_lo: np.ndarray,
-        in_segment: np.ndarray,
         x: np.ndarray,
         ext: np.ndarray,
         pc: _RowPieces,
     ) -> np.ndarray:
-        """``mu* - lo`` of every cell whose demand falls inside a segment with curved ramps.
+        """``mu* - lo`` of cells whose demand falls inside a segment with curved ramps.
 
-        On ``[lo, hi]`` the affine volume is ``level_lo + slope_lo * (mu - lo)``
-        and the curved pieces add their exact volume.  The search runs on the
-        offset ``mu - lo`` from the segment's start event.  A Newton step
-        that would leave the shrinking bracket is replaced by bisection, and
-        each cell stops on its own once its residual or its step vanishes,
-        so the result does not depend on the other cells.  Cells outside a
-        segment get offset 0.
+        One entry per cell: its demand, the segment's end events ``lo`` and
+        ``hi``, the affine volume ``level_lo`` and rate ``slope_lo`` after
+        ``lo``, and the cell's per-piece ``x`` and ``ext``.  On ``[lo, hi]``
+        the affine volume is ``level_lo + slope_lo * (mu - lo)`` and the curved
+        pieces add their exact volume.  The search runs on the offset
+        ``mu - lo`` from the segment's start event.  A Newton step that would
+        leave the shrinking bracket is replaced by bisection, and each cell
+        stops on its own once its residual or its step vanishes, so the result
+        does not depend on the other cells.
         """
-        past = np.zeros(len(lo))
-        cells = np.flatnonzero(in_segment)
-        if not len(cells):
-            return past
         k = pc.curved_index
         slope_k, power = pc.slope[k], pc.power[k]
-        target = lam[cells]
-        above = lo[cells, None] - pc.start[k]  # segment start above each curve's start
-        base = level_lo[cells]
-        slope = slope_lo[cells]
-        xc = x[cells][:, k]
-        extc = ext[cells][:, k]
+        above = lo[:, None] - pc.start[k]  # segment start above each curve's start
+        xc = x[:, k]
+        extc = ext[:, k]
 
         def residual(t):
             rel = above + t[:, None]
             load = _curved_load(rel, slope_k, power, extc)
-            value = base + slope * t + (xc * load).sum(axis=1) - target
+            value = level_lo + slope_lo * t + (xc * load).sum(axis=1) - lam
             # d load / d mu = load / (power * rel) while the piece is filling
             inside = (rel > 0.0) & (load < extc)
             with np.errstate(over="ignore"):
                 grow = np.where(inside, load / (power * np.where(inside, rel, 1.0)), 0.0)
-            return value, slope + (xc * grow).sum(axis=1)
+            return value, slope_lo + (xc * grow).sum(axis=1)
 
         # start from the secant of the segment's end points
-        a = np.zeros(len(cells))
-        b = hi[cells] - lo[cells]
+        a = np.zeros(len(lo))
+        b = hi - lo
         f_a, _ = residual(a)
         f_b, _ = residual(b)
         span = f_b - f_a
         t = np.where(span > 0.0, -b * f_a / np.where(span > 0.0, span, 1.0), 0.5 * b)
         t = np.clip(t, a, b)
-        active = np.ones(len(cells), dtype=bool)
-        tol = 4.0 * np.finfo(float).eps * target
+        active = np.ones(len(lo), dtype=bool)
+        tol = 4.0 * np.finfo(float).eps * lam
         for _ in range(self.max_bisection_steps):
             self.stats.bisection_iterations += 1
             value, deriv = residual(t)
@@ -847,8 +969,7 @@ class DispatchSolver:
             active &= ~done
             if not active.any():
                 break
-        past[cells] = t
-        return past
+        return t
 
     def _bisect_rows(
         self,
@@ -960,7 +1081,7 @@ class DispatchSolver:
 def reference_dispatch(instance: ProblemInstance, t: int, x: Sequence[int]) -> DispatchResult:
     """Solve the dispatch problem with SciPy's SLSQP (reference implementation).
 
-    Slow but independent of the event sweep; used by the test suite to
+    Slow but independent of the volume tables; used by the test suite to
     validate :class:`DispatchSolver` on randomly generated instances.
     """
     from scipy import optimize

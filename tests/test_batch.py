@@ -580,6 +580,41 @@ class TestBenchHarness:
             for entry in payload.get("runs", [])
         )
 
+    def test_batch_scale_bench_times_with_the_collector_off(self, monkeypatch):
+        """The timed engine rounds and per-tenant replays run with the
+        collector off; it is on again after the gate returns or raises."""
+        import gc
+
+        import repro.serve
+        from repro.bench import run_batch_scale_bench
+
+        engine_runs, replays = [], []
+        run, replay = repro.serve.ServeEngine.run, repro.serve.replay
+
+        def spy_run(engine, *args, **kwargs):
+            engine_runs.append(gc.isenabled())
+            return run(engine, *args, **kwargs)
+
+        def spy_replay(*args, **kwargs):
+            replays.append(gc.isenabled())
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(repro.serve.ServeEngine, "run", spy_run)
+        monkeypatch.setattr(repro.serve, "replay", spy_replay)
+        run_batch_scale_bench(tenant_counts=(2,), ticks=8, assert_speedup=False)
+        # the timed run, then the tracemalloc-metered one
+        assert engine_runs == [False, True]
+        assert replays == [False, False]
+        assert gc.isenabled()
+
+        def broken_run(engine, *args, **kwargs):
+            raise RuntimeError("round failed")
+
+        monkeypatch.setattr(repro.serve.ServeEngine, "run", broken_run)
+        with pytest.raises(RuntimeError, match="round failed"):
+            run_batch_scale_bench(tenant_counts=(2,), ticks=8, assert_speedup=False)
+        assert gc.isenabled()
+
 
 # --------------------------------------------------------------------------- #
 # One round, two serving paths: the same telemetry rows and checkpoints

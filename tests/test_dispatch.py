@@ -1,6 +1,7 @@
 """Tests for the load-dispatch solver (evaluation of ``g_t(x)``)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro import (
 )
 from repro.dispatch import DispatchSolver, reference_dispatch
 from repro.offline.state_grid import StateGrid
+from repro.online import run_obd
 
 from conftest import random_instance
 
@@ -308,6 +310,116 @@ class TestFractionalConfigurations:
                 _assert_matches_reference(cost, reference_dispatch(inst, t, config))
 
 
+def _type_caps(x, instance):
+    """``x_j * zmax_j`` with 0 for idle types (no ``0 * inf``)."""
+    caps = np.zeros(instance.d)
+    np.multiply(x, instance.zmax, out=caps, where=np.asarray(x) > 0)
+    return caps
+
+
+def _assert_serves_within_caps(loads, lam, caps):
+    assert np.all(loads >= 0.0)
+    assert np.all(loads <= caps * (1 + 1e-12) + 1e-12)
+    assert loads.sum() == pytest.approx(lam, rel=1e-9, abs=1e-12)
+
+
+class TestInfiniteCapacitySteps:
+    """Step pieces of a type with ``capacity=inf`` hold unbounded volume at
+    their marginal: a demand meeting such a step must take only what it
+    still needs, also when several steps share that marginal."""
+
+    FLEETS = {
+        "linear-inf-with-quadratic": (
+            ServerType("lin", count=2, switching_cost=1.0, capacity=math.inf,
+                       cost_function=LinearCost(idle=0.4, slope=0.7)),
+            ServerType("quad", count=3, switching_cost=1.0, capacity=2.0,
+                       cost_function=QuadraticCost(idle=0.3, a=0.1, b=0.5)),
+        ),
+        "constant-and-linear-inf": (
+            ServerType("const", count=2, switching_cost=1.0, capacity=math.inf,
+                       cost_function=ConstantCost(level=1.1)),
+            ServerType("lin", count=2, switching_cost=1.0, capacity=math.inf,
+                       cost_function=LinearCost(idle=0.2, slope=0.9)),
+            ServerType("pw", count=2, switching_cost=1.0, capacity=3.0,
+                       cost_function=PiecewiseLinearCost(idle=0.5, breaks=(0.0, 1.0), slopes=(0.2, 1.4))),
+        ),
+        "piecewise-inf": (
+            ServerType("pw", count=2, switching_cost=1.0, capacity=math.inf,
+                       cost_function=PiecewiseLinearCost(idle=0.5, breaks=(0.0, 0.8, 2.0), slopes=(0.1, 0.6, 1.2))),
+            ServerType("const", count=2, switching_cost=1.0, capacity=1.5,
+                       cost_function=ConstantCost(level=0.7)),
+            ServerType("pow", count=1, switching_cost=1.0, capacity=4.0,
+                       cost_function=PowerCost(idle=0.2, coef=0.4, exponent=2.5)),
+        ),
+        # both types step at marginal 0.6 and neither ever saturates
+        "tied-inf-steps": (
+            ServerType("a", count=2, switching_cost=1.0, capacity=math.inf,
+                       cost_function=LinearCost(idle=0.4, slope=0.6)),
+            ServerType("b", count=3, switching_cost=1.0, capacity=math.inf,
+                       cost_function=PiecewiseLinearCost(idle=0.1, breaks=(0.0,), slopes=(0.6,))),
+        ),
+    }
+    DEMAND = np.array([0.0, 0.35, 2.5, 7.34, 13.0])
+
+    def _check(self, inst, configs):
+        costs, loads = DispatchSolver(inst).solve_block(range(inst.T), configs)
+        assert not np.isnan(costs).any() and not np.isnan(loads).any()
+        for t in range(inst.T):
+            lam = float(inst.demand[t])
+            for i, config in enumerate(configs):
+                _assert_matches_reference(costs[t, i], reference_dispatch(inst, t, config))
+                if np.isfinite(costs[t, i]):
+                    _assert_serves_within_caps(loads[t, i], lam, _type_caps(config, inst))
+
+    @pytest.mark.parametrize("fleet", sorted(FLEETS))
+    def test_full_grid_matches_reference(self, fleet):
+        inst = ProblemInstance(self.FLEETS[fleet], self.DEMAND)
+        self._check(inst, StateGrid.full(inst.m).configs())
+
+    @pytest.mark.parametrize("fleet", sorted(FLEETS))
+    def test_fractional_rows_match_reference(self, fleet):
+        inst = ProblemInstance(self.FLEETS[fleet], self.DEMAND)
+        rng = np.random.default_rng(len(fleet))
+        configs = rng.uniform(0.0, 1.0, size=(10, inst.d)) * inst.m
+        configs[rng.random(configs.shape) < 0.2] = 0.0
+        self._check(inst, configs)
+
+
+class TestVolumeTableMemo:
+    """The solver keeps one volume table per (cost row, identity-keyed
+    configuration set); any other set is read from a transient table."""
+
+    def test_one_table_per_cost_row_and_grid(self, time_dependent_instance):
+        inst = time_dependent_instance
+        # the smaller grid first: solved after the full one, it would be
+        # gathered from the full grid's rows and build no table
+        grids = [StateGrid.full(inst.m - 1).configs(), StateGrid.full(inst.m).configs()]
+        solver = DispatchSolver(inst)
+        for configs in grids:
+            for t in range(inst.T):
+                solver.solve_grid(t, configs)
+            solver.solve_block(range(inst.T), configs)
+        rows = {solver._slot_signature(t)[0][1] for t in range(inst.T)}
+        assert set(solver._tables) == {
+            (row, solver._configs_key(configs)) for row in rows for configs in grids
+        }
+
+    def test_unmemoised_and_writeable_sets_keep_no_table(self, small_instance):
+        grid = StateGrid.full(small_instance.m).configs()
+        solver = DispatchSolver(small_instance)
+        solver.solve_block(range(small_instance.T), grid, memoise=False)
+        solver.solve_grid(1, np.array(grid, dtype=float) * 0.5)
+        solver.solve(2, [1, 1])
+        assert solver.stats.unique_solves > 0
+        assert solver._tables == {}
+
+    def test_obd_fractional_queries_keep_no_table(self, small_instance):
+        solver = DispatchSolver(small_instance)
+        run_obd(small_instance, solver)
+        assert solver.stats.unique_solves > 0
+        assert solver._tables == {}
+
+
 class TestIterativePaths:
     def test_closed_form_families_take_no_iterations(self, small_instance):
         solver = DispatchSolver(small_instance)
@@ -359,16 +471,23 @@ class TestIterativePaths:
 def test_exact_dispatch_property(data):
     """Property of the exact path on random fleets of every built-in family.
 
-    The loads serve the demand within the type caps, the cost matches the
-    SLSQP reference, and a cell is the same wherever it is solved — alone,
-    in a grid row or in a block of slots — bit for bit.  A solver that has
-    solved the grid answers the configuration and any sub-grid of it by a
-    gather, with no fresh solve, bit for bit as a fresh solver does.
+    Some types have unbounded capacity.  The loads serve the demand within
+    the type caps, the cost matches the SLSQP reference, and a cell is the
+    same wherever it is solved — alone, in a grid row, in a block of slots
+    or in a block read in chunks of any size — bit for bit.  A solver that
+    has solved the grid answers the configuration and any sub-grid of it by
+    a gather, with no fresh solve, bit for bit as a fresh solver does.
     """
     seed = data.draw(st.integers(0, 10_000))
     d = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, T=3, d=d, max_servers=2)
+    unbounded = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    if any(unbounded):
+        types = tuple(
+            replace(s, capacity=math.inf) if inf else s for s, inf in zip(inst.server_types, unbounded)
+        )
+        inst = ProblemInstance(types, inst.demand, name=inst.name)
     if data.draw(st.booleans()):
         # every slot gets a price, so gathered costs carry a scale != 1
         inst = inst.with_price_profile(rng.uniform(0.5, 2.0, size=inst.T))
@@ -384,6 +503,11 @@ def test_exact_dispatch_property(data):
     assert np.array_equal(block_costs[t, i], single.cost)
     assert np.array_equal(grid_loads[i], single.loads)
     assert np.array_equal(block_loads[t, i], single.loads)
+    chunked = DispatchSolver(inst)
+    chunked._SWEEP_CELLS = data.draw(st.integers(1, 2 * len(grid)))
+    chunk_costs, chunk_loads = chunked.solve_block(range(inst.T), grid)
+    assert np.array_equal(chunk_costs, block_costs)
+    assert np.array_equal(chunk_loads, block_loads)
 
     subset = grid[data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=8))]
     solver = DispatchSolver(inst)
@@ -398,10 +522,6 @@ def test_exact_dispatch_property(data):
     assert np.array_equal(sub_costs, fresh_costs)
     assert np.array_equal(sub_loads, fresh_loads)
 
-    lam = float(inst.demand[t])
-    caps = x * inst.zmax
     if single.feasible:
-        assert np.all(single.loads >= 0.0)
-        assert np.all(single.loads <= caps * (1 + 1e-12) + 1e-12)
-        assert single.loads.sum() == pytest.approx(lam, rel=1e-9, abs=1e-12)
+        _assert_serves_within_caps(single.loads, float(inst.demand[t]), _type_caps(x, inst))
     _assert_matches_reference(single.cost, reference_dispatch(inst, t, x))

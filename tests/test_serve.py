@@ -923,6 +923,26 @@ class TestBlockReads:
 
 
 class TestDispatcherMemoBound:
+    def test_continuous_ticks_build_one_volume_table_per_grid(self):
+        """1,000 continuous ticks of A, B, C, lcp and reactive through one
+        engine solve a block per round, yet build one volume table per
+        (cost row, grid)."""
+        T = 1000
+        fleet = build("diurnal-cpu-gpu", T=T).server_types
+        engine = ServeEngine()
+        for k, kind in enumerate(["A", "B", "C", "lcp", "reactive"]):
+            demand = build("diurnal-cpu-gpu", T=T, seed=k + 1).demand
+            engine.add_tenant(kind, kind, ArrayFeed(demand, server_types=fleet), history=False)
+        engine.run()
+        (cache,) = engine.caches
+        dispatcher = cache.dispatcher
+        assert dispatcher.stats.unique_solves >= T
+        grid = StateGrid.full(cache.stream.m)
+        rows = {sig[1] for sig, _ in dispatcher._sig_cache.values()}
+        assert set(dispatcher._tables) == {
+            (row, dispatcher._configs_key(grid.configs())) for row in rows
+        }
+
     @pytest.mark.parametrize("T", [256, 1024])
     def test_ledger_budget_bounds_the_dispatcher_memos(self, T):
         """Evicting a ledger slot forgets its signature's dispatch memos, so
