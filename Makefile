@@ -171,8 +171,9 @@ chaos-smoke:
 # Fabric gate: a small sharded fabric (supervised worker processes) with one
 # injected worker SIGKILL mid-stream — including a case where the kill lands
 # inside an open chaos capacity-drop window with Algorithm B power-up records
-# live — must recover every tenant from its rotated checkpoints with
-# bit-identical schedules, costs within 1e-9, and exact SLA counters.
+# live, and one with every worker cache under ledger_budget=2 — must recover
+# every tenant from its rotated checkpoints with bit-identical schedules,
+# costs within 1e-9, and exact SLA counters.
 fabric-smoke:
 	$(PYTHON) -m repro serve fabric --smoke
 

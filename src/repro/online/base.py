@@ -304,7 +304,11 @@ class OnlineAlgorithm(abc.ABC):
         return StateGrid.for_gamma(counts, family)
 
     def finish(self) -> None:
-        """Hook called after the last slot (optional bookkeeping)."""
+        """Hook called after the last slot (optional bookkeeping).
+
+        It must not change :meth:`state_dict`: a stream's last checkpoint
+        may be written before the hook runs.
+        """
 
     def evaluation_grid(self, counts: np.ndarray):
         """The grid whose ``g_t`` tensor :meth:`step` reads at available ``counts``.

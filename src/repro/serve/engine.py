@@ -79,7 +79,13 @@ from ..online.base import Lanes
 from .chaos import ChaosFeed
 from .feed import TraceFeed
 from .metrics import COUNTER, MetricsRegistry
-from .session import ControllerSession, ServeCache, fleet_signature, save_checkpoint
+from .session import (
+    ControllerSession,
+    ServeCache,
+    check_ledger_budget,
+    fleet_signature,
+    save_checkpoint,
+)
 from .telemetry import TelemetryWriter, summarise_sessions
 
 __all__ = ["ServeEngine"]
@@ -127,6 +133,8 @@ class _Tenant:
     #: Set when the tenant's feed was given up mid-stream: its stream is
     #: over, but its horizon did not end, so the end-of-stream hook is skipped.
     failed = False
+    #: ``(directory, ticks)`` of the tenant's last checkpoint write.
+    checkpointed = None
 
     def __init__(self, name: str, session: Optional[ControllerSession], iterator):
         self.name = name
@@ -155,16 +163,12 @@ class ServeEngine:
         share_caches: bool = True,
         *,
         ledger_budget: Optional[int] = None,
-        tensor_budget_bytes: Optional[int] = None,
     ):
         self.share_caches = bool(share_caches)
-        #: LRU bounds forwarded to every cache the engine creates — the knobs
-        #: that keep a month-scale multi-tenant process flat in memory (see
-        #: :class:`ServeCache`); ``None`` leaves the memos unbounded.
-        self.ledger_budget = None if ledger_budget is None else int(ledger_budget)
-        self.tensor_budget_bytes = (
-            None if tensor_budget_bytes is None else int(tensor_budget_bytes)
-        )
+        #: The LRU bound forwarded to every cache the engine creates — the
+        #: knob that keeps a month-scale multi-tenant process flat in memory
+        #: (see :class:`ServeCache`); ``None`` leaves the memos unbounded.
+        self.ledger_budget = check_ledger_budget(ledger_budget)
         #: One registry for the whole engine: every cache and session it
         #: creates mirrors its series here, so :meth:`report` exposes a single
         #: labelled snapshot across tenants and caches.
@@ -182,12 +186,7 @@ class ServeEngine:
 
     # ------------------------------------------------------------ registration
     def _build_cache(self, server_types) -> ServeCache:
-        return ServeCache(
-            server_types,
-            ledger_budget=self.ledger_budget,
-            tensor_budget_bytes=self.tensor_budget_bytes,
-            metrics=self.metrics,
-        )
+        return ServeCache(server_types, ledger_budget=self.ledger_budget, metrics=self.metrics)
 
     def cache_for(self, server_types) -> ServeCache:
         """The shared cache of a fleet geometry (created on first use)."""
@@ -353,9 +352,10 @@ class ServeEngine:
 
         ``checkpoint_dir`` + ``checkpoint_every`` enable the periodic
         checkpoint cadence the fabric's crash recovery restores from: every
-        ``checkpoint_every`` ticks (and once at completion) each tenant's
-        session is written to ``<dir>/<tenant>.ckpt.json`` atomically, with
-        the previous intact checkpoint rotated to ``.prev`` (see
+        ``checkpoint_every`` ticks (and at completion, unless the cadence
+        just wrote that tick) each tenant's session is written to
+        ``<dir>/<tenant>.ckpt.json`` atomically, with the previous intact
+        checkpoint rotated to ``.prev`` (see
         :func:`~repro.serve.session.save_checkpoint`).
         """
         self.set_outputs(telemetry, checkpoint_dir, checkpoint_every)
@@ -642,11 +642,17 @@ class ServeEngine:
             self._checkpoint(tenant)
 
     def _end(self, tenant: _Tenant) -> None:
-        """Close a tenant's stream: the end-of-stream hook, then the final checkpoint."""
+        """Close a tenant's stream: the end-of-stream hook, then the final checkpoint.
+
+        The checkpoint is skipped when the cadence already wrote this tick:
+        ``finish`` leaves the algorithm's state as it was, so it would be
+        the same payload.
+        """
         tenant.done = True
         if not tenant.failed:
             tenant.session.finish()
-        self._checkpoint(tenant)
+        if tenant.checkpointed != (self._checkpoint_dir, tenant.session.ticks):
+            self._checkpoint(tenant)
 
     def _checkpoint(self, tenant: _Tenant) -> None:
         if self._checkpoint_dir is not None:
@@ -654,12 +660,13 @@ class ServeEngine:
                 self._checkpoint_dir / f"{tenant.name}.ckpt.json",
                 tenant.session.checkpoint(),
             )
+            tenant.checkpointed = (self._checkpoint_dir, tenant.session.ticks)
 
     def report(self, wall_seconds: Optional[float] = None) -> dict:
         """Engine-level summary: totals, pooled latencies, sharing counters.
 
         ``sharing`` carries every cache's full counter dict (including the
-        ``tensor_evictions`` / ``ledger_evictions`` LRU pressure gauges);
+        ``ledger_evictions`` LRU pressure gauge);
         ``cache_totals`` sums the numeric counters across caches so eviction
         behaviour and memo residency are observable at a glance without
         iterating per-cache rows.  ``batch`` is :meth:`batch_counters`.

@@ -79,6 +79,7 @@ from .engine import IDLE, ServeEngine, _Tenant
 from .feed import FeedError, TraceFeed, build_feed
 from .session import (
     ControllerSession,
+    check_ledger_budget,
     load_checkpoint,
     previous_checkpoint_path,
     ServeCache,
@@ -293,10 +294,7 @@ class _WorkerRuntime:
         # one engine (and so one registry) per worker incarnation; every
         # cache/session lands its series there and the snapshot ships home
         # in the result file
-        self.engine = ServeEngine(
-            tensor_budget_bytes=config.get("tensor_budget_bytes"),
-            ledger_budget=config.get("ledger_budget"),
-        )
+        self.engine = ServeEngine(ledger_budget=config.get("ledger_budget"))
         self._caches: Dict = {}
         self._epoch = None
         self._round = 0
@@ -486,7 +484,6 @@ class ServeFabric:
         breaker: Optional[BreakerConfig] = None,
         heartbeat_timeout: float = 10.0,
         poll_interval: float = 0.02,
-        tensor_budget_bytes: Optional[int] = None,
         ledger_budget: Optional[int] = None,
         worker_telemetry: bool = False,
     ):
@@ -500,8 +497,7 @@ class ServeFabric:
         self.breaker = breaker or BreakerConfig()
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.poll_interval = float(poll_interval)
-        self.tensor_budget_bytes = tensor_budget_bytes
-        self.ledger_budget = ledger_budget
+        self.ledger_budget = check_ledger_budget(ledger_budget)
         self.worker_telemetry = bool(worker_telemetry)
         self._tenants: "OrderedDict[str, TenantSpec]" = OrderedDict()
         self._migrations: List[dict] = []
@@ -653,7 +649,6 @@ class ServeFabric:
                 "checkpoint_every": self.checkpoint_every,
                 "heartbeat_every": self.heartbeat_every,
                 "breaker": self.breaker.to_dict(),
-                "tensor_budget_bytes": self.tensor_budget_bytes,
                 "ledger_budget": self.ledger_budget,
                 "telemetry": self.worker_telemetry,
                 "die_at_round": kill.get(worker_id) if incarnation == 0 else None,

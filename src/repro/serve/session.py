@@ -31,12 +31,12 @@ across a mid-stream :meth:`ControllerSession.checkpoint` /
 
 Multi-tenant sharing
 --------------------
-Sessions draw all dispatch work from a :class:`ServeCache`.  The cache owns an
-append-only demand ledger (one *virtual slot* per distinct ``(demand, cost
-row)`` observation) behind a shared
-:class:`~repro.dispatch.allocation.DispatchSolver`, plus a whole-grid
-operating-cost tensor memo keyed by dispatch signature — the serve-side
-analogue of the providers a :class:`~repro.online.base.SlotContext` reads.  Many
+Sessions draw all dispatch work from a :class:`ServeCache`.  The cache owns a
+demand ledger (one *virtual slot* per distinct ``(demand, cost row)``
+observation) behind a shared
+:class:`~repro.dispatch.allocation.DispatchSolver`, and each ledger slot owns
+its whole-grid operating-cost tensors — the serve-side analogue of the
+providers a :class:`~repro.online.base.SlotContext` reads.  Many
 sessions over the same fleet geometry share one cache: the first tenant to
 observe a demand level pays the dispatch solve, every other tenant's tick is a
 dictionary hit (see ``repro serve bench`` / ``BENCH_serve.json``).
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from collections import OrderedDict, deque
@@ -96,7 +97,6 @@ CACHE_SERIES = {
     "virtual_slots": DETERMINISTIC_GAUGE,
     "tensor_hits": COUNTER,
     "tensor_misses": COUNTER,
-    "tensor_evictions": COUNTER,
     "tensor_bytes": DETERMINISTIC_GAUGE,
     "ledger_evictions": COUNTER,
     "table_gathers": COUNTER,
@@ -337,15 +337,31 @@ class _StreamInstance:
     def replace(self, vt: int, demand: float, row: tuple) -> int:
         """Reuse ledger slot ``vt`` for a new observation (LRU eviction path).
 
-        The caller must invalidate any per-*index* caches downstream (the
-        dispatch solver's slot-signature memo, :meth:`DispatchSolver.forget
-        <repro.dispatch.allocation.DispatchSolver.forget>`); content-keyed
-        caches stay valid because the old content's entries simply stop
-        being queried.
+        The caller must drop everything keyed by the index downstream (the
+        serve cache's tensors and answers, and the dispatch solver's memos
+        through :meth:`DispatchSolver.forget
+        <repro.dispatch.allocation.DispatchSolver.forget>`).
         """
         self.demand[vt] = float(demand)
         self._rows[vt] = row
         return vt
+
+
+def check_ledger_budget(ledger_budget) -> Optional[int]:
+    """A cache's ``ledger_budget``: ``None`` or an integer ``>= 1`` that is not a bool.
+
+    The one check :class:`ServeCache`, the serve engine and the fabric run on
+    the value they are given; anything else raises ``ValueError`` naming it.
+    """
+    if ledger_budget is not None and (
+        isinstance(ledger_budget, bool)
+        or not isinstance(ledger_budget, numbers.Integral)
+        or ledger_budget < 1
+    ):
+        raise ValueError(
+            f"ledger_budget must be None or an integer >= 1, got {ledger_budget!r}"
+        )
+    return None if ledger_budget is None else int(ledger_budget)
 
 
 class ServeCache:
@@ -355,44 +371,42 @@ class ServeCache:
     *same objects* (same :class:`ServerType` tuple).  Observations are
     deduplicated into virtual slots of the underlying ledger, the solver's
     signature-level block cache dedups further (price-scaled rows collapse
-    onto their base row), and whole-grid operating-cost tensors are memoised
-    per ``(signature, scale, grid)`` so N tenants asking for the tensor of one
-    demand level trigger exactly one dispatch solve.
+    onto their base row), and each ledger slot owns its whole-grid
+    operating-cost tensors, one per grid key, so N tenants asking for the
+    tensor of one demand level trigger exactly one dispatch solve.
 
     Unbounded-stream hardening: a month-scale stream of *continuous* demands
-    would otherwise grow the ledger and the tensor memo without bound.
-
-    * ``tensor_budget_bytes`` caps the grid-tensor memo with LRU eviction
-      (and routes the underlying solves around the dispatcher's own unbounded
-      block cache), and
-    * ``ledger_budget`` caps the demand ledger at that many virtual slots:
-      the least-recently-observed ``(demand, cost row)`` entry is evicted and
-      its ledger index *reused* for the new observation, so the ledger —
-      and the dispatcher's signature and result memos behind it
-      (:meth:`~repro.dispatch.allocation.DispatchSolver.forget`) — stays
-      flat.
+    would otherwise grow the ledger, and everything its slots own, without
+    bound.  ``ledger_budget`` caps the ledger at that many virtual slots: the
+    least-recently-observed ``(demand, cost row)`` entry is evicted and its
+    ledger index *reused* for the new observation.  The evicted slot's grid
+    tensors and configuration answers go with it, and so do the dispatcher's
+    signature and result memos behind it
+    (:meth:`~repro.dispatch.allocation.DispatchSolver.forget`), so that one
+    bound keeps the whole cache flat.
 
     Eviction changes nothing numerically: a re-observed evicted level is
     simply re-solved (single-slot queries are bit-identical by construction),
-    which is what the eviction counters in :meth:`counters` price out.
+    which is what the eviction counter in :meth:`counters` prices out.
 
     Hot-path fast maps
     ------------------
     On quantised streams the steady-state tick never needs a dispatch solve:
     every quantity is a pure function of ``(virtual slot, grid or config)``.
-    Three flat dictionaries shortcut the per-tick bookkeeping of the general
-    machinery — ``_vt_base`` (demand → ledger slot for base-cost-row ticks,
-    skipping the LRU OrderedDict), ``_fast_tensors`` (ledger slot → grid
-    tensors, skipping signature/key assembly), and ``_fast_solves`` (ledger
-    slot → per-configuration :class:`DispatchResult`, skipping the solver's
-    array/tuple key construction).  Every fast entry is *installed from the
-    slow path's own result*, so a fast hit is bit-identical to a miss by
-    construction; hits are counted in ``table_gathers``.  The demand and
-    tensor fast maps are disabled under ``ledger_budget`` /
-    ``tensor_budget_bytes`` respectively, where eviction recency matters and a
-    flat mirror would leak evicted entries.  :meth:`prewarm` fills all three
-    for a known demand alphabet up front, moving even the *first-seen*
-    solves off the tick path.
+    Three flat dictionaries hold the per-tick answers — ``_vt_base`` (demand →
+    ledger slot for base-cost-row ticks, skipping the LRU OrderedDict),
+    ``_tensors`` (ledger slot → grid key → ``(grid, tensor)``), and
+    ``_fast_solves`` (ledger slot → per-configuration
+    :class:`DispatchResult`, skipping the solver's array/tuple key
+    construction).  A tensor is solved on the cache's one grid object for its
+    key (``_grids``), whichever grid object a session asks with, so the solver
+    pins one configuration set per grid however many sessions come and go.
+    Every entry is *installed from the cold path's own result*, so a hit is
+    bit-identical to a miss by construction; tensor and configuration hits
+    count in ``table_gathers``.  The demand map is disabled under
+    ``ledger_budget``, where eviction recency matters and a flat mirror would
+    leak evicted entries.  :meth:`prewarm` fills all three for a known demand
+    alphabet up front, moving even the *first-seen* solves off the tick path.
 
     On continuous streams every tick is first-seen, so the serve engine
     solves a round's cold tensors together before its sessions observe:
@@ -404,45 +418,33 @@ class ServeCache:
 
     That block is the only dispatch a cold tick pays.  The configuration a
     tick commits is a cell of the grid its algorithm decided on, so
-    :meth:`solve_config` answers a first query from the slot's fast tensor
-    (the cost at the configuration's flat index) and the load rows the
+    :meth:`solve_config` answers a first query from the slot's tensor (the
+    cost at the configuration's flat index) and the load rows the
     dispatcher's solved record already holds, and Algorithm C's Lemma-14
     repair reads its sub-slot configurations the same way
     (:meth:`block_costs`).  One rule,
     :meth:`~repro.dispatch.allocation.DispatchSolver.block_rows`, decides
-    when a block may answer; bisection rows, configurations off the grid and
-    ``tensor_budget_bytes`` caches (no fast tensors) ask the solver, as
-    before.  Each answer read from a block counts in ``table_gathers``.
+    when a block may answer; bisection rows and configurations off the grid
+    ask the solver, as before.  Each answer read from a block counts in
+    ``table_gathers``.
     """
 
     def __init__(
         self,
         server_types,
-        tensor_budget_bytes: Optional[int] = None,
         ledger_budget: Optional[int] = None,
         *,
         metrics: Optional[MetricsRegistry] = None,
         metrics_label: Optional[str] = None,
     ):
-        if ledger_budget is not None and int(ledger_budget) < 1:
-            raise ValueError(f"ledger_budget must be >= 1, got {ledger_budget}")
-        if tensor_budget_bytes is not None and int(tensor_budget_bytes) < 0:
-            raise ValueError(
-                f"tensor_budget_bytes must be >= 0, got {tensor_budget_bytes}"
-            )
+        self.ledger_budget = check_ledger_budget(ledger_budget)
         self.stream = _StreamInstance(server_types)
         self.dispatcher = DispatchSolver(self.stream)
         self.signature = fleet_signature(self.stream.server_types)
-        self.tensor_budget_bytes = (
-            None if tensor_budget_bytes is None else int(tensor_budget_bytes)
-        )
-        self.ledger_budget = None if ledger_budget is None else int(ledger_budget)
         self._virtual: OrderedDict = OrderedDict()
-        self._tensors: OrderedDict = OrderedDict()
         self._tensor_bytes = 0
         self.tensor_hits = 0
         self.tensor_misses = 0
-        self.tensor_evictions = 0
         self.ledger_evictions = 0
         self.table_gathers = 0
         self.prewarmed_levels = 0
@@ -455,10 +457,10 @@ class ServeCache:
         )
         self.metrics.register_collector(self.collect_metrics)
         self._vt_base: dict = {}
-        self._fast_tensors: dict = {}
+        self._tensors: dict = {}
         self._fast_solves: dict = {}
-        # grid key -> the grid object blocks are solved on: it outlives the
-        # round, because the solver pins every read-only configs array by id
+        # grid key -> the grid object tensors are solved on: it outlives the
+        # sessions, because the solver pins every read-only configs array by id
         self._grids: dict = {}
 
     def collect_metrics(self) -> None:
@@ -491,14 +493,16 @@ class ServeCache:
             and len(self._virtual) >= self.ledger_budget
         ):
             # evict the least-recently-observed level and reuse its slot; the
-            # solver forgets the old content's signature and its results, so
-            # its memos stay bounded too (unhashable-row slots bypass the map
-            # and stay append-only: their ("slot", index) signatures pin the
-            # index's identity)
+            # slot's tensors and answers go, and the solver forgets the old
+            # content's signature and its results, so every memo stays
+            # bounded (unhashable-row slots bypass the map and stay
+            # append-only: their ("slot", index) signatures pin the index's
+            # identity)
             _, vt = self._virtual.popitem(last=False)
             self.stream.replace(vt, demand, row)
             self.dispatcher.forget(vt)
-            self._fast_tensors.pop(vt, None)
+            for _, tensor in self._tensors.pop(vt, {}).values():
+                self._tensor_bytes -= tensor.nbytes
             self._fast_solves.pop(vt, None)
             self.ledger_evictions += 1
         else:
@@ -530,35 +534,28 @@ class ServeCache:
         ``False`` means "not known", not "cold".
         """
         vt = self._vt_base.get(demand)
-        return vt is not None and vt in self._fast_tensors
+        return vt is not None and vt in self._tensors
 
     def grid_tensor(self, vt: int, grid) -> np.ndarray:
         """Memoised value tensor of ``g_t`` over ``grid`` at virtual slot ``vt``.
 
         Computed by the same single-slot query the batch ``run_online`` path
-        issues, so the tensor is bit-identical to the batch one; keyed by
-        dispatch signature, so sessions (and tenants) sharing a demand level
-        share one tensor.  Repeat ``(slot, grid)`` pairs are served from a
-        flat per-slot fast map (installed from this method's own result, so
-        fast hits return the identical array object).
+        issues, so the tensor is bit-identical to the batch one.  The slot
+        owns it under ``grid.key``, so sessions (and tenants) sharing a
+        demand level and a grid share one tensor, whichever grid object they
+        ask with: a hit returns the identical array object the miss
+        installed.
         """
-        fast = self._fast_tensors.get(vt)
-        if fast is not None:
-            hit = fast.get(id(grid))
-            if hit is not None and hit[0] is grid:
+        tensors = self._tensors.get(vt)
+        if tensors is not None:
+            hit = tensors.get(grid.key)
+            if hit is not None:
                 self.tensor_hits += 1
                 self.table_gathers += 1
                 return hit[1]
-        sig, scale = self.dispatcher._slot_signature(vt)
-        key = (sig, scale, grid.key)
-        tensor = self._tensors.get(key)
-        if tensor is None:
-            costs = self._solve_tensors([vt], grid)
-            return self._install(key, vt, grid, costs[0])
-        self.tensor_hits += 1
-        self._tensors.move_to_end(key)
-        self._fast_install(vt, grid, tensor)
-        return tensor
+        grid = self._grids.setdefault(grid.key, grid)
+        costs, _ = self.dispatcher.solve_block([vt], grid.configs())
+        return self._install(vt, grid, costs[0])
 
     def row(self, vt: int, configs: np.ndarray) -> np.ndarray:
         """``g`` at virtual slot ``vt`` for a batch of configurations (one ``solve_grid`` row)."""
@@ -568,57 +565,38 @@ class ServeCache:
     def grid_tensors(self, vts, grid) -> set:
         """Solve the missing grid tensors of the slots ``vts`` in one block.
 
-        Each slot's signature is read now and its tensor installed under that
-        content key by :meth:`grid_tensor`'s own install step, so the later
-        ``grid_tensor`` queries hit.  The block runs only when it pays and
-        stays bit-identical: when at least two distinct signatures miss, on
-        cost rows whose cells do not depend on their block (no bisection
-        rows).  Returns the slots the block solved (empty when it did not
-        run).
+        Each row is installed by :meth:`grid_tensor`'s own install step, so
+        the later ``grid_tensor`` queries hit.  The block runs only when it
+        pays and stays bit-identical: when at least two distinct signatures
+        miss, on cost rows whose cells do not depend on their block (no
+        bisection rows).  Returns the slots the block solved (empty when it
+        did not run).
         """
         grid = self._grids.setdefault(grid.key, grid)
         dispatcher = self.dispatcher
-        missing: dict = {}
+        missing = []
         signatures = set()
-        for vt in vts:
-            sig, scale = dispatcher._slot_signature(vt)
-            key = (sig, scale, grid.key)
-            if key in self._tensors or key in missing or not dispatcher._cellwise(sig[1]):
+        for vt in dict.fromkeys(vts):
+            if grid.key in self._tensors.get(vt, ()):
                 continue
-            missing[key] = vt
-            signatures.add(sig)
+            sig = dispatcher._slot_signature(vt)[0]
+            if dispatcher._cellwise(sig[1]):
+                missing.append(vt)
+                signatures.add(sig)
         if len(signatures) < 2:
             return set()
-        costs = self._solve_tensors(list(missing.values()), grid)
-        for (key, vt), row in zip(missing.items(), costs):
-            self._install(key, vt, grid, row)
-        return set(missing.values())
+        costs, _ = dispatcher.solve_block(missing, grid.configs())
+        for vt, row in zip(missing, costs):
+            self._install(vt, grid, row)
+        return set(missing)
 
-    def _solve_tensors(self, vts, grid) -> np.ndarray:
-        """``g`` over ``grid`` at the slots ``vts``, one cost row per slot.
-
-        A budgeted memo must not mirror whole-grid blocks into the
-        dispatcher's unbounded block cache, so it solves unmemoised.
-        """
-        costs, _ = self.dispatcher.solve_block(
-            vts, grid.configs(), memoise=self.tensor_budget_bytes is None
-        )
-        return costs
-
-    def _install(self, key, vt: int, grid, costs: np.ndarray) -> np.ndarray:
-        """Memoise a freshly solved tensor: one miss, LRU-bounded, fast-mapped."""
+    def _install(self, vt: int, grid, costs: np.ndarray) -> np.ndarray:
+        """Give slot ``vt`` a freshly solved tensor over ``grid`` (the cache's grid for its key)."""
         self.tensor_misses += 1
         tensor = costs.reshape(grid.shape)
-        self._tensors[key] = tensor
+        self._tensors.setdefault(vt, {})[grid.key] = (grid, tensor)
         self._tensor_bytes += tensor.nbytes
-        self._evict_tensors()
-        self._fast_install(vt, grid, tensor)
         return tensor
-
-    def _fast_install(self, vt: int, grid, tensor: np.ndarray) -> None:
-        if self.tensor_budget_bytes is None:
-            # the entry holds a strong ref to the grid, pinning its id
-            self._fast_tensors.setdefault(vt, {})[id(grid)] = (grid, tensor)
 
     def solve_config(self, vt: int, rounded: np.ndarray) -> DispatchResult:
         """Per-configuration dispatch at a virtual slot — the tick fast path.
@@ -644,14 +622,13 @@ class ServeCache:
     def _first_answer(self, vt: int, rounded: np.ndarray) -> DispatchResult:
         """``g`` and the loads of one configuration at ``vt``, from a block when one answers.
 
-        A fast tensor of ``vt`` whose grid the dispatcher's rule
+        A tensor of ``vt`` whose grid the dispatcher's rule
         (:meth:`~repro.dispatch.allocation.DispatchSolver.block_rows`) lets
         answer gives the cost at the configuration's flat index and the
         load row the solved record holds (a view, no copy): the values
         ``dispatcher.solve`` would gather, bit for bit.  Otherwise the
         solver answers: on bisection rows, for configurations off every
-        grid, and on a ``tensor_budget_bytes`` cache, which keeps no fast
-        tensors.
+        grid, and at a slot with no tensor.
         """
         found = self._read_block(vt, rounded[None, :])
         if found is None:
@@ -661,7 +638,7 @@ class ServeCache:
         return DispatchResult(cost=cost, loads=loads[flat], feasible=math.isfinite(cost))
 
     def block_costs(self, vt: int, grid, configs: np.ndarray) -> Optional[np.ndarray]:
-        """``g`` at configuration rows of ``grid`` read from ``vt``'s fast tensor, or ``None``.
+        """``g`` at configuration rows of ``grid`` read from ``vt``'s tensor, or ``None``.
 
         Algorithm C's repair reads its sub-slot configurations here (the
         slot's ``block_costs``); ``None`` under the same rule as
@@ -671,13 +648,13 @@ class ServeCache:
         return None if found is None else found[0].reshape(-1)[found[1]]
 
     def _read_block(self, vt: int, configs: np.ndarray, grid=None) -> Optional[tuple]:
-        """``(tensor, flat indices, load rows)`` of ``configs`` in a fast tensor of ``vt``.
+        """``(tensor, flat indices, load rows)`` of ``configs`` in a tensor of ``vt``.
 
-        Tries ``grid``'s fast tensor (each of the slot's when ``grid`` is
-        ``None``); an answer read counts in ``table_gathers``.
+        Tries the tensor on ``grid``'s key (each of the slot's when ``grid``
+        is ``None``); an answer read counts in ``table_gathers``.
         """
-        for key, (block_grid, tensor) in self._fast_tensors.get(vt, {}).items():
-            if grid is not None and key != id(grid):
+        for key, (block_grid, tensor) in self._tensors.get(vt, {}).items():
+            if grid is not None and key != grid.key:
                 continue
             found = self.dispatcher.block_rows(vt, block_grid, configs)
             if found is not None:
@@ -721,14 +698,6 @@ class ServeCache:
                     sub[key] = self._first_answer(vt, rounded)
         self.prewarmed_levels = max(self.prewarmed_levels, len(levels))
 
-    def _evict_tensors(self) -> None:
-        if self.tensor_budget_bytes is None:
-            return
-        while self._tensor_bytes > self.tensor_budget_bytes and len(self._tensors) > 1:
-            _, evicted = self._tensors.popitem(last=False)
-            self._tensor_bytes -= evicted.nbytes
-            self.tensor_evictions += 1
-
     def counters(self) -> dict:
         """JSON-safe sharing counters (dispatch stats + memo hits + evictions).
 
@@ -740,7 +709,6 @@ class ServeCache:
             "virtual_slots": self.virtual_slots,
             "tensor_hits": self.tensor_hits,
             "tensor_misses": self.tensor_misses,
-            "tensor_evictions": self.tensor_evictions,
             "tensor_bytes": self._tensor_bytes,
             "ledger_evictions": self.ledger_evictions,
             "table_gathers": self.table_gathers,
@@ -924,8 +892,8 @@ class ControllerSession:
         ``algorithm.last_decision`` record, overwritten every tick.  On a
         quantised stream over a prewarmed cache nothing else grows per tick;
         on continuous demand an unbudgeted cache, and this session's slot
-        templates, still keep entries per distinct demand level (a cache
-        ``ledger_budget`` and ``tensor_budget_bytes`` bound them).
+        templates, still keep entries per distinct demand level, and a cache
+        ``ledger_budget`` alone bounds them.
     name:
         Tenant identifier stamped into telemetry rows.
     """
@@ -1206,16 +1174,13 @@ class ControllerSession:
         :meth:`prepare_tick` would reject it, when the algorithm names no
         :meth:`~repro.online.base.OnlineAlgorithm.evaluation_grid`, when its
         cost row is unhashable (each resolution gets a fresh slot, so a
-        tensor solved now would never be read), and on budgeted caches,
-        where a block adds solves: under ``ledger_budget`` resolving the
-        round's slots first recycles slots before their tensors are read,
-        and under ``tensor_budget_bytes`` the block is solved unmemoised, so
-        the greedy baselines, which read ``g_t`` through the dispatcher's
-        memo, solve their rows again.  Otherwise the slot is resolved here
-        as :meth:`prepare_tick` will resolve it.
+        tensor solved now would never be read), and under ``ledger_budget``,
+        where resolving the round's slots first recycles slots before their
+        tensors are read, so a block adds solves.  Otherwise the slot is
+        resolved here as :meth:`prepare_tick` will resolve it.
         """
         cache = self.cache
-        if cache.ledger_budget is not None or cache.tensor_budget_bytes is not None:
+        if cache.ledger_budget is not None:
             return None
         if cost_row is None and counts is None and cache.warm(demand):
             return None

@@ -33,12 +33,14 @@ from repro.core.server import ServerType
 from repro.scenarios import build
 from repro.scenarios.events import EventPlan
 from repro.serve import (
+    SERVE_ALGORITHMS,
     ControllerSession,
     InstanceFeed,
     ServeCache,
     ServeEngine,
     ServeFabric,
     TelemetryWriter,
+    assert_same,
     build_feed,
     load_checkpoint,
     verify_batched,
@@ -205,7 +207,7 @@ DP_FAMILIES = [
     "spiky-three-tier",  # d = 3
     "homogeneous",  # d = 1
 ]
-ENGINE_KWARGS = [{}, {"ledger_budget": 2}, {"ledger_budget": 3}, {"tensor_budget_bytes": 0}]
+ENGINE_KWARGS = [{}, {"ledger_budget": 2}, {"ledger_budget": 3}]
 
 
 class TestDPCohorts:
@@ -215,7 +217,7 @@ class TestDPCohorts:
         """A fleet of one cohort kind, so ``batched_ticks > 0`` proves that
         kind batched: quantised demand, continuous demand and a continuous
         stream whose peaks exceed the fleet (shed), each restored mid-stream,
-        under unbounded, ledger-budgeted and tensor-budgeted caches; the
+        under unbounded and ledger-budgeted caches; the
         ``gamma`` forms on their own reduced grids."""
         base = build(family, T=16)
         capacity = float(np.sum(base.m * base.zmax))
@@ -384,8 +386,7 @@ class TestReportCounters:
             engine.add_tenant(f"t{k}", "reactive", InstanceFeed(instance))
         engine.run()
         totals = engine.report()["cache_totals"]
-        for key in ("virtual_slots", "ledger_evictions", "tensor_evictions",
-                    "tensor_bytes", "unique_solves"):
+        for key in ("virtual_slots", "ledger_evictions", "tensor_bytes", "unique_solves"):
             assert key in totals
         assert totals["virtual_slots"] <= 4
         assert "cache_hit_rate" not in totals  # a ratio; summing it is meaningless
@@ -492,32 +493,62 @@ class TestBudgetedChurn:
         assert max(slots_seen) <= 6  # flat throughout, not just at the end
         assert counters["ledger_evictions"] > 0
 
-    def test_tensor_budget_evicts_and_stays_neutral(self):
-        """Grid tensors (the DP algorithms' per-slot memo) respect
-        tensor_budget_bytes under churn: bytes stay bounded, evictions fire,
-        schedules match an unbudgeted cache exactly."""
-        instance = _quantised(T=8, levels=24)
-        probe = ControllerSession("A", instance.server_types)
-        probe.observe(float(instance.demand[0]))
-        tensor_cache = probe.cache.counters()
-        if tensor_cache["tensor_bytes"] == 0:
-            pytest.skip("algorithm A does not populate the tensor memo here")
-        budget = tensor_cache["tensor_bytes"] * 3  # room for ~3 slots' tensors
-        budgeted = ServeCache(instance.server_types, tensor_budget_bytes=budget)
-        unbudgeted = ServeCache(instance.server_types)
-        for k in range(40):
-            demands = np.roll(instance.demand, k % instance.T)[:4]
-            schedules = []
-            for cache in (budgeted, unbudgeted):
-                session = ControllerSession(
-                    "A", instance.server_types, cache=cache, history=True
-                )
-                for demand in demands:
-                    session.observe(float(demand))
-                schedules.append(session.schedule.x)
-            assert np.array_equal(schedules[0], schedules[1])
-            assert budgeted.counters()["tensor_bytes"] <= budget
-        assert budgeted.counters()["tensor_evictions"] > 0
+    @pytest.mark.parametrize("ledger_budget", [None, 8])
+    def test_short_lived_sessions_pin_one_configuration_set_per_grid(self, ledger_budget):
+        """300 short-lived compact A sessions on one cache, 3 continuous ticks
+        each: every tensor is solved on the cache's one grid object for its
+        key, so the solver pins one configuration set per distinct grid, not
+        one per session's tracker."""
+        instance = build("diurnal-cpu-gpu", T=4)
+        capacity = float(np.sum(instance.m * instance.zmax))
+        demand = np.random.default_rng(3).uniform(0.05, 0.95 * capacity, 900).tolist()
+        cache = ServeCache(instance.server_types, ledger_budget=ledger_budget)
+        for k in range(300):
+            session = ControllerSession("A", cache=cache, history=False)
+            for level in demand[3 * k : 3 * k + 3]:
+                session.observe(level)
+        assert len(cache.dispatcher._configs_id_cache) == len(cache._grids) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(2, 12),
+        d=st.integers(1, 2),
+        quantised=st.booleans(),
+        kinds=st.lists(st.sampled_from(sorted(SERVE_ALGORITHMS)), min_size=2, max_size=4),
+        budget=st.integers(1, 6),
+    )
+    def test_budgeted_engine_decides_as_an_unbudgeted_one_with_every_memo_bounded(
+        self, seed, T, d, quantised, kinds, budget
+    ):
+        """Rolled tenants of random kinds through a ledger-budgeted engine
+        and an unbudgeted one: equal schedules, costs and SLA counters, and
+        after the budgeted run every memo the ledger owns holds at most
+        ``budget`` slots (the solver pins one configuration set per grid)."""
+        instance = random_instance(np.random.default_rng(seed), T=T, d=d)
+        if quantised:
+            instance = instance.with_demand(quantise_trace(instance.demand, levels=3))
+
+        def run(**engine_kwargs):
+            engine = ServeEngine(**engine_kwargs)
+            for k, kind in enumerate(kinds):
+                rolled = instance.with_demand(np.roll(instance.demand, k), name=f"t{k}")
+                engine.add_tenant(f"t{k}", kind, InstanceFeed(rolled))
+            engine.run()
+            return engine
+
+        budgeted, unbudgeted = run(ledger_budget=budget), run()
+        for name in unbudgeted.tenants:
+            assert_same(
+                unbudgeted.session(name), budgeted.session(name), label=name, tolerance=0.0
+            )
+        (cache,) = budgeted.caches
+        dispatcher = cache.dispatcher
+        for memo in (cache._virtual, cache._tensors, dispatcher._sig_cache,
+                     dispatcher._cache, dispatcher._block_cache, dispatcher._solved):
+            assert len(memo) <= budget
+        assert cache.virtual_slots <= budget
+        assert len(dispatcher._configs_id_cache) <= 1  # every kind reads the full grid
 
     def test_batched_engine_forwards_budgets_and_stays_identical(self):
         """ledger_budget on the engine: eviction churn underneath the cohort
@@ -780,8 +811,7 @@ def _engine_rows(build_tenants, directory, checkpoint_at=None, **engine_kwargs):
 
 class TestRegretStream:
     @pytest.mark.parametrize(
-        "kwargs", [{}, {"ledger_budget": 2}, {"tensor_budget_bytes": 0}],
-        ids=["unbudgeted", "ledger_budget", "tensor_budget_bytes"],
+        "kwargs", [{}, {"ledger_budget": 2}], ids=["unbudgeted", "ledger_budget"],
     )
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_every_path_reports_the_private_tracker_optimum(self, algorithm, kwargs, tmp_path):

@@ -15,6 +15,7 @@ import gc
 import itertools
 import json
 import os
+import re
 import signal
 import threading
 import time
@@ -308,23 +309,22 @@ class TestServeCacheBudgets:
         counters = capped_cache.counters()
         assert counters["ledger_evictions"] == capped_cache.ledger_evictions
 
-    def test_tensor_budget_evicts_and_changes_nothing_numerically(self):
-        instance = _smoke_instance()
-        free_session, free_cache = self._run(instance, "B")
-        assert free_cache.tensor_misses > 0, "algorithm B must exercise grid tensors"
-        budget = max(free_cache.counters()["tensor_bytes"] // 4, 1)
-        capped_session, capped_cache = self._run(instance, "B", tensor_budget_bytes=budget)
-        assert capped_cache.tensor_evictions > 0
-        assert capped_cache.counters()["tensor_bytes"] <= budget or len(capped_cache._tensors) == 1
-        assert np.array_equal(capped_session.schedule.x, free_session.schedule.x)
-        assert capped_session.cumulative_cost == free_session.cumulative_cost
-
     def test_budget_validation(self):
+        """``ledger_budget`` is ``None`` or an integer >= 1 that is not a
+        bool, on the cache, the engine and the fabric alike: nothing is
+        truncated or coerced on the way to the caches."""
         instance = _smoke_instance()
-        with pytest.raises(ValueError, match="ledger_budget"):
-            ServeCache(instance.server_types, ledger_budget=0)
-        with pytest.raises(ValueError, match="tensor_budget_bytes"):
-            ServeCache(instance.server_types, tensor_budget_bytes=-1)
+        constructors = [
+            lambda budget: ServeCache(instance.server_types, ledger_budget=budget),
+            lambda budget: ServeEngine(ledger_budget=budget),
+            lambda budget: ServeFabric(workers=1, ledger_budget=budget),
+        ]
+        for construct in constructors:
+            for budget in (2.9, True, "3", 0, -1):
+                with pytest.raises(ValueError, match=re.escape(f"got {budget!r}")):
+                    construct(budget)
+            assert construct(np.int64(3)).ledger_budget == 3
+            assert construct(None).ledger_budget is None
 
 
 # --------------------------------------------------------------------------- #
@@ -384,6 +384,22 @@ class TestCompactHistory:
         assert abs(growth) < 64, growth
         assert payload_bytes(True, 160) - payload_bytes(True, 80) > 500
 
+    @staticmethod
+    def _heap_growth(session, ticks, warmup: int) -> int:
+        """Traced-heap growth over 4,096 ticks of ``session`` after ``warmup`` ticks."""
+        for _ in range(warmup):
+            session.observe(next(ticks))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(4096):
+                session.observe(next(ticks))
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("kind", sorted(SERVE_ALGORITHMS))
     def test_compact_session_memory_stays_flat(self, kind):
         """A prewarmed quantised history=False session retains nothing per
@@ -394,20 +410,24 @@ class TestCompactHistory:
         cache = ServeCache(instance.server_types)
         cache.prewarm(sorted(set(demand)))
         session = ControllerSession(kind, cache=cache, history=False)
-        ticks = itertools.cycle(demand)
-        for _ in range(1024):
-            session.observe(next(ticks))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for _ in range(4096):
-                session.observe(next(ticks))
-            gc.collect()
-            grown = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        grown = self._heap_growth(session, itertools.cycle(demand), warmup=1024)
         assert grown < 512 * 1024, grown
+
+    @pytest.mark.parametrize("kind", sorted(SERVE_ALGORITHMS))
+    def test_compact_continuous_session_memory_stays_flat_under_a_ledger_budget(self, kind):
+        """On continuous demand every tick is a new level, and
+        ``ledger_budget`` alone bounds the cache: an evicted ledger slot's
+        grid tensors go with it.  After a 256-tick warm-up, 4,096 more ticks
+        of a history=False session grow the traced heap by less than 512 KB
+        (a d = 1 fleet keeps the traced run short)."""
+        instance = build("homogeneous", T=96)
+        capacity = float(np.sum(instance.m * instance.zmax))
+        demand = np.random.default_rng(7).uniform(0.05, 0.95 * capacity, 256 + 4096)
+        cache = ServeCache(instance.server_types, ledger_budget=8)
+        session = ControllerSession(kind, cache=cache, history=False)
+        grown = self._heap_growth(session, iter(demand.tolist()), warmup=256)
+        assert grown < 512 * 1024, grown
+        assert cache.virtual_slots <= 8 and len(cache._tensors) <= 8
 
 
 # --------------------------------------------------------------------------- #
@@ -430,6 +450,27 @@ class TestEngineCheckpointCadence:
         assert restored.cumulative_cost == pytest.approx(
             engine.session("t0").cumulative_cost, abs=1e-12
         )
+
+    @pytest.mark.parametrize("T, written", [(8, [4, 8]), (10, [4, 8, 10])])
+    def test_the_last_tick_is_written_once(self, tmp_path, monkeypatch, T, written):
+        """A stream whose length is a multiple of the cadence ends on a
+        cadence write, and the end of the stream writes nothing more; the
+        final file is the payload of the finished session."""
+        import repro.serve.engine as engine_module
+
+        ticks = []
+
+        def spy(path, payload, keep_previous=True):
+            ticks.append(payload["tick"])
+            return save_checkpoint(path, payload, keep_previous)
+
+        monkeypatch.setattr(engine_module, "save_checkpoint", spy)
+        instance = build(SCENARIO, T=T)
+        engine = ServeEngine()
+        engine.add_tenant("t0", "B", InstanceFeed(instance))
+        engine.run(checkpoint_dir=tmp_path, checkpoint_every=4)
+        assert ticks == written
+        assert load_checkpoint(tmp_path / "t0.ckpt.json") == engine.session("t0").checkpoint()
 
 
 # --------------------------------------------------------------------------- #

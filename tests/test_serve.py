@@ -470,8 +470,8 @@ class _OneArrivalPerResolve(ServeEngine):
 
 #: (tenant, algorithm, add_tenant kwargs); a callable builds a fresh object.
 #: No lane family appears twice: a cohort of two fetches a level both serve
-#: once, so under ``tensor_budget_bytes`` it can solve less than one-arrival
-#: rounds do.  The regret tenant keeps a private stream, which reads the block.
+#: once, so under ``ledger_budget`` it can solve less than one-arrival rounds
+#: do.  The regret tenant keeps a private stream, which reads the block.
 BLOCK_TENANTS = [
     ("A", "A", {}),
     ("B", "B", {}),
@@ -492,8 +492,6 @@ BLOCK_ENGINE_KWARGS = [
     {},
     {"ledger_budget": 2},
     {"ledger_budget": 3},
-    {"tensor_budget_bytes": 0},
-    {"tensor_budget_bytes": 1 << 20},
 ]
 BLOCK_T = 8
 
@@ -815,20 +813,22 @@ class TestBlockReads:
 
     def test_bisection_rows_gamma_grids_and_budgeted_caches_take_the_solver(self, monkeypatch):
         """CallableCost rows (no record: their cells depend on the block),
-        configurations off a gamma grid, and a tensor-budgeted cache (no fast
-        tensors) keep the solver query in both readers."""
+        configurations off a gamma grid, and a budgeted cache's recycled slot
+        (its tensors went with the evicted level) keep the solver query in
+        both readers."""
         bisecting = _callable_d2(4)
         fleet = build("diurnal-cpu-gpu", T=4)
         geometric = StateGrid.geometric(fleet.m, 2.0)  # no 3 servers of type 0
         cases = [
             (ServeCache(bisecting.server_types), StateGrid.full(bisecting.m), [2, 1]),
             (ServeCache(fleet.server_types), geometric, [3, 1]),
-            (ServeCache(fleet.server_types, tensor_budget_bytes=1 << 20),
-             StateGrid.full(fleet.m), [2, 1]),
+            (ServeCache(fleet.server_types, ledger_budget=1), StateGrid.full(fleet.m), [2, 1]),
         ]
         for cache, grid, config in cases:
             vt = cache.virtual_slot_base(2.5)
             cache.grid_tensor(vt, grid)
+            if cache.ledger_budget is not None:  # a new level evicts 2.5 and reuses its slot
+                assert cache.virtual_slot_base(3.5) == vt and not cache._tensors
             calls = _spy_queries(monkeypatch, cache.dispatcher)
             gathers = cache.table_gathers
             configs = np.array([[0, 1], config])
@@ -945,11 +945,12 @@ class TestDispatcherMemoBound:
 
     @pytest.mark.parametrize("T", [256, 1024])
     def test_ledger_budget_bounds_the_dispatcher_memos(self, T):
-        """Evicting a ledger slot forgets its signature's dispatch memos, so
-        under ledger_budget they stay flat on a continuous stream."""
+        """Evicting a ledger slot drops its grid tensors and forgets its
+        signature's dispatch memos, so under ledger_budget they stay flat on
+        a continuous stream."""
         budget = 8
         base = build("diurnal-cpu-gpu", T=T, seed=0)
-        engine = ServeEngine(ledger_budget=budget, tensor_budget_bytes=0)
+        engine = ServeEngine(ledger_budget=budget)
         instances = []
         for k, kind in enumerate(["A", "reactive"] * 3):
             instance = base.with_demand(build("diurnal-cpu-gpu", T=T, seed=k + 1).demand)
@@ -959,6 +960,8 @@ class TestDispatcherMemoBound:
         (cache,) = engine.caches
         dispatcher = cache.dispatcher
         grid_size = StateGrid.full(base.m).size
+        assert len(cache._tensors) <= budget
+        assert cache.counters()["tensor_bytes"] <= budget * grid_size * 8
         assert len(dispatcher._sig_cache) <= budget
         for memo in (dispatcher._cache, dispatcher._block_cache, dispatcher._solved):
             assert len(memo) <= budget
@@ -970,6 +973,24 @@ class TestDispatcherMemoBound:
                 run_online(instance, build_serve_algorithm(kind)), engine.session(name),
                 label=name, tolerance=1e-9,
             )
+
+    def test_ledger_budget_alone_keeps_the_tensor_memo_flat(self):
+        """Compact A, B, C, lcp and reactive on continuous demand under
+        ledger_budget=8: the tensor memo holds at most 8 slots, and its bytes
+        read the same after 256 ticks as after 1,024."""
+
+        def tensor_memo(T):
+            fleet = build("diurnal-cpu-gpu", T=T).server_types
+            engine = ServeEngine(ledger_budget=8)
+            for k, kind in enumerate(["A", "B", "C", "lcp", "reactive"]):
+                demand = build("diurnal-cpu-gpu", T=T, seed=k + 1).demand
+                engine.add_tenant(kind, kind, ArrayFeed(demand, server_types=fleet), history=False)
+            engine.run()
+            (cache,) = engine.caches
+            assert len(cache._tensors) <= 8 and cache.ledger_evictions > 0
+            return cache.counters()["tensor_bytes"]
+
+        assert tensor_memo(256) == tensor_memo(1024) > 0
 
 
 # --------------------------------------------------------------------------- #
